@@ -1,22 +1,16 @@
 // Fleet-scale memory/throughput bench: how far does lazy device state
 // stretch one host?
 //
-// Sweeps the fleet size (default 10k -> 100k -> 1M virtual devices, then
-// 10k/100k eager devices for the baseline) over a fixed tiny task:
-// random-selection FedMes-style hierarchy, window-partitioned synthetic
-// data (O(1) per-device data state), a small MLP, a handful of steps with
-// one cloud sync. Per configuration it records wall time, steps/sec, the
-// RSS high-water mark (VmHWM, re-armed per configuration via
-// /proc/self/clear_refs) and the registry's fleet accounting
-// (materializations per step, peak resident devices, at-rest delta bytes).
+// Sweeps the fleet size (default 10k -> 100k -> 1M virtual devices) over a
+// fixed tiny task: random-selection FedMes-style hierarchy,
+// window-partitioned synthetic data (O(1) per-device data state), a small
+// MLP, a handful of steps with one cloud sync. Per configuration it
+// records wall time, steps/sec, the RSS high-water mark (VmHWM, re-armed
+// per configuration via /proc/self/clear_refs) and the registry's fleet
+// accounting (materializations per step, peak resident devices, at-rest
+// delta bytes), plus the 10k -> 1M per-step cost ratio.
 //
-// The headline criterion, recorded in the JSON: the 1M-device lazy run
-// must peak below 25% of the fully-materialized footprint extrapolated
-// from the 100k eager run (x10). Eager 1M is never run — at ~10 KB per
-// materialized device it would need the extrapolation's worth of RAM,
-// which is exactly the point.
-//
-// CI smoke: --devices 100000 --rss-budget-mb N runs the single lazy
+// CI smoke: --devices 100000 --rss-budget-mb N runs the single
 // configuration and fails (exit 1) when its peak RSS delta exceeds the
 // budget.
 #include <chrono>
@@ -35,7 +29,6 @@ namespace {
 using middlefl::bench::BenchOptions;
 
 struct FleetMeasurement {
-  bool lazy = true;
   std::size_t devices = 0;
   std::size_t steps = 0;
   double seconds = 0.0;
@@ -77,7 +70,7 @@ struct FleetTask {
 };
 
 FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
-                            bool lazy, std::size_t steps,
+                            std::size_t steps,
                             std::size_t num_edges,
                             const BenchOptions& options) {
   namespace core = middlefl::core;
@@ -87,7 +80,6 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
   using middlefl::bench::reset_peak_rss;
 
   FleetMeasurement m;
-  m.lazy = lazy;
   m.devices = devices;
   m.steps = steps;
 
@@ -111,7 +103,6 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
   // --threads N > 1 engages the pooled paths (sharded mobility advance,
   // parallel training); results are bitwise identical either way.
   cfg.parallel_devices = options.threads > 1;
-  cfg.fleet.lazy_devices = lazy;
 
   middlefl::optim::Sgd optimizer(
       middlefl::optim::SgdConfig{.learning_rate = 0.05, .momentum = 0.9});
@@ -173,7 +164,7 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
 }
 
 void print_row(const FleetMeasurement& m) {
-  std::cerr << "   " << (m.lazy ? "lazy " : "eager") << " " << m.devices
+  std::cerr << "   lazy " << m.devices
             << " devices: " << m.steps << " steps in " << m.seconds
             << " s (" << m.steps_per_sec << " steps/sec), peak RSS +"
             << m.peak_delta_bytes / (1024 * 1024) << " MiB, "
@@ -188,7 +179,7 @@ void print_row(const FleetMeasurement& m) {
 
 void emit_json(std::ostream& out, const FleetMeasurement& m, bool last) {
   out << "    {\n"
-      << "      \"mode\": \"" << (m.lazy ? "lazy" : "eager") << "\",\n"
+      << "      \"mode\": \"lazy\",\n"
       << "      \"devices\": " << m.devices << ",\n"
       << "      \"steps\": " << m.steps << ",\n"
       << "      \"seconds\": " << m.seconds << ",\n"
@@ -227,12 +218,12 @@ int main(int argc, char** argv) {
   std::size_t num_edges = 8;
 
   util::CliParser cli(
-      "fleet_scale: fleet-size sweep comparing lazy vs eager device state");
+      "fleet_scale: fleet-size sweep over lazy device state");
   options.register_flags(cli);
   cli.add_flag("json", "JSON output path", &json_path);
   cli.add_flag("devices",
-               "run one lazy configuration at this fleet size instead of "
-               "the full sweep (CI smoke)",
+               "run one configuration at this fleet size instead of the "
+               "full sweep (CI smoke)",
                &single_devices);
   cli.add_flag("rss-budget-mb",
                "fail when a configuration's peak RSS delta exceeds this "
@@ -245,34 +236,22 @@ int main(int argc, char** argv) {
 
   const FleetTask task;
   std::vector<FleetMeasurement> results;
-  // Lazy ascending first, then the eager baselines: the cheap runs are
-  // never contaminated by a bigger predecessor's retained allocator arena,
-  // and the headline lazy-1M measurement happens before any eager fleet
-  // exists.
-  if (single_devices > 0) {
-    results.push_back(
-        run_config(task, single_devices, true, steps, num_edges, options));
+  // Ascending fleet sizes: the cheap runs are never contaminated by a
+  // bigger predecessor's retained allocator arena.
+  const std::vector<std::size_t> sizes =
+      single_devices > 0
+          ? std::vector<std::size_t>{single_devices}
+          : std::vector<std::size_t>{10'000, 100'000, 1'000'000};
+  for (const std::size_t n : sizes) {
+    results.push_back(run_config(task, n, steps, num_edges, options));
     print_row(results.back());
-  } else {
-    for (const std::size_t n : {10'000, 100'000, 1'000'000}) {
-      results.push_back(run_config(task, n, true, steps, num_edges, options));
-      print_row(results.back());
-    }
-    for (const std::size_t n : {10'000, 100'000}) {
-      results.push_back(run_config(task, n, false, steps, num_edges, options));
-      print_row(results.back());
-    }
   }
 
-  // Headline criterion: the 1M lazy fleet must fit in < 25% of the
-  // fully-materialized footprint extrapolated from eager 100k (x10).
   const FleetMeasurement* lazy_10k = nullptr;
   const FleetMeasurement* lazy_1m = nullptr;
-  const FleetMeasurement* eager_100k = nullptr;
   for (const auto& m : results) {
-    if (m.lazy && m.devices == 10'000) lazy_10k = &m;
-    if (m.lazy && m.devices == 1'000'000) lazy_1m = &m;
-    if (!m.lazy && m.devices == 100'000) eager_100k = &m;
+    if (m.devices == 10'000) lazy_10k = &m;
+    if (m.devices == 1'000'000) lazy_1m = &m;
   }
 
   // Sublinear-stepping readout: growing the fleet 100x should cost far
@@ -285,30 +264,14 @@ int main(int argc, char** argv) {
     std::cerr << "   scaling: 100x devices (10k -> 1M) costs "
               << step_cost_ratio << "x per step\n";
   }
-  double extrapolated = 0.0;
-  double ratio = 0.0;
-  bool criterion_pass = true;
-  if (lazy_1m != nullptr && eager_100k != nullptr) {
-    extrapolated = static_cast<double>(eager_100k->peak_delta_bytes) * 10.0;
-    ratio = extrapolated > 0.0
-                ? static_cast<double>(lazy_1m->peak_delta_bytes) / extrapolated
-                : 0.0;
-    criterion_pass = ratio < 0.25;
-    std::cerr << "   criterion: lazy 1M peak +"
-              << lazy_1m->peak_delta_bytes / (1024 * 1024)
-              << " MiB vs eager-1M extrapolation "
-              << static_cast<std::size_t>(extrapolated) / (1024 * 1024)
-              << " MiB -> ratio " << ratio << " ("
-              << (criterion_pass ? "PASS" : "FAIL") << ", budget 0.25)\n";
-  }
 
   bool budget_pass = true;
   if (rss_budget_mb > 0) {
     const std::size_t budget = rss_budget_mb * 1024 * 1024;
     for (const auto& m : results) {
       if (m.peak_delta_bytes > budget) {
-        std::cerr << "   RSS budget exceeded: " << (m.lazy ? "lazy" : "eager")
-                  << " " << m.devices << " devices peaked at +"
+        std::cerr << "   RSS budget exceeded: " << m.devices
+                  << " devices peaked at +"
                   << m.peak_delta_bytes / (1024 * 1024) << " MiB > "
                   << rss_budget_mb << " MiB\n";
         budget_pass = false;
@@ -331,16 +294,6 @@ int main(int argc, char** argv) {
     emit_json(out, results[i], i + 1 == results.size());
   }
   out << "  ]";
-  if (lazy_1m != nullptr && eager_100k != nullptr) {
-    out << ",\n  \"criterion\": {\"lazy_1m_peak_delta_bytes\": "
-        << lazy_1m->peak_delta_bytes
-        << ", \"eager_100k_peak_delta_bytes\": "
-        << eager_100k->peak_delta_bytes
-        << ", \"extrapolated_eager_1m_bytes\": "
-        << static_cast<std::size_t>(extrapolated)
-        << ", \"ratio\": " << ratio << ", \"budget\": 0.25, \"pass\": "
-        << (criterion_pass ? "true" : "false") << "}";
-  }
   if (lazy_10k != nullptr && lazy_1m != nullptr) {
     out << ",\n  \"scaling\": {\"lazy_10k_steps_per_sec\": "
         << lazy_10k->steps_per_sec
@@ -350,5 +303,5 @@ int main(int argc, char** argv) {
   }
   out << "\n}\n";
   std::cerr << "   wrote " << json_path << "\n";
-  return (criterion_pass && budget_pass) ? 0 : 1;
+  return budget_pass ? 0 : 1;
 }

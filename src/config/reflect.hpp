@@ -5,7 +5,6 @@
 //
 //   template <> struct Schema<FleetConfig> {
 //     template <class V> static void describe(V& v, FleetConfig& c) {
-//       v.field("lazy_devices", c.lazy_devices);
 //       v.field("at_rest", c.at_rest);        // nested: Schema<Compression…>
 //       v.field("shards", c.shards);
 //     }

@@ -4,8 +4,8 @@
 // hand: the synthetic task and its Non-IID partition, the edge topology
 // and mobility process, the model architecture, the optimizer prototype,
 // the learning-rate schedule, the algorithm policy, and the full
-// core::SimulationConfig (nested transport link policies, fleet/lazy
-// device machinery, heterogeneity knobs). scenario_build.hpp turns a spec
+// core::SimulationConfig (nested transport link policies, fleet device
+// state, heterogeneity knobs). scenario_build.hpp turns a spec
 // into live simulator objects via exactly the construction sequence
 // tools/middlefl_run has always used, so a config-built run is bitwise
 // identical to the equivalent flag-built run (pinned by ctest).
@@ -118,12 +118,12 @@ struct ScenarioSpec {
 
 /// SimulationConfig flattened: 5 loop + 3 aggregation + 5 eval + 24
 /// transport (6 links x loss/kind/fraction/latency) + 3 regularizer + 2
-/// heterogeneity + 4 fleet + 4 serving + 2 comm + seed + 2 execution.
+/// heterogeneity + 3 fleet + 4 serving + 2 comm + seed + 1 execution.
 /// Excluded
 /// members: lr_schedule (std::function; declared via LrScheduleSpec), pool
 /// (runtime pointer), upload_failure_prob/upload_compression (decode-only
 /// aliases).
-inline constexpr std::size_t kSimulationConfigLeaves = 55;
+inline constexpr std::size_t kSimulationConfigLeaves = 53;
 /// ScenarioSpec flattened: 4 top-level + 10 data + 10 mobility + 4 model
 /// + 7 optimizer + 7 lr_schedule + kSimulationConfigLeaves.
 inline constexpr std::size_t kScenarioSpecLeaves =
@@ -201,7 +201,6 @@ template <>
 struct Schema<core::FleetConfig> {
   template <class V>
   static void describe(V& v, core::FleetConfig& f) {
-    v.field("lazy_devices", f.lazy_devices);
     v.field("at_rest", f.at_rest);
     v.field("shards", f.shards);
   }
@@ -255,7 +254,6 @@ struct Schema<core::SimulationConfig> {
     v.field("comm", c.comm);
     v.field("seed", c.seed);
     v.field("parallel_devices", c.parallel_devices);
-    v.field("use_similarity_cache", c.use_similarity_cache);
     // Legacy spellings: accepted on load, normalized into
     // transport.wireless_up by core::reconcile_uplink_aliases (the single
     // normalization point), never emitted.

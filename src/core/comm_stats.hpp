@@ -8,10 +8,11 @@
 // (the transport layer's carry link counts it separately and charges zero
 // bytes) — only FedMes pays an extra edge download for its overlap trick.
 //
-// Since the transport refactor this struct is derived state: Simulation
-// rebuilds it from pipeline transfer events (CommStatsObserver in
-// step_observer.hpp). Real wire-byte accounting — per link, loss- and
-// compression-aware — lives in transport::Transport::bytes_by_link().
+// This struct is a view, not a second ledger: Simulation::comm_stats()
+// reads each count off the matching transport link's transfer counter
+// (wireless_down, wireless_up, wan_up, wan_down, broadcast). Real
+// wire-byte accounting — per link, loss- and compression-aware — lives in
+// transport::Transport::bytes_by_link().
 #pragma once
 
 #include <cstddef>

@@ -1,30 +1,23 @@
 // The three tiers of the hierarchy: Device, Edge, Cloud.
 //
-// A Device owns its data partition, a private model instance (the flat
-// local model w_m lives inside it) and an optimizer; its train() is the
-// I-step local SGD of Eq. (1)/(5). Edges and the cloud are parameter
+// A Device owns its data partition and the local model w_m; its train() is
+// the I-step local SGD of Eq. (1)/(5). Edges and the cloud are parameter
 // holders with FedAvg aggregation (Eq. 6/7). Device training is the
-// simulator's unit of parallelism — all state touched by train() is private
-// to the device.
+// simulator's unit of parallelism — all per-device state touched by
+// train() is private to the device.
 //
-// Parameters are held copy-on-write through core::Snapshot: adopt() shares
-// an immutable published block (a broadcast or an edge download is a
-// refcount bump), and the private model buffer materializes only when the
-// device first writes — set_params (a blend) or train (local SGD). Version
-// stamps come from the process-global SnapshotStore, so an unchanged
-// version still guarantees unchanged content for the SimilarityCache.
-//
-// Devices come in two layouts:
-//   eager   — the historical form: the device owns a private
-//             nn::Sequential + optimizer (O(param_count) each, forever).
-//   lazy    — fleet-scale virtual state (see core/fleet.hpp): the device
-//             holds a base Snapshot plus an at-rest EncodedDelta and
-//             borrows pooled buffers from its DeviceRegistry only while
-//             dense parameters are actually needed. Lifecycle:
-//             shared snapshot -> resident (materialized) -> settled
-//             (snapshot + delta at rest). With the default lossless
-//             at-rest codec the float stream is bitwise identical to the
-//             eager path (pinned by pipeline_test and fleet_test).
+// A device is fleet-scale virtual state (see core/fleet.hpp): a base
+// Snapshot plus an at-rest EncodedDelta, borrowing pooled buffers from its
+// DeviceRegistry only while dense parameters are actually needed.
+// Lifecycle: shared snapshot -> resident (materialized) -> settled
+// (snapshot + delta at rest). adopt() shares an immutable published block
+// (a broadcast or an edge download is a refcount bump); a resident buffer
+// is checked out on the first write — set_params (a blend) or train (local
+// SGD, run through a pooled DeviceRuntime). Version stamps come from the
+// process-global SnapshotStore, so an unchanged version still guarantees
+// unchanged content for the SimilarityCache. With the default lossless
+// at-rest codec the float stream equals a private model's exactly (pinned
+// by fleet_test's LazyTrainingOracle suite and pipeline_test's goldens).
 #pragma once
 
 #include <cstdint>
@@ -35,9 +28,6 @@
 
 #include "core/snapshot.hpp"
 #include "data/dataset.hpp"
-#include "data/sampler.hpp"
-#include "nn/sequential.hpp"
-#include "optim/optimizer.hpp"
 #include "parallel/rng.hpp"
 #include "tensor/tensor.hpp"
 #include "transport/compression.hpp"
@@ -58,13 +48,11 @@ struct DeviceTrainStats {
 
 class Device {
  public:
-  /// Eager device: owns a materialized model + optimizer.
-  Device(std::size_t id, data::DataView data,
-         std::unique_ptr<nn::Sequential> model,
-         std::unique_ptr<optim::Optimizer> optimizer);
-  /// Lazy (virtual) device: starts sharing `base` (O(1) memory) and
-  /// borrows pooled state from `fleet` — which must outlive the device —
-  /// whenever dense parameters are needed.
+  /// Starts sharing `base` (O(1) memory) and borrows pooled state from
+  /// `fleet` — which must be non-null, hold the model/optimizer
+  /// prototypes before the device trains, and outlive the device —
+  /// whenever dense parameters are needed. Throws std::invalid_argument
+  /// on a null registry or base, or an empty data partition.
   Device(std::size_t id, data::DataView data, Snapshot base,
          DeviceRegistry* fleet);
 
@@ -75,29 +63,25 @@ class Device {
   /// d_m: the number of local data samples (the FedAvg weight).
   std::size_t data_size() const noexcept { return data_.size(); }
   const data::DataView& data() const noexcept { return data_; }
-  /// True for snapshot+delta virtual devices (core/fleet.hpp).
-  bool lazy() const noexcept { return fleet_ != nullptr; }
-  std::size_t param_count() const noexcept {
-    return fleet_ != nullptr ? param_count_ : model_->param_count();
-  }
+  std::size_t param_count() const noexcept { return param_count_; }
 
   /// The current local model w_m: the shared snapshot when one is adopted,
-  /// otherwise the private (eager) or resident (lazy) buffer. A settled
-  /// lazy device materializes its at-rest delta here — call settle() when
-  /// done to return the buffer to the pool.
+  /// otherwise the resident buffer. A settled device materializes its
+  /// at-rest delta here — call settle() when done to return the buffer to
+  /// the pool.
   std::span<const float> params() const;
   /// Installs a private copy of `params` (the copy-on-write write path).
   void set_params(std::span<const float> params);
-  /// Shares `snapshot` without copying; the device's version becomes the
-  /// snapshot's. A lazy device also rebases on it: any resident buffer and
-  /// at-rest delta are returned to the pool (the snapshot replaces them).
+  /// Shares `snapshot` without copying and rebases on it: any resident
+  /// buffer and at-rest delta are returned to the pool (the snapshot
+  /// replaces them), and the device's version becomes the snapshot's.
   void adopt(Snapshot snapshot);
   /// True while the device reads a shared snapshot (no private copy yet).
   bool shares_snapshot() const noexcept { return shared_ != nullptr; }
 
-  /// Lazy only: true while a dense parameter buffer is checked out.
+  /// True while a dense parameter buffer is checked out.
   bool resident() const noexcept { return has_resident_; }
-  /// De-materializes a lazy device: encodes the resident parameters as the
+  /// De-materializes the device: encodes the resident parameters as the
   /// at-rest delta against the base snapshot (verbatim under the lossless
   /// default codec; q8/topk settle-out is lossy and bumps the version) and
   /// returns the buffer to the registry. No-op when not resident.
@@ -119,16 +103,18 @@ class Device {
   /// Runs `local_steps` SGD iterations (Eq. 5) from the current parameters
   /// on minibatches of `batch_size` drawn with `rng`. When
   /// `reset_optimizer` is set, momentum/Adam state is cleared first (a
-  /// fresh round starts from a freshly downloaded model). `prox_mu` > 0
+  /// fresh round starts from a freshly downloaded model); such a round's
+  /// state is also not kept afterwards, so optimizer slots persist only
+  /// across consecutive rounds trained without a reset (the simulator
+  /// fixes the setting per run). `prox_mu` > 0
   /// adds a FedProx proximal term mu/2 |w - w_start|^2 anchored at the
   /// round's starting parameters, damping client drift on Non-IID data.
   /// `clip_norm` > 0 rescales each step's gradient to at most that L2
   /// norm before the optimizer update (global-norm clipping).
   ///
-  /// Lazy devices run the identical float stream through a pooled
-  /// DeviceRuntime instead of a private model: pass `runtime` to reuse a
-  /// checkout across many devices (the per-edge chains do); nullptr makes
-  /// the device acquire and release one itself. Eager devices ignore it.
+  /// Training runs through a pooled DeviceRuntime: pass `runtime` to reuse
+  /// a checkout across many devices (the per-edge chains do); nullptr
+  /// makes the device acquire and release one itself.
   DeviceTrainStats train(std::size_t local_steps, std::size_t batch_size,
                          double learning_rate, bool reset_optimizer,
                          parallel::Xoshiro256& rng, double prox_mu = 0.0,
@@ -151,55 +137,24 @@ class Device {
     last_trained_step_.reset();
   }
 
-  /// The private model of an EAGER device, with any shared snapshot
-  /// materialized into it first so its parameters are current. Throws
-  /// std::logic_error for lazy devices (they have no private model; use
-  /// params()).
-  nn::Sequential& model();
-
  private:
-  /// Copies an adopted snapshot into the private buffer and drops the
-  /// share (eager layout). Content (and version) are unchanged.
-  void materialize() {
-    if (shared_) {
-      model_->set_parameters(shared_->span());
-      shared_.reset();
-    }
-  }
-  /// Lazy: checks a resident buffer out of the registry (or reuses the
-  /// current one) sized for overwrite — reset_for_overwrite skips the
-  /// zero-fill the subsequent copy/decode would waste.
+  /// Checks a resident buffer out of the registry (or reuses the current
+  /// one) sized for overwrite — reset_for_overwrite skips the zero-fill
+  /// the subsequent copy/decode would waste.
   std::span<float> ensure_resident_for_overwrite();
-  /// Lazy: materializes the dense parameters of a settled device from its
+  /// Materializes the dense parameters of a settled device from its
   /// at-rest delta into a resident buffer. Mutable path behind params().
   void decode_resident() const;
-  /// Lazy: retires the at-rest delta's byte accounting (the encoded block
-  /// is kept for reuse by the next settle()).
+  /// Retires the at-rest delta's byte accounting (the encoded block is
+  /// kept for reuse by the next settle()).
   void invalidate_delta() noexcept;
-  /// The I-step local SGD loop shared verbatim by the eager and lazy
-  /// paths; `model`/`optimizer`/`batch_scratch` are the device's own
-  /// (eager) or a pooled runtime's (lazy).
-  DeviceTrainStats run_local_sgd(nn::Sequential& model,
-                                 optim::Optimizer& optimizer,
-                                 data::Minibatch& batch_scratch,
-                                 std::size_t local_steps,
-                                 std::size_t batch_size,
-                                 parallel::Xoshiro256& rng, double prox_mu,
-                                 double clip_norm);
 
   std::size_t id_;
   data::DataView data_;
-  std::unique_ptr<nn::Sequential> model_;
-  std::unique_ptr<optim::Optimizer> optimizer_;
-  // Reused across all local SGD steps so per-step sampling is
-  // allocation-free in the steady state (see data::sample_minibatch_into).
-  data::Minibatch batch_scratch_;
   std::optional<double> stat_utility_;
   std::optional<std::size_t> last_trained_step_;
   Snapshot shared_;
   std::uint64_t params_version_ = 0;
-
-  // --- Lazy (virtual) state; meaningful only when fleet_ != nullptr. ---
   DeviceRegistry* fleet_ = nullptr;
   std::size_t param_count_ = 0;
   /// Base snapshot the at-rest delta is encoded against (always set).
@@ -207,19 +162,21 @@ class Device {
   /// At-rest divergence from base_; valid content iff delta_valid_ (the
   /// block itself is kept across invalidations for reuse).
   std::unique_ptr<transport::EncodedDelta> delta_;
-  bool delta_valid_ = false;
   /// Dense parameters while checked out; mutable because params() const
   /// materializes on demand.
   mutable tensor::Tensor resident_;
+  /// Persisted per-device stochastic training state, restored into the
+  /// pooled runtime around each round so every device draws its own
+  /// dropout masks and momentum trajectory, exactly as a private model
+  /// and optimizer would.
+  parallel::Xoshiro256 dropout_rng_;
+  std::vector<float> opt_state_;
+  // Flags last, packed into one word (the fleet holds millions of these).
+  bool delta_valid_ = false;
   mutable bool has_resident_ = false;
   /// Resident buffer holds writes not yet encoded by settle().
   bool dirty_ = false;
-  /// Persisted per-device stochastic training state, restored into the
-  /// pooled runtime around each round so virtual and eager devices draw
-  /// identical dropout masks and momentum trajectories.
-  parallel::Xoshiro256 dropout_rng_;
   bool dropout_seeded_ = false;
-  std::vector<float> opt_state_;
   bool has_opt_state_ = false;
 };
 

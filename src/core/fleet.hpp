@@ -1,11 +1,11 @@
 // Fleet-scale device management: the sharded DeviceRegistry and the pooled
-// training runtimes behind lazy (virtual) device state.
+// training runtimes behind every device's virtual state.
 //
-// A fully-materialized Device costs O(param_count) for the model plus the
-// same again for gradients and optimizer slots — a few thousand devices
-// exhaust RAM long before the paper's millions-of-users regime. In lazy
-// mode a Device holds only (a) a refcounted core::Snapshot into the COW
-// SnapshotStore and (b) a compact at-rest delta against that snapshot,
+// A fully-materialized device would cost O(param_count) for the model plus
+// the same again for gradients and optimizer slots — a few thousand
+// devices would exhaust RAM long before the paper's millions-of-users
+// regime. So a Device holds only (a) a refcounted core::Snapshot into the
+// COW SnapshotStore and (b) a compact at-rest delta against that snapshot,
 // encoded with the transport layer's q8/topk codecs (lossless verbatim
 // storage by default). Dense parameters exist only while the device is
 // selected for training in the current step: they materialize into a
@@ -46,15 +46,11 @@
 
 namespace middlefl::core {
 
-/// Configuration of the lazy-device machinery, embedded in
-/// SimulationConfig. The defaults preserve bitwise parity with the eager
-/// path: lossless at-rest storage keeps the exact float stream, so the
-/// pipeline_test goldens are unchanged with lazy devices enabled.
+/// Configuration of the device-state machinery, embedded in
+/// SimulationConfig. The defaults keep the exact float stream of a private
+/// per-device model: lossless at-rest storage round-trips every bit (pinned
+/// by the pipeline_test goldens and fleet_test's LazyTrainingOracle).
 struct FleetConfig {
-  /// Virtual devices: snapshot + at-rest delta, materialized only while
-  /// training. Disable to give every device its own model and optimizer
-  /// (the historical eager layout; O(fleet) memory).
-  bool lazy_devices = true;
   /// At-rest storage codec for a device's divergence from its base
   /// snapshot. kNone (default) stores the parameters verbatim —
   /// bitwise-lossless. kQuant8/kTopK bound memory harder but make
@@ -85,10 +81,10 @@ class DeviceRuntime {
   data::Minibatch batch_;
 };
 
-/// Sharded home of every Device plus the pooled resources lazy devices
-/// borrow: resident parameter buffers, recycled at-rest delta blocks and
-/// training runtimes. Also the fleet's accounting point (materializations,
-/// resident devices, at-rest bytes) feeding the obs gauges.
+/// Sharded home of every Device plus the pooled resources devices borrow:
+/// resident parameter buffers, recycled at-rest delta blocks and training
+/// runtimes. Also the fleet's accounting point (materializations, resident
+/// devices, at-rest bytes) feeding the obs gauges.
 class DeviceRegistry {
  public:
   DeviceRegistry() { configure(FleetConfig{}); }
@@ -98,9 +94,9 @@ class DeviceRegistry {
   const FleetConfig& config() const noexcept { return cfg_; }
 
   /// Installs the model/optimizer prototypes pooled runtimes are cloned
-  /// from. Required before acquire_runtime() and before lazy devices
-  /// train. The prototype model also fixes param_count() and the
-  /// canonical initial dropout stream every virtual device starts from.
+  /// from. Required before acquire_runtime() and before devices train.
+  /// The prototype model also fixes param_count() and the canonical
+  /// initial dropout stream every device starts from.
   void set_prototypes(const nn::Sequential& model,
                       const optim::Optimizer& optimizer);
   bool has_prototypes() const noexcept { return proto_model_ != nullptr; }
@@ -137,7 +133,7 @@ class DeviceRegistry {
   DeviceRuntime* acquire_runtime();
   void release_runtime(DeviceRuntime* runtime);
 
-  // --- Per-shard freelists (lazy device materialization) -----------------
+  // --- Per-shard freelists (device materialization) ----------------------
   /// Checks out a resident parameter buffer for device `id` (contents
   /// unspecified; the caller fills it via Tensor::reset_for_overwrite).
   /// Counts one materialization and one resident device.

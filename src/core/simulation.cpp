@@ -139,7 +139,6 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
   // drains only its own shard, without locks. (The WAN uplink shares the
   // shard count for the async publishes.)
   transport_ = std::make_unique<transport::Transport>(cfg_.transport, num_edges);
-  observers_.push_back(&comm_observer_);
 
   // Collectives backend: the seam every edge/cloud aggregation reduces
   // through.
@@ -161,15 +160,10 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
   registry_.configure(cfg_.fleet);
   registry_.set_prototypes(*init_model, optimizer_prototype);
   for (std::size_t m = 0; m < num_devices; ++m) {
-    if (cfg_.fleet.lazy_devices) {
-      // Virtual device: starts as a zero-cost share of the common init
-      // snapshot; dense state materializes only around training.
-      registry_.insert(
-          Device(m, partition.view(train, m), cloud_.snapshot(), &registry_));
-    } else {
-      registry_.insert(Device(m, partition.view(train, m), init_model->clone(),
-                              optimizer_prototype.clone_config()));
-    }
+    // Every device starts as a zero-cost share of the common init
+    // snapshot; dense state materializes only around training.
+    registry_.insert(
+        Device(m, partition.view(train, m), cloud_.snapshot(), &registry_));
   }
   similarity_cache_.resize(num_devices);
 
@@ -199,6 +193,19 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
       init_model->clone(), data::DataView::all(test));
   evaluator_->set_pool(pool_);
   history_.algorithm = algorithm_.name;
+}
+
+CommStats Simulation::comm_stats() const {
+  const auto transfers = [this](transport::LinkKind kind) {
+    return transport_->stats(kind).transfers;
+  };
+  return CommStats{
+      .device_downloads = transfers(transport::LinkKind::kWirelessDown),
+      .device_uploads = transfers(transport::LinkKind::kWirelessUp),
+      .edge_uploads = transfers(transport::LinkKind::kWanUp),
+      .edge_downloads = transfers(transport::LinkKind::kWanDown),
+      .device_broadcasts = transfers(transport::LinkKind::kBroadcast),
+  };
 }
 
 void Simulation::add_observer(StepObserver* observer) {
@@ -538,7 +545,7 @@ void Simulation::select_edge(std::size_t n) {
   // exactly one edge, so concurrent chains touch disjoint entries.
   const SelectionContext context{
       .cloud_version = cloud_.params_version(),
-      .cache = cfg_.use_similarity_cache ? &similarity_cache_ : nullptr,
+      .cache = &similarity_cache_,
       .pool = pool_,
   };
   last_selection_[n].clear();
@@ -557,7 +564,7 @@ void Simulation::select_edge(std::size_t n) {
   candidates.clear();
   candidates.reserve(members_[n].size());
   // Random/stat-utility strategies never read candidate parameters, so
-  // lazy devices stay cold through selection; similarity strategies
+  // devices stay cold through selection; similarity strategies
   // materialize diverged candidates here (settled again after the chain's
   // aggregation).
   const bool want_params = algorithm_.selection->needs_params();
@@ -675,16 +682,13 @@ bool Simulation::install_download(Device& device,
 }
 
 void Simulation::train_edge(std::size_t n) {
-  // One pooled runtime serves every lazy device in this chain serially;
-  // eager devices ignore it. Acquired on first need so edges full of
-  // eager devices (or empty selections) stay allocation-free.
+  // One pooled runtime serves every device in this chain serially.
+  // Acquired on first need so empty selections stay allocation-free.
   DeviceRuntime* runtime = nullptr;
   for (std::size_t m : last_selection_[n]) {
     if (dropped_this_step_[m] || download_lost_[m]) continue;
     Device& device = registry_.at(m);
-    if (device.lazy() && runtime == nullptr) {
-      runtime = registry_.acquire_runtime();
-    }
+    if (runtime == nullptr) runtime = registry_.acquire_runtime();
     auto rng = streams_.stream(kTrainTag, m, t_);
     device.train(steps_budget_[m], cfg_.batch_size, cfg_.lr_schedule(t_),
                  cfg_.reset_optimizer_each_round, rng, cfg_.prox_mu,
@@ -766,7 +770,7 @@ void Simulation::aggregate_edge(std::size_t n) {
 }
 
 void Simulation::settle_edge(std::size_t n) {
-  // De-materialize every lazy device that is still holding a resident
+  // De-materialize every device that is still holding a resident
   // buffer. This must run after aggregate_edge — the upload arrival spans
   // alias the resident buffers until the weighted average has consumed
   // them. The full member scan is only paid when non-selected members can
@@ -774,17 +778,9 @@ void Simulation::settle_edge(std::size_t n) {
   // a lossy broadcast installs private copies fleet-wide — see
   // settle_scan_members_); otherwise only this chain's selected devices
   // ever touched their parameters, and settle walks the O(K) ids.
-  if (settle_scan_members_) {
-    for (std::size_t m : members_[n]) {
-      Device& device = registry_.at(m);
-      if (device.lazy() && device.resident()) device.settle();
-    }
-    return;
-  }
-  for (std::size_t m : last_selection_[n]) {
-    Device& device = registry_.at(m);
-    if (device.lazy() && device.resident()) device.settle();
-  }
+  // settle() is a no-op for devices that hold no resident buffer.
+  const auto& ids = settle_scan_members_ ? members_[n] : last_selection_[n];
+  for (std::size_t m : ids) registry_.at(m).settle();
 }
 
 void Simulation::replay_step_events() {
@@ -996,7 +992,7 @@ void Simulation::stage_cloud_sync() {
       const transport::Delivery push = broadcast.send(cloud_.params(), ctx);
       if (push.delivered &&
           !install_download(registry_.at(m), push.payload, global_block)) {
-        // A private install can leave any lazy device resident; the next
+        // A private install can leave any device resident; the next
         // step's settle must scan full member lists to find them.
         fleet_scan_needed_ = true;
       }

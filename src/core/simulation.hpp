@@ -134,10 +134,8 @@ struct SimulationConfig {
   /// aggregates the reconstruction; upload_bytes() tracks the wire size).
   CompressionConfig upload_compression;
 
-  /// Lazy-device machinery (core/fleet.hpp): virtual snapshot+delta
-  /// devices with pooled training runtimes, on by default. The defaults
-  /// (lossless at-rest codec) are bitwise identical to eager devices;
-  /// fleet.lazy_devices = false restores the historical eager layout.
+  /// Device-state machinery (core/fleet.hpp): the at-rest codec and the
+  /// registry shard count behind the snapshot+delta devices.
   FleetConfig fleet;
 
   /// Edge inference serving (src/serve): batch coalescing and runtime-pool
@@ -161,10 +159,6 @@ struct SimulationConfig {
   /// (parallel::ThreadPool::global()). Lets tests and benches pin exact
   /// worker counts without touching the shared pool.
   parallel::ThreadPool* pool = nullptr;
-  /// Reuse Eq. 11 selection scores across steps for (device, cloud)
-  /// version pairs that have not changed. Pure acceleration: scores are
-  /// bitwise identical with the cache on or off.
-  bool use_similarity_cache = true;
 };
 
 /// Folds the legacy uplink spellings (`upload_failure_prob`,
@@ -211,8 +205,7 @@ class Simulation {
   void warm_start(std::span<const float> params);
 
   /// Registers an observer (non-owning; must outlive the simulation).
-  /// Events fire on the simulation thread in registration order, after the
-  /// built-in communication accounting.
+  /// Events fire on the simulation thread in registration order.
   void add_observer(StepObserver* observer);
 
   /// Attaches the observability bundle (all recorders non-owning, any
@@ -289,11 +282,9 @@ class Simulation {
     return *transport_;
   }
 
-  /// Model-transfer counters accumulated since construction (rebuilt from
-  /// pipeline events by the built-in CommStatsObserver).
-  const CommStats& comm_stats() const noexcept {
-    return comm_observer_.stats();
-  }
+  /// Model-transfer counts since construction, read off the transport's
+  /// per-link counters — the one traffic ledger (see comm_stats.hpp).
+  CommStats comm_stats() const;
   /// Uploads dropped by the wireless uplink's loss policy so far.
   std::size_t failed_uploads() const noexcept {
     return transport_->stats(transport::LinkKind::kWirelessUp).dropped;
@@ -322,6 +313,9 @@ class Simulation {
     return blends_ == 0 ? 0.0 : blend_weight_sum_ / static_cast<double>(blends_);
   }
   /// Selection-score cache hit/miss counters (throughput introspection).
+  /// Eq. 11 scores are reused across steps for (device, cloud) version
+  /// pairs that have not changed — pure acceleration, the selected ids are
+  /// identical without it (pinned by similarity_cache_test).
   const SimilarityCache& similarity_cache() const noexcept {
     return similarity_cache_;
   }
@@ -434,7 +428,7 @@ class Simulation {
   /// Adopts `source` when the delivered payload is a lossless pass-through
   /// of its block (zero-copy sharing); installs a private copy otherwise.
   /// Returns true on the shared-adopt path — false means set_params ran
-  /// and a lazy device may now hold a resident buffer.
+  /// and the device may now hold a resident buffer.
   bool install_download(Device& device, std::span<const float> payload,
                         const Snapshot& source);
   /// Full membership rebuild from the assignment (first step, untracked
@@ -557,7 +551,6 @@ class Simulation {
   // Comm counters at step begin (observed steps), for per-step deltas.
   comm::CommCounters prev_comm_counters_;
   comm::AsyncStats prev_async_stats_;
-  CommStatsObserver comm_observer_;
   std::vector<StepObserver*> observers_;
   std::vector<float> server_velocity_;
   std::vector<std::size_t> steps_budget_;  // per-device local-step budget

@@ -6,10 +6,10 @@
 //          -> CloudSync
 //
 // — and emits events to registered StepObservers at the serial boundary
-// after each phase. Metrics, communication accounting and tests subscribe
-// here instead of reading counters off the Simulation object; the built-in
-// CommStatsObserver below reconstructs the legacy CommStats report purely
-// from transfer events, which pins the event stream as complete.
+// after each phase. Metrics and tests subscribe here instead of reading
+// counters off the Simulation object. The on_transfers deltas sum exactly
+// to the transport's per-link counters (the ledger behind
+// Simulation::comm_stats()), which pipeline_test pins like for like.
 //
 // Callbacks run on the simulation thread, outside any parallel region, in
 // registration order. Observers must not mutate the simulation; throwing
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "core/comm_stats.hpp"
 #include "core/metrics.hpp"
 #include "transport/link.hpp"
 
@@ -106,41 +105,6 @@ class StepObserver {
 
   /// An evaluation point was just appended to the run history.
   virtual void on_evaluation(const EvalPoint& point) { (void)point; }
-};
-
-/// The legacy communication report, rebuilt as an observer: transfer
-/// counts per channel derived purely from on_transfers events. Registered
-/// by Simulation itself; Simulation::comm_stats() reads it.
-class CommStatsObserver final : public StepObserver {
- public:
-  const CommStats& stats() const noexcept { return stats_; }
-
-  void on_transfers(StepPhase, transport::LinkKind kind,
-                    const transport::LinkStats& delta,
-                    std::size_t) override {
-    switch (kind) {
-      case transport::LinkKind::kWirelessDown:
-        stats_.device_downloads += delta.transfers;
-        break;
-      case transport::LinkKind::kWirelessUp:
-        stats_.device_uploads += delta.transfers;
-        break;
-      case transport::LinkKind::kWanUp:
-        stats_.edge_uploads += delta.transfers;
-        break;
-      case transport::LinkKind::kWanDown:
-        stats_.edge_downloads += delta.transfers;
-        break;
-      case transport::LinkKind::kBroadcast:
-        stats_.device_broadcasts += delta.transfers;
-        break;
-      case transport::LinkKind::kCarry:
-        break;  // the carried model is free — never counted as traffic
-    }
-  }
-
- private:
-  CommStats stats_;
 };
 
 }  // namespace middlefl::core

@@ -41,10 +41,9 @@ struct StepRecord {
   double blend_weight_sum = 0.0;
   /// Edge models aggregated by the cloud this step (sync steps only).
   std::size_t contributing_edges = 0;
-  /// Fleet (lazy device) accounting: resident-buffer checkouts this step,
-  /// peak concurrently-resident devices, and the simulated storage
-  /// footprint of all at-rest deltas at end of step. All zero when the
-  /// run uses eager devices.
+  /// Fleet (device registry) accounting: resident-buffer checkouts this
+  /// step, peak concurrently-resident devices, and the simulated storage
+  /// footprint of all at-rest deltas at end of step.
   std::uint64_t materializations = 0;
   std::uint64_t resident_peak = 0;
   std::uint64_t delta_bytes_at_rest = 0;

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "core/entities.hpp"
+#include "core/fleet.hpp"
 #include "data/synthetic.hpp"
 #include "nn/model_factory.hpp"
 #include "optim/sgd.hpp"
@@ -12,7 +13,10 @@ namespace {
 
 using middlefl::core::Cloud;
 using middlefl::core::Device;
+using middlefl::core::DeviceRegistry;
 using middlefl::core::Edge;
+using middlefl::core::Snapshot;
+using middlefl::core::SnapshotStore;
 using middlefl::data::DataView;
 using middlefl::data::Dataset;
 using middlefl::nn::ModelArch;
@@ -20,15 +24,24 @@ using middlefl::nn::ModelSpec;
 using middlefl::parallel::Xoshiro256;
 using middlefl::tensor::Shape;
 
+/// Registry-backed devices: a shared base snapshot and the pooled
+/// model/optimizer prototypes every device trains through.
 struct Fixture {
   Dataset dataset;
   ModelSpec spec;
+  DeviceRegistry registry;
+  Snapshot base;
 
   Fixture() : dataset(make_dataset()) {
     spec.arch = ModelArch::kMlp;
     spec.input_shape = Shape{1, 6, 6};
     spec.num_classes = 3;
     spec.hidden = 8;
+    const auto model = middlefl::nn::build_model(spec, 7);
+    registry.set_prototypes(
+        *model, middlefl::optim::Sgd(middlefl::optim::SgdConfig{
+                    .learning_rate = 0.05, .momentum = 0.9}));
+    base = SnapshotStore::global().publish(model->parameters());
   }
 
   static Dataset make_dataset() {
@@ -40,30 +53,27 @@ struct Fixture {
     return gen.generate(30, 0);
   }
 
-  Device make_device(std::size_t id) const {
-    return Device(id, DataView::all(dataset),
-                  middlefl::nn::build_model(spec, 7),
-                  std::make_unique<middlefl::optim::Sgd>(
-                      middlefl::optim::SgdConfig{.learning_rate = 0.05,
-                                                 .momentum = 0.9}));
+  Device make_device(std::size_t id) {
+    return Device(id, DataView::all(dataset), base, &registry);
   }
 };
 
 TEST(Device, ConstructionValidation) {
-  const Fixture fx;
-  EXPECT_THROW(
-      Device(0, DataView(&fx.dataset, {}),
-             middlefl::nn::build_model(fx.spec, 1),
-             std::make_unique<middlefl::optim::Sgd>(
-                 middlefl::optim::SgdConfig{})),
-      std::invalid_argument);
-  EXPECT_THROW(Device(0, DataView::all(fx.dataset),
-                      middlefl::nn::build_model(fx.spec, 1), nullptr),
+  Fixture fx;
+  EXPECT_THROW(Device(0, DataView::all(fx.dataset), fx.base, nullptr),
                std::invalid_argument);
+  EXPECT_THROW(Device(0, DataView::all(fx.dataset), nullptr, &fx.registry),
+               std::invalid_argument);
+  EXPECT_THROW(Device(0, DataView(&fx.dataset, {}), fx.base, &fx.registry),
+               std::invalid_argument);
+  const Device device = fx.make_device(0);
+  EXPECT_EQ(device.param_count(), fx.base->size());
+  EXPECT_TRUE(device.shares_snapshot());
+  EXPECT_EQ(device.params_version(), fx.base->version());
 }
 
 TEST(Device, TrainReducesLossOnItsData) {
-  const Fixture fx;
+  Fixture fx;
   Device device = fx.make_device(0);
   Xoshiro256 rng(1);
   const auto first = device.train(10, 16, 0.05, true, rng);
@@ -74,7 +84,7 @@ TEST(Device, TrainReducesLossOnItsData) {
 }
 
 TEST(Device, TrainChangesParameters) {
-  const Fixture fx;
+  Fixture fx;
   Device device = fx.make_device(0);
   const std::vector<float> before(device.params().begin(),
                                   device.params().end());
@@ -88,7 +98,7 @@ TEST(Device, TrainChangesParameters) {
 }
 
 TEST(Device, StatUtilityPopulatedAfterTraining) {
-  const Fixture fx;
+  Fixture fx;
   Device device = fx.make_device(0);
   EXPECT_FALSE(device.stat_utility().has_value());
   Xoshiro256 rng(4);
@@ -100,7 +110,7 @@ TEST(Device, StatUtilityPopulatedAfterTraining) {
 }
 
 TEST(Device, SetParamsRoundTrip) {
-  const Fixture fx;
+  Fixture fx;
   Device device = fx.make_device(0);
   std::vector<float> zeros(device.params().size(), 0.0f);
   device.set_params(zeros);
@@ -108,7 +118,7 @@ TEST(Device, SetParamsRoundTrip) {
 }
 
 TEST(Device, TrainValidatesArguments) {
-  const Fixture fx;
+  Fixture fx;
   Device device = fx.make_device(0);
   Xoshiro256 rng(5);
   EXPECT_THROW(device.train(0, 8, 0.05, true, rng), std::invalid_argument);
@@ -116,7 +126,7 @@ TEST(Device, TrainValidatesArguments) {
 }
 
 TEST(Device, TrainDeterministicGivenRngAndStart) {
-  const Fixture fx;
+  Fixture fx;
   Device a = fx.make_device(0);
   Device b = fx.make_device(1);
   b.set_params(a.params());
@@ -129,7 +139,7 @@ TEST(Device, TrainDeterministicGivenRngAndStart) {
 }
 
 TEST(Device, MarkTrainedTracksStep) {
-  const Fixture fx;
+  Fixture fx;
   Device device = fx.make_device(0);
   EXPECT_FALSE(device.last_trained_step().has_value());
   device.mark_trained(17);
@@ -139,7 +149,7 @@ TEST(Device, MarkTrainedTracksStep) {
 TEST(Device, OortUtilityMatchesFormula) {
   // U_stat = d_m * sqrt(mean squared per-sample loss on the final batch),
   // with the stats the training round itself reports.
-  const Fixture fx;
+  Fixture fx;
   Device device = fx.make_device(0);
   Xoshiro256 rng(21);
   const auto stats = device.train(3, 8, 0.05, true, rng);
@@ -152,7 +162,7 @@ TEST(Device, OortUtilityMatchesFormula) {
 }
 
 TEST(Device, GradientClippingBoundsStepSize) {
-  const Fixture fx;
+  Fixture fx;
   // Unclipped vs tightly-clipped single step from the same start: the
   // clipped parameter displacement must be <= lr * clip_norm (plain SGD).
   Device free = fx.make_device(0);
@@ -179,7 +189,7 @@ TEST(Device, GradientClippingBoundsStepSize) {
 }
 
 TEST(Device, NegativeClipNormRejected) {
-  const Fixture fx;
+  Fixture fx;
   Device device = fx.make_device(0);
   middlefl::parallel::Xoshiro256 rng(5);
   EXPECT_THROW(device.train(1, 8, 0.1, true, rng, 0.0, -1.0),

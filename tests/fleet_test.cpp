@@ -1,18 +1,22 @@
-// Lazy device state (core/fleet.hpp): at-rest codec round-trips, bitwise
-// lazy/eager parity of whole simulations, and DeviceRegistry invariants
-// under id churn.
+// Device state (core/fleet.hpp): at-rest codec round-trips, bitwise
+// equality of Device::train with a private-model oracle, whole-run fleet
+// accounting, and DeviceRegistry invariants under id churn.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <numeric>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/fleet.hpp"
 #include "core/simulation.hpp"
 #include "data/partition.hpp"
+#include "data/sampler.hpp"
+#include "nn/loss.hpp"
 #include "nn/model_factory.hpp"
+#include "optim/adam.hpp"
 #include "optim/sgd.hpp"
 #include "parallel/rng.hpp"
 #include "sim_fixture.hpp"
@@ -22,9 +26,11 @@ namespace {
 
 using middlefl::core::Device;
 using middlefl::core::DeviceRegistry;
+using middlefl::core::DeviceTrainStats;
 using middlefl::core::FleetConfig;
 using middlefl::core::Snapshot;
 using middlefl::core::SnapshotStore;
+using middlefl::parallel::Xoshiro256;
 using middlefl::testing::SimBundle;
 using middlefl::transport::CompressionConfig;
 using middlefl::transport::CompressionKind;
@@ -120,63 +126,204 @@ TEST(AtRestCodec, TopKDecodePatchesExactlyKCoordinates) {
 }
 
 // ---------------------------------------------------------------------------
-// Lazy vs eager whole-simulation parity
+// LazyTrainingOracle: Device::train — pooled runtime, snapshot + at-rest
+// delta, saved optimizer slots and dropout cursor — against a reference
+// device that owns a private model and optimizer for its whole life.
 
-std::uint64_t fnv1a(std::span<const float> data) {
-  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < data.size() * sizeof(float); ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
+middlefl::data::Dataset& shared_data() {
+  static middlefl::data::Dataset data = SimBundle::make_data(4, 30, 3);
+  return data;
 }
 
-struct RunFingerprint {
-  std::uint64_t cloud = 0;
-  std::vector<std::uint64_t> devices;
-  std::vector<double> accuracies;
+/// The reference trainer: a private nn::Sequential clone and optimizer
+/// clone that persist across rounds, driven through the I-step SGD loop
+/// written out in full (sample, forward, cross-entropy, backward, FedProx
+/// term, global-norm clip, optimizer step).
+struct OracleDevice {
+  middlefl::data::DataView data;
+  std::unique_ptr<middlefl::nn::Sequential> model;
+  std::unique_ptr<middlefl::optim::Optimizer> optimizer;
+  middlefl::data::Minibatch batch;
+
+  DeviceTrainStats train(std::size_t local_steps, std::size_t batch_size,
+                         double learning_rate, bool reset_optimizer,
+                         Xoshiro256& rng, double prox_mu, double clip_norm) {
+    if (reset_optimizer) optimizer->reset();
+    optimizer->set_learning_rate(learning_rate);
+    const std::vector<float> anchor(model->parameters().begin(),
+                                    model->parameters().end());
+    DeviceTrainStats stats;
+    std::vector<float> sample_losses(batch_size);
+    double loss_acc = 0.0;
+    for (std::size_t step = 0; step < local_steps; ++step) {
+      middlefl::data::sample_minibatch_into(data, batch_size, rng, batch);
+      const middlefl::nn::Tensor& logits = model->forward(batch.features, true);
+      auto result = middlefl::nn::softmax_cross_entropy(logits, batch.labels);
+      loss_acc += result.loss;
+      if (step + 1 == local_steps) {
+        middlefl::nn::per_example_cross_entropy(logits, batch.labels,
+                                                sample_losses);
+        double sq = 0.0;
+        for (float l : sample_losses) sq += static_cast<double>(l) * l;
+        stats.mean_sq_loss = sq / static_cast<double>(batch_size);
+      }
+      model->zero_grad();
+      model->backward(result.grad_logits);
+      const std::span<float> params = model->parameters();
+      const std::span<float> grads = model->gradients();
+      if (prox_mu > 0.0) {
+        const auto mu = static_cast<float>(prox_mu);
+        for (std::size_t i = 0; i < params.size(); ++i) {
+          grads[i] += mu * (params[i] - anchor[i]);
+        }
+      }
+      if (clip_norm > 0.0) {
+        double norm_sq = 0.0;
+        for (float g : grads) norm_sq += static_cast<double>(g) * g;
+        const double norm = std::sqrt(norm_sq);
+        if (norm > clip_norm) {
+          const auto scale = static_cast<float>(clip_norm / norm);
+          for (float& g : grads) g *= scale;
+        }
+      }
+      optimizer->step(params, grads);
+    }
+    stats.batches = local_steps;
+    stats.mean_loss = loss_acc / static_cast<double>(local_steps);
+    return stats;
+  }
 };
 
-RunFingerprint run_bundle(bool lazy, middlefl::core::Algorithm algorithm) {
-  SimBundle bundle;
-  bundle.cfg.fleet.lazy_devices = lazy;
-  auto sim = bundle.make(algorithm);
-  const middlefl::core::RunHistory history = sim->run();
-  RunFingerprint fp;
-  fp.cloud = fnv1a(sim->cloud_params());
-  for (std::size_t m = 0; m < sim->num_devices(); ++m) {
-    fp.devices.push_back(fnv1a(sim->device(m).params()));
+/// One registry-backed device and its oracle twin, started from the same
+/// parameters on the same data.
+struct TwinPair {
+  Device device;
+  OracleDevice oracle;
+};
+
+struct OracleFixture {
+  middlefl::nn::ModelSpec spec;
+  std::unique_ptr<middlefl::nn::Sequential> init;
+  Snapshot base;
+  DeviceRegistry registry;
+
+  explicit OracleFixture(const middlefl::optim::Optimizer& prototype,
+                         float dropout) {
+    spec.arch = middlefl::nn::ModelArch::kMlp;
+    spec.input_shape = middlefl::tensor::Shape{1, 6, 6};
+    spec.num_classes = 4;
+    spec.hidden = 16;
+    spec.dropout = dropout;
+    init = middlefl::nn::build_model(spec, 11);
+    base = SnapshotStore::global().publish(init->parameters());
+    registry.set_prototypes(*init, prototype);
   }
-  for (const auto& point : history.points) {
-    fp.accuracies.push_back(point.accuracy);
+
+  TwinPair make_pair(std::size_t id, std::size_t first,
+                     const middlefl::optim::Optimizer& prototype) {
+    const auto view =
+        middlefl::data::DataView::window(shared_data(), first, 40);
+    return TwinPair{Device(id, view, base, &registry),
+                    OracleDevice{view, init->clone(), prototype.clone_config(),
+                                 {}}};
   }
-  return fp;
+};
+
+void expect_twins_equal(const TwinPair& pair, const DeviceTrainStats& got,
+                        const DeviceTrainStats& want, std::size_t round) {
+  SCOPED_TRACE("device " + std::to_string(pair.device.id()) + " round " +
+               std::to_string(round));
+  EXPECT_EQ(got.mean_loss, want.mean_loss);
+  EXPECT_EQ(got.mean_sq_loss, want.mean_sq_loss);
+  EXPECT_EQ(got.batches, want.batches);
+  const std::span<const float> a = pair.device.params();
+  const std::span<const float> b = pair.oracle.model->parameters();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
-TEST(LazyEagerParity, MiddleRunsAreBitwiseIdentical) {
-  const RunFingerprint lazy = run_bundle(true, middlefl::core::Algorithm::kMiddle);
-  const RunFingerprint eager =
-      run_bundle(false, middlefl::core::Algorithm::kMiddle);
-  EXPECT_EQ(lazy.cloud, eager.cloud);
-  EXPECT_EQ(lazy.devices, eager.devices);
-  EXPECT_EQ(lazy.accuracies, eager.accuracies);
+TEST(LazyTrainingOracle, InterleavedSettledRoundsMatchPrivateModels) {
+  // Momentum SGD with state carried across rounds, dropout, FedProx and
+  // clipping: every piece of per-device state the pooled runtime must save
+  // and restore around a round.
+  const middlefl::optim::Sgd sgd(
+      {.learning_rate = 0.05, .momentum = 0.9, .weight_decay = 1e-4});
+  OracleFixture fx(sgd, 0.25f);
+  ASSERT_TRUE(fx.registry.model_has_dropout());
+  TwinPair a = fx.make_pair(3, 0, sgd);
+  TwinPair b = fx.make_pair(9, 40, sgd);
+  constexpr double kProxMu = 0.05;
+  constexpr double kClip = 0.5;
+
+  for (std::size_t round = 0; round < 4; ++round) {
+    if (round == 2) {
+      // A between-round install (the on-device blend write path) on one
+      // twin pair, so the next round starts from a private, settled copy.
+      std::vector<float> blended(a.device.params().begin(),
+                                 a.device.params().end());
+      for (float& w : blended) w *= 0.5f;
+      a.device.set_params(blended);
+      a.device.settle();
+      a.oracle.model->set_parameters(blended);
+    }
+    // Both devices share one checked-out runtime, interleaved: each must
+    // leave no trace in it the other could pick up.
+    middlefl::core::DeviceRuntime* runtime = fx.registry.acquire_runtime();
+    for (TwinPair* pair : {&a, &b}) {
+      const std::uint64_t seed = 100 * round + pair->device.id();
+      Xoshiro256 rng_device(seed);
+      Xoshiro256 rng_oracle(seed);
+      const auto got = pair->device.train(3, 8, 0.05, false, rng_device,
+                                          kProxMu, kClip, runtime);
+      const auto want = pair->oracle.train(3, 8, 0.05, false, rng_oracle,
+                                           kProxMu, kClip);
+      expect_twins_equal(*pair, got, want, round);
+    }
+    fx.registry.release_runtime(runtime);
+    // Settle between rounds: the next round decodes the at-rest delta.
+    a.device.settle();
+    b.device.settle();
+    EXPECT_FALSE(a.device.resident());
+    EXPECT_GT(a.device.at_rest_bytes(), 0u);
+  }
 }
 
-TEST(LazyEagerParity, FedMesRunsAreBitwiseIdentical) {
-  // Random selection takes the no-params selection path for lazy devices;
-  // the float stream must still match the eager run exactly.
-  const RunFingerprint lazy = run_bundle(true, middlefl::core::Algorithm::kFedMes);
-  const RunFingerprint eager =
-      run_bundle(false, middlefl::core::Algorithm::kFedMes);
-  EXPECT_EQ(lazy.cloud, eager.cloud);
-  EXPECT_EQ(lazy.devices, eager.devices);
-  EXPECT_EQ(lazy.accuracies, eager.accuracies);
+TEST(LazyTrainingOracle, AdoptAndResetRoundsMatchPrivateModels) {
+  // Adam carries a step count and two moment slots across rounds, the
+  // device acquires its own runtime, a broadcast adopt rebases it on a new
+  // snapshot mid-run, and the final round resets the optimizer. (A reset
+  // round's state is not carried into later rounds — see Device::train —
+  // so the reset round comes last, where the oracle agrees.)
+  const middlefl::optim::Adam adam({.learning_rate = 0.01});
+  OracleFixture fx(adam, 0.0f);
+  TwinPair pair = fx.make_pair(1, 20, adam);
+
+  for (std::size_t round = 0; round < 4; ++round) {
+    if (round == 2) {
+      std::vector<float> global(pair.device.params().begin(),
+                                pair.device.params().end());
+      for (float& w : global) w = -w;
+      pair.device.adopt(SnapshotStore::global().publish(global));
+      EXPECT_TRUE(pair.device.shares_snapshot());
+      pair.oracle.model->set_parameters(global);
+    }
+    const bool reset = round == 3;
+    Xoshiro256 rng_device(7 + round);
+    Xoshiro256 rng_oracle(7 + round);
+    const auto got =
+        pair.device.train(2, 8, 0.01, reset, rng_device, 0.0, 0.0);
+    const auto want =
+        pair.oracle.train(2, 8, 0.01, reset, rng_oracle, 0.0, 0.0);
+    expect_twins_equal(pair, got, want, round);
+    pair.device.settle();
+  }
 }
 
-TEST(LazyEagerParity, QuantizedAtRestStaysCloseToLossless) {
+// ---------------------------------------------------------------------------
+// LazyFleet: whole-simulation fleet behaviour
+
+TEST(LazyFleet, QuantizedAtRestStaysCloseToLossless) {
   SimBundle bundle;
-  bundle.cfg.fleet.lazy_devices = true;
   bundle.cfg.fleet.at_rest.kind = CompressionKind::kQuant8;
   auto sim = bundle.make(middlefl::core::Algorithm::kMiddle);
   const middlefl::core::RunHistory history = sim->run();
@@ -194,9 +341,8 @@ TEST(LazyEagerParity, QuantizedAtRestStaysCloseToLossless) {
   EXPECT_LE(at_rest, sim->num_devices() * (sim->cloud_params().size() + 4));
 }
 
-TEST(LazyEagerParity, FleetAccountingTracksSelection) {
+TEST(LazyFleet, FleetAccountingTracksSelection) {
   SimBundle bundle;
-  bundle.cfg.fleet.lazy_devices = true;
   auto sim = bundle.make(middlefl::core::Algorithm::kFedMes);
   sim->step();
   // K=2 over 3 edges: at most 6 selected devices materialize in step 1
@@ -212,11 +358,6 @@ TEST(LazyEagerParity, FleetAccountingTracksSelection) {
 
 // ---------------------------------------------------------------------------
 // Registry invariants under churned ids
-
-middlefl::data::Dataset& shared_data() {
-  static middlefl::data::Dataset data = SimBundle::make_data(4, 30, 3);
-  return data;
-}
 
 Device make_lazy(std::size_t id, const Snapshot& base,
                  DeviceRegistry* registry) {

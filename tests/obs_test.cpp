@@ -8,9 +8,9 @@
 // 4. History CSV round-trip, including algorithm names containing commas
 //    and quotes (util::csv_split_row undoing util::csv_escape).
 // 5. The StepObserver event stream (on_dropouts / on_blends /
-//    on_cloud_sync) and CommStatsObserver under lossy + latency link
-//    policies — the events must reconcile exactly with the simulation's
-//    own counters and the transport's wire reports.
+//    on_cloud_sync / on_transfers) under lossy + latency link policies —
+//    the events must reconcile exactly with the simulation's own counters,
+//    its comm_stats() ledger and the transport's wire reports.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -30,7 +30,6 @@
 namespace {
 
 using middlefl::core::Algorithm;
-using middlefl::core::CommStatsObserver;
 using middlefl::core::RunHistory;
 using middlefl::core::StepObserver;
 using middlefl::core::StepPhase;
@@ -211,7 +210,11 @@ TEST(TraceRecorder, RecordsAllEventKinds) {
 
 TEST(TraceRecorder, RingBufferKeepsTailAndCountsDrops) {
   TraceRecorder trace(/*events_per_thread=*/4);
-  for (int i = 0; i < 10; ++i) trace.instant("e" + std::to_string(i), "t");
+  for (int i = 0; i < 10; ++i) {
+    // append(), not "e" + ...: gcc 12 raises a false -Wrestrict on the
+    // inlined operator+ here.
+    trace.instant(std::string("e").append(std::to_string(i)), "t");
+  }
   EXPECT_EQ(trace.event_count(), 4u);
   EXPECT_EQ(trace.dropped_events(), 6u);
   std::ostringstream out;
@@ -380,9 +383,7 @@ TEST(EventStream, ReconcilesWithCountersUnderLossyLatencyLinks) {
   auto sim = bundle.make(Algorithm::kMiddle);
 
   EventLog events;
-  CommStatsObserver comm;  // independent copy of the built-in observer
   sim->add_observer(&events);
-  sim->add_observer(&comm);
   sim->run();
 
   // Dropout events must sum exactly to the simulation's counters, and a
@@ -431,15 +432,11 @@ TEST(EventStream, ReconcilesWithCountersUnderLossyLatencyLinks) {
   EXPECT_GT(up.dropped, 0u);
   EXPECT_GT(down.dropped, 0u);
 
-  // The user-registered CommStatsObserver saw the identical stream as the
-  // built-in one behind comm_stats().
-  const auto& mine = comm.stats();
-  const auto& builtin = sim->comm_stats();
-  EXPECT_EQ(mine.device_downloads, builtin.device_downloads);
-  EXPECT_EQ(mine.device_uploads, builtin.device_uploads);
-  EXPECT_EQ(mine.edge_uploads, builtin.edge_uploads);
-  EXPECT_EQ(mine.edge_downloads, builtin.edge_downloads);
-  EXPECT_EQ(mine.device_broadcasts, builtin.device_broadcasts);
+  // comm_stats() reads the same link counters, so the event totals and
+  // the legacy report agree too.
+  const auto comm = sim->comm_stats();
+  EXPECT_EQ(events.uplink_total.transfers, comm.device_uploads);
+  EXPECT_EQ(events.downlink_total.transfers, comm.device_downloads);
 }
 
 TEST(EventStream, WanLatencyDefersCloudContributions) {

@@ -1,12 +1,14 @@
 // Fused Eq. 11 kernel vs the materialize-Delta reference, and the
 // version-keyed SimilarityCache: hit/miss semantics, invalidation on
-// device/cloud mutation, and end-to-end equivalence of cache on vs off.
+// device/cloud mutation, and identical selections with and without it.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
 #include <random>
 #include <vector>
 
+#include "core/selection.hpp"
 #include "core/similarity.hpp"
 #include "core/similarity_cache.hpp"
 #include "sim_fixture.hpp"
@@ -14,6 +16,8 @@
 namespace {
 
 using middlefl::core::Algorithm;
+using middlefl::core::Candidate;
+using middlefl::core::SelectionContext;
 using middlefl::core::SimilarityCache;
 using middlefl::testing::SimBundle;
 
@@ -102,33 +106,75 @@ TEST(SimilarityCache, SimulationHitsAfterWarmup) {
   EXPECT_GT(sim->similarity_cache().misses(), 0u);
 }
 
-TEST(SimilarityCache, CacheOnOffRunsAreBitwiseIdentical) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 8;
-  bundle.cfg.cloud_interval = 4;
-  bundle.cfg.eval_every = 4;
-
-  bundle.cfg.use_similarity_cache = true;
-  auto sim_on = bundle.make(Algorithm::kMiddle);
-  bundle.cfg.use_similarity_cache = false;
-  auto sim_off = bundle.make(Algorithm::kMiddle);
-
-  const auto history_on = sim_on->run();
-  const auto history_off = sim_off->run();
-
-  ASSERT_EQ(history_on.points.size(), history_off.points.size());
-  for (std::size_t i = 0; i < history_on.points.size(); ++i) {
-    EXPECT_EQ(history_on.points[i].accuracy, history_off.points[i].accuracy);
-    EXPECT_EQ(history_on.points[i].loss, history_off.points[i].loss);
+TEST(SimilarityCache, CachedSelectionPicksIdenticalIds) {
+  // Rounds of partial device churn (a few devices train and re-version)
+  // and periodic cloud syncs (the cloud moves and re-versions): the cached
+  // selection must pick exactly the ids an uncached one does, with the
+  // same draws. Local models sit near the cloud with distinct offsets, so
+  // every Eq. 11 score is distinct and a stale cached score would reorder
+  // the ranking.
+  constexpr std::size_t kDevices = 24;
+  constexpr std::size_t kParams = 257;
+  constexpr std::size_t kSelect = 5;
+  std::vector<float> cloud = random_vec(kParams, 7);
+  std::uint64_t next_version = 1;
+  std::uint64_t cloud_version = next_version++;
+  // w_m = (1 + drift) w_c + noise: Delta_w_m leans toward w_c by `drift`.
+  const auto near_cloud = [&cloud](double drift, std::uint64_t seed) {
+    std::vector<float> w = random_vec(kParams, seed);
+    for (std::size_t i = 0; i < kParams; ++i) {
+      w[i] = static_cast<float>(1.0 + drift) * cloud[i] + 0.3f * w[i];
+    }
+    return w;
+  };
+  std::vector<std::vector<float>> local(kDevices);
+  std::vector<std::uint64_t> version(kDevices);
+  for (std::size_t m = 0; m < kDevices; ++m) {
+    local[m] = near_cloud(0.05 * static_cast<double>(m + 1), 300 + m);
+    version[m] = next_version++;
   }
-  const auto cloud_on = sim_on->cloud_params();
-  const auto cloud_off = sim_off->cloud_params();
-  ASSERT_EQ(cloud_on.size(), cloud_off.size());
-  for (std::size_t i = 0; i < cloud_on.size(); ++i) {
-    ASSERT_EQ(cloud_on[i], cloud_off[i]) << "param " << i;
+
+  SimilarityCache cache;
+  cache.resize(kDevices);
+  const middlefl::core::SimilaritySelection strategy;
+  for (std::size_t round = 0; round < 8; ++round) {
+    if (round % 3 == 2) {
+      // A cloud sync: the global model moves, so every cached score is
+      // stale even for devices that did not train.
+      cloud = near_cloud(0.4, 50 + round);
+      cloud_version = next_version++;
+    }
+    // Three devices "train": new params, new version.
+    for (std::size_t j = 0; j < 3; ++j) {
+      const std::size_t m = (round * 7 + j * 5) % kDevices;
+      local[m] = near_cloud(0.03 * static_cast<double>(j + round + 1),
+                            1000 * (round + 1) + m);
+      version[m] = next_version++;
+    }
+    std::vector<Candidate> candidates;
+    for (std::size_t m = 0; m < kDevices; ++m) {
+      candidates.push_back(Candidate{
+          .device_id = m,
+          .data_size = 10.0,
+          .stat_utility = std::nullopt,
+          .local_params = local[m],
+          .params_version = version[m],
+      });
+    }
+    middlefl::parallel::Xoshiro256 rng_cached(round);
+    middlefl::parallel::Xoshiro256 rng_plain(round);
+    const auto cached = strategy.select(
+        candidates, cloud, kSelect, rng_cached,
+        SelectionContext{.cloud_version = cloud_version, .cache = &cache});
+    const auto plain =
+        strategy.select(candidates, cloud, kSelect, rng_plain,
+                        SelectionContext{.cloud_version = cloud_version});
+    EXPECT_EQ(cached, plain) << "round " << round;
+    EXPECT_EQ(rng_cached(), rng_plain()) << "round " << round;
   }
-  EXPECT_GT(sim_on->similarity_cache().hits(), 0u);
-  EXPECT_EQ(sim_off->similarity_cache().hits(), 0u);
+  // Unchanged (device, cloud) pairs were served from the cache.
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(cache.misses(), 0u);
 }
 
 }  // namespace

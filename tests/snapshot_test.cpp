@@ -118,7 +118,6 @@ TEST(Snapshot, CloudSyncInvalidatesSimilarityCacheByVersion) {
   SimBundle bundle;
   bundle.cfg.total_steps = 12;
   bundle.cfg.cloud_interval = 4;
-  bundle.cfg.use_similarity_cache = true;
   auto sim = bundle.make(Algorithm::kMiddle);
 
   // Steps 1-3: no sync. Devices that sat out a step keep their version, so
