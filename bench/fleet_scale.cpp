@@ -8,7 +8,10 @@
 // records wall time, steps/sec, the RSS high-water mark (VmHWM, re-armed
 // per configuration via /proc/self/clear_refs) and the registry's fleet
 // accounting (materializations per step, peak resident devices, at-rest
-// delta bytes), plus the 10k -> 1M per-step cost ratio.
+// delta bytes), plus the 10k -> 1M per-step cost ratio. The per-phase
+// breakdown (`phase_us`) comes from one full cloud interval of observed
+// probe steps after the timed loop, so it holds exactly one sync and its
+// `cloud_sync` entry is that sync's cost averaged per step.
 //
 // CI smoke: --devices 100000 --rss-budget-mb N runs the single
 // configuration and fails (exit 1) when its peak RSS delta exceeds the
@@ -33,9 +36,12 @@ struct FleetMeasurement {
   std::size_t steps = 0;
   double seconds = 0.0;
   double steps_per_sec = 0.0;
-  /// Mean per-phase wall microseconds from the observed probe steps that
-  /// follow the bare timed loop (the timed window itself runs obs-off).
+  /// Mean per-phase wall microseconds over the observed probe window that
+  /// follows the bare timed loop (the timed window itself runs obs-off).
+  /// The window is one full cloud interval, so it holds exactly one sync
+  /// and `cloud_sync` is that sync's cost averaged per step.
   middlefl::core::Simulation::StepPhaseUs phase_us;
+  std::size_t probe_steps = 0;
   std::size_t rss_before_bytes = 0;
   std::size_t peak_rss_bytes = 0;
   std::size_t peak_delta_bytes = 0;
@@ -128,17 +134,18 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
       static_cast<double>(steps);
 
   // Where do the steps go? Attach a metrics registry (the cheapest
-  // observability; phase clocks only run while obs is on) for a few probe
-  // steps and average the per-phase wall time. Probes run after the timed
-  // window, the RSS peak read and the summary capture, so they contaminate
-  // none of them.
-  constexpr std::size_t kProbeSteps = 2;
+  // observability; phase clocks only run while obs is on) for one full
+  // cloud interval of probe steps — any T_c consecutive steps hold exactly
+  // one sync — and average the per-phase wall time per step. Probes run
+  // after the timed window, the RSS peak read and the summary capture, so
+  // they contaminate none of them.
+  m.probe_steps = cfg.cloud_interval;
   {
     middlefl::obs::MetricsRegistry probe_metrics;
     middlefl::obs::Observability probe;
     probe.metrics = &probe_metrics;
     sim.set_observability(probe);
-    for (std::size_t s = 0; s < kProbeSteps; ++s) {
+    for (std::size_t s = 0; s < m.probe_steps; ++s) {
       sim.step();
       const auto& p = sim.last_step_phase_us();
       m.phase_us.mobility += p.mobility;
@@ -151,14 +158,15 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
       m.phase_us.cloud_sync += p.cloud_sync;
     }
     sim.set_observability(middlefl::obs::Observability{});
-    m.phase_us.mobility /= kProbeSteps;
-    m.phase_us.membership /= kProbeSteps;
-    m.phase_us.select /= kProbeSteps;
-    m.phase_us.distribute /= kProbeSteps;
-    m.phase_us.local_train /= kProbeSteps;
-    m.phase_us.upload /= kProbeSteps;
-    m.phase_us.edge_aggregate /= kProbeSteps;
-    m.phase_us.cloud_sync /= kProbeSteps;
+    const auto steps_d = static_cast<double>(m.probe_steps);
+    m.phase_us.mobility /= steps_d;
+    m.phase_us.membership /= steps_d;
+    m.phase_us.select /= steps_d;
+    m.phase_us.distribute /= steps_d;
+    m.phase_us.local_train /= steps_d;
+    m.phase_us.upload /= steps_d;
+    m.phase_us.edge_aggregate /= steps_d;
+    m.phase_us.cloud_sync /= steps_d;
   }
   return m;
 }
@@ -169,7 +177,8 @@ void print_row(const FleetMeasurement& m) {
             << " s (" << m.steps_per_sec << " steps/sec), peak RSS +"
             << m.peak_delta_bytes / (1024 * 1024) << " MiB, "
             << m.materializations_per_step << " materializations/step\n"
-            << "      phase us/step: mobility " << m.phase_us.mobility
+            << "      phase us/step over " << m.probe_steps
+            << " probe steps (one sync): mobility " << m.phase_us.mobility
             << " membership " << m.phase_us.membership << " select "
             << m.phase_us.select << " distribute " << m.phase_us.distribute
             << " train " << m.phase_us.local_train << " upload "
@@ -189,6 +198,7 @@ void emit_json(std::ostream& out, const FleetMeasurement& m, bool last) {
       << "      \"peak_delta_bytes\": " << m.peak_delta_bytes << ",\n"
       << "      \"materializations_per_step\": "
       << m.materializations_per_step << ",\n"
+      << "      \"phase_probe_steps\": " << m.probe_steps << ",\n"
       << "      \"phase_us\": {"
       << "\"mobility\": " << m.phase_us.mobility
       << ", \"membership\": " << m.phase_us.membership

@@ -92,21 +92,37 @@ Device::Device(std::size_t id, data::DataView data, Snapshot base,
                                 ": empty data partition");
   }
   param_count_ = base->size();
+  // Starting on the registry's block is following it: no reference held.
+  if (base == fleet_->block()) return;
   base_ = base;
   shared_ = std::move(base);
   params_version_ = shared_->version();
 }
 
 std::span<const float> Device::params() const {
+  if (following()) return fleet_->block()->span();
   if (shared_) return shared_->span();
   if (!has_resident_) decode_resident();
   return resident_.data();
+}
+
+std::uint64_t Device::params_version() const noexcept {
+  return following() ? fleet_->block()->version() : params_version_;
+}
+
+void Device::detach() {
+  if (!following()) return;
+  base_ = fleet_->block();
+  shared_ = base_;
+  params_version_ = base_->version();
+  fleet_->note_detached(id_);
 }
 
 void Device::set_params(std::span<const float> params) {
   if (params.size() != param_count_) {
     throw std::invalid_argument("Device::set_params: size mismatch");
   }
+  detach();
   const std::span<float> dst = ensure_resident_for_overwrite();
   std::copy(params.begin(), params.end(), dst.begin());
   dirty_ = true;
@@ -122,8 +138,20 @@ void Device::adopt(Snapshot snapshot) {
   if (snapshot->size() != param_count_) {
     throw std::invalid_argument("Device::adopt: size mismatch");
   }
+  if (following()) {
+    // A follower already reads the registry's block.
+    if (snapshot == fleet_->block()) return;
+    detach();
+  }
   // The snapshot supersedes every divergence: return the pooled state and
   // rebase the (now empty) delta on the new block.
+  release_pooled_state();
+  base_ = snapshot;
+  shared_ = std::move(snapshot);
+  params_version_ = shared_->version();
+}
+
+void Device::release_pooled_state() noexcept {
   if (has_resident_) {
     fleet_->release_resident(id_, std::move(resident_));
     resident_ = tensor::Tensor{};
@@ -132,9 +160,12 @@ void Device::adopt(Snapshot snapshot) {
   if (delta_valid_) invalidate_delta();
   if (delta_ != nullptr) fleet_->release_delta(id_, std::move(delta_));
   dirty_ = false;
-  base_ = snapshot;
-  shared_ = std::move(snapshot);
-  params_version_ = shared_->version();
+}
+
+void Device::rejoin() noexcept {
+  release_pooled_state();
+  shared_.reset();
+  base_.reset();
 }
 
 std::span<float> Device::ensure_resident_for_overwrite() {
@@ -202,19 +233,6 @@ void Device::settle() {
   has_resident_ = false;
 }
 
-void Device::release_fleet_state() noexcept {
-  if (has_resident_) {
-    fleet_->release_resident(id_, std::move(resident_));
-    resident_ = tensor::Tensor{};
-    has_resident_ = false;
-  }
-  if (delta_valid_) invalidate_delta();
-  if (delta_ != nullptr) fleet_->release_delta(id_, std::move(delta_));
-  dirty_ = false;
-  shared_.reset();
-  base_.reset();
-}
-
 DeviceTrainStats Device::train(std::size_t local_steps,
                                std::size_t batch_size, double learning_rate,
                                bool reset_optimizer,
@@ -227,6 +245,7 @@ DeviceTrainStats Device::train(std::size_t local_steps,
     throw std::invalid_argument(
         "Device::train: prox_mu and clip_norm must be non-negative");
   }
+  detach();
 
   DeviceRuntime* acquired = nullptr;
   DeviceRuntime* rt = runtime;

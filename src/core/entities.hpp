@@ -9,9 +9,15 @@
 // A device is fleet-scale virtual state (see core/fleet.hpp): a base
 // Snapshot plus an at-rest EncodedDelta, borrowing pooled buffers from its
 // DeviceRegistry only while dense parameters are actually needed.
-// Lifecycle: shared snapshot -> resident (materialized) -> settled
-// (snapshot + delta at rest). adopt() shares an immutable published block
-// (a broadcast or an edge download is a refcount bump); a resident buffer
+// Lifecycle: following -> shared snapshot -> resident (materialized) ->
+// settled (snapshot + delta at rest) -> following again at the next
+// lossless broadcast. A *following* device holds no snapshot reference at
+// all: params(), params_version() and shares_snapshot() resolve through
+// the registry's broadcast block, so a broadcast that swaps that block
+// moves every follower at once. Every write detaches the device first —
+// it pins the current block as its own base and is listed for the next
+// DeviceRegistry::broadcast() to rejoin. adopt() shares an immutable
+// published block (an edge download is a refcount bump); a resident buffer
 // is checked out on the first write — set_params (a blend) or train (local
 // SGD, run through a pooled DeviceRuntime). Version stamps come from the
 // process-global SnapshotStore, so an unchanged version still guarantees
@@ -48,7 +54,8 @@ struct DeviceTrainStats {
 
 class Device {
  public:
-  /// Starts sharing `base` (O(1) memory) and borrows pooled state from
+  /// Starts sharing `base` (O(1) memory) — as a follower when `base` is
+  /// the registry's broadcast block — and borrows pooled state from
   /// `fleet` — which must be non-null, hold the model/optimizer
   /// prototypes before the device trains, and outlive the device —
   /// whenever dense parameters are needed. Throws std::invalid_argument
@@ -65,19 +72,32 @@ class Device {
   const data::DataView& data() const noexcept { return data_; }
   std::size_t param_count() const noexcept { return param_count_; }
 
-  /// The current local model w_m: the shared snapshot when one is adopted,
-  /// otherwise the resident buffer. A settled device materializes its
-  /// at-rest delta here — call settle() when done to return the buffer to
-  /// the pool.
+  /// The current local model w_m: the registry's broadcast block while
+  /// following, the shared snapshot when one is adopted, otherwise the
+  /// resident buffer. A settled device materializes its at-rest delta
+  /// here — call settle() when done to return the buffer to the pool.
   std::span<const float> params() const;
   /// Installs a private copy of `params` (the copy-on-write write path).
   void set_params(std::span<const float> params);
   /// Shares `snapshot` without copying and rebases on it: any resident
   /// buffer and at-rest delta are returned to the pool (the snapshot
   /// replaces them), and the device's version becomes the snapshot's.
+  /// Adopting the registry's block is a no-op for a following device.
   void adopt(Snapshot snapshot);
-  /// True while the device reads a shared snapshot (no private copy yet).
-  bool shares_snapshot() const noexcept { return shared_ != nullptr; }
+  /// True while the device reads a shared snapshot (no private copy yet),
+  /// including the registry's block while following.
+  bool shares_snapshot() const noexcept {
+    return following() || shared_ != nullptr;
+  }
+  /// True while the device follows its registry's broadcast block and
+  /// holds no snapshot reference of its own.
+  bool following() const noexcept { return base_ == nullptr; }
+  /// Pins the registry's current block as this device's own base, so a
+  /// later broadcast no longer moves it, and lists the device for the
+  /// next DeviceRegistry::broadcast() to rejoin. Every write calls it
+  /// first; a lossy broadcast calls it so a lost push leaves the device
+  /// on the model it holds now. No-op when already detached.
+  void detach();
 
   /// True while a dense parameter buffer is checked out.
   bool resident() const noexcept { return has_resident_; }
@@ -90,15 +110,12 @@ class Device {
   std::size_t at_rest_bytes() const noexcept {
     return delta_valid_ ? delta_->bytes() : 0;
   }
-  /// Registry-eviction hook: returns every pooled resource and drops the
-  /// snapshot references. The device is unusable afterwards.
-  void release_fleet_state() noexcept;
 
   /// Version stamp of the current parameters, changed on every mutation
   /// (set_params, adopt of a different snapshot, train). The
   /// SimilarityCache keys on it: an unchanged version guarantees an
-  /// unchanged selection score.
-  std::uint64_t params_version() const noexcept { return params_version_; }
+  /// unchanged selection score. A follower carries its block's version.
+  std::uint64_t params_version() const noexcept;
 
   /// Runs `local_steps` SGD iterations (Eq. 5) from the current parameters
   /// on minibatches of `batch_size` drawn with `rng`. When
@@ -138,6 +155,15 @@ class Device {
   }
 
  private:
+  friend class DeviceRegistry;
+
+  /// Returns every pooled resource and drops the snapshot references:
+  /// the device follows its registry's block again. The registry's
+  /// broadcast and erase hooks.
+  void rejoin() noexcept;
+  /// Returns the resident buffer and the at-rest delta block to the
+  /// registry's freelists.
+  void release_pooled_state() noexcept;
   /// Checks a resident buffer out of the registry (or reuses the current
   /// one) sized for overwrite — reset_for_overwrite skips the zero-fill
   /// the subsequent copy/decode would waste.
@@ -157,7 +183,8 @@ class Device {
   std::uint64_t params_version_ = 0;
   DeviceRegistry* fleet_ = nullptr;
   std::size_t param_count_ = 0;
-  /// Base snapshot the at-rest delta is encoded against (always set).
+  /// Base snapshot the at-rest delta is encoded against; null exactly
+  /// while following (the registry's block is the base then).
   Snapshot base_;
   /// At-rest divergence from base_; valid content iff delta_valid_ (the
   /// block itself is kept across invalidations for reuse).

@@ -61,6 +61,38 @@ const parallel::Xoshiro256& DeviceRegistry::initial_dropout_rng() const {
   return proto_model_->dropout_rng();
 }
 
+void DeviceRegistry::broadcast(Snapshot block) {
+  if (block == nullptr) {
+    throw std::invalid_argument("DeviceRegistry::broadcast: null block");
+  }
+  if (has_prototypes() && block->size() != param_count_) {
+    throw std::invalid_argument("DeviceRegistry::broadcast: size mismatch");
+  }
+  std::size_t rejoined = 0;
+  for (Shard& shard : shards_) {
+    // Ascending ids: the freelists receive the releases in the order an
+    // adopt loop over the whole fleet would produce.
+    std::sort(shard.detached.begin(), shard.detached.end());
+    for (const std::size_t id : shard.detached) {
+      // Erased ids resolve to nothing; an id erased and re-inserted can
+      // be listed twice and is rejoined once.
+      Device* device = find(id);
+      if (device == nullptr || device->following()) continue;
+      device->rejoin();
+      ++rejoined;
+    }
+    shard.detached.clear();
+  }
+  block_ = std::move(block);
+  detached_devices_ = rejoined;
+}
+
+void DeviceRegistry::note_detached(std::size_t id) {
+  Shard& shard = shards_[shard_of(id)];
+  std::lock_guard<std::mutex> lock(shard.freelist_mutex);
+  shard.detached.push_back(id);
+}
+
 DeviceRegistry::Entry* DeviceRegistry::probe(Shard& shard,
                                              std::size_t id) noexcept {
   if (shard.table.empty()) return nullptr;
@@ -130,6 +162,8 @@ Device& DeviceRegistry::insert(Device device) {
     if (id >= dense_.size()) dense_.resize(id + 1, nullptr);
     dense_[id] = &stored;
   }
+  // A device born on another block is detached from the start.
+  if (!stored.following()) shard.detached.push_back(id);
   return stored;
 }
 
@@ -146,8 +180,9 @@ bool DeviceRegistry::erase(std::size_t id) {
 
   // Return the device's pooled state, then shrink it to a zombie: the
   // deque slot cannot be destroyed individually, but a moved-from Device
-  // holds no heap state worth keeping.
-  shard.slots[slot].release_fleet_state();
+  // holds no heap state worth keeping. An id left on a detached list is
+  // skipped by the next broadcast (find() no longer resolves it).
+  shard.slots[slot].rejoin();
   Device zombie = std::move(shard.slots[slot]);
   static_cast<void>(zombie);
   shard.free_slots.push_back(slot);

@@ -14,6 +14,16 @@
 // after aggregation. Peak RSS therefore scales with K * num_edges
 // (selected devices per step), not with fleet size.
 //
+// The registry also holds the fleet's broadcast block: the global model of
+// the last lossless device broadcast. A device that has not been written
+// since that broadcast *follows* the block — it holds no snapshot of its
+// own and reads the registry's. A write detaches the device (it pins the
+// block and is listed in its shard's detached list), and broadcast()
+// rejoins exactly the listed devices before swapping the block. A lossless
+// broadcast therefore costs O(devices touched since the last one), not
+// O(fleet), and leaves every device with the bytes and version stamp an
+// adopt of the new block would have given it.
+//
 // The registry shards by device id (fixed power-of-two shard count, open
 // addressing within a shard) so lookups, mobility updates and the per-edge
 // task-graph chains touch devices without walking cold state, and so the
@@ -23,8 +33,9 @@
 // and skip probing entirely.
 //
 // Thread-safety contract: insert()/erase()/configure()/set_prototypes()
-// are construction-time operations (no concurrent calls); at()/find() are
-// safe concurrently with each other and with the freelist and counter
+// are construction-time operations and broadcast() is a serial-point
+// operation (no concurrent calls); at()/find()/block() are safe
+// concurrently with each other and with the freelist, detach and counter
 // methods, which the parallel edge chains call for disjoint devices.
 #pragma once
 
@@ -107,6 +118,22 @@ class DeviceRegistry {
   bool model_has_dropout() const noexcept { return has_dropout_; }
   const parallel::Xoshiro256& initial_dropout_rng() const;
 
+  // --- Broadcast block ----------------------------------------------------
+  /// The block every following device reads; null before the first
+  /// broadcast().
+  const Snapshot& block() const noexcept { return block_; }
+  /// The lossless device broadcast: rejoins every device detached since
+  /// the last call (returning its resident buffer and at-rest delta to the
+  /// freelists exactly as Device::adopt does, in ascending id per shard),
+  /// clears the detached lists and installs `block` as the block every
+  /// device follows — the same end state as adopting `block` into every
+  /// device, at O(detached) cost. Throws std::invalid_argument on a null
+  /// block or, once prototypes are set, a size mismatch.
+  void broadcast(Snapshot block);
+  /// Devices the last broadcast() rejoined: the part of the fleet it had
+  /// to touch (the `fleet.detached_devices` gauge).
+  std::size_t detached_devices() const noexcept { return detached_devices_; }
+
   // --- Device table -------------------------------------------------------
   /// Takes ownership of `device`, keyed by device.id(). Throws
   /// std::invalid_argument on a duplicate id.
@@ -171,6 +198,12 @@ class DeviceRegistry {
   }
 
  private:
+  friend class Device;
+
+  /// Lists device `id` for the next broadcast() to rejoin. Called by
+  /// Device::detach; concurrent chains detach disjoint devices.
+  void note_detached(std::size_t id);
+
   struct Entry {
     static constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
     static constexpr std::size_t kTombstone = static_cast<std::size_t>(-2);
@@ -184,9 +217,10 @@ class DeviceRegistry {
     std::vector<Entry> table;             // open addressing: id -> slot
     std::size_t occupied = 0;             // live entries
     std::size_t tombstones = 0;
-    std::mutex freelist_mutex;
+    std::mutex freelist_mutex;  // guards the three lists below
     std::vector<tensor::Tensor> resident_free;
     std::vector<std::unique_ptr<transport::EncodedDelta>> delta_free;
+    std::vector<std::size_t> detached;  // ids detached since the broadcast
   };
 
   static std::uint64_t hash_id(std::size_t id) noexcept {
@@ -200,6 +234,8 @@ class DeviceRegistry {
   // deque: Shard is immovable (mutex) and the count is fixed by configure.
   std::deque<Shard> shards_;
   std::size_t size_ = 0;
+  Snapshot block_;
+  std::size_t detached_devices_ = 0;
   // Dense id -> device fast path for the sequential-id layout the
   // Simulation produces; entries are only added for ids that extend or fit
   // the current range (sparse churned ids fall back to probing).

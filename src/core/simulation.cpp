@@ -159,9 +159,10 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
   const std::size_t num_devices = partition.num_devices();
   registry_.configure(cfg_.fleet);
   registry_.set_prototypes(*init_model, optimizer_prototype);
+  registry_.broadcast(cloud_.snapshot());
   for (std::size_t m = 0; m < num_devices; ++m) {
-    // Every device starts as a zero-cost share of the common init
-    // snapshot; dense state materializes only around training.
+    // Every device starts following the common init block (no reference
+    // of its own); dense state materializes only around training.
     registry_.insert(
         Device(m, partition.view(train, m), cloud_.snapshot(), &registry_));
   }
@@ -235,6 +236,7 @@ void Simulation::set_observability(const obs::Observability& obs) {
                         5000, 10000});
     metric_ids_.fleet_materializations = m.counter("fleet.materializations");
     metric_ids_.fleet_resident = m.gauge("fleet.resident_devices");
+    metric_ids_.fleet_detached = m.gauge("fleet.detached_devices");
     metric_ids_.fleet_delta_bytes = m.gauge("fleet.delta_bytes_at_rest");
     metric_ids_.comm_reduces = m.counter("comm.reduces");
     metric_ids_.comm_reduce_depth = m.gauge("comm.reduce_max_depth");
@@ -864,7 +866,6 @@ void Simulation::stage_cloud_sync() {
 
   transport::Link& wan_up = transport_->wan_up();
   transport::Link& wan_down = transport_->wan_down();
-  transport::Link& broadcast = transport_->broadcast();
   const bool up_lossy = wan_up.policy().loss_prob > 0.0;
   const bool up_compressed =
       wan_up.policy().compression.kind != CompressionKind::kNone;
@@ -945,8 +946,9 @@ void Simulation::stage_cloud_sync() {
   // Push the global model back down: cloud -> edge over the WAN, then the
   // broadcast to every device. A lost push leaves the receiver on its old
   // model until the next sync. A lossless push is a shared adopt of the
-  // cloud's block — the num_edges + num_devices full copies of the
-  // barriered pipeline collapse into refcount bumps.
+  // cloud's block — the num_edges full copies of the barriered pipeline
+  // collapse into refcount bumps, and the device side into one block swap
+  // (broadcast_devices).
   const Snapshot& global_block = cloud_.snapshot();
   const bool down_lossy = wan_down.policy().loss_prob > 0.0;
   const bool down_compressed =
@@ -976,28 +978,7 @@ void Simulation::stage_cloud_sync() {
       serving_sink_->on_edge_model(n, edges_[n].snapshot());
     }
   }
-  if (cfg_.broadcast_to_devices) {
-    const bool bcast_lossy = broadcast.policy().loss_prob > 0.0;
-    const bool bcast_compressed =
-        broadcast.policy().compression.kind != CompressionKind::kNone;
-    for (std::size_t m = 0; m < registry_.size(); ++m) {
-      parallel::Xoshiro256 rng;
-      transport::SendContext ctx;
-      ctx.step = t_;
-      if (bcast_lossy) {
-        rng = streams_.stream(kBroadcastTag, m, t_);
-        ctx.rng = &rng;
-      }
-      if (bcast_compressed) ctx.arena = &wan_arena_;
-      const transport::Delivery push = broadcast.send(cloud_.params(), ctx);
-      if (push.delivered &&
-          !install_download(registry_.at(m), push.payload, global_block)) {
-        // A private install can leave any device resident; the next
-        // step's settle must scan full member lists to find them.
-        fleet_scan_needed_ = true;
-      }
-    }
-  }
+  if (cfg_.broadcast_to_devices) broadcast_devices();
 
   notify_transfers(StepPhase::kCloudSync, transport::LinkKind::kWanUp,
                    transport_->stats(transport::LinkKind::kWanUp) - before_up);
@@ -1009,6 +990,44 @@ void Simulation::stage_cloud_sync() {
       transport_->stats(transport::LinkKind::kBroadcast) - before_bcast);
   for (StepObserver* obs : observers_) obs->on_cloud_sync(t_, contributing);
   notify_phase(StepPhase::kCloudSync);
+}
+
+void Simulation::broadcast_devices() {
+  transport::Link& link = transport_->broadcast();
+  const Snapshot& global_block = cloud_.snapshot();
+  const bool lossy = link.policy().loss_prob > 0.0;
+  const bool compressed =
+      link.policy().compression.kind != CompressionKind::kNone;
+  if (!lossy && !compressed) {
+    // Every push would deliver the cloud's own block: charge the n sends
+    // at once and swap the block every following device reads. Only the
+    // devices written since the last broadcast are touched.
+    link.send_identical(global_block->span(), registry_.size());
+    registry_.broadcast(global_block);
+    return;
+  }
+  // Per-device loss draws and reconstructions need the per-device loop.
+  // Each follower is pinned on its block before its push, so after the
+  // loop every device holds its own model and a lost push keeps the old.
+  for (std::size_t m = 0; m < registry_.size(); ++m) {
+    Device& device = registry_.at(m);
+    device.detach();
+    parallel::Xoshiro256 rng;
+    transport::SendContext ctx;
+    ctx.step = t_;
+    if (lossy) {
+      rng = streams_.stream(kBroadcastTag, m, t_);
+      ctx.rng = &rng;
+    }
+    if (compressed) ctx.arena = &wan_arena_;
+    const transport::Delivery push = link.send(global_block->span(), ctx);
+    if (push.delivered &&
+        !install_download(device, push.payload, global_block)) {
+      // A private install can leave any device resident; the next
+      // step's settle must scan full member lists to find them.
+      fleet_scan_needed_ = true;
+    }
+  }
 }
 
 void Simulation::publish_edge(std::size_t n, EdgeTrace& trace) {
@@ -1204,24 +1223,7 @@ bool Simulation::stage_cloud_sync_async() {
     // downloads instead of paying the M-device broadcast: the async
     // mode's per-step saving.
     if (cfg_.broadcast_to_devices && (t_ % cfg_.cloud_interval) == 0) {
-      const bool bcast_lossy = broadcast.policy().loss_prob > 0.0;
-      const bool bcast_compressed =
-          broadcast.policy().compression.kind != CompressionKind::kNone;
-      for (std::size_t m = 0; m < registry_.size(); ++m) {
-        parallel::Xoshiro256 rng;
-        transport::SendContext ctx;
-        ctx.step = t_;
-        if (bcast_lossy) {
-          rng = streams_.stream(kBroadcastTag, m, t_);
-          ctx.rng = &rng;
-        }
-        if (bcast_compressed) ctx.arena = &wan_arena_;
-        const transport::Delivery push = broadcast.send(cloud_.params(), ctx);
-        if (push.delivered &&
-            !install_download(registry_.at(m), push.payload, global_block)) {
-          fleet_scan_needed_ = true;
-        }
-      }
+      broadcast_devices();
     }
   }
 
@@ -1286,6 +1288,8 @@ void Simulation::finish_step_obs(bool sync,
             static_cast<double>(step_materializations));
     }
     m.set(metric_ids_.fleet_resident, static_cast<double>(resident_peak));
+    m.set(metric_ids_.fleet_detached,
+          static_cast<double>(registry_.detached_devices()));
     m.set(metric_ids_.fleet_delta_bytes, static_cast<double>(delta_bytes));
     const comm::CommCounters cc = communicator_->counters();
     if (cc.reduces > prev_comm_counters_.reduces) {
@@ -1360,9 +1364,7 @@ void Simulation::warm_start(std::span<const float> params) {
   const Snapshot snapshot = SnapshotStore::global().publish(params);
   cloud_.adopt(snapshot);
   for (auto& edge : edges_) edge.adopt(snapshot);
-  for (std::size_t m = 0; m < registry_.size(); ++m) {
-    registry_.at(m).adopt(snapshot);
-  }
+  registry_.broadcast(snapshot);
   if (serving_sink_ != nullptr) {
     for (std::size_t n = 0; n < edges_.size(); ++n) {
       serving_sink_->on_edge_model(n, edges_[n].snapshot());

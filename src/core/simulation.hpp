@@ -257,6 +257,8 @@ class Simulation {
   std::size_t num_devices() const noexcept { return registry_.size(); }
   std::size_t num_edges() const noexcept { return edges_.size(); }
   std::span<const float> cloud_params() const { return cloud_.params(); }
+  /// The global model as the shared block edges and devices adopt.
+  const Snapshot& cloud_snapshot() const noexcept { return cloud_.snapshot(); }
   std::span<const float> edge_params(std::size_t n) const {
     return edges_.at(n).params();
   }
@@ -383,6 +385,7 @@ class Simulation {
     obs::MetricsRegistry::MetricId step_ms = 0;  // histogram
     obs::MetricsRegistry::MetricId fleet_materializations = 0;
     obs::MetricsRegistry::MetricId fleet_resident = 0;     // gauge
+    obs::MetricsRegistry::MetricId fleet_detached = 0;     // gauge
     obs::MetricsRegistry::MetricId fleet_delta_bytes = 0;  // gauge
     obs::MetricsRegistry::MetricId comm_reduces = 0;
     obs::MetricsRegistry::MetricId comm_reduce_depth = 0;  // gauge
@@ -411,6 +414,10 @@ class Simulation {
   // ordered blend/straggler reductions.
   void replay_step_events();
   void stage_cloud_sync();
+  // The cloud -> device broadcast of the global model (both sync modes):
+  // one registry block swap on a perfect link, the per-device loop when
+  // the link draws losses or compresses.
+  void broadcast_devices();
   // Async mode (comm.async_cloud): the edge's end-of-chain WAN publish —
   // send over wan_up (shard n, so concurrent chains never contend) and
   // post the result into the cloud mailbox; resets participation.

@@ -106,6 +106,21 @@ Delivery Link::send(std::span<const float> payload, const SendContext& ctx) {
       .delivered = true, .queued = false, .payload = received, .bytes = cost};
 }
 
+void Link::send_identical(std::span<const float> payload, std::size_t count) {
+  if (policy_.loss_prob > 0.0 ||
+      policy_.compression.kind != CompressionKind::kNone ||
+      policy_.latency_steps > 0) {
+    throw std::logic_error(
+        "Link::send_identical(" + to_string(kind_) +
+        "): only a lossless, uncompressed, zero-latency link delivers "
+        "identical sends");
+  }
+  const std::size_t cost =
+      wire_bytes(payload.size(), payload.size() * sizeof(float));
+  transfers_.fetch_add(count, std::memory_order_relaxed);
+  bytes_.fetch_add(count * cost, std::memory_order_relaxed);
+}
+
 std::vector<Arrival> Link::drain(std::size_t step, std::size_t shard) {
   auto& queue = queues_.at(shard);
   std::vector<Arrival> due;

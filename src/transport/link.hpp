@@ -2,7 +2,10 @@
 //
 // Every model transfer in the simulator flows through Link::send(): the
 // link applies its policy (loss probability, lossy compression, optional
-// deterministic latency-in-steps) and accounts the traffic. Three concrete
+// deterministic latency-in-steps) and accounts the traffic. A fan-out of
+// one model to many receivers over a perfect link (the cloud's lossless
+// device broadcast) is accounted in O(1) by Link::send_identical(), with
+// exactly the counters `count` send() calls would leave. Three concrete
 // classes model the three physical channels of the paper's architecture:
 //
 //   WirelessLink  device <-> edge radio (cheap, lossy, compressible)
@@ -157,6 +160,13 @@ class Link {
   /// compression, accounts bytes, and either hands the result back
   /// (delivered), swallows it (dropped) or queues it for a later step.
   Delivery send(std::span<const float> payload, const SendContext& ctx);
+
+  /// Accounts `count` sends of the same `payload` in O(1). On a perfect
+  /// link every one of them would be delivered as the sender's own span,
+  /// so the receivers can share `payload` itself. Throws std::logic_error
+  /// when the policy has loss, compression or latency: those need
+  /// per-send draws or reconstructions, i.e. send().
+  void send_identical(std::span<const float> payload, std::size_t count);
 
   /// Removes and returns the queued payloads of `shard` whose delivery
   /// step has been reached, in FIFO send order.

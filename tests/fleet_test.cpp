@@ -1,13 +1,16 @@
 // Device state (core/fleet.hpp): at-rest codec round-trips, bitwise
 // equality of Device::train with a private-model oracle, whole-run fleet
-// accounting, and DeviceRegistry invariants under id churn.
+// accounting, DeviceRegistry invariants under id churn, and the registry
+// broadcast block against a per-device adopt oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -28,6 +31,7 @@ using middlefl::core::Device;
 using middlefl::core::DeviceRegistry;
 using middlefl::core::DeviceTrainStats;
 using middlefl::core::FleetConfig;
+using middlefl::core::Simulation;
 using middlefl::core::Snapshot;
 using middlefl::core::SnapshotStore;
 using middlefl::parallel::Xoshiro256;
@@ -447,6 +451,317 @@ TEST(RegistryChurn, ResidentFreelistRecyclesBuffers) {
   EXPECT_EQ(registry.materializations(), 2u);
   EXPECT_EQ(b.data().data(), raw);
   registry.release_resident(5, std::move(b));
+}
+
+// ---------------------------------------------------------------------------
+// FleetBroadcast: the registry-held broadcast block against the per-device
+// adopt loop it replaced, kept here as the oracle.
+
+/// Pairs the version stamps of two simulations. Stamps are process-global,
+/// so two runs never share values, but they must change and repeat in
+/// exactly the same places: the pairing has to stay one-to-one.
+class VersionMatch {
+ public:
+  bool pair(std::uint64_t got, std::uint64_t want) {
+    const auto forward = forward_.emplace(got, want).first;
+    const auto backward = backward_.emplace(want, got).first;
+    return forward->second == want && backward->second == got;
+  }
+
+ private:
+  std::unordered_map<std::uint64_t, std::uint64_t> forward_;
+  std::unordered_map<std::uint64_t, std::uint64_t> backward_;
+};
+
+/// The per-device loop the registry broadcast replaced: every device
+/// adopts the cloud's block, or installs its own copy of the
+/// reconstruction when the broadcast link compresses.
+void oracle_broadcast(Simulation& sim, const CompressionConfig& compression) {
+  const Snapshot global = sim.cloud_snapshot();
+  std::vector<float> recon;
+  if (compression.kind != CompressionKind::kNone) {
+    recon = middlefl::transport::compress_update(global->span(), compression)
+                .reconstruction;
+  }
+  for (std::size_t m = 0; m < sim.num_devices(); ++m) {
+    Device& device = sim.device(m);
+    if (recon.empty()) {
+      device.adopt(global);
+    } else {
+      device.set_params(recon);
+      device.settle();
+    }
+  }
+}
+
+/// Reads a device's parameters without leaving it resident (a settled
+/// device decodes into a pooled buffer; settle() hands it back unchanged).
+std::vector<float> read_params(Device& device) {
+  std::vector<float> params(device.params().begin(), device.params().end());
+  device.settle();
+  return params;
+}
+
+void expect_fleets_match(Simulation& got, Simulation& want,
+                         VersionMatch& versions, std::size_t step) {
+  SCOPED_TRACE("step " + std::to_string(step));
+  ASSERT_EQ(got.num_devices(), want.num_devices());
+  EXPECT_TRUE(versions.pair(got.cloud_snapshot()->version(),
+                            want.cloud_snapshot()->version()));
+  for (std::size_t m = 0; m < got.num_devices(); ++m) {
+    const std::vector<float> a = read_params(got.device(m));
+    const std::vector<float> b = read_params(want.device(m));
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "device " << m;
+    EXPECT_TRUE(versions.pair(got.device(m).params_version(),
+                              want.device(m).params_version()))
+        << "device " << m;
+  }
+}
+
+/// Steps the simulator as configured next to a twin whose own device
+/// broadcast is off and which runs oracle_broadcast after every
+/// broadcasting step instead. After every step each device must hold the
+/// same bytes and the same version pattern in both, and every broadcast
+/// must charge the link n sends of the global model. `warm_start_at` > 0
+/// warm-starts both before that step.
+void run_against_adopt_oracle(SimBundle bundle,
+                              middlefl::core::Algorithm algorithm,
+                              std::size_t steps,
+                              std::size_t warm_start_at = 0) {
+  using middlefl::transport::LinkKind;
+  const CompressionConfig compression =
+      bundle.cfg.transport.broadcast.compression;
+  auto fast = bundle.make(algorithm);
+  bundle.cfg.broadcast_to_devices = false;
+  auto oracle = bundle.make(algorithm);
+  const std::size_t n = fast->num_devices();
+  const std::size_t push_bytes =
+      compression.kind == CompressionKind::kNone
+          ? 4 * fast->cloud_params().size()
+          : middlefl::transport::compress_update(fast->cloud_params(),
+                                                 compression)
+                .bytes;
+  VersionMatch versions;
+  std::size_t broadcasts = 0;
+  for (std::size_t t = 1; t <= steps; ++t) {
+    if (t == warm_start_at) {
+      std::vector<float> restart(fast->cloud_params().begin(),
+                                 fast->cloud_params().end());
+      for (float& w : restart) w *= 0.5f;
+      const auto before = fast->transport().stats(LinkKind::kBroadcast);
+      fast->warm_start(restart);
+      oracle->warm_start(restart);
+      // Both twins warm-start through the registry, so the reference here
+      // is the adopt end state itself: out of band (no link charged), and
+      // every device reads the one restart block with nothing of its own.
+      EXPECT_EQ(fast->transport().stats(LinkKind::kBroadcast).transfers,
+                before.transfers);
+      for (std::size_t m = 0; m < n; ++m) {
+        const Device& device = fast->device(m);
+        EXPECT_EQ(device.params().data(), fast->cloud_params().data());
+        EXPECT_EQ(device.params_version(),
+                  fast->cloud_snapshot()->version());
+        EXPECT_FALSE(device.resident());
+        EXPECT_EQ(device.at_rest_bytes(), 0u);
+      }
+      EXPECT_EQ(fast->fleet().delta_bytes_at_rest(), 0u);
+      expect_fleets_match(*fast, *oracle, versions, t);
+    }
+    const auto before = fast->transport().stats(LinkKind::kBroadcast);
+    const bool synced = fast->step();
+    ASSERT_EQ(oracle->step(), synced);
+    const auto sent = fast->transport().stats(LinkKind::kBroadcast) - before;
+    if (synced && t % bundle.cfg.cloud_interval == 0) {
+      oracle_broadcast(*oracle, compression);
+      EXPECT_EQ(sent.transfers, n);
+      EXPECT_EQ(sent.bytes, n * push_bytes);
+      ++broadcasts;
+    } else {
+      EXPECT_EQ(sent.transfers, 0u);
+    }
+    expect_fleets_match(*fast, *oracle, versions, t);
+  }
+  EXPECT_GE(broadcasts, 3u);
+}
+
+SimBundle broadcast_bundle() {
+  SimBundle bundle(4, 16, 3);
+  bundle.cfg.cloud_interval = 3;
+  return bundle;
+}
+
+TEST(FleetBroadcast, MiddleMatchesAdoptOracle) {
+  // MIDDLE's similarity selection reads the params and versions of every
+  // candidate, non-selected followers included.
+  run_against_adopt_oracle(broadcast_bundle(),
+                           middlefl::core::Algorithm::kMiddle, 12);
+}
+
+TEST(FleetBroadcast, FedMesMatchesAdoptOracle) {
+  // On a pool with one registry shard, so concurrent chains append to the
+  // same detached list (results are pool- and shard-invariant; the
+  // version pairing does not depend on draw order).
+  middlefl::parallel::ThreadPool pool(4);
+  SimBundle bundle = broadcast_bundle();
+  bundle.cfg.parallel_devices = true;
+  bundle.cfg.pool = &pool;
+  bundle.cfg.fleet.shards = 1;
+  run_against_adopt_oracle(bundle, middlefl::core::Algorithm::kFedMes, 60);
+}
+
+TEST(FleetBroadcast, CompressedBroadcastMatchesAdoptOracle) {
+  SimBundle bundle = broadcast_bundle();
+  bundle.cfg.transport.broadcast.compression.kind = CompressionKind::kQuant8;
+  run_against_adopt_oracle(bundle, middlefl::core::Algorithm::kMiddle, 12);
+}
+
+TEST(FleetBroadcast, MidRunWarmStartMatchesAdoptOracle) {
+  run_against_adopt_oracle(broadcast_bundle(),
+                           middlefl::core::Algorithm::kMiddle, 12,
+                           /*warm_start_at=*/5);
+}
+
+TEST(FleetBroadcast, AsyncBoundZeroMatchesAdoptOracle) {
+  SimBundle bundle = broadcast_bundle();
+  bundle.cfg.comm.async_cloud = true;
+  bundle.cfg.comm.max_staleness = 0;
+  run_against_adopt_oracle(bundle, middlefl::core::Algorithm::kMiddle, 12);
+}
+
+/// Copies every device's parameters and version at EdgeAggregate, the
+/// last phase before the cloud sync.
+class PreSyncCapture : public middlefl::core::StepObserver {
+ public:
+  explicit PreSyncCapture(Simulation& sim) : sim_(sim) {}
+
+  void on_phase(middlefl::core::StepPhase phase, std::size_t) override {
+    if (phase != middlefl::core::StepPhase::kEdgeAggregate) return;
+    params.clear();
+    versions.clear();
+    for (std::size_t m = 0; m < sim_.num_devices(); ++m) {
+      params.push_back(read_params(sim_.device(m)));
+      versions.push_back(sim_.device(m).params_version());
+    }
+  }
+
+  std::vector<std::vector<float>> params;
+  std::vector<std::uint64_t> versions;
+
+ private:
+  Simulation& sim_;
+};
+
+TEST(FleetBroadcast, LostPushesKeepTheOldGlobal) {
+  using middlefl::transport::LinkKind;
+  SimBundle bundle = broadcast_bundle();
+  bundle.cfg.transport.broadcast.loss_prob = 0.3;
+  auto sim = bundle.make(middlefl::core::Algorithm::kMiddle);
+  PreSyncCapture capture(*sim);
+  sim->add_observer(&capture);
+
+  std::size_t lost_total = 0;
+  std::size_t delivered_total = 0;
+  for (std::size_t t = 1; t <= 12; ++t) {
+    const auto before = sim->transport().stats(LinkKind::kBroadcast);
+    if (!sim->step()) continue;
+    SCOPED_TRACE("step " + std::to_string(t));
+    const auto sent = sim->transport().stats(LinkKind::kBroadcast) - before;
+    const std::uint64_t global = sim->cloud_snapshot()->version();
+    const std::vector<float> global_params(sim->cloud_params().begin(),
+                                           sim->cloud_params().end());
+    std::size_t lost = 0;
+    for (std::size_t m = 0; m < sim->num_devices(); ++m) {
+      Device& device = sim->device(m);
+      const std::vector<float> now = read_params(device);
+      if (device.params_version() == global) {
+        EXPECT_EQ(now, global_params) << "device " << m;
+        ++delivered_total;
+      } else {
+        // Lost: still exactly the model it held before the sync — for a
+        // device that followed the old broadcast, the old global.
+        EXPECT_EQ(device.params_version(), capture.versions[m]);
+        EXPECT_EQ(now, capture.params[m]) << "device " << m;
+        ++lost;
+      }
+    }
+    EXPECT_EQ(lost, sent.dropped);
+    EXPECT_EQ(sent.transfers, sim->num_devices());
+    lost_total += lost;
+  }
+  EXPECT_GT(lost_total, 0u);
+  EXPECT_GT(delivered_total, 0u);
+}
+
+TEST(FleetBroadcast, DetachedCountIsDevicesWrittenSinceLastSync) {
+  SimBundle bundle(4, 24, 3);
+  bundle.cfg.cloud_interval = 3;
+  auto sim = bundle.make(middlefl::core::Algorithm::kFedMes);
+  middlefl::obs::MetricsRegistry metrics;
+  middlefl::obs::Observability obs;
+  obs.metrics = &metrics;
+  sim->set_observability(obs);
+
+  // No stragglers and no lost downloads: every selected device trains,
+  // and training is the only write.
+  std::set<std::size_t> written;
+  for (std::size_t t = 1; t <= 9; ++t) {
+    sim->step();
+    for (const auto& selection : sim->last_selection()) {
+      written.insert(selection.begin(), selection.end());
+    }
+    if (t % bundle.cfg.cloud_interval != 0) continue;
+    SCOPED_TRACE("step " + std::to_string(t));
+    EXPECT_EQ(sim->fleet().detached_devices(), written.size());
+    EXPECT_LT(written.size(), sim->num_devices());
+    double gauge = -1.0;
+    for (const auto& [name, value] : metrics.snapshot().gauges) {
+      if (name == "fleet.detached_devices") gauge = value;
+    }
+    EXPECT_EQ(gauge, static_cast<double>(written.size()));
+    written.clear();
+  }
+}
+
+TEST(FleetBroadcast, ErasedWhileDetachedIsSkipped) {
+  DeviceRegistry registry;
+  registry.configure(FleetConfig{.shards = 4});
+  const Snapshot b0 = SnapshotStore::global().publish(ramp(32, 1.0f));
+  registry.broadcast(b0);
+  for (std::size_t id = 0; id < 10; ++id) {
+    EXPECT_TRUE(registry.insert(make_lazy(id, b0, &registry)).following());
+  }
+  // Three kinds of write: a resident private copy, a settled one, and an
+  // adopt of another block.
+  registry.at(2).set_params(ramp(32, 2.0f));
+  registry.at(5).set_params(ramp(32, 3.0f));
+  registry.at(5).settle();
+  registry.at(7).adopt(SnapshotStore::global().publish(ramp(32, 4.0f)));
+  for (const std::size_t id : {2, 5, 7}) {
+    EXPECT_FALSE(registry.at(id).following()) << "id " << id;
+  }
+  EXPECT_TRUE(registry.erase(5));
+
+  const Snapshot b1 = SnapshotStore::global().publish(ramp(32, 5.0f));
+  registry.broadcast(b1);
+  EXPECT_EQ(registry.detached_devices(), 2u);  // 2 and 7; 5 is gone
+  for (std::size_t id = 0; id < 10; ++id) {
+    if (id == 5) continue;
+    const Device& device = registry.at(id);
+    EXPECT_TRUE(device.following()) << "id " << id;
+    EXPECT_EQ(device.params().data(), b1->span().data()) << "id " << id;
+    EXPECT_EQ(device.params_version(), b1->version()) << "id " << id;
+  }
+  EXPECT_EQ(registry.resident_devices(), 0u);
+  EXPECT_EQ(registry.delta_bytes_at_rest(), 0u);
+
+  // Re-inserted on another block, the id is detached from birth.
+  EXPECT_FALSE(registry.insert(make_lazy(5, b0, &registry)).following());
+  registry.broadcast(b0);
+  EXPECT_EQ(registry.detached_devices(), 1u);
+  EXPECT_EQ(registry.at(5).params().data(), b0->span().data());
+  EXPECT_THROW(registry.broadcast(nullptr), std::invalid_argument);
 }
 
 }  // namespace

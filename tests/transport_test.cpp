@@ -176,6 +176,39 @@ TEST(Link, RejectsOutOfRangeLoss) {
                std::invalid_argument);
 }
 
+TEST(Link, SendIdenticalAccountsLikeRepeatedSends) {
+  const auto payload = ramp(8);
+  WirelessLink one_by_one(LinkKind::kBroadcast, LinkPolicy{});
+  for (int i = 0; i < 5; ++i) one_by_one.send(payload, SendContext{});
+  WirelessLink batched(LinkKind::kBroadcast, LinkPolicy{});
+  batched.send_identical(payload, 5);
+  EXPECT_EQ(batched.stats().transfers, one_by_one.stats().transfers);
+  EXPECT_EQ(batched.stats().dropped, 0u);
+  EXPECT_EQ(batched.stats().bytes, one_by_one.stats().bytes);
+
+  CarryLink carry{LinkPolicy{}};
+  carry.send_identical(payload, 3);
+  EXPECT_EQ(carry.stats().transfers, 3u);
+  EXPECT_EQ(carry.stats().bytes, 0u);
+
+  // Anything that needs a per-send draw or reconstruction is refused.
+  LinkPolicy lossy;
+  lossy.loss_prob = 0.1;
+  LinkPolicy compressed;
+  compressed.compression = CompressionConfig{CompressionKind::kQuant8, 0.1};
+  LinkPolicy delayed;
+  delayed.latency_steps = 1;
+  EXPECT_THROW(WirelessLink(LinkKind::kBroadcast, lossy)
+                   .send_identical(payload, 2),
+               std::logic_error);
+  EXPECT_THROW(WirelessLink(LinkKind::kBroadcast, compressed)
+                   .send_identical(payload, 2),
+               std::logic_error);
+  EXPECT_THROW(WirelessLink(LinkKind::kWirelessUp, delayed)
+                   .send_identical(payload, 2),
+               std::logic_error);
+}
+
 TEST(CarryLinkTest, FreeCountedAndPolicyLocked) {
   CarryLink carry{LinkPolicy{}};
   const auto payload = ramp(8);
