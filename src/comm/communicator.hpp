@@ -29,10 +29,10 @@ namespace middlefl::comm {
 
 /// SimulationConfig::comm — the collectives/async knobs of one run.
 struct CommConfig {
-  /// Semi-async cloud sync: edges publish version-stamped contributions
-  /// through a mailbox as their chains finish and the cloud applies
-  /// bounded-stale updates on arrival, without the global barrier. False =
-  /// the historical barriered CloudSync (bitwise unchanged).
+  /// Semi-async cloud sync: the cloud applies bounded-stale edge
+  /// contributions on arrival, every step. False = the synchronous
+  /// CloudSync every T_c steps, each arrival at full weight (bitwise
+  /// unchanged). Both modes share the mailbox hand-off and apply point.
   bool async_cloud = false;
   /// Staleness bound in cloud rounds: a contribution sent in round r is
   /// applied while round_now - r <= max_staleness (discounted by

@@ -1,8 +1,9 @@
 // Single-producer-per-slot mailbox: the hand-off between the parallel
-// per-edge chains and the serial cloud-apply point of the semi-async sync
-// mode. Each edge owns exactly one slot and posts its version-stamped
-// contribution from inside its own chain; the serial point consumes every
-// slot in canonical edge order after the step's task graph has joined.
+// per-edge chains and the serial cloud-apply point, in both the default
+// synchronous mode and the semi-async one. Each edge owns exactly one slot
+// and posts its round-boundary contribution from inside its own chain; the
+// serial point consumes every slot in canonical edge order after the
+// step's task graph has joined.
 //
 // Concurrency contract: slot i is written only by the task that owns edge
 // i, and read/cleared only at serial points. The task-graph join is the

@@ -109,6 +109,11 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
       cfg_.cloud_interval == 0 || cfg_.batch_size == 0) {
     throw std::invalid_argument("Simulation: K, I, T_c and batch must be positive");
   }
+  if (!(cfg_.server_momentum >= 0.0 && cfg_.server_momentum < 1.0)) {
+    throw std::invalid_argument(
+        "Simulation: server_momentum must be a finite value in [0, 1), got " +
+        std::to_string(cfg_.server_momentum));
+  }
 
   reconcile_uplink_aliases(cfg_);
 
@@ -137,24 +142,23 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
 
   // One uplink delay-queue shard per edge: a chain enqueues into and
   // drains only its own shard, without locks. (The WAN uplink shares the
-  // shard count for the async publishes.)
+  // shard count for the per-edge publishes.)
   transport_ = std::make_unique<transport::Transport>(cfg_.transport, num_edges);
 
   // Collectives backend: the seam every edge/cloud aggregation reduces
   // through.
   communicator_ = std::make_unique<comm::InProcessCommunicator>(pool_);
-  if (cfg_.comm.async_cloud) {
-    if (cfg_.server_momentum > 0.0) {
-      throw std::invalid_argument(
-          "Simulation: comm.async_cloud is incompatible with server_momentum "
-          "(FedAvgM needs the barriered aggregate-minus-global step)");
-    }
-    cloud_mailbox_.resize(num_edges);
-    fold_credit_.assign(num_edges, 0.0);
-    anchor_weight_.assign(num_edges, 0.0);
-    anchor_round_.assign(num_edges, 0);
-    anchor_valid_.assign(num_edges, 0);
+  if (cfg_.comm.async_cloud && cfg_.server_momentum > 0.0) {
+    throw std::invalid_argument(
+        "Simulation: comm.async_cloud is incompatible with server_momentum "
+        "(FedAvgM's velocity steps once per full cloud round; async applies "
+        "fold in partial, staleness-discounted batches at any step)");
   }
+  cloud_mailbox_.resize(num_edges);
+  fold_credit_.assign(num_edges, 0.0);
+  anchor_weight_.assign(num_edges, 0.0);
+  anchor_round_.assign(num_edges, 0);
+  anchor_valid_.assign(num_edges, 0);
 
   const std::size_t num_devices = partition.num_devices();
   registry_.configure(cfg_.fleet);
@@ -296,37 +300,22 @@ bool Simulation::step() {
   graph_.run(pool_);
 
   replay_step_events();
+  // The serial cloud stage: at round boundaries in sync mode, EVERY step in
+  // async mode (contributions land whenever the WAN delivers them). `sync`
+  // reports whether it completed a cloud round.
   bool sync = false;
   double sync_us = 0.0;
-  if (cfg_.comm.async_cloud) {
-    // Semi-async: the serial apply point runs EVERY step — contributions
-    // land whenever the WAN delivers them, not only at round boundaries.
-    // `sync` reports whether the global model changed this step.
+  if (cfg_.comm.async_cloud || (t_ % cfg_.cloud_interval) == 0) {
+    obs::TraceRecorder::Clock::time_point begin{};
+    if (observed) begin = obs::TraceRecorder::Clock::now();
+    sync = stage_cloud_apply();
     if (observed) {
-      const auto begin = obs::TraceRecorder::Clock::now();
-      sync = stage_cloud_sync_async();
       const auto end = obs::TraceRecorder::Clock::now();
       sync_us = elapsed_us(begin, end);
       if (sync && obs_.trace != nullptr) {
         obs_.trace->complete("cloud_sync", "phase", begin, end,
                              last_sync_contributing_, "contributing");
       }
-    } else {
-      sync = stage_cloud_sync_async();
-    }
-  } else if ((t_ % cfg_.cloud_interval) == 0) {
-    sync = true;
-    if (observed) {
-      const auto begin = obs::TraceRecorder::Clock::now();
-      stage_cloud_sync();
-      const auto end = obs::TraceRecorder::Clock::now();
-      sync_us = elapsed_us(begin, end);
-      if (obs_.trace != nullptr) {
-        obs_.trace->complete("cloud_sync", "phase", begin, end,
-                             last_sync_contributing_, "contributing");
-      }
-    } else {
-      stage_cloud_sync();
     }
   }
   for (StepObserver* obs : observers_) obs->on_step_end(t_, sync);
@@ -501,10 +490,9 @@ void Simulation::edge_chain(std::size_t n) {
   trace.stragglers = 0;
   trace.lost_downloads = 0;
   trace.blend_weights.clear();
-  // Async mode: the chain ends with its WAN publish at round boundaries,
-  // instead of waiting for the barriered CloudSync stage.
-  const bool publish =
-      cfg_.comm.async_cloud && (t_ % cfg_.cloud_interval) == 0;
+  // At round boundaries the chain ends with its WAN publish; the serial
+  // cloud stage only collects what arrived.
+  const bool publish = (t_ % cfg_.cloud_interval) == 0;
 
   if (!obs_.enabled()) {
     select_edge(n);
@@ -859,139 +847,6 @@ void Simulation::replay_step_events() {
   notify_phase(StepPhase::kEdgeAggregate);
 }
 
-void Simulation::stage_cloud_sync() {
-  const transport::LinkStats before_up = transport_->wan_up().stats();
-  const transport::LinkStats before_down = transport_->wan_down().stats();
-  const transport::LinkStats before_bcast = transport_->broadcast().stats();
-
-  transport::Link& wan_up = transport_->wan_up();
-  transport::Link& wan_down = transport_->wan_down();
-  const bool up_lossy = wan_up.policy().loss_prob > 0.0;
-  const bool up_compressed =
-      wan_up.policy().compression.kind != CompressionKind::kNone;
-
-  wan_arena_.clear();
-  wan_stale_.clear();
-  std::vector<WeightedModel> models;
-  models.reserve(edges_.size());
-
-  // Stale WAN uploads from earlier syncs arrive first (async staleness).
-  if (wan_up.policy().latency_steps > 0) {
-    wan_stale_ = wan_up.drain(t_);
-    for (const transport::Arrival& a : wan_stale_) {
-      if (a.weight > 0.0) models.push_back(WeightedModel{a.payload, a.weight});
-    }
-  }
-
-  // Every edge uploads its model over the WAN at sync; edges that saw no
-  // participants since the last sync are excluded from the aggregate (but
-  // still charged for the upload, as always).
-  for (std::size_t n = 0; n < edges_.size(); ++n) {
-    const double weight = cfg_.weighted_cloud_aggregation
-                              ? edges_[n].participation_weight()
-                              : 1.0;
-    parallel::Xoshiro256 rng;
-    transport::SendContext ctx;
-    ctx.step = t_;
-    ctx.weight = weight;
-    // Delta-code against the global model both endpoints hold from the
-    // previous sync's broadcast.
-    ctx.reference = cloud_.params();
-    if (up_lossy) {
-      rng = streams_.stream(kWanUpTag, n, t_);
-      ctx.rng = &rng;
-    }
-    if (up_compressed) ctx.arena = &wan_arena_;
-    const transport::Delivery up = wan_up.send(edges_[n].params(), ctx);
-    if (up.delivered && weight > 0.0) {
-      models.push_back(WeightedModel{up.payload, weight});
-    }
-  }
-
-  if (!models.empty()) {
-    // The aggregate lands in a fresh block: edge uploads alias the edges'
-    // live (shared) blocks, so the old global model must stay intact while
-    // the average reads them — and the old block may itself still be
-    // shared with edges and devices from the previous broadcast.
-    std::vector<float> fresh = SnapshotStore::global().borrow(param_count_);
-    const std::span<float> next(fresh);
-    if (cfg_.server_momentum > 0.0) {
-      // FedAvgM: treat the FedAvg aggregate as a pseudo-gradient step and
-      // smooth it with momentum on the server.
-      std::span<float> aggregate = tensor::Workspace::tls().floats(
-          tensor::WsSlot::kScratch, param_count_);
-      communicator_->reduce(models, aggregate);
-      if (server_velocity_.size() != aggregate.size()) {
-        server_velocity_.assign(aggregate.size(), 0.0f);
-      }
-      const auto cloud = cloud_.params();
-      const auto m = static_cast<float>(cfg_.server_momentum);
-      for (std::size_t i = 0; i < aggregate.size(); ++i) {
-        server_velocity_[i] =
-            m * server_velocity_[i] + (aggregate[i] - cloud[i]);
-        next[i] = cloud[i] + server_velocity_[i];
-      }
-    } else {
-      // Serial point: the backend runs its deterministic element-block
-      // tree on the pool, bitwise identical to the serial loop.
-      communicator_->all_reduce(models, next);
-    }
-    // One publish replaces the old global model; the fresh version
-    // invalidates cached Eq. 11 scores by construction.
-    cloud_.adopt(SnapshotStore::global().seal(std::move(fresh)));
-  }
-  const std::size_t contributing = models.size();
-  last_sync_contributing_ = contributing;
-
-  // Push the global model back down: cloud -> edge over the WAN, then the
-  // broadcast to every device. A lost push leaves the receiver on its old
-  // model until the next sync. A lossless push is a shared adopt of the
-  // cloud's block — the num_edges full copies of the barriered pipeline
-  // collapse into refcount bumps, and the device side into one block swap
-  // (broadcast_devices).
-  const Snapshot& global_block = cloud_.snapshot();
-  const bool down_lossy = wan_down.policy().loss_prob > 0.0;
-  const bool down_compressed =
-      wan_down.policy().compression.kind != CompressionKind::kNone;
-  for (std::size_t n = 0; n < edges_.size(); ++n) {
-    parallel::Xoshiro256 rng;
-    transport::SendContext ctx;
-    ctx.step = t_;
-    if (down_lossy) {
-      rng = streams_.stream(kWanDownTag, n, t_);
-      ctx.rng = &rng;
-    }
-    if (down_compressed) ctx.arena = &wan_arena_;
-    const transport::Delivery down = wan_down.send(cloud_.params(), ctx);
-    if (down.delivered) {
-      if (down.payload.data() == global_block->span().data()) {
-        edges_[n].adopt(global_block);
-      } else {
-        edges_[n].set_params(down.payload);
-      }
-    }
-    edges_[n].reset_participation();
-    // Serving hot-swap after the broadcast: a lossless push republishes
-    // the shared global block; a lost push republishes the edge's
-    // unchanged model (same version — readers treat it as a no-op).
-    if (serving_sink_ != nullptr) {
-      serving_sink_->on_edge_model(n, edges_[n].snapshot());
-    }
-  }
-  if (cfg_.broadcast_to_devices) broadcast_devices();
-
-  notify_transfers(StepPhase::kCloudSync, transport::LinkKind::kWanUp,
-                   transport_->stats(transport::LinkKind::kWanUp) - before_up);
-  notify_transfers(
-      StepPhase::kCloudSync, transport::LinkKind::kWanDown,
-      transport_->stats(transport::LinkKind::kWanDown) - before_down);
-  notify_transfers(
-      StepPhase::kCloudSync, transport::LinkKind::kBroadcast,
-      transport_->stats(transport::LinkKind::kBroadcast) - before_bcast);
-  for (StepObserver* obs : observers_) obs->on_cloud_sync(t_, contributing);
-  notify_phase(StepPhase::kCloudSync);
-}
-
 void Simulation::broadcast_devices() {
   transport::Link& link = transport_->broadcast();
   const Snapshot& global_block = cloud_.snapshot();
@@ -1044,9 +899,11 @@ void Simulation::publish_edge(std::size_t n, EdgeTrace& trace) {
   ctx.shard = n;  // one WAN shard per edge: lock-free from inside the chain
   ctx.weight = weight;
   ctx.tally = &trace.wan;
-  // No delta reference: without the barrier the edge cannot know which
-  // global model the cloud will hold when this lands, so compression codes
-  // the raw model instead of a delta.
+  // Sync mode delta-codes against the global model both endpoints hold
+  // from the last broadcast (cloud_ is written only at serial points, so
+  // reading it here is race-free). Async mode cannot know which global
+  // model the cloud will hold when this lands, so it codes the raw model.
+  if (!cfg_.comm.async_cloud) ctx.reference = cloud_.params();
   if (lossy) {
     rng = streams_.stream(kWanUpTag, n, t_);
     ctx.rng = &rng;
@@ -1056,9 +913,7 @@ void Simulation::publish_edge(std::size_t n, EdgeTrace& trace) {
 
   CloudContribution c;
   c.weight = weight;
-  c.round = t_ / cfg_.cloud_interval;
   c.sent_step = t_;
-  c.version = edges_[n].snapshot()->version();
   if (up.queued) {
     c.queued = true;  // surfaces through the delay queue later
   } else if (!up.delivered) {
@@ -1070,12 +925,13 @@ void Simulation::publish_edge(std::size_t n, EdgeTrace& trace) {
     c.owned.assign(up.payload.begin(), up.payload.end());
   }
   cloud_mailbox_.post(n, std::move(c));
-  // Participation resets at publish (not at the cloud's broadcast): the
-  // next window accumulates toward the next contribution.
+  // Participation resets at publish: the next window accumulates toward
+  // the next contribution.
   edges_[n].reset_participation();
 }
 
-bool Simulation::stage_cloud_sync_async() {
+bool Simulation::stage_cloud_apply() {
+  const bool async = cfg_.comm.async_cloud;
   transport::Link& wan_up = transport_->wan_up();
   transport::Link& wan_down = transport_->wan_down();
   transport::Link& broadcast = transport_->broadcast();
@@ -1090,23 +946,31 @@ bool Simulation::stage_cloud_sync_async() {
   const std::uint64_t round_now = t_ / cfg_.cloud_interval;
   const bool delayed = wan_up.policy().latency_steps > 0;
 
-  // The apply batch: bounded-stale contributions in canonical edge order,
-  // each discounted by 1/(1 + staleness). The payload storage (drained
+  // The apply batch in canonical edge order. The payload storage (drained
   // arrivals, mailbox posts) outlives the reduce below.
   struct PendingApply {
     std::size_t edge;
     std::span<const float> payload;
-    double eff;           // staleness-discounted weight entering the reduce
-    double raw;           // undiscounted weight (anchor bookkeeping)
+    double eff;           // weight entering the reduce
+    double raw;           // undiscounted weight (async anchor bookkeeping)
     std::uint64_t round;  // cloud round the contribution was sent in
   };
   std::vector<PendingApply> batch;
   std::vector<CloudContribution> delivered;
-  delivered.reserve(edges_.size());
   std::vector<transport::Arrival> drained;
 
+  // Admission, the one rule the two modes differ on. Sync (Eq. 7) takes
+  // every arrival with a positive weight at full weight. Async admits a
+  // contribution while it is at most max_staleness rounds old, discounted
+  // by 1/(1 + staleness).
   const auto admit = [&](std::size_t n, std::span<const float> payload,
                          double weight, std::size_t sent_step) {
+    if (!async) {
+      if (weight > 0.0) {
+        batch.push_back(PendingApply{n, payload, weight, weight, round_now});
+      }
+      return;
+    }
     const std::uint64_t staleness = round_now - sent_step / cfg_.cloud_interval;
     if (staleness > cfg_.comm.max_staleness) {
       // Past the bound: the model is discarded but its weight is folded
@@ -1124,23 +988,25 @@ bool Simulation::stage_cloud_sync_async() {
     ++async_stats_.applied;
   };
 
+  // Gather: each edge's due delay-queue arrivals (oldest first), then its
+  // mailbox post. With a fixed WAN latency every contribution takes the
+  // same one of the two routes.
   for (std::size_t n = 0; n < edges_.size(); ++n) {
     if (delayed) {
-      // In-flight publishes whose delivery step arrived, oldest first.
       for (transport::Arrival& a : wan_up.drain(t_, n)) {
-        const double weight = a.weight;
-        const std::size_t sent_step = a.sent_step;
-        drained.push_back(std::move(a));
-        admit(n, drained.back().payload, weight, sent_step);
+        const transport::Arrival& kept = drained.emplace_back(std::move(a));
+        admit(n, kept.payload, kept.weight, kept.sent_step);
       }
     }
     if (auto posted = cloud_mailbox_.take(n)) {
-      ++async_stats_.published;
-      if (posted->queued) {
-        ++async_stats_.deferred;  // surfaces through drain() later
-      } else if (!posted->dropped) {
-        delivered.push_back(std::move(*posted));
-        const CloudContribution& c = delivered.back();
+      if (async) {
+        ++async_stats_.published;
+        // Queued posts surface through drain() later.
+        if (posted->queued) ++async_stats_.deferred;
+      }
+      if (!posted->queued && !posted->dropped) {
+        const CloudContribution& c =
+            delivered.emplace_back(std::move(*posted));
         admit(n, c.view(), c.weight, c.sent_step);
       }
     }
@@ -1148,49 +1014,73 @@ bool Simulation::stage_cloud_sync_async() {
 
   const bool applied = !batch.empty();
   if (applied) {
-    // Anchor: edges absent from this batch whose last applied contribution
-    // is still within the staleness bound keep the current global model
-    // weighted in, so one straggler batch cannot wipe the mass already
-    // folded in. With max_staleness == 0 the anchor is always empty and
-    // each apply is a plain FedAvg over the batch — which is exactly the
-    // synchronous Eq. 7 when the links add no latency.
-    double anchor = 0.0;
-    for (std::size_t n = 0; n < edges_.size(); ++n) {
-      if (!anchor_valid_[n]) continue;
-      bool in_batch = false;
-      for (const PendingApply& p : batch) {
-        if (p.edge == n) {
-          in_batch = true;
-          break;
-        }
-      }
-      if (in_batch) continue;
-      const std::uint64_t age = round_now - anchor_round_[n];
-      if (age > cfg_.comm.max_staleness) continue;
-      anchor += anchor_weight_[n] / (1.0 + static_cast<double>(age));
-    }
     std::vector<WeightedModel> models;
     models.reserve(batch.size() + 1);
-    if (anchor > 0.0) {
-      models.push_back(WeightedModel{cloud_.params(), anchor});
+    if (async) {
+      // Anchor: edges absent from this batch whose last applied
+      // contribution is still within the staleness bound keep the current
+      // global model weighted in, so one straggler batch cannot wipe the
+      // mass already folded in. With max_staleness == 0 the anchor is
+      // always empty and each apply is a plain FedAvg over the batch.
+      double anchor = 0.0;
+      for (std::size_t n = 0; n < edges_.size(); ++n) {
+        if (!anchor_valid_[n] ||
+            std::any_of(batch.begin(), batch.end(),
+                        [n](const PendingApply& p) { return p.edge == n; })) {
+          continue;
+        }
+        const std::uint64_t age = round_now - anchor_round_[n];
+        if (age > cfg_.comm.max_staleness) continue;
+        anchor += anchor_weight_[n] / (1.0 + static_cast<double>(age));
+      }
+      if (anchor > 0.0) {
+        models.push_back(WeightedModel{cloud_.params(), anchor});
+      }
     }
     for (const PendingApply& p : batch) {
       models.push_back(WeightedModel{p.payload, p.eff});
     }
+    // The aggregate lands in a fresh block: contributions may alias the
+    // edges' live blocks, and the old global block may still be shared
+    // with edges and devices from the previous broadcast.
     std::vector<float> fresh = SnapshotStore::global().borrow(param_count_);
-    communicator_->all_reduce(models, std::span<float>(fresh));
-    cloud_.adopt(SnapshotStore::global().seal(std::move(fresh)));
-    for (const PendingApply& p : batch) {
-      anchor_weight_[p.edge] = p.raw;
-      anchor_round_[p.edge] = p.round;
-      anchor_valid_[p.edge] = 1;
+    const std::span<float> next(fresh);
+    communicator_->all_reduce(models, next);
+    if (cfg_.server_momentum > 0.0) {
+      // FedAvgM: treat the FedAvg aggregate as a pseudo-gradient step and
+      // smooth it with momentum on the server, in place on the fresh block.
+      if (server_velocity_.size() != next.size()) {
+        server_velocity_.assign(next.size(), 0.0f);
+      }
+      const auto cloud = cloud_.params();
+      const auto m = static_cast<float>(cfg_.server_momentum);
+      for (std::size_t i = 0; i < next.size(); ++i) {
+        server_velocity_[i] = m * server_velocity_[i] + (next[i] - cloud[i]);
+        next[i] = cloud[i] + server_velocity_[i];
+      }
     }
-    ++async_stats_.applies;
-    last_sync_contributing_ = batch.size();
+    // One publish replaces the old global model; the fresh version
+    // invalidates cached Eq. 11 scores by construction.
+    cloud_.adopt(SnapshotStore::global().seal(std::move(fresh)));
+    if (async) {
+      for (const PendingApply& p : batch) {
+        anchor_weight_[p.edge] = p.raw;
+        anchor_round_[p.edge] = p.round;
+        anchor_valid_[p.edge] = 1;
+      }
+      ++async_stats_.applies;
+    }
+  }
+  last_sync_contributing_ = batch.size();
 
-    // Push the fresh global model down to the edges — same links, same
-    // RNG streams as the barriered sync. Participation is NOT reset here;
-    // publish_edge owns that.
+  // Cadence: sync mode completes a round at every boundary, pushing the
+  // global model down even when no edge contributed; async pushes only
+  // what it applied.
+  const bool boundary = (t_ % cfg_.cloud_interval) == 0;
+  const bool completed = async ? applied : boundary;
+  if (completed) {
+    // Cloud -> edge over the WAN. A lost push leaves the edge on its old
+    // model; a lossless one is a shared adopt of the cloud's block.
     wan_arena_.clear();
     const Snapshot& global_block = cloud_.snapshot();
     const bool down_lossy = wan_down.policy().loss_prob > 0.0;
@@ -1213,18 +1103,17 @@ bool Simulation::stage_cloud_sync_async() {
           edges_[n].set_params(down.payload);
         }
       }
+      // Serving hot-swap: a lossless push republishes the shared global
+      // block; a lost push republishes the edge's unchanged model (same
+      // version — readers treat it as a no-op).
       if (serving_sink_ != nullptr) {
         serving_sink_->on_edge_model(n, edges_[n].snapshot());
       }
     }
-    // The device broadcast only fires at round boundaries (Algorithm 1's
-    // cadence — and the bound=0 zero-latency degeneracy to sync mode).
-    // Off-boundary applies propagate lazily through the next edge
-    // downloads instead of paying the M-device broadcast: the async
-    // mode's per-step saving.
-    if (cfg_.broadcast_to_devices && (t_ % cfg_.cloud_interval) == 0) {
-      broadcast_devices();
-    }
+    // The device broadcast fires only at round boundaries (Algorithm 1's
+    // cadence). Off-boundary async applies reach devices lazily through
+    // the next edge downloads instead of paying the M-device broadcast.
+    if (cfg_.broadcast_to_devices && boundary) broadcast_devices();
   }
 
   notify_transfers(StepPhase::kCloudSync, transport::LinkKind::kWanUp,
@@ -1233,13 +1122,13 @@ bool Simulation::stage_cloud_sync_async() {
                    wan_down.stats() - before_down);
   notify_transfers(StepPhase::kCloudSync, transport::LinkKind::kBroadcast,
                    broadcast.stats() - before_bcast);
-  if (applied) {
+  if (completed) {
     for (StepObserver* obs : observers_) {
       obs->on_cloud_sync(t_, last_sync_contributing_);
     }
     notify_phase(StepPhase::kCloudSync);
   }
-  return applied;
+  return completed;
 }
 
 void Simulation::finish_step_obs(bool sync,

@@ -8,10 +8,12 @@
 //                 (on-device aggregation, Eq. 9)
 //   LocalTrain    I local SGD steps per participating device
 //   Upload        trained models go back over the wireless uplink
-//   EdgeAggregate each edge FedAvgs the uploads that arrived (Eq. 6)
-//   CloudSync     every T_c steps the cloud FedAvgs the edge models with
-//                 participating-sample weights (Eq. 7) and broadcasts the
-//                 global model down to every edge and device
+//   EdgeAggregate each edge FedAvgs the uploads that arrived (Eq. 6); at
+//                 round boundaries it then publishes its model over the
+//                 WAN uplink into the cloud mailbox
+//   CloudSync     every T_c steps the cloud FedAvgs the arrived edge models
+//                 with participating-sample weights (Eq. 7) and broadcasts
+//                 the global model down to every edge and device
 //
 // The phases are embarrassingly parallel PER EDGE: a device is connected
 // to exactly one edge per step, cross-edge reads only touch the immutable
@@ -115,7 +117,8 @@ struct SimulationConfig {
   /// Global-norm gradient clipping threshold for local steps (0 = off).
   double clip_norm = 0.0;
   /// Server momentum (FedAvgM): the cloud applies
-  /// v = m*v + (aggregate - w_c); w_c += v at each sync. 0 disables.
+  /// v = m*v + (aggregate - w_c); w_c += v at each sync. 0 disables; the
+  /// constructor rejects values outside [0, 1).
   double server_momentum = 0.0;
 
   /// System heterogeneity: relative compute speed per device (1.0 =
@@ -144,11 +147,12 @@ struct SimulationConfig {
   ServingConfig serving;
 
   /// Collectives layer (src/comm): reduction backend selection and the
-  /// staleness-bounded semi-asynchronous edge->cloud sync. With
-  /// comm.async_cloud off (the default) the pipeline is the barriered
-  /// Algorithm 1 and results are bitwise identical to historical runs.
-  /// Async mode is incompatible with server_momentum (FedAvgM needs the
-  /// barriered aggregate-minus-global step) — the constructor throws.
+  /// cloud round's admission rule. With comm.async_cloud off (the default)
+  /// the cloud applies every T_c steps, each arrival at full weight: the
+  /// synchronous Algorithm 1. Async mode applies every step and admits
+  /// contributions up to comm.max_staleness rounds old, discounted. Async
+  /// mode rejects server_momentum (FedAvgM's velocity steps once per full
+  /// cloud round) — the constructor throws.
   comm::CommConfig comm;
 
   std::uint64_t seed = 42;
@@ -350,8 +354,8 @@ class Simulation {
     transport::LinkStats down;   // wireless downlink traffic of this chain
     transport::LinkStats carry;  // carry-link traffic of this chain
     transport::LinkStats up;     // wireless uplink traffic of this chain
-    /// WAN-uplink traffic of this chain's async publish (comm.async_cloud
-    /// only; sync mode sends WAN traffic from the serial stage directly).
+    /// WAN-uplink traffic of this chain's round-boundary publish (both
+    /// sync modes; zero off the boundary).
     transport::LinkStats wan;
     std::size_t stragglers = 0;
     std::size_t lost_downloads = 0;
@@ -413,20 +417,22 @@ class Simulation {
   // Serial replay of the chains' events in canonical order, plus the
   // ordered blend/straggler reductions.
   void replay_step_events();
-  void stage_cloud_sync();
   // The cloud -> device broadcast of the global model (both sync modes):
   // one registry block swap on a perfect link, the per-device loop when
   // the link draws losses or compresses.
   void broadcast_devices();
-  // Async mode (comm.async_cloud): the edge's end-of-chain WAN publish —
-  // send over wan_up (shard n, so concurrent chains never contend) and
-  // post the result into the cloud mailbox; resets participation.
+  // The edge's end-of-chain WAN publish at round boundaries (both sync
+  // modes): send over wan_up (shard n, so concurrent chains never
+  // contend) and post the result into the cloud mailbox; resets
+  // participation.
   void publish_edge(std::size_t n, EdgeTrace& trace);
-  // Async mode's serial apply point, run EVERY step: consumes mailbox
-  // posts and due delay-queue arrivals, applies the staleness-weighted
-  // bounded-stale batch to the global model without a global barrier.
-  // Returns true if the global model changed this step.
-  bool stage_cloud_sync_async();
+  // The one serial cloud stage (Eq. 7): drains each edge's due WAN
+  // arrivals and mailbox post in edge order, admits them (sync: full
+  // weight; async: bounded staleness), reduces and seals the new global
+  // model (FedAvgM in place), pushes it down over wan_down and broadcasts
+  // at round boundaries. Runs at boundaries in sync mode and every step in
+  // async mode; returns true when it completed a cloud round.
+  bool stage_cloud_apply();
   // End-of-step observability flush (serial point): the step span, metric
   // increments and the JSONL step record. Called only when obs_.enabled().
   void finish_step_obs(bool sync, obs::TraceRecorder::Clock::time_point begin,
@@ -506,25 +512,22 @@ class Simulation {
   std::vector<std::vector<UploadArrival>> arrivals_;
   std::vector<std::vector<std::vector<float>>> recon_arena_;
   std::vector<std::vector<transport::Arrival>> stale_uploads_;
-  // CloudSync scratch: stale WAN arrivals and compressed-reconstruction
-  // storage (serial stage, one of each).
-  std::vector<transport::Arrival> wan_stale_;
+  // CloudSync scratch: compressed-reconstruction storage of the serial
+  // wan_down and broadcast pushes.
   std::vector<std::vector<float>> wan_arena_;
   // Collectives backend: all edge and cloud aggregations reduce through
   // it (in-process today; the Communicator interface is the seam for a
   // multi-process backend).
   std::unique_ptr<comm::InProcessCommunicator> communicator_;
-  // Async mode: one version-stamped contribution an edge chain publishes
-  // at its round boundary; consumed serially by stage_cloud_sync_async.
+  // One contribution an edge chain publishes at its round boundary;
+  // consumed serially by stage_cloud_apply.
   struct CloudContribution {
     Snapshot shared;           // lossless pass-through: share the block
     std::vector<float> owned;  // otherwise: the reconstructed payload
     double weight = 0.0;
-    std::uint64_t round = 0;     // sent_step / T_c, for staleness
-    std::size_t sent_step = 0;
-    std::uint64_t version = 0;   // edge model version at publish
-    bool queued = false;         // in the WAN delay queue, arrives later
-    bool dropped = false;        // lost to the WAN loss policy
+    std::size_t sent_step = 0;  // async staleness: sent_step / T_c
+    bool queued = false;        // in the WAN delay queue, arrives later
+    bool dropped = false;       // lost to the WAN loss policy
     std::span<const float> view() const noexcept {
       return shared != nullptr ? shared->span()
                                : std::span<const float>(owned);

@@ -3,6 +3,9 @@
 // the hybrid selection strategy.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/similarity.hpp"
 #include "sim_fixture.hpp"
 
@@ -265,6 +268,17 @@ TEST(ServerMomentum, ChangesCloudTrajectory) {
         any_diff || plain->cloud_params()[i] != momentum->cloud_params()[i];
   }
   EXPECT_TRUE(any_diff);
+}
+
+TEST(ServerMomentum, RejectsOutOfRangeValues) {
+  for (const double momentum :
+       {-0.1, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(momentum);
+    SimBundle bundle;
+    bundle.cfg.server_momentum = momentum;
+    EXPECT_THROW(bundle.make(Algorithm::kMiddle), std::invalid_argument);
+  }
 }
 
 TEST(ServerMomentum, StillConverges) {

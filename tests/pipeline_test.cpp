@@ -307,6 +307,73 @@ TEST(GoldenParity, MiddleHeterogeneousStragglers) {
   if (!skip.empty()) GTEST_SKIP() << skip;
 }
 
+// The three sync-WAN goldens below were captured later, from the last
+// commit with a separate barriered cloud stage, on the gcc-12 AVX-512 host
+// only (portable and -march=native builds). Their first variant slot
+// repeats the -march=native value.
+
+TEST(GoldenParity, MiddleWanLatency) {
+  // Delayed WAN and wireless uplinks: every edge contribution reaches the
+  // cloud one sync late, and uploads reach their edge two steps late.
+  const GoldenRun golden{
+      "middle_wan_latency",
+      {0x3fcc28f5c28f5c29, 0x3fcc28f5c28f5c29, 0x3fcc28f5c28f5c29,
+       0x3fcd70a3d70a3d71, 0x3fd0000000000000},
+      {0x259c975c48ef8971, 0x26b1d9d19622db75, 0x259c975c48ef8971},
+      {0x6b0ba86e323d8eba, 0x7bf6616a4469d0f6, 0x6b0ba86e323d8eba},
+      {0xd9dc3b68bb5a0457, 0xaa163917348d8a2f, 0xd9dc3b68bb5a0457},
+      117, 117, 12, 12, 48,
+      0, 0, 308880, 62,
+      {0x3fdfffb73c4d67e9, 0x3fdfffb73c4d58c5, 0x3fdfffb73c4d67e9}};
+  SimBundle bundle;
+  bundle.cfg.transport.wan_up.latency_steps = 4;
+  bundle.cfg.transport.wireless_up.latency_steps = 2;
+  const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
+  if (!skip.empty()) GTEST_SKIP() << skip;
+}
+
+TEST(GoldenParity, MiddleWanLossyTopK) {
+  // Top-k WAN uplink delta-coded against the global model, with losses on
+  // every cloud-side link (uplink, edge push and device broadcast).
+  const GoldenRun golden{
+      "middle_wan_lossy",
+      {0x3fcc28f5c28f5c29, 0x3fcd70a3d70a3d71, 0x3fceb851eb851eb8,
+       0x3fd147ae147ae148, 0x3fd28f5c28f5c28f},
+      {0x954ac8f27517e957, 0x3cf7cd6d1060b555, 0x954ac8f27517e957},
+      {0xd038b6e19be82130, 0x908ff320c0b61516, 0xd038b6e19be82130},
+      {0xc993c13da32c49b6, 0xfdcd379611576add, 0xc993c13da32c49b6},
+      117, 117, 12, 12, 48,
+      0, 0, 308880, 59,
+      {0x3fdfffa5fdf264ab, 0x3fdfffa5fdf1df69, 0x3fdfffa5fdf264ab}};
+  SimBundle bundle;
+  bundle.cfg.transport.wan_up.compression = {
+      middlefl::transport::CompressionKind::kTopK, 0.25};
+  bundle.cfg.transport.wan_up.loss_prob = 0.1;
+  bundle.cfg.transport.wan_down.loss_prob = 0.1;
+  bundle.cfg.transport.broadcast.loss_prob = 0.1;
+  const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
+  if (!skip.empty()) GTEST_SKIP() << skip;
+}
+
+TEST(GoldenParity, MiddleServerMomentumUniform) {
+  // FedAvgM on a uniform-weight cloud aggregate.
+  const GoldenRun golden{
+      "middle_momentum",
+      {0x3fcc28f5c28f5c29, 0x3fceb851eb851eb8, 0x3fd147ae147ae148,
+       0x3fd51eb851eb851f, 0x3fd8f5c28f5c28f6},
+      {0x8065913d62c847bb, 0x44a5b303773fa824, 0x8065913d62c847bb},
+      {0xa6f492103d08a73c, 0x3c0a86a28cad684d, 0xa6f492103d08a73c},
+      {0xa35275c597e476d7, 0x34dbed72fe213743, 0xa35275c597e476d7},
+      117, 117, 12, 12, 48,
+      0, 0, 308880, 61,
+      {0x3fdfffaca7fcb86e, 0x3fdfffaca7fc07ea, 0x3fdfffaca7fcb86e}};
+  SimBundle bundle;
+  bundle.cfg.server_momentum = 0.5;
+  bundle.cfg.weighted_cloud_aggregation = false;
+  const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
+  if (!skip.empty()) GTEST_SKIP() << skip;
+}
+
 // ---------------------------------------------------------------------------
 // Observer events
 
