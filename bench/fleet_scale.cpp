@@ -4,14 +4,22 @@
 // Sweeps the fleet size (default 10k -> 100k -> 1M virtual devices) over a
 // fixed tiny task: random-selection FedMes-style hierarchy,
 // window-partitioned synthetic data (O(1) per-device data state), a small
-// MLP, a handful of steps with one cloud sync. Per configuration it
-// records wall time, steps/sec, the RSS high-water mark (VmHWM, re-armed
-// per configuration via /proc/self/clear_refs) and the registry's fleet
+// MLP. Per configuration it times --repeats consecutive windows (default
+// and minimum 3) of --steps steps each, rounded up to a whole number of
+// cloud intervals so every window holds the same number of syncs, and
+// reports the median and interquartile range of the per-window steps/sec.
+// It also records the RSS high-water mark (VmHWM, re-armed per
+// configuration via /proc/self/clear_refs) and the registry's fleet
 // accounting (materializations per step, peak resident devices, at-rest
-// delta bytes), plus the 10k -> 1M per-step cost ratio. The per-phase
-// breakdown (`phase_us`) comes from one full cloud interval of observed
-// probe steps after the timed loop, so it holds exactly one sync and its
-// `cloud_sync` entry is that sync's cost averaged per step.
+// delta bytes), plus the 10k -> 1M per-step cost ratio of the medians.
+// The per-phase breakdown (`phase_us`) comes from one full cloud interval
+// of observed probe steps after the timed windows, so it holds exactly one
+// sync and its `cloud_sync` entry is that sync's cost averaged per step.
+//
+// The JSON opens with a protocol header: git sha (read at configure time;
+// `unknown` outside a checkout, `-dirty` with uncommitted changes),
+// compiler, build type, native/portable flavor, the active GEMM ISA,
+// hardware threads and the pool threads the run used.
 //
 // CI smoke: --devices 100000 --rss-budget-mb N runs the single
 // configuration and fails (exit 1) when its peak RSS delta exceeds the
@@ -21,21 +29,40 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/algorithms.hpp"
 #include "obs/metrics_registry.hpp"
+#include "parallel/thread_pool.hpp"
+#include "tensor/cpu_features.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
 using middlefl::bench::BenchOptions;
 
+/// Median and quartiles of the per-window rates.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+Spread spread_of(const std::vector<double>& values) {
+  using middlefl::util::quantile;
+  return Spread{quantile(values, 0.5), quantile(values, 0.25),
+                quantile(values, 0.75)};
+}
+
 struct FleetMeasurement {
   std::size_t devices = 0;
-  std::size_t steps = 0;
-  double seconds = 0.0;
-  double steps_per_sec = 0.0;
+  std::size_t window_steps = 0;
+  /// Steps/sec of each timed window, in run order.
+  std::vector<double> window_steps_per_sec;
+  Spread steps_per_sec;
+  double seconds = 0.0;  // all timed windows
   /// Mean per-phase wall microseconds over the observed probe window that
   /// follows the bare timed loop (the timed window itself runs obs-off).
   /// The window is one full cloud interval, so it holds exactly one sync
@@ -76,7 +103,7 @@ struct FleetTask {
 };
 
 FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
-                            std::size_t steps,
+                            std::size_t window_steps, std::size_t windows,
                             std::size_t num_edges,
                             const BenchOptions& options) {
   namespace core = middlefl::core;
@@ -87,7 +114,8 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
 
   FleetMeasurement m;
   m.devices = devices;
-  m.steps = steps;
+  m.window_steps = window_steps;
+  const std::size_t steps = window_steps * windows;
 
   reset_peak_rss();
   m.rss_before_bytes = current_rss_bytes();
@@ -116,12 +144,16 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
                        task.test, std::move(mobility),
                        core::make_algorithm(core::Algorithm::kFedMes));
 
-  const auto begin = std::chrono::steady_clock::now();
-  for (std::size_t s = 0; s < steps; ++s) sim.step();
-  const auto end = std::chrono::steady_clock::now();
-  m.seconds = std::chrono::duration<double>(end - begin).count();
-  m.steps_per_sec =
-      m.seconds > 0.0 ? static_cast<double>(steps) / m.seconds : 0.0;
+  for (std::size_t w = 0; w < windows; ++w) {
+    const auto begin = std::chrono::steady_clock::now();
+    for (std::size_t s = 0; s < window_steps; ++s) sim.step();
+    const auto end = std::chrono::steady_clock::now();
+    const double seconds = std::chrono::duration<double>(end - begin).count();
+    m.seconds += seconds;
+    m.window_steps_per_sec.push_back(
+        seconds > 0.0 ? static_cast<double>(window_steps) / seconds : 0.0);
+  }
+  m.steps_per_sec = spread_of(m.window_steps_per_sec);
 
   m.peak_rss_bytes = peak_rss_bytes();
   m.peak_delta_bytes = m.peak_rss_bytes > m.rss_before_bytes
@@ -137,7 +169,7 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
   // observability; phase clocks only run while obs is on) for one full
   // cloud interval of probe steps — any T_c consecutive steps hold exactly
   // one sync — and average the per-phase wall time per step. Probes run
-  // after the timed window, the RSS peak read and the summary capture, so
+  // after the timed windows, the RSS peak read and the summary capture, so
   // they contaminate none of them.
   m.probe_steps = cfg.cloud_interval;
   {
@@ -172,10 +204,13 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
 }
 
 void print_row(const FleetMeasurement& m) {
-  std::cerr << "   lazy " << m.devices
-            << " devices: " << m.steps << " steps in " << m.seconds
-            << " s (" << m.steps_per_sec << " steps/sec), peak RSS +"
-            << m.peak_delta_bytes / (1024 * 1024) << " MiB, "
+  std::cerr << "   lazy " << m.devices << " devices: "
+            << m.window_steps_per_sec.size() << " windows x "
+            << m.window_steps << " steps, median "
+            << m.steps_per_sec.median << " steps/sec [IQR "
+            << m.steps_per_sec.q1 << ", " << m.steps_per_sec.q3
+            << "], peak RSS +" << m.peak_delta_bytes / (1024 * 1024)
+            << " MiB, "
             << m.materializations_per_step << " materializations/step\n"
             << "      phase us/step over " << m.probe_steps
             << " probe steps (one sync): mobility " << m.phase_us.mobility
@@ -190,9 +225,18 @@ void emit_json(std::ostream& out, const FleetMeasurement& m, bool last) {
   out << "    {\n"
       << "      \"mode\": \"lazy\",\n"
       << "      \"devices\": " << m.devices << ",\n"
-      << "      \"steps\": " << m.steps << ",\n"
+      << "      \"window_steps\": " << m.window_steps << ",\n"
+      << "      \"window_steps_per_sec\": [";
+  for (std::size_t w = 0; w < m.window_steps_per_sec.size(); ++w) {
+    out << (w == 0 ? "" : ", ") << m.window_steps_per_sec[w];
+  }
+  out << "],\n"
       << "      \"seconds\": " << m.seconds << ",\n"
-      << "      \"steps_per_sec\": " << m.steps_per_sec << ",\n"
+      << "      \"steps_per_sec\": " << m.steps_per_sec.median << ",\n"
+      << "      \"steps_per_sec_q1\": " << m.steps_per_sec.q1 << ",\n"
+      << "      \"steps_per_sec_q3\": " << m.steps_per_sec.q3 << ",\n"
+      << "      \"steps_per_sec_iqr\": "
+      << m.steps_per_sec.q3 - m.steps_per_sec.q1 << ",\n"
       << "      \"rss_before_bytes\": " << m.rss_before_bytes << ",\n"
       << "      \"peak_rss_bytes\": " << m.peak_rss_bytes << ",\n"
       << "      \"peak_delta_bytes\": " << m.peak_delta_bytes << ",\n"
@@ -221,10 +265,11 @@ int main(int argc, char** argv) {
   BenchOptions options;
   options.cloud_interval = 5;
   options.mobility = 0.1;
+  options.repeats = 3;  // timed windows per configuration
   std::string json_path = "BENCH_fleet_scale.json";
   std::size_t single_devices = 0;
   std::size_t rss_budget_mb = 0;
-  std::size_t steps = 6;
+  std::size_t steps = 10;
   std::size_t num_edges = 8;
 
   util::CliParser cli(
@@ -239,9 +284,19 @@ int main(int argc, char** argv) {
                "fail when a configuration's peak RSS delta exceeds this "
                "budget (0 = no assertion)",
                &rss_budget_mb);
-  cli.add_flag("steps", "simulated steps per configuration", &steps);
+  cli.add_flag("steps",
+               "timed steps per window, rounded up to whole cloud "
+               "intervals (--repeats sets the window count, at least 3)",
+               &steps);
   cli.add_flag("edges", "number of edge servers", &num_edges);
   if (!cli.parse(argc, argv)) return 0;
+  if (options.repeats < 3 || steps == 0 || options.cloud_interval == 0) {
+    std::cerr << "error: need --repeats >= 3 and positive --steps and --tc\n";
+    return 1;
+  }
+  const std::size_t window_steps =
+      (steps + options.cloud_interval - 1) / options.cloud_interval *
+      options.cloud_interval;
   bench::print_banner("fleet_scale: lazy device state sweep", options);
 
   const FleetTask task;
@@ -253,7 +308,8 @@ int main(int argc, char** argv) {
           ? std::vector<std::size_t>{single_devices}
           : std::vector<std::size_t>{10'000, 100'000, 1'000'000};
   for (const std::size_t n : sizes) {
-    results.push_back(run_config(task, n, steps, num_edges, options));
+    results.push_back(
+        run_config(task, n, window_steps, options.repeats, num_edges, options));
     print_row(results.back());
   }
 
@@ -269,8 +325,9 @@ int main(int argc, char** argv) {
   // selected devices rather than the full fleet.
   double step_cost_ratio = 0.0;
   if (lazy_10k != nullptr && lazy_1m != nullptr &&
-      lazy_1m->steps_per_sec > 0.0) {
-    step_cost_ratio = lazy_10k->steps_per_sec / lazy_1m->steps_per_sec;
+      lazy_1m->steps_per_sec.median > 0.0) {
+    step_cost_ratio =
+        lazy_10k->steps_per_sec.median / lazy_1m->steps_per_sec.median;
     std::cerr << "   scaling: 100x devices (10k -> 1M) costs "
               << step_cost_ratio << "x per step\n";
   }
@@ -294,9 +351,27 @@ int main(int argc, char** argv) {
     std::cerr << "error: cannot write " << json_path << "\n";
     return 1;
   }
+  const bool pooled = options.threads > 1;
   out << "{\n"
       << "  \"bench\": \"fleet_scale\",\n"
-      << "  \"steps\": " << steps << ",\n"
+      << "  \"protocol\": {\n"
+      << "    \"git_sha\": \"" << MIDDLEFL_BENCH_SHA << "\",\n"
+      << "    \"compiler\": \"" << MIDDLEFL_BENCH_COMPILER << "\",\n"
+      << "    \"build_type\": \"" << MIDDLEFL_BENCH_BUILD_TYPE << "\",\n"
+      << "    \"native_flavor\": \"" << MIDDLEFL_BENCH_FLAVOR << "\",\n"
+      << "    \"gemm_isa\": \""
+      << middlefl::tensor::to_string(middlefl::tensor::active_isa())
+      << "\",\n"
+      << "    \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+      << "    \"pool_threads\": "
+      << (pooled ? middlefl::parallel::ThreadPool::global().size() : 1)
+      << ",\n"
+      << "    \"windows\": " << options.repeats << ",\n"
+      << "    \"window_steps\": " << window_steps << ",\n"
+      << "    \"cloud_interval\": " << options.cloud_interval << ",\n"
+      << "    \"mobility\": " << options.mobility << ",\n"
+      << "    \"seed\": " << options.seed << "\n"
+      << "  },\n"
       << "  \"edges\": " << num_edges << ",\n"
       << "  \"select_per_edge\": 4,\n"
       << "  \"results\": [\n";
@@ -306,8 +381,8 @@ int main(int argc, char** argv) {
   out << "  ]";
   if (lazy_10k != nullptr && lazy_1m != nullptr) {
     out << ",\n  \"scaling\": {\"lazy_10k_steps_per_sec\": "
-        << lazy_10k->steps_per_sec
-        << ", \"lazy_1m_steps_per_sec\": " << lazy_1m->steps_per_sec
+        << lazy_10k->steps_per_sec.median
+        << ", \"lazy_1m_steps_per_sec\": " << lazy_1m->steps_per_sec.median
         << ", \"device_ratio\": 100, \"per_step_cost_ratio\": "
         << step_cost_ratio << "}";
   }

@@ -25,15 +25,22 @@
 // per-arm QPS + exact client-side p50/p95/p99 latency, batched/unbatched
 // QPS speedup (the acceptance gate: >= 1.3x), a QPS-vs-latency sweep
 // (batched arm; offered-load steps in open mode, client counts in closed
-// mode), histogram-derived percentiles from the
-// MetricsRegistry fixed buckets (serve.latency_us via quantile()) as a
-// cross-check of the exact ones, and the shared training summary block.
+// mode), and the shared training summary block.
+//
+// Histogram cross-check: every window (arm windows and sweep rows) takes a
+// serve.latency_us snapshot before it starts and after the hub quiesces.
+// The bucket-wise delta holds exactly the requests that window served, so
+// it must equal the window's client latencies bucketed the same way (both
+// sides read ServeTicket::latency_us()). Each arm and sweep row reports
+// the delta's quantile() estimates next to its exact client percentiles;
+// the bench exits nonzero when any window's delta differs.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,6 +65,41 @@ double pct(const std::vector<double>& sorted, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+using Histogram = obs::MetricsRegistry::HistogramSnapshot;
+
+/// The serve.latency_us histogram as of now.
+Histogram latency_histogram(const obs::MetricsRegistry& metrics) {
+  obs::MetricsRegistry::Snapshot snapshot = metrics.snapshot();
+  for (Histogram& hist : snapshot.histograms) {
+    if (hist.name == "serve.latency_us") return std::move(hist);
+  }
+  throw std::runtime_error("serve.latency_us is not registered");
+}
+
+/// The requests served between two snapshots, bucket by bucket.
+Histogram window_delta(const Histogram& before, const Histogram& after) {
+  Histogram delta = after;
+  for (std::size_t b = 0; b < delta.counts.size(); ++b) {
+    delta.counts[b] -= before.counts[b];
+  }
+  delta.count -= before.count;
+  delta.sum -= before.sum;
+  return delta;
+}
+
+/// True when `latencies_us`, bucketed by the registry's rule (the first
+/// bound >= value, else overflow), fill exactly the delta's buckets.
+bool matches_client(const Histogram& delta,
+                    const std::vector<double>& latencies_us) {
+  std::vector<std::uint64_t> counts(delta.bounds.size() + 1, 0);
+  for (const double us : latencies_us) {
+    ++counts[static_cast<std::size_t>(
+        std::lower_bound(delta.bounds.begin(), delta.bounds.end(), us) -
+        delta.bounds.begin())];
+  }
+  return counts == delta.counts;
+}
+
 /// One arm's accumulated measurement across its interleaved windows.
 struct Arm {
   std::uint64_t completed = 0;
@@ -66,13 +108,28 @@ struct Arm {
   std::vector<double> latencies_us;
   std::uint64_t batches = 0;  // hub predict() calls attributed to this arm
   std::uint64_t served = 0;
+  /// Summed per-window serve.latency_us deltas.
+  Histogram server;
+  /// Windows whose delta differed from their client latencies.
+  std::size_t mismatched_windows = 0;
 
-  void absorb(const serve::LoadGenerator::Window& window) {
+  void absorb(const serve::LoadGenerator::Window& window,
+              const Histogram& delta) {
     completed += window.completed;
     rejected += window.rejected;
     wall_seconds += window.wall_seconds;
     latencies_us.insert(latencies_us.end(), window.latencies_us.begin(),
                         window.latencies_us.end());
+    if (!matches_client(delta, window.latencies_us)) ++mismatched_windows;
+    if (server.counts.empty()) {
+      server = delta;
+    } else {
+      for (std::size_t b = 0; b < server.counts.size(); ++b) {
+        server.counts[b] += delta.counts[b];
+      }
+      server.count += delta.count;
+      server.sum += delta.sum;
+    }
   }
   double qps() const {
     return wall_seconds > 0.0 ? static_cast<double>(completed) / wall_seconds
@@ -105,6 +162,14 @@ std::string arm_json(Arm& arm, const std::string& indent) {
       << ",\n"
       << indent << "  \"latency_p99_us\": " << pct(arm.latencies_us, 0.99)
       << ",\n"
+      << indent << "  \"histogram_p50_us\": " << arm.server.quantile(0.50)
+      << ",\n"
+      << indent << "  \"histogram_p95_us\": " << arm.server.quantile(0.95)
+      << ",\n"
+      << indent << "  \"histogram_p99_us\": " << arm.server.quantile(0.99)
+      << ",\n"
+      << indent << "  \"histogram_matches_client\": "
+      << (arm.mismatched_windows == 0 ? "true" : "false") << ",\n"
       << indent << "  \"batches\": " << arm.batches << ",\n"
       << indent << "  \"mean_batch_occupancy\": " << arm.mean_occupancy()
       << "\n"
@@ -225,10 +290,13 @@ int run(int argc, const char* const* argv) {
       Arm& arm = is_batched ? batched : unbatched;
       hub.set_max_batch(is_batched ? max_batch : 1);
       const serve::ServingHub::Stats before = hub.stats();
+      const Histogram hist_before = latency_histogram(serve_metrics);
       generator.start();
       for (std::size_t s = 0; s < steps_per_window; ++s) sim->step();
-      arm.absorb(generator.stop());
+      const serve::LoadGenerator::Window window = generator.stop();
       hub.quiesce();
+      arm.absorb(window, window_delta(hist_before,
+                                      latency_histogram(serve_metrics)));
       const serve::ServingHub::Stats after = hub.stats();
       arm.batches += after.batches - before.batches;
       arm.served += after.served - before.served;
@@ -250,6 +318,8 @@ int run(int argc, const char* const* argv) {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
+    Histogram server;  // this window's serve.latency_us delta
+    bool histogram_matches = true;
   };
   std::vector<SweepRow> sweep;
   hub.set_max_batch(max_batch);
@@ -258,16 +328,21 @@ int run(int argc, const char* const* argv) {
     sweep_options.clients = point.clients;
     if (point.offered_qps > 0.0) sweep_options.offered_qps = point.offered_qps;
     serve::LoadGenerator sweep_gen(hub, *setup.test, sweep_options);
+    const Histogram hist_before = latency_histogram(serve_metrics);
     sweep_gen.start();
     for (std::size_t s = 0; s < steps_per_window; ++s) sim->step();
     serve::LoadGenerator::Window window = sweep_gen.stop();
     hub.quiesce();
+    Histogram delta =
+        window_delta(hist_before, latency_histogram(serve_metrics));
     trained_steps += steps_per_window;
+    const bool matches = matches_client(delta, window.latencies_us);
     std::sort(window.latencies_us.begin(), window.latencies_us.end());
     sweep.push_back(SweepRow{point.clients, point.offered_qps, window.qps(),
                              pct(window.latencies_us, 0.50),
                              pct(window.latencies_us, 0.95),
-                             pct(window.latencies_us, 0.99)});
+                             pct(window.latencies_us, 0.99), std::move(delta),
+                             matches});
     std::cerr << "   sweep " << point.clients << " client"
               << (point.clients == 1 ? "" : "s");
     if (point.offered_qps > 0.0) {
@@ -282,16 +357,11 @@ int run(int argc, const char* const* argv) {
   const bench::SimRunSummary summary = bench::SimRunSummary::capture(*sim);
   const serve::ServingHub::Stats totals = hub.stats();
 
-  // Histogram cross-check: quantiles from the serve.latency_us fixed
-  // buckets (covers all arms + sweep combined).
-  double hist_p50 = 0.0;
-  double hist_p95 = 0.0;
-  double hist_p99 = 0.0;
-  for (const auto& hist : serve_metrics.snapshot().histograms) {
-    if (hist.name != "serve.latency_us") continue;
-    hist_p50 = hist.quantile(0.50);
-    hist_p95 = hist.quantile(0.95);
-    hist_p99 = hist.quantile(0.99);
+  const std::size_t checked_windows = 2 * windows + sweep.size();
+  std::size_t mismatched_windows =
+      batched.mismatched_windows + unbatched.mismatched_windows;
+  for (const SweepRow& row : sweep) {
+    if (!row.histogram_matches) ++mismatched_windows;
   }
 
   std::ofstream out(json_path);
@@ -325,12 +395,16 @@ int run(int argc, const char* const* argv) {
         << ", \"offered_qps\": " << sweep[i].offered_qps
         << ", \"qps\": " << sweep[i].qps << ", \"p50_us\": " << sweep[i].p50
         << ", \"p95_us\": " << sweep[i].p95
-        << ", \"p99_us\": " << sweep[i].p99 << "}";
+        << ", \"p99_us\": " << sweep[i].p99
+        << ", \"histogram_p50_us\": " << sweep[i].server.quantile(0.50)
+        << ", \"histogram_p95_us\": " << sweep[i].server.quantile(0.95)
+        << ", \"histogram_p99_us\": " << sweep[i].server.quantile(0.99)
+        << ", \"histogram_matches_client\": "
+        << (sweep[i].histogram_matches ? "true" : "false") << "}";
   }
   out << (sweep.empty() ? "],\n" : "\n  ],\n")
-      << "  \"histogram_quantiles\": {\"p50_us\": " << hist_p50
-      << ", \"p95_us\": " << hist_p95 << ", \"p99_us\": " << hist_p99
-      << "},\n"
+      << "  \"histogram_check\": {\"windows\": " << checked_windows
+      << ", \"mismatched\": " << mismatched_windows << "},\n"
       << "  \"serving_totals\": {\"submitted\": " << totals.submitted
       << ", \"served\": " << totals.served
       << ", \"rejected\": " << totals.rejected
@@ -343,6 +417,13 @@ int run(int argc, const char* const* argv) {
       << bench::json_summary_fields(summary, "  ") << "\n"
       << "}\n";
   std::cerr << "   wrote " << json_path << "\n";
+  if (mismatched_windows > 0) {
+    std::cerr << "error: serve.latency_us window delta differs from the "
+                 "client latencies in "
+              << mismatched_windows << " of " << checked_windows
+              << " windows\n";
+    return 1;
+  }
   return 0;
 }
 

@@ -115,6 +115,14 @@ class SelectionStrategy {
   /// needs_metadata() must override this to return exactly the ids (and
   /// consume exactly the rng draws) select() would for id-only candidates.
   /// The default forbids the call so a mismatch fails loudly.
+  ///
+  /// Position contract: an id-only strategy chooses by position. Which
+  /// positions it picks, and in what order, depends only on ids.size()
+  /// and the rng, never on the id values, so the result is ids[p] for a
+  /// sequence of positions p. Simulation relies on this: it passes the
+  /// ranks 0..count-1 and maps the returned ranks to device ids through
+  /// EdgeMembership::at_ranks, which yields the same ids in the same order
+  /// as passing the ascending member ids (pinned by selection_test).
   virtual std::vector<std::size_t> select_ids(std::span<const std::size_t> ids,
                                               std::size_t k,
                                               parallel::Xoshiro256& rng) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -366,20 +367,28 @@ void Simulation::begin_step() {
     edge_snapshot_[n] = edges_[n].snapshot();
   }
 
-  // Candidate sets M_t_n: patch the per-edge member lists from the mover
-  // delta when the model provides one (only dirty edges pay a re-merge);
-  // rebuild from scratch otherwise, or when churn is heavy enough that
-  // the full scatter is cheaper. Either path touches only the assignment
-  // vector — no device (cold state) is dereferenced — and produces the
-  // identical ascending-id lists (pinned by MembershipIncremental tests).
+  // Candidate sets M_t_n: each mover flips two membership bits, leaving
+  // its pre-advance edge (prev_assignment_) for its new one. The full
+  // rebuild remains for the first step and for models that do not track
+  // their movers. Neither path dereferences a device (cold state), and
+  // both give the same rows (pinned by MembershipIncremental tests).
   if (observed) t0 = obs::TraceRecorder::Clock::now();
   const std::vector<std::size_t>* movers = mobility_->movers();
-  if (members_ready_ && movers != nullptr &&
-      members_.size() == edges_.size() &&
-      movers->size() < registry_.size() / 2) {
-    patch_members(assignment, *movers);
+  if (movers != nullptr && membership_.num_edges() == edges_.size() &&
+      membership_.num_devices() == assignment.size()) {
+    for (const std::size_t m : *movers) {
+      membership_.move(m, prev_assignment_[m], assignment[m]);
+    }
   } else {
-    rebuild_members(assignment);
+    membership_.rebuild(edges_.size(), assignment);
+  }
+  // Ranks 0..count-1 for id-only selection, shared read-only by the chains.
+  if (const std::size_t widest = membership_.max_count();
+      ranks_.size() < widest) {
+    const std::size_t old = ranks_.size();
+    ranks_.resize(widest);
+    std::iota(ranks_.begin() + static_cast<std::ptrdiff_t>(old), ranks_.end(),
+              old);
   }
   if (observed) {
     const auto t1 = obs::TraceRecorder::Clock::now();
@@ -411,74 +420,12 @@ void Simulation::begin_step() {
   for (StepObserver* obs : observers_) obs->on_step_begin(t_);
 }
 
-void Simulation::rebuild_members(const std::vector<std::size_t>& assignment) {
-  if (members_.size() != edges_.size()) members_.resize(edges_.size());
-  for (auto& members : members_) members.clear();
-  for (std::size_t m = 0; m < registry_.size(); ++m) {
-    members_[assignment[m]].push_back(m);
+std::vector<std::vector<std::size_t>> Simulation::edge_members() const {
+  std::vector<std::vector<std::size_t>> lists(membership_.num_edges());
+  for (std::size_t e = 0; e < lists.size(); ++e) {
+    lists[e] = membership_.members(e);
   }
-  members_ready_ = true;
-}
-
-void Simulation::patch_members(const std::vector<std::size_t>& assignment,
-                               const std::vector<std::size_t>& movers) {
-  if (movers.empty()) return;
-  if (moved_flag_.size() != registry_.size()) {
-    moved_flag_.assign(registry_.size(), 0);
-  }
-  if (arrivals_by_edge_.size() != edges_.size()) {
-    arrivals_by_edge_.resize(edges_.size());
-  }
-  if (edge_dirty_.size() != edges_.size()) {
-    edge_dirty_.assign(edges_.size(), 0);
-  }
-  dirty_edges_.clear();
-  // prev_assignment_ holds the pre-advance assignment, so it names each
-  // mover's source edge. Movers arrive ascending, so every per-edge
-  // arrival list is ascending by construction.
-  for (const std::size_t m : movers) {
-    const std::size_t from = prev_assignment_[m];
-    const std::size_t to = assignment[m];
-    moved_flag_[m] = 1;
-    arrivals_by_edge_[to].push_back(m);
-    if (!edge_dirty_[from]) {
-      edge_dirty_[from] = 1;
-      dirty_edges_.push_back(from);
-    }
-    if (!edge_dirty_[to]) {
-      edge_dirty_[to] = 1;
-      dirty_edges_.push_back(to);
-    }
-  }
-  for (const std::size_t e : dirty_edges_) {
-    auto& list = members_[e];
-    // Compact out the departures (a mover cannot already be in its
-    // destination list, so flagged entries here are exactly the leavers).
-    std::size_t keep = 0;
-    for (const std::size_t m : list) {
-      if (!moved_flag_[m]) list[keep++] = m;
-    }
-    list.resize(keep);
-    auto& arrivals = arrivals_by_edge_[e];
-    if (!arrivals.empty()) {
-      // Backward in-place merge of two ascending runs; allocation-free
-      // past the capacity high-water mark.
-      std::size_t i = keep;
-      std::size_t j = arrivals.size();
-      list.resize(keep + arrivals.size());
-      std::size_t out = list.size();
-      while (j > 0) {
-        if (i > 0 && list[i - 1] > arrivals[j - 1]) {
-          list[--out] = list[--i];
-        } else {
-          list[--out] = arrivals[--j];
-        }
-      }
-      arrivals.clear();
-    }
-    edge_dirty_[e] = 0;
-  }
-  for (const std::size_t m : movers) moved_flag_[m] = 0;
+  return lists;
 }
 
 void Simulation::edge_chain(std::size_t n) {
@@ -539,26 +486,31 @@ void Simulation::select_edge(std::size_t n) {
       .pool = pool_,
   };
   last_selection_[n].clear();
-  if (members_[n].empty()) return;
+  const std::size_t count = membership_.count(n);
+  if (count == 0) return;
   auto rng = streams_.stream(kSelectTag, n, t_);
   if (!algorithm_.selection->needs_metadata()) {
-    // Id-only fast path (random selection): the strategy ranks on nothing,
-    // so hand it the member ids directly — no Candidate build and, above
-    // all, no per-member device dereference. Same draws, same ids as the
-    // metadata path (pinned by selection_test).
-    last_selection_[n] = algorithm_.selection->select_ids(
-        members_[n], cfg_.select_per_edge, rng);
+    // Id-only fast path (random selection): the strategy chooses by
+    // position, so it picks from the ranks 0..count-1 and one scan of the
+    // edge's row maps the picks to ids — no member list, no Candidate
+    // build, no per-member device dereference. Same draws, same ids, same
+    // order as selecting from the ascending ids (pinned by selection_test).
+    std::vector<std::size_t> picked = algorithm_.selection->select_ids(
+        std::span<const std::size_t>(ranks_).first(count),
+        cfg_.select_per_edge, rng);
+    membership_.at_ranks(n, picked);
+    last_selection_[n] = std::move(picked);
     return;
   }
   auto& candidates = candidates_[n];
   candidates.clear();
-  candidates.reserve(members_[n].size());
+  candidates.reserve(count);
   // Random/stat-utility strategies never read candidate parameters, so
   // devices stay cold through selection; similarity strategies
   // materialize diverged candidates here (settled again after the chain's
   // aggregation).
   const bool want_params = algorithm_.selection->needs_params();
-  for (std::size_t m : members_[n]) {
+  membership_.for_each(n, [&](std::size_t m) {
     const Device& device = registry_.at(m);
     candidates.push_back(Candidate{
         .device_id = m,
@@ -568,7 +520,7 @@ void Simulation::select_edge(std::size_t n) {
             want_params ? device.params() : std::span<const float>{},
         .params_version = device.params_version(),
     });
-  }
+  });
   last_selection_[n] = algorithm_.selection->select(
       candidates, cloud_.params(), cfg_.select_per_edge, rng, context);
 }
@@ -769,8 +721,11 @@ void Simulation::settle_edge(std::size_t n) {
   // settle_scan_members_); otherwise only this chain's selected devices
   // ever touched their parameters, and settle walks the O(K) ids.
   // settle() is a no-op for devices that hold no resident buffer.
-  const auto& ids = settle_scan_members_ ? members_[n] : last_selection_[n];
-  for (std::size_t m : ids) registry_.at(m).settle();
+  if (settle_scan_members_) {
+    membership_.for_each(n, [&](std::size_t m) { registry_.at(m).settle(); });
+  } else {
+    for (const std::size_t m : last_selection_[n]) registry_.at(m).settle();
+  }
 }
 
 void Simulation::replay_step_events() {

@@ -25,6 +25,13 @@
 // — the mobility update and snapshotting at step begin, observer event
 // replay, and the cloud sync every T_c steps.
 //
+// The step-begin prologue costs O(movers), not O(fleet): the mobility
+// model reports which devices changed edge, and each mover flips two bits
+// in the per-edge membership rows (core::EdgeMembership; rebuilt only on
+// the first step or for models that report no movers). Id-only selection
+// picks positions 0..count-1 and maps its K picks to ids with one scan of
+// the edge's row, so no step materializes a member list.
+//
 // Parameters move as version-stamped copy-on-write snapshots
 // (core::Snapshot): Distribute hands devices the edge's published block (a
 // refcount bump, not a memcpy), a private copy materializes on the first
@@ -53,6 +60,7 @@
 #include "core/algorithms.hpp"
 #include "core/comm_stats.hpp"
 #include "core/compression.hpp"
+#include "core/edge_membership.hpp"
 #include "core/entities.hpp"
 #include "core/fleet.hpp"
 #include "core/metrics.hpp"
@@ -253,11 +261,10 @@ class Simulation {
   const StepPhaseUs& last_step_phase_us() const noexcept {
     return last_phase_us_;
   }
-  /// Devices connected to each edge as of the last step, ascending by id —
-  /// the incrementally-patched membership lists candidate sets build from.
-  const std::vector<std::vector<std::size_t>>& edge_members() const noexcept {
-    return members_;
-  }
+  /// Devices connected to each edge as of the last step, each list
+  /// ascending by id: the candidate sets, materialized from the membership
+  /// rows (O(n) per call; empty before the first step).
+  std::vector<std::vector<std::size_t>> edge_members() const;
   std::size_t num_devices() const noexcept { return registry_.size(); }
   std::size_t num_edges() const noexcept { return edges_.size(); }
   std::span<const float> cloud_params() const { return cloud_.params(); }
@@ -444,14 +451,6 @@ class Simulation {
   /// and the device may now hold a resident buffer.
   bool install_download(Device& device, std::span<const float> payload,
                         const Snapshot& source);
-  /// Full membership rebuild from the assignment (first step, untracked
-  /// movers, or churn past the patch/rebuild crossover).
-  void rebuild_members(const std::vector<std::size_t>& assignment);
-  /// Patches members_ from the mover delta: each mover is removed from its
-  /// previous edge's list and merged into its new one, preserving the
-  /// canonical ascending-id order; clean edges keep their lists untouched.
-  void patch_members(const std::vector<std::size_t>& assignment,
-                     const std::vector<std::size_t>& movers);
 
   void notify_phase(StepPhase phase);
   void notify_transfers(StepPhase phase, transport::LinkKind kind,
@@ -483,15 +482,12 @@ class Simulation {
   // Step-scratch state, all indexed per edge (each chain writes only its
   // own slot) or per device (each device belongs to one chain), reused
   // across steps to keep the hot loop allocation-light.
-  std::vector<std::vector<std::size_t>> members_;
-  /// False until the first full rebuild seeds members_ for patching.
-  bool members_ready_ = false;
-  /// Membership-patch scratch (sized lazily, reused across steps): mover
-  /// flags per device, per-edge arrival lists, and the dirty-edge set.
-  std::vector<std::uint8_t> moved_flag_;
-  std::vector<std::vector<std::size_t>> arrivals_by_edge_;
-  std::vector<std::uint8_t> edge_dirty_;
-  std::vector<std::size_t> dirty_edges_;
+  /// Per-edge member rows, moved bit by bit from the mover delta at step
+  /// begin (rebuilt on the first step).
+  EdgeMembership membership_;
+  /// 0, 1, 2, ...: the positions id-only selection picks from (grown to
+  /// the largest edge).
+  std::vector<std::size_t> ranks_;
   /// True when this step's settle must scan every member: the selection
   /// strategy materializes candidate params, or the last broadcast
   /// installed private copies (fleet_scan_needed_). Otherwise only

@@ -33,7 +33,7 @@ MarkovMobility::MarkovMobility(std::vector<std::size_t> initial_assignment,
                                std::uint64_t seed)
     : MarkovMobility(std::move(initial_assignment), num_edges,
                      std::vector<double>{}, seed) {
-  if (move_probability < 0.0 || move_probability > 1.0) {
+  if (!(move_probability >= 0.0 && move_probability <= 1.0)) {
     throw std::invalid_argument("MarkovMobility: P must be in [0, 1]");
   }
   move_prob_.assign(current_.size(), move_probability);
@@ -63,7 +63,7 @@ MarkovMobility::MarkovMobility(std::vector<std::size_t> initial_assignment,
         "MarkovMobility: per-device probability count mismatch");
   }
   for (double p : move_prob_) {
-    if (p < 0.0 || p > 1.0) {
+    if (!(p >= 0.0 && p <= 1.0)) {  // also rejects NaN
       throw std::invalid_argument("MarkovMobility: P_m must be in [0, 1]");
     }
   }
@@ -98,43 +98,58 @@ void MarkovMobility::set_topology(MoveTopology topology, double home_bias) {
 
 void MarkovMobility::advance_range(std::size_t lo, std::size_t hi,
                                    std::vector<std::size_t>& movers) {
-  for (std::size_t m = lo; m < hi; ++m) {
-    const double p = move_prob_[m];
-    // uniform() lands in [0, 1), so P = 0 never passes the gate — skip
-    // the draw entirely. The skipped stream is private to (m, step) and
-    // consumed nowhere else, so no other device's draws shift.
-    if (p <= 0.0) continue;
-    parallel::Xoshiro256 rng(parallel::hash_combine(device_keys_[m], step_));
-    if (rng.uniform() >= p) continue;
-    const std::size_t before = current_[m];
-    switch (topology_) {
-      case MoveTopology::kUniform: {
-        // Teleport to a uniformly random other edge.
-        std::size_t target = rng.bounded(num_edges_ - 1);
-        if (target >= current_[m]) ++target;
-        current_[m] = target;
-        break;
-      }
-      case MoveTopology::kRing: {
+  constexpr std::size_t kBlock = 1024;
+  const std::uint64_t step_mix = parallel::combine_mix(step_);
+  std::uint8_t gate[kBlock];
+  for (std::size_t base = lo; base < hi; base += kBlock) {
+    const std::size_t len = std::min(kBlock, hi - base);
+    const std::uint64_t* keys = device_keys_.data() + base;
+    const double* probs = move_prob_.data() + base;
+    // Pass 1, branch-free: the gate draw is the first uniform() of the
+    // device's (device, step) stream. uniform() lands in [0, 1), so P = 0
+    // never passes.
+    for (std::size_t i = 0; i < len; ++i) {
+      gate[i] = parallel::first_uniform(
+                    parallel::hash_combine_mixed(keys[i], step_mix)) < probs[i];
+    }
+    // Pass 2: only devices through the gate replay their full stream.
+    for (std::size_t i = 0; i < len; ++i) {
+      if (gate[i]) move_device(base + i, movers);
+    }
+  }
+}
+
+void MarkovMobility::move_device(std::size_t m,
+                                 std::vector<std::size_t>& movers) {
+  parallel::Xoshiro256 rng(parallel::hash_combine(device_keys_[m], step_));
+  rng.uniform();  // the gate draw pass 1 already consumed
+  const std::size_t before = current_[m];
+  switch (topology_) {
+    case MoveTopology::kUniform: {
+      // Teleport to a uniformly random other edge.
+      std::size_t target = rng.bounded(num_edges_ - 1);
+      if (target >= current_[m]) ++target;
+      current_[m] = target;
+      break;
+    }
+    case MoveTopology::kRing: {
+      const bool clockwise = rng.uniform() < 0.5;
+      current_[m] = clockwise ? (current_[m] + 1) % num_edges_
+                              : (current_[m] + num_edges_ - 1) % num_edges_;
+      break;
+    }
+    case MoveTopology::kHomeRing: {
+      if (current_[m] != initial_[m] && rng.uniform() < home_bias_) {
+        current_[m] = initial_[m];  // commuter returns home
+      } else {
         const bool clockwise = rng.uniform() < 0.5;
         current_[m] = clockwise ? (current_[m] + 1) % num_edges_
                                 : (current_[m] + num_edges_ - 1) % num_edges_;
-        break;
       }
-      case MoveTopology::kHomeRing: {
-        if (current_[m] != initial_[m] && rng.uniform() < home_bias_) {
-          current_[m] = initial_[m];  // commuter returns home
-        } else {
-          const bool clockwise = rng.uniform() < 0.5;
-          current_[m] = clockwise
-                            ? (current_[m] + 1) % num_edges_
-                            : (current_[m] + num_edges_ - 1) % num_edges_;
-        }
-        break;
-      }
+      break;
     }
-    if (current_[m] != before) movers.push_back(m);
   }
+  if (current_[m] != before) movers.push_back(m);
 }
 
 std::size_t MarkovMobility::shard_count(std::size_t devices) const {

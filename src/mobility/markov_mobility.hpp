@@ -8,6 +8,16 @@
 // shard over a thread pool in fixed device ranges: each shard walks its own
 // slice of the SoA (keys, probabilities, assignment) arrays and emits a
 // local mover list, concatenated in shard order into one ascending delta.
+//
+// Each shard walks its range in blocks of 1024 devices, in two passes. The
+// gate "does device m move?" is the first uniform() of its (m, step)
+// stream, which parallel::first_uniform() computes from the stream key
+// alone, so pass 1 is a branch-free, vectorizable loop writing one gate
+// byte per device. Pass 2 replays the full stream only for the devices
+// through the gate (a fraction P of the fleet): it discards the gate draw
+// and picks the destination. The draws are exactly those of the one-pass
+// loop, so every assignment is bitwise unchanged (pinned by the MarkovGate
+// oracle in mobility_parallel_test).
 #pragma once
 
 #include "mobility/mobility_model.hpp"
@@ -73,12 +83,15 @@ class MarkovMobility final : public MobilityModel {
   /// in advance()), rebuilds the cached per-device stream keys, and
   /// recomputes the cached global mobility.
   void finalize_probabilities();
-  /// Serial transition loop over devices [lo, hi), appending movers in
-  /// ascending id order. Thread-safe across disjoint ranges: each device
-  /// draws from its own (device, step) stream and writes only its own
-  /// current_ slot.
+  /// Serial two-pass transition loop over devices [lo, hi), appending
+  /// movers in ascending id order. Thread-safe across disjoint ranges: each
+  /// device draws from its own (device, step) stream and writes only its
+  /// own current_ slot.
   void advance_range(std::size_t lo, std::size_t hi,
                      std::vector<std::size_t>& movers);
+  /// Pass 2 for one device through the gate: replays its stream past the
+  /// gate draw, moves it per the topology and records it if it moved.
+  void move_device(std::size_t m, std::vector<std::size_t>& movers);
   std::size_t shard_count(std::size_t devices) const;
 
   std::vector<std::size_t> initial_;

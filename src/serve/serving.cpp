@@ -107,6 +107,14 @@ void EdgeServer::drain() {
     rt->model->predict(rt->batch, out);
 
     const auto now = ServeTicket::Clock::now();
+    if (hub.obs_.metrics != nullptr) {
+      // Observe before complete(): once a ticket is done its client may
+      // re-arm it, so its enqueue time is only stable until then.
+      for (std::size_t i = 0; i < rows; ++i) {
+        hub.obs_.metrics->observe(hub.latency_id_,
+                                  rt->chunk[i].ticket->latency_us_at(now));
+      }
+    }
     for (std::size_t i = 0; i < rows; ++i) {
       rt->chunk[i].ticket->complete(out[i], version, now);
     }
@@ -117,10 +125,6 @@ void EdgeServer::drain() {
       hub.obs_.metrics->add(hub.batches_id_);
       hub.obs_.metrics->observe(hub.occupancy_id_,
                                 static_cast<double>(rows));
-      for (std::size_t i = 0; i < rows; ++i) {
-        hub.obs_.metrics->observe(hub.latency_id_,
-                                  rt->chunk[i].ticket->latency_us());
-      }
     }
   }
   hub.release_runtime(rt);
@@ -245,10 +249,11 @@ void ServingHub::schedule_drain(EdgeServer& server) {
 }
 
 void ServingHub::note_drain_done() {
-  {
-    std::lock_guard lock(quiesce_mutex_);
-    --active_drains_;
-  }
+  // Notify under the lock: once the count reaches zero, quiesce() may
+  // return and ~ServingHub destroy the condition variable, which it can
+  // only do after taking this mutex, i.e. after notify_all() finished.
+  std::lock_guard lock(quiesce_mutex_);
+  --active_drains_;
   quiesce_cv_.notify_all();
 }
 

@@ -85,13 +85,16 @@ class ServeTicket {
   /// queueing + batching + forward; excludes client scheduling).
   std::int32_t prediction() const noexcept { return prediction_; }
   std::uint64_t model_version() const noexcept { return model_version_; }
-  double latency_us() const noexcept {
-    return std::chrono::duration<double, std::micro>(completed_ - enqueued_)
-        .count();
-  }
+  double latency_us() const noexcept { return latency_us_at(completed_); }
 
  private:
   friend class EdgeServer;
+
+  /// Enqueue -> `done` in microseconds: latency_us() once `done` is the
+  /// completion time.
+  double latency_us_at(Clock::time_point done) const noexcept {
+    return std::chrono::duration<double, std::micro>(done - enqueued_).count();
+  }
 
   void arm(Clock::time_point now) noexcept {
     enqueued_ = now;
