@@ -25,7 +25,8 @@
 // noise. The arms therefore run interleaved for --repeats rounds and each
 // arm reports its best (minimum-mean) repeat — the standard noise-robust
 // estimator; model state and counters are bitwise-identical across
-// repeats, so only the timings differ.
+// repeats, so only the timings differ. The JSON opens with the shared
+// protocol header (bench::protocol_json).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -290,6 +291,10 @@ int run(int argc, const char* const* argv) {
   }
   out << "{\n"
       << "  \"bench\": \"async_sync\",\n"
+      << bench::protocol_json(parallel::ThreadPool::global().size(),
+                              {{"repeats", repeats}, {"seed", options.seed}},
+                              "  ")
+      << ",\n"
       << "  \"task\": \"" << data::to_string(kind) << "\",\n"
       << "  \"scale\": \"" << (options.paper ? "paper" : "fast") << "\",\n"
       << "  \"steps\": " << setup.sim_cfg.total_steps << ",\n"

@@ -3,10 +3,12 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "config/json.hpp"
 #include "config/scenario_build.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/cpu_features.hpp"
 #include "util/stats.hpp"
 
 namespace middlefl::bench {
@@ -524,6 +526,28 @@ std::size_t proc_status_kb(const char* key) {
 }
 
 }  // namespace
+
+std::string protocol_json(std::size_t pool_threads,
+                          const std::vector<ProtocolField>& run,
+                          const std::string& indent) {
+  std::ostringstream os;
+  os << indent << "\"protocol\": {\n"
+     << indent << "  \"git_sha\": \"" << MIDDLEFL_BENCH_SHA << "\",\n"
+     << indent << "  \"compiler\": \"" << MIDDLEFL_BENCH_COMPILER << "\",\n"
+     << indent << "  \"build_type\": \"" << MIDDLEFL_BENCH_BUILD_TYPE
+     << "\",\n"
+     << indent << "  \"native_flavor\": \"" << MIDDLEFL_BENCH_FLAVOR << "\",\n"
+     << indent << "  \"gemm_isa\": \""
+     << tensor::to_string(tensor::active_isa()) << "\",\n"
+     << indent << "  \"nproc\": " << std::thread::hardware_concurrency()
+     << ",\n"
+     << indent << "  \"pool_threads\": " << pool_threads;
+  for (const ProtocolField& field : run) {
+    os << ",\n" << indent << "  \"" << field.key << "\": " << field.json;
+  }
+  os << "\n" << indent << "}";
+  return os.str();
+}
 
 std::size_t peak_rss_bytes() {
   const std::size_t hwm = proc_status_kb("VmHWM");

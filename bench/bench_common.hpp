@@ -12,7 +12,9 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/scenario.hpp"
@@ -202,6 +204,30 @@ std::string json_summary_fields(const SimRunSummary& summary,
 /// config::Json object — for emitters that assemble rows as Json values
 /// (scenario_sweep dumps each row compact as one JSONL line).
 void append_summary_members(config::Json& object, const SimRunSummary& summary);
+
+/// One run parameter of a protocol header: a key and its value, streamed
+/// as a bare JSON number (numbers only).
+struct ProtocolField {
+  template <typename Number>
+  ProtocolField(std::string name, const Number& value) : key(std::move(name)) {
+    std::ostringstream os;
+    os << value;
+    json = os.str();
+  }
+  std::string key;
+  std::string json;
+};
+
+/// The `"protocol": {...}` member every standalone BENCH_*.json opens
+/// with, one field per line prefixed with `indent` (no trailing comma):
+/// how the numbers were produced — git sha (read at configure time;
+/// `unknown` outside a checkout, `-dirty` with uncommitted changes),
+/// compiler, build type, native/portable flavor, the active GEMM ISA,
+/// hardware threads and `pool_threads` — then the bench's own `run`
+/// parameters (repeats, steps, seed, ...).
+std::string protocol_json(std::size_t pool_threads,
+                          const std::vector<ProtocolField>& run,
+                          const std::string& indent);
 
 /// Peak resident set size (VmHWM) of this process in bytes, read from
 /// /proc/self/status; falls back to current RSS, and 0 where neither is

@@ -16,10 +16,8 @@
 // of observed probe steps after the timed windows, so it holds exactly one
 // sync and its `cloud_sync` entry is that sync's cost averaged per step.
 //
-// The JSON opens with a protocol header: git sha (read at configure time;
-// `unknown` outside a checkout, `-dirty` with uncommitted changes),
-// compiler, build type, native/portable flavor, the active GEMM ISA,
-// hardware threads and the pool threads the run used.
+// The JSON opens with the shared protocol header (bench::protocol_json):
+// build and host fields plus the window plan, mobility and seed.
 //
 // CI smoke: --devices 100000 --rss-budget-mb N runs the single
 // configuration and fails (exit 1) when its peak RSS delta exceeds the
@@ -29,14 +27,12 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/algorithms.hpp"
 #include "obs/metrics_registry.hpp"
 #include "parallel/thread_pool.hpp"
-#include "tensor/cpu_features.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -354,24 +350,15 @@ int main(int argc, char** argv) {
   const bool pooled = options.threads > 1;
   out << "{\n"
       << "  \"bench\": \"fleet_scale\",\n"
-      << "  \"protocol\": {\n"
-      << "    \"git_sha\": \"" << MIDDLEFL_BENCH_SHA << "\",\n"
-      << "    \"compiler\": \"" << MIDDLEFL_BENCH_COMPILER << "\",\n"
-      << "    \"build_type\": \"" << MIDDLEFL_BENCH_BUILD_TYPE << "\",\n"
-      << "    \"native_flavor\": \"" << MIDDLEFL_BENCH_FLAVOR << "\",\n"
-      << "    \"gemm_isa\": \""
-      << middlefl::tensor::to_string(middlefl::tensor::active_isa())
-      << "\",\n"
-      << "    \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
-      << "    \"pool_threads\": "
-      << (pooled ? middlefl::parallel::ThreadPool::global().size() : 1)
+      << bench::protocol_json(
+             pooled ? middlefl::parallel::ThreadPool::global().size() : 1,
+             {{"windows", options.repeats},
+              {"window_steps", window_steps},
+              {"cloud_interval", options.cloud_interval},
+              {"mobility", options.mobility},
+              {"seed", options.seed}},
+             "  ")
       << ",\n"
-      << "    \"windows\": " << options.repeats << ",\n"
-      << "    \"window_steps\": " << window_steps << ",\n"
-      << "    \"cloud_interval\": " << options.cloud_interval << ",\n"
-      << "    \"mobility\": " << options.mobility << ",\n"
-      << "    \"seed\": " << options.seed << "\n"
-      << "  },\n"
       << "  \"edges\": " << num_edges << ",\n"
       << "  \"select_per_edge\": 4,\n"
       << "  \"results\": [\n";

@@ -3,8 +3,9 @@
 //
 // This is the number the hot-path work optimizes — selection scoring, local
 // SGD, edge aggregation and snapshot upkeep all sit inside one step. The
-// result is emitted as JSON (default BENCH_step_throughput.json) so the
-// perf trajectory is tracked across PRs. Besides the main measurement on
+// result is emitted as JSON (default BENCH_step_throughput.json), opening
+// with the shared protocol header (bench::protocol_json), so the perf
+// trajectory is tracked across PRs. Besides the main measurement on
 // the configured pool, a thread-scaling sweep (requested sizes 1/2/4/8,
 // clamped to the hardware concurrency so a small host measures real scaling
 // instead of oversubscription noise) records how the per-edge task-graph
@@ -168,6 +169,12 @@ int run(int argc, const char* const* argv) {
   }
   out << "{\n"
       << "  \"bench\": \"step_throughput\",\n"
+      << bench::protocol_json(main.pool_threads,
+                              {{"warmup_steps", warmup_steps},
+                               {"timed_steps", timed_steps},
+                               {"seed", options.seed}},
+                              "  ")
+      << ",\n"
       << "  \"task\": \"" << data::to_string(kind) << "\",\n"
       << "  \"scale\": \"" << (options.paper ? "paper" : "fast") << "\",\n"
       << "  \"algorithm\": \"" << core::to_string(algorithm) << "\",\n"
@@ -176,10 +183,7 @@ int run(int argc, const char* const* argv) {
       << "  \"seconds\": " << main.seconds << ",\n"
       << "  \"steps_per_sec\": " << main.steps_per_sec << ",\n"
       << "  \"parallel_devices\": " << (serial ? "false" : "true") << ",\n"
-      << "  \"pool_threads\": " << main.pool_threads << ",\n"
       << "  \"peak_rss_bytes\": " << peak_rss << ",\n"
-      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-      << ",\n"
       << bench::json_summary_fields(main.summary, "  ") << ",\n"
       << "  \"thread_sweep\": [";
   for (std::size_t i = 0; i < sweep.size(); ++i) {

@@ -12,16 +12,28 @@
 namespace middlefl::core {
 namespace {
 
-/// Random permutation of [0, n) used both for sampling and tie-breaking.
-/// The std::shuffle draw pattern is part of the determinism contract (it
-/// feeds the pipeline golden fingerprints), so both top-k paths run it
-/// verbatim and only differ in how they rank the result.
-std::vector<std::size_t> shuffled_positions(std::size_t n,
-                                            parallel::Xoshiro256& rng) {
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::shuffle(order.begin(), order.end(), rng);
-  return order;
+/// Floyd's algorithm: min(k, count) distinct positions in [0, count),
+/// ascending. k >= count takes every position without drawing; otherwise
+/// exactly k bounded() draws, one per j in [count - k, count).
+std::vector<std::size_t> floyd_positions(std::size_t count, std::size_t k,
+                                         parallel::Xoshiro256& rng) {
+  std::vector<std::size_t> picked;
+  if (k >= count) {
+    picked.resize(count);
+    std::iota(picked.begin(), picked.end(), std::size_t{0});
+    return picked;
+  }
+  picked.reserve(k);
+  for (std::size_t j = count - k; j < count; ++j) {
+    const std::size_t t = rng.bounded(j + 1);
+    const auto at = std::lower_bound(picked.begin(), picked.end(), t);
+    if (at != picked.end() && *at == t) {
+      picked.push_back(j);  // every earlier pick is < j: still ascending
+    } else {
+      picked.insert(at, t);
+    }
+  }
+  return picked;
 }
 
 /// Work threshold (candidates x parameters) below which parallel scoring
@@ -30,55 +42,39 @@ constexpr std::size_t kParallelScoreWork = std::size_t{1} << 17;
 
 }  // namespace
 
-std::vector<std::size_t> top_k_by_score_reference(
-    std::span<const Candidate> candidates, const std::vector<double>& scores,
-    std::size_t k, parallel::Xoshiro256& rng) {
-  auto order = shuffled_positions(candidates.size(), rng);
-  std::stable_sort(order.begin(), order.end(),
-                   [&scores](std::size_t a, std::size_t b) {
-                     return scores[a] > scores[b];
-                   });
-  const std::size_t take = std::min(k, candidates.size());
-  std::vector<std::size_t> ids;
-  ids.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    ids.push_back(candidates[order[i]].device_id);
-  }
-  return ids;
-}
-
 std::vector<std::size_t> top_k_by_score(std::span<const Candidate> candidates,
                                         const std::vector<double>& scores,
                                         std::size_t k,
                                         parallel::Xoshiro256& rng) {
+  const std::uint64_t salt = rng();
   const std::size_t n = candidates.size();
-  const auto order = shuffled_positions(n, rng);
   const std::size_t take = std::min(k, n);
-  // Rank-equivalence: stable_sort of `order` by score keeps equal-score
-  // positions in shuffle order, i.e. it orders by the composite key
-  // (score desc, shuffle-rank asc) — a strict total order (ranks are
-  // distinct). Selecting the `take` smallest composite keys with
-  // nth_element + sort therefore yields the identical prefix without
-  // sorting the n - k tail.
-  std::vector<std::size_t> ranks(n);
-  std::iota(ranks.begin(), ranks.end(), std::size_t{0});
-  const auto by_key = [&](std::size_t ra, std::size_t rb) {
-    const double sa = scores[order[ra]];
-    const double sb = scores[order[rb]];
-    if (sa != sb) return sa > sb;
-    return ra < rb;
+  // (score desc, tie key asc) is a strict total order: hash_combine(salt,
+  // .) is a bijection, so distinct ids get distinct keys (the position
+  // only breaks ties between duplicate ids). The tie key is computed only
+  // when scores tie.
+  const auto tie_key = [&](std::size_t i) {
+    return parallel::hash_combine(salt, candidates[i].device_id);
   };
+  const auto before = [&](std::size_t a, std::size_t b) {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    const std::uint64_t ka = tie_key(a);
+    const std::uint64_t kb = tie_key(b);
+    if (ka != kb) return ka < kb;
+    return a < b;
+  };
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
   if (take < n) {
-    std::nth_element(ranks.begin(), ranks.begin() + static_cast<std::ptrdiff_t>(take),
-                     ranks.end(), by_key);
-    ranks.resize(take);
+    std::nth_element(order.begin(),
+                     order.begin() + static_cast<std::ptrdiff_t>(take),
+                     order.end(), before);
+    order.resize(take);
   }
-  std::sort(ranks.begin(), ranks.end(), by_key);
+  std::sort(order.begin(), order.end(), before);
   std::vector<std::size_t> ids;
   ids.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    ids.push_back(candidates[order[ranks[i]]].device_id);
-  }
+  for (const std::size_t i : order) ids.push_back(candidates[i].device_id);
   return ids;
 }
 
@@ -140,29 +136,18 @@ std::vector<std::size_t> RandomSelection::select(
     std::span<const Candidate> candidates,
     std::span<const float> /*cloud_params*/, std::size_t k,
     parallel::Xoshiro256& rng, const SelectionContext& /*context*/) const {
-  auto order = shuffled_positions(candidates.size(), rng);
-  const std::size_t take = std::min(k, candidates.size());
-  std::vector<std::size_t> ids;
-  ids.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    ids.push_back(candidates[order[i]].device_id);
-  }
+  std::vector<std::size_t> ids = floyd_positions(candidates.size(), k, rng);
+  for (std::size_t& id : ids) id = candidates[id].device_id;
   return ids;
 }
 
 std::vector<std::size_t> RandomSelection::select_ids(
     std::span<const std::size_t> ids, std::size_t k,
     parallel::Xoshiro256& rng) const {
-  // Same draws and same result as select() over candidates built from
-  // `ids` in order: the shuffle depends only on the count, and
-  // candidates[i].device_id == ids[i].
-  auto order = shuffled_positions(ids.size(), rng);
-  const std::size_t take = std::min(k, ids.size());
-  std::vector<std::size_t> picked;
-  picked.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    picked.push_back(ids[order[i]]);
-  }
+  // The positions depend only on ids.size() and the draws, so this equals
+  // select() over candidates carrying `ids` in order.
+  std::vector<std::size_t> picked = floyd_positions(ids.size(), k, rng);
+  for (std::size_t& p : picked) p = ids[p];
   return picked;
 }
 

@@ -63,22 +63,16 @@ std::vector<double> score_selection_utilities(
     std::span<const Candidate> candidates, std::span<const float> cloud_params,
     const SelectionContext& context);
 
-/// Top-k ids by descending score after a random shuffle (equal scores break
-/// uniformly at random). Production path: O(n + k log k) — nth_element +
-/// partial sort over the composite key (score desc, shuffle-rank asc),
-/// which returns exactly the ids of stable-sorting the shuffled order by
-/// score. Consumes the same rng draws (the shuffle only) as the reference.
+/// Top-k ids by descending score, best first (stream contract v2). Equal
+/// scores break on the tie key hash_combine(salt, device_id), ascending,
+/// where `salt` is the first draw of `rng` — the only draw this makes. So
+/// ties break uniformly at random per (stream, device) with no shuffle and
+/// no O(n) random draws. O(n + k log k): nth_element + sort over (score
+/// desc, tie key asc); selection_test pins it against a full stable sort.
 std::vector<std::size_t> top_k_by_score(std::span<const Candidate> candidates,
                                         const std::vector<double>& scores,
                                         std::size_t k,
                                         parallel::Xoshiro256& rng);
-
-/// Reference implementation of the same ranking contract: full
-/// stable_sort of the shuffled permutation, O(n log n). Kept as the
-/// ground truth the equivalence property test pins top_k_by_score against.
-std::vector<std::size_t> top_k_by_score_reference(
-    std::span<const Candidate> candidates, const std::vector<double>& scores,
-    std::size_t k, parallel::Xoshiro256& rng);
 
 class SelectionStrategy {
  public:
@@ -117,18 +111,22 @@ class SelectionStrategy {
   /// The default forbids the call so a mismatch fails loudly.
   ///
   /// Position contract: an id-only strategy chooses by position. Which
-  /// positions it picks, and in what order, depends only on ids.size()
-  /// and the rng, never on the id values, so the result is ids[p] for a
-  /// sequence of positions p. Simulation relies on this: it passes the
-  /// ranks 0..count-1 and maps the returned ranks to device ids through
-  /// EdgeMembership::at_ranks, which yields the same ids in the same order
-  /// as passing the ascending member ids (pinned by selection_test).
+  /// positions it picks depends only on ids.size() and the rng, never on
+  /// the id values, and they come back ascending, so the result is ids[p]
+  /// for an ascending sequence of positions p. Simulation relies on this:
+  /// it passes the ranks 0..count-1 and maps the returned ranks to device
+  /// ids through EdgeMembership::at_ranks (which requires ascending ranks),
+  /// yielding the same ids in the same order as passing the ascending
+  /// member ids (pinned by membership_test).
   virtual std::vector<std::size_t> select_ids(std::span<const std::size_t> ids,
                                               std::size_t k,
                                               parallel::Xoshiro256& rng) const;
 };
 
-/// Uniform random K-subset (FedMes, HierFAVG).
+/// Uniform random K-subset (FedMes, HierFAVG), by Floyd's algorithm
+/// (stream contract v2): K bounded() draws pick K distinct positions,
+/// returned ascending; K >= count selects everyone without drawing. O(K)
+/// draws however many candidates the edge holds.
 class RandomSelection final : public SelectionStrategy {
  public:
   std::string name() const override { return "random"; }

@@ -491,10 +491,10 @@ void Simulation::select_edge(std::size_t n) {
   auto rng = streams_.stream(kSelectTag, n, t_);
   if (!algorithm_.selection->needs_metadata()) {
     // Id-only fast path (random selection): the strategy chooses by
-    // position, so it picks from the ranks 0..count-1 and one scan of the
-    // edge's row maps the picks to ids — no member list, no Candidate
+    // position, so it picks ascending ranks from 0..count-1 and one scan
+    // of the edge's row maps them to ids — no member list, no Candidate
     // build, no per-member device dereference. Same draws, same ids, same
-    // order as selecting from the ascending ids (pinned by selection_test).
+    // order as selecting from the ascending ids (pinned by membership_test).
     std::vector<std::size_t> picked = algorithm_.selection->select_ids(
         std::span<const std::size_t>(ranks_).first(count),
         cfg_.select_per_edge, rng);

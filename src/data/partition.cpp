@@ -21,6 +21,15 @@ void check_args(const Dataset& dataset, std::size_t num_devices) {
   }
 }
 
+/// Fisher-Yates shuffle on Xoshiro256::bounded: the permutation depends on
+/// this file and the generator alone, not on a standard library's
+/// std::shuffle algorithm.
+void fisher_yates(std::vector<std::size_t>& values, Xoshiro256& rng) {
+  for (std::size_t i = values.size(); i > 1; --i) {
+    std::swap(values[i - 1], values[rng.bounded(i)]);
+  }
+}
+
 /// Marsaglia-Tsang gamma(shape, 1) sampler; handles shape < 1 via the
 /// boosting identity gamma(a) = gamma(a+1) * U^(1/a).
 double sample_gamma(double shape, Xoshiro256& rng) {
@@ -129,7 +138,7 @@ Partition partition_dirichlet(const Dataset& dataset, std::size_t num_devices,
   for (std::size_t c = 0; c < classes; ++c) {
     auto indices = dataset.indices_of_class(static_cast<std::int32_t>(c));
     auto rng = streams.stream(c);
-    std::shuffle(indices.begin(), indices.end(), rng);
+    fisher_yates(indices, rng);
 
     // Dirichlet proportions over devices for this class.
     std::vector<double> props(num_devices);
@@ -176,7 +185,7 @@ Partition partition_iid(const Dataset& dataset, std::size_t num_devices,
   std::vector<std::size_t> indices(dataset.size());
   std::iota(indices.begin(), indices.end(), std::size_t{0});
   Xoshiro256 rng(seed);
-  std::shuffle(indices.begin(), indices.end(), rng);
+  fisher_yates(indices, rng);
 
   Partition out;
   out.device_indices.resize(num_devices);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
@@ -36,7 +37,7 @@ MarkovMobility::MarkovMobility(std::vector<std::size_t> initial_assignment,
   if (!(move_probability >= 0.0 && move_probability <= 1.0)) {
     throw std::invalid_argument("MarkovMobility: P must be in [0, 1]");
   }
-  move_prob_.assign(current_.size(), move_probability);
+  p_max_ = move_probability;
   finalize_probabilities();
 }
 
@@ -71,21 +72,46 @@ MarkovMobility::MarkovMobility(std::vector<std::size_t> initial_assignment,
 }
 
 void MarkovMobility::finalize_probabilities() {
-  // An empty vector used to pass validation yet advance() indexed
-  // move_prob_[m] unconditionally — normalize to explicit P = 0 so the
-  // hot loop never has to branch on the degenerate shape.
-  if (move_prob_.empty()) move_prob_.assign(initial_.size(), 0.0);
-  if (device_keys_.size() != initial_.size()) {
-    device_keys_.resize(initial_.size());
-    for (std::size_t m = 0; m < device_keys_.size(); ++m) {
-      device_keys_[m] = parallel::hash_combine(streams_.root_seed(), m);
+  // A fleet sharing one P keeps no per-device vector: the walk then never
+  // loads P_m, and 1M devices save 8 MB. An empty input vector means
+  // P = 0 everywhere.
+  if (!move_prob_.empty()) {
+    p_max_ = *std::max_element(move_prob_.begin(), move_prob_.end());
+    if (std::all_of(move_prob_.begin(), move_prob_.end(),
+                    [&](double p) { return p == p_max_; })) {
+      move_prob_ = {};
     }
   }
   global_mobility_ =
-      move_prob_.empty()
-          ? 0.0
-          : std::accumulate(move_prob_.begin(), move_prob_.end(), 0.0) /
-                static_cast<double>(move_prob_.size());
+      !move_prob_.empty()
+          ? std::accumulate(move_prob_.begin(), move_prob_.end(), 0.0) /
+                static_cast<double>(move_prob_.size())
+          : initial_.empty() ? 0.0 : p_max_;
+  survival_.clear();
+  guide_.clear();
+  if (p_max_ <= 0.0 || p_max_ >= 1.0) return;
+  // A gap of a whole shard length ends the walk of any shard, so the table
+  // stops there; it also stops once (1 - P_max)^g <= 2^-53, the smallest
+  // nonzero uniform draw.
+  const std::size_t devices = initial_.size();
+  const std::size_t shards = shard_count(devices);
+  const std::size_t shard_length = (devices + shards - 1) / shards;
+  const double stay = 1.0 - p_max_;
+  double survival = 1.0;
+  survival_.push_back(survival);
+  while (survival_.size() <= shard_length && survival > 0x1.0p-53) {
+    survival *= stay;
+    survival_.push_back(survival);
+  }
+  // guide_[b]: the number of g >= 1 with survival_[g] > u for the largest
+  // draw u in bucket b, [b, b + 1) / kGuideBuckets.
+  guide_.resize(kGuideBuckets);
+  std::size_t above = survival_.size() - 1;
+  for (std::size_t b = 0; b < kGuideBuckets; ++b) {
+    const double top = static_cast<double>(b + 1) / kGuideBuckets - 0x1.0p-53;
+    while (above > 0 && !(survival_[above] > top)) --above;
+    guide_[b] = above;
+  }
 }
 
 void MarkovMobility::set_topology(MoveTopology topology, double home_bias) {
@@ -96,33 +122,43 @@ void MarkovMobility::set_topology(MoveTopology topology, double home_bias) {
   home_bias_ = home_bias;
 }
 
-void MarkovMobility::advance_range(std::size_t lo, std::size_t hi,
+std::size_t MarkovMobility::next_gap(
+    parallel::Xoshiro256& rng) const noexcept {
+  // P(gap >= g) = (1 - P_max)^g = survival_[g], and P(u < survival_[g])
+  // is the same, so the gap is the number of g >= 1 with survival_[g] > u
+  // (a prefix, since the table falls). All of them means a gap past the
+  // end of any shard. The guide entry of u's bucket is that count at the
+  // bucket's top, a lower bound; the scan past it is usually empty.
+  const double u = rng.uniform();
+  const std::size_t last = survival_.size() - 1;
+  std::size_t above = guide_[static_cast<std::size_t>(u * kGuideBuckets)];
+  while (above < last && survival_[above + 1] > u) ++above;
+  return above == last ? kNoCandidate : above;
+}
+
+void MarkovMobility::advance_shard(std::size_t s, std::size_t lo,
+                                   std::size_t hi,
                                    std::vector<std::size_t>& movers) {
-  constexpr std::size_t kBlock = 1024;
-  const std::uint64_t step_mix = parallel::combine_mix(step_);
-  std::uint8_t gate[kBlock];
-  for (std::size_t base = lo; base < hi; base += kBlock) {
-    const std::size_t len = std::min(kBlock, hi - base);
-    const std::uint64_t* keys = device_keys_.data() + base;
-    const double* probs = move_prob_.data() + base;
-    // Pass 1, branch-free: the gate draw is the first uniform() of the
-    // device's (device, step) stream. uniform() lands in [0, 1), so P = 0
-    // never passes.
-    for (std::size_t i = 0; i < len; ++i) {
-      gate[i] = parallel::first_uniform(
-                    parallel::hash_combine_mixed(keys[i], step_mix)) < probs[i];
+  parallel::Xoshiro256 rng = streams_.stream(step_, s);
+  const bool every_device = p_max_ >= 1.0;
+  for (std::size_t m = lo;; ++m) {
+    if (!every_device) {
+      const std::size_t gap = next_gap(rng);
+      if (gap == kNoCandidate || gap >= hi - m) return;
+      m += gap;
+    } else if (m >= hi) {
+      return;
     }
-    // Pass 2: only devices through the gate replay their full stream.
-    for (std::size_t i = 0; i < len; ++i) {
-      if (gate[i]) move_device(base + i, movers);
+    if (!move_prob_.empty()) {
+      const double p = move_prob_[m];
+      if (p < p_max_ && !(rng.uniform() * p_max_ < p)) continue;
     }
+    move_device(m, rng, movers);
   }
 }
 
-void MarkovMobility::move_device(std::size_t m,
+void MarkovMobility::move_device(std::size_t m, parallel::Xoshiro256& rng,
                                  std::vector<std::size_t>& movers) {
-  parallel::Xoshiro256 rng(parallel::hash_combine(device_keys_[m], step_));
-  rng.uniform();  // the gate draw pass 1 already consumed
   const std::size_t before = current_[m];
   switch (topology_) {
     case MoveTopology::kUniform: {
@@ -152,10 +188,10 @@ void MarkovMobility::move_device(std::size_t m,
   if (current_[m] != before) movers.push_back(m);
 }
 
-std::size_t MarkovMobility::shard_count(std::size_t devices) const {
+std::size_t MarkovMobility::shard_count(std::size_t devices) noexcept {
   // Boundaries depend only on the fleet size — never on the pool — so the
-  // shard-local mover lists concatenate into the same ascending order at
-  // any worker count. The grain keeps dispatch overhead off small fleets.
+  // shard streams and the concatenated mover list are the same at any
+  // worker count. The grain keeps dispatch overhead off small fleets.
   constexpr std::size_t kGrain = 16384;
   const std::size_t by_grain = (devices + kGrain - 1) / kGrain;
   return std::clamp<std::size_t>(by_grain, 1, 64);
@@ -164,21 +200,28 @@ std::size_t MarkovMobility::shard_count(std::size_t devices) const {
 void MarkovMobility::advance() {
   ++step_;
   movers_.clear();
-  if (num_edges_ == 1) return;  // nowhere to go
   const std::size_t devices = current_.size();
+  if (num_edges_ == 1 || p_max_ <= 0.0 || devices == 0) return;  // no moves
   const std::size_t shards = shard_count(devices);
+  const std::size_t per = (devices + shards - 1) / shards;
+  const auto bounds = [&](std::size_t s) {
+    return std::pair{std::min(devices, s * per),
+                     std::min(devices, (s + 1) * per)};
+  };
   if (pool_ == nullptr || pool_->size() <= 1 || shards <= 1 ||
       parallel::ThreadPool::in_worker()) {
-    advance_range(0, devices, movers_);
+    for (std::size_t s = 0; s < shards; ++s) {
+      const auto [lo, hi] = bounds(s);
+      advance_shard(s, lo, hi, movers_);
+    }
     return;
   }
-  const std::size_t per = (devices + shards - 1) / shards;
   shard_movers_.resize(shards);
   parallel::parallel_for(*pool_, 0, shards, [&](std::size_t s) {
     auto& local = shard_movers_[s];
     local.clear();
-    const std::size_t lo = s * per;
-    advance_range(lo, std::min(devices, lo + per), local);
+    const auto [lo, hi] = bounds(s);
+    advance_shard(s, lo, hi, local);
   });
   for (const auto& local : shard_movers_) {
     movers_.insert(movers_.end(), local.begin(), local.end());

@@ -1,23 +1,28 @@
 // Markov edge-transition mobility (the paper's model in §3.2).
 //
-// At each time step, device m jumps to a uniformly random *other* edge with
-// probability P_m and stays put otherwise. The global mobility P is the
-// mean of P_m over devices — exactly the quantity swept in Fig. 7. The
-// transition draw is keyed on (seed, device, step) so runs are reproducible
-// and independent of evaluation order — which also makes advance() free to
-// shard over a thread pool in fixed device ranges: each shard walks its own
-// slice of the SoA (keys, probabilities, assignment) arrays and emits a
-// local mover list, concatenated in shard order into one ascending delta.
+// At each time step, device m jumps to another edge with probability P_m
+// and stays put otherwise. The global mobility P is the mean of P_m over
+// devices — exactly the quantity swept in Fig. 7.
 //
-// Each shard walks its range in blocks of 1024 devices, in two passes. The
-// gate "does device m move?" is the first uniform() of its (m, step)
-// stream, which parallel::first_uniform() computes from the stream key
-// alone, so pass 1 is a branch-free, vectorizable loop writing one gate
-// byte per device. Pass 2 replays the full stream only for the devices
-// through the gate (a fraction P of the fleet): it discards the gate draw
-// and picks the destination. The draws are exactly those of the one-pass
-// loop, so every assignment is bitwise unchanged (pinned by the MarkovGate
-// oracle in mobility_parallel_test).
+// Stream contract v2 (docs/ARCHITECTURE.md, "Stream contract v2"). The
+// fleet splits into fixed shards — shard_count(n) = ceil(n / 16384)
+// clamped to [1, 64], each ceil(n / shards) devices long — and the
+// boundaries are part of the contract. Shard s at step t draws from one
+// Xoshiro256 stream keyed (seed, t, s), in device order:
+//   1. a geometric gap at rate P_max = max P_m jumps to the next
+//      candidate. The gap is read off a table of (1 - P_max)^g built by
+//      repeated multiplication (no libm call, so every ISA and libm picks
+//      the same gap). P_max = 0 draws nothing; P_max = 1 makes every device
+//      a candidate without gap draws;
+//   2. a candidate with P_m < P_max is accepted when u * P_max < P_m (one
+//      uniform draw); P_m = P_max accepts without a draw;
+//   3. an accepted device draws its destination from the same stream.
+// So a step costs O(P_max * n) draws, and the pool runs shards in parallel:
+// each writes only its own slice of the assignment and emits a local
+// ascending mover list, concatenated in shard order. Serial and pooled
+// runs are bitwise equal at every pool size. The v1 pattern (one stream
+// per (device, step)) survives only as the statistical reference in
+// mobility_parallel_test.
 #pragma once
 
 #include "mobility/mobility_model.hpp"
@@ -78,30 +83,47 @@ class MarkovMobility final : public MobilityModel {
   /// must call finalize_probabilities()).
   double global_mobility() const noexcept { return global_mobility_; }
 
+  /// Shards of an n-device fleet: ceil(n / 16384) clamped to [1, 64].
+  /// Part of the stream contract — it depends only on n, never on the pool.
+  static std::size_t shard_count(std::size_t devices) noexcept;
+
  private:
-  /// Normalizes move_prob_ (empty -> all-zero, fixing the latent OOB read
-  /// in advance()), rebuilds the cached per-device stream keys, and
-  /// recomputes the cached global mobility.
+  /// Sets P_max from move_prob_ (dropping the vector when every device
+  /// shares it; an empty vector keeps the P_max already set, 0 unless the
+  /// scalar constructor set it), recomputes the cached global mobility and
+  /// rebuilds the gap table.
   void finalize_probabilities();
-  /// Serial two-pass transition loop over devices [lo, hi), appending
-  /// movers in ascending id order. Thread-safe across disjoint ranges: each
-  /// device draws from its own (device, step) stream and writes only its
-  /// own current_ slot.
-  void advance_range(std::size_t lo, std::size_t hi,
+  /// Walks shard s, devices [lo, hi), on its (seed, step, s) stream,
+  /// appending movers in ascending id order. Thread-safe across shards:
+  /// each writes only its own current_ slots.
+  void advance_shard(std::size_t s, std::size_t lo, std::size_t hi,
                      std::vector<std::size_t>& movers);
-  /// Pass 2 for one device through the gate: replays its stream past the
-  /// gate draw, moves it per the topology and records it if it moved.
-  void move_device(std::size_t m, std::vector<std::size_t>& movers);
-  std::size_t shard_count(std::size_t devices) const;
+  /// Devices skipped before the next candidate, or kNoCandidate when the
+  /// gap runs past any shard's end.
+  std::size_t next_gap(parallel::Xoshiro256& rng) const noexcept;
+  /// Moves accepted device m per the topology, drawing from `rng`, and
+  /// records it if it moved.
+  void move_device(std::size_t m, parallel::Xoshiro256& rng,
+                   std::vector<std::size_t>& movers);
+
+  static constexpr std::size_t kNoCandidate = ~std::size_t{0};
 
   std::vector<std::size_t> initial_;
   std::vector<std::size_t> current_;
   std::size_t num_edges_;
+  /// Per-device P_m; empty when every device has P_max (then no acceptance
+  /// draw is ever made, so the walk never reads it).
   std::vector<double> move_prob_;
   parallel::StreamRng streams_;
-  /// hash_combine(seed, device), the step-independent half of each
-  /// device's stream key — advance() finishes it with one combine.
-  std::vector<std::uint64_t> device_keys_;
+  /// survival_[g] = (1 - P_max)^g by repeated multiplication, for g = 0
+  /// up to the shard length or the first value <= 2^-53 (a uniform draw
+  /// below it can only be 0). Empty unless 0 < P_max < 1.
+  std::vector<double> survival_;
+  /// Search accelerator for next_gap(), not part of the contract: per
+  /// bucket of the uniform draw, a lower bound on the gap.
+  static constexpr std::size_t kGuideBuckets = 1024;
+  std::vector<std::size_t> guide_;
+  double p_max_ = 0.0;
   std::vector<std::size_t> movers_;
   std::vector<std::vector<std::size_t>> shard_movers_;
   parallel::ThreadPool* pool_ = nullptr;

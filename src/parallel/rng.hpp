@@ -48,8 +48,7 @@ class Xoshiro256 {
 
   explicit Xoshiro256(std::uint64_t seed = 0x853c49e6748fea9bULL) noexcept {
     // Seed the four words through SplitMix64 as the authors recommend; this
-    // guarantees a non-zero state for every seed. Word k is the (k+1)-th
-    // SplitMix64 step of the seed (first_uniform() relies on this layout).
+    // guarantees a non-zero state for every seed.
     std::uint64_t sm = seed;
     for (auto& word : state_) {
       sm = splitmix64(sm);
@@ -62,18 +61,8 @@ class Xoshiro256 {
     return std::numeric_limits<result_type>::max();
   }
 
-  /// The ** scrambler: a draw is a function of state word 1 alone.
-  static constexpr result_type scramble(std::uint64_t word1) noexcept {
-    return rotl(word1 * 5, 7) * 9;
-  }
-  /// A 64-bit draw as a double in [0, 1): its high 53 bits, scaled by the
-  /// exact power of two 2^-53.
-  static constexpr double to_unit(result_type bits) noexcept {
-    return static_cast<double>(bits >> 11) * 0x1.0p-53;
-  }
-
   result_type operator()() noexcept {
-    const std::uint64_t result = scramble(state_[1]);
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
     const std::uint64_t t = state_[1] << 17;
     state_[2] ^= state_[0];
     state_[3] ^= state_[1];
@@ -85,7 +74,9 @@ class Xoshiro256 {
   }
 
   /// Uniform double in [0, 1) using the high 53 bits.
-  double uniform() noexcept { return to_unit((*this)()); }
+  double uniform() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform float in [0, 1).
   float uniform_float() noexcept {
@@ -137,17 +128,6 @@ class Xoshiro256 {
   double spare_ = 0.0;
   bool have_spare_ = false;
 };
-
-/// Xoshiro256(seed).uniform(), bitwise, without building the generator:
-/// the first draw reads only state word 1, the second SplitMix64 step of
-/// the seed. Pure integer math plus one exact power-of-two scale, so a
-/// loop over many seeds is branch-free, vectorizes where the ISA has
-/// 64-bit lane multiplies (AVX-512), and gives the same doubles under
-/// every ISA (pinned against the generator by rng_test).
-constexpr double first_uniform(std::uint64_t seed) noexcept {
-  return Xoshiro256::to_unit(
-      Xoshiro256::scramble(splitmix64(splitmix64(seed))));
-}
 
 /// Factory for decorrelated per-entity streams. The typical pattern:
 ///   StreamRng rng(seed);

@@ -320,11 +320,14 @@ TEST(EdgeSkew, SkipsEmptyEdgesAndValidates) {
 
 TEST(EdgeSkew, UniformMobilityErasesSkewHomeRingKeepsIt) {
   // The phenomenon that motivated the home-ring topology, measured with
-  // the metric itself.
-  const auto tail_skew = [](middlefl::mobility::MoveTopology topology) {
+  // the metric itself. Four devices per edge make one run's skew noisy
+  // (the home-ring margin ranges over about 0.05-0.10 across mobility
+  // seeds), so the margin is averaged over eight seeds.
+  const auto tail_skew = [](middlefl::mobility::MoveTopology topology,
+                            std::uint64_t seed) {
     SimBundle bundle(/*classes=*/10, /*devices=*/40, /*edges=*/10);
     auto mobility = std::make_unique<middlefl::mobility::MarkovMobility>(
-        bundle.initial_edges, bundle.num_edges, 0.5, 77);
+        bundle.initial_edges, bundle.num_edges, 0.5, seed);
     mobility->set_topology(topology, 0.7);
     const middlefl::optim::Sgd sgd({.learning_rate = 0.05});
     middlefl::core::Simulation sim(
@@ -338,10 +341,13 @@ TEST(EdgeSkew, UniformMobilityErasesSkewHomeRingKeepsIt) {
     }
     return acc / 10.0;
   };
-  const double uniform =
-      tail_skew(middlefl::mobility::MoveTopology::kUniform);
-  const double home = tail_skew(middlefl::mobility::MoveTopology::kHomeRing);
-  EXPECT_GT(home, uniform + 0.08);
+  double uniform = 0.0;
+  double home = 0.0;
+  for (std::uint64_t seed = 77; seed < 85; ++seed) {
+    uniform += tail_skew(middlefl::mobility::MoveTopology::kUniform, seed) / 8;
+    home += tail_skew(middlefl::mobility::MoveTopology::kHomeRing, seed) / 8;
+  }
+  EXPECT_GT(home, uniform + 0.05);
 }
 
 // --- System heterogeneity: speeds, deadlines, stragglers ---

@@ -4,10 +4,11 @@
 //
 //  - EdgeMembership: the rows against per-edge id lists rebuilt from
 //    scratch after random move sequences (counts, ascending iteration,
-//    rank lookup across word boundaries, empty edges, ragged n).
+//    rank lookup across word and block boundaries, empty edges, ragged n).
 //  - Rank-mapped selection: random selection over the ranks 0..count-1,
 //    mapped through at_ranks, picks exactly the ids (in the same order)
-//    it picks from the ascending member ids.
+//    it picks from the ascending member ids; at_ranks rejects ranks that
+//    are not strictly ascending.
 //  - MembershipIncremental: after every simulation step the rows are
 //    exactly what a full rebuild from the assignment would produce: same
 //    devices, same edges, ascending by id, each device on exactly one
@@ -64,13 +65,16 @@ void expect_rows_match_lists(const EdgeMembership& rows,
     std::vector<std::size_t> walked;
     rows.for_each(e, [&](std::size_t m) { walked.push_back(m); });
     ASSERT_EQ(walked, list) << where << " edge " << e;
-    // Ranks around the first word boundary and the last one, in a
-    // scrambled order with a repeat.
+    // Ranks around the first word boundary, the middle and the last one,
+    // ascending as at_ranks requires (the middle and last cross 4096-device
+    // blocks on the larger fleets).
     std::vector<std::size_t> ranks;
-    for (const std::size_t r : {std::size_t{64}, list.size() - 1,
-                                std::size_t{0}, std::size_t{63},
-                                std::size_t{0}}) {
-      if (r < list.size()) ranks.push_back(r);
+    for (const std::size_t r : {std::size_t{0}, std::size_t{63},
+                                std::size_t{64}, list.size() / 2,
+                                list.size() / 2 + 1, list.size() - 1}) {
+      if (r < list.size() && (ranks.empty() || r > ranks.back())) {
+        ranks.push_back(r);
+      }
     }
     std::vector<std::size_t> expected;
     for (const std::size_t r : ranks) expected.push_back(list[r]);
@@ -84,7 +88,7 @@ void expect_rows_match_lists(const EdgeMembership& rows,
 }
 
 TEST(EdgeMembership, RandomMovesMatchListRebuild) {
-  for (const std::size_t n : {1u, 63u, 64u, 65u, 200u, 1000u, 4097u}) {
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 200u, 1000u, 4097u, 12300u}) {
     for (const std::size_t num_edges : {1u, 3u, 9u}) {
       Xoshiro256 rng(n * 131 + num_edges);
       // Start with the last edge empty (when there is more than one).
@@ -145,6 +149,16 @@ TEST(EdgeMembership, RankMappedRandomSelectionMatchesIds) {
       rows.at_ranks(0, mapped);
       ASSERT_EQ(mapped, direct) << "count " << count << " k " << k;
       ASSERT_EQ(rng_ids(), rng_ranks()) << "count " << count << " k " << k;
+    }
+    if (count >= 2) {
+      // at_ranks leans on the ascending order random selection returns: a
+      // repeated or descending rank is rejected, not silently mis-mapped.
+      std::vector<std::size_t> descending{count - 1, 0};
+      EXPECT_THROW(rows.at_ranks(0, descending), std::invalid_argument)
+          << "count " << count;
+      std::vector<std::size_t> repeated{0, 0};
+      EXPECT_THROW(rows.at_ranks(0, repeated), std::invalid_argument)
+          << "count " << count;
     }
   }
 }

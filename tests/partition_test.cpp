@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
+#include "parallel/rng.hpp"
 
 namespace {
 
@@ -146,6 +149,24 @@ TEST(IidPartition, BalancedSizes) {
     EXPECT_EQ(dev.size(), 25u);
   }
   EXPECT_EQ(p.major_class[0], -1);
+}
+
+TEST(IidPartition, FisherYatesPermutationPinned) {
+  // With one device the IID split is the shuffled index list itself. The
+  // shuffle is the in-tree Fisher-Yates on Xoshiro256::bounded, so seed 17
+  // gives this permutation under every standard library.
+  const Dataset ds = make_dataset(3, 4);  // 12 samples
+  const auto p = middlefl::data::partition_iid(ds, 1, 17);
+  const std::vector<std::size_t> pinned{8, 10, 7, 11, 9, 0, 1, 3, 2, 4, 6, 5};
+  EXPECT_EQ(p.device_indices[0], pinned);
+  // The same permutation, spelled as the algorithm.
+  std::vector<std::size_t> expected(ds.size());
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  middlefl::parallel::Xoshiro256 rng(17);
+  for (std::size_t i = expected.size(); i > 1; --i) {
+    std::swap(expected[i - 1], expected[rng.bounded(i)]);
+  }
+  EXPECT_EQ(p.device_indices[0], expected);
 }
 
 TEST(EdgeAssignment, GroupsByMajorClass) {

@@ -1,10 +1,10 @@
 // Staged step-pipeline tests.
 //
-// 1. Golden seed-parity pins: under default (lossless, zero-latency) link
-//    policies the transport-layer pipeline must reproduce the pre-refactor
-//    monolithic loop bit for bit — accuracies, parameter hashes, and every
-//    communication counter. The fingerprints below were captured from the
-//    last pre-transport commit on three codegen targets (see GoldenRun).
+// 1. Golden seed-parity pins: nine end-to-end runs must reproduce their
+//    recorded fingerprints bit for bit — accuracies, parameter hashes, and
+//    every communication counter. The fingerprints below were recorded
+//    when stream contract v2 replaced the v1 mobility and selection draw
+//    patterns, on two codegen targets (see GoldenRun).
 //    Integer counters and accuracy bits are ISA-invariant and always
 //    asserted hard, as is bare == observed equality of every float
 //    fingerprint (observation must not perturb the run). The float-valued
@@ -83,11 +83,11 @@ std::uint64_t device_hash(Simulation& sim) {
   return h;
 }
 
-// Pre-refactor fingerprints of one SimBundle run (20 steps, 5 eval
-// points). Each float hash lists the recorded codegen variants in order:
-// the original -march=native build, portable x86-64, and gcc-12
-// -march=native on an AVX-512 host (see tests/README.md).
-constexpr std::size_t kVariants = 3;
+// Recorded fingerprints of one SimBundle run (20 steps, 5 eval points).
+// Each float hash lists the recorded codegen variants in order: gcc-12
+// -march=native on an AVX-512 host, then portable x86-64 (see
+// tests/README.md).
+constexpr std::size_t kVariants = 2;
 struct GoldenRun {
   const char* name;
   std::uint64_t acc_bits[5];  // ISA-invariant
@@ -198,14 +198,14 @@ std::string run_golden(SimBundle& bundle, Algorithm algorithm,
 TEST(GoldenParity, MiddleDefault) {
   const GoldenRun golden{
       "middle_default",
-      {0x3fcc28f5c28f5c29, 0x3fceb851eb851eb8, 0x3fd0000000000000,
-       0x3fd3d70a3d70a3d7, 0x3fd3d70a3d70a3d7},
-      {0xa6e48d10ecf20269, 0x159bb9b71d73fa40, 0x25a9d92e42546fd6},
-      {0xc677cc5187254832, 0x5b08d7667fa48211, 0x611e6b9761cf70b7},
-      {0xed80f5423a901f27, 0x07ff30c38db5f7d3, 0xc19e2f98c5ca7e13},
+      {0x3fcc28f5c28f5c29, 0x3fd147ae147ae148, 0x3fd147ae147ae148,
+       0x3fd3d70a3d70a3d7, 0x3fd6666666666666},
+      {0x6a16158f3f4f5004, 0x9fef4b77c8b51211},
+      {0x252f3b7311dc4eed, 0xf8e479bab60f019a},
+      {0x0272ff0b54d15b43, 0x233eb5083ff1a457},
       117, 117, 12, 12, 48,
-      0, 0, 308880, 61,
-      {0x3fdfffa9a58325ac, 0x3fdfffa9a582ae6b, 0x3fdfffa9a58332a9}};
+      0, 0, 308880, 54,
+      {0x3fdfffb848260cc6, 0x3fdfffb84825f2cd}};
   SimBundle bundle;
   const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
   if (!skip.empty()) GTEST_SKIP() << skip;
@@ -215,14 +215,14 @@ TEST(GoldenParity, MiddleDefaultParallel) {
   // Same fingerprints with the thread pool on: parity AND determinism.
   const GoldenRun golden{
       "middle_parallel",
-      {0x3fcc28f5c28f5c29, 0x3fceb851eb851eb8, 0x3fd0000000000000,
-       0x3fd3d70a3d70a3d7, 0x3fd3d70a3d70a3d7},
-      {0xa6e48d10ecf20269, 0x159bb9b71d73fa40, 0x25a9d92e42546fd6},
-      {0xc677cc5187254832, 0x5b08d7667fa48211, 0x611e6b9761cf70b7},
-      {0xed80f5423a901f27, 0x07ff30c38db5f7d3, 0xc19e2f98c5ca7e13},
+      {0x3fcc28f5c28f5c29, 0x3fd147ae147ae148, 0x3fd147ae147ae148,
+       0x3fd3d70a3d70a3d7, 0x3fd6666666666666},
+      {0x6a16158f3f4f5004, 0x9fef4b77c8b51211},
+      {0x252f3b7311dc4eed, 0xf8e479bab60f019a},
+      {0x0272ff0b54d15b43, 0x233eb5083ff1a457},
       117, 117, 12, 12, 48,
-      0, 0, 308880, 61,
-      {0x3fdfffa9a58325ac, 0x3fdfffa9a582ae6b, 0x3fdfffa9a58332a9}};
+      0, 0, 308880, 54,
+      {0x3fdfffb848260cc6, 0x3fdfffb84825f2cd}};
   SimBundle bundle;
   bundle.cfg.parallel_devices = true;
   const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
@@ -234,14 +234,14 @@ TEST(GoldenParity, MiddleUploadFailures) {
   // through the exact same RNG stream as the pre-refactor failure draw.
   const GoldenRun golden{
       "middle_failures",
-      {0x3fcc28f5c28f5c29, 0x3fd0000000000000, 0x3fd0a3d70a3d70a4,
-       0x3fd1eb851eb851ec, 0x3fd5c28f5c28f5c3},
-      {0x9ce4853f26efeb88, 0x9c3e7c355f7b457b, 0x16914a1644466035},
-      {0xf077f623d0203229, 0xe116ec3eb404457c, 0xd66e651f1b900036},
-      {0xdef31f491db3dfd3, 0xb749a55846a39b57, 0x72a416b580ede02f},
+      {0x3fcc28f5c28f5c29, 0x3fceb851eb851eb8, 0x3fd1eb851eb851ec,
+       0x3fd3333333333333, 0x3fd51eb851eb851f},
+      {0xfa1c080549b0c5e7, 0xc1b7e5ad32f09bb5},
+      {0xf48c7fa91327c6e0, 0x5ccf75652d62e3b6},
+      {0xd4c4d18d298b4fff, 0xdb246f9062171f2f},
       117, 117, 12, 12, 48,
-      27, 0, 237600, 60,
-      {0x3fdfff99a8d61897, 0x3fdfff99a8d59276, 0x3fdfff99a8d6130f}};
+      28, 0, 234960, 53,
+      {0x3fdfffaeb9b79da9, 0x3fdfffaeb9b6f795}};
   SimBundle bundle;
   bundle.cfg.upload_failure_prob = 0.25;
   const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
@@ -251,14 +251,14 @@ TEST(GoldenParity, MiddleUploadFailures) {
 TEST(GoldenParity, MiddleTopKCompression) {
   const GoldenRun golden{
       "middle_topk",
-      {0x3fcc28f5c28f5c29, 0x3fcd70a3d70a3d71, 0x3fd0000000000000,
-       0x3fd3333333333333, 0x3fd3333333333333},
-      {0xc9632228bb922210, 0xa7aba8e75bcc999a, 0x309ffd8c08f753af},
-      {0x89f632a7f28a3181, 0x9fd915f75216f873, 0x7c37629ff3345938},
-      {0x58fc2ed312b62773, 0x895938b32e461f43, 0x2e651f025c59a7ef},
+      {0x3fcc28f5c28f5c29, 0x3fd0a3d70a3d70a4, 0x3fd147ae147ae148,
+       0x3fd3d70a3d70a3d7, 0x3fd5c28f5c28f5c3},
+      {0x1da1e53a621a80c6, 0x095fede985b4bf28},
+      {0x6988d6093b4cda47, 0xb57702e0d76a6049},
+      {0x2bd362526bdbecb3, 0x5dc5b59cc33c9a13},
       117, 117, 12, 12, 48,
-      0, 0, 154440, 61,
-      {0x3fdfffaccfb76416, 0x3fdfffaccfb76817, 0x3fdfffaccfb76f8e}};
+      0, 0, 154440, 54,
+      {0x3fdfffba581d1f35, 0x3fdfffba581c6c66}};
   SimBundle bundle;
   bundle.cfg.upload_compression.kind =
       middlefl::core::CompressionKind::kTopK;
@@ -272,13 +272,13 @@ TEST(GoldenParity, FedMesMobile) {
   const GoldenRun golden{
       "fedmes_mobile",
       {0x3fcc28f5c28f5c29, 0x3fd0000000000000, 0x3fd1eb851eb851ec,
-       0x3fd3d70a3d70a3d7, 0x3fd6666666666666},
-      {0x74d5fb910676bd55, 0x82ba6637fadaf8d0, 0x6f43182285fd8f28},
-      {0x8fa569a13ccc6d16, 0xb6ab51fbaa037741, 0xa7542109cc7bd049},
-      {0x81b15e4f7c1dd26f, 0x5dd8815c8b7451f3, 0xeb00a026c2f09a13},
-      201, 116, 12, 12, 48,
-      0, 0, 306240, 85,
-      {0x3fe0000000000000, 0x3fe0000000000000, 0x3fe0000000000000}};
+       0x3fd28f5c28f5c28f, 0x3fd5c28f5c28f5c3},
+      {0x51138dd662dcef79, 0x6b1ac76b16b63278},
+      {0x11e0bd5d0222f482, 0x5628bd7acc76f879},
+      {0x6b1dd65034f17a87, 0xaa1791e723edf733},
+      213, 118, 12, 12, 48,
+      0, 0, 311520, 95,
+      {0x3fe0000000000000, 0x3fe0000000000000}};
   SimBundle bundle;
   bundle.mobility_p = 0.8;
   const std::string skip = run_golden(bundle, Algorithm::kFedMes, golden);
@@ -289,14 +289,14 @@ TEST(GoldenParity, MiddleHeterogeneousStragglers) {
   // Stragglers pay the download but never train or upload.
   const GoldenRun golden{
       "middle_hetero",
-      {0x3fcc28f5c28f5c29, 0x3fceb851eb851eb8, 0x3fd0a3d70a3d70a4,
-       0x3fd147ae147ae148, 0x3fd51eb851eb851f},
-      {0xe8dd24b476f77b9f, 0xcff7be885e9e9e18, 0xd1b1fd7367ed1a81},
-      {0xd3fc37a7a1350108, 0x898da041a858f519, 0xecf962721724654a},
-      {0xb99e916635c4eb8f, 0xba03489419661533, 0x133634bc241c2957},
-      117, 107, 12, 12, 48,
-      21, 10, 227040, 54,
-      {0x3fdfff854d65ebdc, 0x3fdfff854d65ab85, 0x3fdfff854d65d18d}};
+      {0x3fcc28f5c28f5c29, 0x3fcd70a3d70a3d71, 0x3fd0000000000000,
+       0x3fd3333333333333, 0x3fd3d70a3d70a3d7},
+      {0x9d3ce95f3bedcf69, 0xd0f1da6c9ccd07c9},
+      {0xea2bda4372f51332, 0x9cb6742df74467d2},
+      {0xcb253286018af527, 0x2fe8193c8cce0827},
+      117, 104, 12, 12, 48,
+      20, 13, 221760, 48,
+      {0x3fdfffa79d6b25f8, 0x3fdfffa79d6b31e5}};
   SimBundle bundle;
   bundle.cfg.device_speeds.assign(12, 1.0);
   bundle.cfg.device_speeds[0] = 0.05;
@@ -307,10 +307,8 @@ TEST(GoldenParity, MiddleHeterogeneousStragglers) {
   if (!skip.empty()) GTEST_SKIP() << skip;
 }
 
-// The three sync-WAN goldens below were captured later, from the last
-// commit with a separate barriered cloud stage, on the gcc-12 AVX-512 host
-// only (portable and -march=native builds). Their first variant slot
-// repeats the -march=native value.
+// The three sync-WAN goldens below pin the synchronous cloud round's WAN
+// paths, which the default policies never exercise.
 
 TEST(GoldenParity, MiddleWanLatency) {
   // Delayed WAN and wireless uplinks: every edge contribution reaches the
@@ -319,12 +317,12 @@ TEST(GoldenParity, MiddleWanLatency) {
       "middle_wan_latency",
       {0x3fcc28f5c28f5c29, 0x3fcc28f5c28f5c29, 0x3fcc28f5c28f5c29,
        0x3fcd70a3d70a3d71, 0x3fd0000000000000},
-      {0x259c975c48ef8971, 0x26b1d9d19622db75, 0x259c975c48ef8971},
-      {0x6b0ba86e323d8eba, 0x7bf6616a4469d0f6, 0x6b0ba86e323d8eba},
-      {0xd9dc3b68bb5a0457, 0xaa163917348d8a2f, 0xd9dc3b68bb5a0457},
+      {0xccc526f76782e526, 0x3e7f276213ff422d},
+      {0x80b49726f90b9ba7, 0x98d29dd14a69916e},
+      {0x8f7cf8b5cade1ab3, 0x23cc39a99725072f},
       117, 117, 12, 12, 48,
-      0, 0, 308880, 62,
-      {0x3fdfffb73c4d67e9, 0x3fdfffb73c4d58c5, 0x3fdfffb73c4d67e9}};
+      0, 0, 308880, 55,
+      {0x3fdfffb07dd28a50, 0x3fdfffb07dd2e4fe}};
   SimBundle bundle;
   bundle.cfg.transport.wan_up.latency_steps = 4;
   bundle.cfg.transport.wireless_up.latency_steps = 2;
@@ -337,14 +335,14 @@ TEST(GoldenParity, MiddleWanLossyTopK) {
   // every cloud-side link (uplink, edge push and device broadcast).
   const GoldenRun golden{
       "middle_wan_lossy",
-      {0x3fcc28f5c28f5c29, 0x3fcd70a3d70a3d71, 0x3fceb851eb851eb8,
-       0x3fd147ae147ae148, 0x3fd28f5c28f5c28f},
-      {0x954ac8f27517e957, 0x3cf7cd6d1060b555, 0x954ac8f27517e957},
-      {0xd038b6e19be82130, 0x908ff320c0b61516, 0xd038b6e19be82130},
-      {0xc993c13da32c49b6, 0xfdcd379611576add, 0xc993c13da32c49b6},
+      {0x3fcc28f5c28f5c29, 0x3fceb851eb851eb8, 0x3fd147ae147ae148,
+       0x3fd1eb851eb851ec, 0x3fd47ae147ae147b},
+      {0x79e13e6a906c0902, 0x35488823dbfe0827},
+      {0x5f402027417b03eb, 0xb033f13ed27108a0},
+      {0xe940c1a34deac9aa, 0xdb51a8a4330d26d5},
       117, 117, 12, 12, 48,
-      0, 0, 308880, 59,
-      {0x3fdfffa5fdf264ab, 0x3fdfffa5fdf1df69, 0x3fdfffa5fdf264ab}};
+      0, 0, 308880, 57,
+      {0x3fdfffaf268c2dd2, 0x3fdfffaf268c3cc9}};
   SimBundle bundle;
   bundle.cfg.transport.wan_up.compression = {
       middlefl::transport::CompressionKind::kTopK, 0.25};
@@ -359,14 +357,14 @@ TEST(GoldenParity, MiddleServerMomentumUniform) {
   // FedAvgM on a uniform-weight cloud aggregate.
   const GoldenRun golden{
       "middle_momentum",
-      {0x3fcc28f5c28f5c29, 0x3fceb851eb851eb8, 0x3fd147ae147ae148,
-       0x3fd51eb851eb851f, 0x3fd8f5c28f5c28f6},
-      {0x8065913d62c847bb, 0x44a5b303773fa824, 0x8065913d62c847bb},
-      {0xa6f492103d08a73c, 0x3c0a86a28cad684d, 0xa6f492103d08a73c},
-      {0xa35275c597e476d7, 0x34dbed72fe213743, 0xa35275c597e476d7},
+      {0x3fcc28f5c28f5c29, 0x3fd147ae147ae148, 0x3fd3d70a3d70a3d7,
+       0x3fd70a3d70a3d70a, 0x3fd851eb851eb852},
+      {0x1b2ab294a942d026, 0xb04ef36de789861a},
+      {0x20858c84f3cb10a7, 0xf90cc13e793fecf3},
+      {0x4700dc3b5b2984b3, 0x4a2aacf121caeb43},
       117, 117, 12, 12, 48,
-      0, 0, 308880, 61,
-      {0x3fdfffaca7fcb86e, 0x3fdfffaca7fc07ea, 0x3fdfffaca7fcb86e}};
+      0, 0, 308880, 54,
+      {0x3fdfffbc03fd9c42, 0x3fdfffbc03fd4291}};
   SimBundle bundle;
   bundle.cfg.server_momentum = 0.5;
   bundle.cfg.weighted_cloud_aggregation = false;

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <limits>
 #include <random>
 #include <set>
 #include <vector>
@@ -12,7 +10,6 @@
 namespace {
 
 using middlefl::parallel::combine_mix;
-using middlefl::parallel::first_uniform;
 using middlefl::parallel::hash_combine;
 using middlefl::parallel::hash_combine_mixed;
 using middlefl::parallel::splitmix64;
@@ -136,37 +133,6 @@ TEST(Xoshiro, UniformFloatInRange) {
 TEST(Xoshiro, BoundedOneAlwaysZero) {
   Xoshiro256 rng(10);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.bounded(1), 0u);
-}
-
-// first_uniform() is the Markov gate's shortcut for the first draw of a
-// fresh generator; it must equal that draw bit for bit.
-void expect_first_uniform_matches(std::uint64_t seed) {
-  const double fast = first_uniform(seed);
-  const double slow = Xoshiro256(seed).uniform();
-  ASSERT_EQ(std::bit_cast<std::uint64_t>(fast),
-            std::bit_cast<std::uint64_t>(slow))
-      << "seed " << seed;
-}
-
-TEST(FirstUniform, MatchesAFreshGeneratorBitwise) {
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, kMax,
-                                   kMax - 1, std::uint64_t{1} << 63}) {
-    expect_first_uniform_matches(seed);
-  }
-  // Low seeds, a SplitMix walk over the whole range, and the stream keys
-  // the Markov gate actually feeds it.
-  for (std::uint64_t s = 0; s < 50'000; ++s) expect_first_uniform_matches(s);
-  std::uint64_t walk = 0;
-  for (int i = 0; i < 50'000; ++i) {
-    walk = splitmix64(walk);
-    expect_first_uniform_matches(walk);
-  }
-  for (std::uint64_t m = 0; m < 1'000; ++m) {
-    for (std::uint64_t step = 0; step < 10; ++step) {
-      expect_first_uniform_matches(hash_combine(hash_combine(42, m), step));
-    }
-  }
 }
 
 TEST(HashCombine, HoistedMixMatches) {

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
+#include <random>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "chi_square.hpp"
 #include "core/selection.hpp"
 #include "core/similarity.hpp"
 
@@ -171,17 +177,54 @@ TEST(Selection, DeterministicGivenRng) {
             strategy.select(pool.candidates, cloud, 3, rng2));
 }
 
-// --- Partial top-k vs legacy full sort ---
+// --- Partial top-k vs the full-sort ranking oracle ---
 //
-// top_k_by_score replaced the full stable_sort with nth_element + partial
-// sort over (score desc, shuffle-rank asc). The ids must be bitwise
-// identical to the legacy path for ANY score vector — every strategy's
+// top_k_by_score ranks with nth_element + partial sort over (score desc,
+// tie key asc), where the tie key is hash_combine(salt, device_id) and the
+// salt is the stream's first draw. The oracle below is the plain reading
+// of that contract: a stable sort of every position by the same key. The
+// ids must be identical for ANY score vector — every strategy's
 // selection, and therefore every golden fingerprint, rides on this.
 
 using middlefl::core::HybridSelection;
 using middlefl::core::selection_utility;
 using middlefl::core::top_k_by_score;
-using middlefl::core::top_k_by_score_reference;
+using middlefl::parallel::hash_combine;
+
+std::vector<std::size_t> top_k_by_score_reference(
+    std::span<const Candidate> candidates, const std::vector<double>& scores,
+    std::size_t k, Xoshiro256& rng) {
+  const std::uint64_t salt = rng();
+  std::vector<std::size_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    return hash_combine(salt, candidates[a].device_id) <
+           hash_combine(salt, candidates[b].device_id);
+  });
+  std::vector<std::size_t> ids;
+  for (std::size_t i = 0; i < std::min(k, order.size()); ++i) {
+    ids.push_back(candidates[order[i]].device_id);
+  }
+  return ids;
+}
+
+/// Floyd's algorithm as textbooks write it, on a std::set: the bitwise
+/// oracle for RandomSelection's positions and draws.
+std::vector<std::size_t> floyd_reference(std::size_t count, std::size_t k,
+                                         Xoshiro256& rng) {
+  std::set<std::size_t> picked;
+  if (k >= count) {
+    for (std::size_t i = 0; i < count; ++i) picked.insert(i);
+  } else {
+    for (std::size_t j = count - k; j < count; ++j) {
+      const std::size_t t = rng.bounded(j + 1);
+      picked.insert(picked.count(t) != 0 ? j : t);
+    }
+  }
+  return {picked.begin(), picked.end()};
+}
 
 TEST(SelectionEquivalence, PartialMatchesReferenceUnderHeavyTies) {
   for (std::uint64_t trial = 0; trial < 300; ++trial) {
@@ -190,9 +233,9 @@ TEST(SelectionEquivalence, PartialMatchesReferenceUnderHeavyTies) {
     Pool pool;
     std::vector<double> scores(n);
     for (std::size_t i = 0; i < n; ++i) {
-      pool.add(i, {1.0f});
+      pool.add(i * 5 + 3, {1.0f});
       // Three discrete levels: long runs of equal scores stress the
-      // shuffle-rank tiebreak far harder than continuous draws would.
+      // tie-key order far harder than continuous draws would.
       scores[i] = 0.5 * static_cast<double>(gen.bounded(3));
     }
     for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n / 2,
@@ -201,13 +244,15 @@ TEST(SelectionEquivalence, PartialMatchesReferenceUnderHeavyTies) {
       EXPECT_EQ(top_k_by_score(pool.candidates, scores, k, rng_fast),
                 top_k_by_score_reference(pool.candidates, scores, k, rng_ref))
           << "trial " << trial << " n " << n << " k " << k;
+      EXPECT_EQ(rng_fast(), rng_ref()) << "trial " << trial << " k " << k;
     }
   }
 }
 
 TEST(SelectionEquivalence, AllStrategiesMatchLegacyRanking) {
-  // Reconstruct each strategy's documented score vector and pin select()
-  // against the legacy reference ranking of those scores. Candidates mix
+  // Reconstruct each metadata strategy's documented score vector and pin
+  // select() against the full-sort ranking of those scores; random
+  // selection is pinned against the textbook Floyd. Candidates mix
   // never-trained devices (no utility) with duplicated utilities and
   // duplicated parameter vectors so every tiebreak path fires.
   Pool pool;
@@ -236,31 +281,160 @@ TEST(SelectionEquivalence, AllStrategiesMatchLegacyRanking) {
                            ? *c.stat_utility * (1.0 - similarity[i])
                            : (max_utility + 1.0) * 2.0;
   }
-  const std::vector<double> equal_scores(n, 0.0);  // random = pure shuffle
 
   struct Case {
     const middlefl::core::SelectionStrategy& strategy;
     const std::vector<double>& scores;
   };
-  const RandomSelection random;
   const StatUtilitySelection stat;
   const SimilaritySelection middle;
   const HybridSelection hybrid;
-  const Case cases[] = {{random, equal_scores},
-                        {stat, stat_scores},
-                        {middle, middle_scores},
-                        {hybrid, hybrid_scores}};
-  for (const auto& c : cases) {
-    for (const std::size_t k : {std::size_t{1}, std::size_t{5}, n}) {
-      for (std::uint64_t seed = 0; seed < 20; ++seed) {
+  const Case cases[] = {
+      {stat, stat_scores}, {middle, middle_scores}, {hybrid, hybrid_scores}};
+  const RandomSelection random;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5}, n}) {
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      for (const auto& c : cases) {
         Xoshiro256 rng_strategy(seed), rng_ref(seed);
         EXPECT_EQ(c.strategy.select(pool.candidates, cloud, k, rng_strategy),
                   top_k_by_score_reference(pool.candidates, c.scores, k,
                                            rng_ref))
             << c.strategy.name() << " k " << k << " seed " << seed;
       }
+      Xoshiro256 rng_random(seed), rng_floyd(seed);
+      std::vector<std::size_t> expected = floyd_reference(n, k, rng_floyd);
+      for (std::size_t& id : expected) id = pool.candidates[id].device_id;
+      EXPECT_EQ(random.select(pool.candidates, cloud, k, rng_random), expected)
+          << "random k " << k << " seed " << seed;
+      EXPECT_EQ(rng_random(), rng_floyd()) << "random k " << k;
     }
   }
+}
+
+// --- SelectionChiSquare: v2 distributions against the v1 shuffles ---
+//
+// v1 drew a full std::shuffle of the positions: random selection took its
+// first K, and metadata strategies broke ties by shuffle rank. The v2
+// draws differ bit for bit, so these suites compare distributions: how
+// often each position is picked, and how uniformly ties break.
+
+using middlefl::testing::ChiSquare;
+using middlefl::testing::two_sample;
+using middlefl::testing::uniform_fit;
+
+/// v1 random selection: the first k of a shuffle of [0, count).
+std::vector<std::size_t> v1_random_positions(std::size_t count, std::size_t k,
+                                             Xoshiro256& rng) {
+  std::vector<std::size_t> order(count);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::shuffle(order.begin(), order.end(), rng);
+  order.resize(std::min(k, count));
+  return order;
+}
+
+TEST(SelectionChiSquare, FloydRankFrequencyMatchesV1Shuffle) {
+  // How often each of 20 ranks is picked, K = 5, over 20000 streams. Picks
+  // within one draw are dependent (K distinct), which only makes the test
+  // conservative.
+  constexpr std::size_t kCount = 20;
+  constexpr std::size_t kPick = 5;
+  const RandomSelection strategy;
+  std::vector<std::size_t> ranks(kCount);
+  std::iota(ranks.begin(), ranks.end(), std::size_t{0});
+  std::vector<std::uint64_t> v1(kCount, 0), v2(kCount, 0);
+  for (std::uint64_t trial = 0; trial < 20000; ++trial) {
+    Xoshiro256 rng_v1(trial), rng_v2(trial);
+    for (const std::size_t r : v1_random_positions(kCount, kPick, rng_v1)) {
+      ++v1[r];
+    }
+    for (const std::size_t r : strategy.select_ids(ranks, kPick, rng_v2)) {
+      ++v2[r];
+    }
+  }
+  const ChiSquare versus_v1 = two_sample(v1, v2);
+  EXPECT_EQ(versus_v1.df, kCount - 1);
+  EXPECT_TRUE(versus_v1.passes()) << versus_v1.describe();
+  const ChiSquare flat = uniform_fit(v2);
+  EXPECT_TRUE(flat.passes()) << flat.describe();
+}
+
+TEST(SelectionChiSquare, FloydSubsetsAreUniform) {
+  // Every 3-subset of 6 ranks equally likely: 20 cells, one per stream.
+  constexpr std::size_t kCount = 6;
+  const RandomSelection strategy;
+  std::vector<std::size_t> ranks(kCount);
+  std::iota(ranks.begin(), ranks.end(), std::size_t{0});
+  std::vector<std::uint64_t> subsets(std::size_t{1} << kCount, 0);
+  for (std::uint64_t trial = 0; trial < 20000; ++trial) {
+    Xoshiro256 rng(trial);
+    std::size_t mask = 0;
+    for (const std::size_t r : strategy.select_ids(ranks, 3, rng)) {
+      mask |= std::size_t{1} << r;
+    }
+    ++subsets[mask];
+  }
+  std::vector<std::uint64_t> cells;
+  for (std::size_t mask = 0; mask < subsets.size(); ++mask) {
+    if (std::popcount(mask) == 3) {
+      cells.push_back(subsets[mask]);
+    } else {
+      ASSERT_EQ(subsets[mask], 0u);
+    }
+  }
+  ASSERT_EQ(cells.size(), 20u);
+  const ChiSquare chi = uniform_fit(cells);
+  EXPECT_TRUE(chi.passes()) << chi.describe();
+}
+
+TEST(SelectionChiSquare, TieBreakOrderIsUniformAndMatchesV1Shuffle) {
+  // Eight equal-score candidates with scattered ids, k = 2: every ordered
+  // pair (first pick, second pick) equally likely across streams, and the
+  // per-candidate first-pick frequency matches the v1 shuffle-rank
+  // tiebreak. A ninth, lower-scored candidate must never be picked.
+  constexpr std::size_t kTied = 8;
+  Pool pool;
+  std::vector<double> scores;
+  for (std::size_t i = 0; i < kTied; ++i) {
+    pool.add(1000 + i * 37, {1.0f});
+    scores.push_back(0.25);
+  }
+  pool.add(5, {1.0f});
+  scores.push_back(0.0);
+  std::vector<std::uint64_t> pairs(kTied * kTied, 0);
+  std::vector<std::uint64_t> first_v1(kTied, 0), first_v2(kTied, 0);
+  for (std::uint64_t trial = 0; trial < 24000; ++trial) {
+    Xoshiro256 rng(trial);
+    const auto ids = top_k_by_score(pool.candidates, scores, 2, rng);
+    ASSERT_EQ(ids.size(), 2u);
+    const std::size_t a = (ids[0] - 1000) / 37;
+    const std::size_t b = (ids[1] - 1000) / 37;
+    ASSERT_LT(a, kTied);
+    ASSERT_LT(b, kTied);
+    ++pairs[a * kTied + b];
+    ++first_v2[a];
+    // v1: the stable sort of a shuffle by score puts the tied candidate
+    // with the lowest shuffle rank first.
+    Xoshiro256 rng_v1(trial);
+    const auto order = v1_random_positions(pool.candidates.size(),
+                                           pool.candidates.size(), rng_v1);
+    for (const std::size_t i : order) {
+      if (i < kTied) {
+        ++first_v1[i];
+        break;
+      }
+    }
+  }
+  std::vector<std::uint64_t> ordered;
+  for (std::size_t a = 0; a < kTied; ++a) {
+    for (std::size_t b = 0; b < kTied; ++b) {
+      if (a != b) ordered.push_back(pairs[a * kTied + b]);
+    }
+  }
+  const ChiSquare flat = uniform_fit(ordered);
+  EXPECT_EQ(flat.df, kTied * (kTied - 1) - 1);
+  EXPECT_TRUE(flat.passes()) << flat.describe();
+  const ChiSquare versus_v1 = two_sample(first_v1, first_v2);
+  EXPECT_TRUE(versus_v1.passes()) << versus_v1.describe();
 }
 
 TEST(SelectionEquivalence, RandomSelectIdsMatchesSelect) {
