@@ -1,7 +1,7 @@
 // Substrate micro-benchmarks (google-benchmark): the kernels that dominate
-// simulation wall-clock — GEMM, conv forward/backward, full local SGD
-// steps, flat-vector aggregation and similarity, minibatch gathering, and
-// thread-pool dispatch.
+// simulation wall-clock — GEMM, conv lowering and forward/backward, full
+// local SGD steps, flat-vector aggregation and similarity, minibatch
+// gathering, and thread-pool dispatch.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include "core/similarity.hpp"
 #include "data/sampler.hpp"
 #include "data/synthetic.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/loss.hpp"
 #include "nn/model_factory.hpp"
 #include "optim/sgd.hpp"
@@ -152,6 +153,56 @@ void BM_GemmDispatchIsa(benchmark::State& state) {
                           n * n * n);
 }
 BENCHMARK(BM_GemmDispatchIsa)->Arg(0)->Arg(1)->Arg(2);
+
+/// The small-NT kernel at its two CNN-2 training shapes (paper scale,
+/// batch 16): Arg 0 is conv1's per-sample weight gradient (m x n x k =
+/// 8 x 9 x 256, beta 1), Arg 1 the logits forward (16 x 10 x 64).
+void BM_GemmSmallNt(benchmark::State& state) {
+  const bool logits = state.range(0) != 0;
+  const std::size_t m = logits ? 16 : 8;
+  const std::size_t n = logits ? 10 : 9;
+  const std::size_t k = logits ? 64 : 256;
+  const float beta = logits ? 0.0f : 1.0f;
+  const auto a = random_vec(m * k, 12);
+  const auto b = random_vec(n * k, 13);
+  std::vector<float> c(m * n, 0.0f);
+  for (auto _ : state) {
+    tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, m, n, k, 1.0f, a, b,
+                 beta, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          m * n * k);
+  state.SetLabel(logits ? "16x10x64" : "8x9x256");
+}
+BENCHMARK(BM_GemmSmallNt)->Arg(0)->Arg(1);
+
+/// Conv2d's row-run im2col for one sample at CNN-2's two paper-scale
+/// layers: Arg 0 is conv1 (1 -> 8 channels, 16 x 16), Arg 1 conv2 (8 -> 16
+/// channels, 8 x 8); both 3 x 3, stride 1, padding 1.
+void BM_Conv2dIm2col(benchmark::State& state) {
+  const bool second = state.range(0) != 0;
+  const std::size_t channels = second ? 8 : 1;
+  const std::size_t side = second ? 8 : 16;
+  nn::Conv2d conv(nn::Conv2dConfig{.in_channels = channels,
+                                   .out_channels = 2 * channels,
+                                   .kernel = 3,
+                                   .stride = 1,
+                                   .padding = 1});
+  const tensor::Shape out = conv.build(tensor::Shape{channels, side, side});
+  const auto sample = random_vec(channels * side * side, 14);
+  std::vector<float> col(channels * 9 * out.dim(1) * out.dim(2));
+  for (auto _ : state) {
+    conv.im2col(sample.data(), col.data());
+    benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          col.size() * sizeof(float));
+  state.SetLabel(second ? "conv2" : "conv1");
+}
+BENCHMARK(BM_Conv2dIm2col)->Arg(0)->Arg(1);
 
 void BM_GemmTransB(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

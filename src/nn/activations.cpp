@@ -25,18 +25,19 @@ void ReLU::forward(const Tensor& input, Tensor& output, bool training) {
 }
 
 void ReLU::backward(const Tensor& input, const Tensor& grad_output,
-                    Tensor& grad_input) {
+                    Tensor* grad_input) {
   // Validate and shape against grad_output, not `input`: under epilogue
   // fusion the preceding layer wrote this ReLU's output (and mask)
   // directly, so the activation slot holding our nominal input was never
   // filled this step. grad_output always has the activation's shape.
   static_cast<void>(input);
+  if (grad_input == nullptr) return;
   if (cached_numel_ != grad_output.numel()) {
     throw std::logic_error("ReLU::backward: no cached forward state");
   }
-  grad_input.reset_for_overwrite(grad_output.shape());
+  grad_input->reset_for_overwrite(grad_output.shape());
   const auto dy = grad_output.data();
-  auto dx = grad_input.data();
+  auto dx = grad_input->data();
   for (std::size_t i = 0; i < dx.size(); ++i) {
     dx[i] = mask_[i] != 0 ? dy[i] : 0.0f;
   }
@@ -64,13 +65,14 @@ void Tanh::forward(const Tensor& input, Tensor& output, bool training) {
 }
 
 void Tanh::backward(const Tensor& input, const Tensor& grad_output,
-                    Tensor& grad_input) {
+                    Tensor* grad_input) {
+  if (grad_input == nullptr) return;
   if (cached_numel_ != input.numel()) {
     throw std::logic_error("Tanh::backward: no cached forward state");
   }
-  grad_input.reset_for_overwrite(input.shape());
+  grad_input->reset_for_overwrite(input.shape());
   const auto dy = grad_output.data();
-  auto dx = grad_input.data();
+  auto dx = grad_input->data();
   for (std::size_t i = 0; i < dx.size(); ++i) {
     dx[i] = dy[i] * (1.0f - output_[i] * output_[i]);
   }

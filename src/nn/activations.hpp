@@ -14,7 +14,7 @@ class ReLU final : public Layer {
   Shape build(const Shape& input_shape) override { return input_shape; }
   void forward(const Tensor& input, Tensor& output, bool training) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<ReLU>();
   }
@@ -44,7 +44,7 @@ class Tanh final : public Layer {
   Shape build(const Shape& input_shape) override { return input_shape; }
   void forward(const Tensor& input, Tensor& output, bool training) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<Tanh>();
   }

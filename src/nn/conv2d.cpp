@@ -1,5 +1,6 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -65,29 +66,73 @@ void Conv2d::init_params(parallel::Xoshiro256& rng) {
   zeros(bias_);
 }
 
+namespace {
+
+/// The output positions [lo, hi) along one axis whose input coordinate
+/// o * stride + offset lies in [0, in), for a kernel tap at
+/// offset = tap - padding. Outside the run the padded input is zero.
+struct Run {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+};
+
+Run valid_run(std::ptrdiff_t offset, std::size_t stride, std::size_t in,
+              std::size_t out) noexcept {
+  const auto s = static_cast<std::ptrdiff_t>(stride);
+  const auto o = static_cast<std::ptrdiff_t>(out);
+  const std::ptrdiff_t lo = offset >= 0 ? 0 : (-offset + s - 1) / s;
+  const std::ptrdiff_t end = static_cast<std::ptrdiff_t>(in) - offset;
+  const std::ptrdiff_t hi = end <= 0 ? 0 : (end + s - 1) / s;
+  const std::ptrdiff_t run_lo = std::min(lo, o);
+  return {static_cast<std::size_t>(run_lo),
+          static_cast<std::size_t>(std::clamp(hi, run_lo, o))};
+}
+
+/// Input coordinate of output position `o`; only valid inside the run.
+std::size_t input_coord(std::size_t o, std::size_t stride,
+                        std::ptrdiff_t offset) noexcept {
+  return static_cast<std::size_t>(static_cast<std::ptrdiff_t>(o * stride) +
+                                  offset);
+}
+
+}  // namespace
+
+// Both lowering loops walk the (c, ky, kx, oy) rows of the column matrix.
+// A tap's valid output rows and columns are one run each, so each output
+// row is a zero head, a copy (an add, for col2im) of part of one input
+// row, and a zero tail, with no per-element bounds test. im2col writes the
+// zeros by clearing a tap's whole row of the column matrix first, and only
+// when the tap reaches into the padding: one memset is cheaper than two
+// short ones per output row. The loop nest is that of the per-element
+// loops, so col2im adds each pixel's contributions in the same order.
+
 void Conv2d::im2col(const float* sample, float* col) const noexcept {
   // col[(c*k*k + ky*k + kx), (oy*out_w + ox)] = padded_input[c, iy, ix]
   const auto pad = static_cast<std::ptrdiff_t>(cfg_.padding);
+  const std::size_t stride = cfg_.stride;
   for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
     const float* channel = sample + c * in_h_ * in_w_;
     for (std::size_t ky = 0; ky < cfg_.kernel; ++ky) {
+      const std::ptrdiff_t y_off = static_cast<std::ptrdiff_t>(ky) - pad;
+      const Run rows = valid_run(y_off, stride, in_h_, out_h_);
       for (std::size_t kx = 0; kx < cfg_.kernel; ++kx) {
+        const std::ptrdiff_t x_off = static_cast<std::ptrdiff_t>(kx) - pad;
+        const Run cols = valid_run(x_off, stride, in_w_, out_w_);
+        const std::size_t len = cols.hi - cols.lo;
         float* row =
             col + ((c * cfg_.kernel + ky) * cfg_.kernel + kx) * col_cols_;
-        for (std::size_t oy = 0; oy < out_h_; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * cfg_.stride + ky) - pad;
-          const bool row_in =
-              iy >= 0 && iy < static_cast<std::ptrdiff_t>(in_h_);
-          for (std::size_t ox = 0; ox < out_w_; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * cfg_.stride + kx) - pad;
-            const bool in_bounds =
-                row_in && ix >= 0 && ix < static_cast<std::ptrdiff_t>(in_w_);
-            row[oy * out_w_ + ox] =
-                in_bounds ? channel[static_cast<std::size_t>(iy) * in_w_ +
-                                    static_cast<std::size_t>(ix)]
-                          : 0.0f;
+        if (rows.hi - rows.lo < out_h_ || len < out_w_) {
+          std::fill(row, row + col_cols_, 0.0f);
+        }
+        if (len == 0) continue;
+        for (std::size_t oy = rows.lo; oy < rows.hi; ++oy) {
+          float* dst = row + oy * out_w_ + cols.lo;
+          const float* src = channel + input_coord(oy, stride, y_off) * in_w_ +
+                             input_coord(cols.lo, stride, x_off);
+          if (stride == 1) {
+            std::memcpy(dst, src, len * sizeof(float));
+          } else {
+            for (std::size_t t = 0; t < len; ++t) dst[t] = src[t * stride];
           }
         }
       }
@@ -97,22 +142,27 @@ void Conv2d::im2col(const float* sample, float* col) const noexcept {
 
 void Conv2d::col2im(const float* col, float* sample_grad) const noexcept {
   const auto pad = static_cast<std::ptrdiff_t>(cfg_.padding);
+  const std::size_t stride = cfg_.stride;
   for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
     float* channel = sample_grad + c * in_h_ * in_w_;
     for (std::size_t ky = 0; ky < cfg_.kernel; ++ky) {
+      const std::ptrdiff_t y_off = static_cast<std::ptrdiff_t>(ky) - pad;
+      const Run rows = valid_run(y_off, stride, in_h_, out_h_);
       for (std::size_t kx = 0; kx < cfg_.kernel; ++kx) {
+        const std::ptrdiff_t x_off = static_cast<std::ptrdiff_t>(kx) - pad;
+        const Run cols = valid_run(x_off, stride, in_w_, out_w_);
+        const std::size_t len = cols.hi - cols.lo;
+        if (len == 0) continue;
         const float* row =
             col + ((c * cfg_.kernel + ky) * cfg_.kernel + kx) * col_cols_;
-        for (std::size_t oy = 0; oy < out_h_; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * cfg_.stride + ky) - pad;
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h_)) continue;
-          for (std::size_t ox = 0; ox < out_w_; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * cfg_.stride + kx) - pad;
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w_)) continue;
-            channel[static_cast<std::size_t>(iy) * in_w_ +
-                    static_cast<std::size_t>(ix)] += row[oy * out_w_ + ox];
+        for (std::size_t oy = rows.lo; oy < rows.hi; ++oy) {
+          const float* src = row + oy * out_w_ + cols.lo;
+          float* dst = channel + input_coord(oy, stride, y_off) * in_w_ +
+                       input_coord(cols.lo, stride, x_off);
+          if (stride == 1) {
+            for (std::size_t t = 0; t < len; ++t) dst[t] += src[t];
+          } else {
+            for (std::size_t t = 0; t < len; ++t) dst[t * stride] += src[t];
           }
         }
       }
@@ -172,7 +222,7 @@ void Conv2d::forward_impl(const Tensor& input, Tensor& output, bool training,
 }
 
 void Conv2d::backward(const Tensor& input, const Tensor& grad_output,
-                      Tensor& grad_input) {
+                      Tensor* grad_input) {
   const std::size_t batch = input.dim(0);
   if (cached_batch_ != batch) {
     throw std::logic_error(
@@ -181,12 +231,15 @@ void Conv2d::backward(const Tensor& input, const Tensor& grad_output,
   }
   const std::size_t sample_size = cfg_.in_channels * in_h_ * in_w_;
   const std::size_t col_size = col_rows_ * col_cols_;
-  grad_input.reset(input.shape());
 
   // d(col) panel from the workspace: backward runs once per sample per
   // batch, and gemm only borrows the pack slots, so kConvColGrad is free.
-  std::span<float> dcol = tensor::Workspace::tls().floats(
-      tensor::WsSlot::kConvColGrad, col_size);
+  std::span<float> dcol;
+  if (grad_input != nullptr) {
+    grad_input->reset(input.shape());
+    dcol = tensor::Workspace::tls().floats(tensor::WsSlot::kConvColGrad,
+                                           col_size);
+  }
   for (std::size_t b = 0; b < batch; ++b) {
     const float* col = col_cache_.data() + b * col_size;
     const float* dy =
@@ -203,11 +256,11 @@ void Conv2d::backward(const Tensor& input, const Tensor& grad_output,
       for (std::size_t p = 0; p < col_cols_; ++p) acc += plane[p];
       grad_bias_[oc] += static_cast<float>(acc);
     }
+    if (grad_input == nullptr) continue;
     // dcol[r, pos] = W[:, r]^T dY[:, pos]
     tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows_, col_cols_,
-                 cfg_.out_channels, 1.0f, weight_, dy_span, 0.0f,
-                 std::span<float>(dcol.data(), col_size));
-    col2im(dcol.data(), grad_input.data().data() + b * sample_size);
+                 cfg_.out_channels, 1.0f, weight_, dy_span, 0.0f, dcol);
+    col2im(dcol.data(), grad_input->data().data() + b * sample_size);
   }
 }
 

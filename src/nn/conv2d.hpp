@@ -1,4 +1,6 @@
-// 2-D convolution over NCHW batches, lowered to im2col + GEMM.
+// 2-D convolution over NCHW batches, lowered to im2col + GEMM. The
+// lowering copies whole row runs (no per-element bounds test), and
+// backward skips the input gradient when the caller passes none.
 #pragma once
 
 #include <vector>
@@ -28,7 +30,7 @@ class Conv2d final : public Layer {
   void init_params(parallel::Xoshiro256& rng) override;
   void forward(const Tensor& input, Tensor& output, bool training) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
   std::unique_ptr<Layer> clone() const override;
 
   /// Forward with the following ReLU folded into the per-sample GEMM
@@ -40,17 +42,18 @@ class Conv2d final : public Layer {
 
   const Conv2dConfig& config() const noexcept { return cfg_; }
 
+  /// Expands one sample (C x H x W) into the column matrix
+  /// (C*k*k) x (out_h*out_w). Requires build().
+  void im2col(const float* sample, float* col) const noexcept;
+  /// Adds a column-matrix gradient onto one sample's input gradient.
+  void col2im(const float* col, float* sample_grad) const noexcept;
+
  private:
   /// Shared body of forward()/forward_fused(): im2col + one GEMM per
   /// sample with bias (and optionally ReLU + mask) applied in the GEMM's
   /// final sweep. `relu` may be null (bias-only epilogue).
   void forward_impl(const Tensor& input, Tensor& output, bool training,
                     ReLU* relu);
-  /// Expands one sample (C x H x W) into the column matrix
-  /// (C*k*k) x (out_h*out_w).
-  void im2col(const float* sample, float* col) const noexcept;
-  /// Scatters a column-matrix gradient back onto one sample's input grad.
-  void col2im(const float* col, float* sample_grad) const noexcept;
 
   Conv2dConfig cfg_;
   std::size_t in_h_ = 0, in_w_ = 0;

@@ -35,13 +35,14 @@ void Dropout::forward(const Tensor& input, Tensor& output, bool training) {
 }
 
 void Dropout::backward(const Tensor& input, const Tensor& grad_output,
-                       Tensor& grad_input) {
-  grad_input = grad_output;
+                       Tensor* grad_input) {
+  if (grad_input == nullptr) return;
+  *grad_input = grad_output;
   if (cached_numel_ == 0) return;  // forward ran in eval mode or p == 0
   if (cached_numel_ != input.numel()) {
     throw std::logic_error("Dropout::backward: no cached forward state");
   }
-  auto dx = grad_input.data();
+  auto dx = grad_input->data();
   for (std::size_t i = 0; i < dx.size(); ++i) {
     dx[i] *= scale_mask_[i];
   }

@@ -22,7 +22,7 @@ class Dropout final : public Layer {
 
   void forward(const Tensor& input, Tensor& output, bool training) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
   std::unique_ptr<Layer> clone() const override;
 
  private:

@@ -20,9 +20,10 @@ class Flatten final : public Layer {
   }
 
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override {
-    grad_input = grad_output;
-    grad_input.reshape(input.shape());
+                Tensor* grad_input) override {
+    if (grad_input == nullptr) return;
+    *grad_input = grad_output;
+    grad_input->reshape(input.shape());
   }
 
   std::unique_ptr<Layer> clone() const override {

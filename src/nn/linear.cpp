@@ -81,7 +81,7 @@ void Linear::forward_fused(const Tensor& input, Tensor& output, bool training,
 }
 
 void Linear::backward(const Tensor& input, const Tensor& grad_output,
-                      Tensor& grad_input) {
+                      Tensor* grad_input) {
   const std::size_t batch = input.dim(0);
   if (grad_output.numel() != batch * out_) {
     throw std::invalid_argument("Linear::backward: bad grad_output " +
@@ -95,10 +95,11 @@ void Linear::backward(const Tensor& input, const Tensor& grad_output,
   tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, out_, in_, batch, 1.0f,
                grad_output.data(), input.data(), 1.0f, grad_weight_, nullptr,
                &epi);
+  if (grad_input == nullptr) return;
   // dX[b, i] = sum_o dY[b, o] * W[o, i]
-  grad_input.reset_for_overwrite(input.shape());
+  grad_input->reset_for_overwrite(input.shape());
   tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, batch, in_, out_, 1.0f,
-               grad_output.data(), weight_, 0.0f, grad_input.data());
+               grad_output.data(), weight_, 0.0f, grad_input->data());
 }
 
 std::unique_ptr<Layer> Linear::clone() const {

@@ -21,7 +21,7 @@ class Linear final : public Layer {
   void init_params(parallel::Xoshiro256& rng) override;
   void forward(const Tensor& input, Tensor& output, bool training) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
   std::unique_ptr<Layer> clone() const override;
 
   /// Forward with the following ReLU folded into the GEMM epilogue:

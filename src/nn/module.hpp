@@ -56,11 +56,15 @@ class Layer {
   /// train-only behaviour (dropout).
   virtual void forward(const Tensor& input, Tensor& output, bool training) = 0;
 
-  /// Computes `grad_input` from `grad_output` and ACCUMULATES parameter
-  /// gradients into the bound gradient span. Must follow a forward call with
+  /// ACCUMULATES parameter gradients into the bound gradient span and, when
+  /// `grad_input` is non-null, writes d(loss)/d(input) into it. Null means
+  /// nothing reads the input gradient: a layer with parameters skips that
+  /// work, and a layer without parameters returns at once.
+  /// Sequential::backward passes null to its first layer with parameters
+  /// and calls no layer before it. Must follow a forward call with
   /// training=true on the same input batch.
   virtual void backward(const Tensor& input, const Tensor& grad_output,
-                        Tensor& grad_input) = 0;
+                        Tensor* grad_input) = 0;
 
   /// Deep copy with fresh (unbound) parameter slices.
   virtual std::unique_ptr<Layer> clone() const = 0;

@@ -77,7 +77,8 @@ void MaxPool2d::forward(const Tensor& input, Tensor& output, bool training) {
 }
 
 void MaxPool2d::backward(const Tensor& input, const Tensor& grad_output,
-                         Tensor& grad_input) {
+                         Tensor* grad_input) {
+  if (grad_input == nullptr) return;
   const std::size_t batch = input.dim(0);
   if (cached_batch_ != batch) {
     throw std::logic_error(
@@ -85,8 +86,8 @@ void MaxPool2d::backward(const Tensor& input, const Tensor& grad_output,
   }
   const std::size_t in_plane = in_h_ * in_w_;
   const std::size_t out_plane = out_h_ * out_w_;
-  grad_input.reset(input.shape());
-  float* dx = grad_input.data().data();
+  grad_input->reset(input.shape());
+  float* dx = grad_input->data().data();
   const float* dy = grad_output.data().data();
   for (std::size_t bc = 0; bc < batch * channels_; ++bc) {
     float* dx_plane = dx + bc * in_plane;
@@ -163,13 +164,14 @@ void AvgPool2d::forward(const Tensor& input, Tensor& output,
 }
 
 void AvgPool2d::backward(const Tensor& input, const Tensor& grad_output,
-                         Tensor& grad_input) {
+                         Tensor* grad_input) {
+  if (grad_input == nullptr) return;
   const std::size_t batch = input.dim(0);
   const std::size_t in_plane = in_h_ * in_w_;
   const std::size_t out_plane = out_h_ * out_w_;
-  grad_input.reset(input.shape());
+  grad_input->reset(input.shape());
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  float* dx = grad_input.data().data();
+  float* dx = grad_input->data().data();
   const float* dy = grad_output.data().data();
   for (std::size_t bc = 0; bc < batch * channels_; ++bc) {
     float* dx_plane = dx + bc * in_plane;

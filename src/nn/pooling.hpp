@@ -16,7 +16,7 @@ class MaxPool2d final : public Layer {
   Shape build(const Shape& input_shape) override;
   void forward(const Tensor& input, Tensor& output, bool training) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
   std::unique_ptr<Layer> clone() const override;
 
  private:
@@ -39,7 +39,7 @@ class AvgPool2d final : public Layer {
   Shape build(const Shape& input_shape) override;
   void forward(const Tensor& input, Tensor& output, bool training) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
   std::unique_ptr<Layer> clone() const override;
 
  private:

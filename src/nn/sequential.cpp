@@ -34,10 +34,15 @@ void Sequential::build(std::uint64_t seed) {
   Shape shape = input_shape_;
   std::size_t total = 0;
   offsets_.clear();
-  for (auto& layer : layers_) {
-    shape = layer->build(shape);
+  first_param_layer_ = layers_.size();
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    shape = layers_[i]->build(shape);
     offsets_.push_back(total);
-    total += layer->param_count();
+    total += layers_[i]->param_count();
+    if (first_param_layer_ == layers_.size() &&
+        layers_[i]->param_count() > 0) {
+      first_param_layer_ = i;
+    }
   }
   output_shape_ = shape;
 
@@ -96,7 +101,9 @@ const Tensor& Sequential::forward(const Tensor& batch, bool training) {
                                 input_shape_.to_string());
   }
   activations_.resize(layers_.size());
-  if (training) input_copy_ = batch;
+  // Only layer 0's backward reads the model input, and backward() calls
+  // it only when layer 0 has parameters.
+  if (training && first_param_layer_ == 0) input_copy_ = batch;
   have_training_forward_ = training;
 
   const Tensor* current = &batch;
@@ -136,14 +143,17 @@ void Sequential::backward(const Tensor& grad_output) {
   }
   // Ping-pong between two persistent scratch tensors: each layer reads the
   // incoming gradient from one and writes its grad_input into the other.
-  // The first layer reads grad_output directly, so no copy is made.
+  // The last layer reads grad_output directly, so no copy is made. The
+  // sweep ends at the first layer with parameters, which gets no
+  // grad_input: nothing reads the gradient of the model input.
   const Tensor* grad = &grad_output;
   std::size_t parity = 0;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  for (std::size_t i = layers_.size(); i-- > first_param_layer_;) {
     const Tensor& layer_input = i == 0 ? input_copy_ : activations_[i - 1];
-    Tensor& grad_prev = grad_scratch_[parity];
+    Tensor* grad_prev =
+        i == first_param_layer_ ? nullptr : &grad_scratch_[parity];
     layers_[i]->backward(layer_input, *grad, grad_prev);
-    grad = &grad_prev;
+    grad = grad_prev;
     parity ^= 1;
   }
   have_training_forward_ = false;

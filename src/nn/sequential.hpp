@@ -62,7 +62,9 @@ class Sequential {
   const Tensor& forward(const Tensor& batch, bool training);
 
   /// Backpropagates from d(loss)/d(output); accumulates into gradients().
-  /// Must follow forward(batch, training=true).
+  /// Layers before the first one with parameters are not visited, and that
+  /// layer computes no input gradient (see Layer::backward). Must follow
+  /// forward(batch, training=true).
   void backward(const Tensor& grad_output);
 
   /// Forward-only batched inference: runs `batch` (dim 0 = batch) through
@@ -100,6 +102,8 @@ class Sequential {
   std::vector<float> params_;
   std::vector<float> grads_;
   std::vector<std::size_t> offsets_;  // param offset per layer
+  // Where backward() stops; layers_.size() when no layer has parameters.
+  std::size_t first_param_layer_ = 0;
   parallel::Xoshiro256 dropout_rng_;
   bool built_ = false;
 

@@ -92,16 +92,15 @@ double chunked_reduce(std::size_t n, parallel::ThreadPool* pool,
 
 // --- GEMM kernels -----------------------------------------------------------
 //
-// The general path lives in kernels/ (packed micro-kernels with runtime
-// ISA dispatch); this file keeps only the small-NT dot-form kernel, whose
-// distinct lane/summation tree is pinned by the golden fingerprints for
-// shapes where panel packing would dominate (n < 16 or k < 16). Every
-// kernel computes rows [row_lo, row_hi) of C and each row's arithmetic
-// order depends only on the row itself, so any row split yields identical
-// results — the property the parallel path and the determinism pin rely on.
+// The kernels live in kernels/ (packed micro-kernels and the small-NT
+// kernel, with runtime ISA dispatch); this file keeps the epilogue helpers
+// the small-NT path applies afterwards. Every kernel computes rows
+// [row_lo, row_hi) of C and each row's arithmetic order depends only on the
+// row itself, so any row split yields identical results — the property the
+// parallel path and the determinism pin rely on.
 
-/// Applies the fused epilogue to rows [row_lo, row_hi) of C after a
-/// non-packed kernel: the same elementwise steps, in the same order, as
+/// Applies the fused epilogue to rows [row_lo, row_hi) of C after the
+/// small-NT kernel: the same elementwise steps, in the same order, as
 /// the packed kernels apply in-register (see GemmEpilogue).
 void epilogue_rows(const GemmEpilogue& epi, std::size_t row_lo,
                    std::size_t row_hi, std::size_t n, float* c) noexcept {
@@ -134,68 +133,6 @@ void row_sums_rows(float* row_sums, std::size_t row_lo, std::size_t row_hi,
     float sums = row_sums[i];
     for (std::size_t p = 0; p < k; ++p) sums += ai[p];
     row_sums[i] = sums;
-  }
-}
-
-/// NT: C[i,j] = alpha * <A[i,:], B[j,:]> + beta * C[i,j]. A m x k, B n x k.
-/// Both operands are walked contiguously; two output columns per pass with
-/// four independent float lanes each keep the FP order fixed per (i, j)
-/// and give the vectorizer reduction-free lanes.
-void gemm_nt_rows(std::size_t row_lo, std::size_t row_hi, std::size_t n,
-                  std::size_t k, float alpha, const float* a, const float* b,
-                  float beta, float* c) noexcept {
-  for (std::size_t i = row_lo; i < row_hi; ++i) {
-    const float* ai = a + i * k;
-    float* ci = c + i * n;
-    std::size_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const float* b0 = b + j * k;
-      const float* b1 = b0 + k;
-      float s00 = 0.0f, s01 = 0.0f, s02 = 0.0f, s03 = 0.0f;
-      float s10 = 0.0f, s11 = 0.0f, s12 = 0.0f, s13 = 0.0f;
-      std::size_t p = 0;
-      for (; p + 4 <= k; p += 4) {
-        const float a0 = ai[p];
-        const float a1 = ai[p + 1];
-        const float a2 = ai[p + 2];
-        const float a3 = ai[p + 3];
-        s00 += a0 * b0[p];
-        s01 += a1 * b0[p + 1];
-        s02 += a2 * b0[p + 2];
-        s03 += a3 * b0[p + 3];
-        s10 += a0 * b1[p];
-        s11 += a1 * b1[p + 1];
-        s12 += a2 * b1[p + 2];
-        s13 += a3 * b1[p + 3];
-      }
-      for (; p < k; ++p) {
-        s00 += ai[p] * b0[p];
-        s10 += ai[p] * b1[p];
-      }
-      const float d0 = alpha * ((s00 + s01) + (s02 + s03));
-      const float d1 = alpha * ((s10 + s11) + (s12 + s13));
-      if (beta == 0.0f) {
-        ci[j] = d0;
-        ci[j + 1] = d1;
-      } else {
-        ci[j] = d0 + beta * ci[j];
-        ci[j + 1] = d1 + beta * ci[j + 1];
-      }
-    }
-    for (; j < n; ++j) {
-      const float* bj = b + j * k;
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      std::size_t p = 0;
-      for (; p + 4 <= k; p += 4) {
-        s0 += ai[p] * bj[p];
-        s1 += ai[p + 1] * bj[p + 1];
-        s2 += ai[p + 2] * bj[p + 2];
-        s3 += ai[p + 3] * bj[p + 3];
-      }
-      for (; p < k; ++p) s0 += ai[p] * bj[p];
-      const float d = alpha * ((s0 + s1) + (s2 + s3));
-      ci[j] = beta == 0.0f ? d : d + beta * ci[j];
-    }
   }
 }
 
@@ -309,13 +246,15 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
     }
   };
 
-  // NT with a small B (n < 16 or k < 16) keeps the direct dot-form kernel:
-  // panel packing would dominate at these shapes, and its distinct
-  // summation tree is pinned by the golden fingerprints. Everything else
-  // goes through the packed micro-kernel with runtime ISA dispatch.
+  // NT with a small B (n < 16 or k < 16) runs the small-NT kernel, which
+  // reads A and B in place: panel packing would dominate at these shapes.
+  // Its four-lane summation tree is a rounding contract of its own (see
+  // kernels/gemm_kernel_impl.hpp). Everything else goes through the packed
+  // micro-kernel.
+  const auto& kern = detail::gemm_kernels(active_isa());
   if (eff_a == Trans::kNo && trans_b == Trans::kYes && (n < 16 || k < 16)) {
     run_split([&](std::size_t lo, std::size_t hi) {
-      gemm_nt_rows(lo, hi, n, k, alpha, a_ptr, b.data(), beta, c_ptr);
+      kern.small_nt(lo, hi, n, k, alpha, a_ptr, b.data(), beta, c_ptr);
       if (epilogue != nullptr) {
         if (epilogue->row_sums != nullptr) {
           row_sums_rows(epilogue->row_sums, lo, hi, k, a_ptr);
@@ -329,7 +268,6 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   // Packed path. B is packed once on the calling thread into its aligned
   // workspace slot; row-chunk workers only read it, and each packs its own
   // A rows into its thread's kGemmPanelA slot inside compute().
-  const auto& kern = detail::packed_kernels(active_isa());
   auto bpanel = Workspace::tls().aligned_floats(WsAlignedSlot::kGemmPanelB,
                                                 kern.packed_b_floats(k, n));
   kern.pack_b(k, n, b.data(), trans_b == Trans::kYes, bpanel.data());

@@ -12,8 +12,10 @@
 // an MR x NR register tile in scalar, AVX2+FMA or AVX-512 form, chosen by
 // cpuid at run time. Every dispatch target accumulates each C element in
 // the same fixed K order, so the selected ISA never changes an output bit.
-// The one exception is NT with a small B (n < 16 or k < 16), which keeps a
-// direct dot-form kernel — packing would dominate there. Row panels
+// NT with a small B (n < 16 or k < 16) instead runs the dispatched small-NT
+// kernel, which reads the operands in place (packing would dominate there)
+// and sums each element in four p-lanes; it too is bitwise-identical across
+// ISA tiers. Row panels
 // parallelize when a thread pool is provided; every row's arithmetic order
 // is independent of the panel split, so parallel and serial runs produce
 // bitwise-identical results.

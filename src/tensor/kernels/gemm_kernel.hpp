@@ -1,14 +1,15 @@
-// Dispatch table for the packed GEMM micro-kernels.
+// Dispatch table for the GEMM kernels.
 //
-// blas.cpp's gemm() routes every transpose combination except small-NT
-// through one of three kernel translation units — scalar, AVX2+FMA,
-// AVX-512F — selected at runtime via cpu_features.hpp. Each TU compiles
-// the same blocked algorithm (kernels/gemm_kernel_impl.hpp) with a
-// different register geometry; the determinism contract (see the impl
-// header) guarantees all three produce bitwise-identical C.
+// blas.cpp's gemm() routes every call through one of three kernel
+// translation units — scalar, AVX2+FMA, AVX-512F — selected at runtime via
+// cpu_features.hpp. Each TU compiles the same two algorithms
+// (kernels/gemm_kernel_impl.hpp) with a different register geometry: the
+// blocked packed GEMM, and the small-NT kernel for NT calls with a small B
+// (n < 16 or k < 16). The determinism contracts (see the impl header)
+// guarantee all three tiers produce bitwise-identical C.
 //
-// Call protocol:
-//   1. Pick the table:    const PackedKernels& k = packed_kernels(active_isa())
+// Packed call protocol:
+//   1. Pick the table:    const GemmKernels& k = gemm_kernels(active_isa())
 //   2. Pack B once:       k.pack_b(...) into an aligned Workspace span of
 //                         k.packed_b_floats(k_dim, n) floats
 //   3. Compute rows:      k.compute(args) — serial over [0, m), or once per
@@ -17,6 +18,8 @@
 //                         thread's kGemmPanelA slot, so workers never
 //                         share mutable panel state; the packed B panel is
 //                         read-only after step 2.
+// The small-NT kernel reads A and B in place and needs no packing; it too
+// may run once per disjoint row chunk.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +48,7 @@ struct PackedGemmArgs {
   const GemmEpilogue* epilogue = nullptr;  // may be null
 };
 
-struct PackedKernels {
+struct GemmKernels {
   std::size_t mr;  // micro-tile rows
   std::size_t nr;  // micro-tile columns
   /// Zero-padded panel sizes in floats.
@@ -56,16 +59,22 @@ struct PackedKernels {
   void (*pack_b)(std::size_t k, std::size_t n, const float* b, bool trans_b,
                  float* out);
   void (*compute)(const PackedGemmArgs& args);
+  /// Small NT: C[i, j] = alpha * <A[i, :], B[j, :]> + beta * C[i, j] for
+  /// rows [row_lo, row_hi); A is m x k and B is n x k, both row-major,
+  /// k > 0. No epilogue (blas.cpp applies it afterwards).
+  void (*small_nt)(std::size_t row_lo, std::size_t row_hi, std::size_t n,
+                   std::size_t k, float alpha, const float* a, const float* b,
+                   float beta, float* c);
 };
 
 // One table per TU; every table exists in every binary (a TU compiled
 // without its ISA falls back to the scalar geometry), and the dispatch
 // never selects a table the CPU cannot run.
-const PackedKernels& scalar_kernels() noexcept;
-const PackedKernels& avx2_kernels() noexcept;
-const PackedKernels& avx512_kernels() noexcept;
+const GemmKernels& scalar_kernels() noexcept;
+const GemmKernels& avx2_kernels() noexcept;
+const GemmKernels& avx512_kernels() noexcept;
 
-inline const PackedKernels& packed_kernels(IsaLevel level) noexcept {
+inline const GemmKernels& gemm_kernels(IsaLevel level) noexcept {
   switch (level) {
     case IsaLevel::kAvx512:
       return avx512_kernels();

@@ -1,5 +1,6 @@
-// AVX2+FMA instantiation of the packed GEMM: 6x16 micro-tile (12 ymm
-// accumulators + 2 B vectors + 1 broadcast within the 16-register file).
+// AVX2+FMA instantiation of the GEMM kernels. Packed: 6x16 micro-tile (12
+// ymm accumulators + 2 B vectors + 1 broadcast within the 16-register
+// file). Small NT: one ymm holds two columns' four p-lanes.
 // Compiled with -mavx2 -mfma -ffp-contract=off on x86 builds; when the
 // toolchain cannot target AVX2 this TU falls back to the scalar geometry
 // so the symbol always links (the runtime dispatch never selects it on a
@@ -11,6 +12,14 @@
 
 namespace middlefl::tensor::detail {
 namespace {
+
+__m256 madd_ps(__m256 a, __m256 b, __m256 c) noexcept {
+#if defined(MIDDLEFL_GEMM_FMA)
+  return _mm256_fmadd_ps(a, b, c);
+#else
+  return _mm256_add_ps(_mm256_mul_ps(a, b), c);
+#endif
+}
 
 struct ArchAvx2 {
   using Vec = __m256;
@@ -24,13 +33,7 @@ struct ArchAvx2 {
   static Vec broadcast(float v) noexcept { return _mm256_set1_ps(v); }
   static Vec add(Vec a, Vec b) noexcept { return _mm256_add_ps(a, b); }
   static Vec mul(Vec a, Vec b) noexcept { return _mm256_mul_ps(a, b); }
-  static Vec madd(Vec a, Vec b, Vec c) noexcept {
-#if defined(MIDDLEFL_GEMM_FMA)
-    return _mm256_fmadd_ps(a, b, c);
-#else
-    return _mm256_add_ps(_mm256_mul_ps(a, b), c);
-#endif
-  }
+  static Vec madd(Vec a, Vec b, Vec c) noexcept { return madd_ps(a, b, c); }
   static Vec relu(Vec v) noexcept {
     // compare-and-select, not max: NaN and -0.0 must map to +0.0 exactly
     // like the scalar `v > 0 ? v : 0`.
@@ -39,10 +42,50 @@ struct ArchAvx2 {
   }
 };
 
+/// Small NT: lanes [4t, 4t+4) hold column t's s0..s3.
+struct NtAvx2 {
+  using Vec = __m256;
+  static constexpr std::size_t kCols = 2;
+  static constexpr std::size_t kRows = 4;
+
+  static Vec zero() noexcept { return _mm256_setzero_ps(); }
+  static Vec load_a(const float* a) noexcept {
+    const __m128 x = _mm_loadu_ps(a);
+    return _mm256_set_m128(x, x);
+  }
+  static Vec load_a_tail(float a) noexcept { return _mm256_set1_ps(a); }
+  static Vec load_b(const float* const* cols, std::size_t p) noexcept {
+    return _mm256_set_m128(_mm_loadu_ps(cols[1] + p),
+                           _mm_loadu_ps(cols[0] + p));
+  }
+  static Vec load_b_tail(const float* const* cols, std::size_t p) noexcept {
+    return _mm256_set_m128(_mm_load_ss(cols[1] + p),
+                           _mm_load_ss(cols[0] + p));
+  }
+  static Vec madd(Vec a, Vec b, Vec c) noexcept { return madd_ps(a, b, c); }
+  static Vec madd_lane0(Vec a, Vec b, Vec c) noexcept {
+    return _mm256_blend_ps(c, madd_ps(a, b, c), 0x11);
+  }
+  static void reduce(Vec v, float* out) noexcept {
+    // Lane 4t ends as (s0 + s1) + (s2 + s3) of column t.
+    const __m256 pairs = _mm256_add_ps(v, _mm256_permute_ps(v, 0xB1));
+    const __m256 tree = _mm256_add_ps(pairs, _mm256_permute_ps(pairs, 0x4E));
+    out[0] = _mm256_cvtss_f32(tree);
+    out[1] = _mm_cvtss_f32(_mm256_extractf128_ps(tree, 1));
+  }
+  static float madd1(float a, float b, float c) noexcept {
+#if defined(MIDDLEFL_GEMM_FMA)
+    return __builtin_fmaf(a, b, c);
+#else
+    return a * b + c;
+#endif
+  }
+};
+
 }  // namespace
 
-const PackedKernels& avx2_kernels() noexcept {
-  return PackedGemm<ArchAvx2>::table();
+const GemmKernels& avx2_kernels() noexcept {
+  return kernel_table<ArchAvx2, NtAvx2>();
 }
 
 }  // namespace middlefl::tensor::detail
@@ -51,8 +94,8 @@ const PackedKernels& avx2_kernels() noexcept {
 
 namespace middlefl::tensor::detail {
 
-const PackedKernels& avx2_kernels() noexcept {
-  return PackedGemm<ArchScalar>::table();
+const GemmKernels& avx2_kernels() noexcept {
+  return kernel_table<ArchScalar, NtScalar>();
 }
 
 }  // namespace middlefl::tensor::detail

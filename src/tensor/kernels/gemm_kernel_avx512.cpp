@@ -1,15 +1,30 @@
-// AVX-512F instantiation of the packed GEMM: 8x32 micro-tile (16 zmm
-// accumulators out of 32). Compiled with -mavx512f -ffp-contract=off on
-// x86 builds; falls back to the scalar geometry when the toolchain cannot
-// target AVX-512 so the symbol always links (the runtime dispatch never
-// selects it on a CPU without AVX-512F).
+// AVX-512F instantiation of the GEMM kernels. Packed: 8x32 micro-tile (16
+// zmm accumulators out of 32). Small NT: one zmm holds four columns' four
+// p-lanes, and eight rows share each B vector.
+// Compiled with -mavx512f -ffp-contract=off on x86 builds; falls back to
+// the scalar geometry when the toolchain cannot target AVX-512 so the
+// symbol always links (the runtime dispatch never selects it on a CPU
+// without AVX-512F). Only AVX-512F instructions are used: no VL/DQ/BW.
 #include "tensor/kernels/gemm_kernel_impl.hpp"
 
 #if defined(__AVX512F__)
+// GCC 12 reports the _mm512_undefined_ps() placeholders inside its own
+// broadcast/permute/cast intrinsics as maybe-uninitialized.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
 
 namespace middlefl::tensor::detail {
 namespace {
+
+__m512 madd_ps(__m512 a, __m512 b, __m512 c) noexcept {
+#if defined(MIDDLEFL_GEMM_FMA)
+  return _mm512_fmadd_ps(a, b, c);
+#else
+  return _mm512_add_ps(_mm512_mul_ps(a, b), c);
+#endif
+}
 
 struct ArchAvx512 {
   using Vec = __m512;
@@ -23,13 +38,7 @@ struct ArchAvx512 {
   static Vec broadcast(float v) noexcept { return _mm512_set1_ps(v); }
   static Vec add(Vec a, Vec b) noexcept { return _mm512_add_ps(a, b); }
   static Vec mul(Vec a, Vec b) noexcept { return _mm512_mul_ps(a, b); }
-  static Vec madd(Vec a, Vec b, Vec c) noexcept {
-#if defined(MIDDLEFL_GEMM_FMA)
-    return _mm512_fmadd_ps(a, b, c);
-#else
-    return _mm512_add_ps(_mm512_mul_ps(a, b), c);
-#endif
-  }
+  static Vec madd(Vec a, Vec b, Vec c) noexcept { return madd_ps(a, b, c); }
   static Vec relu(Vec v) noexcept {
     // Masked move keeps exactly the lanes where v > 0 (ordered compare:
     // NaN lanes zero out), matching the scalar `v > 0 ? v : 0`.
@@ -39,10 +48,55 @@ struct ArchAvx512 {
   }
 };
 
+/// Small NT: lanes [4t, 4t+4) hold column t's s0..s3.
+struct NtAvx512 {
+  using Vec = __m512;
+  static constexpr std::size_t kCols = 4;
+  static constexpr std::size_t kRows = 8;
+  static constexpr __mmask16 kLane0 = 0x1111;
+
+  static Vec zero() noexcept { return _mm512_setzero_ps(); }
+  static Vec load_a(const float* a) noexcept {
+    return _mm512_broadcast_f32x4(_mm_loadu_ps(a));
+  }
+  static Vec load_a_tail(float a) noexcept { return _mm512_set1_ps(a); }
+  static Vec load_b(const float* const* cols, std::size_t p) noexcept {
+    Vec v = _mm512_castps128_ps512(_mm_loadu_ps(cols[0] + p));
+    v = _mm512_insertf32x4(v, _mm_loadu_ps(cols[1] + p), 1);
+    v = _mm512_insertf32x4(v, _mm_loadu_ps(cols[2] + p), 2);
+    return _mm512_insertf32x4(v, _mm_loadu_ps(cols[3] + p), 3);
+  }
+  static Vec load_b_tail(const float* const* cols, std::size_t p) noexcept {
+    Vec v = _mm512_castps128_ps512(_mm_load_ss(cols[0] + p));
+    v = _mm512_insertf32x4(v, _mm_load_ss(cols[1] + p), 1);
+    v = _mm512_insertf32x4(v, _mm_load_ss(cols[2] + p), 2);
+    return _mm512_insertf32x4(v, _mm_load_ss(cols[3] + p), 3);
+  }
+  static Vec madd(Vec a, Vec b, Vec c) noexcept { return madd_ps(a, b, c); }
+  static Vec madd_lane0(Vec a, Vec b, Vec c) noexcept {
+    return _mm512_mask_mov_ps(c, kLane0, madd_ps(a, b, c));
+  }
+  static void reduce(Vec v, float* out) noexcept {
+    // Lane 4t ends as (s0 + s1) + (s2 + s3) of column t; compress packs
+    // lanes 0, 4, 8, 12 into the low quarter.
+    const __m512 pairs = _mm512_add_ps(v, _mm512_permute_ps(v, 0xB1));
+    const __m512 tree = _mm512_add_ps(pairs, _mm512_permute_ps(pairs, 0x4E));
+    const __m512 packed = _mm512_maskz_compress_ps(kLane0, tree);
+    _mm_storeu_ps(out, _mm512_castps512_ps128(packed));
+  }
+  static float madd1(float a, float b, float c) noexcept {
+#if defined(MIDDLEFL_GEMM_FMA)
+    return __builtin_fmaf(a, b, c);
+#else
+    return a * b + c;
+#endif
+  }
+};
+
 }  // namespace
 
-const PackedKernels& avx512_kernels() noexcept {
-  return PackedGemm<ArchAvx512>::table();
+const GemmKernels& avx512_kernels() noexcept {
+  return kernel_table<ArchAvx512, NtAvx512>();
 }
 
 }  // namespace middlefl::tensor::detail
@@ -51,8 +105,8 @@ const PackedKernels& avx512_kernels() noexcept {
 
 namespace middlefl::tensor::detail {
 
-const PackedKernels& avx512_kernels() noexcept {
-  return PackedGemm<ArchScalar>::table();
+const GemmKernels& avx512_kernels() noexcept {
+  return kernel_table<ArchScalar, NtScalar>();
 }
 
 }  // namespace middlefl::tensor::detail

@@ -1,4 +1,8 @@
-// Blocked packed-GEMM algorithm, templated over a register geometry.
+// GEMM algorithms, templated over a register geometry: the blocked packed
+// GEMM (PackedGemm) and the small-NT kernel (SmallNt, at the end of this
+// file). Neither may call a shared inline helper compiled under another
+// TU's ISA flags: the linker keeps one copy of such a function for all
+// TUs, so the geometry structs carry every op, including scalar ones.
 //
 // Each ISA translation unit instantiates PackedGemm<Arch> where Arch
 // supplies the vector type and a handful of primitive ops. The algorithm is
@@ -331,11 +335,152 @@ struct PackedGemm {
     }
   }
 
-  static const PackedKernels& table() noexcept {
-    static const PackedKernels t{kMR, kNR, &packed_a_floats,
-                                 &packed_b_floats, &pack_b, &compute};
-    return t;
+};
+
+// --- Small NT -----------------------------------------------------------
+//
+// NT with a small B (n < 16 or k < 16: a logits layer, the weight gradient
+// of a conv layer with few input channels) reads A and B in place, since
+// packing would dominate at these shapes. Rounding contract (pinned by
+// gemm_kernel_test SmallNtContract): every C element is computed as
+//
+//   s0 = s1 = s2 = s3 = 0
+//   for each full block p = 4q .. 4q+3, ascending q:
+//     s_l = madd(A[i,p+l], B[j,p+l], s_l)          (l = 0..3)
+//   for each tail p in [4*floor(k/4), k), ascending:
+//     s0 = madd(A[i,p], B[j,p], s0)
+//   d = alpha * ((s0 + s1) + (s2 + s3))
+//   C[i,j] = beta == 0 ? d : madd(beta, C[i,j], d)
+//
+// with madd fused exactly when MIDDLEFL_GEMM_FMA is defined, as in the
+// packed contract. An NtArch vector holds kCols columns' four lanes side by
+// side and every op keeps lanes apart until the final tree, so the vector
+// tiers compute the scalar loop's bits. Rows in a block of kRows share
+// each B vector.
+
+/// One column's four p-lanes. Every op below is the per-lane scalar
+/// contract step.
+struct NtScalar {
+  struct Vec {
+    float l[4];
+  };
+  static constexpr std::size_t kCols = 1;
+  static constexpr std::size_t kRows = 4;
+
+  static Vec zero() noexcept { return Vec{{0.0f, 0.0f, 0.0f, 0.0f}}; }
+  static Vec load_a(const float* a) noexcept {
+    return Vec{{a[0], a[1], a[2], a[3]}};
+  }
+  static Vec load_a_tail(float a) noexcept {
+    return Vec{{a, 0.0f, 0.0f, 0.0f}};
+  }
+  static Vec load_b(const float* const* cols, std::size_t p) noexcept {
+    return load_a(cols[0] + p);
+  }
+  static Vec load_b_tail(const float* const* cols, std::size_t p) noexcept {
+    return load_a_tail(cols[0][p]);
+  }
+  static Vec madd(Vec a, Vec b, Vec c) noexcept {
+    for (std::size_t l = 0; l < 4; ++l) c.l[l] = madd1(a.l[l], b.l[l], c.l[l]);
+    return c;
+  }
+  static Vec madd_lane0(Vec a, Vec b, Vec c) noexcept {
+    c.l[0] = madd1(a.l[0], b.l[0], c.l[0]);
+    return c;
+  }
+  static void reduce(Vec v, float* out) noexcept {
+    out[0] = (v.l[0] + v.l[1]) + (v.l[2] + v.l[3]);
+  }
+  static float madd1(float a, float b, float c) noexcept {
+    return ArchScalar::madd(a, b, c);
   }
 };
+
+template <class Arch>
+struct SmallNt {
+  using Vec = typename Arch::Vec;
+  static constexpr std::size_t kC = Arch::kCols;
+
+  /// Rows [i0, i0 + R) against every column, kC columns per pass. A
+  /// partial last pass repeats column n-1 in the spare slots; those
+  /// results are never stored.
+  template <std::size_t R>
+  static void block(std::size_t i0, std::size_t n, std::size_t k,
+                    float alpha, const float* a, const float* b, float beta,
+                    float* c) noexcept {
+    const float* arow[R];
+    for (std::size_t r = 0; r < R; ++r) arow[r] = a + (i0 + r) * k;
+    for (std::size_t j = 0; j < n; j += kC) {
+      const std::size_t valid = n - j < kC ? n - j : kC;
+      const float* bcol[kC];
+      for (std::size_t t = 0; t < kC; ++t) {
+        bcol[t] = b + (j + (t < valid ? t : valid - 1)) * k;
+      }
+      Vec acc[R];
+      for (std::size_t r = 0; r < R; ++r) acc[r] = Arch::zero();
+      std::size_t p = 0;
+      for (; p + 4 <= k; p += 4) {
+        const Vec bv = Arch::load_b(bcol, p);
+        for (std::size_t r = 0; r < R; ++r) {
+          acc[r] = Arch::madd(Arch::load_a(arow[r] + p), bv, acc[r]);
+        }
+      }
+      for (; p < k; ++p) {
+        const Vec bv = Arch::load_b_tail(bcol, p);
+        for (std::size_t r = 0; r < R; ++r) {
+          acc[r] = Arch::madd_lane0(Arch::load_a_tail(arow[r][p]), bv, acc[r]);
+        }
+      }
+      for (std::size_t r = 0; r < R; ++r) {
+        float sums[kC];
+        Arch::reduce(acc[r], sums);
+        float* ci = c + (i0 + r) * n + j;
+        for (std::size_t t = 0; t < valid; ++t) {
+          const float d = alpha * sums[t];
+          ci[t] = beta == 0.0f ? d : Arch::madd1(beta, ci[t], d);
+        }
+      }
+    }
+  }
+
+  /// The last `rows` (< kRows) rows of a call, as one block of that height.
+  template <std::size_t R>
+  static void tail_block(std::size_t rows, std::size_t i0, std::size_t n,
+                         std::size_t k, float alpha, const float* a,
+                         const float* b, float beta, float* c) noexcept {
+    if constexpr (R > 0) {
+      if (rows == R) {
+        block<R>(i0, n, k, alpha, a, b, beta, c);
+      } else {
+        tail_block<R - 1>(rows, i0, n, k, alpha, a, b, beta, c);
+      }
+    }
+  }
+
+  static void compute(std::size_t row_lo, std::size_t row_hi, std::size_t n,
+                      std::size_t k, float alpha, const float* a,
+                      const float* b, float beta, float* c) {
+    std::size_t i = row_lo;
+    for (; i + Arch::kRows <= row_hi; i += Arch::kRows) {
+      block<Arch::kRows>(i, n, k, alpha, a, b, beta, c);
+    }
+    tail_block<Arch::kRows - 1>(row_hi - i, i, n, k, alpha, a, b, beta, c);
+  }
+};
+
+/// The dispatch table of one TU: the packed GEMM in geometry `Arch` and the
+/// small-NT kernel in geometry `NtArch`.
+template <class Arch, class NtArch>
+const GemmKernels& kernel_table() noexcept {
+  using Packed = PackedGemm<Arch>;
+  static const GemmKernels t{Packed::kMR,
+                             Packed::kNR,
+                             &Packed::packed_a_floats,
+                             &Packed::packed_b_floats,
+                             &Packed::pack_b,
+                             &Packed::compute,
+                             &SmallNt<NtArch>::compute};
+  return t;
+}
 
 }  // namespace middlefl::tensor::detail

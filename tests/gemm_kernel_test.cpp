@@ -6,6 +6,7 @@
 // host supports must produce byte-identical output for the same input.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -234,8 +235,8 @@ TEST(GemmKernel, RowSumsAccumulateExactly) {
 }
 
 TEST(GemmKernel, RowSumsOnSmallNtPath) {
-  // n < 16 routes through the legacy dot-form NT kernel; its scalar
-  // row-sums helper must obey the same contract as the packed path.
+  // n < 16 routes through the small-NT kernel; the row-sums helper that
+  // follows it must obey the same contract as the packed path.
   const std::size_t m = 9, n = 10, k = 24;
   const auto a = random_vec(m * k, 750);
   const auto b = random_vec(n * k, 751);
@@ -287,49 +288,131 @@ TEST(GemmKernel, RowSumsExactlyOnceWithThreadPool) {
 // Dispatch parity: the same inputs through every ISA tier this host
 // supports must produce byte-identical C (and mask). This is the
 // determinism contract the golden-run fingerprints rely on — a portable
-// binary's output cannot depend on which CPU it lands on.
+// binary's output cannot depend on which CPU it lands on. trans_b = kYes
+// covers the transposed B pack and, for n < 16 or k < 16, the small-NT
+// kernel.
 TEST(GemmKernel, DispatchParityAcrossIsaTiers) {
   const IsaLevel detected = middlefl::tensor::detected_isa();
 
   for (const auto& s : kShapes) {
     for (const Trans ta : {Trans::kNo, Trans::kYes}) {
-      const auto a = random_vec(s.m * s.k, 500 + s.m + s.k);
-      const auto b = random_vec(s.k * s.n, 501 + s.n + s.k);
-      const auto c0 = random_vec(s.m * s.n, 502 + s.m + s.n);
-      const auto bias = random_vec(s.n, 503);
+      for (const Trans tb : {Trans::kNo, Trans::kYes}) {
+        const auto a = random_vec(s.m * s.k, 500 + s.m + s.k);
+        const auto b = random_vec(s.k * s.n, 501 + s.n + s.k);
+        const auto c0 = random_vec(s.m * s.n, 502 + s.m + s.n);
+        const auto bias = random_vec(s.n, 503);
 
-      GemmEpilogue epi;
-      epi.col_bias = bias.data();
-      epi.relu = true;
+        GemmEpilogue epi;
+        epi.col_bias = bias.data();
+        epi.relu = true;
 
-      // Baseline: forced scalar.
-      std::vector<float> c_scalar = c0;
-      std::vector<std::uint8_t> mask_scalar(s.m * s.n, 0);
-      {
-        IsaGuard guard(IsaLevel::kScalar);
-        ASSERT_EQ(guard.applied, IsaLevel::kScalar);
-        epi.relu_mask = mask_scalar.data();
-        middlefl::tensor::gemm(ta, Trans::kNo, s.m, s.n, s.k, 1.0f, a, b,
-                               0.5f, c_scalar, nullptr, &epi);
+        // Baseline: forced scalar.
+        std::vector<float> c_scalar = c0;
+        std::vector<std::uint8_t> mask_scalar(s.m * s.n, 0);
+        {
+          IsaGuard guard(IsaLevel::kScalar);
+          ASSERT_EQ(guard.applied, IsaLevel::kScalar);
+          epi.relu_mask = mask_scalar.data();
+          middlefl::tensor::gemm(ta, tb, s.m, s.n, s.k, 1.0f, a, b, 0.5f,
+                                 c_scalar, nullptr, &epi);
+        }
+
+        for (const IsaLevel level : {IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+          if (static_cast<int>(level) > static_cast<int>(detected)) continue;
+          SCOPED_TRACE(::testing::Message()
+                       << "isa=" << middlefl::tensor::to_string(level)
+                       << " ta=" << (ta == Trans::kYes)
+                       << " tb=" << (tb == Trans::kYes) << " m=" << s.m
+                       << " n=" << s.n << " k=" << s.k);
+          std::vector<float> c_simd = c0;
+          std::vector<std::uint8_t> mask_simd(s.m * s.n, 0);
+          IsaGuard guard(level);
+          ASSERT_EQ(guard.applied, level);
+          epi.relu_mask = mask_simd.data();
+          middlefl::tensor::gemm(ta, tb, s.m, s.n, s.k, 1.0f, a, b, 0.5f,
+                                 c_simd, nullptr, &epi);
+          ASSERT_EQ(0, std::memcmp(c_scalar.data(), c_simd.data(),
+                                   c_scalar.size() * sizeof(float)))
+              << "ISA tier changed output bits";
+          ASSERT_EQ(mask_scalar, mask_simd);
+        }
       }
+    }
+  }
+}
 
-      for (const IsaLevel level : {IsaLevel::kAvx2, IsaLevel::kAvx512}) {
-        if (static_cast<int>(level) > static_cast<int>(detected)) continue;
-        SCOPED_TRACE(::testing::Message()
-                     << "isa=" << middlefl::tensor::to_string(level)
-                     << " ta=" << (ta == Trans::kYes) << " m=" << s.m
-                     << " n=" << s.n << " k=" << s.k);
-        std::vector<float> c_simd = c0;
-        std::vector<std::uint8_t> mask_simd(s.m * s.n, 0);
-        IsaGuard guard(level);
-        ASSERT_EQ(guard.applied, level);
-        epi.relu_mask = mask_simd.data();
-        middlefl::tensor::gemm(ta, Trans::kNo, s.m, s.n, s.k, 1.0f, a, b,
-                               0.5f, c_simd, nullptr, &epi);
-        ASSERT_EQ(0, std::memcmp(c_scalar.data(), c_simd.data(),
-                                 c_scalar.size() * sizeof(float)))
-            << "ISA tier changed output bits";
-        ASSERT_EQ(mask_scalar, mask_simd);
+/// The small-NT contract's madd: fused exactly when the build defines
+/// MIDDLEFL_GEMM_FMA. The volatile product keeps the compiler from
+/// contracting the unfused form.
+float contract_madd(float a, float b, float c) {
+#if defined(MIDDLEFL_GEMM_FMA)
+  return std::fma(a, b, c);
+#else
+  const volatile float product = a * b;
+  return product + c;
+#endif
+}
+
+/// C = alpha * A * B^T + beta * C spelled out in the small-NT contract's
+/// order (see kernels/gemm_kernel_impl.hpp): four p-lanes, the k % 4 tail
+/// into lane 0, then alpha * ((s0 + s1) + (s2 + s3)) and the beta madd.
+std::vector<float> small_nt_reference(std::size_t m, std::size_t n,
+                                      std::size_t k, float alpha,
+                                      const std::vector<float>& a,
+                                      const std::vector<float>& b, float beta,
+                                      const std::vector<float>& c_in) {
+  std::vector<float> c = c_in;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* ai = a.data() + i * k;
+      const float* bj = b.data() + j * k;
+      float s[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+      std::size_t p = 0;
+      for (; p + 4 <= k; p += 4) {
+        for (std::size_t l = 0; l < 4; ++l) {
+          s[l] = contract_madd(ai[p + l], bj[p + l], s[l]);
+        }
+      }
+      for (; p < k; ++p) s[0] = contract_madd(ai[p], bj[p], s[0]);
+      const float d = alpha * ((s[0] + s[1]) + (s[2] + s[3]));
+      c[i * n + j] = beta == 0.0f ? d : contract_madd(beta, c_in[i * n + j], d);
+    }
+  }
+  return c;
+}
+
+TEST(GemmKernel, SmallNtContract) {
+  std::vector<std::size_t> depths;
+  for (std::size_t k = 1; k <= 40; ++k) depths.push_back(k);
+  for (const std::size_t k : {63, 64, 255, 257}) depths.push_back(k);
+  // m = 9 covers a full row block of every tier (4 or 8 rows) plus a tail.
+  const std::size_t m = 9;
+  const IsaLevel detected = middlefl::tensor::detected_isa();
+  for (const IsaLevel level :
+       {IsaLevel::kScalar, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    if (static_cast<int>(level) > static_cast<int>(detected)) continue;
+    IsaGuard guard(level);
+    for (std::size_t n = 1; n < 16; ++n) {
+      for (const std::size_t k : depths) {
+        const auto a = random_vec(m * k, 600 + n + k);
+        const auto b = random_vec(n * k, 601 + n + k);
+        const auto c0 = random_vec(m * n, 602 + n + k);
+        for (const float alpha : {1.0f, 0.5f}) {
+          for (const float beta : {0.0f, 1.0f, -0.75f}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "isa=" << middlefl::tensor::to_string(level)
+                         << " n=" << n << " k=" << k << " alpha=" << alpha
+                         << " beta=" << beta);
+            const auto want =
+                small_nt_reference(m, n, k, alpha, a, b, beta, c0);
+            std::vector<float> c = c0;
+            middlefl::tensor::gemm(Trans::kNo, Trans::kYes, m, n, k, alpha, a,
+                                   b, beta, c);
+            ASSERT_EQ(0, std::memcmp(want.data(), c.data(),
+                                     c.size() * sizeof(float)))
+                << "small-NT result differs from the contract";
+          }
+        }
       }
     }
   }

@@ -239,7 +239,7 @@ class InputGradCheck : public ::testing::Test {
     layer.forward(input, out, true);
     const Tensor probe = Tensor::randn(out.shape(), rng);
     Tensor grad_input;
-    layer.backward(input, probe, grad_input);
+    layer.backward(input, probe, &grad_input);
 
     double worst = 0.0;
     const float eps = 1e-2f;

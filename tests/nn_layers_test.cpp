@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/activations.hpp"
@@ -15,8 +18,12 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "parallel/rng.hpp"
+#include "tensor/blas.hpp"
 
 namespace {
+
+using middlefl::tensor::GemmEpilogue;
+using middlefl::tensor::Trans;
 
 using middlefl::nn::Conv2d;
 using middlefl::nn::Conv2dConfig;
@@ -152,7 +159,206 @@ TEST(Conv2d, BackwardRequiresTrainingForward) {
   Tensor out;
   layer.forward(input, out, false);  // eval mode: no cache
   Tensor grad_in;
-  EXPECT_THROW(layer.backward(input, out, grad_in), std::logic_error);
+  EXPECT_THROW(layer.backward(input, out, &grad_in), std::logic_error);
+}
+
+/// The per-element lowering and per-sample GEMM loop Conv2d ran before its
+/// row-run im2col/col2im: the oracle Conv2dLowering compares against bit
+/// for bit.
+struct ConvOracle {
+  Conv2dConfig cfg;
+  std::size_t in_h, in_w, out_h, out_w;
+
+  std::size_t col_rows() const {
+    return cfg.in_channels * cfg.kernel * cfg.kernel;
+  }
+  std::size_t col_cols() const { return out_h * out_w; }
+
+  void im2col(const float* sample, float* col) const {
+    const auto pad = static_cast<std::ptrdiff_t>(cfg.padding);
+    for (std::size_t c = 0; c < cfg.in_channels; ++c) {
+      const float* channel = sample + c * in_h * in_w;
+      for (std::size_t ky = 0; ky < cfg.kernel; ++ky) {
+        for (std::size_t kx = 0; kx < cfg.kernel; ++kx) {
+          float* row =
+              col + ((c * cfg.kernel + ky) * cfg.kernel + kx) * col_cols();
+          for (std::size_t oy = 0; oy < out_h; ++oy) {
+            const std::ptrdiff_t iy =
+                static_cast<std::ptrdiff_t>(oy * cfg.stride + ky) - pad;
+            const bool row_in =
+                iy >= 0 && iy < static_cast<std::ptrdiff_t>(in_h);
+            for (std::size_t ox = 0; ox < out_w; ++ox) {
+              const std::ptrdiff_t ix =
+                  static_cast<std::ptrdiff_t>(ox * cfg.stride + kx) - pad;
+              const bool in_bounds =
+                  row_in && ix >= 0 && ix < static_cast<std::ptrdiff_t>(in_w);
+              row[oy * out_w + ox] =
+                  in_bounds ? channel[static_cast<std::size_t>(iy) * in_w +
+                                      static_cast<std::size_t>(ix)]
+                            : 0.0f;
+            }
+          }
+        }
+      }
+    }
+  }
+
+  void col2im(const float* col, float* sample_grad) const {
+    const auto pad = static_cast<std::ptrdiff_t>(cfg.padding);
+    for (std::size_t c = 0; c < cfg.in_channels; ++c) {
+      float* channel = sample_grad + c * in_h * in_w;
+      for (std::size_t ky = 0; ky < cfg.kernel; ++ky) {
+        for (std::size_t kx = 0; kx < cfg.kernel; ++kx) {
+          const float* row =
+              col + ((c * cfg.kernel + ky) * cfg.kernel + kx) * col_cols();
+          for (std::size_t oy = 0; oy < out_h; ++oy) {
+            const std::ptrdiff_t iy =
+                static_cast<std::ptrdiff_t>(oy * cfg.stride + ky) - pad;
+            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) continue;
+            for (std::size_t ox = 0; ox < out_w; ++ox) {
+              const std::ptrdiff_t ix =
+                  static_cast<std::ptrdiff_t>(ox * cfg.stride + kx) - pad;
+              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) continue;
+              channel[static_cast<std::size_t>(iy) * in_w +
+                      static_cast<std::size_t>(ix)] += row[oy * out_w + ox];
+            }
+          }
+        }
+      }
+    }
+  }
+
+  /// Forward with the fused bias + ReLU epilogue; keeps every sample's
+  /// column panel for backward.
+  void forward(std::span<const float> weight, const float* bias,
+               const Tensor& input, std::vector<float>& out,
+               std::vector<std::uint8_t>& mask, std::vector<float>& cols) {
+    const std::size_t batch = input.dim(0);
+    const std::size_t sample = cfg.in_channels * in_h * in_w;
+    const std::size_t col_size = col_rows() * col_cols();
+    const std::size_t out_sample = cfg.out_channels * col_cols();
+    out.assign(batch * out_sample, 0.0f);
+    mask.assign(batch * out_sample, 0);
+    cols.assign(batch * col_size, 0.0f);
+    for (std::size_t b = 0; b < batch; ++b) {
+      float* col = cols.data() + b * col_size;
+      im2col(input.data().data() + b * sample, col);
+      GemmEpilogue epi;
+      epi.row_bias = bias;
+      epi.relu = true;
+      epi.relu_mask = mask.data() + b * out_sample;
+      middlefl::tensor::gemm(
+          Trans::kNo, Trans::kNo, cfg.out_channels, col_cols(), col_rows(),
+          1.0f, weight, std::span<const float>(col, col_size), 0.0f,
+          std::span<float>(out.data() + b * out_sample, out_sample), nullptr,
+          &epi);
+    }
+  }
+
+  void backward(std::span<const float> weight, const std::vector<float>& cols,
+                const Tensor& grad_output, std::span<float> grad_weight,
+                std::span<float> grad_bias, std::vector<float>& grad_input) {
+    const std::size_t batch = grad_output.dim(0);
+    const std::size_t sample = cfg.in_channels * in_h * in_w;
+    const std::size_t col_size = col_rows() * col_cols();
+    const std::size_t out_sample = cfg.out_channels * col_cols();
+    grad_input.assign(batch * sample, 0.0f);
+    std::vector<float> dcol(col_size);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const std::span<const float> dy(
+          grad_output.data().data() + b * out_sample, out_sample);
+      const std::span<const float> col(cols.data() + b * col_size, col_size);
+      middlefl::tensor::gemm(Trans::kNo, Trans::kYes, cfg.out_channels,
+                             col_rows(), col_cols(), 1.0f, dy, col, 1.0f,
+                             grad_weight);
+      for (std::size_t oc = 0; oc < cfg.out_channels; ++oc) {
+        double acc = 0.0;
+        for (std::size_t p = 0; p < col_cols(); ++p) {
+          acc += dy[oc * col_cols() + p];
+        }
+        grad_bias[oc] += static_cast<float>(acc);
+      }
+      middlefl::tensor::gemm(Trans::kYes, Trans::kNo, col_rows(), col_cols(),
+                             cfg.out_channels, 1.0f, weight, dy, 0.0f, dcol);
+      col2im(dcol.data(), grad_input.data() + b * sample);
+    }
+  }
+};
+
+template <typename T>
+bool same_bits(const T* a, const T* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+TEST(Conv2dLowering, RowRunsMatchPerElementOracle) {
+  const std::size_t in_h = 6, in_w = 9, out_channels = 4;
+  for (const std::size_t channels : {1, 3}) {
+    for (const std::size_t kernel : {1, 3, 5}) {
+      for (const std::size_t stride : {1, 2}) {
+        for (const std::size_t pad : {0, 1, 2}) {
+          for (const std::size_t batch : {1, 5}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "C=" << channels << " k=" << kernel
+                         << " stride=" << stride << " pad=" << pad
+                         << " batch=" << batch);
+            const Conv2dConfig cfg{channels, out_channels, kernel, stride,
+                                   pad};
+            Conv2d layer(cfg);
+            const Shape out_shape = layer.build(Shape{channels, in_h, in_w});
+            std::vector<float> params, grads;
+            bind_layer(layer, params, grads);
+            Xoshiro256 rng(1000 + channels * 100 + kernel * 10 + stride +
+                           pad * 3 + batch);
+            for (float& v : params) v = static_cast<float>(rng.normal());
+            const Tensor input =
+                Tensor::randn(Shape{batch, channels, in_h, in_w}, rng);
+            const Tensor grad_out =
+                Tensor::randn(Shape{batch, out_channels, out_shape.dim(1),
+                                    out_shape.dim(2)},
+                              rng);
+
+            ReLU relu;
+            Tensor out;
+            layer.forward_fused(input, out, /*training=*/true, relu);
+            const std::uint8_t* mask = relu.fused_mask(out.numel());
+            Tensor grad_in;
+            layer.backward(input, grad_out, &grad_in);
+
+            ConvOracle oracle{cfg, in_h, in_w, out_shape.dim(1),
+                              out_shape.dim(2)};
+            const std::size_t w_count = params.size() - out_channels;
+            const std::span<const float> weight(params.data(), w_count);
+            std::vector<float> want_out, want_cols, want_dx;
+            std::vector<std::uint8_t> want_mask;
+            oracle.forward(weight, params.data() + w_count, input, want_out,
+                           want_mask, want_cols);
+            std::vector<float> want_grads(params.size(), 0.0f);
+            oracle.backward(weight, want_cols, grad_out,
+                            std::span<float>(want_grads.data(), w_count),
+                            std::span<float>(want_grads.data() + w_count,
+                                             out_channels),
+                            want_dx);
+
+            ASSERT_EQ(out.numel(), want_out.size());
+            EXPECT_TRUE(same_bits(out.data().data(), want_out.data(),
+                                  want_out.size()))
+                << "forward output";
+            EXPECT_TRUE(same_bits(mask, want_mask.data(), want_mask.size()))
+                << "ReLU mask";
+            EXPECT_TRUE(same_bits(grads.data(), want_grads.data(), w_count))
+                << "dW";
+            EXPECT_TRUE(same_bits(grads.data() + w_count,
+                                  want_grads.data() + w_count, out_channels))
+                << "db";
+            ASSERT_EQ(grad_in.numel(), want_dx.size());
+            EXPECT_TRUE(same_bits(grad_in.data().data(), want_dx.data(),
+                                  want_dx.size()))
+                << "dX";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(MaxPool2d, ForwardKnownValues) {
@@ -179,7 +385,7 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   layer.forward(input, out, true);
   const Tensor grad_out(Shape{1, 1, 1, 1}, {5.0f});
   Tensor grad_in;
-  layer.backward(input, grad_out, grad_in);
+  layer.backward(input, grad_out, &grad_in);
   EXPECT_FLOAT_EQ(grad_in[0], 0.0f);
   EXPECT_FLOAT_EQ(grad_in[1], 5.0f);  // max was at index 1
   EXPECT_FLOAT_EQ(grad_in[2], 0.0f);
@@ -213,7 +419,7 @@ TEST(AvgPool2d, BackwardSpreadsUniformly) {
   layer.forward(input, out, true);
   const Tensor grad_out(Shape{1, 1, 1, 1}, {8.0f});
   Tensor grad_in;
-  layer.backward(input, grad_out, grad_in);
+  layer.backward(input, grad_out, &grad_in);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_FLOAT_EQ(grad_in[i], 2.0f);  // 8 / 4 per input
   }
@@ -246,7 +452,7 @@ TEST(ReLU, BackwardMasksGradient) {
   layer.forward(input, out, true);
   const Tensor grad_out(Shape{1, 3}, {10, 20, 30});
   Tensor grad_in;
-  layer.backward(input, grad_out, grad_in);
+  layer.backward(input, grad_out, &grad_in);
   EXPECT_FLOAT_EQ(grad_in[0], 0.0f);
   EXPECT_FLOAT_EQ(grad_in[1], 20.0f);
   EXPECT_FLOAT_EQ(grad_in[2], 30.0f);
@@ -278,7 +484,7 @@ TEST(Flatten, BackwardRestoresShape) {
   Tensor out;
   layer.forward(input, out, true);
   Tensor grad_in;
-  layer.backward(input, out, grad_in);
+  layer.backward(input, out, &grad_in);
   EXPECT_EQ(grad_in.shape(), (Shape{3, 2, 2}));
 }
 

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "nn/activations.hpp"
+#include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
@@ -13,6 +19,9 @@
 namespace {
 
 using middlefl::nn::build_model;
+using middlefl::nn::Dropout;
+using middlefl::nn::Flatten;
+using middlefl::nn::Layer;
 using middlefl::nn::Linear;
 using middlefl::nn::ModelArch;
 using middlefl::nn::ModelSpec;
@@ -133,6 +142,129 @@ TEST(Sequential, SummaryMentionsLayersAndParams) {
   EXPECT_NE(s.find("Linear"), std::string::npos);
   EXPECT_NE(s.find("ReLU"), std::string::npos);
   EXPECT_NE(s.find("params="), std::string::npos);
+}
+
+// --- First-layer skip ---
+
+/// Forwards every call to the wrapped layer, except that a null grad_input
+/// from Sequential::backward is replaced by a scratch tensor: the wrapped
+/// layer then does the input-gradient work the skip avoids.
+class FullInputGrad final : public Layer {
+ public:
+  explicit FullInputGrad(std::unique_ptr<Layer> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  Shape build(const Shape& input_shape) override {
+    return inner_->build(input_shape);
+  }
+  std::size_t param_count() const override { return inner_->param_count(); }
+  void bind(std::span<float> params, std::span<float> grads) override {
+    inner_->bind(params, grads);
+  }
+  void init_params(Xoshiro256& rng) override { inner_->init_params(rng); }
+  void forward(const Tensor& input, Tensor& output, bool training) override {
+    inner_->forward(input, output, training);
+  }
+  void backward(const Tensor& input, const Tensor& grad_output,
+                Tensor* grad_input) override {
+    saw_null_grad_input = grad_input == nullptr;
+    inner_->backward(input, grad_output,
+                     grad_input != nullptr ? grad_input : &scratch_);
+  }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<FullInputGrad>(inner_->clone());
+  }
+
+  bool saw_null_grad_input = false;
+
+ private:
+  std::unique_ptr<Layer> inner_;
+  Tensor scratch_;
+};
+
+/// Trains one batch through two rebuilds of `source`: as is, and with its
+/// first parameterized layer wrapped in FullInputGrad. Skipping the input
+/// gradient must not move a bit of the logits or the parameter gradients.
+void expect_skip_leaves_grads_unchanged(const Sequential& source,
+                                        std::size_t batch,
+                                        std::size_t classes) {
+  Sequential skipped(source.input_shape());
+  Sequential full(source.input_shape());
+  FullInputGrad* probe = nullptr;
+  for (std::size_t i = 0; i < source.layer_count(); ++i) {
+    skipped.add(source.layer(i).clone());
+    auto layer = source.layer(i).clone();
+    if (probe == nullptr && layer->param_count() > 0) {
+      auto wrapped = std::make_unique<FullInputGrad>(std::move(layer));
+      probe = wrapped.get();
+      full.add(std::move(wrapped));
+    } else {
+      full.add(std::move(layer));
+    }
+  }
+  ASSERT_NE(probe, nullptr);
+  skipped.build(11);
+  full.build(11);
+
+  std::vector<std::size_t> dims{batch};
+  const auto& sample_dims = source.input_shape().dims();
+  dims.insert(dims.end(), sample_dims.begin(), sample_dims.end());
+  Xoshiro256 rng(12);
+  const Tensor x = Tensor::randn(Shape(dims), rng);
+  std::vector<std::int32_t> labels(batch);
+  for (auto& label : labels) {
+    label = static_cast<std::int32_t>(rng.bounded(classes));
+  }
+
+  const Tensor& logits_skipped = skipped.forward(x, true);
+  const Tensor& logits_full = full.forward(x, true);
+  ASSERT_EQ(0, std::memcmp(logits_skipped.data().data(),
+                           logits_full.data().data(),
+                           logits_full.numel() * sizeof(float)));
+  const auto loss = middlefl::nn::softmax_cross_entropy(logits_skipped, labels);
+  skipped.zero_grad();
+  full.zero_grad();
+  skipped.backward(loss.grad_logits);
+  full.backward(loss.grad_logits);
+
+  EXPECT_TRUE(probe->saw_null_grad_input);
+  const auto g_skipped = skipped.gradients();
+  const auto g_full = full.gradients();
+  ASSERT_EQ(g_skipped.size(), g_full.size());
+  EXPECT_EQ(0, std::memcmp(g_skipped.data(), g_full.data(),
+                           g_full.size() * sizeof(float)))
+      << "parameter gradients changed";
+}
+
+TEST(SequentialFirstLayerSkip, Cnn2ParamGradsUnchanged) {
+  ModelSpec spec;
+  spec.arch = ModelArch::kCnn2;
+  spec.input_shape = Shape{1, 8, 8};
+  spec.num_classes = 4;
+  spec.hidden = 16;
+  spec.base_channels = 4;
+  expect_skip_leaves_grads_unchanged(*build_model(spec, 1), 6, 4);
+}
+
+TEST(SequentialFirstLayerSkip, Mlp2FlattenFirstParamGradsUnchanged) {
+  ModelSpec spec;
+  spec.arch = ModelArch::kMlp2;
+  spec.input_shape = Shape{1, 6, 6};
+  spec.num_classes = 4;
+  spec.hidden = 16;
+  expect_skip_leaves_grads_unchanged(*build_model(spec, 1), 6, 4);
+}
+
+TEST(SequentialFirstLayerSkip, DropoutBeforeFirstParamLayerGradsUnchanged) {
+  Sequential model(Shape{1, 6, 6});
+  model.add(std::make_unique<Flatten>());
+  model.add(std::make_unique<Dropout>(0.3f));
+  model.add(std::make_unique<Linear>(0, 16));
+  model.add(std::make_unique<ReLU>());
+  model.add(std::make_unique<Linear>(16, 4));
+  model.build(1);
+  expect_skip_leaves_grads_unchanged(model, 6, 4);
 }
 
 // --- Model factory ---

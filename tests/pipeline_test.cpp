@@ -1,10 +1,11 @@
 // Staged step-pipeline tests.
 //
-// 1. Golden seed-parity pins: nine end-to-end runs must reproduce their
+// 1. Golden seed-parity pins: ten end-to-end runs must reproduce their
 //    recorded fingerprints bit for bit — accuracies, parameter hashes, and
 //    every communication counter. The fingerprints below were recorded
 //    when stream contract v2 replaced the v1 mobility and selection draw
-//    patterns, on two codegen targets (see GoldenRun).
+//    patterns, on two codegen targets (see GoldenRun); Cnn2Tiny was added
+//    with the small-NT rounding contract (see tests/README.md).
 //    Integer counters and accuracy bits are ISA-invariant and always
 //    asserted hard, as is bare == observed equality of every float
 //    fingerprint (observation must not perturb the run). The float-valued
@@ -368,6 +369,31 @@ TEST(GoldenParity, MiddleServerMomentumUniform) {
   SimBundle bundle;
   bundle.cfg.server_momentum = 0.5;
   bundle.cfg.weighted_cloud_aggregation = false;
+  const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
+  if (!skip.empty()) GTEST_SKIP() << skip;
+}
+
+TEST(GoldenParity, Cnn2Tiny) {
+  // The one CNN golden: CNN-2 at base_channels 4 on 8x8 inputs. Its conv1
+  // weight gradient is a small-NT GEMM with k = 64, so this run pins the
+  // small-NT rounding contract (see tests/README.md) past the k < 32 range
+  // that the MLP goldens' logits layers reach. The portable variant
+  // predates the contract's kernel and is reproduced by it.
+  const GoldenRun golden{
+      "cnn2_tiny",
+      {0x3fd0000000000000, 0x3fd0000000000000, 0x3fc999999999999a,
+       0x3fc999999999999a, 0x3fd47ae147ae147b},
+      {0x1938149f48836a83, 0xbfb540e46fd5e605},
+      {0x7940e63f33f9b554, 0x16db6d57bd428ce6},
+      {0x1a9872af113449b7, 0x41910d97ce0d8c2f},
+      58, 58, 6, 6, 24,
+      0, 0, 216224, 32,
+      {0x3fdfff154dbdd67b, 0x3fdfff154dbe9a39}};
+  SimBundle bundle(4, 12, 3, /*side=*/8);
+  bundle.model_spec.arch = middlefl::nn::ModelArch::kCnn2;
+  bundle.model_spec.base_channels = 4;
+  bundle.cfg.total_steps = 10;
+  bundle.cfg.eval_every = 3;  // evaluates at steps 0, 3, 6, 9 and 10
   const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
   if (!skip.empty()) GTEST_SKIP() << skip;
 }

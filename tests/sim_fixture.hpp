@@ -23,17 +23,18 @@ struct SimBundle {
   double mobility_p = 0.5;
   std::uint64_t seed = 42;
 
+  /// `side` is the height and width of each synthetic 1-channel image.
   SimBundle(std::size_t classes = 4, std::size_t devices = 12,
-            std::size_t edges = 3)
-      : train(make_data(classes, 60, 0)),
-        test(make_data(classes, 25, 1)),
+            std::size_t edges = 3, std::size_t side = 6)
+      : train(make_data(classes, 60, 0, side)),
+        test(make_data(classes, 25, 1, side)),
         partition(data::partition_major_class(train, devices, 60, 0.8, 7)),
         num_edges(edges) {
     initial_edges =
         data::assign_edges_by_major_class(partition, edges, classes);
 
     model_spec.arch = nn::ModelArch::kMlp;
-    model_spec.input_shape = tensor::Shape{1, 6, 6};
+    model_spec.input_shape = tensor::Shape{1, side, side};
     model_spec.num_classes = classes;
     model_spec.hidden = 16;
 
@@ -49,11 +50,11 @@ struct SimBundle {
   }
 
   static data::Dataset make_data(std::size_t classes, std::size_t per_class,
-                                 std::uint64_t salt) {
+                                 std::uint64_t salt, std::size_t side = 6) {
     data::SyntheticConfig dcfg;
     dcfg.num_classes = classes;
-    dcfg.height = 6;
-    dcfg.width = 6;
+    dcfg.height = side;
+    dcfg.width = side;
     dcfg.noise_std = 0.2f;
     dcfg.seed = 5;
     return data::SyntheticGenerator(dcfg).generate(per_class, salt);
