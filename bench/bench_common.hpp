@@ -206,7 +206,8 @@ std::string json_summary_fields(const SimRunSummary& summary,
 void append_summary_members(config::Json& object, const SimRunSummary& summary);
 
 /// One run parameter of a protocol header: a key and its value, streamed
-/// as a bare JSON number (numbers only).
+/// as a bare JSON number, a JSON boolean, or a quoted string (plain text:
+/// no escaping).
 struct ProtocolField {
   template <typename Number>
   ProtocolField(std::string name, const Number& value) : key(std::move(name)) {
@@ -214,6 +215,12 @@ struct ProtocolField {
     os << value;
     json = os.str();
   }
+  ProtocolField(std::string name, bool value)
+      : key(std::move(name)), json(value ? "true" : "false") {}
+  ProtocolField(std::string name, const std::string& text)
+      : key(std::move(name)), json('"' + text + '"') {}
+  ProtocolField(std::string name, const char* text)
+      : ProtocolField(std::move(name), std::string(text)) {}
   std::string key;
   std::string json;
 };

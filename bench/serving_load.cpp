@@ -21,8 +21,10 @@
 // Training republishes every edge aggregate into the serving hub
 // throughout, so the hot-swap path is exercised at full training rate.
 //
-// Figures of merit, emitted as JSON (default BENCH_serving_load.json):
-// per-arm QPS + exact client-side p50/p95/p99 latency, batched/unbatched
+// Figures of merit, emitted as JSON (default BENCH_serving_load.json)
+// after the shared protocol header (bench::protocol_json, with the
+// interleaving parameters above as its run fields): per-arm QPS + exact
+// client-side p50/p95/p99 latency, batched/unbatched
 // QPS speedup (the acceptance gate: >= 1.3x), a QPS-vs-latency sweep
 // (batched arm; offered-load steps in open mode, client counts in closed
 // mode), and the shared training summary block.
@@ -374,18 +376,20 @@ int run(int argc, const char* const* argv) {
       << "  \"task\": \"" << data::to_string(kind) << "\",\n"
       << "  \"scale\": \"" << (options.paper ? "paper" : "fast") << "\",\n"
       << "  \"algorithm\": \"" << core::to_string(algorithm) << "\",\n"
-      << "  \"protocol\": {\n"
-      << "    \"interleaved_ab\": true,\n"
-      << "    \"windows_per_arm\": " << windows << ",\n"
-      << "    \"order\": \"batched,unbatched per pair\",\n"
-      << "    \"steps_per_window\": " << steps_per_window << ",\n"
-      << "    \"warmup_steps\": " << warmup_steps << ",\n"
-      << "    \"mode\": \"" << mode_flag << "\",\n"
-      << "    \"clients\": " << clients << ",\n"
-      << "    \"max_batch_batched\": " << max_batch << ",\n"
-      << "    \"max_batch_unbatched\": 1,\n"
-      << "    \"offered_qps\": " << offered_qps << "\n"
-      << "  },\n"
+      << bench::protocol_json(pool.size(),
+                              {{"interleaved_ab", true},
+                               {"windows_per_arm", windows},
+                               {"order", "batched,unbatched per pair"},
+                               {"steps_per_window", steps_per_window},
+                               {"warmup_steps", warmup_steps},
+                               {"mode", mode_flag},
+                               {"clients", clients},
+                               {"max_batch_batched", max_batch},
+                               {"max_batch_unbatched", 1},
+                               {"offered_qps", offered_qps},
+                               {"seed", options.seed}},
+                              "  ")
+      << ",\n"
       << "  \"batched\": " << arm_json(batched, "  ") << ",\n"
       << "  \"unbatched\": " << arm_json(unbatched, "  ") << ",\n"
       << "  \"speedup_qps\": " << speedup << ",\n"

@@ -5,25 +5,142 @@
 #include <string>
 
 namespace middlefl::core {
+namespace {
+
+void check_devices(std::span<const std::size_t> assignment,
+                   std::size_t devices) {
+  if (assignment.size() != devices) {
+    throw std::invalid_argument("EdgeMembership::apply: assignment of " +
+                                std::to_string(assignment.size()) +
+                                " devices, rows of " + std::to_string(devices));
+  }
+}
+
+}  // namespace
 
 void EdgeMembership::rebuild(std::size_t num_edges,
                              std::span<const std::size_t> assignment) {
+  if (num_edges > kMaxEdges) {
+    throw std::invalid_argument(
+        "EdgeMembership::rebuild: " + std::to_string(num_edges) +
+        " edges past the " + std::to_string(kMaxEdges) + " the map can name");
+  }
   devices_ = assignment.size();
   words_ = (devices_ + 63) / 64;
   blocks_ = (devices_ + kBlockDevices - 1) / kBlockDevices;
   bits_.assign(num_edges * words_, 0);
   counts_.assign(num_edges, 0);
   block_counts_.assign(num_edges * blocks_, 0);
+  edge_of_.resize(devices_);
+  moved_.clear();
+  moved_from_.clear();
+  touched_.assign(num_edges, 0);
   for (std::size_t m = 0; m < devices_; ++m) {
-    row_data(assignment[m])[m / 64] |= std::uint64_t{1} << (m % 64);
-    ++counts_[assignment[m]];
-    ++block_counts_[assignment[m] * blocks_ + m / kBlockDevices];
+    const std::size_t e = assignment[m];
+    if (e >= num_edges) {
+      throw std::out_of_range("EdgeMembership::rebuild: device " +
+                              std::to_string(m) + " on edge " +
+                              std::to_string(e) + " of " +
+                              std::to_string(num_edges));
+    }
+    edge_of_[m] = static_cast<std::uint16_t>(e);
+    row_data(e)[m / 64] |= std::uint64_t{1} << (m % 64);
+    ++counts_[e];
+    ++block_counts_[e * blocks_ + m / kBlockDevices];
+  }
+}
+
+void EdgeMembership::apply(std::span<const std::size_t> movers,
+                           std::span<const std::size_t> assignment) {
+  check_devices(assignment, devices_);
+  moved_.resize(movers.size());
+  apply_moved(movers, assignment);
+}
+
+void EdgeMembership::apply(std::span<const std::size_t> assignment) {
+  check_devices(assignment, devices_);
+  moved_.clear();
+  for (std::size_t m = 0; m < devices_; ++m) {
+    if (assignment[m] != edge_of_[m]) moved_.push_back(m);
+  }
+  apply_moved(moved_, assignment);
+}
+
+void EdgeMembership::apply_moved(std::span<const std::size_t> movers,
+                                 std::span<const std::size_t> assignment) {
+  moved_from_.resize(movers.size());
+  // The pass is bound by the strided assignment reads, so it keeps its
+  // state in locals the row stores cannot alias. Movers arrive ascending,
+  // so each block's moves are contiguous: flip them, flagging the edges
+  // they touch, then recount the block once before moving on.
+  const std::size_t devices = devices_;
+  const std::size_t edges = num_edges();
+  const std::size_t words = words_;
+  std::uint64_t* bits = bits_.data();
+  std::uint16_t* edge_of = edge_of_.data();
+  std::uint16_t* from_out = moved_from_.data();
+  std::size_t* moved = moved_.data();
+  std::uint8_t* touched = touched_.data();
+  std::size_t block = 0;
+  std::size_t block_end = 0;  // one past the current block's last device
+  for (std::size_t i = 0; i < movers.size(); ++i) {
+    const std::size_t m = movers[i];
+    if (i > 0 && m <= movers[i - 1]) {
+      throw std::invalid_argument(
+          "EdgeMembership::apply: movers must be strictly ascending (device " +
+          std::to_string(m) + " after " + std::to_string(movers[i - 1]) + ")");
+    }
+    const std::size_t to = m < devices ? assignment[m] : edges;
+    if (to >= edges) {
+      throw std::out_of_range("EdgeMembership::apply: device " +
+                              std::to_string(m) + " or its edge out of range");
+    }
+    if (m >= block_end) {
+      if (i > 0) recount_touched(block);
+      block = m / kBlockDevices;
+      block_end = (block + 1) * kBlockDevices;
+    }
+    const std::size_t from = edge_of[m];
+    moved[i] = m;
+    from_out[i] = static_cast<std::uint16_t>(from);
+    edge_of[m] = static_cast<std::uint16_t>(to);
+    const std::uint64_t bit = std::uint64_t{1} << (m % 64);
+    bits[from * words + m / 64] &= ~bit;
+    bits[to * words + m / 64] |= bit;
+    touched[from] = 1;
+    touched[to] = 1;
+  }
+  if (!movers.empty()) recount_touched(block);
+}
+
+void EdgeMembership::recount_touched(std::size_t b) {
+  const std::size_t first = b * kBlockWords;
+  const std::size_t last = std::min(words_, first + kBlockWords);
+  for (std::size_t e = 0; e < touched_.size(); ++e) {
+    if (touched_[e] == 0) continue;
+    touched_[e] = 0;
+    const std::uint64_t* row = row_data(e);
+    std::uint32_t ones = 0;
+    for (std::size_t w = first; w < last; ++w) {
+      ones += static_cast<std::uint32_t>(std::popcount(row[w]));
+    }
+    std::uint32_t& held = block_counts_[e * blocks_ + b];
+    counts_[e] = counts_[e] - held + ones;
+    held = ones;
   }
 }
 
 std::size_t EdgeMembership::max_count() const noexcept {
   return counts_.empty() ? 0
                          : *std::max_element(counts_.begin(), counts_.end());
+}
+
+std::size_t EdgeMembership::previous_edge(std::size_t m) const noexcept {
+  const auto it = std::lower_bound(moved_.begin(), moved_.end(), m);
+  if (it != moved_.end() && *it == m) {
+    return moved_from_[static_cast<std::size_t>(it - moved_.begin())];
+  }
+  return edge_of_[m];
 }
 
 void EdgeMembership::at_ranks(std::size_t e,

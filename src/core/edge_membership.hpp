@@ -1,20 +1,28 @@
-// Which devices each edge holds this step, as one n-bit row per edge.
+// Which devices each edge holds this step, as one n-bit row per edge, and
+// the edge each device sits on.
 //
-// Bit m of row e is set when device m is connected to edge e, and a
-// per-edge count rides along, as does a count per edge per block of 4096
-// devices. Walking a row's set bits yields the members in ascending id
-// order, the canonical candidate order selection and the settle scan use.
-// A mover costs two bit flips (clear its old edge, set its new one) and
-// two block-count updates, so keeping the rows current is O(movers) per
-// step; only a rebuild from the assignment is O(n). The block counts let
-// at_ranks find the K selected ranks in O(n / 4096 + K * 64) per edge
-// instead of popcounting the whole row.
+// Bit m of row e is set when device m is connected to edge e. A per-edge
+// count rides along, as does a count per edge per block of 4096 devices.
+// Walking a row's set bits yields the members in ascending id order, the
+// canonical candidate order selection and the settle scan use. The block
+// counts let at_ranks find the K selected ranks in O(n / 4096 + K * 64)
+// per edge instead of popcounting the whole row.
 //
-// Footprint: E rows of n bits, E*n/8 bytes (1 MB for 1M devices on 8
-// edges), plus E*n/1024 bytes of block counts. Per-edge id lists cost 8
-// bytes per device whatever E is, so the rows stay smaller up to 64 edges.
+// The class owns the device -> edge map (edge_of_, 2 bytes per device), so
+// a step's update needs only the ascending mover list and the new
+// assignment: apply() reads each mover's old edge from the map, flips its
+// two bits and records where it came from, then recounts every touched
+// 4096-device block by popcounting the touched edges' words there and
+// moves the edge counts by the block differences. That is O(movers) with
+// no per-mover counter update; only rebuild() is O(n). The recorded movers
+// answer previous_edge() until the next apply().
 //
-// Rows are written only at serial points (rebuild/move) and read
+// Footprint: E rows of n bits plus the map, E*n/8 + 2n bytes (3 MB for 1M
+// devices on 8 edges), plus E*n/1024 bytes of block counts and 10 bytes per
+// recorded mover. Per-edge id lists cost 8 bytes per device whatever E is,
+// so the rows stay smaller up to 48 edges.
+//
+// Rows are written only at serial points (rebuild/apply) and read
 // concurrently by the per-edge chains.
 #pragma once
 
@@ -28,19 +36,27 @@ namespace middlefl::core {
 
 class EdgeMembership {
  public:
+  /// The most edges the 2-byte device -> edge map can name.
+  static constexpr std::size_t kMaxEdges = std::size_t{1} << 16;
+
   /// Rows for `num_edges` edges over `assignment.size()` devices, where
-  /// device m sits on edge assignment[m] (< num_edges).
+  /// device m sits on edge assignment[m] (< num_edges). Clears the
+  /// recorded movers. Throws std::invalid_argument past kMaxEdges edges and
+  /// std::out_of_range on an edge >= num_edges.
   void rebuild(std::size_t num_edges, std::span<const std::size_t> assignment);
-  /// Moves device m from edge `from` (where it must be) to edge `to`.
-  void move(std::size_t m, std::size_t from, std::size_t to) noexcept {
-    const std::uint64_t bit = std::uint64_t{1} << (m % 64);
-    row_data(from)[m / 64] &= ~bit;
-    row_data(to)[m / 64] |= bit;
-    --counts_[from];
-    ++counts_[to];
-    --block_counts_[from * blocks_ + m / kBlockDevices];
-    ++block_counts_[to * blocks_ + m / kBlockDevices];
-  }
+
+  /// Moves each device in `movers` (strictly ascending ids) from the edge
+  /// it sits on to assignment[m], and records where it came from. A listed
+  /// device whose edge is unchanged stays put. Throws std::invalid_argument
+  /// on a size mismatch or a non-ascending list and std::out_of_range on an
+  /// id or edge out of range; after a throw the rows are unspecified until
+  /// the next rebuild.
+  void apply(std::span<const std::size_t> movers,
+             std::span<const std::size_t> assignment);
+  /// The same update for a mobility model that reports no movers: the
+  /// movers are the devices whose assignment differs from the held edge
+  /// (an O(n) diff, then the apply above).
+  void apply(std::span<const std::size_t> assignment);
 
   std::size_t num_edges() const noexcept { return counts_.size(); }
   std::size_t num_devices() const noexcept { return devices_; }
@@ -48,6 +64,13 @@ class EdgeMembership {
   std::size_t count(std::size_t e) const noexcept { return counts_[e]; }
   /// The largest count over the edges (0 with no edges).
   std::size_t max_count() const noexcept;
+  /// The edge device m sits on.
+  std::size_t edge_of(std::size_t m) const noexcept { return edge_of_[m]; }
+  /// The devices the last apply() moved, ascending (empty after rebuild).
+  std::span<const std::size_t> movers() const noexcept { return moved_; }
+  /// The edge device m sat on before the last apply(): a binary search of
+  /// the recorded movers, else its current edge.
+  std::size_t previous_edge(std::size_t m) const noexcept;
 
   /// Calls f(m) for every device m on edge e, ascending.
   template <typename F>
@@ -79,6 +102,13 @@ class EdgeMembership {
   const std::uint64_t* row_data(std::size_t e) const noexcept {
     return bits_.data() + e * words_;
   }
+  /// Moves each device in `movers` and records it in moved_ (the body of
+  /// both apply overloads, after they checked the assignment's size and
+  /// sized moved_; `movers` may be moved_ itself).
+  void apply_moved(std::span<const std::size_t> movers,
+                   std::span<const std::size_t> assignment);
+  /// Recounts block b of every touched edge and clears their flags.
+  void recount_touched(std::size_t b);
 
   static constexpr std::size_t kBlockDevices = 4096;
   static constexpr std::size_t kBlockWords = kBlockDevices / 64;
@@ -90,6 +120,13 @@ class EdgeMembership {
   std::vector<std::size_t> counts_;
   /// Members of edge e in device block b at [e * blocks_ + b].
   std::vector<std::uint32_t> block_counts_;
+  /// The edge each device sits on.
+  std::vector<std::uint16_t> edge_of_;
+  /// The last apply's movers (ascending) and the edge each one left.
+  std::vector<std::size_t> moved_;
+  std::vector<std::uint16_t> moved_from_;
+  /// 1 for each edge whose rows the current block's moves changed.
+  std::vector<std::uint8_t> touched_;
 };
 
 }  // namespace middlefl::core

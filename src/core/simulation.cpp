@@ -230,6 +230,7 @@ void Simulation::set_observability(const obs::Observability& obs) {
   if (obs_.metrics != nullptr) {
     obs::MetricsRegistry& m = *obs_.metrics;
     metric_ids_.steps = m.counter("sim.steps");
+    metric_ids_.movers = m.counter("sim.movers");
     metric_ids_.cloud_syncs = m.counter("sim.cloud_syncs");
     metric_ids_.selected = m.counter("sim.selected_devices");
     metric_ids_.stragglers = m.counter("sim.straggler_drops");
@@ -328,23 +329,18 @@ void Simulation::begin_step() {
   const bool observed = obs_.enabled();
   last_phase_us_ = StepPhaseUs{};
 
-  // Bring prev_assignment_ up to the PRE-advance assignment by patching
-  // the previous advance's movers instead of copying all n entries. The
-  // full copy remains for the first step and for models that do not track
-  // their movers.
-  {
-    const auto& before = mobility_->assignment();
-    const std::vector<std::size_t>* prev_movers = mobility_->movers();
-    if (prev_assignment_.size() != before.size() || prev_movers == nullptr) {
-      prev_assignment_ = before;
-    } else {
-      for (const std::size_t m : *prev_movers) {
-        prev_assignment_[m] = before[m];
-      }
+  // The membership rows start from the assignment before the first
+  // advance (the only O(n) build); every step after that applies movers.
+  obs::TraceRecorder::Clock::time_point t0{};
+  if (membership_.num_edges() != edges_.size()) {
+    if (observed) t0 = obs::TraceRecorder::Clock::now();
+    membership_.rebuild(edges_.size(), mobility_->assignment());
+    if (observed) {
+      last_phase_us_.membership =
+          elapsed_us(t0, obs::TraceRecorder::Clock::now());
     }
   }
 
-  obs::TraceRecorder::Clock::time_point t0{};
   if (observed) t0 = obs::TraceRecorder::Clock::now();
   mobility_->advance();
   if (observed) {
@@ -368,19 +364,17 @@ void Simulation::begin_step() {
   }
 
   // Candidate sets M_t_n: each mover flips two membership bits, leaving
-  // its pre-advance edge (prev_assignment_) for its new one. The full
-  // rebuild remains for the first step and for models that do not track
-  // their movers. Neither path dereferences a device (cold state), and
-  // both give the same rows (pinned by MembershipIncremental tests).
+  // the edge the rows hold for it for its new one, and the rows remember
+  // where it came from (previous_edge, read by Distribute). A model that
+  // does not track its movers has them found by diffing the assignment
+  // against the rows' edges, and the same apply runs. Neither path
+  // dereferences a device (cold state), and both give the same rows
+  // (pinned by MembershipIncremental and MembershipUntracked tests).
   if (observed) t0 = obs::TraceRecorder::Clock::now();
-  const std::vector<std::size_t>* movers = mobility_->movers();
-  if (movers != nullptr && membership_.num_edges() == edges_.size() &&
-      membership_.num_devices() == assignment.size()) {
-    for (const std::size_t m : *movers) {
-      membership_.move(m, prev_assignment_[m], assignment[m]);
-    }
+  if (const std::vector<std::size_t>* movers = mobility_->movers()) {
+    membership_.apply(*movers, assignment);
   } else {
-    membership_.rebuild(edges_.size(), assignment);
+    membership_.apply(assignment);
   }
   // Ranks 0..count-1 for id-only selection, shared read-only by the chains.
   if (const std::size_t widest = membership_.max_count();
@@ -392,7 +386,7 @@ void Simulation::begin_step() {
   }
   if (observed) {
     const auto t1 = obs::TraceRecorder::Clock::now();
-    last_phase_us_.membership = elapsed_us(t0, t1);
+    last_phase_us_.membership += elapsed_us(t0, t1);
     if (obs_.trace != nullptr) {
       obs_.trace->complete("membership", "phase", t0, t1, t_, "t");
     }
@@ -538,7 +532,8 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
     Device& device = registry_.at(m);
     dropped_this_step_[m] = steps_budget_[m] == 0 ? 1 : 0;
     download_lost_[m] = 0;
-    const bool moved = prev_assignment_[m] != n;
+    const std::size_t came_from = membership_.previous_edge(m);
+    const bool moved = came_from != n;
 
     parallel::Xoshiro256 rng;  // consulted only on a lossy downlink
     std::vector<std::vector<float>> local_arena;  // downlink reconstructions
@@ -560,7 +555,7 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
     const bool wants_prev =
         moved && algorithm_.on_move == OnDeviceRule::kPrevEdgeAverage;
     if (wants_prev) {
-      prev_dl = downlink.send(edge_snapshot_[prev_assignment_[m]]->span(), ctx);
+      prev_dl = downlink.send(edge_snapshot_[came_from]->span(), ctx);
     }
     if (dropped_this_step_[m]) {
       // Straggler: cannot finish a single local step before the deadline.
@@ -1102,6 +1097,7 @@ void Simulation::finish_step_obs(bool sync,
   last_phase_us_.cloud_sync = sync_us;
   std::size_t selected = 0;
   for (const auto& selection : last_selection_) selected += selection.size();
+  const std::size_t movers = membership_.movers().size();
   const std::uint64_t step_materializations =
       registry_.materializations() - prev_materializations_;
   const std::uint64_t resident_peak =
@@ -1114,6 +1110,7 @@ void Simulation::finish_step_obs(bool sync,
   if (obs_.metrics != nullptr) {
     obs::MetricsRegistry& m = *obs_.metrics;
     m.add(metric_ids_.steps);
+    if (movers > 0) m.add(metric_ids_.movers, static_cast<double>(movers));
     m.add(metric_ids_.selected, static_cast<double>(selected));
     if (last_events_.stragglers > 0) {
       m.add(metric_ids_.stragglers,
@@ -1167,6 +1164,9 @@ void Simulation::finish_step_obs(bool sync,
     obs::StepRecord record;
     record.step = t_;
     record.synced = sync;
+    record.movers = movers;
+    record.measured_p =
+        static_cast<double>(movers) / static_cast<double>(registry_.size());
     record.selected = selected;
     record.stragglers = last_events_.stragglers;
     record.lost_downloads = last_events_.lost_downloads;

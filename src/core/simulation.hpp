@@ -27,10 +27,11 @@
 //
 // The step-begin prologue costs O(movers), not O(fleet): the mobility
 // model reports which devices changed edge, and each mover flips two bits
-// in the per-edge membership rows (core::EdgeMembership; rebuilt only on
-// the first step or for models that report no movers). Id-only selection
-// picks positions 0..count-1 and maps its K picks to ids with one scan of
-// the edge's row, so no step materializes a member list.
+// in the per-edge membership rows (core::EdgeMembership, built once before
+// the first advance), which also remember the edge each mover left. A
+// model that reports no movers costs one O(n) diff per step. Id-only
+// selection picks positions 0..count-1 and maps its K picks to ids with
+// one scan of the edge's row, so no step materializes a member list.
 //
 // Parameters move as version-stamped copy-on-write snapshots
 // (core::Snapshot): Distribute hands devices the edge's published block (a
@@ -265,6 +266,9 @@ class Simulation {
   /// ascending by id: the candidate sets, materialized from the membership
   /// rows (O(n) per call; empty before the first step).
   std::vector<std::vector<std::size_t>> edge_members() const;
+  /// The membership rows behind edge_members(): counts, this step's movers
+  /// and the edge each one left (previous_edge).
+  const EdgeMembership& membership() const noexcept { return membership_; }
   std::size_t num_devices() const noexcept { return registry_.size(); }
   std::size_t num_edges() const noexcept { return edges_.size(); }
   std::span<const float> cloud_params() const { return cloud_.params(); }
@@ -387,6 +391,7 @@ class Simulation {
   /// Metric ids registered once by set_observability().
   struct SimMetricIds {
     obs::MetricsRegistry::MetricId steps = 0;
+    obs::MetricsRegistry::MetricId movers = 0;
     obs::MetricsRegistry::MetricId cloud_syncs = 0;
     obs::MetricsRegistry::MetricId selected = 0;
     obs::MetricsRegistry::MetricId stragglers = 0;
@@ -471,7 +476,6 @@ class Simulation {
   std::size_t param_count_ = 0;
   std::size_t t_ = 0;
   std::vector<std::vector<std::size_t>> last_selection_;
-  std::vector<std::size_t> prev_assignment_;
   // Edge models of this step (w^t_n) as O(1) shared snapshots, taken at
   // step begin so training initialization and FedMes' prev-edge lookup
   // never observe partial aggregation — including across concurrently
@@ -482,8 +486,8 @@ class Simulation {
   // Step-scratch state, all indexed per edge (each chain writes only its
   // own slot) or per device (each device belongs to one chain), reused
   // across steps to keep the hot loop allocation-light.
-  /// Per-edge member rows, moved bit by bit from the mover delta at step
-  /// begin (rebuilt on the first step).
+  /// Per-edge member rows and each device's edge, moved bit by bit from the
+  /// mover delta at step begin (built before the first advance).
   EdgeMembership membership_;
   /// 0, 1, 2, ...: the positions id-only selection picks from (grown to
   /// the largest edge).

@@ -40,7 +40,9 @@ class MobilityModel {
   /// Devices whose edge changed in the last advance(), ascending by id —
   /// the mover delta that lets callers patch per-edge membership instead
   /// of rescanning the whole fleet. nullptr when the model does not track
-  /// movers (callers must fall back to a full scan). The list is empty
+  /// movers: the simulator then finds them with an O(n) diff of the
+  /// assignment against the edges its membership holds (2 bytes per
+  /// device) each step, and applies them the same way. The list is empty
   /// after reset() / before the first advance(), and valid until the next
   /// advance() or reset(). Invariant (pinned by mobility_test): the list
   /// equals moved_devices(assignment before, assignment after).

@@ -16,6 +16,8 @@ void RunLogger::log_step(const StepRecord& record) {
   std::ostream& out = *out_;
   out << "{\"kind\": \"step\", \"step\": " << record.step
       << ", \"synced\": " << (record.synced ? "true" : "false")
+      << ", \"movers\": " << record.movers
+      << ", \"measured_p\": " << json_number(record.measured_p)
       << ", \"selected\": " << record.selected
       << ", \"stragglers\": " << record.stragglers
       << ", \"lost_downloads\": " << record.lost_downloads

@@ -34,6 +34,10 @@ struct LinkDeltaRecord {
 struct StepRecord {
   std::size_t step = 0;
   bool synced = false;
+  /// Devices that changed edge this step, and that count over the fleet
+  /// size: the measured global mobility P of paper Eq. 3.
+  std::size_t movers = 0;
+  double measured_p = 0.0;
   std::size_t selected = 0;
   std::size_t stragglers = 0;
   std::size_t lost_downloads = 0;

@@ -1,7 +1,7 @@
 // Tests for the benchmark harness helpers (bench/bench_common): the
-// task-setup factory, repeat runner and repeat summarizer — these decide
-// what the recorded EXPERIMENTS numbers mean, so they are tested like
-// library code.
+// task-setup factory, repeat runner, repeat summarizer and protocol
+// header — these decide what the recorded EXPERIMENTS numbers mean, so
+// they are tested like library code.
 #include <gtest/gtest.h>
 
 #include "bench_common.hpp"
@@ -151,6 +151,28 @@ TEST(SummarizeRepeats, MedianTtaRequiresMajorityQuorum) {
       history_of("A", {0.1, 0.3}),
   };
   EXPECT_TRUE(summarize_repeats(runs2, 0.5).median_tta.has_value());
+}
+
+TEST(ProtocolJson, RunFieldsKeepTheirJsonTypes) {
+  // Numbers stay bare, booleans are JSON literals and text is quoted, so
+  // serving_load's interleaving fields parse as what they are.
+  const std::string mode = "open";
+  const std::string json = middlefl::bench::protocol_json(
+      2,
+      {{"windows_per_arm", std::size_t{3}},
+       {"offered_qps", 1.5},
+       {"interleaved_ab", true},
+       {"order", "batched,unbatched per pair"},
+       {"mode", mode}},
+      "");
+  EXPECT_NE(json.find("\"pool_threads\": 2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"windows_per_arm\": 3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"offered_qps\": 1.5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"interleaved_ab\": true"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"order\": \"batched,unbatched per pair\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"mode\": \"open\""), std::string::npos) << json;
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Incremental edge membership: Simulation keeps one bit row per edge
-// (core::EdgeMembership) and flips two bits per mover instead of
-// rescanning the fleet.
+// Incremental edge membership: Simulation keeps one bit row per edge and
+// each device's edge (core::EdgeMembership) and flips two bits per mover
+// instead of rescanning the fleet.
 //
 //  - EdgeMembership: the rows against per-edge id lists rebuilt from
-//    scratch after random move sequences (counts, ascending iteration,
-//    rank lookup across word and block boundaries, empty edges, ragged n).
+//    scratch after random apply sequences, with mover lists and with the
+//    diff (counts, ascending iteration, rank lookup across word and block
+//    boundaries, a drained edge, ragged n), and previous_edge for every
+//    device against the assignment before each apply; the 65,536-edge
+//    limit and malformed mover lists are rejected.
 //  - Rank-mapped selection: random selection over the ranks 0..count-1,
 //    mapped through at_ranks, picks exactly the ids (in the same order)
 //    it picks from the ascending member ids; at_ranks rejects ranks that
@@ -12,19 +15,27 @@
 //  - MembershipIncremental: after every simulation step the rows are
 //    exactly what a full rebuild from the assignment would produce: same
 //    devices, same edges, ascending by id, each device on exactly one
-//    edge.
+//    edge; and previous_edge is the pre-advance edge (all three
+//    topologies).
+//  - MembershipUntracked: a model that reports no movers (the diff path)
+//    runs bitwise equal to the same model reporting them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/edge_membership.hpp"
 #include "core/selection.hpp"
 #include "mobility/markov_mobility.hpp"
+#include "mobility/mobility_model.hpp"
 #include "optim/sgd.hpp"
 #include "parallel/rng.hpp"
 #include "sim_fixture.hpp"
@@ -36,6 +47,8 @@ using middlefl::core::EdgeMembership;
 using middlefl::core::RandomSelection;
 using middlefl::core::Simulation;
 using middlefl::mobility::MarkovMobility;
+using middlefl::mobility::MobilityModel;
+using middlefl::mobility::moved_devices;
 using middlefl::mobility::MoveTopology;
 using middlefl::parallel::Xoshiro256;
 using middlefl::testing::SimBundle;
@@ -87,8 +100,30 @@ void expect_rows_match_lists(const EdgeMembership& rows,
   ASSERT_EQ(rows.max_count(), widest) << where;
 }
 
+/// Checks what apply recorded: the movers, where each device sat before
+/// (`before`) and where it sits now.
+void expect_moves_recorded(const EdgeMembership& rows,
+                           const std::vector<std::size_t>& before,
+                           const std::vector<std::size_t>& after,
+                           const std::vector<std::size_t>& movers,
+                           const char* where) {
+  ASSERT_EQ(std::vector<std::size_t>(rows.movers().begin(),
+                                     rows.movers().end()),
+            movers)
+      << where;
+  for (std::size_t m = 0; m < before.size(); ++m) {
+    ASSERT_EQ(rows.previous_edge(m), before[m]) << where << " device " << m;
+    ASSERT_EQ(rows.edge_of(m), after[m]) << where << " device " << m;
+  }
+}
+
 TEST(EdgeMembership, RandomMovesMatchListRebuild) {
-  for (const std::size_t n : {1u, 63u, 64u, 65u, 200u, 1000u, 4097u, 12300u}) {
+  // Ragged fleets around the word and 4096-device block boundaries. Even
+  // rounds hand apply an ascending mover list (some listed devices keep
+  // their edge); odd rounds let it diff the assignment, as it does for a
+  // model that reports no movers.
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 200u, 1000u, 4095u, 4096u,
+                              4097u, 4098u, 8193u, 12300u}) {
     for (const std::size_t num_edges : {1u, 3u, 9u}) {
       Xoshiro256 rng(n * 131 + num_edges);
       // Start with the last edge empty (when there is more than one).
@@ -98,27 +133,97 @@ TEST(EdgeMembership, RandomMovesMatchListRebuild) {
       EdgeMembership rows;
       rows.rebuild(num_edges, assignment);
       expect_rows_match_lists(rows, assignment, num_edges, "rebuild");
+      expect_moves_recorded(rows, assignment, assignment, {}, "rebuild");
       for (int round = 0; round < 25; ++round) {
+        const std::vector<std::size_t> before = assignment;
+        std::vector<std::size_t> listed;
         const std::size_t moves = rng.bounded(n / 4 + 2);
         for (std::size_t i = 0; i < moves; ++i) {
-          const std::size_t m = rng.bounded(n);
-          const std::size_t to = rng.bounded(num_edges);
-          if (to == assignment[m]) continue;
-          rows.move(m, assignment[m], to);
-          assignment[m] = to;
+          listed.push_back(rng.bounded(n));
         }
-        if (round == 10) {
-          // Drain edge 0 completely.
-          for (std::size_t m = 0; m < n && num_edges > 1; ++m) {
-            if (assignment[m] != 0) continue;
-            rows.move(m, 0, 1);
-            assignment[m] = 1;
+        if (round % 3 == 0) {
+          // The devices on either side of the first block boundary, and
+          // the last device (the ragged tail of the last block).
+          for (const std::size_t m : {std::size_t{4095}, std::size_t{4096},
+                                      std::size_t{4097}, n - 1}) {
+            if (m < n) listed.push_back(m);
           }
         }
-        expect_rows_match_lists(rows, assignment, num_edges, "moves");
+        std::sort(listed.begin(), listed.end());
+        listed.erase(std::unique(listed.begin(), listed.end()), listed.end());
+        for (const std::size_t m : listed) {
+          assignment[m] = rng.bounded(num_edges);
+        }
+        if (round == 10 && num_edges > 1) {
+          // Drain edge 0 completely.
+          for (std::size_t m = 0; m < n; ++m) {
+            if (assignment[m] == 0) assignment[m] = 1;
+          }
+          listed.clear();
+          for (std::size_t m = 0; m < n; ++m) {
+            if (assignment[m] != before[m] ||
+                rng.bounded(8) == 0) {  // some unchanged devices too
+              listed.push_back(m);
+            }
+          }
+        }
+        std::vector<std::size_t> movers;
+        if (round % 2 == 0) {
+          rows.apply(listed, assignment);
+          movers = listed;
+        } else {
+          rows.apply(assignment);
+          movers = moved_devices(before, assignment);
+        }
+        const char* where = round % 2 == 0 ? "mover apply" : "diff apply";
+        expect_rows_match_lists(rows, assignment, num_edges, where);
+        expect_moves_recorded(rows, before, assignment, movers, where);
+        if (round == 10 && num_edges > 1) {
+          ASSERT_EQ(rows.count(0), 0u);
+        }
       }
     }
   }
+}
+
+TEST(EdgeMembership, RejectsEdgesPastTheMapAndBadMovers) {
+  constexpr std::size_t kMax = EdgeMembership::kMaxEdges;
+  EdgeMembership rows;
+  EXPECT_THROW(rows.rebuild(kMax + 1, std::vector<std::size_t>{0}),
+               std::invalid_argument);
+  // The widest map still names every edge, the last one included.
+  std::vector<std::size_t> assignment{0, kMax - 1, 5};
+  rows.rebuild(kMax, assignment);
+  EXPECT_EQ(rows.edge_of(1), kMax - 1);
+  const std::vector<std::size_t> before = assignment;
+  assignment[0] = kMax - 1;
+  assignment[1] = 0;
+  rows.apply(std::vector<std::size_t>{0, 1}, assignment);
+  expect_moves_recorded(rows, before, assignment, {0, 1}, "widest map");
+  EXPECT_EQ(rows.count(0), 1u);
+  EXPECT_EQ(rows.count(kMax - 1), 1u);
+
+  EXPECT_THROW(rows.rebuild(3, std::vector<std::size_t>{0, 3}),
+               std::out_of_range);
+  assignment = {0, 1, 2, 0};
+  rows.rebuild(3, assignment);
+  EXPECT_THROW(rows.apply(std::vector<std::size_t>{2, 1}, assignment),
+               std::invalid_argument);
+  EXPECT_THROW(rows.apply(std::vector<std::size_t>{1, 1}, assignment),
+               std::invalid_argument);
+  EXPECT_THROW(rows.apply(std::vector<std::size_t>{4}, assignment),
+               std::out_of_range);
+  EXPECT_THROW(rows.apply(std::vector<std::size_t>{0},
+                          std::vector<std::size_t>{0, 1, 2}),
+               std::invalid_argument);
+  EXPECT_THROW(rows.apply(std::vector<std::size_t>{0, 1, 2}),
+               std::invalid_argument);
+  rows.rebuild(3, assignment);
+  assignment[1] = 3;
+  EXPECT_THROW(rows.apply(std::vector<std::size_t>{1}, assignment),
+               std::out_of_range);
+  rows.rebuild(3, std::vector<std::size_t>{0, 1, 2, 0});
+  EXPECT_THROW(rows.apply(assignment), std::out_of_range);
 }
 
 TEST(EdgeMembership, RankMappedRandomSelectionMatchesIds) {
@@ -163,30 +268,50 @@ TEST(EdgeMembership, RankMappedRandomSelectionMatchesIds) {
   }
 }
 
-/// Steps the simulation to completion, checking the incremental membership
-/// against a from-scratch rebuild after every step.
-void expect_members_match_rebuild(const SimBundle& bundle,
-                                  Algorithm algorithm, MoveTopology topology,
-                                  double mobility_p, double home_bias) {
+std::unique_ptr<Simulation> make_sim(
+    const SimBundle& bundle, Algorithm algorithm,
+    std::unique_ptr<MobilityModel> mobility) {
+  const middlefl::optim::Sgd sgd(
+      {.learning_rate = 0.05, .momentum = 0.9, .weight_decay = 0.0});
+  return std::make_unique<Simulation>(
+      bundle.cfg, bundle.model_spec, sgd, bundle.train, bundle.partition,
+      bundle.test, std::move(mobility),
+      middlefl::core::make_algorithm(algorithm));
+}
+
+std::unique_ptr<MarkovMobility> make_markov(const SimBundle& bundle,
+                                            MoveTopology topology,
+                                            double mobility_p,
+                                            double home_bias) {
   auto mobility = std::make_unique<MarkovMobility>(
       bundle.initial_edges, bundle.num_edges, mobility_p, bundle.seed + 1);
   mobility->set_topology(topology, home_bias);
-  const middlefl::optim::Sgd sgd(
-      {.learning_rate = 0.05, .momentum = 0.9, .weight_decay = 0.0});
-  Simulation sim(bundle.cfg, bundle.model_spec, sgd, bundle.train,
-                 bundle.partition, bundle.test, std::move(mobility),
-                 middlefl::core::make_algorithm(algorithm));
+  return mobility;
+}
+
+/// Steps the simulation to completion, checking the incremental membership
+/// against a from-scratch rebuild after every step, and each device's
+/// previous edge against the assignment before the step's advance.
+void expect_members_match_rebuild(const SimBundle& bundle,
+                                  Algorithm algorithm, MoveTopology topology,
+                                  double mobility_p, double home_bias) {
+  auto sim = make_sim(bundle, algorithm,
+                      make_markov(bundle, topology, mobility_p, home_bias));
   for (std::size_t t = 0; t < bundle.cfg.total_steps; ++t) {
-    sim.step();
-    const auto expected = rebuild_members(sim.assignment(), sim.num_edges());
-    ASSERT_EQ(sim.edge_members(), expected) << "step " << t;
+    const std::vector<std::size_t> before = sim->assignment();
+    sim->step();
+    const auto expected = rebuild_members(sim->assignment(), sim->num_edges());
+    ASSERT_EQ(sim->edge_members(), expected) << "step " << t;
     // Partition check: ascending lists covering every device exactly once.
     std::size_t covered = 0;
-    for (const auto& list : sim.edge_members()) {
+    for (const auto& list : sim->edge_members()) {
       EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
       covered += list.size();
     }
-    EXPECT_EQ(covered, sim.num_devices()) << "step " << t;
+    EXPECT_EQ(covered, sim->num_devices()) << "step " << t;
+    expect_moves_recorded(
+        sim->membership(), before, sim->assignment(),
+        moved_devices(before, sim->assignment()), "step");
   }
 }
 
@@ -198,6 +323,15 @@ TEST(MembershipIncremental, HomeRingChurnMatchesRebuild) {
   bundle.cfg.eval_every = 25;
   expect_members_match_rebuild(bundle, Algorithm::kMiddle,
                                MoveTopology::kHomeRing, 0.4, 0.6);
+}
+
+TEST(MembershipIncremental, RingChurnMatchesRebuild) {
+  // Neighbour-only moves: every mover lands one edge over.
+  SimBundle bundle(4, 50, 5);
+  bundle.cfg.total_steps = 20;
+  bundle.cfg.eval_every = 20;
+  expect_members_match_rebuild(bundle, Algorithm::kMiddle, MoveTopology::kRing,
+                               0.5, 0.0);
 }
 
 TEST(MembershipIncremental, HeavyUniformChurnMatchesRebuild) {
@@ -219,6 +353,91 @@ TEST(MembershipIncremental, StationaryFleetMatchesRebuild) {
   bundle.cfg.eval_every = 10;
   expect_members_match_rebuild(bundle, Algorithm::kHierFavg,
                                MoveTopology::kUniform, 0.0, 0.0);
+}
+
+/// A model that forwards everything but reports no movers, so the
+/// simulator must find them by diffing the assignment.
+class UntrackedMobility final : public MobilityModel {
+ public:
+  explicit UntrackedMobility(
+      std::unique_ptr<MobilityModel> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  std::size_t num_devices() const override { return inner_->num_devices(); }
+  std::size_t num_edges() const override { return inner_->num_edges(); }
+  const std::vector<std::size_t>& assignment() const override {
+    return inner_->assignment();
+  }
+  void advance() override { inner_->advance(); }
+  void set_pool(middlefl::parallel::ThreadPool* pool) override {
+    inner_->set_pool(pool);
+  }
+  void reset() override { inner_->reset(); }
+  std::size_t step() const override { return inner_->step(); }
+
+ private:
+  std::unique_ptr<MobilityModel> inner_;
+};
+
+std::vector<std::uint32_t> param_bits(std::span<const float> params) {
+  std::vector<std::uint32_t> bits;
+  bits.reserve(params.size());
+  for (const float p : params) bits.push_back(std::bit_cast<std::uint32_t>(p));
+  return bits;
+}
+
+/// Runs the same simulation with the tracked model and with it wrapped as
+/// untracked; the whole runs must be bitwise equal.
+void expect_untracked_matches_tracked(const SimBundle& bundle,
+                                      Algorithm algorithm,
+                                      MoveTopology topology, double mobility_p,
+                                      double home_bias) {
+  auto tracked = make_sim(bundle, algorithm,
+                          make_markov(bundle, topology, mobility_p, home_bias));
+  auto untracked =
+      make_sim(bundle, algorithm,
+               std::make_unique<UntrackedMobility>(
+                   make_markov(bundle, topology, mobility_p, home_bias)));
+  std::size_t moves = 0;
+  for (std::size_t t = 0; t < bundle.cfg.total_steps; ++t) {
+    tracked->step();
+    untracked->step();
+    ASSERT_EQ(untracked->edge_members(), tracked->edge_members())
+        << "step " << t;
+    const auto movers = tracked->membership().movers();
+    ASSERT_TRUE(std::ranges::equal(untracked->membership().movers(), movers))
+        << "step " << t;
+    moves += movers.size();
+  }
+  EXPECT_GT(moves, 0u);
+  EXPECT_EQ(param_bits(untracked->cloud_params()),
+            param_bits(tracked->cloud_params()));
+  const auto a = tracked->comm_stats();
+  const auto b = untracked->comm_stats();
+  EXPECT_EQ(b.device_downloads, a.device_downloads);
+  EXPECT_EQ(b.device_uploads, a.device_uploads);
+  EXPECT_EQ(b.edge_uploads, a.edge_uploads);
+  EXPECT_EQ(b.edge_downloads, a.edge_downloads);
+  EXPECT_EQ(b.device_broadcasts, a.device_broadcasts);
+}
+
+TEST(MembershipUntracked, MiddleHomeRingMatchesTracked) {
+  SimBundle bundle(4, 60, 6);
+  bundle.cfg.total_steps = 20;
+  bundle.cfg.eval_every = 20;
+  expect_untracked_matches_tracked(bundle, Algorithm::kMiddle,
+                                   MoveTopology::kHomeRing, 0.4, 0.6);
+}
+
+TEST(MembershipUntracked, FedMesUniformMatchesTracked) {
+  // FedMes reads previous_edge for its extra download, so a wrong diff
+  // would show in the downloads as well as in the model.
+  SimBundle bundle(4, 40, 5);
+  bundle.cfg.total_steps = 15;
+  bundle.cfg.eval_every = 15;
+  expect_untracked_matches_tracked(bundle, Algorithm::kFedMes,
+                                   MoveTopology::kUniform, 0.9, 0.0);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 //    threads, histogram bucketing, JSON export shape.
 // 2. TraceRecorder: event kinds, ring-buffer overwrite accounting, thread
 //    naming, Chrome trace-event export, TraceSpan null fast path.
-// 3. RunLogger: JSONL record shape and counts.
+// 3. RunLogger: JSONL record shape and counts, and the measured mobility
+//    (movers, measured_p) a simulation's step records carry.
 // 4. History CSV round-trip, including algorithm names containing commas
 //    and quotes (util::csv_split_row undoing util::csv_escape).
 // 5. The StepObserver event stream (on_dropouts / on_blends /
@@ -21,6 +22,7 @@
 
 #include "core/metrics.hpp"
 #include "core/step_observer.hpp"
+#include "mobility/mobility_model.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/run_logger.hpp"
 #include "obs/trace_recorder.hpp"
@@ -262,6 +264,8 @@ TEST(RunLogger, WritesOneJsonObjectPerRecord) {
   middlefl::obs::StepRecord step;
   step.step = 3;
   step.synced = true;
+  step.movers = 3;
+  step.measured_p = 0.25;
   step.selected = 6;
   step.stragglers = 1;
   step.blends = 2;
@@ -283,10 +287,60 @@ TEST(RunLogger, WritesOneJsonObjectPerRecord) {
   EXPECT_NE(records[0].find("\"kind\": \"step\""), std::string::npos);
   EXPECT_NE(records[0].find("\"step\": 3"), std::string::npos);
   EXPECT_NE(records[0].find("\"synced\": true"), std::string::npos);
+  EXPECT_NE(records[0].find("\"movers\": 3, \"measured_p\": 0.25"),
+            std::string::npos);
   EXPECT_NE(records[0].find("\"wireless_up\""), std::string::npos);
   EXPECT_NE(records[0].find("\"select\""), std::string::npos);
   EXPECT_NE(records[1].find("\"kind\": \"eval\""), std::string::npos);
   EXPECT_NE(records[1].find("\"accuracy\": 0.5"), std::string::npos);
+}
+
+TEST(RunLogger, StepRecordsCarryTheMeasuredMobility) {
+  // Each step line's movers equal the devices whose edge changed in that
+  // step, measured_p is movers / n, and sim.movers sums them.
+  SimBundle bundle(4, 40, 4);
+  auto sim = bundle.make(Algorithm::kMiddle);
+  std::ostringstream jsonl;
+  RunLogger logger(jsonl);
+  MetricsRegistry metrics;
+  sim->set_observability({nullptr, &metrics, &logger});
+  std::vector<std::size_t> expected;
+  for (std::size_t t = 0; t < bundle.cfg.total_steps; ++t) {
+    const std::vector<std::size_t> before = sim->assignment();
+    sim->step();
+    expected.push_back(
+        middlefl::mobility::moved_devices(before, sim->assignment()).size());
+  }
+  // The text after `"key": ` in a JSONL line.
+  const auto value_of = [](const std::string& line, const std::string& key) {
+    const std::string quoted = "\"" + key + "\": ";
+    const std::size_t at = line.find(quoted);
+    EXPECT_NE(at, std::string::npos) << key;
+    return at == std::string::npos ? std::string("0")
+                                   : line.substr(at + quoted.size());
+  };
+  std::istringstream lines(jsonl.str());
+  std::string line;
+  std::size_t step = 0;
+  std::size_t total = 0;
+  while (std::getline(lines, line)) {
+    if (line.find("\"kind\": \"step\"") == std::string::npos) continue;
+    ASSERT_LT(step, expected.size());
+    const std::size_t movers = std::stoul(value_of(line, "movers"));
+    const double measured_p = std::stod(value_of(line, "measured_p"));
+    EXPECT_EQ(movers, expected[step]) << "step " << step;
+    EXPECT_DOUBLE_EQ(measured_p, static_cast<double>(expected[step]) / 40.0)
+        << "step " << step;
+    total += movers;
+    ++step;
+  }
+  EXPECT_EQ(step, expected.size());
+  EXPECT_GT(total, 0u);
+  double counted = -1.0;
+  for (const auto& [name, value] : metrics.snapshot().counters) {
+    if (name == "sim.movers") counted = value;
+  }
+  EXPECT_DOUBLE_EQ(counted, static_cast<double>(total));
 }
 
 // ---------------------------------------------------------------------------
