@@ -34,18 +34,20 @@ void BenchOptions::register_flags(util::CliParser& cli) {
                &log_jsonl);
 }
 
-ObsSession::ObsSession(const BenchOptions& options)
-    : trace_out_(options.trace_out), metrics_out_(options.metrics_out) {
-  if (!options.trace_out.empty()) {
+ObsSession::ObsSession(const std::string& trace_out,
+                       const std::string& metrics_out,
+                       const std::string& log_jsonl)
+    : trace_out_(trace_out), metrics_out_(metrics_out), log_jsonl_(log_jsonl) {
+  if (!trace_out.empty()) {
     trace_ = std::make_unique<obs::TraceRecorder>();
     bundle_.trace = trace_.get();
   }
-  if (!options.metrics_out.empty()) {
+  if (!metrics_out.empty()) {
     metrics_ = std::make_unique<obs::MetricsRegistry>();
     bundle_.metrics = metrics_.get();
   }
-  if (!options.log_jsonl.empty()) {
-    logger_ = std::make_unique<obs::RunLogger>(options.log_jsonl);
+  if (!log_jsonl.empty()) {
+    logger_ = std::make_unique<obs::RunLogger>(log_jsonl);
     bundle_.logger = logger_.get();
   }
 }
@@ -95,7 +97,11 @@ void ObsSession::finish() {
     metrics_->write_json_file(metrics_out_);
     std::cerr << "   metrics written to " << metrics_out_ << "\n";
   }
-  if (logger_ != nullptr) logger_->flush();
+  if (logger_ != nullptr) {
+    logger_->flush();
+    std::cerr << "   run log written to " << log_jsonl_ << " ("
+              << logger_->records_written() << " records)\n";
+  }
 }
 
 namespace {
@@ -391,70 +397,6 @@ SimRunSummary SimRunSummary::capture(const core::Simulation& simulation) {
   return s;
 }
 
-std::string json_summary_fields(const SimRunSummary& summary,
-                                const std::string& indent) {
-  std::ostringstream out;
-  out << indent << "\"comm\": {\n"
-      << indent << "  \"device_downloads\": " << summary.comm.device_downloads
-      << ",\n"
-      << indent << "  \"device_uploads\": " << summary.comm.device_uploads
-      << ",\n"
-      << indent << "  \"edge_uploads\": " << summary.comm.edge_uploads
-      << ",\n"
-      << indent << "  \"edge_downloads\": " << summary.comm.edge_downloads
-      << ",\n"
-      << indent << "  \"device_broadcasts\": "
-      << summary.comm.device_broadcasts << ",\n"
-      << indent << "  \"total_transfers\": " << summary.comm.total_transfers()
-      << ",\n"
-      << indent << "  \"wan_transfers\": " << summary.comm.wan_transfers()
-      << ",\n"
-      << indent << "  \"backend\": \"" << summary.comm_backend << "\",\n"
-      << indent << "  \"reduces\": " << summary.reduces << ",\n"
-      << indent << "  \"reduce_tasks\": " << summary.reduce_tasks << ",\n"
-      << indent << "  \"reduce_max_depth\": " << summary.reduce_max_depth
-      << ",\n"
-      << indent << "  \"async_cloud\": "
-      << (summary.async_cloud ? "true" : "false") << ",\n"
-      << indent << "  \"max_staleness\": " << summary.max_staleness << ",\n"
-      << indent << "  \"async_published\": " << summary.async_published
-      << ",\n"
-      << indent << "  \"async_applied\": " << summary.async_applied << ",\n"
-      << indent << "  \"async_deferred\": " << summary.async_deferred
-      << ",\n"
-      << indent << "  \"async_dropped_stale\": "
-      << summary.async_dropped_stale << ",\n"
-      << indent << "  \"async_applies\": " << summary.async_applies << "\n"
-      << indent << "},\n";
-  out << indent << "\"transport\": {\n";
-  for (std::size_t i = 0; i < summary.links.size(); ++i) {
-    const auto& link = summary.links[i];
-    out << indent << "  \"" << link.link << "\": {"
-        << "\"transfers\": " << link.transfers
-        << ", \"dropped\": " << link.dropped << ", \"bytes\": " << link.bytes
-        << ", \"in_flight\": " << link.in_flight << "}"
-        << (i + 1 < summary.links.size() ? "," : "") << "\n";
-  }
-  out << indent << "},\n"
-      << indent << "\"total_wire_bytes\": " << summary.total_wire_bytes
-      << ",\n"
-      << indent << "\"total_in_flight\": " << summary.total_in_flight
-      << ",\n"
-      << indent << "\"failed_uploads\": " << summary.failed_uploads << ",\n"
-      << indent << "\"lost_downloads\": " << summary.lost_downloads << ",\n"
-      << indent << "\"straggler_drops\": " << summary.straggler_drops
-      << ",\n"
-      << indent << "\"on_device_aggregations\": "
-      << summary.on_device_aggregations << ",\n"
-      << indent << "\"mean_blend_weight\": "
-      << config::format_number(summary.mean_blend_weight) << ",\n"
-      << indent << "\"fleet\": {\"materializations\": "
-      << summary.materializations
-      << ", \"resident_peak\": " << summary.resident_peak
-      << ", \"delta_bytes_at_rest\": " << summary.delta_bytes_at_rest << "}";
-  return out.str();
-}
-
 void append_summary_members(config::Json& object,
                             const SimRunSummary& summary) {
   using config::Json;
@@ -505,6 +447,18 @@ void append_summary_members(config::Json& object,
   fleet.set("delta_bytes_at_rest",
             Json::make_uint(summary.delta_bytes_at_rest));
   object.set("fleet", std::move(fleet));
+}
+
+std::string json_summary_fields(const SimRunSummary& summary,
+                                const std::string& indent) {
+  config::Json members = config::Json::make_object();
+  append_summary_members(members, summary);
+  std::string out;
+  for (const auto& [key, value] : members.members()) {
+    if (!out.empty()) out += ",\n";
+    out += indent + "\"" + key + "\": " + value.dump(/*indent=*/0);
+  }
+  return out;
 }
 
 namespace {

@@ -65,20 +65,28 @@ struct BenchOptions {
 /// The destructor detaches the recorders from the global pool.
 class ObsSession {
  public:
-  explicit ObsSession(const BenchOptions& options);
+  /// One recorder per non-empty output path.
+  ObsSession(const std::string& trace_out, const std::string& metrics_out,
+             const std::string& log_jsonl);
+  explicit ObsSession(const BenchOptions& options)
+      : ObsSession(options.trace_out, options.metrics_out,
+                   options.log_jsonl) {}
   ~ObsSession();
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
   bool enabled() const noexcept { return bundle_.enabled(); }
   obs::TraceRecorder* trace() noexcept { return bundle_.trace; }
+  /// The recorders as one bundle, for other consumers (a serving hub).
+  const obs::Observability& bundle() const noexcept { return bundle_; }
 
   /// Wires the recorders into `simulation` (and the global pool).
   void attach(core::Simulation& simulation);
   /// Publishes the simulation's transport totals as gauges (last call
   /// wins — hand it the run you want the snapshot to describe).
   void collect(core::Simulation& simulation);
-  /// Writes the trace/metrics files; call once, after the last run.
+  /// Writes the trace/metrics files and flushes the run log; call once,
+  /// after the last run.
   void finish();
 
  private:
@@ -88,6 +96,7 @@ class ObsSession {
   obs::Observability bundle_;
   std::string trace_out_;
   std::string metrics_out_;
+  std::string log_jsonl_;
 };
 
 /// Everything needed to construct Simulations for one task at one scale.
@@ -192,18 +201,18 @@ struct SimRunSummary {
   static SimRunSummary capture(const core::Simulation& simulation);
 };
 
-/// Renders the summary as JSON object members — `"comm": {...}`,
-/// `"transport": {...}`, wire-byte totals, dropout/blend counters and the
-/// `"fleet"` block — one per line, each prefixed with `indent`, without
-/// surrounding braces or a trailing comma, so emitters splice it into
-/// their own top-level object.
+/// Appends the summary members — `"comm": {...}`, `"transport": {...}`,
+/// wire-byte totals, dropout/blend counters and the `"fleet"` block — onto
+/// a config::Json object: the one list of summary fields. scenario_sweep
+/// dumps each row compact as one JSONL line.
+void append_summary_members(config::Json& object, const SimRunSummary& summary);
+
+/// Renders append_summary_members' members as text, one compact member
+/// per line, each prefixed with `indent`, without surrounding braces or a
+/// trailing comma, so stream emitters splice it into their own top-level
+/// object.
 std::string json_summary_fields(const SimRunSummary& summary,
                                 const std::string& indent);
-
-/// Appends the same members json_summary_fields renders onto a
-/// config::Json object — for emitters that assemble rows as Json values
-/// (scenario_sweep dumps each row compact as one JSONL line).
-void append_summary_members(config::Json& object, const SimRunSummary& summary);
 
 /// One run parameter of a protocol header: a key and its value, streamed
 /// as a bare JSON number, a JSON boolean, or a quoted string (plain text:

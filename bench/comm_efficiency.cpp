@@ -50,7 +50,7 @@ int run(int argc, const char* const* argv) {
           options.seed + 101);
       mobility->set_topology(mobility::MoveTopology::kHomeRing, 0.5);
       auto cfg = setup.sim_cfg;
-      cfg.upload_compression = compression.config;
+      cfg.transport.wireless_up.compression = compression.config;
       core::Simulation sim(cfg, setup.model_spec, *setup.optimizer,
                            *setup.train, setup.partition, *setup.test,
                            std::move(mobility),

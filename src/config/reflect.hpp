@@ -29,9 +29,9 @@
 //   choice(name, current, options, apply)  enum-as-string fields; the
 //       apply callback parses+validates, and the options list both
 //       documents the legal values and lets the perturber cycle them.
-//   alias(name, member)  decode-only legacy spellings (e.g. the
-//       upload_failure_prob alias of transport.wireless_up.loss_prob):
-//       accepted on read, never emitted, invisible to count/perturb.
+//
+// There are no alias spellings: a key is either a schema field or an
+// unknown-key error.
 #pragma once
 
 #include <concepts>
@@ -106,9 +106,6 @@ class JsonEncoder {
               const ChoiceApply&) {
     out_.set(name, Json::make_string(current));
   }
-
-  template <class T>
-  void alias(const char*, T&) {}  // aliases are never emitted
 
   Json take() && { return std::move(out_); }
 
@@ -215,12 +212,6 @@ class JsonDecoder {
     }
   }
 
-  void alias(const char* name, double& v) { field(name, v); }
-  template <detail::StructField T>
-  void alias(const char* name, T& v) {
-    field(name, v);
-  }
-
   /// Rejects keys the describe() walk never consumed — the unknown-key
   /// error with file/line context the scenario contract requires.
   void finish() const {
@@ -289,8 +280,6 @@ class FieldCounter {
               const ChoiceApply&) {
     ++count_;
   }
-  template <class T>
-  void alias(const char*, T&) {}
 
   std::size_t count() const noexcept { return count_; }
 
@@ -359,8 +348,6 @@ class FieldPerturber {
       }
     }
   }
-  template <class T>
-  void alias(const char*, T&) {}
 
   bool done() const noexcept { return done_; }
   /// Name of the mutated leaf (for test diagnostics).

@@ -10,7 +10,7 @@ namespace middlefl::config {
 // to the schema instead of silently dropping the field from specs.
 // (config_test pins the flattened leaf counts for every platform.)
 #if defined(__x86_64__) && defined(__GLIBCXX__) && defined(_GLIBCXX_RELEASE)
-#define MIDDLEFL_SIMCONFIG_SIZE 472
+#define MIDDLEFL_SIMCONFIG_SIZE 416
 static_assert(sizeof(core::SimulationConfig) == MIDDLEFL_SIMCONFIG_SIZE,
               "SimulationConfig changed size: register the new member in "
               "Schema<SimulationConfig> (src/config/scenario.hpp) and "
@@ -21,11 +21,6 @@ ScenarioSpec scenario_from_json(const Json& document,
                                 const std::string& source_name) {
   ScenarioSpec spec;
   from_json(document, source_name, spec);
-  try {
-    core::reconcile_uplink_aliases(spec.sim);
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(source_name + ": " + e.what());
-  }
   return spec;
 }
 

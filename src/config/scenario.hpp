@@ -15,10 +15,9 @@
 //   - unknown keys are hard errors with file:line:column context;
 //   - the writer emits every schema field in describe order, so
 //     write -> read -> write is a byte-for-byte fixpoint;
-//   - legacy aliases (upload_failure_prob, upload_compression) are
-//     accepted on load, normalized into transport.wireless_up in exactly
-//     one place (core::reconcile_uplink_aliases), never re-emitted, and
-//     conflicting values across the two views are a hard error.
+//   - every setting has one spelling: the uplink loss and compression
+//     live only under sim.transport.wireless_up, the carry link has no
+//     policy, and a removed key is an unknown key like any other.
 #pragma once
 
 #include <cstdint>
@@ -116,14 +115,12 @@ struct ScenarioSpec {
 // the sizeof static_assert in scenario.cpp catches SimulationConfig growth
 // at compile time on the reference ABI).
 
-/// SimulationConfig flattened: 5 loop + 3 aggregation + 5 eval + 24
-/// transport (6 links x loss/kind/fraction/latency) + 3 regularizer + 2
+/// SimulationConfig flattened: 5 loop + 3 aggregation + 5 eval + 20
+/// transport (5 links x loss/kind/fraction/latency) + 3 regularizer + 2
 /// heterogeneity + 3 fleet + 4 serving + 2 comm + seed + 1 execution.
-/// Excluded
-/// members: lr_schedule (std::function; declared via LrScheduleSpec), pool
-/// (runtime pointer), upload_failure_prob/upload_compression (decode-only
-/// aliases).
-inline constexpr std::size_t kSimulationConfigLeaves = 53;
+/// Excluded members: lr_schedule (std::function; declared via
+/// LrScheduleSpec) and pool (runtime pointer).
+inline constexpr std::size_t kSimulationConfigLeaves = 49;
 /// ScenarioSpec flattened: 4 top-level + 10 data + 10 mobility + 4 model
 /// + 7 optimizer + 7 lr_schedule + kSimulationConfigLeaves.
 inline constexpr std::size_t kScenarioSpecLeaves =
@@ -193,7 +190,6 @@ struct Schema<transport::TransportConfig> {
     v.field("wan_up", t.wan_up);
     v.field("wan_down", t.wan_down);
     v.field("broadcast", t.broadcast);
-    v.field("carry", t.carry);
   }
 };
 
@@ -254,11 +250,6 @@ struct Schema<core::SimulationConfig> {
     v.field("comm", c.comm);
     v.field("seed", c.seed);
     v.field("parallel_devices", c.parallel_devices);
-    // Legacy spellings: accepted on load, normalized into
-    // transport.wireless_up by core::reconcile_uplink_aliases (the single
-    // normalization point), never emitted.
-    v.alias("upload_failure_prob", c.upload_failure_prob);
-    v.alias("upload_compression", c.upload_compression);
   }
 };
 
@@ -400,8 +391,8 @@ struct Schema<ScenarioSpec> {
 // ---------------------------------------------------------------------------
 // Load / save.
 
-/// Decodes a parsed document into a spec (strict: unknown keys error) and
-/// normalizes the legacy uplink aliases. `source_name` prefixes errors.
+/// Decodes a parsed document into a spec (strict: unknown keys error).
+/// `source_name` prefixes errors.
 ScenarioSpec scenario_from_json(const Json& document,
                                 const std::string& source_name);
 

@@ -18,11 +18,12 @@ double elapsed_us(obs::TraceRecorder::Clock::time_point begin,
   return std::chrono::duration<double, std::micro>(end - begin).count();
 }
 
-// Stream tags keep the per-purpose RNG streams disjoint. Loss draws only
-// happen on links with a nonzero loss policy, so tags added for the
-// transport layer never perturb default-policy runs. Streams are keyed on
-// (tag, entity, step) and every entity is processed by exactly one chain,
-// so draws are identical no matter how chains interleave.
+// Stream tags keep the per-purpose RNG streams disjoint. Every send hands
+// its link a stream, but a link draws from it only under a nonzero loss
+// policy, so tags added for the transport layer never perturb
+// default-policy runs. Streams are keyed on (tag, entity, step) and every
+// entity is processed by exactly one chain, so draws are identical no
+// matter how chains interleave.
 constexpr std::uint64_t kSelectTag = 0x5E1EC7;
 constexpr std::uint64_t kTrainTag = 0x7EA1;
 constexpr std::uint64_t kUploadTag = 0xFA11;     // wireless uplink loss
@@ -32,34 +33,6 @@ constexpr std::uint64_t kWanDownTag = 0x3A9C11;  // WAN downlink loss
 constexpr std::uint64_t kBroadcastTag = 0xB9CA;  // broadcast loss
 
 }  // namespace
-
-void reconcile_uplink_aliases(SimulationConfig& cfg) {
-  auto& up = cfg.transport.wireless_up;
-  if (cfg.upload_failure_prob != 0.0) {
-    if (up.loss_prob != 0.0 && up.loss_prob != cfg.upload_failure_prob) {
-      throw std::invalid_argument(
-          "upload_failure_prob=" + std::to_string(cfg.upload_failure_prob) +
-          " conflicts with transport.wireless_up.loss_prob=" +
-          std::to_string(up.loss_prob) +
-          "; set the uplink loss through one view only");
-    }
-    up.loss_prob = cfg.upload_failure_prob;
-  }
-  if (cfg.upload_compression.kind != CompressionKind::kNone) {
-    const auto& explicit_c = up.compression;
-    if (explicit_c.kind != CompressionKind::kNone &&
-        (explicit_c.kind != cfg.upload_compression.kind ||
-         explicit_c.top_k_fraction != cfg.upload_compression.top_k_fraction)) {
-      throw std::invalid_argument(
-          "upload_compression conflicts with "
-          "transport.wireless_up.compression; set the uplink compression "
-          "through one view only");
-    }
-    up.compression = cfg.upload_compression;
-  }
-  cfg.upload_failure_prob = up.loss_prob;
-  cfg.upload_compression = up.compression;
-}
 
 std::string to_string(StepPhase phase) {
   switch (phase) {
@@ -107,16 +80,16 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
     cfg_.lr_schedule = optim::constant_lr(0.01);
   }
   if (cfg_.select_per_edge == 0 || cfg_.local_steps == 0 ||
-      cfg_.cloud_interval == 0 || cfg_.batch_size == 0) {
-    throw std::invalid_argument("Simulation: K, I, T_c and batch must be positive");
+      cfg_.cloud_interval == 0 || cfg_.batch_size == 0 ||
+      cfg_.eval_every == 0) {
+    throw std::invalid_argument(
+        "Simulation: K, I, T_c, batch and eval_every must be positive");
   }
   if (!(cfg_.server_momentum >= 0.0 && cfg_.server_momentum < 1.0)) {
     throw std::invalid_argument(
         "Simulation: server_momentum must be a finite value in [0, 1), got " +
         std::to_string(cfg_.server_momentum));
   }
-
-  reconcile_uplink_aliases(cfg_);
 
   pool_ = cfg_.parallel_devices
               ? (cfg_.pool != nullptr ? cfg_.pool
@@ -179,17 +152,27 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
     throw std::invalid_argument(
         "Simulation: device_speeds must be empty or one entry per device");
   }
+  for (const double speed : cfg_.device_speeds) {
+    if (!(std::isfinite(speed) && speed > 0.0)) {
+      throw std::invalid_argument(
+          "Simulation: device speeds must be finite and positive, got " +
+          std::to_string(speed));
+    }
+  }
+  if (!(std::isfinite(cfg_.round_deadline) && cfg_.round_deadline >= 0.0)) {
+    throw std::invalid_argument(
+        "Simulation: round_deadline must be finite and non-negative, got " +
+        std::to_string(cfg_.round_deadline));
+  }
   steps_budget_.assign(num_devices, cfg_.local_steps);
   if (cfg_.round_deadline > 0.0) {
     for (std::size_t m = 0; m < num_devices; ++m) {
       const double speed =
           cfg_.device_speeds.empty() ? 1.0 : cfg_.device_speeds[m];
-      if (speed <= 0.0) {
-        throw std::invalid_argument("Simulation: device speeds must be positive");
-      }
-      const auto budget = static_cast<std::size_t>(
-          std::floor(cfg_.round_deadline * speed));
-      steps_budget_[m] = std::min(cfg_.local_steps, budget);
+      // Clamped in double: deadline * speed may exceed every size_t.
+      steps_budget_[m] = static_cast<std::size_t>(
+          std::min(static_cast<double>(cfg_.local_steps),
+                   std::floor(cfg_.round_deadline * speed)));
     }
   }
   dropped_this_step_.assign(num_devices, 0);
@@ -522,9 +505,6 @@ void Simulation::select_edge(std::size_t n) {
 void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
   transport::Link& downlink = transport_->wireless_down();
   transport::Link& carry = transport_->carry();
-  const bool down_lossy = downlink.policy().loss_prob > 0.0;
-  const bool down_compressed =
-      downlink.policy().compression.kind != CompressionKind::kNone;
   const Snapshot& edge_block = edge_snapshot_[n];
   const std::span<const float> edge_model = edge_block->span();
 
@@ -535,16 +515,10 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
     const std::size_t came_from = membership_.previous_edge(m);
     const bool moved = came_from != n;
 
-    parallel::Xoshiro256 rng;  // consulted only on a lossy downlink
+    parallel::Xoshiro256 rng = streams_.stream(kDownlinkTag, m, t_);
     std::vector<std::vector<float>> local_arena;  // downlink reconstructions
-    transport::SendContext ctx;
-    ctx.step = t_;
-    ctx.tally = &trace.down;
-    if (down_lossy) {
-      rng = streams_.stream(kDownlinkTag, m, t_);
-      ctx.rng = &rng;
-    }
-    if (down_compressed) ctx.arena = &local_arena;
+    const transport::SendContext ctx{
+        .rng = &rng, .arena = &local_arena, .step = t_, .tally = &trace.down};
 
     // Every selected device downloads its edge's model; FedMes' moved
     // devices additionally fetch their previous edge's model. Stragglers
@@ -587,10 +561,7 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
       if (algorithm_.on_move != OnDeviceRule::kPrevEdgeAverage) {
         // The carried local model enters the blend: route it through the
         // carry link (free — zero bytes — but counted).
-        transport::SendContext carry_ctx;
-        carry_ctx.step = t_;
-        carry_ctx.tally = &trace.carry;
-        local = carry.send(local, carry_ctx).payload;
+        local = carry.send(local, {.step = t_, .tally = &trace.carry}).payload;
       }
       std::span<float> blended = tensor::Workspace::tls().floats(
           tensor::WsSlot::kBlend, edge_model.size());
@@ -637,9 +608,6 @@ void Simulation::train_edge(std::size_t n) {
 
 void Simulation::upload_edge(std::size_t n, EdgeTrace& trace) {
   transport::Link& uplink = transport_->wireless_up();
-  const bool lossy = uplink.policy().loss_prob > 0.0;
-  const bool compressed =
-      uplink.policy().compression.kind != CompressionKind::kNone;
   const bool delayed = uplink.policy().latency_steps > 0;
 
   arrivals_[n].clear();
@@ -656,20 +624,16 @@ void Simulation::upload_edge(std::size_t n, EdgeTrace& trace) {
   for (std::size_t m : last_selection_[n]) {
     if (dropped_this_step_[m] || download_lost_[m]) continue;
     const auto weight = static_cast<double>(registry_.at(m).data_size());
-    parallel::Xoshiro256 rng;
-    transport::SendContext ctx;
-    ctx.step = t_;
-    ctx.shard = n;
-    ctx.weight = weight;
-    ctx.tally = &trace.up;
-    // The edge receives a lossy reconstruction of the device's update
-    // against this step's edge model.
-    ctx.reference = edge_snapshot_[n]->span();
-    if (lossy) {
-      rng = streams_.stream(kUploadTag, m, t_);
-      ctx.rng = &rng;
-    }
-    if (compressed) ctx.arena = &recon_arena_[n];
+    parallel::Xoshiro256 rng = streams_.stream(kUploadTag, m, t_);
+    // A compressing uplink hands the edge a lossy reconstruction of the
+    // device's update against this step's edge model.
+    const transport::SendContext ctx{.rng = &rng,
+                                     .reference = edge_snapshot_[n]->span(),
+                                     .arena = &recon_arena_[n],
+                                     .step = t_,
+                                     .shard = n,
+                                     .weight = weight,
+                                     .tally = &trace.up};
     const transport::Delivery up = uplink.send(registry_.at(m).params(), ctx);
     if (up.delivered) {
       arrivals_[n].push_back(UploadArrival{up.payload, weight});
@@ -817,15 +781,9 @@ void Simulation::broadcast_devices() {
   for (std::size_t m = 0; m < registry_.size(); ++m) {
     Device& device = registry_.at(m);
     device.detach();
-    parallel::Xoshiro256 rng;
-    transport::SendContext ctx;
-    ctx.step = t_;
-    if (lossy) {
-      rng = streams_.stream(kBroadcastTag, m, t_);
-      ctx.rng = &rng;
-    }
-    if (compressed) ctx.arena = &wan_arena_;
-    const transport::Delivery push = link.send(global_block->span(), ctx);
+    parallel::Xoshiro256 rng = streams_.stream(kBroadcastTag, m, t_);
+    const transport::Delivery push = link.send(
+        global_block->span(), {.rng = &rng, .arena = &wan_arena_, .step = t_});
     if (push.delivered &&
         !install_download(device, push.payload, global_block)) {
       // A private install can leave any device resident; the next
@@ -837,28 +795,22 @@ void Simulation::broadcast_devices() {
 
 void Simulation::publish_edge(std::size_t n, EdgeTrace& trace) {
   transport::Link& wan_up = transport_->wan_up();
-  const bool lossy = wan_up.policy().loss_prob > 0.0;
-  const bool compressed =
-      wan_up.policy().compression.kind != CompressionKind::kNone;
   const double weight = cfg_.weighted_cloud_aggregation
                             ? edges_[n].participation_weight()
                             : 1.0;
-  parallel::Xoshiro256 rng;
-  transport::SendContext ctx;
-  ctx.step = t_;
-  ctx.shard = n;  // one WAN shard per edge: lock-free from inside the chain
-  ctx.weight = weight;
-  ctx.tally = &trace.wan;
+  parallel::Xoshiro256 rng = streams_.stream(kWanUpTag, n, t_);
+  transport::SendContext ctx{
+      .rng = &rng,
+      .arena = &recon_arena_[n],
+      .step = t_,
+      .shard = n,  // one WAN shard per edge: lock-free from inside the chain
+      .weight = weight,
+      .tally = &trace.wan};
   // Sync mode delta-codes against the global model both endpoints hold
   // from the last broadcast (cloud_ is written only at serial points, so
   // reading it here is race-free). Async mode cannot know which global
   // model the cloud will hold when this lands, so it codes the raw model.
   if (!cfg_.comm.async_cloud) ctx.reference = cloud_.params();
-  if (lossy) {
-    rng = streams_.stream(kWanUpTag, n, t_);
-    ctx.rng = &rng;
-  }
-  if (compressed) ctx.arena = &recon_arena_[n];
   const transport::Delivery up = wan_up.send(edges_[n].params(), ctx);
 
   CloudContribution c;
@@ -1033,19 +985,10 @@ bool Simulation::stage_cloud_apply() {
     // model; a lossless one is a shared adopt of the cloud's block.
     wan_arena_.clear();
     const Snapshot& global_block = cloud_.snapshot();
-    const bool down_lossy = wan_down.policy().loss_prob > 0.0;
-    const bool down_compressed =
-        wan_down.policy().compression.kind != CompressionKind::kNone;
     for (std::size_t n = 0; n < edges_.size(); ++n) {
-      parallel::Xoshiro256 rng;
-      transport::SendContext ctx;
-      ctx.step = t_;
-      if (down_lossy) {
-        rng = streams_.stream(kWanDownTag, n, t_);
-        ctx.rng = &rng;
-      }
-      if (down_compressed) ctx.arena = &wan_arena_;
-      const transport::Delivery down = wan_down.send(cloud_.params(), ctx);
+      parallel::Xoshiro256 rng = streams_.stream(kWanDownTag, n, t_);
+      const transport::Delivery down = wan_down.send(
+          cloud_.params(), {.rng = &rng, .arena = &wan_arena_, .step = t_});
       if (down.delivered) {
         if (down.payload.data() == global_block->span().data()) {
           edges_[n].adopt(global_block);

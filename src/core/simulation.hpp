@@ -40,16 +40,18 @@
 // (never written over a possibly-shared buffer), and the broadcast after
 // CloudSync is one publish shared by every tier.
 //
-// Every inter-tier model transfer flows through a typed transport::Link
-// with its own policy (loss, compression, latency-in-steps delay queues,
-// byte accounting). Registered StepObservers see exactly the serial event
-// stream of the barriered pipeline: each chain records its traffic and
-// blend/dropout outcomes in a private trace, and step() replays the merged
-// events in canonical edge order at the serial point after the graph
-// joins. All randomness is keyed on (seed, entity, step), link counters
-// are commutative atomics, and every cross-chain reduction commits
-// serially in fixed edge order, so results are bit-identical regardless of
-// thread count (pinned by pipeline_test and determinism_test).
+// Every inter-tier model transfer flows through a transport::Link with
+// its own policy (loss, compression, latency-in-steps delay queues, byte
+// accounting); each send hands the link its RNG stream and arena, and
+// the link alone decides whether to draw or reconstruct. Registered
+// StepObservers see exactly the serial event stream of the barriered
+// pipeline: each chain records its traffic and blend/dropout outcomes in
+// a private trace, and step() replays the merged events in canonical edge
+// order at the serial point after the graph joins. All randomness is
+// keyed on (seed, entity, step), link counters are commutative atomics,
+// and every cross-chain reduction commits serially in fixed edge order, so
+// results are bit-identical regardless of thread count (pinned by
+// pipeline_test and determinism_test).
 #pragma once
 
 #include <functional>
@@ -116,11 +118,6 @@ struct SimulationConfig {
   /// Per-link transport policies (loss, compression, latency) for the
   /// whole hierarchy. Defaults are perfect links.
   transport::TransportConfig transport;
-  /// Legacy alias: populates transport.wireless_up.loss_prob when nonzero
-  /// (straggler / radio failure injection on the uplink). The device still
-  /// trains — its local model keeps the update — but the edge aggregates
-  /// without it that step. After construction both views agree.
-  double upload_failure_prob = 0.0;
   /// FedProx proximal coefficient for local training (0 = plain SGD).
   double prox_mu = 0.0;
   /// Global-norm gradient clipping threshold for local steps (0 = off).
@@ -141,10 +138,6 @@ struct SimulationConfig {
   /// Local steps a speed-1.0 device can complete per time step; 0 = no
   /// deadline (every device always finishes all I steps).
   double round_deadline = 0.0;
-  /// Legacy alias: populates transport.wireless_up.compression when set.
-  /// Lossy compression applied to device->edge uploads (the edge
-  /// aggregates the reconstruction; upload_bytes() tracks the wire size).
-  CompressionConfig upload_compression;
 
   /// Device-state machinery (core/fleet.hpp): the at-rest codec and the
   /// registry shard count behind the snapshot+delta devices.
@@ -173,15 +166,6 @@ struct SimulationConfig {
   /// worker counts without touching the shared pool.
   parallel::ThreadPool* pool = nullptr;
 };
-
-/// Folds the legacy uplink spellings (`upload_failure_prob`,
-/// `upload_compression`) into `transport.wireless_up` — the single
-/// normalization point for both the Simulation constructor and the config
-/// loader. Setting BOTH views to different nonzero/non-kNone values is a
-/// hard error (std::invalid_argument) instead of silent last-writer-wins;
-/// afterwards the legacy fields mirror the effective per-link policy, so
-/// the call is idempotent.
-void reconcile_uplink_aliases(SimulationConfig& cfg);
 
 class Simulation {
  public:

@@ -36,12 +36,14 @@ Link::Link(LinkKind kind, const LinkPolicy& policy, std::size_t shards)
         "): latency is only supported on uplink-direction links "
         "(wireless_up, wan_up)");
   }
-}
-
-std::size_t Link::wire_bytes(std::size_t raw_floats,
-                             std::size_t compressed_bytes) const {
-  (void)raw_floats;
-  return compressed_bytes;
+  // (Latency on the carry link is already refused above.)
+  if (kind == LinkKind::kCarry &&
+      (policy_.loss_prob != 0.0 ||
+       policy_.compression.kind != CompressionKind::kNone)) {
+    throw std::invalid_argument(
+        "Link(carry): the carried model lives in the device's own memory — "
+        "its policy must be lossless, uncompressed, zero-latency");
+  }
 }
 
 Delivery Link::send(std::span<const float> payload, const SendContext& ctx) {
@@ -81,7 +83,7 @@ Delivery Link::send(std::span<const float> payload, const SendContext& ctx) {
     } else {
       // Queued sends own their payload; no arena needed.
       received = {};
-      const std::size_t cost = wire_bytes(payload.size(), carried);
+      const std::size_t cost = wire_bytes(carried);
       bytes_.fetch_add(cost, std::memory_order_relaxed);
       if (ctx.tally != nullptr) ctx.tally->bytes += cost;
       queues_.at(ctx.shard).push_back(
@@ -90,7 +92,7 @@ Delivery Link::send(std::span<const float> payload, const SendContext& ctx) {
       return Delivery{.delivered = false, .queued = true, .bytes = cost};
     }
   } else if (policy_.latency_steps > 0) {
-    const std::size_t cost = wire_bytes(payload.size(), carried);
+    const std::size_t cost = wire_bytes(carried);
     bytes_.fetch_add(cost, std::memory_order_relaxed);
     if (ctx.tally != nullptr) ctx.tally->bytes += cost;
     queues_.at(ctx.shard).push_back(
@@ -99,7 +101,7 @@ Delivery Link::send(std::span<const float> payload, const SendContext& ctx) {
     return Delivery{.delivered = false, .queued = true, .bytes = cost};
   }
 
-  const std::size_t cost = wire_bytes(payload.size(), carried);
+  const std::size_t cost = wire_bytes(carried);
   bytes_.fetch_add(cost, std::memory_order_relaxed);
   if (ctx.tally != nullptr) ctx.tally->bytes += cost;
   return Delivery{
@@ -115,8 +117,7 @@ void Link::send_identical(std::span<const float> payload, std::size_t count) {
         "): only a lossless, uncompressed, zero-latency link delivers "
         "identical sends");
   }
-  const std::size_t cost =
-      wire_bytes(payload.size(), payload.size() * sizeof(float));
+  const std::size_t cost = wire_bytes(payload.size() * sizeof(float));
   transfers_.fetch_add(count, std::memory_order_relaxed);
   bytes_.fetch_add(count * cost, std::memory_order_relaxed);
 }
@@ -143,17 +144,6 @@ std::size_t Link::in_flight() const noexcept {
   std::size_t total = 0;
   for (const auto& queue : queues_) total += queue.size();
   return total;
-}
-
-CarryLink::CarryLink(const LinkPolicy& policy)
-    : Link(LinkKind::kCarry, policy, 1) {
-  if (policy.loss_prob != 0.0 ||
-      policy.compression.kind != CompressionKind::kNone ||
-      policy.latency_steps != 0) {
-    throw std::invalid_argument(
-        "CarryLink: the carried model lives in the device's own memory — "
-        "its policy must be lossless, uncompressed, zero-latency");
-  }
 }
 
 }  // namespace middlefl::transport

@@ -1,17 +1,20 @@
-// Typed links of the device-edge-cloud hierarchy.
+// The links of the device-edge-cloud hierarchy.
 //
 // Every model transfer in the simulator flows through Link::send(): the
 // link applies its policy (loss probability, lossy compression, optional
 // deterministic latency-in-steps) and accounts the traffic. A fan-out of
 // one model to many receivers over a perfect link (the cloud's lossless
 // device broadcast) is accounted in O(1) by Link::send_identical(), with
-// exactly the counters `count` send() calls would leave. Three concrete
-// classes model the three physical channels of the paper's architecture:
+// exactly the counters `count` send() calls would leave. One Link class
+// serves every channel of the paper's architecture; its LinkKind names the
+// channel:
 //
-//   WirelessLink  device <-> edge radio (cheap, lossy, compressible)
-//   WanLink       edge <-> cloud backhaul (the expensive link HFL avoids)
-//   CarryLink     the model a moving device carries in its own memory
-//                 (free: zero wire bytes, no loss, no latency)
+//   wireless_down/up  device <-> edge radio (cheap, lossy, compressible)
+//   wan_up/down       edge <-> cloud backhaul (the expensive link HFL avoids)
+//   broadcast         cloud -> device push at sync (wireless last hop)
+//   carry             the model a moving device carries in its own memory
+//                     (free: zero wire bytes; its policy is locked to the
+//                     default — no loss, no compression, no latency)
 //
 // Concurrency contract: send() is safe to call from parallel simulation
 // stages — counters are relaxed atomics, whose totals are scheduling-
@@ -143,7 +146,10 @@ struct SendContext {
 
 class Link {
  public:
-  virtual ~Link() = default;
+  /// `shards` sizes the delay queue (0 counts as 1). Throws
+  /// std::invalid_argument for a loss_prob outside [0, 1], latency on a
+  /// download-direction link, or any non-default policy on the carry link.
+  Link(LinkKind kind, const LinkPolicy& policy, std::size_t shards = 1);
 
   LinkKind kind() const noexcept { return kind_; }
   const LinkPolicy& policy() const noexcept { return policy_; }
@@ -175,17 +181,14 @@ class Link {
   /// Payloads still sitting in the delay queue (all shards).
   std::size_t in_flight() const noexcept;
 
- protected:
-  Link(LinkKind kind, const LinkPolicy& policy, std::size_t shards);
-
-  /// Wire cost of a delivered payload: `raw_floats` parameters carried as
-  /// `compressed_bytes` (equal to 4*raw_floats when uncompressed). The
-  /// carry link overrides this to zero — the model never leaves the
-  /// device.
-  virtual std::size_t wire_bytes(std::size_t raw_floats,
-                                 std::size_t compressed_bytes) const;
-
  private:
+  /// Wire cost of a delivered payload carried as `carried_bytes` (4 per
+  /// float when uncompressed): zero on the carry link — the model never
+  /// leaves the device.
+  std::size_t wire_bytes(std::size_t carried_bytes) const noexcept {
+    return kind_ == LinkKind::kCarry ? 0 : carried_bytes;
+  }
+
   struct Queued {
     std::vector<float> payload;
     double weight = 0.0;
@@ -199,36 +202,6 @@ class Link {
   std::atomic<std::size_t> transfers_{0};
   std::atomic<std::size_t> dropped_{0};
   std::atomic<std::size_t> bytes_{0};
-};
-
-/// Device <-> edge radio. Supports loss, compression and (uplink
-/// direction) latency; queue shards map to destination edges so parallel
-/// per-edge aggregation can enqueue without synchronization.
-class WirelessLink final : public Link {
- public:
-  WirelessLink(LinkKind kind, const LinkPolicy& policy, std::size_t shards = 1)
-      : Link(kind, policy, shards) {}
-};
-
-/// Edge <-> cloud backhaul. Same mechanics as WirelessLink today; typed
-/// separately so WAN-specific cost models (per-byte tariffs, bandwidth
-/// caps) have a home that does not touch the radio path.
-class WanLink final : public Link {
- public:
-  WanLink(LinkKind kind, const LinkPolicy& policy, std::size_t shards = 1)
-      : Link(kind, policy, shards) {}
-};
-
-/// The model a moving device keeps in memory: transfers are counted (they
-/// are the paper's "free" on-device channel) but cost zero wire bytes and
-/// must be lossless, uncompressed, and immediate — the constructor rejects
-/// any other policy.
-class CarryLink final : public Link {
- public:
-  explicit CarryLink(const LinkPolicy& policy);
-
- protected:
-  std::size_t wire_bytes(std::size_t, std::size_t) const override { return 0; }
 };
 
 }  // namespace middlefl::transport

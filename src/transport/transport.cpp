@@ -6,24 +6,15 @@
 
 namespace middlefl::transport {
 
-Transport::Transport(const TransportConfig& config,
-                     std::size_t uplink_shards) {
-  links_[index(LinkKind::kWirelessDown)] = std::make_unique<WirelessLink>(
-      LinkKind::kWirelessDown, config.wireless_down);
-  links_[index(LinkKind::kWirelessUp)] = std::make_unique<WirelessLink>(
-      LinkKind::kWirelessUp, config.wireless_up,
-      uplink_shards == 0 ? 1 : uplink_shards);
-  // The WAN uplink shares the shard count: the semi-async sync publishes
-  // from inside the per-edge chains (shard n = edge n, lock-free); the
-  // synchronous stage keeps using the default shard 0.
-  links_[index(LinkKind::kWanUp)] = std::make_unique<WanLink>(
-      LinkKind::kWanUp, config.wan_up, uplink_shards == 0 ? 1 : uplink_shards);
-  links_[index(LinkKind::kWanDown)] =
-      std::make_unique<WanLink>(LinkKind::kWanDown, config.wan_down);
-  links_[index(LinkKind::kBroadcast)] = std::make_unique<WirelessLink>(
-      LinkKind::kBroadcast, config.broadcast);
-  links_[index(LinkKind::kCarry)] = std::make_unique<CarryLink>(config.carry);
-}
+// The WAN uplink shares the uplink shard count: the edge chains publish
+// from inside their own task (shard n = edge n, lock-free).
+Transport::Transport(const TransportConfig& config, std::size_t uplink_shards)
+    : links_{{Link(LinkKind::kWirelessDown, config.wireless_down),
+              Link(LinkKind::kWirelessUp, config.wireless_up, uplink_shards),
+              Link(LinkKind::kWanUp, config.wan_up, uplink_shards),
+              Link(LinkKind::kWanDown, config.wan_down),
+              Link(LinkKind::kBroadcast, config.broadcast),
+              Link(LinkKind::kCarry, LinkPolicy{})}} {}
 
 std::vector<Transport::LinkReport> Transport::bytes_by_link() const {
   std::vector<LinkReport> report;

@@ -1,4 +1,4 @@
-// The hierarchical transport substrate: one typed Link per channel of the
+// The hierarchical transport substrate: one Link per channel of the
 // device-edge-cloud topology, built from a per-link policy config.
 //
 // The Simulation routes every model transfer through these links; metrics
@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "transport/link.hpp"
@@ -36,8 +35,8 @@ struct TransportConfig {
   LinkPolicy wan_down;
   /// Cloud -> device broadcast at synchronization.
   LinkPolicy broadcast;
-  /// Intra-device carry under mobility; must stay at the default (free).
-  LinkPolicy carry;
+  // The intra-device carry link has no policy here: it is always built
+  // from the default (free) LinkPolicy.
 };
 
 class Transport {
@@ -46,8 +45,8 @@ class Transport {
   /// edge, so per-edge parallel stages can enqueue without locks.
   Transport(const TransportConfig& config, std::size_t uplink_shards);
 
-  Link& link(LinkKind kind) { return *links_[index(kind)]; }
-  const Link& link(LinkKind kind) const { return *links_[index(kind)]; }
+  Link& link(LinkKind kind) { return links_[index(kind)]; }
+  const Link& link(LinkKind kind) const { return links_[index(kind)]; }
 
   Link& wireless_down() { return link(LinkKind::kWirelessDown); }
   Link& wireless_up() { return link(LinkKind::kWirelessUp); }
@@ -85,7 +84,7 @@ class Transport {
     return static_cast<std::size_t>(kind);
   }
 
-  std::array<std::unique_ptr<Link>, 6> links_;
+  std::array<Link, std::size(kAllLinkKinds)> links_;  // kAllLinkKinds order
 };
 
 }  // namespace middlefl::transport

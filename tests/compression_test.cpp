@@ -119,8 +119,8 @@ TEST(Compression, SimulationTracksUploadBytes) {
 
   SimBundle bundle2;
   bundle2.cfg.total_steps = 6;
-  bundle2.cfg.upload_compression = {middlefl::core::CompressionKind::kTopK,
-                                    0.1};
+  bundle2.cfg.transport.wireless_up.compression = {
+      middlefl::core::CompressionKind::kTopK, 0.1};
   auto compressed = bundle2.make(Algorithm::kMiddle);
   compressed->run();
   // Top-10% costs 8 bytes/kept coordinate vs 4 bytes/coordinate raw: ~5x
@@ -131,7 +131,8 @@ TEST(Compression, SimulationTracksUploadBytes) {
 TEST(Compression, TrainingSurvivesAggressiveCompression) {
   SimBundle bundle;
   bundle.cfg.total_steps = 40;
-  bundle.cfg.upload_compression = {middlefl::core::CompressionKind::kQuant8};
+  bundle.cfg.transport.wireless_up.compression = {
+      middlefl::core::CompressionKind::kQuant8};
   auto sim = bundle.make(Algorithm::kMiddle);
   const auto history = sim->run();
   EXPECT_GT(history.best_accuracy(), 0.35);  // chance 0.25

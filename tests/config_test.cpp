@@ -165,6 +165,36 @@ TEST(ScenarioSchema, RejectsUnknownNestedKeysWithLocation) {
   }
 }
 
+TEST(ScenarioSchema, RemovedKeysAreRejectedWithPosition) {
+  // The old uplink spellings and the carry policy are gone from the schema:
+  // a spec that still writes one fails as an unknown key, pointing at the
+  // key's value.
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& where,
+                                  const std::string& key) {
+    try {
+      config::parse_scenario(text, "spec.json");
+      ADD_FAILURE() << "expected '" << key << "' to be rejected";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("spec.json:" + where + ": unknown key '" + key +
+                          "'"),
+                std::string::npos)
+          << what;
+    }
+  };
+  expect_rejected(
+      "{\n  \"sim\": {\n    \"upload_failure_prob\": 0.2\n  }\n}", "3:28",
+      "upload_failure_prob");
+  expect_rejected(
+      "{\n  \"sim\": {\n    \"seed\": 7,\n"
+      "    \"upload_compression\": {\"kind\": \"topk\"}\n  }\n}",
+      "4:27", "upload_compression");
+  expect_rejected(
+      "{\"sim\": {\"transport\": {\n  \"carry\": {\"loss_prob\": 0}}}}",
+      "2:12", "carry");
+}
+
 TEST(ScenarioSchema, RejectsTypeMismatch) {
   EXPECT_THROW(config::parse_scenario(R"({"edges": "ten"})", "buf"),
                std::runtime_error);
@@ -180,45 +210,6 @@ TEST(ScenarioSchema, RejectsIllegalChoiceListingOptions) {
     EXPECT_NE(std::string(e.what()).find("middle"), std::string::npos)
         << e.what();
   }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy uplink aliases
-
-TEST(ScenarioAliases, UploadFailureProbNormalizesIntoTransport) {
-  const auto spec = config::parse_scenario(
-      R"({"sim": {"upload_failure_prob": 0.2}})", "buf");
-  EXPECT_DOUBLE_EQ(spec.sim.transport.wireless_up.loss_prob, 0.2);
-  EXPECT_DOUBLE_EQ(spec.sim.upload_failure_prob, 0.2);
-  // The canonical form speaks only the transport view.
-  EXPECT_EQ(config::scenario_to_text(spec).find("upload_failure_prob"),
-            std::string::npos);
-}
-
-TEST(ScenarioAliases, AgreeingViewsAreAccepted) {
-  const auto spec = config::parse_scenario(
-      R"({"sim": {"upload_failure_prob": 0.2,
-                  "transport": {"wireless_up": {"loss_prob": 0.2}}}})",
-      "buf");
-  EXPECT_DOUBLE_EQ(spec.sim.transport.wireless_up.loss_prob, 0.2);
-}
-
-TEST(ScenarioAliases, ConflictingViewsAreAHardError) {
-  EXPECT_THROW(config::parse_scenario(
-                   R"({"sim": {"upload_failure_prob": 0.2,
-                               "transport": {"wireless_up":
-                                             {"loss_prob": 0.1}}}})",
-                   "buf"),
-               std::runtime_error);
-}
-
-TEST(ScenarioAliases, ReconcileIsIdempotent) {
-  core::SimulationConfig cfg;
-  cfg.upload_failure_prob = 0.3;
-  core::reconcile_uplink_aliases(cfg);
-  core::reconcile_uplink_aliases(cfg);
-  EXPECT_DOUBLE_EQ(cfg.transport.wireless_up.loss_prob, 0.3);
-  EXPECT_DOUBLE_EQ(cfg.upload_failure_prob, 0.3);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ void expect_identical_runs(
   bundle.cfg.total_steps = 8;
   bundle.cfg.cloud_interval = 4;
   bundle.cfg.eval_every = 4;
-  bundle.cfg.upload_failure_prob = 0.1;  // exercise the failure RNG path
+  // Exercise the uplink loss RNG path.
+  bundle.cfg.transport.wireless_up.loss_prob = 0.1;
   if (tweak) tweak(bundle.cfg);
 
   bundle.cfg.parallel_devices = false;
@@ -99,10 +100,6 @@ TEST(Determinism, LossyTransportPoliciesParallelMatchesSerialBitwise) {
   // outcomes must not depend on scheduling.
   expect_identical_runs(Algorithm::kMiddle,
                         [](middlefl::core::SimulationConfig& cfg) {
-                          // The uplink loss is set through the transport
-                          // view here; clear the fixture's legacy alias —
-                          // conflicting views are a hard error now.
-                          cfg.upload_failure_prob = 0.0;
                           auto& tp = cfg.transport;
                           tp.wireless_down.loss_prob = 0.2;
                           tp.wireless_up.loss_prob = 0.15;
@@ -133,7 +130,7 @@ TEST(Determinism, TaskGraphIdenticalAcrossPoolSizes) {
   bundle.cfg.total_steps = 8;
   bundle.cfg.cloud_interval = 4;
   bundle.cfg.eval_every = 4;
-  bundle.cfg.upload_failure_prob = 0.1;
+  bundle.cfg.transport.wireless_up.loss_prob = 0.1;
   bundle.cfg.transport.wireless_down.loss_prob = 0.2;
 
   bundle.cfg.parallel_devices = false;

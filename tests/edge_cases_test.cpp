@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "mobility/trace.hpp"
 #include "nn/conv2d.hpp"
@@ -166,6 +167,14 @@ TEST(SimEdgeCases, CloudIntervalOneSyncsEveryStep) {
   for (std::size_t i = 0; i < cloud.size(); ++i) {
     EXPECT_EQ(dev[i], cloud[i]);
   }
+}
+
+TEST(SimEdgeCases, RejectsZeroEvalEvery) {
+  // run() takes t % eval_every: a zero cadence must fail at construction,
+  // not divide by zero mid-run.
+  SimBundle bundle;
+  bundle.cfg.eval_every = 0;
+  EXPECT_THROW(bundle.make(Algorithm::kMiddle), std::invalid_argument);
 }
 
 }  // namespace

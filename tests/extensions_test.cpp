@@ -1,6 +1,6 @@
 // Tests for the features beyond the paper's core: communication
-// accounting, upload-failure injection, the signed-blend ablation rule and
-// the hybrid selection strategy.
+// accounting, uplink-loss failure injection, the signed-blend ablation rule
+// and the hybrid selection strategy.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -92,7 +92,7 @@ TEST(FailureInjection, AllUploadsFailFreezesEdgeModels) {
   SimBundle bundle;
   bundle.cfg.total_steps = 6;
   bundle.cfg.cloud_interval = 100;  // no sync in this window
-  bundle.cfg.upload_failure_prob = 1.0;
+  bundle.cfg.transport.wireless_up.loss_prob = 1.0;
   auto sim = bundle.make(Algorithm::kMiddle);
   const std::vector<float> before(sim->edge_params(0).begin(),
                                   sim->edge_params(0).end());
@@ -107,7 +107,7 @@ TEST(FailureInjection, AllUploadsFailFreezesEdgeModels) {
 TEST(FailureInjection, PartialFailureStillTrains) {
   SimBundle bundle;
   bundle.cfg.total_steps = 30;
-  bundle.cfg.upload_failure_prob = 0.3;
+  bundle.cfg.transport.wireless_up.loss_prob = 0.3;
   auto sim = bundle.make(Algorithm::kMiddle);
   const auto history = sim->run();
   EXPECT_GT(sim->failed_uploads(), 0u);
@@ -121,7 +121,7 @@ TEST(FailureInjection, PartialFailureStillTrains) {
 TEST(FailureInjection, DeterministicGivenSeed) {
   SimBundle bundle;
   bundle.cfg.total_steps = 15;
-  bundle.cfg.upload_failure_prob = 0.4;
+  bundle.cfg.transport.wireless_up.loss_prob = 0.4;
   auto a = bundle.make(Algorithm::kMiddle);
   auto b = bundle.make(Algorithm::kMiddle);
   a->run();
@@ -420,6 +420,49 @@ TEST(Heterogeneity, ValidatesConfig) {
           bundle2.partition, bundle2.test, std::move(mobility2),
           middlefl::core::make_algorithm(Algorithm::kMiddle)),
       std::invalid_argument);
+}
+
+TEST(Heterogeneity, RejectsNonFiniteOrNegativeDeadlinesAndSpeeds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double deadline : {-1.0, inf, nan}) {
+    SimBundle bundle;
+    bundle.cfg.round_deadline = deadline;
+    EXPECT_THROW(bundle.make(Algorithm::kMiddle), std::invalid_argument)
+        << "round_deadline " << deadline;
+  }
+  // NaN compares false against every bound, so it needs its own check; a
+  // bad speed is rejected with or without a deadline.
+  for (const double speed : {0.0, -1.0, inf, nan}) {
+    for (const double deadline : {0.0, 4.0}) {
+      SimBundle bundle;
+      bundle.cfg.round_deadline = deadline;
+      bundle.cfg.device_speeds.assign(bundle.partition.num_devices(), 1.0);
+      bundle.cfg.device_speeds[2] = speed;
+      EXPECT_THROW(bundle.make(Algorithm::kMiddle), std::invalid_argument)
+          << "speed " << speed << " deadline " << deadline;
+    }
+  }
+}
+
+TEST(Heterogeneity, HugeSpeedBudgetClampsToLocalSteps) {
+  // deadline * speed far beyond any integer: the budget clamps to I in
+  // double before the cast, so the fast device behaves like a nominal one.
+  SimBundle bundle;
+  bundle.cfg.total_steps = 4;
+  bundle.cfg.round_deadline = 1e300;
+  bundle.cfg.device_speeds.assign(bundle.partition.num_devices(), 1e300);
+  auto fast = bundle.make(Algorithm::kHierFavg);
+  const auto h1 = fast->run();
+  SimBundle plain;
+  plain.cfg.total_steps = 4;
+  auto nominal = plain.make(Algorithm::kHierFavg);
+  const auto h2 = nominal->run();
+  ASSERT_EQ(h1.points.size(), h2.points.size());
+  for (std::size_t i = 0; i < h1.points.size(); ++i) {
+    EXPECT_EQ(h1.points[i].accuracy, h2.points[i].accuracy);
+  }
+  EXPECT_EQ(fast->straggler_drops(), 0u);
 }
 
 TEST(Heterogeneity, AllStragglersFreezeEdges) {

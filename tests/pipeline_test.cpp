@@ -16,8 +16,8 @@
 //    new variant.
 // 2. Observer events: phase ordering, transfer accounting, and the
 //    guarantee that observing a run cannot perturb it.
-// 3. Per-link policies: legacy-alias equivalence, downlink/broadcast loss
-//    semantics, uplink latency (stale aggregation).
+// 3. Per-link policies: downlink/broadcast loss semantics, uplink latency
+//    (stale aggregation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -231,8 +231,8 @@ TEST(GoldenParity, MiddleDefaultParallel) {
 }
 
 TEST(GoldenParity, MiddleUploadFailures) {
-  // The legacy upload_failure_prob alias must drive the uplink loss policy
-  // through the exact same RNG stream as the pre-refactor failure draw.
+  // The uplink loss policy draws from the exact same RNG stream as the
+  // pre-refactor failure draw.
   const GoldenRun golden{
       "middle_failures",
       {0x3fcc28f5c28f5c29, 0x3fceb851eb851eb8, 0x3fd1eb851eb851ec,
@@ -244,7 +244,7 @@ TEST(GoldenParity, MiddleUploadFailures) {
       28, 0, 234960, 53,
       {0x3fdfffaeb9b79da9, 0x3fdfffaeb9b6f795}};
   SimBundle bundle;
-  bundle.cfg.upload_failure_prob = 0.25;
+  bundle.cfg.transport.wireless_up.loss_prob = 0.25;
   const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
   if (!skip.empty()) GTEST_SKIP() << skip;
 }
@@ -261,9 +261,8 @@ TEST(GoldenParity, MiddleTopKCompression) {
       0, 0, 154440, 54,
       {0x3fdfffba581d1f35, 0x3fdfffba581c6c66}};
   SimBundle bundle;
-  bundle.cfg.upload_compression.kind =
-      middlefl::core::CompressionKind::kTopK;
-  bundle.cfg.upload_compression.top_k_fraction = 0.25;
+  bundle.cfg.transport.wireless_up.compression = {
+      middlefl::core::CompressionKind::kTopK, 0.25};
   const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
   if (!skip.empty()) GTEST_SKIP() << skip;
 }
@@ -303,7 +302,7 @@ TEST(GoldenParity, MiddleHeterogeneousStragglers) {
   bundle.cfg.device_speeds[0] = 0.05;
   bundle.cfg.device_speeds[1] = 0.4;
   bundle.cfg.round_deadline = 5.0;
-  bundle.cfg.upload_failure_prob = 0.2;
+  bundle.cfg.transport.wireless_up.loss_prob = 0.2;
   const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
   if (!skip.empty()) GTEST_SKIP() << skip;
 }
@@ -582,31 +581,6 @@ TEST(StepObserverTest, RejectsNullObserver) {
 
 // ---------------------------------------------------------------------------
 // Per-link policies
-
-TEST(TransportPolicy, LegacyAliasMatchesExplicitUplinkPolicy) {
-  SimBundle bundle;
-  bundle.cfg.upload_failure_prob = 0.3;
-  auto legacy = bundle.make(Algorithm::kMiddle);
-
-  SimBundle explicit_bundle;
-  explicit_bundle.cfg.transport.wireless_up.loss_prob = 0.3;
-  auto modern = explicit_bundle.make(Algorithm::kMiddle);
-
-  // Both views of the config agree after construction.
-  EXPECT_EQ(legacy->config().transport.wireless_up.loss_prob, 0.3);
-  EXPECT_EQ(modern->config().upload_failure_prob, 0.3);
-
-  const RunHistory h1 = legacy->run();
-  const RunHistory h2 = modern->run();
-  ASSERT_EQ(h1.points.size(), h2.points.size());
-  for (std::size_t i = 0; i < h1.points.size(); ++i) {
-    EXPECT_EQ(h1.points[i].accuracy, h2.points[i].accuracy);
-    EXPECT_EQ(h1.points[i].loss, h2.points[i].loss);
-  }
-  EXPECT_EQ(cloud_hash(*legacy), cloud_hash(*modern));
-  EXPECT_EQ(legacy->failed_uploads(), modern->failed_uploads());
-  EXPECT_EQ(legacy->upload_bytes(), modern->upload_bytes());
-}
 
 TEST(TransportPolicy, TotalDownlinkLossFreezesTraining) {
   // Every download lost: no device trains, no upload happens, and the

@@ -13,19 +13,17 @@ namespace {
 
 using middlefl::parallel::Xoshiro256;
 using middlefl::transport::Arrival;
-using middlefl::transport::CarryLink;
 using middlefl::transport::CompressionConfig;
 using middlefl::transport::CompressionKind;
 using middlefl::transport::Delivery;
 using middlefl::transport::kAllLinkKinds;
+using middlefl::transport::Link;
 using middlefl::transport::LinkKind;
 using middlefl::transport::LinkPolicy;
 using middlefl::transport::LinkStats;
 using middlefl::transport::SendContext;
 using middlefl::transport::Transport;
 using middlefl::transport::TransportConfig;
-using middlefl::transport::WanLink;
-using middlefl::transport::WirelessLink;
 
 std::vector<float> ramp(std::size_t n) {
   std::vector<float> v(n);
@@ -34,7 +32,7 @@ std::vector<float> ramp(std::size_t n) {
 }
 
 TEST(Link, DefaultPolicyIsCountedPassThrough) {
-  WirelessLink link(LinkKind::kWirelessDown, LinkPolicy{});
+  Link link(LinkKind::kWirelessDown, LinkPolicy{});
   const auto payload = ramp(8);
   const Delivery d = link.send(payload, SendContext{});
   EXPECT_TRUE(d.delivered);
@@ -53,7 +51,7 @@ TEST(Link, DefaultPolicyIsCountedPassThrough) {
 TEST(Link, LossDropsDeterministically) {
   LinkPolicy policy;
   policy.loss_prob = 0.5;
-  WirelessLink link(LinkKind::kWirelessUp, policy);
+  Link link(LinkKind::kWirelessUp, policy);
   const auto payload = ramp(4);
 
   std::size_t delivered = 0;
@@ -73,7 +71,7 @@ TEST(Link, LossDropsDeterministically) {
   EXPECT_EQ(stats.bytes, delivered * 4 * sizeof(float));
 
   // Same seeds, fresh link: identical outcomes.
-  WirelessLink replay(LinkKind::kWirelessUp, policy);
+  Link replay(LinkKind::kWirelessUp, policy);
   std::size_t replay_delivered = 0;
   for (std::uint64_t i = 0; i < 200; ++i) {
     Xoshiro256 rng(i);
@@ -87,7 +85,7 @@ TEST(Link, LossDropsDeterministically) {
 TEST(Link, LossRequiresRng) {
   LinkPolicy policy;
   policy.loss_prob = 0.5;
-  WirelessLink link(LinkKind::kWirelessUp, policy);
+  Link link(LinkKind::kWirelessUp, policy);
   const auto payload = ramp(4);
   EXPECT_THROW(link.send(payload, SendContext{}), std::invalid_argument);
 }
@@ -95,7 +93,7 @@ TEST(Link, LossRequiresRng) {
 TEST(Link, CompressionChargesWireBytesAndReconstructs) {
   LinkPolicy policy;
   policy.compression = CompressionConfig{CompressionKind::kQuant8, 0.1};
-  WirelessLink link(LinkKind::kWirelessUp, policy);
+  Link link(LinkKind::kWirelessUp, policy);
   const auto payload = ramp(16);
   const auto reference = std::vector<float>(16, 1.0f);
 
@@ -121,7 +119,7 @@ TEST(Link, CompressionChargesWireBytesAndReconstructs) {
 TEST(Link, CompressionRequiresArena) {
   LinkPolicy policy;
   policy.compression = CompressionConfig{CompressionKind::kQuant8, 0.1};
-  WirelessLink link(LinkKind::kWirelessUp, policy);
+  Link link(LinkKind::kWirelessUp, policy);
   const auto payload = ramp(4);
   EXPECT_THROW(link.send(payload, SendContext{}), std::invalid_argument);
 }
@@ -129,7 +127,7 @@ TEST(Link, CompressionRequiresArena) {
 TEST(Link, LatencyQueuesAndDrainsFifo) {
   LinkPolicy policy;
   policy.latency_steps = 2;
-  WirelessLink link(LinkKind::kWirelessUp, policy, /*shards=*/2);
+  Link link(LinkKind::kWirelessUp, policy, /*shards=*/2);
 
   const auto first = ramp(4);
   const auto second = ramp(4);
@@ -162,31 +160,31 @@ TEST(Link, LatencyQueuesAndDrainsFifo) {
 TEST(Link, LatencyRejectedOnDownlinks) {
   LinkPolicy policy;
   policy.latency_steps = 1;
-  EXPECT_THROW(WirelessLink(LinkKind::kWirelessDown, policy),
+  EXPECT_THROW(Link(LinkKind::kWirelessDown, policy),
                std::invalid_argument);
-  EXPECT_THROW(WanLink(LinkKind::kWanDown, policy), std::invalid_argument);
-  EXPECT_NO_THROW(WirelessLink(LinkKind::kWirelessUp, policy));
-  EXPECT_NO_THROW(WanLink(LinkKind::kWanUp, policy));
+  EXPECT_THROW(Link(LinkKind::kWanDown, policy), std::invalid_argument);
+  EXPECT_NO_THROW(Link(LinkKind::kWirelessUp, policy));
+  EXPECT_NO_THROW(Link(LinkKind::kWanUp, policy));
 }
 
 TEST(Link, RejectsOutOfRangeLoss) {
   LinkPolicy policy;
   policy.loss_prob = 1.5;
-  EXPECT_THROW(WirelessLink(LinkKind::kWirelessUp, policy),
+  EXPECT_THROW(Link(LinkKind::kWirelessUp, policy),
                std::invalid_argument);
 }
 
 TEST(Link, SendIdenticalAccountsLikeRepeatedSends) {
   const auto payload = ramp(8);
-  WirelessLink one_by_one(LinkKind::kBroadcast, LinkPolicy{});
+  Link one_by_one(LinkKind::kBroadcast, LinkPolicy{});
   for (int i = 0; i < 5; ++i) one_by_one.send(payload, SendContext{});
-  WirelessLink batched(LinkKind::kBroadcast, LinkPolicy{});
+  Link batched(LinkKind::kBroadcast, LinkPolicy{});
   batched.send_identical(payload, 5);
   EXPECT_EQ(batched.stats().transfers, one_by_one.stats().transfers);
   EXPECT_EQ(batched.stats().dropped, 0u);
   EXPECT_EQ(batched.stats().bytes, one_by_one.stats().bytes);
 
-  CarryLink carry{LinkPolicy{}};
+  Link carry(LinkKind::kCarry, LinkPolicy{});
   carry.send_identical(payload, 3);
   EXPECT_EQ(carry.stats().transfers, 3u);
   EXPECT_EQ(carry.stats().bytes, 0u);
@@ -198,19 +196,19 @@ TEST(Link, SendIdenticalAccountsLikeRepeatedSends) {
   compressed.compression = CompressionConfig{CompressionKind::kQuant8, 0.1};
   LinkPolicy delayed;
   delayed.latency_steps = 1;
-  EXPECT_THROW(WirelessLink(LinkKind::kBroadcast, lossy)
+  EXPECT_THROW(Link(LinkKind::kBroadcast, lossy)
                    .send_identical(payload, 2),
                std::logic_error);
-  EXPECT_THROW(WirelessLink(LinkKind::kBroadcast, compressed)
+  EXPECT_THROW(Link(LinkKind::kBroadcast, compressed)
                    .send_identical(payload, 2),
                std::logic_error);
-  EXPECT_THROW(WirelessLink(LinkKind::kWirelessUp, delayed)
+  EXPECT_THROW(Link(LinkKind::kWirelessUp, delayed)
                    .send_identical(payload, 2),
                std::logic_error);
 }
 
 TEST(CarryLinkTest, FreeCountedAndPolicyLocked) {
-  CarryLink carry{LinkPolicy{}};
+  Link carry(LinkKind::kCarry, LinkPolicy{});
   const auto payload = ramp(8);
   const Delivery d = carry.send(payload, SendContext{});
   EXPECT_TRUE(d.delivered);
@@ -221,10 +219,17 @@ TEST(CarryLinkTest, FreeCountedAndPolicyLocked) {
 
   LinkPolicy lossy;
   lossy.loss_prob = 0.1;
-  EXPECT_THROW(CarryLink{lossy}, std::invalid_argument);
+  EXPECT_THROW(Link(LinkKind::kCarry, lossy), std::invalid_argument);
   LinkPolicy compressed;
   compressed.compression = CompressionConfig{CompressionKind::kQuant8, 0.1};
-  EXPECT_THROW(CarryLink{compressed}, std::invalid_argument);
+  EXPECT_THROW(Link(LinkKind::kCarry, compressed), std::invalid_argument);
+  LinkPolicy delayed;
+  delayed.latency_steps = 1;
+  EXPECT_THROW(Link(LinkKind::kCarry, delayed), std::invalid_argument);
+  // The same policies are legal on a wireless link: the lock is the
+  // carry kind's alone.
+  EXPECT_NO_THROW(Link(LinkKind::kWirelessUp, lossy));
+  EXPECT_NO_THROW(Link(LinkKind::kWirelessUp, compressed));
 }
 
 TEST(TransportTest, BuildsAllLinksAndReports) {

@@ -18,8 +18,7 @@
 //
 // Per-link transport policies (loss probability, lossy compression,
 // latency in steps) are set with the --uplink-*, --downlink-*, --wan-* and
-// --broadcast-loss flags; --upload-failure remains as the legacy alias for
-// --uplink-loss (setting both views to conflicting values is an error).
+// --broadcast-loss flags.
 // `--json-summary <path>` dumps the final accuracy,
 // communication/transport statistics and dropout counters as JSON for
 // sweep tooling.
@@ -88,7 +87,6 @@ struct Options {
   double prox_mu = 0.0;
   double clip_norm = 0.0;
   double server_momentum = 0.0;
-  double upload_failure = 0.0;
   double uplink_loss = 0.0;
   double downlink_loss = 0.0;
   double wan_loss = 0.0;
@@ -152,18 +150,10 @@ void apply_overrides(config::ScenarioSpec& spec, const Options& opt,
   if (use("prox-mu")) spec.sim.prox_mu = opt.prox_mu;
   if (use("clip-norm")) spec.sim.clip_norm = opt.clip_norm;
   if (use("server-momentum")) spec.sim.server_momentum = opt.server_momentum;
-  if (use("upload-failure")) {
-    spec.sim.upload_failure_prob = opt.upload_failure;
-  }
 
-  // Per-link transport policies. --upload-failure stays as the legacy
-  // alias for the uplink loss (reconcile_uplink_aliases merges the views
-  // and rejects conflicting settings). The >0 guard on --uplink-loss is
-  // historical: a zero keeps whatever the alias resolution produces.
+  // Per-link transport policies.
   auto& transport = spec.sim.transport;
-  if (use("uplink-loss") && opt.uplink_loss > 0.0) {
-    transport.wireless_up.loss_prob = opt.uplink_loss;
-  }
+  if (use("uplink-loss")) transport.wireless_up.loss_prob = opt.uplink_loss;
   if (use("uplink-compression")) {
     transport.wireless_up.compression =
         transport::parse_compression(opt.uplink_compression);
@@ -285,8 +275,6 @@ int run(int argc, const char* const* argv) {
                &opt.clip_norm);
   cli.add_flag("server-momentum", "FedAvgM momentum at the cloud",
                &opt.server_momentum);
-  cli.add_flag("upload-failure", "legacy alias for --uplink-loss",
-               &opt.upload_failure);
   cli.add_flag("uplink-loss", "device->edge upload loss probability",
                &opt.uplink_loss);
   cli.add_flag("uplink-compression",
@@ -383,32 +371,9 @@ int run(int argc, const char* const* argv) {
   auto sim = config::make_simulation(built);
 
   // Observability: each recorder exists only when its output was requested;
-  // an all-null bundle keeps the simulator on the zero-cost path. The pool
-  // trace must be detached before the recorder dies (the global pool
-  // outlives this scope).
-  std::unique_ptr<obs::TraceRecorder> trace;
-  std::unique_ptr<obs::MetricsRegistry> metrics;
-  std::unique_ptr<obs::RunLogger> logger;
-  obs::Observability bundle;
-  if (!opt.trace_out.empty()) {
-    trace = std::make_unique<obs::TraceRecorder>();
-    bundle.trace = trace.get();
-  }
-  if (!opt.metrics_out.empty()) {
-    metrics = std::make_unique<obs::MetricsRegistry>();
-    bundle.metrics = metrics.get();
-  }
-  if (!opt.log_jsonl.empty()) {
-    logger = std::make_unique<obs::RunLogger>(opt.log_jsonl);
-    bundle.logger = logger.get();
-  }
-  if (bundle.enabled()) {
-    sim->set_observability(bundle);
-    parallel::ThreadPool::global().set_trace(bundle.trace);
-    if (bundle.metrics != nullptr) {
-      parallel::ThreadPool::global().set_accounting(true);
-    }
-  }
+  // an all-null bundle keeps the simulator on the zero-cost path.
+  bench::ObsSession obs(opt.trace_out, opt.metrics_out, opt.log_jsonl);
+  obs.attach(*sim);
 
   // Edge inference serving rides along when the scenario enables it or
   // --serve-clients asks for it: every edge aggregate is republished into
@@ -419,7 +384,7 @@ int run(int argc, const char* const* argv) {
     hub = std::make_unique<serve::ServingHub>(
         spec.sim.serving, spec.edges, built.model,
         &parallel::ThreadPool::global());
-    if (bundle.enabled()) hub->set_observability(bundle);
+    if (obs.enabled()) hub->set_observability(obs.bundle());
     sim->set_edge_model_sink(hub.get());
     serve::LoadGenerator::Options gen;
     gen.clients = opt.serve_clients > 0 ? opt.serve_clients : 2;
@@ -444,33 +409,8 @@ int run(int argc, const char* const* argv) {
               << totals.publishes << " model hot-swaps\n";
   }
 
-  parallel::ThreadPool::global().set_trace(nullptr);
-  if (trace != nullptr) {
-    trace->write_chrome_trace_file(opt.trace_out);
-    std::cerr << "trace written to " << opt.trace_out << " ("
-              << trace->event_count() << " events)\n";
-  }
-  if (metrics != nullptr) {
-    sim->transport().export_metrics(*metrics);
-    const parallel::ThreadPool& pool = parallel::ThreadPool::global();
-    metrics->set(metrics->gauge("pool.workers"),
-                 static_cast<double>(pool.size()));
-    double busy_us = 0.0, tasks = 0.0;
-    for (const auto& w : pool.worker_stats()) {
-      busy_us += w.busy_us;
-      tasks += static_cast<double>(w.tasks);
-    }
-    metrics->set(metrics->gauge("pool.tasks"), tasks);
-    metrics->set(metrics->gauge("pool.busy_us"), busy_us);
-    metrics->set(metrics->gauge("pool.uptime_us"), pool.uptime_us());
-    metrics->write_json_file(opt.metrics_out);
-    std::cerr << "metrics written to " << opt.metrics_out << "\n";
-  }
-  if (logger != nullptr) {
-    logger->flush();
-    std::cerr << "run log written to " << opt.log_jsonl << " ("
-              << logger->records_written() << " records)\n";
-  }
+  obs.collect(*sim);
+  obs.finish();
 
   if (!opt.out.empty()) {
     core::save_history_csv(history, opt.out);
