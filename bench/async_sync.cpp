@@ -8,11 +8,11 @@
 // the per-step wall-clock distribution (mean/p95/max), the accuracy
 // trajectory against the task's Fig-6 target, and the whole-run comm
 // accounting. The async arm additionally cross-checks its staleness
-// counters against the StepObserver event stream: `published` must equal
-// the kWanUp transfer count, `applied` the sum of on_cloud_sync
-// contributing-edge counts, and `applies` the number of on_cloud_sync
-// events. A mismatch fails the bench (exit 1), which is what the CI smoke
-// job asserts.
+// counters against the per-step records (Simulation::last_step()):
+// `published` must equal the summed wan_up transfers, `applied` the summed
+// contributing_edges of the synced steps, and `applies` the number of
+// synced steps. A mismatch fails the bench (exit 1), which is what the CI
+// smoke job asserts.
 //
 // The expected shape: under uplink latency the synchronous stage stalls a
 // round behind and still rebroadcasts to every device at each boundary,
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/step_observer.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -43,25 +42,21 @@ namespace {
 using namespace middlefl;
 using bench::BenchOptions;
 
-/// Rebuilds the async counters purely from observer events so the bench
-/// can assert the Simulation-side accounting agrees with the event stream.
-class CrossCheckObserver final : public core::StepObserver {
- public:
+/// Rebuilds the async counters purely from the step records so the bench
+/// can assert the Simulation-side accounting agrees with them.
+struct RecordTally {
   std::uint64_t wan_up_transfers = 0;
   std::uint64_t contributing_sum = 0;
   std::uint64_t cloud_syncs = 0;
 
-  void on_transfers(core::StepPhase, transport::LinkKind kind,
-                    const transport::LinkStats& delta,
-                    std::size_t) override {
-    if (kind == transport::LinkKind::kWanUp) {
-      wan_up_transfers += delta.transfers;
+  void add(const obs::StepRecord& record) {
+    wan_up_transfers +=
+        record.links[static_cast<std::size_t>(transport::LinkKind::kWanUp)]
+            .transfers;
+    if (record.synced) {
+      contributing_sum += record.contributing_edges;
+      ++cloud_syncs;
     }
-  }
-
-  void on_cloud_sync(std::size_t, std::size_t contributing_edges) override {
-    contributing_sum += contributing_edges;
-    ++cloud_syncs;
   }
 };
 
@@ -76,7 +71,7 @@ struct ArmResult {
   double final_accuracy = 0.0;
   bool target_reached = false;
   std::size_t target_step = 0;
-  CrossCheckObserver events;
+  RecordTally records;
   bench::SimRunSummary summary;
 };
 
@@ -100,7 +95,6 @@ ArmResult run_arm(const bench::TaskSetup& setup, core::Algorithm algorithm,
   auto sim = bench::make_simulation(run_setup, algorithm, options);
 
   ArmResult arm;
-  sim->add_observer(&arm.events);
   if (obs != nullptr) obs->attach(*sim);
 
   const std::size_t steps = run_setup.sim_cfg.total_steps;
@@ -114,6 +108,7 @@ ArmResult run_arm(const bench::TaskSetup& setup, core::Algorithm algorithm,
     const auto stop = std::chrono::steady_clock::now();
     step_ms.push_back(
         std::chrono::duration<double, std::milli>(stop - start).count());
+    arm.records.add(sim->last_step());
     if (t % eval_every == 0 || t == steps) {
       const core::EvalPoint& point = sim->evaluate_now();
       arm.final_accuracy = point.accuracy;
@@ -169,11 +164,11 @@ void emit_arm(std::ostream& out, const char* name, const ArmResult& arm,
       << "    \"target_reached\": " << (arm.target_reached ? "true" : "false")
       << ",\n"
       << "    \"target_step\": " << arm.target_step << ",\n"
-      << "    \"event_wan_up_transfers\": " << arm.events.wan_up_transfers
+      << "    \"event_wan_up_transfers\": " << arm.records.wan_up_transfers
       << ",\n"
-      << "    \"event_contributing_sum\": " << arm.events.contributing_sum
+      << "    \"event_contributing_sum\": " << arm.records.contributing_sum
       << ",\n"
-      << "    \"event_cloud_syncs\": " << arm.events.cloud_syncs << ",\n"
+      << "    \"event_cloud_syncs\": " << arm.records.cloud_syncs << ",\n"
       << bench::json_summary_fields(arm.summary, "    ") << "\n"
       << "  }";
 }
@@ -256,22 +251,22 @@ int run(int argc, const char* const* argv) {
   print_arm("async", async_arm);
   obs.finish();
 
-  // The async counters must be reconstructible from the event stream alone.
+  // The async counters must be reconstructible from the step records alone.
   bool cross_check_ok = true;
   const bench::SimRunSummary& as = async_arm.summary;
   auto check = [&](const char* what, std::uint64_t counter,
-                   std::uint64_t from_events) {
-    if (counter == from_events) return;
+                   std::uint64_t from_records) {
+    if (counter == from_records) return;
     cross_check_ok = false;
     std::cerr << "   CROSS-CHECK FAILED: " << what << " counter " << counter
-              << " != " << from_events << " from events\n";
+              << " != " << from_records << " from step records\n";
   };
-  check("async_published vs kWanUp transfers", as.async_published,
-        async_arm.events.wan_up_transfers);
-  check("async_applied vs sum(contributing)", as.async_applied,
-        async_arm.events.contributing_sum);
-  check("async_applies vs on_cloud_sync events", as.async_applies,
-        async_arm.events.cloud_syncs);
+  check("async_published vs wan_up transfers", as.async_published,
+        async_arm.records.wan_up_transfers);
+  check("async_applied vs sum(contributing_edges)", as.async_applied,
+        async_arm.records.contributing_sum);
+  check("async_applies vs synced steps", as.async_applies,
+        async_arm.records.cloud_syncs);
   if (sync_arm.summary.async_published != 0) {
     cross_check_ok = false;
     std::cerr << "   CROSS-CHECK FAILED: sync arm published "

@@ -56,10 +56,11 @@ class Mailbox {
 };
 
 /// Bookkeeping of the semi-async cloud path, updated only at the serial
-/// apply point (plain fields). Cross-checkable against the event stream:
-/// `applied` equals the sum of on_cloud_sync contributing counts, and
-/// `published` equals the WAN-uplink transfer count accumulated in async
-/// mode (every publish is exactly one wan_up send).
+/// apply point (plain fields). Cross-checkable against the simulator's
+/// per-step records: `applied` equals the summed `contributing_edges` of
+/// the synced steps, `applies` their count, and `published` the summed
+/// wan_up transfers in async mode (every publish is exactly one wan_up
+/// send).
 struct AsyncStats {
   std::uint64_t published = 0;      // contributions posted by edge chains
   std::uint64_t applied = 0;        // folded into a cloud aggregate

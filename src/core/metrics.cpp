@@ -9,6 +9,7 @@
 #include "data/sampler.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "nn/loss.hpp"
 
 namespace middlefl::core {
@@ -303,25 +304,26 @@ RunHistory load_history_csv(const std::string& path) {
                              "'");
   }
   RunHistory history;
-  while (std::getline(in, line)) {
+  for (std::size_t line_no = 2; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
     if (line.back() == '\r') line.pop_back();
+    const std::string where = "load_history_csv: line " +
+                              std::to_string(line_no);
     std::vector<std::string> fields;
     try {
       fields = util::csv_split_row(line);
     } catch (const std::invalid_argument& error) {
-      throw std::runtime_error("load_history_csv: malformed row '" + line +
+      throw std::runtime_error(where + ": malformed row '" + line +
                                "': " + error.what());
     }
     if (fields.size() != 4) {
-      throw std::runtime_error("load_history_csv: malformed row '" + line +
-                               "'");
+      throw std::runtime_error(where + ": malformed row '" + line + "'");
     }
     if (history.algorithm.empty()) history.algorithm = fields[0];
     EvalPoint point;
-    point.step = std::stoul(fields[1]);
-    point.accuracy = std::stod(fields[2]);
-    point.loss = std::stod(fields[3]);
+    point.step = util::parse_number<std::size_t>(fields[1], where + ": step");
+    point.accuracy = util::parse_number<double>(fields[2], where + ": accuracy");
+    point.loss = util::parse_number<double>(fields[3], where + ": loss");
     history.points.push_back(point);
   }
   return history;

@@ -123,8 +123,10 @@ struct RunHistory {
 /// and reads it back. Round-trips through util::CsvWriter's format —
 /// including algorithm names containing commas or quotes, which the writer
 /// escapes per RFC 4180 and the loader unescapes (util::csv_split_row).
-/// Loading validates the header. Extras (per-class / edge accuracy) are
-/// not persisted — persist the full CSVs from the benches for those.
+/// Loading validates the header and parses every field whole; a malformed
+/// row throws std::runtime_error naming its line. Extras (per-class / edge
+/// accuracy) are not persisted — persist the full CSVs from the benches
+/// for those.
 void save_history_csv(const RunHistory& history, const std::string& path);
 RunHistory load_history_csv(const std::string& path);
 

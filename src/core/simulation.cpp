@@ -32,25 +32,13 @@ constexpr std::uint64_t kWanUpTag = 0x3A9C10;    // WAN uplink loss
 constexpr std::uint64_t kWanDownTag = 0x3A9C11;  // WAN downlink loss
 constexpr std::uint64_t kBroadcastTag = 0xB9CA;  // broadcast loss
 
-}  // namespace
-
-std::string to_string(StepPhase phase) {
-  switch (phase) {
-    case StepPhase::kSelect:
-      return "select";
-    case StepPhase::kDistribute:
-      return "distribute";
-    case StepPhase::kLocalTrain:
-      return "local_train";
-    case StepPhase::kUpload:
-      return "upload";
-    case StepPhase::kEdgeAggregate:
-      return "edge_aggregate";
-    case StepPhase::kCloudSync:
-      return "cloud_sync";
-  }
-  return "unknown";
+// The step record holds one link slot per LinkKind, in enum order.
+static_assert(std::size(transport::kAllLinkKinds) == obs::kStepLinks);
+std::size_t slot(transport::LinkKind kind) {
+  return static_cast<std::size_t>(kind);
 }
+
+}  // namespace
 
 Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
                        const optim::Optimizer& optimizer_prototype,
@@ -182,6 +170,9 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
       init_model->clone(), data::DataView::all(test));
   evaluator_->set_pool(pool_);
   history_.algorithm = algorithm_.name;
+  for (const transport::LinkKind kind : transport::kAllLinkKinds) {
+    last_step_.links[slot(kind)].link = transport::to_string(kind);
+  }
 }
 
 CommStats Simulation::comm_stats() const {
@@ -195,13 +186,6 @@ CommStats Simulation::comm_stats() const {
       .edge_downloads = transfers(transport::LinkKind::kWanDown),
       .device_broadcasts = transfers(transport::LinkKind::kBroadcast),
   };
-}
-
-void Simulation::add_observer(StepObserver* observer) {
-  if (observer == nullptr) {
-    throw std::invalid_argument("Simulation::add_observer: null observer");
-  }
-  observers_.push_back(observer);
 }
 
 void Simulation::set_observability(const obs::Observability& obs) {
@@ -246,32 +230,30 @@ void Simulation::set_edge_model_sink(EdgeModelSink* sink) {
   }
 }
 
-void Simulation::notify_phase(StepPhase phase) {
-  for (StepObserver* obs : observers_) obs->on_phase(phase, t_);
-}
-
-void Simulation::notify_transfers(StepPhase phase, transport::LinkKind kind,
-                                  const transport::LinkStats& delta) {
-  if (delta.transfers == 0) return;
-  for (StepObserver* obs : observers_) {
-    obs->on_transfers(phase, kind, delta, t_);
-  }
-}
-
 bool Simulation::step() {
   const bool observed = obs_.enabled();
   obs::TraceRecorder::Clock::time_point step_begin{};
   if (observed) {
     step_begin = obs::TraceRecorder::Clock::now();
-    if (obs_.logger != nullptr) prev_links_ = transport_->bytes_by_link();
-    // Fleet gauges are per-step: count materializations from here and
-    // re-arm the resident high-water mark. Pure accounting — bare runs
-    // skip it and stay bit-identical.
-    prev_materializations_ = registry_.materializations();
     prev_comm_counters_ = communicator_->counters();
     prev_async_stats_ = async_stats_;
+    // Re-arm the resident high-water mark so the gauge is per-step. Pure
+    // accounting — bare runs skip it and keep the whole-run peak.
     registry_.reset_resident_peak();
   }
+  // Baselines of the record's per-step deltas. The link counters are exact
+  // at this serial point, so the delta at the end of the step is exactly
+  // the traffic every chain and the cloud stage generated.
+  for (const transport::LinkKind kind : transport::kAllLinkKinds) {
+    links_before_[slot(kind)] = transport_->stats(kind);
+  }
+  prev_materializations_ = registry_.materializations();
+  // Fields filled in while the step runs: the timings (observed runs only)
+  // and the cloud stage's contributing edges.
+  last_step_.phase_us = {};
+  last_step_.step_wall_us = 0.0;
+  last_step_.resident_peak = 0;
+  last_step_.contributing_edges = 0;
   ++t_;
   begin_step();
 
@@ -284,33 +266,31 @@ bool Simulation::step() {
   }
   graph_.run(pool_);
 
-  replay_step_events();
   // The serial cloud stage: at round boundaries in sync mode, EVERY step in
   // async mode (contributions land whenever the WAN delivers them). `sync`
   // reports whether it completed a cloud round.
   bool sync = false;
-  double sync_us = 0.0;
   if (cfg_.comm.async_cloud || (t_ % cfg_.cloud_interval) == 0) {
     obs::TraceRecorder::Clock::time_point begin{};
     if (observed) begin = obs::TraceRecorder::Clock::now();
     sync = stage_cloud_apply();
     if (observed) {
       const auto end = obs::TraceRecorder::Clock::now();
-      sync_us = elapsed_us(begin, end);
+      last_step_.phase_us.cloud_sync = elapsed_us(begin, end);
       if (sync && obs_.trace != nullptr) {
         obs_.trace->complete("cloud_sync", "phase", begin, end,
-                             last_sync_contributing_, "contributing");
+                             last_step_.contributing_edges, "contributing");
       }
     }
   }
-  for (StepObserver* obs : observers_) obs->on_step_end(t_, sync);
-  if (observed) finish_step_obs(sync, step_begin, sync_us);
+  record_step(sync);
+  if (observed) finish_step_obs(step_begin);
   return sync;
 }
 
 void Simulation::begin_step() {
   const bool observed = obs_.enabled();
-  last_phase_us_ = StepPhaseUs{};
+  obs::StepPhaseUs& phase_us = last_step_.phase_us;
 
   // The membership rows start from the assignment before the first
   // advance (the only O(n) build); every step after that applies movers.
@@ -319,8 +299,7 @@ void Simulation::begin_step() {
     if (observed) t0 = obs::TraceRecorder::Clock::now();
     membership_.rebuild(edges_.size(), mobility_->assignment());
     if (observed) {
-      last_phase_us_.membership =
-          elapsed_us(t0, obs::TraceRecorder::Clock::now());
+      phase_us.membership = elapsed_us(t0, obs::TraceRecorder::Clock::now());
     }
   }
 
@@ -328,7 +307,7 @@ void Simulation::begin_step() {
   mobility_->advance();
   if (observed) {
     const auto t1 = obs::TraceRecorder::Clock::now();
-    last_phase_us_.mobility = elapsed_us(t0, t1);
+    phase_us.mobility = elapsed_us(t0, t1);
     if (obs_.trace != nullptr) {
       obs_.trace->complete("mobility", "phase", t0, t1, t_, "t");
     }
@@ -369,7 +348,7 @@ void Simulation::begin_step() {
   }
   if (observed) {
     const auto t1 = obs::TraceRecorder::Clock::now();
-    last_phase_us_.membership += elapsed_us(t0, t1);
+    phase_us.membership += elapsed_us(t0, t1);
     if (obs_.trace != nullptr) {
       obs_.trace->complete("membership", "phase", t0, t1, t_, "t");
     }
@@ -393,8 +372,6 @@ void Simulation::begin_step() {
     recon_arena_.resize(edges_.size());
     stale_uploads_.resize(edges_.size());
   }
-
-  for (StepObserver* obs : observers_) obs->on_step_begin(t_);
 }
 
 std::vector<std::vector<std::size_t>> Simulation::edge_members() const {
@@ -407,10 +384,6 @@ std::vector<std::vector<std::size_t>> Simulation::edge_members() const {
 
 void Simulation::edge_chain(std::size_t n) {
   EdgeTrace& trace = traces_[n];
-  trace.down = transport::LinkStats{};
-  trace.carry = transport::LinkStats{};
-  trace.up = transport::LinkStats{};
-  trace.wan = transport::LinkStats{};
   trace.stragglers = 0;
   trace.lost_downloads = 0;
   trace.blend_weights.clear();
@@ -422,10 +395,10 @@ void Simulation::edge_chain(std::size_t n) {
     select_edge(n);
     distribute_edge(n, trace);
     train_edge(n);
-    upload_edge(n, trace);
+    upload_edge(n);
     aggregate_edge(n);
     settle_edge(n);
-    if (publish) publish_edge(n, trace);
+    if (publish) publish_edge(n);
     return;
   }
 
@@ -444,11 +417,11 @@ void Simulation::edge_chain(std::size_t n) {
   timed(0, "select", [&] { select_edge(n); });
   timed(1, "distribute", [&] { distribute_edge(n, trace); });
   timed(2, "local_train", [&] { train_edge(n); });
-  timed(3, "upload", [&] { upload_edge(n, trace); });
+  timed(3, "upload", [&] { upload_edge(n); });
   timed(4, "edge_aggregate", [&] {
     aggregate_edge(n);
     settle_edge(n);
-    if (publish) publish_edge(n, trace);
+    if (publish) publish_edge(n);
   });
 }
 
@@ -518,7 +491,7 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
     parallel::Xoshiro256 rng = streams_.stream(kDownlinkTag, m, t_);
     std::vector<std::vector<float>> local_arena;  // downlink reconstructions
     const transport::SendContext ctx{
-        .rng = &rng, .arena = &local_arena, .step = t_, .tally = &trace.down};
+        .rng = &rng, .arena = &local_arena, .step = t_};
 
     // Every selected device downloads its edge's model; FedMes' moved
     // devices additionally fetch their previous edge's model. Stragglers
@@ -561,7 +534,7 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
       if (algorithm_.on_move != OnDeviceRule::kPrevEdgeAverage) {
         // The carried local model enters the blend: route it through the
         // carry link (free — zero bytes — but counted).
-        local = carry.send(local, {.step = t_, .tally = &trace.carry}).payload;
+        local = carry.send(local, {.step = t_}).payload;
       }
       std::span<float> blended = tensor::Workspace::tls().floats(
           tensor::WsSlot::kBlend, edge_model.size());
@@ -606,7 +579,7 @@ void Simulation::train_edge(std::size_t n) {
   if (runtime != nullptr) registry_.release_runtime(runtime);
 }
 
-void Simulation::upload_edge(std::size_t n, EdgeTrace& trace) {
+void Simulation::upload_edge(std::size_t n) {
   transport::Link& uplink = transport_->wireless_up();
   const bool delayed = uplink.policy().latency_steps > 0;
 
@@ -632,8 +605,7 @@ void Simulation::upload_edge(std::size_t n, EdgeTrace& trace) {
                                      .arena = &recon_arena_[n],
                                      .step = t_,
                                      .shard = n,
-                                     .weight = weight,
-                                     .tally = &trace.up};
+                                     .weight = weight};
     const transport::Delivery up = uplink.send(registry_.at(m).params(), ctx);
     if (up.delivered) {
       arrivals_[n].push_back(UploadArrival{up.payload, weight});
@@ -687,78 +659,66 @@ void Simulation::settle_edge(std::size_t n) {
   }
 }
 
-void Simulation::replay_step_events() {
-  // Merge the per-chain traces in canonical edge order — the same order
-  // the barriered pipeline reduced its flat task list in. Counter merges
-  // commute; the blend-weight sum is floating point and is replayed term
+void Simulation::record_step(bool sync) {
+  obs::StepRecord& r = last_step_;
+  r.step = t_;
+  r.synced = sync;
+  r.movers = membership_.movers().size();
+  r.measured_p =
+      static_cast<double>(r.movers) / static_cast<double>(registry_.size());
+  r.selected = 0;
+  for (const auto& selection : last_selection_) r.selected += selection.size();
+
+  // Merge the per-chain traces in canonical edge order. The counters
+  // commute; the blend-weight sums are floating point and are added term
   // by term in (edge, selection) order, keeping mean_blend_weight()
   // bitwise stable at any thread count.
-  transport::LinkStats down{};
-  transport::LinkStats carry{};
-  transport::LinkStats up{};
-  std::size_t stragglers = 0;
-  std::size_t lost = 0;
-  std::size_t new_blends = 0;
-  double event_weight = 0.0;
-  const bool observed = obs_.enabled();
+  r.stragglers = 0;
+  r.lost_downloads = 0;
+  r.blends = 0;
+  r.blend_weight_sum = 0.0;
   for (const EdgeTrace& trace : traces_) {
-    down += trace.down;
-    carry += trace.carry;
-    up += trace.up;
-    stragglers += trace.stragglers;
-    lost += trace.lost_downloads;
+    r.stragglers += trace.stragglers;
+    r.lost_downloads += trace.lost_downloads;
+    r.blends += trace.blend_weights.size();
     for (const double weight : trace.blend_weights) {
-      ++blends_;
       blend_weight_sum_ += weight;
-      ++new_blends;
-      event_weight += weight;
+      r.blend_weight_sum += weight;
     }
   }
-  straggler_drops_ += stragglers;
-  if (observed) {
-    // last_events_ feeds finish_step_obs() only; skip the bookkeeping
-    // entirely on the disabled path.
-    last_events_ = StepEventSummary{};
-    for (const EdgeTrace& trace : traces_) {
-      for (std::size_t p = 0; p < 5; ++p) {
-        last_events_.phase_us[p] += trace.phase_us[p];
-      }
-    }
-    last_events_.stragglers = stragglers;
-    last_events_.lost_downloads = lost;
-    last_events_.blends = new_blends;
-    last_events_.blend_weight = event_weight;
+  blends_ += r.blends;
+  straggler_drops_ += r.stragglers;
+
+  r.materializations = registry_.materializations() - prev_materializations_;
+  r.delta_bytes_at_rest = registry_.delta_bytes_at_rest();
+  for (const transport::LinkKind kind : transport::kAllLinkKinds) {
+    const transport::LinkStats delta =
+        transport_->stats(kind) - links_before_[slot(kind)];
+    obs::LinkDeltaRecord& link = r.links[slot(kind)];
+    link.transfers = delta.transfers;
+    link.dropped = delta.dropped;
+    link.bytes = delta.bytes;
+    link.in_flight = transport_->link(kind).in_flight();
   }
 
-  for (StepObserver* obs : observers_) obs->on_selection(t_, last_selection_);
-  notify_phase(StepPhase::kSelect);
-
-  notify_transfers(StepPhase::kDistribute, transport::LinkKind::kWirelessDown,
-                   down);
-  notify_transfers(StepPhase::kDistribute, transport::LinkKind::kCarry, carry);
-  // Instant markers fire here, at the serial replay point in canonical
-  // edge order — never from inside the parallel chains — so the trace
-  // event stream is deterministic at any thread count.
-  if (stragglers > 0 || lost > 0) {
-    for (StepObserver* obs : observers_) obs->on_dropouts(t_, stragglers, lost);
-    if (obs_.trace != nullptr) {
-      obs_.trace->instant("dropouts", "sim", stragglers + lost, "count");
-    }
+  if (!obs_.enabled()) return;
+  for (const EdgeTrace& trace : traces_) {
+    r.phase_us.select += trace.phase_us[0];
+    r.phase_us.distribute += trace.phase_us[1];
+    r.phase_us.local_train += trace.phase_us[2];
+    r.phase_us.upload += trace.phase_us[3];
+    r.phase_us.edge_aggregate += trace.phase_us[4];
   }
-  if (new_blends > 0) {
-    for (StepObserver* obs : observers_) {
-      obs->on_blends(t_, new_blends, event_weight);
+  // Instant markers fire here, at the serial point in canonical edge
+  // order — never from inside the parallel chains — so the trace event
+  // stream is deterministic at any thread count.
+  if (obs_.trace != nullptr) {
+    if (r.stragglers > 0 || r.lost_downloads > 0) {
+      obs_.trace->instant("dropouts", "sim", r.stragglers + r.lost_downloads,
+                          "count");
     }
-    if (obs_.trace != nullptr) {
-      obs_.trace->instant("blends", "sim", new_blends, "count");
-    }
+    if (r.blends > 0) obs_.trace->instant("blends", "sim", r.blends, "count");
   }
-  notify_phase(StepPhase::kDistribute);
-  notify_phase(StepPhase::kLocalTrain);
-
-  notify_transfers(StepPhase::kUpload, transport::LinkKind::kWirelessUp, up);
-  notify_phase(StepPhase::kUpload);
-  notify_phase(StepPhase::kEdgeAggregate);
 }
 
 void Simulation::broadcast_devices() {
@@ -793,7 +753,7 @@ void Simulation::broadcast_devices() {
   }
 }
 
-void Simulation::publish_edge(std::size_t n, EdgeTrace& trace) {
+void Simulation::publish_edge(std::size_t n) {
   transport::Link& wan_up = transport_->wan_up();
   const double weight = cfg_.weighted_cloud_aggregation
                             ? edges_[n].participation_weight()
@@ -804,8 +764,7 @@ void Simulation::publish_edge(std::size_t n, EdgeTrace& trace) {
       .arena = &recon_arena_[n],
       .step = t_,
       .shard = n,  // one WAN shard per edge: lock-free from inside the chain
-      .weight = weight,
-      .tally = &trace.wan};
+      .weight = weight};
   // Sync mode delta-codes against the global model both endpoints hold
   // from the last broadcast (cloud_ is written only at serial points, so
   // reading it here is race-free). Async mode cannot know which global
@@ -836,14 +795,6 @@ bool Simulation::stage_cloud_apply() {
   const bool async = cfg_.comm.async_cloud;
   transport::Link& wan_up = transport_->wan_up();
   transport::Link& wan_down = transport_->wan_down();
-  transport::Link& broadcast = transport_->broadcast();
-  const transport::LinkStats before_down = wan_down.stats();
-  const transport::LinkStats before_bcast = broadcast.stats();
-  // This step's WAN-uplink traffic happened inside the chains; the
-  // per-chain tallies are its exact delta (the link's global counters
-  // cannot be before/after'd around a parallel section).
-  transport::LinkStats wan_up_delta{};
-  for (const EdgeTrace& trace : traces_) wan_up_delta += trace.wan;
 
   const std::uint64_t round_now = t_ / cfg_.cloud_interval;
   const bool delayed = wan_up.policy().latency_steps > 0;
@@ -973,7 +924,7 @@ bool Simulation::stage_cloud_apply() {
       ++async_stats_.applies;
     }
   }
-  last_sync_contributing_ = batch.size();
+  last_step_.contributing_edges = batch.size();
 
   // Cadence: sync mode completes a round at every boundary, pushing the
   // global model down even when no edge contributed; async pushes only
@@ -1008,44 +959,14 @@ bool Simulation::stage_cloud_apply() {
     // the next edge downloads instead of paying the M-device broadcast.
     if (cfg_.broadcast_to_devices && boundary) broadcast_devices();
   }
-
-  notify_transfers(StepPhase::kCloudSync, transport::LinkKind::kWanUp,
-                   wan_up_delta);
-  notify_transfers(StepPhase::kCloudSync, transport::LinkKind::kWanDown,
-                   wan_down.stats() - before_down);
-  notify_transfers(StepPhase::kCloudSync, transport::LinkKind::kBroadcast,
-                   broadcast.stats() - before_bcast);
-  if (completed) {
-    for (StepObserver* obs : observers_) {
-      obs->on_cloud_sync(t_, last_sync_contributing_);
-    }
-    notify_phase(StepPhase::kCloudSync);
-  }
   return completed;
 }
 
-void Simulation::finish_step_obs(bool sync,
-                                 obs::TraceRecorder::Clock::time_point begin,
-                                 double sync_us) {
+void Simulation::finish_step_obs(obs::TraceRecorder::Clock::time_point begin) {
   const auto end = obs::TraceRecorder::Clock::now();
-  const double step_us = elapsed_us(begin, end);
-  // Complete the public per-phase breakdown (mobility/membership were
-  // recorded by begin_step; the chain phases come from the replayed
-  // traces, cross-edge summed).
-  last_phase_us_.select = last_events_.phase_us[0];
-  last_phase_us_.distribute = last_events_.phase_us[1];
-  last_phase_us_.local_train = last_events_.phase_us[2];
-  last_phase_us_.upload = last_events_.phase_us[3];
-  last_phase_us_.edge_aggregate = last_events_.phase_us[4];
-  last_phase_us_.cloud_sync = sync_us;
-  std::size_t selected = 0;
-  for (const auto& selection : last_selection_) selected += selection.size();
-  const std::size_t movers = membership_.movers().size();
-  const std::uint64_t step_materializations =
-      registry_.materializations() - prev_materializations_;
-  const std::uint64_t resident_peak =
-      static_cast<std::uint64_t>(registry_.resident_peak());
-  const std::uint64_t delta_bytes = registry_.delta_bytes_at_rest();
+  obs::StepRecord& r = last_step_;
+  r.step_wall_us = elapsed_us(begin, end);
+  r.resident_peak = registry_.resident_peak();
 
   if (obs_.trace != nullptr) {
     obs_.trace->complete("step", "sim", begin, end, t_, "t");
@@ -1053,28 +974,25 @@ void Simulation::finish_step_obs(bool sync,
   if (obs_.metrics != nullptr) {
     obs::MetricsRegistry& m = *obs_.metrics;
     m.add(metric_ids_.steps);
-    if (movers > 0) m.add(metric_ids_.movers, static_cast<double>(movers));
-    m.add(metric_ids_.selected, static_cast<double>(selected));
-    if (last_events_.stragglers > 0) {
-      m.add(metric_ids_.stragglers,
-            static_cast<double>(last_events_.stragglers));
+    if (r.movers > 0) m.add(metric_ids_.movers, static_cast<double>(r.movers));
+    m.add(metric_ids_.selected, static_cast<double>(r.selected));
+    if (r.stragglers > 0) {
+      m.add(metric_ids_.stragglers, static_cast<double>(r.stragglers));
     }
-    if (last_events_.lost_downloads > 0) {
-      m.add(metric_ids_.lost_downloads,
-            static_cast<double>(last_events_.lost_downloads));
+    if (r.lost_downloads > 0) {
+      m.add(metric_ids_.lost_downloads, static_cast<double>(r.lost_downloads));
     }
-    if (last_events_.blends > 0) {
-      m.add(metric_ids_.blends, static_cast<double>(last_events_.blends));
-    }
-    if (sync) m.add(metric_ids_.cloud_syncs);
-    if (step_materializations > 0) {
+    if (r.blends > 0) m.add(metric_ids_.blends, static_cast<double>(r.blends));
+    if (r.synced) m.add(metric_ids_.cloud_syncs);
+    if (r.materializations > 0) {
       m.add(metric_ids_.fleet_materializations,
-            static_cast<double>(step_materializations));
+            static_cast<double>(r.materializations));
     }
-    m.set(metric_ids_.fleet_resident, static_cast<double>(resident_peak));
+    m.set(metric_ids_.fleet_resident, static_cast<double>(r.resident_peak));
     m.set(metric_ids_.fleet_detached,
           static_cast<double>(registry_.detached_devices()));
-    m.set(metric_ids_.fleet_delta_bytes, static_cast<double>(delta_bytes));
+    m.set(metric_ids_.fleet_delta_bytes,
+          static_cast<double>(r.delta_bytes_at_rest));
     const comm::CommCounters cc = communicator_->counters();
     if (cc.reduces > prev_comm_counters_.reduces) {
       m.add(metric_ids_.comm_reduces,
@@ -1101,45 +1019,9 @@ void Simulation::finish_step_obs(bool sync,
             static_cast<double>(async_stats_.dropped_stale -
                                 prev_async_stats_.dropped_stale));
     }
-    m.observe(metric_ids_.step_ms, step_us / 1000.0);
+    m.observe(metric_ids_.step_ms, r.step_wall_us / 1000.0);
   }
-  if (obs_.logger != nullptr) {
-    obs::StepRecord record;
-    record.step = t_;
-    record.synced = sync;
-    record.movers = movers;
-    record.measured_p =
-        static_cast<double>(movers) / static_cast<double>(registry_.size());
-    record.selected = selected;
-    record.stragglers = last_events_.stragglers;
-    record.lost_downloads = last_events_.lost_downloads;
-    record.blends = last_events_.blends;
-    record.blend_weight_sum = last_events_.blend_weight;
-    record.materializations = step_materializations;
-    record.resident_peak = resident_peak;
-    record.delta_bytes_at_rest = delta_bytes;
-    if (sync) record.contributing_edges = last_sync_contributing_;
-    record.step_wall_us = step_us;
-    record.phase_us = {{"mobility", last_phase_us_.mobility},
-                       {"membership", last_phase_us_.membership},
-                       {"select", last_events_.phase_us[0]},
-                       {"distribute", last_events_.phase_us[1]},
-                       {"local_train", last_events_.phase_us[2]},
-                       {"upload", last_events_.phase_us[3]},
-                       {"edge_aggregate", last_events_.phase_us[4]},
-                       {"cloud_sync", sync_us}};
-    const auto now_links = transport_->bytes_by_link();
-    record.links.reserve(now_links.size());
-    for (std::size_t i = 0; i < now_links.size(); ++i) {
-      const transport::LinkStats delta =
-          i < prev_links_.size() ? now_links[i].stats - prev_links_[i].stats
-                                 : now_links[i].stats;
-      record.links.push_back(obs::LinkDeltaRecord{
-          transport::to_string(now_links[i].kind), delta.transfers,
-          delta.dropped, delta.bytes, now_links[i].in_flight});
-    }
-    obs_.logger->log_step(record);
-  }
+  if (obs_.logger != nullptr) obs_.logger->log_step(r);
 }
 
 void Simulation::warm_start(std::span<const float> params) {
@@ -1197,7 +1079,6 @@ const EvalPoint& Simulation::evaluate_now() {
   }
   history_.points.push_back(std::move(point));
   const EvalPoint& recorded = history_.points.back();
-  for (StepObserver* obs : observers_) obs->on_evaluation(recorded);
   if (observed) {
     const auto eval_end = obs::TraceRecorder::Clock::now();
     const double wall_us = elapsed_us(eval_begin, eval_end);

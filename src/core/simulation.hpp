@@ -22,8 +22,8 @@
 // step), step() builds a sched::TaskGraph with ONE fused
 // Select->Distribute->LocalTrain->Upload->EdgeAggregate chain per edge and
 // joins the pool once; the only serial sections are the true dependencies
-// — the mobility update and snapshotting at step begin, observer event
-// replay, and the cloud sync every T_c steps.
+// — the mobility update and snapshotting at step begin, the cloud sync
+// every T_c steps, and the step record.
 //
 // The step-begin prologue costs O(movers), not O(fleet): the mobility
 // model reports which devices changed edge, and each mover flips two bits
@@ -43,17 +43,18 @@
 // Every inter-tier model transfer flows through a transport::Link with
 // its own policy (loss, compression, latency-in-steps delay queues, byte
 // accounting); each send hands the link its RNG stream and arena, and
-// the link alone decides whether to draw or reconstruct. Registered
-// StepObservers see exactly the serial event stream of the barriered
-// pipeline: each chain records its traffic and blend/dropout outcomes in
-// a private trace, and step() replays the merged events in canonical edge
-// order at the serial point after the graph joins. All randomness is
-// keyed on (seed, entity, step), link counters are commutative atomics,
-// and every cross-chain reduction commits serially in fixed edge order, so
-// results are bit-identical regardless of thread count (pinned by
-// pipeline_test and determinism_test).
+// the link alone decides whether to draw or reconstruct. Each step ends
+// with one obs::StepRecord (last_step()), built at the serial point after
+// the cloud stage on bare and observed runs alike: per-link deltas are
+// before/after reads of the link counters, and each chain's blend and
+// dropout outcomes are merged from a private trace in canonical edge
+// order. All randomness is keyed on (seed, entity, step), link counters
+// are commutative atomics, and every cross-chain reduction commits
+// serially in fixed edge order, so results are bit-identical regardless
+// of thread count (pinned by pipeline_test and determinism_test).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -70,7 +71,6 @@
 #include "core/serving_config.hpp"
 #include "core/similarity_cache.hpp"
 #include "core/snapshot.hpp"
-#include "core/step_observer.hpp"
 #include "data/partition.hpp"
 #include "mobility/mobility_model.hpp"
 #include "nn/model_factory.hpp"
@@ -180,8 +180,9 @@ class Simulation {
              AlgorithmSpec algorithm);
 
   /// Advances one time step (t starts at 1): per-edge task chains on the
-  /// pool, then event replay, then the serial cloud sync when due.
-  /// Returns true if a cloud synchronization happened this step.
+  /// pool, then the serial cloud sync when due, then the step record
+  /// (last_step()). Returns true if a cloud synchronization happened this
+  /// step.
   bool step();
 
   /// Runs the remaining steps up to cfg.total_steps, evaluating on the
@@ -200,10 +201,6 @@ class Simulation {
   /// tier. Size must equal the model's param count. An out-of-band
   /// operator action, not network traffic: no link is charged.
   void warm_start(std::span<const float> params);
-
-  /// Registers an observer (non-owning; must outlive the simulation).
-  /// Events fire on the simulation thread in registration order.
-  void add_observer(StepObserver* observer);
 
   /// Attaches the observability bundle (all recorders non-owning, any
   /// subset may be null; they must outlive the simulation). Fans the trace
@@ -224,27 +221,22 @@ class Simulation {
   /// attaching a sink never perturbs training (pinned by serve_test).
   void set_edge_model_sink(EdgeModelSink* sink);
 
-  /// Wall-microsecond totals of one step's phases: the five fused chain
-  /// phases summed across edges, the serial cloud sync, and the serial
-  /// prologue split into the mobility advance and the per-edge membership
-  /// update. Filled only while observability is attached (all zeros on
-  /// bare runs — timing is part of the obs-off "no clock reads" contract).
-  struct StepPhaseUs {
-    double mobility = 0.0;
-    double membership = 0.0;
-    double select = 0.0;
-    double distribute = 0.0;
-    double local_train = 0.0;
-    double upload = 0.0;
-    double edge_aggregate = 0.0;
-    double cloud_sync = 0.0;
-  };
+  /// Wall-microsecond phase totals of one step (see obs::StepPhaseUs).
+  /// Filled only while observability is attached (all zeros on bare runs
+  /// — timing is part of the obs-off "no clock reads" contract).
+  using StepPhaseUs = obs::StepPhaseUs;
 
   // --- Introspection (benches, tests) ---
   std::size_t current_step() const noexcept { return t_; }
-  /// Phase breakdown of the LAST step (see StepPhaseUs for the contract).
+  /// The record of the LAST step, rebuilt in place at the end of every
+  /// step(): counts, per-link deltas and the cloud sync outcome on every
+  /// run; step_wall_us, phase_us and resident_peak only while
+  /// observability is attached (zero on bare runs). The attached
+  /// RunLogger writes exactly this record.
+  const obs::StepRecord& last_step() const noexcept { return last_step_; }
+  /// Phase breakdown of the LAST step (last_step().phase_us).
   const StepPhaseUs& last_step_phase_us() const noexcept {
-    return last_phase_us_;
+    return last_step_.phase_us;
   }
   /// Devices connected to each edge as of the last step, each list
   /// ascending by id: the candidate sets, materialized from the membership
@@ -332,43 +324,24 @@ class Simulation {
     return communicator_->counters();
   }
   /// Semi-async sync counters (published/applied/deferred/dropped-stale);
-  /// all zero when comm.async_cloud is off. Cross-checks: published equals
-  /// the WAN-uplink transfer count, applied equals the summed contributing
-  /// counts reported through StepObserver::on_cloud_sync.
+  /// all zero when comm.async_cloud is off. Cross-checks against the step
+  /// records: published equals the summed wan_up transfers, applied the
+  /// summed contributing_edges of synced steps, applies their count.
   const comm::AsyncStats& async_stats() const noexcept {
     return async_stats_;
   }
 
  private:
-  /// Everything a fused edge chain must not publish directly while other
-  /// chains run: its exact link traffic (mirrored by SendContext::tally),
-  /// dropout counts and ordered blend weights. step() replays the merged
-  /// events from these in canonical edge order at the serial point after
-  /// the graph joins, so observers see the barriered pipeline's stream.
+  /// The outcomes a fused edge chain must not publish directly while other
+  /// chains run: dropout counts and ordered blend weights. record_step()
+  /// merges them in canonical edge order at the serial point.
   struct EdgeTrace {
-    transport::LinkStats down;   // wireless downlink traffic of this chain
-    transport::LinkStats carry;  // carry-link traffic of this chain
-    transport::LinkStats up;     // wireless uplink traffic of this chain
-    /// WAN-uplink traffic of this chain's round-boundary publish (both
-    /// sync modes; zero off the boundary).
-    transport::LinkStats wan;
     std::size_t stragglers = 0;
     std::size_t lost_downloads = 0;
     /// Blend weights in selection order (the canonical reduction order).
     std::vector<double> blend_weights;
     /// Per-phase wall microseconds of this chain (Select..EdgeAggregate),
-    /// filled only when observability is attached; replay sums them.
-    double phase_us[5] = {};
-  };
-
-  /// Per-step event totals captured by replay_step_events() for the
-  /// end-of-step observability flush (cheap plain writes, kept current
-  /// even when observability is off).
-  struct StepEventSummary {
-    std::size_t stragglers = 0;
-    std::size_t lost_downloads = 0;
-    std::size_t blends = 0;
-    double blend_weight = 0.0;
+    /// filled only when observability is attached; record_step sums them.
     double phase_us[5] = {};
   };
 
@@ -396,7 +369,7 @@ class Simulation {
   };
 
   // Serial step prologue: mobility advance, per-edge membership, immutable
-  // edge snapshots, on_step_begin.
+  // edge snapshots.
   void begin_step();
   // The fused per-edge task: Select -> Distribute -> LocalTrain -> Upload
   // -> EdgeAggregate for edge n, touching only edge-n/device-owned state.
@@ -404,15 +377,12 @@ class Simulation {
   void select_edge(std::size_t n);
   void distribute_edge(std::size_t n, EdgeTrace& trace);
   void train_edge(std::size_t n);
-  void upload_edge(std::size_t n, EdgeTrace& trace);
+  void upload_edge(std::size_t n);
   void aggregate_edge(std::size_t n);
   // De-materializes every resident member of edge n back to
   // snapshot + at-rest delta. Runs inside the chain right after
   // aggregation — the arrivals aggregated there alias resident buffers.
   void settle_edge(std::size_t n);
-  // Serial replay of the chains' events in canonical order, plus the
-  // ordered blend/straggler reductions.
-  void replay_step_events();
   // The cloud -> device broadcast of the global model (both sync modes):
   // one registry block swap on a perfect link, the per-device loop when
   // the link draws losses or compresses.
@@ -421,7 +391,7 @@ class Simulation {
   // modes): send over wan_up (shard n, so concurrent chains never
   // contend) and post the result into the cloud mailbox; resets
   // participation.
-  void publish_edge(std::size_t n, EdgeTrace& trace);
+  void publish_edge(std::size_t n);
   // The one serial cloud stage (Eq. 7): drains each edge's due WAN
   // arrivals and mailbox post in edge order, admits them (sync: full
   // weight; async: bounded staleness), reduces and seals the new global
@@ -429,10 +399,14 @@ class Simulation {
   // at round boundaries. Runs at boundaries in sync mode and every step in
   // async mode; returns true when it completed a cloud round.
   bool stage_cloud_apply();
-  // End-of-step observability flush (serial point): the step span, metric
-  // increments and the JSONL step record. Called only when obs_.enabled().
-  void finish_step_obs(bool sync, obs::TraceRecorder::Clock::time_point begin,
-                       double sync_us);
+  // Fills last_step_'s counts and link deltas at the serial end of every
+  // step, merging the chain traces in canonical edge order (plus the
+  // chain phase sums and dropout/blend markers when observed).
+  void record_step(bool sync);
+  // End-of-step observability flush (serial point): the record's wall time
+  // and resident peak, the step span, metric increments and the JSONL
+  // line. Called only when obs_.enabled().
+  void finish_step_obs(obs::TraceRecorder::Clock::time_point begin);
 
   /// Adopts `source` when the delivered payload is a lossless pass-through
   /// of its block (zero-copy sharing); installs a private copy otherwise.
@@ -440,10 +414,6 @@ class Simulation {
   /// and the device may now hold a resident buffer.
   bool install_download(Device& device, std::span<const float> payload,
                         const Snapshot& source);
-
-  void notify_phase(StepPhase phase);
-  void notify_transfers(StepPhase phase, transport::LinkKind kind,
-                        const transport::LinkStats& delta);
 
   SimulationConfig cfg_;
   AlgorithmSpec algorithm_;
@@ -535,17 +505,14 @@ class Simulation {
   obs::Observability obs_;
   EdgeModelSink* serving_sink_ = nullptr;
   SimMetricIds metric_ids_;
-  StepEventSummary last_events_;
-  StepPhaseUs last_phase_us_;
-  std::size_t last_sync_contributing_ = 0;
-  // Link totals at step begin; the JSONL record logs this step's delta.
-  std::vector<transport::Transport::LinkReport> prev_links_;
-  // Fleet counter at step begin (observed steps), for the per-step delta.
+  // The record of the last step, rebuilt in place by every step().
+  obs::StepRecord last_step_;
+  // Link and fleet counters at step begin, for the record's deltas.
+  std::array<transport::LinkStats, obs::kStepLinks> links_before_{};
   std::uint64_t prev_materializations_ = 0;
   // Comm counters at step begin (observed steps), for per-step deltas.
   comm::CommCounters prev_comm_counters_;
   comm::AsyncStats prev_async_stats_;
-  std::vector<StepObserver*> observers_;
   std::vector<float> server_velocity_;
   std::vector<std::size_t> steps_budget_;  // per-device local-step budget
   // One byte per device, NOT vector<bool>: flags are written concurrently

@@ -8,6 +8,7 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 
 #include "obs/metrics_registry.hpp"
@@ -66,4 +67,3 @@
 #include "core/selection.hpp"
 #include "core/similarity.hpp"
 #include "core/simulation.hpp"
-#include "core/step_observer.hpp"

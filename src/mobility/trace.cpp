@@ -1,8 +1,12 @@
 #include "mobility/trace.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/parse.hpp"
 
 namespace middlefl::mobility {
 
@@ -53,38 +57,87 @@ void Trace::save_file(const std::string& path) const {
 }
 
 Trace Trace::load(std::istream& in) {
-  std::string header;
-  if (!std::getline(in, header)) {
+  std::string line;
+  if (!std::getline(in, line)) {
     throw std::runtime_error("Trace::load: empty input");
   }
   std::size_t devices = 0, edges = 0, steps = 0;
   {
-    std::istringstream hs(header);
+    std::istringstream hs(line);
     std::string token;
     while (hs >> token) {
-      if (token.rfind("devices=", 0) == 0) devices = std::stoul(token.substr(8));
-      if (token.rfind("edges=", 0) == 0) edges = std::stoul(token.substr(6));
-      if (token.rfind("steps=", 0) == 0) steps = std::stoul(token.substr(6));
+      const std::string_view field(token);
+      const std::size_t eq = field.find('=');
+      const auto value = [&] {
+        return util::parse_number<std::size_t>(
+            field.substr(eq + 1),
+            "Trace::load: line 1: " + std::string(field.substr(0, eq)));
+      };
+      if (field.starts_with("devices=")) devices = value();
+      if (field.starts_with("edges=")) edges = value();
+      if (field.starts_with("steps=")) steps = value();
     }
   }
   if (devices == 0 || edges == 0) {
-    throw std::runtime_error("Trace::load: malformed header '" + header + "'");
+    throw std::runtime_error("Trace::load: line 1: malformed header '" +
+                             line + "'");
   }
-  Trace trace(devices, edges);
-  trace.table_.assign(steps * devices, 0);
-  std::size_t records = 0;
-  std::size_t step = 0, device = 0, edge = 0;
-  while (in >> step >> device >> edge) {
-    if (step >= steps || device >= devices || edge >= edges) {
-      throw std::runtime_error("Trace::load: record out of range");
+  if (steps > std::numeric_limits<std::size_t>::max() / devices) {
+    throw std::runtime_error("Trace::load: line 1: steps * devices overflows "
+                             "in header '" + line + "'");
+  }
+  const std::size_t cells = steps * devices;
+
+  // Records are buffered until the input has delivered exactly `cells` of
+  // them, so a header cannot size the table beyond what its input holds.
+  struct Record {
+    std::size_t cell, edge, line;
+  };
+  std::vector<Record> records;
+  std::size_t line_no = 1;
+  while (std::getline(in, line)) {
+    const std::string where = "Trace::load: line " + std::to_string(++line_no);
+    std::istringstream fields(line);
+    std::string step_s, device_s, edge_s, extra;
+    if (!(fields >> step_s)) continue;  // blank line
+    if (!(fields >> device_s >> edge_s) || (fields >> extra)) {
+      throw std::runtime_error(where + ": expected '<step> <device> <edge>', "
+                               "got '" + line + "'");
     }
-    trace.table_[step * devices + device] = edge;
-    ++records;
+    const auto step = util::parse_number<std::size_t>(step_s, where + ": step");
+    const auto device =
+        util::parse_number<std::size_t>(device_s, where + ": device");
+    const auto edge = util::parse_number<std::size_t>(edge_s, where + ": edge");
+    if (step >= steps || device >= devices || edge >= edges) {
+      throw std::runtime_error(where + ": record '" + line +
+                               "' out of range");
+    }
+    if (records.size() == cells) {
+      throw std::runtime_error(where + ": more than the header's " +
+                               std::to_string(cells) + " records");
+    }
+    records.push_back(Record{step * devices + device, edge, line_no});
   }
-  if (records != steps * devices) {
-    throw std::runtime_error("Trace::load: expected " +
-                             std::to_string(steps * devices) +
-                             " records, got " + std::to_string(records));
+  if (records.size() != cells) {
+    throw std::runtime_error(
+        "Trace::load: input ends at line " + std::to_string(line_no) +
+        ": expected " + std::to_string(cells) + " records, got " +
+        std::to_string(records.size()));
+  }
+  // Exactly `cells` records and no (step, device) twice: every cell is set.
+  constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
+  Trace trace(devices, edges);
+  trace.table_.assign(cells, kUnset);
+  for (const Record& record : records) {
+    std::size_t& slot = trace.table_[record.cell];
+    if (slot != kUnset) {
+      throw std::runtime_error(
+          "Trace::load: line " + std::to_string(record.line) +
+          ": duplicate record for step " +
+          std::to_string(record.cell / devices) + " device " +
+          std::to_string(record.cell % devices));
+    }
+    slot = record.edge;
   }
   return trace;
 }

@@ -37,6 +37,10 @@ class Trace {
 
   void save(std::ostream& out) const;
   void save_file(const std::string& path) const;
+  /// Reads a saved trace: exactly one record per (step, device) cell, in
+  /// any order. Malformed input (a bad header number, steps * devices
+  /// overflowing, a bad or out-of-range record, a duplicate or missing
+  /// cell) throws std::runtime_error naming the line.
   static Trace load(std::istream& in);
   static Trace load_file(const std::string& path);
 

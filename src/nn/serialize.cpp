@@ -4,7 +4,10 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
+
+#include "util/parse.hpp"
 
 namespace middlefl::nn {
 namespace {
@@ -67,8 +70,14 @@ void load_model(Sequential& model, std::istream& in) {
       throw std::runtime_error("load_model: bad magic '" + header + "'");
     }
     while (hs >> token) {
-      if (token.rfind("params=", 0) == 0) params = std::stoul(token.substr(7));
-      if (token.rfind("arch=", 0) == 0) arch = std::stoull(token.substr(5));
+      const std::string_view field(token);
+      if (field.starts_with("params=")) {
+        params = util::parse_number<std::size_t>(field.substr(7),
+                                                 "load_model: line 1: params");
+      } else if (field.starts_with("arch=")) {
+        arch = util::parse_number<std::uint64_t>(field.substr(5),
+                                                 "load_model: line 1: arch");
+      }
     }
   }
   if (params != model.param_count()) {

@@ -30,11 +30,15 @@ void RunLogger::log_step(const StepRecord& record) {
       << ", \"resident_peak\": " << record.resident_peak
       << ", \"delta_bytes_at_rest\": " << record.delta_bytes_at_rest;
   out << ", \"step_wall_us\": " << json_number(record.step_wall_us);
-  out << ", \"phase_us\": {";
-  for (std::size_t i = 0; i < record.phase_us.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "\"" << json_escape(record.phase_us[i].first)
-        << "\": " << json_number(record.phase_us[i].second);
-  }
+  const StepPhaseUs& p = record.phase_us;
+  out << ", \"phase_us\": {\"mobility\": " << json_number(p.mobility)
+      << ", \"membership\": " << json_number(p.membership)
+      << ", \"select\": " << json_number(p.select)
+      << ", \"distribute\": " << json_number(p.distribute)
+      << ", \"local_train\": " << json_number(p.local_train)
+      << ", \"upload\": " << json_number(p.upload)
+      << ", \"edge_aggregate\": " << json_number(p.edge_aggregate)
+      << ", \"cloud_sync\": " << json_number(p.cloud_sync);
   out << "}, \"links\": {";
   for (std::size_t i = 0; i < record.links.size(); ++i) {
     const LinkDeltaRecord& link = record.links[i];

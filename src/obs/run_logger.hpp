@@ -1,25 +1,44 @@
 // Structured run logs: one JSON object per line (JSONL).
 //
 // The RunLogger is the machine-readable flight record of a simulation run:
-// the instrumented caller hands it one StepRecord per time step (phase
-// timings, per-link wire-traffic deltas, selection/straggler/blend counts)
-// and one EvalRecord per evaluation point; each becomes a single
-// self-contained JSON line, so logs stream, tail, and grep cleanly and
-// load with one `json.loads` per line.
+// it writes the simulator's StepRecord for each time step (phase timings,
+// per-link wire-traffic deltas, selection/straggler/blend counts) and one
+// EvalRecord per evaluation point; each becomes a single self-contained
+// JSON line, so logs stream, tail, and grep cleanly and load with one
+// `json.loads` per line.
 //
 // The logger is deliberately passive — it formats and writes exactly what
 // it is given, on the caller's thread, at serial points. It holds no
 // references into the simulation and cannot perturb it.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace middlefl::obs {
+
+/// Wall-microsecond totals of one step's phases: the serial prologue split
+/// into the mobility advance and the per-edge membership update, the five
+/// fused chain phases summed across edges (CPU time per phase, not wall
+/// time, when chains run in parallel), and the serial cloud sync.
+struct StepPhaseUs {
+  double mobility = 0.0;
+  double membership = 0.0;
+  double select = 0.0;
+  double distribute = 0.0;
+  double local_train = 0.0;
+  double upload = 0.0;
+  double edge_aggregate = 0.0;
+  double cloud_sync = 0.0;
+};
+
+/// One StepRecord::links slot per transport link, indexed by
+/// transport::LinkKind.
+inline constexpr std::size_t kStepLinks = 6;
 
 /// Wire-traffic delta of one link over one step.
 struct LinkDeltaRecord {
@@ -53,10 +72,8 @@ struct StepRecord {
   std::uint64_t delta_bytes_at_rest = 0;
   /// Wall time of the whole step on the driving thread.
   double step_wall_us = 0.0;
-  /// Named phase timings, summed across per-edge chains (CPU-time per
-  /// phase, not wall time, when chains run in parallel).
-  std::vector<std::pair<const char*, double>> phase_us;
-  std::vector<LinkDeltaRecord> links;
+  StepPhaseUs phase_us;
+  std::array<LinkDeltaRecord, kStepLinks> links;
 };
 
 /// One evaluation point.

@@ -48,7 +48,6 @@ Link::Link(LinkKind kind, const LinkPolicy& policy, std::size_t shards)
 
 Delivery Link::send(std::span<const float> payload, const SendContext& ctx) {
   transfers_.fetch_add(1, std::memory_order_relaxed);
-  if (ctx.tally != nullptr) ++ctx.tally->transfers;
 
   if (policy_.loss_prob > 0.0) {
     if (ctx.rng == nullptr) {
@@ -57,7 +56,6 @@ Delivery Link::send(std::span<const float> payload, const SendContext& ctx) {
     }
     if (ctx.rng->uniform() < policy_.loss_prob) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
-      if (ctx.tally != nullptr) ++ctx.tally->dropped;
       return Delivery{};  // lost in transit: no bytes, no payload
     }
   }
@@ -85,7 +83,6 @@ Delivery Link::send(std::span<const float> payload, const SendContext& ctx) {
       received = {};
       const std::size_t cost = wire_bytes(carried);
       bytes_.fetch_add(cost, std::memory_order_relaxed);
-      if (ctx.tally != nullptr) ctx.tally->bytes += cost;
       queues_.at(ctx.shard).push_back(
           Queued{std::move(update.reconstruction), ctx.weight, ctx.step,
                  ctx.step + policy_.latency_steps});
@@ -94,7 +91,6 @@ Delivery Link::send(std::span<const float> payload, const SendContext& ctx) {
   } else if (policy_.latency_steps > 0) {
     const std::size_t cost = wire_bytes(carried);
     bytes_.fetch_add(cost, std::memory_order_relaxed);
-    if (ctx.tally != nullptr) ctx.tally->bytes += cost;
     queues_.at(ctx.shard).push_back(
         Queued{std::vector<float>(payload.begin(), payload.end()), ctx.weight,
                ctx.step, ctx.step + policy_.latency_steps});
@@ -103,7 +99,6 @@ Delivery Link::send(std::span<const float> payload, const SendContext& ctx) {
 
   const std::size_t cost = wire_bytes(carried);
   bytes_.fetch_add(cost, std::memory_order_relaxed);
-  if (ctx.tally != nullptr) ctx.tally->bytes += cost;
   return Delivery{
       .delivered = true, .queued = false, .payload = received, .bytes = cost};
 }

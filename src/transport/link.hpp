@@ -136,12 +136,6 @@ struct SendContext {
   std::size_t shard = 0;
   /// Metadata carried with a queued payload (e.g. FedAvg weight).
   double weight = 0.0;
-  /// Optional caller-owned mirror: every bump send() applies to the link's
-  /// global counters is applied here too (plain fields, no atomics). Lets
-  /// a concurrent task chain account exactly the traffic it generated —
-  /// phase-boundary before/after snapshots of the shared counters stop
-  /// working once phases of different chains overlap in time.
-  LinkStats* tally = nullptr;
 };
 
 class Link {
@@ -155,7 +149,9 @@ class Link {
   const LinkPolicy& policy() const noexcept { return policy_; }
 
   /// Counter snapshot; totals are exact at serial points (stage
-  /// boundaries) regardless of how many threads sent concurrently.
+  /// boundaries) regardless of how many threads sent concurrently, so a
+  /// before/after pair around a whole parallel section is that section's
+  /// exact traffic.
   LinkStats stats() const noexcept {
     return LinkStats{transfers_.load(std::memory_order_relaxed),
                      dropped_.load(std::memory_order_relaxed),

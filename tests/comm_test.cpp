@@ -12,8 +12,8 @@
 //   zero-latency links degenerates to the synchronous schedule bit for
 //   bit, past-bound contributions are dropped+folded, results are
 //   deterministic across pool sizes, the counters are reconstructible
-//   from the StepObserver event stream, and the FedAvgM conflict is
-//   rejected at construction.
+//   from the per-step records, and the FedAvgM conflict is rejected at
+//   construction.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -38,10 +38,10 @@ using middlefl::comm::Reducer;
 using middlefl::core::Algorithm;
 using middlefl::core::RunHistory;
 using middlefl::core::Simulation;
-using middlefl::core::StepObserver;
-using middlefl::core::StepPhase;
 using middlefl::parallel::ThreadPool;
+using middlefl::testing::run_step_records;
 using middlefl::testing::SimBundle;
+using middlefl::testing::sum_link;
 using middlefl::transport::LinkKind;
 using middlefl::transport::LinkStats;
 
@@ -377,36 +377,32 @@ TEST(CommAsync, DeterministicAcrossPoolSizes) {
   EXPECT_EQ(serial, run_with_pool(bundle, Algorithm::kMiddle, &pool8));
 }
 
-/// Rebuilds the async counters from the observer event stream.
-struct AsyncEventTally final : StepObserver {
-  std::uint64_t wan_up_transfers = 0;
-  std::uint64_t contributing_sum = 0;
-  std::uint64_t cloud_syncs = 0;
-
-  void on_transfers(StepPhase, LinkKind kind, const LinkStats& delta,
-                    std::size_t) override {
-    if (kind == LinkKind::kWanUp) wan_up_transfers += delta.transfers;
-  }
-  void on_cloud_sync(std::size_t, std::size_t contributing) override {
-    contributing_sum += contributing;
-    ++cloud_syncs;
-  }
-};
-
 TEST(CommAsync, CountersMatchEventStream) {
+  // The async counters are rebuilt from the per-step records alone, and
+  // the records' wan_up sum is the link's own counter and comm_stats()'s.
   SimBundle bundle = async_bundle(1, 1);
   bundle.cfg.total_steps = 30;
   auto sim = bundle.make(Algorithm::kMiddle);
-  AsyncEventTally tally;
-  sim->add_observer(&tally);
-  sim->run();
+  std::uint64_t contributing_sum = 0;
+  std::uint64_t cloud_syncs = 0;
+  const auto records = run_step_records(*sim);
+  for (const auto& record : records) {
+    if (!record.synced) continue;
+    contributing_sum += record.contributing_edges;
+    ++cloud_syncs;
+  }
+  const LinkStats wan_up = sum_link(records, LinkKind::kWanUp);
 
   const auto& stats = sim->async_stats();
-  EXPECT_EQ(stats.published, tally.wan_up_transfers);
-  EXPECT_EQ(stats.applied, tally.contributing_sum);
-  EXPECT_EQ(stats.applies, tally.cloud_syncs);
+  EXPECT_EQ(stats.published, wan_up.transfers);
+  EXPECT_EQ(stats.applied, contributing_sum);
+  EXPECT_EQ(stats.applies, cloud_syncs);
   EXPECT_GT(stats.applies, 0u);
   EXPECT_GT(stats.deferred, 0u);
+  EXPECT_EQ(wan_up.transfers, sim->comm_stats().edge_uploads);
+  EXPECT_EQ(wan_up.bytes, sim->transport().stats(LinkKind::kWanUp).bytes);
+  EXPECT_EQ(sum_link(records, LinkKind::kWanDown).transfers,
+            sim->comm_stats().edge_downloads);
 }
 
 TEST(CommAsync, RejectsServerMomentumCombination) {

@@ -630,14 +630,20 @@ TEST(FleetBroadcast, AsyncBoundZeroMatchesAdoptOracle) {
   run_against_adopt_oracle(bundle, middlefl::core::Algorithm::kMiddle, 12);
 }
 
-/// Copies every device's parameters and version at EdgeAggregate, the
-/// last phase before the cloud sync.
-class PreSyncCapture : public middlefl::core::StepObserver {
+/// Copies every device's parameters and version when the serial cloud
+/// stage republishes the last edge, immediately before the device
+/// broadcast. The edge chains' own republishes run on pool workers (the
+/// test uses a two-thread pool) and are ignored.
+class PreBroadcastCapture final : public middlefl::core::EdgeModelSink {
  public:
-  explicit PreSyncCapture(Simulation& sim) : sim_(sim) {}
+  explicit PreBroadcastCapture(Simulation& sim) : sim_(sim) {}
 
-  void on_phase(middlefl::core::StepPhase phase, std::size_t) override {
-    if (phase != middlefl::core::StepPhase::kEdgeAggregate) return;
+  void on_edge_model(std::size_t edge,
+                     const middlefl::core::Snapshot&) override {
+    if (edge + 1 != sim_.num_edges() ||
+        middlefl::parallel::ThreadPool::in_worker()) {
+      return;
+    }
     params.clear();
     versions.clear();
     for (std::size_t m = 0; m < sim_.num_devices(); ++m) {
@@ -655,11 +661,14 @@ class PreSyncCapture : public middlefl::core::StepObserver {
 
 TEST(FleetBroadcast, LostPushesKeepTheOldGlobal) {
   using middlefl::transport::LinkKind;
+  middlefl::parallel::ThreadPool pool(2);
   SimBundle bundle = broadcast_bundle();
   bundle.cfg.transport.broadcast.loss_prob = 0.3;
+  bundle.cfg.parallel_devices = true;
+  bundle.cfg.pool = &pool;
   auto sim = bundle.make(middlefl::core::Algorithm::kMiddle);
-  PreSyncCapture capture(*sim);
-  sim->add_observer(&capture);
+  PreBroadcastCapture capture(*sim);
+  sim->set_edge_model_sink(&capture);
 
   std::size_t lost_total = 0;
   std::size_t delivered_total = 0;

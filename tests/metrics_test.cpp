@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/metrics.hpp"
 #include "data/synthetic.hpp"
@@ -178,6 +180,43 @@ TEST(HistoryIo, LoadRejectsWrongHeader) {
   }
   EXPECT_THROW(middlefl::core::load_history_csv(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+/// The std::runtime_error message load_history_csv throws for a file of
+/// `rows` under the right header ("" when it loads).
+std::string history_load_error(const std::string& rows) {
+  const std::string path = "/tmp/middlefl_history_fields.csv";
+  {
+    std::ofstream out(path);
+    out << "algorithm,step,accuracy,loss\n" << rows;
+  }
+  std::string message;
+  try {
+    middlefl::core::load_history_csv(path);
+  } catch (const std::runtime_error& error) {
+    message = error.what();
+  }
+  std::remove(path.c_str());
+  return message;
+}
+
+TEST(HistoryIo, LoadRejectsMalformedNumbersWithTheirLine) {
+  EXPECT_EQ(history_load_error("MIDDLE,5,0.5,1.25\n"), "");
+  // std::stoul read "-3" as 2^64 - 3 and "5abc" as 5, std::stod read
+  // "0.5x" as 0.5, and "abc" escaped as std::invalid_argument.
+  const std::pair<const char*, const char*> bad[] = {
+      {"MIDDLE,-3,0.5,1\n", "line 2: step"},
+      {"MIDDLE,5abc,0.5,1\n", "line 2: step"},
+      {"MIDDLE,5,0.5x,1\n", "line 2: accuracy"},
+      {"MIDDLE,5,0.5,abc\n", "line 2: loss"},
+      {"MIDDLE,5,0.5,1\nMIDDLE,6, 0.5,1\n", "line 3: accuracy"},
+      {"MIDDLE,5,0.5\n", "line 2: malformed row"},
+  };
+  for (const auto& [rows, where] : bad) {
+    const std::string message = history_load_error(rows);
+    EXPECT_NE(message.find(where), std::string::npos)
+        << rows << " -> '" << message << "'";
+  }
 }
 
 // --- RunHistory ---

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "mobility/markov_mobility.hpp"
 #include "mobility/mobility_model.hpp"
@@ -248,6 +250,71 @@ TEST(Trace, LoadRejectsMalformedInput) {
   std::stringstream truncated(
       "# middlefl-trace v1 devices=2 edges=2 steps=2\n0 0 0\n");
   EXPECT_THROW(Trace::load(truncated), std::runtime_error);
+}
+
+/// The std::runtime_error message Trace::load throws for `text` ("" when
+/// it loads).
+std::string trace_load_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    Trace::load(in);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Trace, LoadRejectsOverflowingHeader) {
+  // steps * devices wrapped to 0, so the table was empty and the record's
+  // cell index wrote past it.
+  const std::string message = trace_load_error(
+      "# middlefl-trace v1 devices=9223372036854775808 edges=2 steps=2\n"
+      "1 0 0\n");
+  EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("overflows"), std::string::npos) << message;
+  // A product that fits but that the input does not hold fails on the
+  // count, without sizing a table for it.
+  EXPECT_NE(trace_load_error(
+                "# middlefl-trace v1 devices=4611686018427387904 edges=2 "
+                "steps=2\n0 0 0\n")
+                .find("line 2: expected 9223372036854775808 records"),
+            std::string::npos);
+}
+
+TEST(Trace, LoadRejectsDuplicateRecords) {
+  // Two records for (0, 0) matched the count check and left (0, 1) at
+  // edge 0.
+  const std::string message = trace_load_error(
+      "# middlefl-trace v1 devices=2 edges=2 steps=1\n0 0 1\n0 0 1\n");
+  EXPECT_NE(message.find("line 3: duplicate record for step 0 device 0"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(trace_load_error(
+                "# middlefl-trace v1 devices=2 edges=2 steps=1\n0 1 1\n\n"
+                "0 0 1\n"),
+            "");
+}
+
+TEST(Trace, LoadErrorsNameTheirLine) {
+  const std::string header = "# middlefl-trace v1 devices=2 edges=2 steps=1\n";
+  const std::pair<std::string, const char*> bad[] = {
+      {"# middlefl-trace v1 devices=2x edges=2 steps=1\n0 0 0\n0 1 0\n",
+       "line 1: devices"},
+      {"# middlefl-trace v1 devices=2 edges=-2 steps=1\n0 0 0\n0 1 0\n",
+       "line 1: edges"},
+      {header + "0 0 0\n0 1 x\n", "line 3: edge"},
+      {header + "0 0 0\n0 -1 0\n", "line 3: device"},
+      {header + "0 0 0\n0 1\n", "line 3: expected '<step> <device> <edge>'"},
+      {header + "0 0 0 7\n0 1 0\n", "line 2: expected"},
+      {header + "0 0 0\n0 1 2\n", "line 3: record '0 1 2' out of range"},
+      {header + "0 0 0\n0 1 0\n1 0 0\n", "line 4"},
+      {header + "0 0 0\n\n", "input ends at line 3: expected 2 records, got 1"},
+  };
+  for (const auto& [text, where] : bad) {
+    const std::string message = trace_load_error(text);
+    EXPECT_NE(message.find(where), std::string::npos)
+        << text << " -> '" << message << "'";
+  }
 }
 
 TEST(Trace, AppendValidates) {

@@ -4,14 +4,15 @@
 //    threads, histogram bucketing, JSON export shape.
 // 2. TraceRecorder: event kinds, ring-buffer overwrite accounting, thread
 //    naming, Chrome trace-event export, TraceSpan null fast path.
-// 3. RunLogger: JSONL record shape and counts, and the measured mobility
-//    (movers, measured_p) a simulation's step records carry.
+// 3. RunLogger: JSONL record shape, key order and counts, and the
+//    measured mobility (movers, measured_p) a simulation's step records
+//    carry.
 // 4. History CSV round-trip, including algorithm names containing commas
 //    and quotes (util::csv_split_row undoing util::csv_escape).
-// 5. The StepObserver event stream (on_dropouts / on_blends /
-//    on_cloud_sync / on_transfers) under lossy + latency link policies —
-//    the events must reconcile exactly with the simulation's own counters,
-//    its comm_stats() ledger and the transport's wire reports.
+// 5. The step records (dropouts, blends, cloud syncs, link deltas) under
+//    lossy + latency link policies — their sums must reconcile exactly
+//    with the simulation's own counters, its comm_stats() ledger and the
+//    transport's wire reports.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "core/metrics.hpp"
-#include "core/step_observer.hpp"
 #include "mobility/mobility_model.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/run_logger.hpp"
@@ -33,13 +33,15 @@ namespace {
 
 using middlefl::core::Algorithm;
 using middlefl::core::RunHistory;
-using middlefl::core::StepObserver;
-using middlefl::core::StepPhase;
 using middlefl::obs::MetricsRegistry;
 using middlefl::obs::RunLogger;
+using middlefl::obs::StepRecord;
 using middlefl::obs::TraceRecorder;
 using middlefl::obs::TraceSpan;
+using middlefl::testing::link_delta;
+using middlefl::testing::run_step_records;
 using middlefl::testing::SimBundle;
+using middlefl::testing::sum_link;
 using middlefl::transport::LinkKind;
 using middlefl::transport::LinkStats;
 
@@ -261,7 +263,7 @@ TEST(RunLogger, WritesOneJsonObjectPerRecord) {
   std::ostringstream out;
   RunLogger logger(out);
 
-  middlefl::obs::StepRecord step;
+  StepRecord step;
   step.step = 3;
   step.synced = true;
   step.movers = 3;
@@ -272,8 +274,9 @@ TEST(RunLogger, WritesOneJsonObjectPerRecord) {
   step.blend_weight_sum = 0.75;
   step.contributing_edges = 3;
   step.step_wall_us = 120.5;
-  step.phase_us = {{"select", 10.0}, {"local_train", 90.0}};
-  step.links.push_back({"wireless_up", 6, 1, 4096, 2});
+  step.phase_us.select = 10.0;
+  step.phase_us.local_train = 90.0;
+  step.links[1] = {"wireless_up", 6, 1, 4096, 2};
   logger.log_step(step);
   logger.log_eval({3, 0.5, 1.25, 900.0});
   logger.flush();
@@ -289,10 +292,62 @@ TEST(RunLogger, WritesOneJsonObjectPerRecord) {
   EXPECT_NE(records[0].find("\"synced\": true"), std::string::npos);
   EXPECT_NE(records[0].find("\"movers\": 3, \"measured_p\": 0.25"),
             std::string::npos);
-  EXPECT_NE(records[0].find("\"wireless_up\""), std::string::npos);
-  EXPECT_NE(records[0].find("\"select\""), std::string::npos);
+  EXPECT_NE(records[0].find("\"wireless_up\": {\"transfers\": 6, \"dropped\": "
+                            "1, \"bytes\": 4096, \"in_flight\": 2}"),
+            std::string::npos);
+  EXPECT_NE(records[0].find("\"select\": 10, \"distribute\": 0, "
+                            "\"local_train\": 90"),
+            std::string::npos);
   EXPECT_NE(records[1].find("\"kind\": \"eval\""), std::string::npos);
   EXPECT_NE(records[1].find("\"accuracy\": 0.5"), std::string::npos);
+}
+
+/// The keys of one JSONL line in order of appearance (nested objects
+/// flattened in place).
+std::vector<std::string> keys_in_order(const std::string& line) {
+  std::vector<std::string> keys;
+  for (std::size_t at = line.find('"'); at != std::string::npos;
+       at = line.find('"', at)) {
+    const std::size_t close = line.find('"', at + 1);
+    if (line.compare(close + 1, 1, ":") == 0) {
+      keys.push_back(line.substr(at + 1, close - at - 1));
+    }
+    at = close + 1;
+  }
+  return keys;
+}
+
+TEST(RunLogger, StepLinesKeepTheirKeyOrder) {
+  // The simulator's step lines carry exactly these keys, in this order;
+  // contributing_edges appears on synced steps only.
+  SimBundle bundle;
+  bundle.cfg.cloud_interval = 2;
+  auto sim = bundle.make(Algorithm::kMiddle);
+  std::ostringstream jsonl;
+  RunLogger logger(jsonl);
+  sim->set_observability({nullptr, nullptr, &logger});
+  sim->step();
+  sim->step();
+
+  std::vector<std::string> expected = {
+      "kind", "step", "synced", "movers", "measured_p", "selected",
+      "stragglers", "lost_downloads", "blends", "blend_weight_sum",
+      "materializations", "resident_peak", "delta_bytes_at_rest",
+      "step_wall_us", "phase_us", "mobility", "membership", "select",
+      "distribute", "local_train", "upload", "edge_aggregate", "cloud_sync",
+      "links"};
+  for (const char* link : {"wireless_down", "wireless_up", "wan_up",
+                           "wan_down", "broadcast", "carry"}) {
+    expected.insert(expected.end(),
+                    {link, "transfers", "dropped", "bytes", "in_flight"});
+  }
+  std::istringstream lines(jsonl.str());
+  std::string unsynced, synced;
+  std::getline(lines, unsynced);
+  std::getline(lines, synced);
+  EXPECT_EQ(keys_in_order(unsynced), expected);
+  expected.insert(expected.begin() + 10, "contributing_edges");
+  EXPECT_EQ(keys_in_order(synced), expected);
 }
 
 TEST(RunLogger, StepRecordsCarryTheMeasuredMobility) {
@@ -382,47 +437,7 @@ TEST(CsvSplitRow, UndoesEscaping) {
 }
 
 // ---------------------------------------------------------------------------
-// Step-event stream under lossy + latency link policies (satellite 3)
-
-/// Collects every pipeline event relevant to the dropout/blend/sync
-/// contract so tests can reconcile the stream against the simulation's
-/// counters.
-class EventLog final : public StepObserver {
- public:
-  struct Dropout {
-    std::size_t step, stragglers, lost;
-  };
-  struct Blend {
-    std::size_t step, count;
-    double weight_sum;
-  };
-  struct Sync {
-    std::size_t step, contributing;
-  };
-
-  std::vector<Dropout> dropouts;
-  std::vector<Blend> blends;
-  std::vector<Sync> syncs;
-  LinkStats uplink_total;
-  LinkStats downlink_total;
-
-  void on_dropouts(std::size_t step, std::size_t stragglers,
-                   std::size_t lost) override {
-    dropouts.push_back({step, stragglers, lost});
-  }
-  void on_blends(std::size_t step, std::size_t count,
-                 double weight_sum) override {
-    blends.push_back({step, count, weight_sum});
-  }
-  void on_cloud_sync(std::size_t step, std::size_t contributing) override {
-    syncs.push_back({step, contributing});
-  }
-  void on_transfers(StepPhase, LinkKind kind, const LinkStats& delta,
-                    std::size_t) override {
-    if (kind == LinkKind::kWirelessUp) uplink_total += delta;
-    if (kind == LinkKind::kWirelessDown) downlink_total += delta;
-  }
-};
+// Step records under lossy + latency link policies
 
 TEST(EventStream, ReconcilesWithCountersUnderLossyLatencyLinks) {
   SimBundle bundle;
@@ -435,84 +450,78 @@ TEST(EventStream, ReconcilesWithCountersUnderLossyLatencyLinks) {
   bundle.cfg.device_speeds[0] = 0.05;
   bundle.cfg.round_deadline = 5.0;
   auto sim = bundle.make(Algorithm::kMiddle);
+  const std::vector<StepRecord> records = run_step_records(*sim);
 
-  EventLog events;
-  sim->add_observer(&events);
-  sim->run();
-
-  // Dropout events must sum exactly to the simulation's counters, and a
+  // Record dropouts must sum exactly to the simulation's counters, and a
   // lossy downlink + slow device must actually produce some.
-  std::size_t stragglers = 0, lost = 0;
-  for (const auto& d : events.dropouts) {
-    EXPECT_GT(d.stragglers + d.lost, 0u) << "empty dropout event";
-    stragglers += d.stragglers;
-    lost += d.lost;
+  std::size_t stragglers = 0, lost = 0, blends = 0, syncs = 0;
+  for (const StepRecord& r : records) {
+    stragglers += r.stragglers;
+    lost += r.lost_downloads;
+    // Blends reconcile with the on-device aggregation counter.
+    blends += r.blends;
+    EXPECT_EQ(r.blends > 0, r.blend_weight_sum > 0.0) << "step " << r.step;
+    // Cloud syncs land every cloud_interval steps, never with more edges
+    // than exist.
+    if (r.synced) {
+      ++syncs;
+      EXPECT_EQ(r.step % bundle.cfg.cloud_interval, 0u);
+      EXPECT_LE(r.contributing_edges, sim->num_edges());
+    }
   }
   EXPECT_EQ(stragglers, sim->straggler_drops());
   // lost_downloads() counts every downlink drop, including drops on
   // downloads to devices that were then dropped as stragglers anyway (the
-  // event classifies those as stragglers, not lost downloads).
+  // record classifies those as stragglers, not lost downloads).
   EXPECT_LE(lost, sim->lost_downloads());
   EXPECT_GT(stragglers, 0u);
   EXPECT_GT(lost, 0u);
+  EXPECT_EQ(blends, sim->on_device_aggregations());
+  EXPECT_EQ(syncs, bundle.cfg.total_steps / bundle.cfg.cloud_interval);
 
-  // Blend events reconcile with the on-device aggregation counter.
-  std::size_t blend_count = 0;
-  for (const auto& b : events.blends) {
-    EXPECT_GT(b.count, 0u);
-    EXPECT_GT(b.weight_sum, 0.0);
-    blend_count += b.count;
-  }
-  EXPECT_EQ(blend_count, sim->on_device_aggregations());
-
-  // Cloud syncs fire every cloud_interval steps, never with more edges
-  // than exist.
-  ASSERT_EQ(events.syncs.size(),
-            bundle.cfg.total_steps / bundle.cfg.cloud_interval);
-  for (const auto& s : events.syncs) {
-    EXPECT_EQ(s.step % bundle.cfg.cloud_interval, 0u);
-    EXPECT_LE(s.contributing, sim->num_edges());
-  }
-
-  // Transfer deltas reconcile with the transport's own wire report, drops
+  // Link deltas reconcile with the transport's own wire report, drops
   // included (lossy uplink must have dropped something).
+  const LinkStats up_sum = sum_link(records, LinkKind::kWirelessUp);
+  const LinkStats down_sum = sum_link(records, LinkKind::kWirelessDown);
   const auto& up = sim->transport().link(LinkKind::kWirelessUp).stats();
   const auto& down = sim->transport().link(LinkKind::kWirelessDown).stats();
-  EXPECT_EQ(events.uplink_total.transfers, up.transfers);
-  EXPECT_EQ(events.uplink_total.dropped, up.dropped);
-  EXPECT_EQ(events.uplink_total.bytes, up.bytes);
-  EXPECT_EQ(events.downlink_total.transfers, down.transfers);
-  EXPECT_EQ(events.downlink_total.dropped, down.dropped);
+  EXPECT_EQ(up_sum.transfers, up.transfers);
+  EXPECT_EQ(up_sum.dropped, up.dropped);
+  EXPECT_EQ(up_sum.bytes, up.bytes);
+  EXPECT_EQ(down_sum.transfers, down.transfers);
+  EXPECT_EQ(down_sum.dropped, down.dropped);
   EXPECT_GT(up.dropped, 0u);
   EXPECT_GT(down.dropped, 0u);
 
-  // comm_stats() reads the same link counters, so the event totals and
-  // the legacy report agree too.
+  // comm_stats() reads the same link counters, so the record sums and the
+  // legacy report agree too.
   const auto comm = sim->comm_stats();
-  EXPECT_EQ(events.uplink_total.transfers, comm.device_uploads);
-  EXPECT_EQ(events.downlink_total.transfers, comm.device_downloads);
+  EXPECT_EQ(up_sum.transfers, comm.device_uploads);
+  EXPECT_EQ(down_sum.transfers, comm.device_downloads);
 }
 
 TEST(EventStream, WanLatencyDefersCloudContributions) {
   SimBundle bundle;
   bundle.cfg.transport.wan_up.latency_steps = 1;
   auto sim = bundle.make(Algorithm::kMiddle);
-
-  EventLog events;
-  sim->add_observer(&events);
-  sim->run();
+  std::vector<StepRecord> syncs;
+  for (const StepRecord& r : run_step_records(*sim)) {
+    if (r.synced) syncs.push_back(r);
+  }
 
   // With one step of WAN latency every sync's uploads are still in flight
   // when the cloud aggregates, so the first sync has no contributions and
   // later syncs see only the previous sync's (stale) uploads.
-  ASSERT_FALSE(events.syncs.empty());
-  EXPECT_EQ(events.syncs.front().contributing, 0u);
-  for (std::size_t i = 1; i < events.syncs.size(); ++i) {
-    EXPECT_LE(events.syncs[i].contributing, sim->num_edges());
+  ASSERT_FALSE(syncs.empty());
+  EXPECT_EQ(syncs.front().contributing_edges, 0u);
+  for (std::size_t i = 1; i < syncs.size(); ++i) {
+    EXPECT_LE(syncs[i].contributing_edges, sim->num_edges());
   }
   // The stale uploads do eventually land: the final in-flight count equals
   // exactly one sync's worth of WAN uploads.
   EXPECT_EQ(sim->transport().total_in_flight(), 0u + sim->num_edges());
+  EXPECT_EQ(link_delta(syncs.back(), LinkKind::kWanUp).in_flight,
+            sim->num_edges());
 }
 
 TEST(EventStream, TraceCapturesDropoutAndBlendInstants) {

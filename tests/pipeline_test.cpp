@@ -14,8 +14,9 @@
 //    the test SKIPS with the observed hashes so the signal stays clean —
 //    see tests/README.md for the root-cause writeup and how to record a
 //    new variant.
-// 2. Observer events: phase ordering, transfer accounting, and the
-//    guarantee that observing a run cannot perturb it.
+// 2. Step records: per-link deltas sum to the link counters, and every
+//    non-timing field is the same at any pool size and bare or observed
+//    (whose timing fields stay zero on bare runs).
 // 3. Per-link policies: downlink/broadcast loss semantics, uplink latency
 //    (stale aggregation).
 #include <gtest/gtest.h>
@@ -24,14 +25,15 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
-#include <map>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "obs/metrics_registry.hpp"
 #include "obs/run_logger.hpp"
 #include "obs/trace_recorder.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim_fixture.hpp"
 
 namespace {
@@ -39,9 +41,11 @@ namespace {
 using middlefl::core::Algorithm;
 using middlefl::core::RunHistory;
 using middlefl::core::Simulation;
-using middlefl::core::StepObserver;
-using middlefl::core::StepPhase;
+using middlefl::obs::StepRecord;
+using middlefl::testing::link_delta;
+using middlefl::testing::run_step_records;
 using middlefl::testing::SimBundle;
+using middlefl::testing::sum_link;
 using middlefl::transport::LinkKind;
 using middlefl::transport::LinkStats;
 
@@ -398,147 +402,96 @@ TEST(GoldenParity, Cnn2Tiny) {
 }
 
 // ---------------------------------------------------------------------------
-// Observer events
+// Step records
 
-struct RecordingObserver final : StepObserver {
-  struct TransferEvent {
-    StepPhase phase;
-    LinkKind kind;
-    LinkStats delta;
-    std::size_t step;
-  };
-  std::vector<std::size_t> begun;
-  std::vector<std::pair<StepPhase, std::size_t>> phases;
-  std::vector<TransferEvent> transfers;
-  std::vector<std::pair<std::size_t, bool>> ended;
-  std::vector<std::size_t> sync_contributions;
-  std::size_t selections = 0;
-  std::size_t evaluations = 0;
-  std::size_t dropout_events = 0;
-  std::size_t blend_events = 0;
-
-  void on_step_begin(std::size_t step) override { begun.push_back(step); }
-  void on_phase(StepPhase phase, std::size_t step) override {
-    phases.emplace_back(phase, step);
-  }
-  void on_transfers(StepPhase phase, LinkKind kind, const LinkStats& delta,
-                    std::size_t step) override {
-    transfers.push_back(TransferEvent{phase, kind, delta, step});
-  }
-  void on_selection(std::size_t,
-                    const std::vector<std::vector<std::size_t>>&) override {
-    ++selections;
-  }
-  void on_dropouts(std::size_t, std::size_t, std::size_t) override {
-    ++dropout_events;
-  }
-  void on_blends(std::size_t, std::size_t, double) override {
-    ++blend_events;
-  }
-  void on_cloud_sync(std::size_t, std::size_t contributing) override {
-    sync_contributions.push_back(contributing);
-  }
-  void on_step_end(std::size_t step, bool synced) override {
-    ended.emplace_back(step, synced);
-  }
-  void on_evaluation(const middlefl::core::EvalPoint&) override {
-    ++evaluations;
-  }
-};
-
-/// Transfer events carry phase-consistent link kinds, and per link their
-/// deltas sum exactly to the transport's own counters — the ledger behind
-/// comm_stats(), checked like for like (transfers, drops and bytes).
-void expect_transfers_match_links(const RecordingObserver& rec,
-                                  Simulation& sim) {
-  std::map<LinkKind, LinkStats> rebuilt;
-  for (const auto& event : rec.transfers) {
-    EXPECT_GT(event.delta.transfers, 0u);
-    switch (event.kind) {
-      case LinkKind::kWirelessDown:
-      case LinkKind::kCarry:
-        EXPECT_EQ(event.phase, StepPhase::kDistribute);
-        break;
-      case LinkKind::kWirelessUp:
-        EXPECT_EQ(event.phase, StepPhase::kUpload);
-        break;
-      case LinkKind::kWanUp:
-      case LinkKind::kWanDown:
-      case LinkKind::kBroadcast:
-        EXPECT_EQ(event.phase, StepPhase::kCloudSync);
-        break;
-    }
-    rebuilt[event.kind] += event.delta;
-  }
+/// Per link, the records' deltas sum exactly to the transport's own
+/// counters — the ledger behind comm_stats(), checked like for like
+/// (transfers, drops and bytes) — and the last record's queue depths are
+/// the links' current ones.
+void expect_records_match_links(const std::vector<StepRecord>& records,
+                                Simulation& sim) {
+  ASSERT_FALSE(records.empty());
   for (const auto& report : sim.transport().bytes_by_link()) {
     SCOPED_TRACE(middlefl::transport::to_string(report.kind));
-    const LinkStats& events = rebuilt[report.kind];
-    EXPECT_EQ(events.transfers, report.stats.transfers);
-    EXPECT_EQ(events.dropped, report.stats.dropped);
-    EXPECT_EQ(events.bytes, report.stats.bytes);
+    const LinkStats sum = sum_link(records, report.kind);
+    EXPECT_EQ(sum.transfers, report.stats.transfers);
+    EXPECT_EQ(sum.dropped, report.stats.dropped);
+    EXPECT_EQ(sum.bytes, report.stats.bytes);
+    EXPECT_EQ(link_delta(records.back(), report.kind).link,
+              middlefl::transport::to_string(report.kind));
+    EXPECT_EQ(link_delta(records.back(), report.kind).in_flight,
+              report.in_flight);
   }
   const middlefl::core::CommStats comm = sim.comm_stats();
-  EXPECT_EQ(rebuilt[LinkKind::kWirelessDown].transfers, comm.device_downloads);
-  EXPECT_EQ(rebuilt[LinkKind::kWirelessUp].transfers, comm.device_uploads);
-  EXPECT_EQ(rebuilt[LinkKind::kWanUp].transfers, comm.edge_uploads);
-  EXPECT_EQ(rebuilt[LinkKind::kWanDown].transfers, comm.edge_downloads);
-  EXPECT_EQ(rebuilt[LinkKind::kBroadcast].transfers, comm.device_broadcasts);
+  EXPECT_EQ(sum_link(records, LinkKind::kWirelessDown).transfers,
+            comm.device_downloads);
+  EXPECT_EQ(sum_link(records, LinkKind::kWirelessUp).transfers,
+            comm.device_uploads);
+  EXPECT_EQ(sum_link(records, LinkKind::kWanUp).transfers, comm.edge_uploads);
+  EXPECT_EQ(sum_link(records, LinkKind::kWanDown).transfers,
+            comm.edge_downloads);
+  EXPECT_EQ(sum_link(records, LinkKind::kBroadcast).transfers,
+            comm.device_broadcasts);
 }
 
-TEST(StepObserverTest, PhaseSequenceAndStepEvents) {
+/// Every record field that depends on neither the clock nor the pool's
+/// scheduling: all but step_wall_us, phase_us and resident_peak.
+void expect_same_counts(const StepRecord& a, const StepRecord& b) {
+  SCOPED_TRACE("step " + std::to_string(a.step));
+  EXPECT_EQ(a.step, b.step);
+  EXPECT_EQ(a.synced, b.synced);
+  EXPECT_EQ(a.movers, b.movers);
+  EXPECT_EQ(bits(a.measured_p), bits(b.measured_p));
+  EXPECT_EQ(a.selected, b.selected);
+  EXPECT_EQ(a.stragglers, b.stragglers);
+  EXPECT_EQ(a.lost_downloads, b.lost_downloads);
+  EXPECT_EQ(a.blends, b.blends);
+  EXPECT_EQ(bits(a.blend_weight_sum), bits(b.blend_weight_sum));
+  EXPECT_EQ(a.contributing_edges, b.contributing_edges);
+  EXPECT_EQ(a.materializations, b.materializations);
+  EXPECT_EQ(a.delta_bytes_at_rest, b.delta_bytes_at_rest);
+  for (std::size_t i = 0; i < a.links.size(); ++i) {
+    EXPECT_EQ(a.links[i].link, b.links[i].link);
+    EXPECT_EQ(a.links[i].transfers, b.links[i].transfers) << a.links[i].link;
+    EXPECT_EQ(a.links[i].dropped, b.links[i].dropped) << a.links[i].link;
+    EXPECT_EQ(a.links[i].bytes, b.links[i].bytes) << a.links[i].link;
+    EXPECT_EQ(a.links[i].in_flight, b.links[i].in_flight) << a.links[i].link;
+  }
+}
+
+TEST(StepRecord, SumsMatchLinkCounters) {
   SimBundle bundle;
   bundle.cfg.total_steps = 6;
   bundle.cfg.cloud_interval = 3;
-  bundle.cfg.eval_every = 3;
   auto sim = bundle.make(Algorithm::kMiddle);
-  RecordingObserver rec;
-  sim->add_observer(&rec);
-  sim->run();
+  const std::vector<StepRecord> records = run_step_records(*sim);
 
-  ASSERT_EQ(rec.begun.size(), 6u);
-  ASSERT_EQ(rec.ended.size(), 6u);
-  for (std::size_t i = 0; i < 6; ++i) {
-    const std::size_t step = i + 1;
-    EXPECT_EQ(rec.begun[i], step);
-    EXPECT_EQ(rec.ended[i].first, step);
-    EXPECT_EQ(rec.ended[i].second, step % 3 == 0);  // T_c = 3
-  }
-
-  // Per step: the five always-on phases in pipeline order, plus CloudSync
-  // on sync steps.
-  const StepPhase base[] = {StepPhase::kSelect, StepPhase::kDistribute,
-                            StepPhase::kLocalTrain, StepPhase::kUpload,
-                            StepPhase::kEdgeAggregate};
-  std::size_t i = 0;
-  for (std::size_t step = 1; step <= 6; ++step) {
-    for (const StepPhase expected : base) {
-      ASSERT_LT(i, rec.phases.size());
-      EXPECT_EQ(rec.phases[i].first, expected) << to_string(expected);
-      EXPECT_EQ(rec.phases[i].second, step);
-      ++i;
+  ASSERT_EQ(records.size(), 6u);
+  std::size_t blends = 0;
+  std::size_t stragglers = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const StepRecord& r = records[i];
+    EXPECT_EQ(r.step, i + 1);
+    EXPECT_EQ(r.synced, r.step % 3 == 0);  // T_c = 3
+    EXPECT_GT(r.selected, 0u);
+    EXPECT_LE(r.selected, sim->num_edges() * bundle.cfg.select_per_edge);
+    if (r.synced) {
+      EXPECT_GT(r.contributing_edges, 0u);
+      EXPECT_LE(r.contributing_edges, sim->num_edges());
+    } else {
+      EXPECT_EQ(r.contributing_edges, 0u);
     }
-    if (step % 3 == 0) {
-      ASSERT_LT(i, rec.phases.size());
-      EXPECT_EQ(rec.phases[i].first, StepPhase::kCloudSync);
-      ++i;
-    }
+    blends += r.blends;
+    stragglers += r.stragglers;
   }
-  EXPECT_EQ(i, rec.phases.size());
-
-  EXPECT_EQ(rec.selections, 6u);
-  EXPECT_EQ(rec.sync_contributions.size(), 2u);
-  for (const std::size_t contributing : rec.sync_contributions) {
-    EXPECT_GT(contributing, 0u);
-    EXPECT_LE(contributing, sim->num_edges());
-  }
-  // run() evaluates at t=0, t=3 and t=6.
-  EXPECT_EQ(rec.evaluations, 3u);
-
-  expect_transfers_match_links(rec, *sim);
+  EXPECT_EQ(blends, sim->on_device_aggregations());
+  EXPECT_EQ(stragglers, sim->straggler_drops());
+  EXPECT_EQ(sum_link(records, LinkKind::kCarry).transfers, blends);
+  expect_records_match_links(records, *sim);
 
   // Semi-async sync over a WAN with latency: the uplink publishes from
-  // inside the chains, deliveries arrive steps later, and the event stream
-  // must still reassemble every link counter exactly.
+  // inside the chains, deliveries arrive steps later, and the records must
+  // still reassemble every link counter exactly.
   SimBundle async_bundle;
   async_bundle.cfg.total_steps = 12;
   async_bundle.cfg.cloud_interval = 3;
@@ -546,37 +499,80 @@ TEST(StepObserverTest, PhaseSequenceAndStepEvents) {
   async_bundle.cfg.comm.max_staleness = 2;
   async_bundle.cfg.transport.wan_up.latency_steps = 2;
   auto async_sim = async_bundle.make(Algorithm::kMiddle);
-  RecordingObserver async_rec;
-  async_sim->add_observer(&async_rec);
-  async_sim->run();
+  const std::vector<StepRecord> async_records = run_step_records(*async_sim);
   EXPECT_GT(async_sim->transport().stats(LinkKind::kWanUp).transfers, 0u);
   EXPECT_GT(async_sim->async_stats().deferred, 0u);
-  expect_transfers_match_links(async_rec, *async_sim);
+  expect_records_match_links(async_records, *async_sim);
 }
 
-TEST(StepObserverTest, ObservingDoesNotPerturbTheRun) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 10;
-  auto plain = bundle.make(Algorithm::kMiddle);
-  auto observed = bundle.make(Algorithm::kMiddle);
-  RecordingObserver rec;
-  observed->add_observer(&rec);
-
-  const RunHistory h1 = plain->run();
-  const RunHistory h2 = observed->run();
-  ASSERT_EQ(h1.points.size(), h2.points.size());
-  for (std::size_t i = 0; i < h1.points.size(); ++i) {
-    EXPECT_EQ(h1.points[i].accuracy, h2.points[i].accuracy);
-    EXPECT_EQ(h1.points[i].loss, h2.points[i].loss);
+/// Runs MIDDLE on `bundle` at pool sizes 1, 2 and 8 and compares every
+/// step's record across them.
+void expect_records_pool_invariant(SimBundle bundle) {
+  std::vector<std::vector<StepRecord>> runs;
+  for (const std::size_t threads : {1, 2, 8}) {
+    middlefl::parallel::ThreadPool pool(threads);
+    bundle.cfg.parallel_devices = true;
+    bundle.cfg.pool = &pool;
+    auto sim = bundle.make(Algorithm::kMiddle);
+    runs.push_back(run_step_records(*sim));
   }
-  EXPECT_EQ(cloud_hash(*plain), cloud_hash(*observed));
-  EXPECT_EQ(device_hash(*plain), device_hash(*observed));
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].size(), runs[0].size());
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+      expect_same_counts(runs[0][i], runs[r][i]);
+    }
+  }
 }
 
-TEST(StepObserverTest, RejectsNullObserver) {
+TEST(StepRecord, EqualAcrossPoolSizes) {
+  {
+    SCOPED_TRACE("default links");
+    expect_records_pool_invariant(SimBundle());
+  }
+  {
+    SCOPED_TRACE("lossy wireless");
+    SimBundle bundle;
+    bundle.cfg.transport.wireless_up.loss_prob = 0.3;
+    bundle.cfg.transport.wireless_down.loss_prob = 0.25;
+    expect_records_pool_invariant(bundle);
+  }
+  {
+    SCOPED_TRACE("wan latency");
+    SimBundle bundle;
+    bundle.cfg.transport.wan_up.latency_steps = 1;
+    expect_records_pool_invariant(bundle);
+  }
+}
+
+TEST(StepRecord, BareEqualsObservedWithZeroTiming) {
   SimBundle bundle;
-  auto sim = bundle.make(Algorithm::kMiddle);
-  EXPECT_THROW(sim->add_observer(nullptr), std::invalid_argument);
+  bundle.cfg.transport.wireless_down.loss_prob = 0.25;
+  auto bare = bundle.make(Algorithm::kMiddle);
+  const std::vector<StepRecord> bare_records = run_step_records(*bare);
+
+  middlefl::obs::TraceRecorder trace;
+  middlefl::obs::MetricsRegistry metrics;
+  std::ostringstream jsonl;
+  middlefl::obs::RunLogger logger(jsonl);
+  auto observed = bundle.make(Algorithm::kMiddle);
+  observed->set_observability({&trace, &metrics, &logger});
+  const std::vector<StepRecord> observed_records = run_step_records(*observed);
+
+  ASSERT_EQ(bare_records.size(), observed_records.size());
+  EXPECT_EQ(logger.records_written(), observed_records.size());
+  for (std::size_t i = 0; i < bare_records.size(); ++i) {
+    expect_same_counts(bare_records[i], observed_records[i]);
+    const StepRecord& r = bare_records[i];
+    EXPECT_EQ(r.step_wall_us, 0.0);
+    EXPECT_EQ(r.resident_peak, 0u);
+    const auto& p = r.phase_us;
+    for (const double us : {p.mobility, p.membership, p.select, p.distribute,
+                            p.local_train, p.upload, p.edge_aggregate,
+                            p.cloud_sync}) {
+      EXPECT_EQ(us, 0.0);
+    }
+    EXPECT_GT(observed_records[i].step_wall_us, 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "nn/model_factory.hpp"
 #include "nn/serialize.hpp"
@@ -80,6 +82,44 @@ TEST(Serialize, RejectsGarbageAndTruncation) {
 
   std::stringstream empty;
   EXPECT_THROW(load_model(*model, empty), std::runtime_error);
+}
+
+/// The std::runtime_error message load_model throws for a checkpoint with
+/// `header` and a full parameter block ("" when it loads).
+std::string header_load_error(const std::string& header) {
+  auto model = build_model(small_spec(), 11);
+  std::stringstream in(header + "\n" +
+                       std::string(model->param_count() * sizeof(float), '\0'));
+  try {
+    load_model(*model, in);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Serialize, RejectsMalformedHeaderNumbers) {
+  auto model = build_model(small_spec(), 11);
+  const std::string params = std::to_string(model->param_count());
+  const std::string arch = std::to_string(architecture_fingerprint(*model));
+  const auto header = [](const std::string& p, const std::string& a) {
+    return "middlefl-model v1 params=" + p + " arch=" + a;
+  };
+  EXPECT_EQ(header_load_error(header(params, arch)), "");
+  // std::stoul read "-3" as 2^64 - 3 and "<n>abc" as n (so the checkpoint
+  // loaded), and "abc" escaped as std::invalid_argument.
+  const std::pair<std::string, const char*> bad[] = {
+      {header("-3", arch), "line 1: params"},
+      {header(params + "abc", arch), "line 1: params"},
+      {header("abc", arch), "line 1: params"},
+      {header(params, arch + "x"), "line 1: arch"},
+      {header(params, "99999999999999999999999"), "line 1: arch"},
+  };
+  for (const auto& [text, where] : bad) {
+    const std::string message = header_load_error(text);
+    EXPECT_NE(message.find(where), std::string::npos)
+        << text << " -> '" << message << "'";
+  }
 }
 
 TEST(Serialize, FileRoundTrip) {

@@ -1,7 +1,9 @@
-// Shared helper constructing small, fast Simulation instances for tests.
+// Shared helpers for tests: small, fast Simulation instances, and stepping
+// a run while keeping its per-step records.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/simulation.hpp"
 #include "data/partition.hpp"
@@ -70,5 +72,33 @@ struct SimBundle {
         core::make_algorithm(algorithm));
   }
 };
+
+/// Steps `sim` through the rest of its configured run (no evaluations)
+/// and returns a copy of every step's record.
+inline std::vector<obs::StepRecord> run_step_records(core::Simulation& sim) {
+  std::vector<obs::StepRecord> records;
+  while (sim.current_step() < sim.config().total_steps) {
+    sim.step();
+    records.push_back(sim.last_step());
+  }
+  return records;
+}
+
+/// The record's delta for one link.
+inline const obs::LinkDeltaRecord& link_delta(const obs::StepRecord& record,
+                                              transport::LinkKind kind) {
+  return record.links[static_cast<std::size_t>(kind)];
+}
+
+/// Per-link sums of the records' deltas.
+inline transport::LinkStats sum_link(
+    const std::vector<obs::StepRecord>& records, transport::LinkKind kind) {
+  transport::LinkStats sum;
+  for (const obs::StepRecord& record : records) {
+    const obs::LinkDeltaRecord& delta = link_delta(record, kind);
+    sum += transport::LinkStats{delta.transfers, delta.dropped, delta.bytes};
+  }
+  return sum;
+}
 
 }  // namespace middlefl::testing

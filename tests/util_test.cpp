@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -48,6 +52,31 @@ TEST(CsvWriter, NumberFormattingRoundTrips) {
   EXPECT_EQ(middlefl::util::csv_number(3.0), "3");
   // 9 significant digits round-trip typical accuracies.
   EXPECT_EQ(middlefl::util::csv_number(0.123456789), "0.123456789");
+}
+
+TEST(ParseNumber, TakesOnlyWholeTokens) {
+  using middlefl::util::parse_number;
+  EXPECT_EQ(parse_number<std::size_t>("0", "f"), 0u);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615", "f"),
+            18446744073709551615u);
+  EXPECT_EQ(parse_number<double>("-1.5e-3", "f"), -1.5e-3);
+  EXPECT_TRUE(std::isinf(parse_number<double>("inf", "f")));
+  for (const char* bad : {"", " 3", "3 ", "+3", "-3", "5abc", "abc", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(parse_number<std::size_t>(bad, "f"), std::runtime_error)
+        << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "0.5x", "abc", "+1", "1e999", " 1"}) {
+    EXPECT_THROW(parse_number<double>(bad, "f"), std::runtime_error)
+        << "'" << bad << "'";
+  }
+  try {
+    parse_number<std::size_t>("-3", "line 7: step");
+    ADD_FAILURE() << "no throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(),
+                 "line 7: step: expected a non-negative integer, got '-3'");
+  }
 }
 
 TEST(RunningStats, MeanVarianceMinMax) {
