@@ -9,9 +9,10 @@
 // cloud intervals so every window holds the same number of syncs, and
 // reports the median and interquartile range of the per-window steps/sec.
 // It also records the RSS high-water mark (VmHWM, re-armed per
-// configuration via /proc/self/clear_refs) and the registry's fleet
-// accounting (materializations per step, peak resident devices, at-rest
-// delta bytes), plus the 10k -> 1M per-step cost ratio of the medians.
+// configuration via /proc/self/clear_refs) and its delta per device, the
+// registry's fleet accounting (materializations per step, peak resident
+// devices, at-rest delta bytes), plus the 10k -> 1M per-step cost ratio of
+// the medians.
 // The per-phase breakdown (`phase_us`) comes from one full cloud interval
 // of observed probe steps after the timed windows, so it holds exactly one
 // sync and its `cloud_sync` entry is that sync's cost averaged per step.
@@ -206,7 +207,10 @@ void print_row(const FleetMeasurement& m) {
             << m.steps_per_sec.median << " steps/sec [IQR "
             << m.steps_per_sec.q1 << ", " << m.steps_per_sec.q3
             << "], peak RSS +" << m.peak_delta_bytes / (1024 * 1024)
-            << " MiB, "
+            << " MiB ("
+            << static_cast<double>(m.peak_delta_bytes) /
+                   static_cast<double>(m.devices)
+            << " B/device), "
             << m.materializations_per_step << " materializations/step\n"
             << "      phase us/step over " << m.probe_steps
             << " probe steps (one sync): mobility " << m.phase_us.mobility
@@ -236,6 +240,10 @@ void emit_json(std::ostream& out, const FleetMeasurement& m, bool last) {
       << "      \"rss_before_bytes\": " << m.rss_before_bytes << ",\n"
       << "      \"peak_rss_bytes\": " << m.peak_rss_bytes << ",\n"
       << "      \"peak_delta_bytes\": " << m.peak_delta_bytes << ",\n"
+      << "      \"peak_delta_bytes_per_device\": "
+      << static_cast<double>(m.peak_delta_bytes) /
+             static_cast<double>(m.devices)
+      << ",\n"
       << "      \"materializations_per_step\": "
       << m.materializations_per_step << ",\n"
       << "      \"phase_probe_steps\": " << m.probe_steps << ",\n"

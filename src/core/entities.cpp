@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/fleet.hpp"
 #include "data/sampler.hpp"
@@ -78,64 +80,73 @@ DeviceTrainStats run_local_sgd(const data::DataView& data,
 
 }  // namespace
 
-Device::Device(std::size_t id, data::DataView data, Snapshot base,
-               DeviceRegistry* fleet)
-    : id_(id), data_(std::move(data)), fleet_(fleet) {
-  if (fleet_ == nullptr) {
-    throw std::invalid_argument("Device: null registry");
-  }
-  if (base == nullptr) {
-    throw std::invalid_argument("Device: null base snapshot");
-  }
-  if (data_.empty()) {
-    throw std::invalid_argument("Device " + std::to_string(id) +
-                                ": empty data partition");
-  }
-  param_count_ = base->size();
-  // Starting on the registry's block is following it: no reference held.
-  if (base == fleet_->block()) return;
-  base_ = base;
-  shared_ = std::move(base);
-  params_version_ = shared_->version();
+data::DataView Device::data() const { return fleet_->data_view(id_); }
+
+DeviceHotEntry* Device::hot() const noexcept { return fleet_->hot_[id_]; }
+
+std::size_t Device::param_count() const noexcept {
+  const DeviceHotEntry* h = hot();
+  return (h == nullptr ? fleet_->block() : h->base)->size();
 }
 
 std::span<const float> Device::params() const {
-  if (following()) return fleet_->block()->span();
-  if (shared_) return shared_->span();
-  if (!has_resident_) decode_resident();
-  return resident_.data();
+  DeviceHotEntry* h = hot();
+  if (h == nullptr) return fleet_->block()->span();
+  if (h->shared) return h->shared->span();
+  if (!h->has_resident) decode_resident(*h);
+  return h->resident.data();
+}
+
+bool Device::shares_snapshot() const noexcept {
+  const DeviceHotEntry* h = hot();
+  return h == nullptr || h->shared != nullptr;
+}
+
+bool Device::resident() const noexcept {
+  const DeviceHotEntry* h = hot();
+  return h != nullptr && h->has_resident;
+}
+
+std::size_t Device::at_rest_bytes() const noexcept {
+  const DeviceHotEntry* h = hot();
+  return h != nullptr && h->delta_valid ? h->delta->bytes() : 0;
 }
 
 std::uint64_t Device::params_version() const noexcept {
-  return following() ? fleet_->block()->version() : params_version_;
+  const DeviceHotEntry* h = hot();
+  return h == nullptr ? fleet_->block()->version() : h->params_version;
+}
+
+std::optional<double> Device::stat_utility() const noexcept {
+  if ((fleet_->flags_[id_] & DeviceRegistry::kHasStatUtility) == 0) {
+    return std::nullopt;
+  }
+  return fleet_->stat_utility_[id_];
 }
 
 void Device::detach() {
-  if (!following()) return;
-  base_ = fleet_->block();
-  shared_ = base_;
-  params_version_ = base_->version();
-  fleet_->note_detached(id_);
+  if (following()) fleet_->attach_hot(id_, fleet_->block());
 }
 
 void Device::set_params(std::span<const float> params) {
-  if (params.size() != param_count_) {
+  if (params.size() != param_count()) {
     throw std::invalid_argument("Device::set_params: size mismatch");
   }
   detach();
-  const std::span<float> dst = ensure_resident_for_overwrite();
+  DeviceHotEntry& h = *hot();
+  const std::span<float> dst = ensure_resident_for_overwrite(h);
   std::copy(params.begin(), params.end(), dst.begin());
-  dirty_ = true;
-  shared_.reset();
-  if (delta_valid_) invalidate_delta();
-  params_version_ = SnapshotStore::global().next_version();
+  h.dirty = true;
+  h.shared.reset();
+  if (h.delta_valid) fleet_->retire_delta(h);
+  h.params_version = SnapshotStore::global().next_version();
 }
 
 void Device::adopt(Snapshot snapshot) {
   if (snapshot == nullptr) {
     throw std::invalid_argument("Device::adopt: null snapshot");
   }
-  if (snapshot->size() != param_count_) {
+  if (snapshot->size() != param_count()) {
     throw std::invalid_argument("Device::adopt: size mismatch");
   }
   if (following()) {
@@ -145,92 +156,69 @@ void Device::adopt(Snapshot snapshot) {
   }
   // The snapshot supersedes every divergence: return the pooled state and
   // rebase the (now empty) delta on the new block.
-  release_pooled_state();
-  base_ = snapshot;
-  shared_ = std::move(snapshot);
-  params_version_ = shared_->version();
+  DeviceHotEntry& h = *hot();
+  fleet_->release_pooled(id_, h);
+  h.base = snapshot;
+  h.shared = std::move(snapshot);
+  h.params_version = h.shared->version();
 }
 
-void Device::release_pooled_state() noexcept {
-  if (has_resident_) {
-    fleet_->release_resident(id_, std::move(resident_));
-    resident_ = tensor::Tensor{};
-    has_resident_ = false;
-  }
-  if (delta_valid_) invalidate_delta();
-  if (delta_ != nullptr) fleet_->release_delta(id_, std::move(delta_));
-  dirty_ = false;
-}
-
-void Device::rejoin() noexcept {
-  release_pooled_state();
-  shared_.reset();
-  base_.reset();
-}
-
-std::span<float> Device::ensure_resident_for_overwrite() {
-  if (!has_resident_) {
-    resident_ = fleet_->acquire_resident(id_);
-    has_resident_ = true;
+std::span<float> Device::ensure_resident_for_overwrite(
+    DeviceHotEntry& h) const {
+  if (!h.has_resident) {
+    h.resident = fleet_->acquire_resident(id_);
+    h.has_resident = true;
   }
   // reset_for_overwrite: size without the zero-fill the caller's copy or
   // decode would immediately overwrite.
-  resident_.reset_for_overwrite({param_count_});
-  return resident_.data();
+  h.resident.reset_for_overwrite({h.base->size()});
+  return h.resident.data();
 }
 
-void Device::decode_resident() const {
-  if (!delta_valid_) {
+void Device::decode_resident(DeviceHotEntry& h) const {
+  if (!h.delta_valid) {
     throw std::logic_error("Device: no state to materialize (id " +
                            std::to_string(id_) + ")");
   }
-  if (!has_resident_) {
-    resident_ = fleet_->acquire_resident(id_);
-    has_resident_ = true;
-  }
-  resident_.reset_for_overwrite({param_count_});
-  const std::span<float> out = resident_.data();
-  if (delta_->kind == transport::CompressionKind::kNone) {
+  const std::span<float> out = ensure_resident_for_overwrite(h);
+  if (h.delta->kind == transport::CompressionKind::kNone) {
     // Lossless mode stores the parameters verbatim.
-    transport::decode_delta_into(*delta_, out);
+    transport::decode_delta_into(*h.delta, out);
   } else {
-    transport::decode_delta_onto(*delta_, base_->span(), out);
+    transport::decode_delta_onto(*h.delta, h.base->span(), out);
   }
-}
-
-void Device::invalidate_delta() noexcept {
-  fleet_->add_delta_bytes(-static_cast<std::int64_t>(delta_->bytes()));
-  delta_valid_ = false;
 }
 
 void Device::settle() {
-  if (!has_resident_) return;
-  if (dirty_) {
-    if (delta_ == nullptr) delta_ = fleet_->acquire_delta(id_);
-    const std::size_t old_bytes = delta_valid_ ? delta_->bytes() : 0;
+  DeviceHotEntry* hp = hot();
+  if (hp == nullptr || !hp->has_resident) return;
+  DeviceHotEntry& h = *hp;
+  if (h.dirty) {
+    if (h.delta == nullptr) h.delta = fleet_->acquire_delta(id_);
+    const std::size_t old_bytes = h.delta_valid ? h.delta->bytes() : 0;
     const transport::CompressionConfig& at_rest = fleet_->config().at_rest;
-    const std::span<float> values = resident_.data();
+    const std::span<float> values = h.resident.data();
     if (at_rest.kind == transport::CompressionKind::kNone) {
       // Verbatim storage: decode reproduces these exact bits, so a
       // settled device resumes exactly where its training left off.
-      transport::encode_delta(values, at_rest, *delta_);
+      transport::encode_delta(values, at_rest, *h.delta);
     } else {
       // Quantized at rest: encode w - base in place (the buffer is about
       // to be returned anyway). The settled parameters are now the lossy
       // reconstruction — a content change, so the version must move.
-      const std::span<const float> base = base_->span();
+      const std::span<const float> base = h.base->span();
       for (std::size_t i = 0; i < values.size(); ++i) values[i] -= base[i];
-      transport::encode_delta(values, at_rest, *delta_);
-      params_version_ = SnapshotStore::global().next_version();
+      transport::encode_delta(values, at_rest, *h.delta);
+      h.params_version = SnapshotStore::global().next_version();
     }
-    delta_valid_ = true;
-    fleet_->add_delta_bytes(static_cast<std::int64_t>(delta_->bytes()) -
+    h.delta_valid = true;
+    fleet_->add_delta_bytes(static_cast<std::int64_t>(h.delta->bytes()) -
                             static_cast<std::int64_t>(old_bytes));
-    dirty_ = false;
+    h.dirty = false;
   }
-  fleet_->release_resident(id_, std::move(resident_));
-  resident_ = tensor::Tensor{};
-  has_resident_ = false;
+  fleet_->release_resident(id_, std::move(h.resident));
+  h.resident = tensor::Tensor{};
+  h.has_resident = false;
 }
 
 DeviceTrainStats Device::train(std::size_t local_steps,
@@ -246,6 +234,12 @@ DeviceTrainStats Device::train(std::size_t local_steps,
         "Device::train: prox_mu and clip_norm must be non-negative");
   }
   detach();
+  DeviceHotEntry& h = *hot();
+  const bool dropout = fleet_->model_has_dropout();
+  // The side-table entry carries the dropout cursor and the optimizer
+  // slots; a reset round without dropout needs one only to clear it.
+  DeviceRegistry::TrainState* state =
+      fleet_->train_state(id_, dropout || !reset_optimizer);
 
   DeviceRuntime* acquired = nullptr;
   DeviceRuntime* rt = runtime;
@@ -259,10 +253,12 @@ DeviceTrainStats Device::train(std::size_t local_steps,
     optim::Optimizer& optimizer = rt->optimizer();
     if (reset_optimizer) {
       optimizer.reset();
-      opt_state_.clear();
-      has_opt_state_ = false;
-    } else if (has_opt_state_) {
-      optimizer.load_state(opt_state_);
+      if (state != nullptr) {
+        state->opt_state.clear();
+        state->has_opt_state = false;
+      }
+    } else if (state->has_opt_state) {
+      optimizer.load_state(state->opt_state);
     } else {
       optimizer.reset();
     }
@@ -270,30 +266,29 @@ DeviceTrainStats Device::train(std::size_t local_steps,
     // Materialize into the pooled runtime (decodes the at-rest delta when
     // the device is settled-diverged).
     model.set_parameters(params());
-    const bool dropout = fleet_->model_has_dropout();
     if (dropout) {
-      if (!dropout_seeded_) {
+      if (!state->dropout_seeded) {
         // Every model clone starts from the canonical initial stream, so a
         // device's first round draws what a fresh private model would.
-        dropout_rng_ = fleet_->initial_dropout_rng();
-        dropout_seeded_ = true;
+        state->dropout_rng = fleet_->initial_dropout_rng();
+        state->dropout_seeded = true;
       }
-      model.set_dropout_rng(dropout_rng_);
+      model.set_dropout_rng(state->dropout_rng);
     }
-    stats = run_local_sgd(data_, *rt, local_steps, batch_size, rng, prox_mu,
+    stats = run_local_sgd(data(), *rt, local_steps, batch_size, rng, prox_mu,
                           clip_norm);
     // Copy the trained parameters back into resident state; settle()
     // de-materializes them to snapshot + delta after the upload.
-    const std::span<float> dst = ensure_resident_for_overwrite();
+    const std::span<float> dst = ensure_resident_for_overwrite(h);
     const std::span<const float> trained = model.parameters();
     std::copy(trained.begin(), trained.end(), dst.begin());
-    dirty_ = true;
-    shared_.reset();
-    if (delta_valid_) invalidate_delta();
-    if (dropout) dropout_rng_ = model.dropout_rng();
+    h.dirty = true;
+    h.shared.reset();
+    if (h.delta_valid) fleet_->retire_delta(h);
+    if (dropout) state->dropout_rng = model.dropout_rng();
     if (!reset_optimizer) {
-      optimizer.save_state(opt_state_);
-      has_opt_state_ = true;
+      optimizer.save_state(state->opt_state);
+      state->has_opt_state = true;
     }
   } catch (...) {
     if (acquired != nullptr) fleet_->release_runtime(acquired);
@@ -302,10 +297,11 @@ DeviceTrainStats Device::train(std::size_t local_steps,
   if (acquired != nullptr) fleet_->release_runtime(acquired);
 
   // Oort: U_stat = |B| * sqrt( (1/|B|) sum loss^2 ), with |B| = d_m.
-  stat_utility_ = static_cast<double>(data_size()) *
-                  std::sqrt(std::max(0.0, stats.mean_sq_loss));
+  fleet_->stat_utility_[id_] = static_cast<double>(data_size()) *
+                               std::sqrt(std::max(0.0, stats.mean_sq_loss));
+  fleet_->flags_[id_] |= DeviceRegistry::kHasStatUtility;
   // Local SGD moved w_m: cached selection scores are stale.
-  params_version_ = SnapshotStore::global().next_version();
+  h.params_version = SnapshotStore::global().next_version();
   return stats;
 }
 

@@ -1,22 +1,23 @@
 // The three tiers of the hierarchy: Device, Edge, Cloud.
 //
-// A Device owns its data partition and the local model w_m; its train() is
-// the I-step local SGD of Eq. (1)/(5). Edges and the cloud are parameter
-// holders with FedAvg aggregation (Eq. 6/7). Device training is the
-// simulator's unit of parallelism — all per-device state touched by
-// train() is private to the device.
+// A Device is a client with its own data partition and local model w_m;
+// its train() is the I-step local SGD of Eq. (1)/(5). Edges and the cloud
+// are parameter holders with FedAvg aggregation (Eq. 6/7). Device training
+// is the simulator's unit of parallelism — all per-device state touched by
+// train() belongs to that device alone.
 //
-// A device is fleet-scale virtual state (see core/fleet.hpp): a base
-// Snapshot plus an at-rest EncodedDelta, borrowing pooled buffers from its
-// DeviceRegistry only while dense parameters are actually needed.
-// Lifecycle: following -> shared snapshot -> resident (materialized) ->
-// settled (snapshot + delta at rest) -> following again at the next
-// lossless broadcast. A *following* device holds no snapshot reference at
-// all: params(), params_version() and shares_snapshot() resolve through
-// the registry's broadcast block, so a broadcast that swaps that block
-// moves every follower at once. Every write detaches the device first —
-// it pins the current block as its own base and is listed for the next
-// DeviceRegistry::broadcast() to rejoin. adopt() shares an immutable
+// A Device is a small handle (registry pointer + id) over the columns of
+// its DeviceRegistry (see core/fleet.hpp): the device's state lives there,
+// cold devices as a few column entries and detached ones in a pooled hot
+// entry, and the handle is cheap to copy and pass by value. Lifecycle:
+// following -> shared snapshot -> resident (materialized) -> settled
+// (snapshot + delta at rest) -> following again at the next lossless
+// broadcast. A *following* device holds no snapshot reference at all:
+// params(), params_version() and shares_snapshot() resolve through the
+// registry's broadcast block, so a broadcast that swaps that block moves
+// every follower at once. Every write detaches the device first — it pins
+// the current block as its own base in a hot entry and is listed for the
+// next DeviceRegistry::broadcast() to rejoin. adopt() shares an immutable
 // published block (an edge download is a refcount bump); a resident buffer
 // is checked out on the first write — set_params (a blend) or train (local
 // SGD, run through a pooled DeviceRuntime). Version stamps come from the
@@ -27,21 +28,18 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "core/snapshot.hpp"
 #include "data/dataset.hpp"
 #include "parallel/rng.hpp"
-#include "tensor/tensor.hpp"
-#include "transport/compression.hpp"
 
 namespace middlefl::core {
 
 class DeviceRegistry;
 class DeviceRuntime;
+struct DeviceHotEntry;
 
 struct DeviceTrainStats {
   /// Mean per-sample cross-entropy across all local steps.
@@ -52,25 +50,17 @@ struct DeviceTrainStats {
   std::size_t batches = 0;
 };
 
+/// Handle to one device of a DeviceRegistry (DeviceRegistry::insert/at).
+/// The registry must outlive it and hold the model/optimizer prototypes
+/// before the device trains.
 class Device {
  public:
-  /// Starts sharing `base` (O(1) memory) — as a follower when `base` is
-  /// the registry's broadcast block — and borrows pooled state from
-  /// `fleet` — which must be non-null, hold the model/optimizer
-  /// prototypes before the device trains, and outlive the device —
-  /// whenever dense parameters are needed. Throws std::invalid_argument
-  /// on a null registry or base, or an empty data partition.
-  Device(std::size_t id, data::DataView data, Snapshot base,
-         DeviceRegistry* fleet);
-
-  Device(Device&&) = default;
-  Device& operator=(Device&&) = default;
-
   std::size_t id() const noexcept { return id_; }
   /// d_m: the number of local data samples (the FedAvg weight).
-  std::size_t data_size() const noexcept { return data_.size(); }
-  const data::DataView& data() const noexcept { return data_; }
-  std::size_t param_count() const noexcept { return param_count_; }
+  std::size_t data_size() const { return data().size(); }
+  /// The device's data, built on demand from the registry's partition.
+  data::DataView data() const;
+  std::size_t param_count() const noexcept;
 
   /// The current local model w_m: the registry's broadcast block while
   /// following, the shared snapshot when one is adopted, otherwise the
@@ -86,30 +76,26 @@ class Device {
   void adopt(Snapshot snapshot);
   /// True while the device reads a shared snapshot (no private copy yet),
   /// including the registry's block while following.
-  bool shares_snapshot() const noexcept {
-    return following() || shared_ != nullptr;
-  }
+  bool shares_snapshot() const noexcept;
   /// True while the device follows its registry's broadcast block and
-  /// holds no snapshot reference of its own.
-  bool following() const noexcept { return base_ == nullptr; }
-  /// Pins the registry's current block as this device's own base, so a
-  /// later broadcast no longer moves it, and lists the device for the
-  /// next DeviceRegistry::broadcast() to rejoin. Every write calls it
-  /// first; a lossy broadcast calls it so a lost push leaves the device
+  /// holds no hot entry.
+  bool following() const noexcept { return hot() == nullptr; }
+  /// Pins the registry's current block as this device's own base in a hot
+  /// entry, so a later broadcast no longer moves it, and lists the device
+  /// for the next DeviceRegistry::broadcast() to rejoin. Every write calls
+  /// it first; a lossy broadcast calls it so a lost push leaves the device
   /// on the model it holds now. No-op when already detached.
   void detach();
 
   /// True while a dense parameter buffer is checked out.
-  bool resident() const noexcept { return has_resident_; }
+  bool resident() const noexcept;
   /// De-materializes the device: encodes the resident parameters as the
   /// at-rest delta against the base snapshot (verbatim under the lossless
   /// default codec; q8/topk settle-out is lossy and bumps the version) and
   /// returns the buffer to the registry. No-op when not resident.
   void settle();
   /// Simulated storage footprint of the at-rest delta (0 when none).
-  std::size_t at_rest_bytes() const noexcept {
-    return delta_valid_ ? delta_->bytes() : 0;
-  }
+  std::size_t at_rest_bytes() const noexcept;
 
   /// Version stamp of the current parameters, changed on every mutation
   /// (set_params, adopt of a different snapshot, train). The
@@ -141,70 +127,25 @@ class Device {
   /// Oort statistical utility: d_m * sqrt(mean squared sample loss) from
   /// the most recent training round; nullopt before the first round (such
   /// devices are prioritized for exploration).
-  std::optional<double> stat_utility() const noexcept { return stat_utility_; }
-  /// Time step of the last participation (for staleness accounting).
-  std::optional<std::size_t> last_trained_step() const noexcept {
-    return last_trained_step_;
-  }
-  void mark_trained(std::size_t step) noexcept { last_trained_step_ = step; }
-  /// Clears training history (used at global synchronization barriers in
-  /// ablations; the default simulator keeps history across syncs).
-  void clear_history() noexcept {
-    stat_utility_.reset();
-    last_trained_step_.reset();
-  }
+  std::optional<double> stat_utility() const noexcept;
 
  private:
   friend class DeviceRegistry;
+  Device(DeviceRegistry* fleet, std::size_t id) noexcept
+      : fleet_(fleet), id_(id) {}
 
-  /// Returns every pooled resource and drops the snapshot references:
-  /// the device follows its registry's block again. The registry's
-  /// broadcast and erase hooks.
-  void rejoin() noexcept;
-  /// Returns the resident buffer and the at-rest delta block to the
-  /// registry's freelists.
-  void release_pooled_state() noexcept;
+  /// The device's hot entry; null while following.
+  DeviceHotEntry* hot() const noexcept;
   /// Checks a resident buffer out of the registry (or reuses the current
   /// one) sized for overwrite — reset_for_overwrite skips the zero-fill
   /// the subsequent copy/decode would waste.
-  std::span<float> ensure_resident_for_overwrite();
+  std::span<float> ensure_resident_for_overwrite(DeviceHotEntry& hot) const;
   /// Materializes the dense parameters of a settled device from its
   /// at-rest delta into a resident buffer. Mutable path behind params().
-  void decode_resident() const;
-  /// Retires the at-rest delta's byte accounting (the encoded block is
-  /// kept for reuse by the next settle()).
-  void invalidate_delta() noexcept;
+  void decode_resident(DeviceHotEntry& hot) const;
 
+  DeviceRegistry* fleet_;
   std::size_t id_;
-  data::DataView data_;
-  std::optional<double> stat_utility_;
-  std::optional<std::size_t> last_trained_step_;
-  Snapshot shared_;
-  std::uint64_t params_version_ = 0;
-  DeviceRegistry* fleet_ = nullptr;
-  std::size_t param_count_ = 0;
-  /// Base snapshot the at-rest delta is encoded against; null exactly
-  /// while following (the registry's block is the base then).
-  Snapshot base_;
-  /// At-rest divergence from base_; valid content iff delta_valid_ (the
-  /// block itself is kept across invalidations for reuse).
-  std::unique_ptr<transport::EncodedDelta> delta_;
-  /// Dense parameters while checked out; mutable because params() const
-  /// materializes on demand.
-  mutable tensor::Tensor resident_;
-  /// Persisted per-device stochastic training state, restored into the
-  /// pooled runtime around each round so every device draws its own
-  /// dropout masks and momentum trajectory, exactly as a private model
-  /// and optimizer would.
-  parallel::Xoshiro256 dropout_rng_;
-  std::vector<float> opt_state_;
-  // Flags last, packed into one word (the fleet holds millions of these).
-  bool delta_valid_ = false;
-  mutable bool has_resident_ = false;
-  /// Resident buffer holds writes not yet encoded by settle().
-  bool dirty_ = false;
-  bool dropout_seeded_ = false;
-  bool has_opt_state_ = false;
 };
 
 class Edge {

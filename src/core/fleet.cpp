@@ -11,10 +11,6 @@ namespace middlefl::core {
 namespace {
 
 constexpr std::size_t kDefaultShards = 64;
-constexpr std::size_t kInitialTableCapacity = 16;
-/// Dense fast-path cap: sequential Simulation ids always qualify; a churn
-/// test inserting huge sparse ids must not force an O(max_id) table.
-constexpr std::size_t kDenseCap = std::size_t{1} << 26;
 
 std::size_t round_up_pow2(std::size_t v) {
   std::size_t p = 1;
@@ -25,7 +21,7 @@ std::size_t round_up_pow2(std::size_t v) {
 }  // namespace
 
 void DeviceRegistry::configure(const FleetConfig& config) {
-  if (size_ != 0) {
+  if (!empty()) {
     throw std::logic_error(
         "DeviceRegistry::configure: registry already holds devices");
   }
@@ -37,7 +33,6 @@ void DeviceRegistry::configure(const FleetConfig& config) {
   // deque grows in place: Shard holds a mutex and cannot be moved.
   for (std::size_t s = 0; s < shards; ++s) shards_.emplace_back();
   shard_mask_ = shards - 1;
-  dense_.clear();
 }
 
 void DeviceRegistry::set_prototypes(const nn::Sequential& model,
@@ -61,6 +56,34 @@ const parallel::Xoshiro256& DeviceRegistry::initial_dropout_rng() const {
   return proto_model_->dropout_rng();
 }
 
+void DeviceRegistry::set_data(const data::Dataset& base,
+                              data::Partition partition) {
+  if (!empty()) {
+    throw std::logic_error(
+        "DeviceRegistry::set_data: registry already holds devices");
+  }
+  for (const std::vector<std::size_t>& list : partition.device_indices) {
+    for (const std::size_t i : list) {
+      if (i >= base.size()) {
+        throw std::out_of_range("DeviceRegistry::set_data: index " +
+                                std::to_string(i) + " exceeds dataset size " +
+                                std::to_string(base.size()));
+      }
+    }
+  }
+  data_ = &base;
+  partition_ = std::move(partition);
+  const std::size_t n = partition_.num_devices();
+  hot_.reserve(n);
+  stat_utility_.reserve(n);
+  flags_.reserve(n);
+}
+
+data::DataView DeviceRegistry::data_view(std::size_t id) const {
+  if (partition_.window_devices > 0) return partition_.view(*data_, id);
+  return data::DataView::borrow(*data_, partition_.device_indices[id]);
+}
+
 void DeviceRegistry::broadcast(Snapshot block) {
   if (block == nullptr) {
     throw std::invalid_argument("DeviceRegistry::broadcast: null block");
@@ -69,148 +92,111 @@ void DeviceRegistry::broadcast(Snapshot block) {
     throw std::invalid_argument("DeviceRegistry::broadcast: size mismatch");
   }
   std::size_t rejoined = 0;
+  // A serial point: no chain touches the shards' lists concurrently.
   for (Shard& shard : shards_) {
     // Ascending ids: the freelists receive the releases in the order an
     // adopt loop over the whole fleet would produce.
     std::sort(shard.detached.begin(), shard.detached.end());
     for (const std::size_t id : shard.detached) {
-      // Erased ids resolve to nothing; an id erased and re-inserted can
-      // be listed twice and is rejoined once.
-      Device* device = find(id);
-      if (device == nullptr || device->following()) continue;
-      device->rejoin();
-      ++rejoined;
+      DeviceHotEntry* entry = hot_[id];
+      release_pooled(id, *entry);
+      entry->shared.reset();
+      entry->base.reset();
+      hot_[id] = nullptr;
+      shard.hot_free.push_back(entry);
     }
+    rejoined += shard.detached.size();
     shard.detached.clear();
   }
   block_ = std::move(block);
   detached_devices_ = rejoined;
 }
 
-void DeviceRegistry::note_detached(std::size_t id) {
-  Shard& shard = shards_[shard_of(id)];
-  std::lock_guard<std::mutex> lock(shard.freelist_mutex);
-  shard.detached.push_back(id);
-}
-
-DeviceRegistry::Entry* DeviceRegistry::probe(Shard& shard,
-                                             std::size_t id) noexcept {
-  if (shard.table.empty()) return nullptr;
-  const std::size_t mask = shard.table.size() - 1;
-  std::size_t idx = static_cast<std::size_t>(hash_id(id)) & mask;
-  for (;;) {
-    Entry& entry = shard.table[idx];
-    if (entry.slot == Entry::kEmpty) return nullptr;
-    if (entry.slot != Entry::kTombstone && entry.id == id) return &entry;
-    idx = (idx + 1) & mask;
+std::size_t DeviceRegistry::hot_entries() const {
+  std::size_t live = 0;
+  for (const Shard& shard : shards_) {
+    live += shard.hot_pool.size() - shard.hot_free.size();
   }
+  return live;
 }
 
-void DeviceRegistry::rehash(Shard& shard, std::size_t capacity) {
-  std::vector<Entry> old = std::move(shard.table);
-  shard.table.assign(capacity, Entry{});
-  shard.tombstones = 0;
-  const std::size_t mask = capacity - 1;
-  for (const Entry& entry : old) {
-    if (entry.slot == Entry::kEmpty || entry.slot == Entry::kTombstone) {
-      continue;
+DeviceHotEntry& DeviceRegistry::attach_hot(std::size_t id, Snapshot base) {
+  Shard& shard = shards_[shard_of(id)];
+  DeviceHotEntry* entry;
+  {
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    if (shard.hot_free.empty()) {
+      entry = shard.hot_pool.emplace_back(std::make_unique<DeviceHotEntry>())
+                  .get();
+    } else {
+      entry = shard.hot_free.back();
+      shard.hot_free.pop_back();
     }
-    std::size_t idx = static_cast<std::size_t>(hash_id(entry.id)) & mask;
-    while (shard.table[idx].slot != Entry::kEmpty) idx = (idx + 1) & mask;
-    shard.table[idx] = entry;
+    shard.detached.push_back(id);
   }
+  entry->params_version = base->version();
+  entry->shared = base;
+  entry->base = std::move(base);
+  hot_[id] = entry;
+  return *entry;
 }
 
-Device& DeviceRegistry::insert(Device device) {
-  const std::size_t id = device.id();
+void DeviceRegistry::retire_delta(DeviceHotEntry& entry) noexcept {
+  add_delta_bytes(-static_cast<std::int64_t>(entry.delta->bytes()));
+  entry.delta_valid = false;
+}
+
+void DeviceRegistry::release_pooled(std::size_t id,
+                                    DeviceHotEntry& entry) noexcept {
+  if (entry.has_resident) {
+    release_resident(id, std::move(entry.resident));
+    entry.resident = tensor::Tensor{};
+    entry.has_resident = false;
+  }
+  if (entry.delta_valid) retire_delta(entry);
+  if (entry.delta != nullptr) release_delta(id, std::move(entry.delta));
+  entry.dirty = false;
+}
+
+DeviceRegistry::TrainState* DeviceRegistry::train_state(std::size_t id,
+                                                        bool create) {
+  if (!create && (flags_[id] & kHasTrainState) == 0) return nullptr;
   Shard& shard = shards_[shard_of(id)];
-  if (probe(shard, id) != nullptr) {
-    throw std::invalid_argument("DeviceRegistry::insert: duplicate device id " +
-                                std::to_string(id));
-  }
-  // Keep occupancy (live + tombstones) under ~70% so probes stay short.
-  if (shard.table.empty()) {
-    rehash(shard, kInitialTableCapacity);
-  } else if ((shard.occupied + shard.tombstones + 1) * 10 >=
-             shard.table.size() * 7) {
-    rehash(shard, shard.table.size() * 2);
-  }
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  // Node-based map: the entry's address survives later insertions.
+  TrainState& state = shard.train_state[id];
+  flags_[id] |= kHasTrainState;
+  return &state;
+}
 
-  std::size_t slot;
-  if (!shard.free_slots.empty()) {
-    slot = shard.free_slots.back();
-    shard.free_slots.pop_back();
-    shard.slots[slot] = std::move(device);
-  } else {
-    slot = shard.slots.size();
-    shard.slots.push_back(std::move(device));
+Device DeviceRegistry::insert(std::size_t id, Snapshot base) {
+  if (id != size()) {
+    throw std::invalid_argument(
+        "DeviceRegistry::insert: device id " + std::to_string(id) +
+        (id < size() ? " is already present" : " skips ids") +
+        "; ids are 0..n-1 in order, next is " + std::to_string(size()));
   }
-
-  const std::size_t mask = shard.table.size() - 1;
-  std::size_t idx = static_cast<std::size_t>(hash_id(id)) & mask;
-  while (shard.table[idx].slot != Entry::kEmpty &&
-         shard.table[idx].slot != Entry::kTombstone) {
-    idx = (idx + 1) & mask;
+  if (base == nullptr) {
+    throw std::invalid_argument("DeviceRegistry::insert: null base snapshot");
   }
-  if (shard.table[idx].slot == Entry::kTombstone) --shard.tombstones;
-  shard.table[idx] = Entry{id, slot};
-  ++shard.occupied;
-  ++size_;
-
-  Device& stored = shard.slots[slot];
-  if (id < kDenseCap) {
-    if (id >= dense_.size()) dense_.resize(id + 1, nullptr);
-    dense_[id] = &stored;
+  if (id >= partition_.num_devices() || data_view(id).empty()) {
+    throw std::invalid_argument("Device " + std::to_string(id) +
+                                ": empty data partition");
   }
+  hot_.push_back(nullptr);
+  stat_utility_.push_back(0.0);
+  flags_.push_back(0);
   // A device born on another block is detached from the start.
-  if (!stored.following()) shard.detached.push_back(id);
-  return stored;
+  if (base != block_) attach_hot(id, std::move(base));
+  return Device(this, id);
 }
 
-bool DeviceRegistry::erase(std::size_t id) {
-  Shard& shard = shards_[shard_of(id)];
-  Entry* entry = probe(shard, id);
-  if (entry == nullptr) return false;
-  const std::size_t slot = entry->slot;
-  entry->slot = Entry::kTombstone;
-  ++shard.tombstones;
-  --shard.occupied;
-  --size_;
-  if (id < dense_.size()) dense_[id] = nullptr;
-
-  // Return the device's pooled state, then shrink it to a zombie: the
-  // deque slot cannot be destroyed individually, but a moved-from Device
-  // holds no heap state worth keeping. An id left on a detached list is
-  // skipped by the next broadcast (find() no longer resolves it).
-  shard.slots[slot].rejoin();
-  Device zombie = std::move(shard.slots[slot]);
-  static_cast<void>(zombie);
-  shard.free_slots.push_back(slot);
-  return true;
-}
-
-Device* DeviceRegistry::find(std::size_t id) noexcept {
-  if (id < dense_.size() && dense_[id] != nullptr) return dense_[id];
-  Shard& shard = shards_[shard_of(id)];
-  Entry* entry = probe(shard, id);
-  return entry == nullptr ? nullptr : &shard.slots[entry->slot];
-}
-
-const Device* DeviceRegistry::find(std::size_t id) const noexcept {
-  return const_cast<DeviceRegistry*>(this)->find(id);
-}
-
-Device& DeviceRegistry::at(std::size_t id) {
-  Device* device = find(id);
-  if (device == nullptr) {
+Device DeviceRegistry::at(std::size_t id) {
+  if (id >= size()) {
     throw std::out_of_range("DeviceRegistry::at: no device with id " +
                             std::to_string(id));
   }
-  return *device;
-}
-
-const Device& DeviceRegistry::at(std::size_t id) const {
-  return const_cast<DeviceRegistry*>(this)->at(id);
+  return Device(this, id);
 }
 
 DeviceRuntime* DeviceRegistry::acquire_runtime() {
@@ -241,7 +227,7 @@ tensor::Tensor DeviceRegistry::acquire_resident(std::size_t id) {
   Shard& shard = shards_[shard_of(id)];
   tensor::Tensor buffer;
   {
-    std::lock_guard<std::mutex> lock(shard.freelist_mutex);
+    std::lock_guard<std::mutex> lock(shard.mutex);
     if (!shard.resident_free.empty()) {
       buffer = std::move(shard.resident_free.back());
       shard.resident_free.pop_back();
@@ -264,7 +250,7 @@ tensor::Tensor DeviceRegistry::acquire_resident(std::size_t id) {
 void DeviceRegistry::release_resident(std::size_t id, tensor::Tensor buffer) {
   resident_now_.fetch_sub(1, std::memory_order_relaxed);
   Shard& shard = shards_[shard_of(id)];
-  std::lock_guard<std::mutex> lock(shard.freelist_mutex);
+  std::lock_guard<std::mutex> lock(shard.mutex);
   shard.resident_free.push_back(std::move(buffer));
 }
 
@@ -272,7 +258,7 @@ std::unique_ptr<transport::EncodedDelta> DeviceRegistry::acquire_delta(
     std::size_t id) {
   Shard& shard = shards_[shard_of(id)];
   {
-    std::lock_guard<std::mutex> lock(shard.freelist_mutex);
+    std::lock_guard<std::mutex> lock(shard.mutex);
     if (!shard.delta_free.empty()) {
       auto delta = std::move(shard.delta_free.back());
       shard.delta_free.pop_back();
@@ -287,7 +273,7 @@ void DeviceRegistry::release_delta(
     std::size_t id, std::unique_ptr<transport::EncodedDelta> delta) {
   if (delta == nullptr) return;
   Shard& shard = shards_[shard_of(id)];
-  std::lock_guard<std::mutex> lock(shard.freelist_mutex);
+  std::lock_guard<std::mutex> lock(shard.mutex);
   shard.delta_free.push_back(std::move(delta));
 }
 

@@ -1,10 +1,11 @@
-// Fleet-scale device management: the sharded DeviceRegistry and the pooled
-// training runtimes behind every device's virtual state.
+// Fleet-scale device management: the DeviceRegistry — per-field columns for
+// every device, hot entries for the detached ones — and the pooled training
+// runtimes behind every device's virtual state.
 //
 // A fully-materialized device would cost O(param_count) for the model plus
 // the same again for gradients and optimizer slots — a few thousand
 // devices would exhaust RAM long before the paper's millions-of-users
-// regime. So a Device holds only (a) a refcounted core::Snapshot into the
+// regime. So a device holds only (a) a refcounted core::Snapshot into the
 // COW SnapshotStore and (b) a compact at-rest delta against that snapshot,
 // encoded with the transport layer's q8/topk codecs (lossless verbatim
 // storage by default). Dense parameters exist only while the device is
@@ -18,25 +19,34 @@
 // the last lossless device broadcast. A device that has not been written
 // since that broadcast *follows* the block — it holds no snapshot of its
 // own and reads the registry's. A write detaches the device (it pins the
-// block and is listed in its shard's detached list), and broadcast()
-// rejoins exactly the listed devices before swapping the block. A lossless
-// broadcast therefore costs O(devices touched since the last one), not
-// O(fleet), and leaves every device with the bytes and version stamp an
-// adopt of the new block would have given it.
+// block in a hot entry and is listed in its shard's detached list), and
+// broadcast() rejoins exactly the listed devices before swapping the
+// block. A lossless broadcast therefore costs O(devices touched since the
+// last one), not O(fleet), and leaves every device with the bytes and
+// version stamp an adopt of the new block would have given it.
 //
-// The registry shards by device id (fixed power-of-two shard count, open
-// addressing within a shard) so lookups, mobility updates and the per-edge
-// task-graph chains touch devices without walking cold state, and so the
+// Storage is column-wise over the dense ids 0..n-1. A cold (following)
+// device is three column entries — its stat utility, a null hot-entry
+// pointer and a flags byte, 17 bytes — and its data view is rebuilt on
+// demand from the registry's data::Partition. Only a detached device owns
+// a DeviceHotEntry (base and shared snapshots, version, at-rest delta,
+// resident buffer), allocated at detach and returned at rejoin. The dropout
+// cursor and carried optimizer slots, which survive rejoins, live in a
+// per-shard side table created only for dropout models or runs that keep
+// optimizer state across rounds. Device is a (registry, id) handle over
+// these columns.
+//
+// Shards (a fixed power-of-two count, keyed by splitmix64(id)) own the
 // freelists feeding materialization (resident buffers, recycled
-// EncodedDelta blocks) are contended per shard, not globally. Sequential
-// ids — the Simulation's layout — additionally hit a dense pointer table
-// and skip probing entirely.
+// EncodedDelta blocks), the hot-entry pool, the detached lists and the
+// side table, each behind the shard's mutex, so the parallel edge chains
+// contend per shard, not globally.
 //
-// Thread-safety contract: insert()/erase()/configure()/set_prototypes()
+// Thread-safety contract: configure()/set_data()/set_prototypes()/insert()
 // are construction-time operations and broadcast() is a serial-point
-// operation (no concurrent calls); at()/find()/block() are safe
-// concurrently with each other and with the freelist, detach and counter
-// methods, which the parallel edge chains call for disjoint devices.
+// operation (no concurrent calls); at() and the Device methods are safe
+// concurrently for disjoint devices, which is how the per-edge chains use
+// them, together with the freelist and counter methods.
 #pragma once
 
 #include <atomic>
@@ -45,9 +55,11 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "core/entities.hpp"
+#include "data/partition.hpp"
 #include "data/sampler.hpp"
 #include "nn/sequential.hpp"
 #include "optim/optimizer.hpp"
@@ -72,6 +84,25 @@ struct FleetConfig {
   std::size_t shards = 0;
 };
 
+/// The heavy state of one detached device, pooled per registry shard.
+struct DeviceHotEntry {
+  /// Base snapshot the at-rest delta is encoded against (the block pinned
+  /// at detach, or the last adopted snapshot).
+  Snapshot base;
+  /// Non-null while the device reads a shared snapshot.
+  Snapshot shared;
+  std::uint64_t params_version = 0;
+  /// At-rest divergence from base; valid content iff delta_valid (the
+  /// block itself is kept across invalidations for reuse).
+  std::unique_ptr<transport::EncodedDelta> delta;
+  /// Dense parameters while checked out.
+  tensor::Tensor resident;
+  bool delta_valid = false;
+  bool has_resident = false;
+  /// The resident buffer holds writes not yet encoded by settle().
+  bool dirty = false;
+};
+
 /// One pooled training context: a scratch model (parameters + gradients),
 /// an optimizer instance and a minibatch buffer. A per-edge chain checks
 /// one out for the duration of its LocalTrain phase and runs every
@@ -92,10 +123,11 @@ class DeviceRuntime {
   data::Minibatch batch_;
 };
 
-/// Sharded home of every Device plus the pooled resources devices borrow:
-/// resident parameter buffers, recycled at-rest delta blocks and training
-/// runtimes. Also the fleet's accounting point (materializations, resident
-/// devices, at-rest bytes) feeding the obs gauges.
+/// Column store of every device plus the pooled resources devices borrow:
+/// hot entries, resident parameter buffers, recycled at-rest delta blocks
+/// and training runtimes. Also the fleet's accounting point
+/// (materializations, resident devices, at-rest bytes) feeding the obs
+/// gauges.
 class DeviceRegistry {
  public:
   DeviceRegistry() { configure(FleetConfig{}); }
@@ -118,40 +150,52 @@ class DeviceRegistry {
   bool model_has_dropout() const noexcept { return has_dropout_; }
   const parallel::Xoshiro256& initial_dropout_rng() const;
 
+  // --- Device data --------------------------------------------------------
+  /// Installs the dataset and partition device data views are built from;
+  /// only valid while the registry is empty. The registry keeps its own
+  /// copy of `partition` (O(1) in the window layout) and reserves the
+  /// columns for its devices; `base` must outlive the registry. Throws
+  /// std::out_of_range on a list-layout index past `base`.
+  void set_data(const data::Dataset& base, data::Partition partition);
+  /// Device `id`'s data, built on demand: a window view, or a borrowed
+  /// view of the partition's index list (no copy).
+  data::DataView data_view(std::size_t id) const;
+
   // --- Broadcast block ----------------------------------------------------
   /// The block every following device reads; null before the first
   /// broadcast().
   const Snapshot& block() const noexcept { return block_; }
   /// The lossless device broadcast: rejoins every device detached since
   /// the last call (returning its resident buffer and at-rest delta to the
-  /// freelists exactly as Device::adopt does, in ascending id per shard),
-  /// clears the detached lists and installs `block` as the block every
-  /// device follows — the same end state as adopting `block` into every
-  /// device, at O(detached) cost. Throws std::invalid_argument on a null
-  /// block or, once prototypes are set, a size mismatch.
+  /// freelists exactly as Device::adopt does, and its hot entry to the
+  /// pool, in ascending id per shard), clears the detached lists and
+  /// installs `block` as the block every device follows — the same end
+  /// state as adopting `block` into every device, at O(detached) cost.
+  /// Throws std::invalid_argument on a null block or, once prototypes are
+  /// set, a size mismatch.
   void broadcast(Snapshot block);
   /// Devices the last broadcast() rejoined: the part of the fleet it had
   /// to touch (the `fleet.detached_devices` gauge).
   std::size_t detached_devices() const noexcept { return detached_devices_; }
+  /// Devices holding a hot entry now (those detached since the last
+  /// broadcast). Serial-point read.
+  std::size_t hot_entries() const;
 
   // --- Device table -------------------------------------------------------
-  /// Takes ownership of `device`, keyed by device.id(). Throws
-  /// std::invalid_argument on a duplicate id.
-  Device& insert(Device device);
-  /// Removes the device with `id`, returning its pooled state to the
-  /// freelists. Returns false when absent.
-  bool erase(std::size_t id);
-  Device* find(std::size_t id) noexcept;
-  const Device* find(std::size_t id) const noexcept;
-  /// Throws std::out_of_range when absent.
-  Device& at(std::size_t id);
-  const Device& at(std::size_t id) const;
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
+  /// Appends device `id`, which must equal size(): ids are 0..n-1 in
+  /// insertion order. The device follows the block when `base` is block()
+  /// and is born detached on `base` otherwise. Throws
+  /// std::invalid_argument on a duplicate or out-of-order id, a null
+  /// base, or an id whose data partition is missing or empty.
+  Device insert(std::size_t id, Snapshot base);
+  /// A handle to device `id`; throws std::out_of_range when absent.
+  Device at(std::size_t id);
+  std::size_t size() const noexcept { return flags_.size(); }
+  bool empty() const noexcept { return flags_.empty(); }
 
   std::size_t num_shards() const noexcept { return shards_.size(); }
   std::size_t shard_of(std::size_t id) const noexcept {
-    return hash_id(id) & shard_mask_;
+    return parallel::splitmix64(static_cast<std::uint64_t>(id)) & shard_mask_;
   }
 
   // --- Pooled training runtimes ------------------------------------------
@@ -200,46 +244,58 @@ class DeviceRegistry {
  private:
   friend class Device;
 
-  /// Lists device `id` for the next broadcast() to rejoin. Called by
-  /// Device::detach; concurrent chains detach disjoint devices.
-  void note_detached(std::size_t id);
-
-  struct Entry {
-    static constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
-    static constexpr std::size_t kTombstone = static_cast<std::size_t>(-2);
-    std::size_t id = 0;
-    std::size_t slot = kEmpty;
+  /// Per-device training state that survives rejoins: the dropout cursor
+  /// and the optimizer slots carried between rounds trained without a
+  /// reset.
+  struct TrainState {
+    parallel::Xoshiro256 dropout_rng;
+    std::vector<float> opt_state;
+    bool dropout_seeded = false;
+    bool has_opt_state = false;
   };
 
+  // flags_ bits.
+  static constexpr std::uint8_t kHasStatUtility = 1;
+  static constexpr std::uint8_t kHasTrainState = 2;
+
   struct Shard {
-    std::deque<Device> slots;             // stable addresses
-    std::vector<std::size_t> free_slots;  // recycled (erased) slot indices
-    std::vector<Entry> table;             // open addressing: id -> slot
-    std::size_t occupied = 0;             // live entries
-    std::size_t tombstones = 0;
-    std::mutex freelist_mutex;  // guards the three lists below
+    std::mutex mutex;  // guards everything below
     std::vector<tensor::Tensor> resident_free;
     std::vector<std::unique_ptr<transport::EncodedDelta>> delta_free;
     std::vector<std::size_t> detached;  // ids detached since the broadcast
+    std::vector<std::unique_ptr<DeviceHotEntry>> hot_pool;  // owns entries
+    std::vector<DeviceHotEntry*> hot_free;
+    std::unordered_map<std::size_t, TrainState> train_state;
   };
 
-  static std::uint64_t hash_id(std::size_t id) noexcept {
-    return parallel::splitmix64(static_cast<std::uint64_t>(id));
-  }
-  Entry* probe(Shard& shard, std::size_t id) noexcept;
-  void rehash(Shard& shard, std::size_t capacity);
+  /// Gives device `id` a hot entry pinned on `base` and lists it for the
+  /// next broadcast() to rejoin. Device::detach and a born-detached insert;
+  /// concurrent chains attach disjoint devices.
+  DeviceHotEntry& attach_hot(std::size_t id, Snapshot base);
+  /// Returns the resident buffer and the at-rest delta block to the
+  /// freelists and retires the delta's byte accounting.
+  void release_pooled(std::size_t id, DeviceHotEntry& entry) noexcept;
+  /// Retires the at-rest delta's byte accounting (the encoded block is
+  /// kept for reuse by the next settle()).
+  void retire_delta(DeviceHotEntry& entry) noexcept;
+  /// Device `id`'s side-table entry, created when `create` is set;
+  /// nullptr when absent and not created. The pointer stays valid.
+  TrainState* train_state(std::size_t id, bool create);
 
   FleetConfig cfg_;
   std::size_t shard_mask_ = 0;
   // deque: Shard is immovable (mutex) and the count is fixed by configure.
   std::deque<Shard> shards_;
-  std::size_t size_ = 0;
   Snapshot block_;
   std::size_t detached_devices_ = 0;
-  // Dense id -> device fast path for the sequential-id layout the
-  // Simulation produces; entries are only added for ids that extend or fit
-  // the current range (sparse churned ids fall back to probing).
-  std::vector<Device*> dense_;
+
+  const data::Dataset* data_ = nullptr;
+  data::Partition partition_;
+
+  // The columns, indexed by device id.
+  std::vector<DeviceHotEntry*> hot_;  // null while following
+  std::vector<double> stat_utility_;  // valid iff kHasStatUtility
+  std::vector<std::uint8_t> flags_;
 
   std::unique_ptr<nn::Sequential> proto_model_;
   std::unique_ptr<optim::Optimizer> proto_optimizer_;

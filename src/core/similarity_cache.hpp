@@ -29,7 +29,8 @@ namespace middlefl::core {
 class SimilarityCache {
  public:
   /// Prepares entries for device ids [0, num_devices); existing entries
-  /// are preserved when growing.
+  /// are preserved when growing. Serial-only: store() never grows the
+  /// table, since it runs inside the parallel chains.
   void resize(std::size_t num_devices) { entries_.resize(num_devices); }
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -49,9 +50,10 @@ class SimilarityCache {
     return std::nullopt;
   }
 
+  /// Records a score; a no-op for ids past the sized range.
   void store(std::size_t device_id, std::uint64_t device_version,
-             std::uint64_t cloud_version, double value) {
-    if (device_id >= entries_.size()) entries_.resize(device_id + 1);
+             std::uint64_t cloud_version, double value) noexcept {
+    if (device_id >= entries_.size()) return;
     entries_[device_id] =
         Entry{device_version, cloud_version, value, /*valid=*/true};
   }

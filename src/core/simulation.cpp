@@ -125,16 +125,19 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
   const std::size_t num_devices = partition.num_devices();
   registry_.configure(cfg_.fleet);
   registry_.set_prototypes(*init_model, optimizer_prototype);
+  registry_.set_data(train, partition);
   registry_.broadcast(cloud_.snapshot());
   for (std::size_t m = 0; m < num_devices; ++m) {
-    // Every device starts following the common init block (no reference
-    // of its own); dense state materializes only around training.
-    registry_.insert(
-        Device(m, partition.view(train, m), cloud_.snapshot(), &registry_));
+    // Every device starts following the common init block: three cold
+    // column entries, no snapshot reference and no hot entry of its own.
+    registry_.insert(m, cloud_.snapshot());
   }
-  similarity_cache_.resize(num_devices);
+  // Only strategies that score candidate parameters read the cache.
+  if (algorithm_.selection->needs_params()) {
+    similarity_cache_.resize(num_devices);
+  }
 
-  // Per-device local-step budgets from the heterogeneity profile.
+  // The heterogeneity profile behind local_step_budget().
   if (!cfg_.device_speeds.empty() &&
       cfg_.device_speeds.size() != num_devices) {
     throw std::invalid_argument(
@@ -152,19 +155,6 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
         "Simulation: round_deadline must be finite and non-negative, got " +
         std::to_string(cfg_.round_deadline));
   }
-  steps_budget_.assign(num_devices, cfg_.local_steps);
-  if (cfg_.round_deadline > 0.0) {
-    for (std::size_t m = 0; m < num_devices; ++m) {
-      const double speed =
-          cfg_.device_speeds.empty() ? 1.0 : cfg_.device_speeds[m];
-      // Clamped in double: deadline * speed may exceed every size_t.
-      steps_budget_[m] = static_cast<std::size_t>(
-          std::min(static_cast<double>(cfg_.local_steps),
-                   std::floor(cfg_.round_deadline * speed)));
-    }
-  }
-  dropped_this_step_.assign(num_devices, 0);
-  download_lost_.assign(num_devices, 0);
 
   evaluator_ = std::make_unique<Evaluator>(
       init_model->clone(), data::DataView::all(test));
@@ -173,6 +163,16 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
   for (const transport::LinkKind kind : transport::kAllLinkKinds) {
     last_step_.links[slot(kind)].link = transport::to_string(kind);
   }
+}
+
+std::size_t Simulation::local_step_budget(std::size_t m) const {
+  if (cfg_.round_deadline <= 0.0) return cfg_.local_steps;
+  const double speed =
+      cfg_.device_speeds.empty() ? 1.0 : cfg_.device_speeds[m];
+  // Clamped in double: deadline * speed may exceed every size_t.
+  return static_cast<std::size_t>(
+      std::min(static_cast<double>(cfg_.local_steps),
+               std::floor(cfg_.round_deadline * speed)));
 }
 
 CommStats Simulation::comm_stats() const {
@@ -366,6 +366,7 @@ void Simulation::begin_step() {
     last_selection_.resize(edges_.size());
   }
   if (candidates_.size() != edges_.size()) candidates_.resize(edges_.size());
+  if (sits_out_.size() != edges_.size()) sits_out_.resize(edges_.size());
   if (traces_.size() != edges_.size()) traces_.resize(edges_.size());
   if (arrivals_.size() != edges_.size()) {
     arrivals_.resize(edges_.size());
@@ -461,7 +462,7 @@ void Simulation::select_edge(std::size_t n) {
   // aggregation).
   const bool want_params = algorithm_.selection->needs_params();
   membership_.for_each(n, [&](std::size_t m) {
-    const Device& device = registry_.at(m);
+    const Device device = registry_.at(m);
     candidates.push_back(Candidate{
         .device_id = m,
         .data_size = static_cast<double>(device.data_size()),
@@ -481,10 +482,13 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
   const Snapshot& edge_block = edge_snapshot_[n];
   const std::span<const float> edge_model = edge_block->span();
 
-  for (std::size_t m : last_selection_[n]) {
-    Device& device = registry_.at(m);
-    dropped_this_step_[m] = steps_budget_[m] == 0 ? 1 : 0;
-    download_lost_[m] = 0;
+  const std::vector<std::size_t>& selection = last_selection_[n];
+  std::vector<std::uint8_t>& sits_out = sits_out_[n];
+  sits_out.assign(selection.size(), 0);
+  for (std::size_t i = 0; i < selection.size(); ++i) {
+    const std::size_t m = selection[i];
+    Device device = registry_.at(m);
+    const bool straggler = local_step_budget(m) == 0;
     const std::size_t came_from = membership_.previous_edge(m);
     const bool moved = came_from != n;
 
@@ -504,14 +508,15 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
     if (wants_prev) {
       prev_dl = downlink.send(edge_snapshot_[came_from]->span(), ctx);
     }
-    if (dropped_this_step_[m]) {
+    if (straggler) {
       // Straggler: cannot finish a single local step before the deadline.
+      sits_out[i] = 1;
       ++trace.stragglers;
       continue;
     }
     if (!dl.delivered) {
       // Download lost in transit: the device sits the round out.
-      download_lost_[m] = 1;
+      sits_out[i] = 1;
       ++trace.lost_downloads;
       continue;
     }
@@ -551,7 +556,7 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
   }
 }
 
-bool Simulation::install_download(Device& device,
+bool Simulation::install_download(Device device,
                                   std::span<const float> payload,
                                   const Snapshot& source) {
   if (!payload.empty() && payload.data() == source->span().data()) {
@@ -566,15 +571,16 @@ void Simulation::train_edge(std::size_t n) {
   // One pooled runtime serves every device in this chain serially.
   // Acquired on first need so empty selections stay allocation-free.
   DeviceRuntime* runtime = nullptr;
-  for (std::size_t m : last_selection_[n]) {
-    if (dropped_this_step_[m] || download_lost_[m]) continue;
-    Device& device = registry_.at(m);
+  const std::vector<std::size_t>& selection = last_selection_[n];
+  for (std::size_t i = 0; i < selection.size(); ++i) {
+    if (sits_out_[n][i]) continue;
+    const std::size_t m = selection[i];
     if (runtime == nullptr) runtime = registry_.acquire_runtime();
     auto rng = streams_.stream(kTrainTag, m, t_);
-    device.train(steps_budget_[m], cfg_.batch_size, cfg_.lr_schedule(t_),
-                 cfg_.reset_optimizer_each_round, rng, cfg_.prox_mu,
-                 cfg_.clip_norm, runtime);
-    device.mark_trained(t_);
+    registry_.at(m).train(local_step_budget(m), cfg_.batch_size,
+                          cfg_.lr_schedule(t_),
+                          cfg_.reset_optimizer_each_round, rng, cfg_.prox_mu,
+                          cfg_.clip_norm, runtime);
   }
   if (runtime != nullptr) registry_.release_runtime(runtime);
 }
@@ -594,9 +600,12 @@ void Simulation::upload_edge(std::size_t n) {
       arrivals_[n].push_back(UploadArrival{a.payload, a.weight});
     }
   }
-  for (std::size_t m : last_selection_[n]) {
-    if (dropped_this_step_[m] || download_lost_[m]) continue;
-    const auto weight = static_cast<double>(registry_.at(m).data_size());
+  const std::vector<std::size_t>& selection = last_selection_[n];
+  for (std::size_t i = 0; i < selection.size(); ++i) {
+    if (sits_out_[n][i]) continue;
+    const std::size_t m = selection[i];
+    const Device device = registry_.at(m);
+    const auto weight = static_cast<double>(device.data_size());
     parallel::Xoshiro256 rng = streams_.stream(kUploadTag, m, t_);
     // A compressing uplink hands the edge a lossy reconstruction of the
     // device's update against this step's edge model.
@@ -606,7 +615,7 @@ void Simulation::upload_edge(std::size_t n) {
                                      .step = t_,
                                      .shard = n,
                                      .weight = weight};
-    const transport::Delivery up = uplink.send(registry_.at(m).params(), ctx);
+    const transport::Delivery up = uplink.send(device.params(), ctx);
     if (up.delivered) {
       arrivals_[n].push_back(UploadArrival{up.payload, weight});
     }
@@ -739,7 +748,7 @@ void Simulation::broadcast_devices() {
   // Each follower is pinned on its block before its push, so after the
   // loop every device holds its own model and a lost push keeps the old.
   for (std::size_t m = 0; m < registry_.size(); ++m) {
-    Device& device = registry_.at(m);
+    Device device = registry_.at(m);
     device.detach();
     parallel::Xoshiro256 rng = streams_.stream(kBroadcastTag, m, t_);
     const transport::Delivery push = link.send(
@@ -1043,12 +1052,12 @@ void Simulation::warm_start(std::span<const float> params) {
 
 double Simulation::current_edge_skew() const {
   const std::size_t classes =
-      registry_.at(0).data().base().num_classes();
+      registry_.data_view(0).base().num_classes();
   std::vector<std::vector<std::size_t>> histograms(
       edges_.size(), std::vector<std::size_t>(classes, 0));
   const auto& assignment = mobility_->assignment();
   for (std::size_t m = 0; m < registry_.size(); ++m) {
-    const auto device_hist = registry_.at(m).data().class_histogram();
+    const auto device_hist = registry_.data_view(m).class_histogram();
     auto& edge_hist = histograms[assignment[m]];
     for (std::size_t c = 0; c < classes; ++c) {
       edge_hist[c] += device_hist[c];

@@ -253,9 +253,10 @@ class Simulation {
   std::span<const float> edge_params(std::size_t n) const {
     return edges_.at(n).params();
   }
-  Device& device(std::size_t m) { return registry_.at(m); }
-  /// The sharded device registry: fleet accounting (materializations,
-  /// resident peaks, at-rest bytes) lives here.
+  /// A handle to device m (a registry pointer and the id).
+  Device device(std::size_t m) { return registry_.at(m); }
+  /// The device registry: fleet accounting (materializations, resident
+  /// peaks, at-rest bytes, hot entries) lives here.
   const DeviceRegistry& fleet() const noexcept { return registry_; }
   const std::vector<std::size_t>& assignment() const {
     return mobility_->assignment();
@@ -412,8 +413,11 @@ class Simulation {
   /// of its block (zero-copy sharing); installs a private copy otherwise.
   /// Returns true on the shared-adopt path — false means set_params ran
   /// and the device may now hold a resident buffer.
-  bool install_download(Device& device, std::span<const float> payload,
+  bool install_download(Device device, std::span<const float> payload,
                         const Snapshot& source);
+  /// Local steps device m completes within the round deadline:
+  /// min(I, floor(deadline * speed)), or I without a deadline.
+  std::size_t local_step_budget(std::size_t m) const;
 
   SimulationConfig cfg_;
   AlgorithmSpec algorithm_;
@@ -455,6 +459,9 @@ class Simulation {
   /// devices); consumed by the next begin_step.
   bool fleet_scan_needed_ = false;
   std::vector<std::vector<Candidate>> candidates_;
+  /// Per edge, parallel to last_selection_[n]: 1 when that selected device
+  /// sits the round out (a straggler or a lost download).
+  std::vector<std::vector<std::uint8_t>> sits_out_;
   std::vector<EdgeTrace> traces_;
   // Per-edge upload arrivals feeding EdgeAggregate: payload views into
   // device params, per-edge reconstruction arenas (compressed uploads), or
@@ -514,11 +521,6 @@ class Simulation {
   comm::CommCounters prev_comm_counters_;
   comm::AsyncStats prev_async_stats_;
   std::vector<float> server_velocity_;
-  std::vector<std::size_t> steps_budget_;  // per-device local-step budget
-  // One byte per device, NOT vector<bool>: flags are written concurrently
-  // from the parallel chains and bit-packed writes would race.
-  std::vector<std::uint8_t> dropped_this_step_;
-  std::vector<std::uint8_t> download_lost_;
   std::size_t straggler_drops_ = 0;
 };
 

@@ -118,7 +118,7 @@ std::vector<std::size_t> Dataset::indices_of_class(std::int32_t label) const {
 }
 
 DataView::DataView(const Dataset* base, std::vector<std::size_t> indices)
-    : base_(base), indices_(std::move(indices)) {
+    : base_(base), indices_(std::move(indices)), count_(indices_.size()) {
   if (base_ == nullptr) {
     throw std::invalid_argument("DataView: null base dataset");
   }
@@ -155,12 +155,21 @@ DataView DataView::window(const Dataset& base, std::size_t first,
   return view;
 }
 
+DataView DataView::borrow(const Dataset& base,
+                          std::span<const std::size_t> indices) {
+  DataView view;
+  view.base_ = &base;
+  view.borrowed_ = indices.data();
+  view.count_ = indices.size();
+  return view;
+}
+
 std::span<const std::size_t> DataView::indices() const {
   if (windowed_) {
     throw std::logic_error(
         "DataView::indices: window views have no index list");
   }
-  return indices_;
+  return {list(), count_};
 }
 
 Tensor DataView::gather(std::span<const std::size_t> positions) const {
@@ -215,14 +224,14 @@ void DataView::gather_labels_into(std::span<const std::size_t> positions,
 }
 
 Tensor DataView::all_features() const {
-  if (!windowed_) return base_->gather(indices_);
+  if (!windowed_) return base_->gather(indices());
   std::vector<std::size_t> base_indices(count_);
   for (std::size_t i = 0; i < count_; ++i) base_indices[i] = base_index(i);
   return base_->gather(base_indices);
 }
 
 std::vector<std::int32_t> DataView::all_labels() const {
-  if (!windowed_) return base_->gather_labels(indices_);
+  if (!windowed_) return base_->gather_labels(indices());
   std::vector<std::int32_t> out;
   out.reserve(count_);
   for (std::size_t i = 0; i < count_; ++i) {

@@ -64,8 +64,9 @@ class Dataset {
 /// Non-owning subset of a Dataset. The base must outlive the view.
 ///
 /// Two layouts share the interface:
-///   list    — an explicit index vector (the general federated partition;
-///             O(size) storage per view).
+///   list    — an explicit index list (the general federated partition),
+///             either owned by the view (O(size) storage per view) or
+///             borrowed from its owner (see borrow()).
 ///   window  — `count` consecutive samples starting at `first`, wrapping
 ///             around the end of the base (O(1) storage per view). This is
 ///             what lets a million-device fleet share one dataset without
@@ -81,20 +82,21 @@ class DataView {
   /// base.size(): positions revisit samples modulo the base.
   static DataView window(const Dataset& base, std::size_t first,
                          std::size_t count);
+  /// List view over `indices` without copying them: the list must outlive
+  /// the view, and its entries are not range-checked here (the owner
+  /// checks them once). The DeviceRegistry hands these out per call.
+  static DataView borrow(const Dataset& base,
+                         std::span<const std::size_t> indices);
 
-  bool empty() const noexcept {
-    return windowed_ ? count_ == 0 : indices_.empty();
-  }
-  std::size_t size() const noexcept {
-    return windowed_ ? count_ : indices_.size();
-  }
+  bool empty() const noexcept { return count_ == 0; }
+  std::size_t size() const noexcept { return count_; }
   const Dataset& base() const { return *base_; }
   /// The explicit index list; throws std::logic_error for window views
   /// (they have no materialized list — use base_index()).
   std::span<const std::size_t> indices() const;
   /// Base-dataset index behind view position `i`.
   std::size_t base_index(std::size_t i) const {
-    return windowed_ ? (first_ + i) % base_->size() : indices_[i];
+    return windowed_ ? (first_ + i) % base_->size() : list()[i];
   }
 
   std::span<const float> features(std::size_t i) const {
@@ -121,11 +123,17 @@ class DataView {
   std::vector<std::size_t> class_histogram() const;
 
  private:
+  /// The list layout's entries: borrowed_ when set, else the owned list.
+  const std::size_t* list() const noexcept {
+    return borrowed_ != nullptr ? borrowed_ : indices_.data();
+  }
+
   const Dataset* base_ = nullptr;
+  /// Owned list layout; empty for window and borrowed views.
   std::vector<std::size_t> indices_;
-  // Window layout (windowed_ set): indices_ stays empty.
-  std::size_t first_ = 0;
-  std::size_t count_ = 0;
+  const std::size_t* borrowed_ = nullptr;
+  std::size_t first_ = 0;  // window layout only
+  std::size_t count_ = 0;  // the view's size, every layout
   bool windowed_ = false;
 };
 

@@ -148,7 +148,7 @@ TEST(FedProx, ProxTermLimitsDrift) {
   const auto drift = [&bundle](double mu) {
     auto sim = bundle.make(Algorithm::kHierFavg);
     // Manually train one device with/without prox and measure |w - w0|.
-    auto& device = sim->device(0);
+    auto device = sim->device(0);
     const std::vector<float> start(device.params().begin(),
                                    device.params().end());
     middlefl::parallel::Xoshiro256 rng(5);

@@ -2,9 +2,12 @@
 
 #include <cmath>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "core/entities.hpp"
 #include "core/fleet.hpp"
+#include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "nn/model_factory.hpp"
 #include "optim/sgd.hpp"
@@ -17,15 +20,15 @@ using middlefl::core::DeviceRegistry;
 using middlefl::core::Edge;
 using middlefl::core::Snapshot;
 using middlefl::core::SnapshotStore;
-using middlefl::data::DataView;
 using middlefl::data::Dataset;
 using middlefl::nn::ModelArch;
 using middlefl::nn::ModelSpec;
 using middlefl::parallel::Xoshiro256;
 using middlefl::tensor::Shape;
 
-/// Registry-backed devices: a shared base snapshot and the pooled
-/// model/optimizer prototypes every device trains through.
+/// Registry-backed devices: a shared base snapshot, the pooled
+/// model/optimizer prototypes every device trains through, and a partition
+/// giving each of two devices the whole dataset.
 struct Fixture {
   Dataset dataset;
   ModelSpec spec;
@@ -42,6 +45,11 @@ struct Fixture {
         *model, middlefl::optim::Sgd(middlefl::optim::SgdConfig{
                     .learning_rate = 0.05, .momentum = 0.9}));
     base = SnapshotStore::global().publish(model->parameters());
+    std::vector<std::size_t> all(dataset.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    middlefl::data::Partition partition;
+    partition.device_indices.assign(2, all);
+    registry.set_data(dataset, std::move(partition));
   }
 
   static Dataset make_dataset() {
@@ -53,19 +61,20 @@ struct Fixture {
     return gen.generate(30, 0);
   }
 
-  Device make_device(std::size_t id) {
-    return Device(id, DataView::all(dataset), base, &registry);
-  }
+  /// Inserts device `id` (ids go 0, 1, ... in order) on `base`.
+  Device make_device(std::size_t id) { return registry.insert(id, base); }
 };
 
 TEST(Device, ConstructionValidation) {
   Fixture fx;
-  EXPECT_THROW(Device(0, DataView::all(fx.dataset), fx.base, nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(Device(0, DataView::all(fx.dataset), nullptr, &fx.registry),
-               std::invalid_argument);
-  EXPECT_THROW(Device(0, DataView(&fx.dataset, {}), fx.base, &fx.registry),
-               std::invalid_argument);
+  EXPECT_THROW(fx.registry.insert(0, nullptr), std::invalid_argument);
+  {
+    DeviceRegistry empty_data;
+    middlefl::data::Partition partition;
+    partition.device_indices.resize(1);
+    empty_data.set_data(fx.dataset, std::move(partition));
+    EXPECT_THROW(empty_data.insert(0, fx.base), std::invalid_argument);
+  }
   const Device device = fx.make_device(0);
   EXPECT_EQ(device.param_count(), fx.base->size());
   EXPECT_TRUE(device.shares_snapshot());
@@ -105,8 +114,6 @@ TEST(Device, StatUtilityPopulatedAfterTraining) {
   device.train(2, 8, 0.05, true, rng);
   ASSERT_TRUE(device.stat_utility().has_value());
   EXPECT_GT(*device.stat_utility(), 0.0);
-  device.clear_history();
-  EXPECT_FALSE(device.stat_utility().has_value());
 }
 
 TEST(Device, SetParamsRoundTrip) {
@@ -136,14 +143,6 @@ TEST(Device, TrainDeterministicGivenRngAndStart) {
   for (std::size_t i = 0; i < a.params().size(); ++i) {
     EXPECT_EQ(a.params()[i], b.params()[i]);
   }
-}
-
-TEST(Device, MarkTrainedTracksStep) {
-  Fixture fx;
-  Device device = fx.make_device(0);
-  EXPECT_FALSE(device.last_trained_step().has_value());
-  device.mark_trained(17);
-  EXPECT_EQ(device.last_trained_step().value(), 17u);
 }
 
 TEST(Device, OortUtilityMatchesFormula) {

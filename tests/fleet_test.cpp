@@ -1,7 +1,8 @@
 // Device state (core/fleet.hpp): at-rest codec round-trips, bitwise
 // equality of Device::train with a private-model oracle, whole-run fleet
-// accounting, DeviceRegistry invariants under id churn, and the registry
-// broadcast block against a per-device adopt oracle.
+// accounting, DeviceRegistry invariants, the registry broadcast block
+// against a per-device adopt oracle, and the column layout (hot entries
+// only for detached devices, training state that survives rejoins).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -205,14 +206,19 @@ struct TwinPair {
   OracleDevice oracle;
 };
 
+/// A registry whose device m holds the 40 samples from firsts[m] on (as an
+/// index list, wrapping), next to oracles viewing the same samples as a
+/// window.
 struct OracleFixture {
   middlefl::nn::ModelSpec spec;
   std::unique_ptr<middlefl::nn::Sequential> init;
   Snapshot base;
   DeviceRegistry registry;
+  std::vector<std::size_t> firsts;
 
-  explicit OracleFixture(const middlefl::optim::Optimizer& prototype,
-                         float dropout) {
+  OracleFixture(const middlefl::optim::Optimizer& prototype, float dropout,
+                std::vector<std::size_t> data_firsts)
+      : firsts(std::move(data_firsts)) {
     spec.arch = middlefl::nn::ModelArch::kMlp;
     spec.input_shape = middlefl::tensor::Shape{1, 6, 6};
     spec.num_classes = 4;
@@ -221,15 +227,23 @@ struct OracleFixture {
     init = middlefl::nn::build_model(spec, 11);
     base = SnapshotStore::global().publish(init->parameters());
     registry.set_prototypes(*init, prototype);
+    middlefl::data::Partition partition;
+    for (const std::size_t first : firsts) {
+      std::vector<std::size_t>& list = partition.device_indices.emplace_back();
+      for (std::size_t i = 0; i < 40; ++i) {
+        list.push_back((first + i) % shared_data().size());
+      }
+    }
+    registry.set_data(shared_data(), std::move(partition));
   }
 
-  TwinPair make_pair(std::size_t id, std::size_t first,
-                     const middlefl::optim::Optimizer& prototype) {
-    const auto view =
-        middlefl::data::DataView::window(shared_data(), first, 40);
-    return TwinPair{Device(id, view, base, &registry),
-                    OracleDevice{view, init->clone(), prototype.clone_config(),
-                                 {}}};
+  /// Inserts the next device (born detached on `base`) and its oracle.
+  TwinPair make_pair(const middlefl::optim::Optimizer& prototype) {
+    const std::size_t id = registry.size();
+    return TwinPair{registry.insert(id, base),
+                    OracleDevice{middlefl::data::DataView::window(
+                                     shared_data(), firsts.at(id), 40),
+                                 init->clone(), prototype.clone_config(), {}}};
   }
 };
 
@@ -252,10 +266,10 @@ TEST(LazyTrainingOracle, InterleavedSettledRoundsMatchPrivateModels) {
   // and restore around a round.
   const middlefl::optim::Sgd sgd(
       {.learning_rate = 0.05, .momentum = 0.9, .weight_decay = 1e-4});
-  OracleFixture fx(sgd, 0.25f);
+  OracleFixture fx(sgd, 0.25f, {0, 40});
   ASSERT_TRUE(fx.registry.model_has_dropout());
-  TwinPair a = fx.make_pair(3, 0, sgd);
-  TwinPair b = fx.make_pair(9, 40, sgd);
+  TwinPair a = fx.make_pair(sgd);
+  TwinPair b = fx.make_pair(sgd);
   constexpr double kProxMu = 0.05;
   constexpr double kClip = 0.5;
 
@@ -299,8 +313,8 @@ TEST(LazyTrainingOracle, AdoptAndResetRoundsMatchPrivateModels) {
   // round's state is not carried into later rounds — see Device::train —
   // so the reset round comes last, where the oracle agrees.)
   const middlefl::optim::Adam adam({.learning_rate = 0.01});
-  OracleFixture fx(adam, 0.0f);
-  TwinPair pair = fx.make_pair(1, 20, adam);
+  OracleFixture fx(adam, 0.0f, {20});
+  TwinPair pair = fx.make_pair(adam);
 
   for (std::size_t round = 0; round < 4; ++round) {
     if (round == 2) {
@@ -361,59 +375,13 @@ TEST(LazyFleet, FleetAccountingTracksSelection) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry invariants under churned ids
+// Registry invariants
 
-Device make_lazy(std::size_t id, const Snapshot& base,
-                 DeviceRegistry* registry) {
-  return Device(id, middlefl::data::DataView::window(shared_data(), 0, 8),
-                base, registry);
-}
-
-TEST(RegistryChurn, InsertEraseReinsertKeepsLookupsExact) {
-  DeviceRegistry registry;
-  registry.configure(FleetConfig{.shards = 4});
-  const std::vector<float> init(64, 0.25f);
-  const Snapshot base = SnapshotStore::global().publish(init);
-
-  // Sparse, shard-colliding ids well past the dense fast path, plus a few
-  // sequential ones.
-  std::vector<std::size_t> ids;
-  for (std::size_t i = 0; i < 64; ++i) ids.push_back(i);
-  for (std::size_t i = 0; i < 64; ++i) ids.push_back((i + 1) * 0x10000021);
-  for (const std::size_t id : ids) {
-    registry.insert(make_lazy(id, base, &registry));
-  }
-  EXPECT_EQ(registry.size(), ids.size());
-  EXPECT_THROW(registry.insert(make_lazy(ids[7], base, &registry)),
-               std::invalid_argument);
-
-  // Erase every third id, confirm the others still resolve.
-  std::size_t erased = 0;
-  for (std::size_t i = 0; i < ids.size(); i += 3) {
-    EXPECT_TRUE(registry.erase(ids[i]));
-    ++erased;
-  }
-  EXPECT_EQ(registry.size(), ids.size() - erased);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i % 3 == 0) {
-      EXPECT_EQ(registry.find(ids[i]), nullptr) << "id " << ids[i];
-      EXPECT_FALSE(registry.erase(ids[i]));
-    } else {
-      const Device* device = registry.find(ids[i]);
-      ASSERT_NE(device, nullptr) << "id " << ids[i];
-      EXPECT_EQ(device->id(), ids[i]);
-    }
-  }
-
-  // Reinsert over the tombstones: recycled slots must key correctly.
-  for (std::size_t i = 0; i < ids.size(); i += 3) {
-    registry.insert(make_lazy(ids[i], base, &registry));
-  }
-  EXPECT_EQ(registry.size(), ids.size());
-  for (const std::size_t id : ids) {
-    EXPECT_EQ(registry.at(id).id(), id);
-  }
-  EXPECT_THROW(registry.at(0xdeadbeefULL), std::out_of_range);
+/// Gives `registry` data for `devices` devices: 8-sample windows of the
+/// shared dataset.
+void give_data(DeviceRegistry& registry, std::size_t devices) {
+  registry.set_data(shared_data(), middlefl::data::partition_fleet_window(
+                                       shared_data(), devices, 8));
 }
 
 TEST(RegistryChurn, ShardAssignmentIsStableAndMasked) {
@@ -425,11 +393,13 @@ TEST(RegistryChurn, ShardAssignmentIsStableAndMasked) {
     EXPECT_LT(shard, registry.num_shards());
     EXPECT_EQ(shard, registry.shard_of(id));  // deterministic
   }
-  // configure() is construction-time only.
+  // configure() and set_data() are construction-time only.
   const std::vector<float> init(8, 0.0f);
   const Snapshot base = SnapshotStore::global().publish(init);
-  registry.insert(make_lazy(1, base, &registry));
+  give_data(registry, 2);
+  registry.insert(0, base);
   EXPECT_THROW(registry.configure(FleetConfig{}), std::logic_error);
+  EXPECT_THROW(give_data(registry, 2), std::logic_error);
 }
 
 TEST(RegistryChurn, ResidentFreelistRecyclesBuffers) {
@@ -437,7 +407,8 @@ TEST(RegistryChurn, ResidentFreelistRecyclesBuffers) {
   registry.configure(FleetConfig{});
   const std::vector<float> init(32, 1.0f);
   const Snapshot base = SnapshotStore::global().publish(init);
-  registry.insert(make_lazy(5, base, &registry));
+  give_data(registry, 6);
+  for (std::size_t id = 0; id <= 5; ++id) registry.insert(id, base);
 
   middlefl::tensor::Tensor a = registry.acquire_resident(5);
   EXPECT_EQ(registry.materializations(), 1u);
@@ -484,7 +455,7 @@ void oracle_broadcast(Simulation& sim, const CompressionConfig& compression) {
                 .reconstruction;
   }
   for (std::size_t m = 0; m < sim.num_devices(); ++m) {
-    Device& device = sim.device(m);
+    Device device = sim.device(m);
     if (recon.empty()) {
       device.adopt(global);
     } else {
@@ -496,7 +467,7 @@ void oracle_broadcast(Simulation& sim, const CompressionConfig& compression) {
 
 /// Reads a device's parameters without leaving it resident (a settled
 /// device decodes into a pooled buffer; settle() hands it back unchanged).
-std::vector<float> read_params(Device& device) {
+std::vector<float> read_params(Device device) {
   std::vector<float> params(device.params().begin(), device.params().end());
   device.settle();
   return params;
@@ -559,7 +530,7 @@ void run_against_adopt_oracle(SimBundle bundle,
       EXPECT_EQ(fast->transport().stats(LinkKind::kBroadcast).transfers,
                 before.transfers);
       for (std::size_t m = 0; m < n; ++m) {
-        const Device& device = fast->device(m);
+        const Device device = fast->device(m);
         EXPECT_EQ(device.params().data(), fast->cloud_params().data());
         EXPECT_EQ(device.params_version(),
                   fast->cloud_snapshot()->version());
@@ -682,7 +653,7 @@ TEST(FleetBroadcast, LostPushesKeepTheOldGlobal) {
                                            sim->cloud_params().end());
     std::size_t lost = 0;
     for (std::size_t m = 0; m < sim->num_devices(); ++m) {
-      Device& device = sim->device(m);
+      const Device device = sim->device(m);
       const std::vector<float> now = read_params(device);
       if (device.params_version() == global) {
         EXPECT_EQ(now, global_params) << "device " << m;
@@ -736,10 +707,11 @@ TEST(FleetBroadcast, DetachedCountIsDevicesWrittenSinceLastSync) {
 TEST(FleetBroadcast, ErasedWhileDetachedIsSkipped) {
   DeviceRegistry registry;
   registry.configure(FleetConfig{.shards = 4});
+  give_data(registry, 11);
   const Snapshot b0 = SnapshotStore::global().publish(ramp(32, 1.0f));
   registry.broadcast(b0);
   for (std::size_t id = 0; id < 10; ++id) {
-    EXPECT_TRUE(registry.insert(make_lazy(id, b0, &registry)).following());
+    EXPECT_TRUE(registry.insert(id, b0).following());
   }
   // Three kinds of write: a resident private copy, a settled one, and an
   // adopt of another block.
@@ -750,14 +722,13 @@ TEST(FleetBroadcast, ErasedWhileDetachedIsSkipped) {
   for (const std::size_t id : {2, 5, 7}) {
     EXPECT_FALSE(registry.at(id).following()) << "id " << id;
   }
-  EXPECT_TRUE(registry.erase(5));
+  EXPECT_EQ(registry.hot_entries(), 3u);
 
   const Snapshot b1 = SnapshotStore::global().publish(ramp(32, 5.0f));
   registry.broadcast(b1);
-  EXPECT_EQ(registry.detached_devices(), 2u);  // 2 and 7; 5 is gone
+  EXPECT_EQ(registry.detached_devices(), 3u);
   for (std::size_t id = 0; id < 10; ++id) {
-    if (id == 5) continue;
-    const Device& device = registry.at(id);
+    const Device device = registry.at(id);
     EXPECT_TRUE(device.following()) << "id " << id;
     EXPECT_EQ(device.params().data(), b1->span().data()) << "id " << id;
     EXPECT_EQ(device.params_version(), b1->version()) << "id " << id;
@@ -765,12 +736,164 @@ TEST(FleetBroadcast, ErasedWhileDetachedIsSkipped) {
   EXPECT_EQ(registry.resident_devices(), 0u);
   EXPECT_EQ(registry.delta_bytes_at_rest(), 0u);
 
-  // Re-inserted on another block, the id is detached from birth.
-  EXPECT_FALSE(registry.insert(make_lazy(5, b0, &registry)).following());
+  // Inserted on another block, a device is detached from birth.
+  EXPECT_FALSE(registry.insert(10, b0).following());
   registry.broadcast(b0);
   EXPECT_EQ(registry.detached_devices(), 1u);
-  EXPECT_EQ(registry.at(5).params().data(), b0->span().data());
+  EXPECT_EQ(registry.at(10).params().data(), b0->span().data());
   EXPECT_THROW(registry.broadcast(nullptr), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// FleetColumns: cold devices are column entries; only detached devices hold
+// a hot entry, and training state survives the rejoin that returns it.
+
+TEST(FleetColumns, TrainingStateSurvivesRejoin) {
+  // The dropout cursor and the carried momentum slots live in the side
+  // table, not in the hot entry: a broadcast that rejoins the device and
+  // returns its entry must leave the next round bitwise equal to a
+  // private model that simply loaded the new block.
+  const middlefl::optim::Sgd sgd({.learning_rate = 0.05, .momentum = 0.9});
+  OracleFixture fx(sgd, 0.25f, {0});
+  TwinPair pair = fx.make_pair(sgd);
+  const Device& device = pair.device;
+
+  for (std::size_t round = 0; round < 3; ++round) {
+    if (round > 0) {
+      std::vector<float> global(device.params().begin(),
+                                device.params().end());
+      for (float& w : global) w *= 0.75f;
+      const Snapshot block = SnapshotStore::global().publish(global);
+      fx.registry.broadcast(block);
+      EXPECT_TRUE(device.following());
+      EXPECT_EQ(fx.registry.hot_entries(), 0u);
+      EXPECT_EQ(device.params().data(), block->span().data());
+      pair.oracle.model->set_parameters(global);
+    }
+    Xoshiro256 rng_device(31 + round);
+    Xoshiro256 rng_oracle(31 + round);
+    const auto got = pair.device.train(3, 8, 0.05, /*reset_optimizer=*/false,
+                                       rng_device, 0.0, 0.0);
+    const auto want = pair.oracle.train(3, 8, 0.05, false, rng_oracle, 0.0,
+                                        0.0);
+    expect_twins_equal(pair, got, want, round);
+    EXPECT_EQ(fx.registry.hot_entries(), 1u);
+    pair.device.settle();
+  }
+}
+
+TEST(FleetColumns, LosslessBroadcastReturnsEveryHotEntry) {
+  // The per-device loop of a lossy broadcast: every device detaches, and
+  // some install private copies (resident or settled) before the next
+  // lossless broadcast returns all of it.
+  constexpr std::size_t kDevices = 40;
+  DeviceRegistry registry;
+  registry.configure(FleetConfig{.shards = 4});
+  give_data(registry, kDevices);
+  const Snapshot b0 = SnapshotStore::global().publish(ramp(32, 1.0f));
+  registry.broadcast(b0);
+  for (std::size_t id = 0; id < kDevices; ++id) registry.insert(id, b0);
+  EXPECT_EQ(registry.hot_entries(), 0u);
+
+  for (std::size_t id = 0; id < kDevices; ++id) {
+    Device device = registry.at(id);
+    device.detach();
+    if (id % 3 != 0) device.set_params(ramp(32, 0.5f + id));
+    if (id % 3 == 1) device.settle();
+  }
+  EXPECT_EQ(registry.hot_entries(), kDevices);
+  EXPECT_GT(registry.resident_devices(), 0u);
+  EXPECT_GT(registry.delta_bytes_at_rest(), 0u);
+
+  const Snapshot b1 = SnapshotStore::global().publish(ramp(32, 2.0f));
+  registry.broadcast(b1);
+  EXPECT_EQ(registry.detached_devices(), kDevices);
+  EXPECT_EQ(registry.hot_entries(), 0u);
+  EXPECT_EQ(registry.resident_devices(), 0u);
+  EXPECT_EQ(registry.delta_bytes_at_rest(), 0u);
+}
+
+TEST(FleetColumns, LossyBroadcastThenWarmStartReturnsEveryHotEntry) {
+  // A lossy, compressed device broadcast pins every device in a hot entry
+  // (delivered pushes install private copies, lost ones keep the old
+  // model); warm_start is a lossless broadcast and returns them all.
+  SimBundle bundle = broadcast_bundle();
+  bundle.cfg.transport.broadcast.loss_prob = 0.3;
+  bundle.cfg.transport.broadcast.compression.kind = CompressionKind::kQuant8;
+  auto sim = bundle.make(middlefl::core::Algorithm::kMiddle);
+  const std::size_t n = sim->num_devices();
+  while (!sim->step()) {
+  }
+  EXPECT_EQ(sim->fleet().hot_entries(), n);
+  EXPECT_GT(sim->fleet().resident_devices(), 0u);
+
+  const std::vector<float> restart(sim->cloud_params().begin(),
+                                   sim->cloud_params().end());
+  sim->warm_start(restart);
+  EXPECT_EQ(sim->fleet().detached_devices(), n);
+  EXPECT_EQ(sim->fleet().hot_entries(), 0u);
+  EXPECT_EQ(sim->fleet().resident_devices(), 0u);
+  EXPECT_EQ(sim->fleet().delta_bytes_at_rest(), 0u);
+}
+
+TEST(FleetColumns, InsertRejectsDuplicateAndOutOfOrderIds) {
+  DeviceRegistry registry;
+  give_data(registry, 3);
+  const Snapshot base = SnapshotStore::global().publish(ramp(32, 1.0f));
+  EXPECT_THROW(registry.insert(1, base), std::invalid_argument);
+  EXPECT_EQ(registry.insert(0, base).id(), 0u);
+  EXPECT_THROW(registry.insert(0, base), std::invalid_argument);
+  EXPECT_THROW(registry.insert(2, base), std::invalid_argument);
+  EXPECT_THROW(registry.insert(1, nullptr), std::invalid_argument);
+  EXPECT_EQ(registry.size(), 1u);
+  registry.insert(1, base);
+  registry.insert(2, base);
+  // Past the partition: no data for the id.
+  EXPECT_THROW(registry.insert(3, base), std::invalid_argument);
+  EXPECT_EQ(registry.size(), 3u);
+  EXPECT_EQ(registry.at(2).id(), 2u);
+  EXPECT_THROW(registry.at(3), std::out_of_range);
+}
+
+TEST(FleetColumns, ColdFleetHoldsNoHotEntries) {
+  // 200k devices: construction leaves every device a follower (no hot
+  // entry, no similarity-cache row for an id-only strategy), and one step
+  // detaches at most the K * E devices it selected — from concurrent
+  // chains on a two-worker pool.
+  constexpr std::size_t kDevices = 200'000;
+  constexpr std::size_t kEdges = 8;
+  constexpr std::size_t kSelect = 4;
+  const middlefl::data::Dataset train = SimBundle::make_data(4, 60, 0);
+  const middlefl::data::Dataset test = SimBundle::make_data(4, 25, 1);
+  middlefl::nn::ModelSpec spec;
+  spec.arch = middlefl::nn::ModelArch::kMlp;
+  spec.input_shape = middlefl::tensor::Shape{1, 6, 6};
+  spec.num_classes = 4;
+  spec.hidden = 16;
+  middlefl::core::SimulationConfig cfg;
+  cfg.select_per_edge = kSelect;
+  cfg.local_steps = 2;
+  cfg.batch_size = 8;
+  cfg.eval_edges = false;
+  middlefl::parallel::ThreadPool pool(2);
+  cfg.parallel_devices = true;
+  cfg.pool = &pool;
+  auto mobility = std::make_unique<middlefl::mobility::MarkovMobility>(
+      middlefl::data::assign_edges_uniform(kDevices, kEdges, 3), kEdges, 0.1,
+      14);
+  const middlefl::optim::Sgd sgd({.learning_rate = 0.05, .momentum = 0.9});
+  Simulation sim(cfg, spec, sgd, train,
+                 middlefl::data::partition_fleet_window(train, kDevices, 16),
+                 test, std::move(mobility),
+                 middlefl::core::make_algorithm(
+                     middlefl::core::Algorithm::kFedMes));
+  EXPECT_EQ(sim.num_devices(), kDevices);
+  EXPECT_EQ(sim.fleet().hot_entries(), 0u);
+  EXPECT_EQ(sim.similarity_cache().size(), 0u);
+
+  sim.step();
+  EXPECT_GT(sim.fleet().hot_entries(), 0u);
+  EXPECT_LE(sim.fleet().hot_entries(), kSelect * kEdges);
 }
 
 }  // namespace

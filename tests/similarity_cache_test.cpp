@@ -88,7 +88,7 @@ TEST(SimilarityCache, ClearAndOutOfRange) {
 TEST(SimilarityCache, DeviceMutationsBumpVersion) {
   SimBundle bundle;
   auto sim = bundle.make(Algorithm::kMiddle);
-  auto& dev = sim->device(0);
+  auto dev = sim->device(0);
   const auto v0 = dev.params_version();
   const std::vector<float> params(dev.params().begin(), dev.params().end());
   dev.set_params(params);
