@@ -503,6 +503,11 @@ std::string protocol_json(std::size_t pool_threads,
   return os.str();
 }
 
+Spread spread_of(const std::vector<double>& values) {
+  return Spread{util::quantile(values, 0.5), util::quantile(values, 0.25),
+                util::quantile(values, 0.75)};
+}
+
 std::size_t peak_rss_bytes() {
   const std::size_t hwm = proc_status_kb("VmHWM");
   if (hwm > 0) return hwm * 1024;

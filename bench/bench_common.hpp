@@ -245,6 +245,16 @@ std::string protocol_json(std::size_t pool_threads,
                           const std::vector<ProtocolField>& run,
                           const std::string& indent);
 
+/// Median and quartiles of repeated measurements (the per-window rates of
+/// fleet_scale and step_throughput).
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+/// Linear-interpolated quartiles; `values` must be non-empty.
+Spread spread_of(const std::vector<double>& values);
+
 /// Peak resident set size (VmHWM) of this process in bytes, read from
 /// /proc/self/status; falls back to current RSS, and 0 where neither is
 /// available (non-Linux). The memory-footprint figure of merit for the

@@ -34,24 +34,12 @@
 #include "core/algorithms.hpp"
 #include "obs/metrics_registry.hpp"
 #include "parallel/thread_pool.hpp"
-#include "util/stats.hpp"
 
 namespace {
 
 using middlefl::bench::BenchOptions;
-
-/// Median and quartiles of the per-window rates.
-struct Spread {
-  double median = 0.0;
-  double q1 = 0.0;
-  double q3 = 0.0;
-};
-
-Spread spread_of(const std::vector<double>& values) {
-  using middlefl::util::quantile;
-  return Spread{quantile(values, 0.5), quantile(values, 0.25),
-                quantile(values, 0.75)};
-}
+using middlefl::bench::Spread;
+using middlefl::bench::spread_of;
 
 struct FleetMeasurement {
   std::size_t devices = 0;

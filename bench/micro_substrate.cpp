@@ -1,20 +1,28 @@
 // Substrate micro-benchmarks (google-benchmark): the kernels that dominate
 // simulation wall-clock — GEMM, conv lowering and forward/backward, full
 // local SGD steps, flat-vector aggregation and similarity, minibatch
-// gathering, and thread-pool dispatch.
+// gathering, and thread-pool dispatch. The CNN-2 roofline pair:
+// BM_Cnn2Layer times each paper CNN-2 layer's forward and backward,
+// BM_GemmShape each GEMM shape those layers call, both in GFLOP/s.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/aggregation.hpp"
 #include "core/similarity.hpp"
 #include "data/sampler.hpp"
 #include "data/synthetic.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/model_factory.hpp"
+#include "nn/pooling.hpp"
 #include "optim/sgd.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/rng.hpp"
@@ -154,31 +162,175 @@ void BM_GemmDispatchIsa(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmDispatchIsa)->Arg(0)->Arg(1)->Arg(2);
 
-/// The small-NT kernel at its two CNN-2 training shapes (paper scale,
-/// batch 16): Arg 0 is conv1's per-sample weight gradient (m x n x k =
-/// 8 x 9 x 256, beta 1), Arg 1 the logits forward (16 x 10 x 64).
-void BM_GemmSmallNt(benchmark::State& state) {
-  const bool logits = state.range(0) != 0;
-  const std::size_t m = logits ? 16 : 8;
-  const std::size_t n = logits ? 10 : 9;
-  const std::size_t k = logits ? 64 : 256;
-  const float beta = logits ? 0.0f : 1.0f;
-  const auto a = random_vec(m * k, 12);
-  const auto b = random_vec(n * k, 13);
-  std::vector<float> c(m * n, 0.0f);
+/// One GEMM call shape the paper CNN-2 runs in a batch-16 SGD step.
+struct GemmShape {
+  const char* label;  // layer.operand: trans_a trans_b m x n x k
+  tensor::Trans trans_a;
+  tensor::Trans trans_b;
+  std::size_t m, n, k;
+  float beta;
+};
+
+// Conv GEMMs run once per sample (16 per step), the Linear ones once per
+// step. conv1 gets no input gradient (first layer with parameters); NT
+// calls with n or k below 16 take the small-NT kernel.
+constexpr tensor::Trans kN = tensor::Trans::kNo;
+constexpr tensor::Trans kT = tensor::Trans::kYes;
+const GemmShape kCnn2GemmShapes[] = {
+    {"conv1.fwd NN 8x256x9", kN, kN, 8, 256, 9, 0.0f},
+    {"conv1.dW NT 8x9x256", kN, kT, 8, 9, 256, 1.0f},
+    {"conv2.fwd NN 16x64x72", kN, kN, 16, 64, 72, 0.0f},
+    {"conv2.dW NT 16x72x64", kN, kT, 16, 72, 64, 1.0f},
+    {"conv2.dX TN 72x64x16", kT, kN, 72, 64, 16, 0.0f},
+    {"fc1.fwd NT 16x64x256", kN, kT, 16, 64, 256, 0.0f},
+    {"fc1.dW TN 64x256x16", kT, kN, 64, 256, 16, 1.0f},
+    {"fc1.dX NN 16x256x64", kN, kN, 16, 256, 64, 0.0f},
+    {"fc2.fwd NT 16x10x64", kN, kT, 16, 10, 64, 0.0f},
+    {"fc2.dW TN 10x64x16", kT, kN, 10, 64, 16, 1.0f},
+    {"fc2.dX NN 16x64x10", kN, kN, 16, 64, 10, 0.0f},
+};
+
+/// The peak each CNN-2 layer's GEMM reaches on its own: one call of a
+/// kCnn2GemmShapes entry per iteration, FLOPs (2mnk) as items, so the
+/// items rate is GFLOP/s to set beside BM_Cnn2Layer's.
+void BM_GemmShape(benchmark::State& state) {
+  const GemmShape& s = kCnn2GemmShapes[state.range(0)];
+  const auto a = random_vec(s.m * s.k, 12);
+  const auto b = random_vec(s.k * s.n, 13);
+  std::vector<float> c(s.m * s.n, 0.0f);
   for (auto _ : state) {
-    tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, m, n, k, 1.0f, a, b,
-                 beta, c);
+    tensor::gemm(s.trans_a, s.trans_b, s.m, s.n, s.k, 1.0f, a, b, s.beta, c);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
-                          m * n * k);
-  state.SetLabel(logits ? "16x10x64" : "8x9x256");
+                          static_cast<std::int64_t>(s.m * s.n * s.k));
+  state.SetLabel(s.label);
 }
-BENCHMARK(BM_GemmSmallNt)->Arg(0)->Arg(1);
+BENCHMARK(BM_GemmShape)
+    ->DenseRange(0, static_cast<int>(std::size(kCnn2GemmShapes)) - 1);
 
-/// Conv2d's row-run im2col for one sample at CNN-2's two paper-scale
+/// The paper's CNN-2 (§6.1.2 MNIST: 1 x 16 x 16 input, 8 base channels,
+/// hidden 64, 10 classes) at batch 16 as standalone layers, every layer's
+/// input and output gradient prepared, so one layer's forward or backward
+/// can be timed alone. Conv and Linear layers run with the following ReLU
+/// fused and conv1 gets no input gradient, as in Sequential; the ReLU
+/// backward passes (a mask multiply each) are left out.
+class Cnn2Layers {
+ public:
+  static constexpr std::size_t kBatch = 16;
+  static constexpr std::size_t kLayers = 6;
+
+  Cnn2Layers() {
+    nn::Layer* layers[kLayers] = {&conv1_, &pool1_, &conv2_,
+                                  &pool2_, &fc1_,   &fc2_};
+    tensor::Shape shape{1, 16, 16};
+    std::size_t total = 0;
+    for (nn::Layer* layer : layers) {
+      shape = layer->build(shape);
+      total += layer->param_count();
+    }
+    params_.resize(total);
+    grads_.resize(total);
+    parallel::Xoshiro256 rng(15);
+    std::size_t offset = 0;
+    for (nn::Layer* layer : layers) {
+      const std::size_t count = layer->param_count();
+      layer->bind(std::span<float>(params_).subspan(offset, count),
+                  std::span<float>(grads_).subspan(offset, count));
+      layer->init_params(rng);
+      offset += count;
+    }
+    act_[0] = tensor::Tensor::randn(tensor::Shape{kBatch, 1, 16, 16}, rng);
+    for (std::size_t i = 0; i < kLayers; ++i) {
+      forward(i);
+      grad_[i] = tensor::Tensor::randn(act_[i + 1].shape(), rng, 0.01f);
+    }
+  }
+
+  /// Layer i's name and per-step FLOPs (multiply-adds count two; pooling
+  /// counts one per compare forward and one per routed add backward).
+  static const char* name(std::size_t i) {
+    static const char* const kNames[kLayers] = {"conv1", "pool1", "conv2",
+                                                "pool2", "fc1",   "fc2"};
+    return kNames[i];
+  }
+  static double flops(std::size_t i, bool backward) {
+    // conv: 2 * batch * out_ch * (in_ch * 9) * out_positions per GEMM.
+    const double conv1 = 2.0 * kBatch * 8 * 9 * 256;
+    const double conv2 = 2.0 * kBatch * 16 * 72 * 64;
+    const double fc1 = 2.0 * kBatch * 256 * 64;
+    const double fc2 = 2.0 * kBatch * 64 * 10;
+    const double pool1 = kBatch * 8 * 64;
+    const double pool2 = kBatch * 16 * 16;
+    const double fwd[kLayers] = {conv1, 4 * pool1, conv2, 4 * pool2, fc1, fc2};
+    // Backward: dW (+ dX after the first layer); pooling routes each output.
+    const double bwd[kLayers] = {conv1, pool1, 2 * conv2, pool2, 2 * fc1,
+                                 2 * fc2};
+    return backward ? bwd[i] : fwd[i];
+  }
+
+  void forward(std::size_t i) {
+    switch (i) {
+      case 0: conv1_.forward_fused(act_[0], act_[1], true, relu1_); break;
+      case 1: pool1_.forward(act_[1], act_[2], true); break;
+      case 2: conv2_.forward_fused(act_[2], act_[3], true, relu2_); break;
+      case 3: pool2_.forward(act_[3], act_[4], true); break;
+      case 4: fc1_.forward_fused(act_[4], act_[5], true, relu3_); break;
+      default: fc2_.forward(act_[5], act_[6], true); break;
+    }
+  }
+  void backward(std::size_t i) {
+    nn::Layer* layers[kLayers] = {&conv1_, &pool1_, &conv2_,
+                                  &pool2_, &fc1_,   &fc2_};
+    layers[i]->backward(act_[i], grad_[i], i == 0 ? nullptr : &grad_in_);
+  }
+  const float* output(std::size_t i) const { return act_[i + 1].data().data(); }
+  const float* gradients() const { return grads_.data(); }
+
+ private:
+  nn::Conv2d conv1_{{.in_channels = 1, .out_channels = 8, .kernel = 3,
+                     .stride = 1, .padding = 1}};
+  nn::Conv2d conv2_{{.in_channels = 8, .out_channels = 16, .kernel = 3,
+                     .stride = 1, .padding = 1}};
+  nn::MaxPool2d pool1_{2};
+  nn::MaxPool2d pool2_{2};
+  nn::Linear fc1_{256, 64};
+  nn::Linear fc2_{64, 10};
+  nn::ReLU relu1_, relu2_, relu3_;
+  std::vector<float> params_, grads_;
+  tensor::Tensor act_[kLayers + 1];  // act_[i] is layer i's input
+  tensor::Tensor grad_[kLayers];     // d(loss)/d(layer i's output)
+  tensor::Tensor grad_in_;
+};
+
+/// One CNN-2 layer's forward (even args) or backward (odd args) at batch
+/// 16, FLOPs as items: the per-layer GFLOP/s to set beside BM_GemmShape's
+/// peaks. Arg 2i / 2i+1 is layer i: conv1, pool1, conv2, pool2, fc1, fc2.
+void BM_Cnn2Layer(benchmark::State& state) {
+  const auto layer = static_cast<std::size_t>(state.range(0)) / 2;
+  const bool backward = state.range(0) % 2 != 0;
+  Cnn2Layers model;
+  for (auto _ : state) {
+    if (backward) {
+      model.backward(layer);
+      benchmark::DoNotOptimize(model.gradients());
+    } else {
+      model.forward(layer);
+      benchmark::DoNotOptimize(model.output(layer));
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      static_cast<double>(state.iterations()) *
+      Cnn2Layers::flops(layer, backward)));
+  state.SetLabel(std::string(Cnn2Layers::name(layer)) +
+                 (backward ? ".bwd" : ".fwd"));
+}
+BENCHMARK(BM_Cnn2Layer)
+    ->DenseRange(0, 2 * static_cast<int>(Cnn2Layers::kLayers) - 1);
+
+/// Conv2d's bordered im2col for one sample at CNN-2's two paper-scale
 /// layers: Arg 0 is conv1 (1 -> 8 channels, 16 x 16), Arg 1 conv2 (8 -> 16
 /// channels, 8 x 8); both 3 x 3, stride 1, padding 1.
 void BM_Conv2dIm2col(benchmark::State& state) {
@@ -342,12 +494,20 @@ void BM_WeightedAverageParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightedAverageParallel)->Arg(5)->Arg(10)->Arg(50);
 
-void BM_ModelForward(benchmark::State& state) {
+/// Arg 0: the Fig-6 fast-scale MLP2 stand-in (hidden 48). Arg 1: the
+/// paper's CNN-2 (hidden 64, base 8 channels), as `paper_cnn` trains it.
+nn::ModelSpec bench_model_spec(bool cnn) {
   nn::ModelSpec spec;
-  spec.arch = state.range(0) == 0 ? nn::ModelArch::kMlp2 : nn::ModelArch::kCnn2;
+  spec.arch = cnn ? nn::ModelArch::kCnn2 : nn::ModelArch::kMlp2;
   spec.input_shape = tensor::Shape{1, 16, 16};
   spec.num_classes = 10;
-  spec.hidden = 48;
+  spec.hidden = cnn ? 64 : 48;
+  spec.base_channels = 8;
+  return spec;
+}
+
+void BM_ModelForward(benchmark::State& state) {
+  const nn::ModelSpec spec = bench_model_spec(state.range(0) != 0);
   auto model = nn::build_model(spec, 1);
   parallel::Xoshiro256 rng(2);
   const auto batch = tensor::Tensor::randn(tensor::Shape{16, 1, 16, 16}, rng);
@@ -360,23 +520,29 @@ BENCHMARK(BM_ModelForward)->Arg(0)->Arg(1);
 
 void BM_LocalSgdStep(benchmark::State& state) {
   // One full forward+backward+update on a batch — the simulator's inner
-  // loop body.
-  nn::ModelSpec spec;
-  spec.arch = state.range(0) == 0 ? nn::ModelArch::kMlp2 : nn::ModelArch::kCnn2;
-  spec.input_shape = tensor::Shape{1, 16, 16};
-  spec.num_classes = 10;
-  spec.hidden = 48;
+  // loop body. Parameters and optimizer state go back to their start every
+  // I = 10 steps, as a device round restarts from the model it was sent,
+  // so the weights stay in the range training sees.
+  const nn::ModelSpec spec = bench_model_spec(state.range(0) != 0);
   auto model = nn::build_model(spec, 1);
+  const std::vector<float> start(model->parameters().begin(),
+                                 model->parameters().end());
   optim::Sgd sgd({.learning_rate = 0.01, .momentum = 0.9});
   parallel::Xoshiro256 rng(3);
   const auto batch = tensor::Tensor::randn(tensor::Shape{16, 1, 16, 16}, rng);
   std::vector<std::int32_t> labels(16);
   for (auto& l : labels) l = static_cast<std::int32_t>(rng.bounded(10));
+  tensor::Tensor grad_logits;
+  std::size_t step = 0;
   for (auto _ : state) {
+    if (step++ % 10 == 0) {
+      model->set_parameters(start);
+      sgd.reset();
+    }
     const auto& logits = model->forward(batch, true);
-    auto loss = nn::softmax_cross_entropy(logits, labels);
+    nn::softmax_cross_entropy_into(logits, labels, grad_logits);
     model->zero_grad();
-    model->backward(loss.grad_logits);
+    model->backward(grad_logits);
     sgd.step(model->parameters(), model->gradients());
     benchmark::DoNotOptimize(model->parameters().data());
   }

@@ -1,8 +1,12 @@
 // End-to-end step-loop throughput: steps/sec of Simulation::step() on the
-// Fig-6 fast-scale configuration (no evaluations, pure training loop).
+// Fig-6 configuration (fast scale by default, §6.1.2's CNN-2 scale with
+// --paper; no evaluations, pure training loop).
 //
 // This is the number the hot-path work optimizes — selection scoring, local
-// SGD, edge aggregation and snapshot upkeep all sit inside one step. The
+// SGD, edge aggregation and snapshot upkeep all sit inside one step. After
+// --warmup steps, every measurement times --repeats consecutive windows
+// (default 3) of --steps steps each on one simulation and reports the
+// median and interquartile range of the per-window steps/sec. The
 // result is emitted as JSON (default BENCH_step_throughput.json), opening
 // with the shared protocol header (bench::protocol_json), so the perf
 // trajectory is tracked across PRs. Besides the main measurement on
@@ -36,18 +40,22 @@ struct Measurement {
   /// Every requested sweep size that clamped to this pool size.
   std::vector<std::size_t> threads_requested;
   bool oversubscribed = false;
-  double seconds = 0.0;
-  double steps_per_sec = 0.0;
+  double seconds = 0.0;  // all timed windows
+  /// Steps/sec of each timed window, in run order, and their spread.
+  std::vector<double> window_steps_per_sec;
+  bench::Spread steps_per_sec;
   /// Whole-run comm/transport/dropout/fleet accounting (captured while the
   /// simulation is alive; emitted for the main measurement only).
   bench::SimRunSummary summary;
 };
 
-/// Runs warmup + timed steps of a fresh simulation on `pool` (nullptr =
-/// fully serial) and returns the timing.
+/// Runs warmup steps, then `windows` timed windows of `timed_steps` steps,
+/// of a fresh simulation on `pool` (nullptr = fully serial) and returns the
+/// timing.
 Measurement measure(const bench::TaskSetup& setup, core::Algorithm algorithm,
                     const BenchOptions& options, std::size_t warmup_steps,
-                    std::size_t timed_steps, parallel::ThreadPool* pool,
+                    std::size_t timed_steps, std::size_t windows,
+                    parallel::ThreadPool* pool,
                     bench::ObsSession* obs = nullptr) {
   bench::TaskSetup run_setup{setup.kind,
                              setup.train,
@@ -64,22 +72,46 @@ Measurement measure(const bench::TaskSetup& setup, core::Algorithm algorithm,
   auto sim = bench::make_simulation(run_setup, algorithm, options);
   if (obs != nullptr) obs->attach(*sim);
 
+  Measurement m;
   for (std::size_t s = 0; s < warmup_steps; ++s) sim->step();
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t s = 0; s < timed_steps; ++s) sim->step();
-  const auto stop = std::chrono::steady_clock::now();
+  for (std::size_t w = 0; w < windows; ++w) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t s = 0; s < timed_steps; ++s) sim->step();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    m.seconds += seconds;
+    m.window_steps_per_sec.push_back(static_cast<double>(timed_steps) /
+                                     seconds);
+  }
   if (obs != nullptr) obs->collect(*sim);
 
-  Measurement m;
   m.pool_threads = pool == nullptr ? 1 : pool->size();
-  m.seconds = std::chrono::duration<double>(stop - start).count();
-  m.steps_per_sec = static_cast<double>(timed_steps) / m.seconds;
+  m.steps_per_sec = bench::spread_of(m.window_steps_per_sec);
   m.summary = bench::SimRunSummary::capture(*sim);
   return m;
 }
 
+/// The JSON members of a measurement's timing: total seconds, the
+/// per-window rates, and their median (`steps_per_sec`), quartiles and IQR.
+std::string timing_json(const Measurement& m, const std::string& sep) {
+  std::ostringstream os;
+  os << "\"seconds\": " << m.seconds << "," << sep
+     << "\"window_steps_per_sec\": [";
+  for (std::size_t w = 0; w < m.window_steps_per_sec.size(); ++w) {
+    os << (w == 0 ? "" : ", ") << m.window_steps_per_sec[w];
+  }
+  os << "]," << sep << "\"steps_per_sec\": " << m.steps_per_sec.median << ","
+     << sep << "\"steps_per_sec_q1\": " << m.steps_per_sec.q1 << "," << sep
+     << "\"steps_per_sec_q3\": " << m.steps_per_sec.q3 << "," << sep
+     << "\"steps_per_sec_iqr\": "
+     << m.steps_per_sec.q3 - m.steps_per_sec.q1;
+  return os.str();
+}
+
 int run(int argc, const char* const* argv) {
   BenchOptions options;
+  options.repeats = 3;  // timed windows per measurement
   std::string task_flag = "mnist";
   std::string algorithm_flag = "middle";
   std::string json_path = "BENCH_step_throughput.json";
@@ -93,21 +125,28 @@ int run(int argc, const char* const* argv) {
   cli.add_flag("task", "learning task", &task_flag);
   cli.add_flag("algorithm", "algorithm policy", &algorithm_flag);
   cli.add_flag("json", "JSON output path", &json_path);
-  cli.add_flag("steps", "timed steps", &timed_steps);
+  cli.add_flag("steps",
+               "timed steps per window (--repeats sets the window count)",
+               &timed_steps);
   cli.add_flag("warmup", "untimed warmup steps", &warmup_steps);
   cli.add_flag("serial", "disable device-parallel training", &serial);
   cli.add_flag("no-sweep", "skip the thread-scaling sweep", &no_sweep);
   if (!cli.parse(argc, argv)) return 0;
+  if (options.repeats == 0 || timed_steps == 0) {
+    std::cerr << "error: need positive --repeats and --steps\n";
+    return 1;
+  }
 
   bench::print_banner("Step-loop throughput", options);
   const auto kind = data::parse_task(task_flag);
   const auto algorithm = core::parse_algorithm(algorithm_flag);
+  const std::size_t windows = options.repeats;
 
   auto setup = bench::make_task_setup(kind, options);
   // The step budget must cover warmup + timed steps; evals are skipped by
   // calling step() directly, and the per-edge evaluation sweep is off —
   // this bench never reads the edge-accuracy curve.
-  setup.sim_cfg.total_steps = warmup_steps + timed_steps;
+  setup.sim_cfg.total_steps = warmup_steps + windows * timed_steps;
   setup.sim_cfg.eval_edges = false;
 
   // Main measurement on the configured pool (--threads / MIDDLEFL_THREADS).
@@ -118,12 +157,14 @@ int run(int argc, const char* const* argv) {
   parallel::ThreadPool* main_pool =
       serial ? nullptr : &parallel::ThreadPool::global();
   const Measurement main = measure(setup, algorithm, options, warmup_steps,
-                                   timed_steps, main_pool, &obs);
+                                   timed_steps, windows, main_pool, &obs);
   obs.finish();
   const std::size_t peak_rss = bench::peak_rss_bytes();
-  std::cerr << "   " << timed_steps << " steps in " << main.seconds
-            << " s  ->  " << main.steps_per_sec << " steps/sec  ("
-            << main.pool_threads << " pool thread"
+  std::cerr << "   " << windows << " windows x " << timed_steps
+            << " steps in " << main.seconds << " s  ->  median "
+            << main.steps_per_sec.median << " steps/sec [IQR "
+            << main.steps_per_sec.q1 << ", " << main.steps_per_sec.q3
+            << "]  (" << main.pool_threads << " pool thread"
             << (main.pool_threads == 1 ? "" : "s") << ", peak RSS "
             << peak_rss / (1024 * 1024) << " MiB)\n";
 
@@ -148,7 +189,7 @@ int run(int argc, const char* const* argv) {
       std::unique_ptr<parallel::ThreadPool> pool;
       if (clamped > 1) pool = std::make_unique<parallel::ThreadPool>(clamped);
       Measurement m = measure(setup, algorithm, options, warmup_steps,
-                              timed_steps, pool.get());
+                              timed_steps, windows, pool.get());
       m.threads_requested = {n};
       m.oversubscribed = n > hw;
       sweep.push_back(std::move(m));
@@ -158,7 +199,8 @@ int run(int argc, const char* const* argv) {
                 << (n > hw ? " (requested " + std::to_string(n) +
                                  ", clamped)"
                            : "")
-                << ": " << sweep.back().steps_per_sec << " steps/sec\n";
+                << ": median " << sweep.back().steps_per_sec.median
+                << " steps/sec\n";
     }
   }
 
@@ -170,7 +212,8 @@ int run(int argc, const char* const* argv) {
   out << "{\n"
       << "  \"bench\": \"step_throughput\",\n"
       << bench::protocol_json(main.pool_threads,
-                              {{"warmup_steps", warmup_steps},
+                              {{"repeats", windows},
+                               {"warmup_steps", warmup_steps},
                                {"timed_steps", timed_steps},
                                {"seed", options.seed}},
                               "  ")
@@ -180,8 +223,8 @@ int run(int argc, const char* const* argv) {
       << "  \"algorithm\": \"" << core::to_string(algorithm) << "\",\n"
       << "  \"warmup_steps\": " << warmup_steps << ",\n"
       << "  \"timed_steps\": " << timed_steps << ",\n"
-      << "  \"seconds\": " << main.seconds << ",\n"
-      << "  \"steps_per_sec\": " << main.steps_per_sec << ",\n"
+      << "  \"repeats\": " << windows << ",\n"
+      << "  " << timing_json(main, "\n  ") << ",\n"
       << "  \"parallel_devices\": " << (serial ? "false" : "true") << ",\n"
       << "  \"peak_rss_bytes\": " << peak_rss << ",\n"
       << bench::json_summary_fields(main.summary, "  ") << ",\n"
@@ -194,9 +237,8 @@ int run(int argc, const char* const* argv) {
       out << (r == 0 ? "" : ", ") << sweep[i].threads_requested[r];
     }
     out << "], \"oversubscribed\": "
-        << (sweep[i].oversubscribed ? "true" : "false")
-        << ", \"seconds\": " << sweep[i].seconds
-        << ", \"steps_per_sec\": " << sweep[i].steps_per_sec << "}";
+        << (sweep[i].oversubscribed ? "true" : "false") << ", "
+        << timing_json(sweep[i], " ") << "}";
   }
   out << (sweep.empty() ? "]\n" : "\n  ]\n") << "}\n";
   std::cerr << "   wrote " << json_path << "\n";

@@ -15,9 +15,10 @@ namespace middlefl::core {
 namespace {
 
 /// The I-step local SGD loop of Eq. (5) on the runtime's model, FedProx
-/// term and global-norm clipping included. The runtime's minibatch buffer
-/// is reused across steps, so per-step sampling is allocation-free in the
-/// steady state (see data::sample_minibatch_into).
+/// term and global-norm clipping included. The runtime's minibatch, loss
+/// gradient and per-sample loss buffers are reused across steps and
+/// rounds, so they stop allocating once warm (see
+/// data::sample_minibatch_into).
 DeviceTrainStats run_local_sgd(const data::DataView& data,
                                DeviceRuntime& runtime,
                                std::size_t local_steps,
@@ -32,18 +33,19 @@ DeviceTrainStats run_local_sgd(const data::DataView& data,
   }
 
   DeviceTrainStats stats;
-  std::vector<float> sample_losses(batch_size);
   double loss_acc = 0.0;
   for (std::size_t step = 0; step < local_steps; ++step) {
     data::sample_minibatch_into(data, batch_size, rng, runtime.batch());
     const data::Minibatch& batch = runtime.batch();
     const nn::Tensor& logits = model.forward(batch.features, true);
-    auto result = nn::softmax_cross_entropy(logits, batch.labels);
-    loss_acc += result.loss;
+    loss_acc += nn::softmax_cross_entropy_into(logits, batch.labels,
+                                               runtime.loss_grad());
 
     if (step + 1 == local_steps) {
       // Per-sample losses on the final batch feed the Oort utility; the
       // logits are already computed, so this costs one softmax pass.
+      std::vector<float>& sample_losses = runtime.sample_losses();
+      sample_losses.resize(batch_size);
       nn::per_example_cross_entropy(logits, batch.labels, sample_losses);
       double sq = 0.0;
       for (float l : sample_losses) sq += static_cast<double>(l) * l;
@@ -51,7 +53,7 @@ DeviceTrainStats run_local_sgd(const data::DataView& data,
     }
 
     model.zero_grad();
-    model.backward(result.grad_logits);
+    model.backward(runtime.loss_grad());
     if (prox_mu > 0.0) {
       // grad += mu (w - w_anchor): the FedProx proximal gradient.
       auto params = model.parameters();

@@ -104,15 +104,21 @@ struct DeviceHotEntry {
 };
 
 /// One pooled training context: a scratch model (parameters + gradients),
-/// an optimizer instance and a minibatch buffer. A per-edge chain checks
-/// one out for the duration of its LocalTrain phase and runs every
-/// selected member through it, so training memory is O(chains), not
-/// O(devices).
+/// an optimizer instance, and the buffers one local step writes (the
+/// minibatch, the loss gradient, the final batch's per-sample losses). A
+/// per-edge chain checks one out for the duration of its LocalTrain phase
+/// and runs every selected member through it, so training memory is
+/// O(chains), not O(devices), and the step buffers stop allocating once
+/// warm.
 class DeviceRuntime {
  public:
   nn::Sequential& model() noexcept { return *model_; }
   optim::Optimizer& optimizer() noexcept { return *optimizer_; }
   data::Minibatch& batch() noexcept { return batch_; }
+  /// d(loss)/d(logits) of the current step.
+  tensor::Tensor& loss_grad() noexcept { return loss_grad_; }
+  /// Per-sample losses of a round's final batch (the Oort utility input).
+  std::vector<float>& sample_losses() noexcept { return sample_losses_; }
 
  private:
   friend class DeviceRegistry;
@@ -121,6 +127,8 @@ class DeviceRuntime {
   std::unique_ptr<nn::Sequential> model_;
   std::unique_ptr<optim::Optimizer> optimizer_;
   data::Minibatch batch_;
+  tensor::Tensor loss_grad_;
+  std::vector<float> sample_losses_;
 };
 
 /// Column store of every device plus the pooled resources devices borrow:

@@ -68,104 +68,144 @@ void Conv2d::init_params(parallel::Xoshiro256& rng) {
 
 namespace {
 
-/// The output positions [lo, hi) along one axis whose input coordinate
-/// o * stride + offset lies in [0, in), for a kernel tap at
-/// offset = tap - padding. Outside the run the padded input is zero.
-struct Run {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-};
-
-Run valid_run(std::ptrdiff_t offset, std::size_t stride, std::size_t in,
-              std::size_t out) noexcept {
-  const auto s = static_cast<std::ptrdiff_t>(stride);
-  const auto o = static_cast<std::ptrdiff_t>(out);
-  const std::ptrdiff_t lo = offset >= 0 ? 0 : (-offset + s - 1) / s;
-  const std::ptrdiff_t end = static_cast<std::ptrdiff_t>(in) - offset;
-  const std::ptrdiff_t hi = end <= 0 ? 0 : (end + s - 1) / s;
-  const std::ptrdiff_t run_lo = std::min(lo, o);
-  return {static_cast<std::size_t>(run_lo),
-          static_cast<std::size_t>(std::clamp(hi, run_lo, o))};
+/// db[oc] += sum_pos dY[oc, pos] for one sample: per channel a double sum
+/// ascending in pos, cast to float once. kLanes channels run side by side
+/// so the adds are throughput-bound, not one latency-bound chain after
+/// another; each channel's chain is unchanged. A partial last group
+/// repeats the last channel in its spare lanes, which are never stored.
+void add_bias_grad(const float* dy, std::size_t channels,
+                   std::size_t positions, float* grad_bias) noexcept {
+  constexpr std::size_t kLanes = 8;
+  for (std::size_t oc0 = 0; oc0 < channels; oc0 += kLanes) {
+    const std::size_t lanes = std::min(kLanes, channels - oc0);
+    const float* plane[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      plane[l] = dy + (oc0 + std::min(l, lanes - 1)) * positions;
+    }
+    double acc[kLanes] = {};
+    for (std::size_t p = 0; p < positions; ++p) {
+      for (std::size_t l = 0; l < kLanes; ++l) acc[l] += plane[l][p];
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      grad_bias[oc0 + l] += static_cast<float>(acc[l]);
+    }
+  }
 }
 
-/// Input coordinate of output position `o`; only valid inside the run.
-std::size_t input_coord(std::size_t o, std::size_t stride,
-                        std::ptrdiff_t offset) noexcept {
-  return static_cast<std::size_t>(static_cast<std::ptrdiff_t>(o * stride) +
-                                  offset);
+/// Floats per fixed-size block in the lowering runs: a copy or add of a
+/// compile-time size is one vector operation, whatever the run length.
+constexpr std::size_t kBlock = 8;
+
+/// dst[i] = src[i * stride] for i < n; unit-stride runs go kBlock floats
+/// at a time, then the tail.
+void copy_run(const float* src, std::size_t stride, std::size_t n,
+              float* dst) noexcept {
+  std::size_t i = 0;
+  if (stride == 1) {
+    for (; i + kBlock <= n; i += kBlock) {
+      std::memcpy(dst + i, src + i, kBlock * sizeof(float));
+    }
+  }
+  for (; i < n; ++i) dst[i] = src[i * stride];
+}
+
+/// dst[i * stride] += src[i] for i < n, blocked like copy_run: each
+/// element still takes exactly one add.
+void add_run(const float* src, std::size_t stride, std::size_t n,
+             float* dst) noexcept {
+  std::size_t i = 0;
+  if (stride == 1) {
+    for (; i + kBlock <= n; i += kBlock) {
+      float sum[kBlock];
+      float term[kBlock];
+      std::memcpy(sum, dst + i, sizeof sum);
+      std::memcpy(term, src + i, sizeof term);
+      for (std::size_t j = 0; j < kBlock; ++j) sum[j] += term[j];
+      std::memcpy(dst + i, sum, sizeof sum);
+    }
+  }
+  for (; i < n; ++i) dst[i * stride] += src[i];
 }
 
 }  // namespace
 
-// Both lowering loops walk the (c, ky, kx, oy) rows of the column matrix.
-// A tap's valid output rows and columns are one run each, so each output
-// row is a zero head, a copy (an add, for col2im) of part of one input
-// row, and a zero tail, with no per-element bounds test. im2col writes the
-// zeros by clearing a tap's whole row of the column matrix first, and only
-// when the tap reaches into the padding: one memset is cheaper than two
-// short ones per output row. The loop nest is that of the per-element
-// loops, so col2im adds each pixel's contributions in the same order.
+// Both lowering loops go through a zero-bordered copy of one sample: a
+// C x (H + 2p) x (W + 2p) plane in which every tap of every output position
+// lands in bounds (with p = 0 the sample itself). Row (c, ky, kx) of the
+// column matrix is out_h runs of out_w values, run oy starting at bordered
+// pixel (oy*s + ky, kx) and stepping s, so neither loop tests bounds or
+// decides where zeros go. The bordered plane is rebuilt on every call: the
+// workspace slot is shared by every conv layer on the thread, whatever its
+// geometry.
+//
+// col2im adds into a zeroed bordered plane and then crops it into the
+// sample's gradient. Its loop nest is the per-element one, (c, ky, kx, oy,
+// ox), so each pixel's contributions are added in the same order, onto the
+// same +0.0 start, as by a bounds-tested loop over a zeroed gradient; the
+// taps that fall in the border are added there and dropped by the crop.
 
-void Conv2d::im2col(const float* sample, float* col) const noexcept {
-  // col[(c*k*k + ky*k + kx), (oy*out_w + ox)] = padded_input[c, iy, ix]
-  const auto pad = static_cast<std::ptrdiff_t>(cfg_.padding);
+void Conv2d::im2col(const float* sample, float* col) const {
+  // col[(c*k*k + ky*k + kx), (oy*out_w + ox)] = bordered[c, oy*s+ky, ox*s+kx]
+  const std::size_t pad = cfg_.padding;
   const std::size_t stride = cfg_.stride;
+  const std::size_t bh = in_h_ + 2 * pad;
+  const std::size_t bw = in_w_ + 2 * pad;
+  const float* bordered = sample;
+  if (pad > 0) {
+    const std::span<float> plane = tensor::Workspace::tls().floats(
+        tensor::WsSlot::kConvBorder, cfg_.in_channels * bh * bw);
+    std::fill(plane.begin(), plane.end(), 0.0f);
+    for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
+      for (std::size_t y = 0; y < in_h_; ++y) {
+        copy_run(sample + (c * in_h_ + y) * in_w_, 1, in_w_,
+                 plane.data() + (c * bh + y + pad) * bw + pad);
+      }
+    }
+    bordered = plane.data();
+  }
   for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
-    const float* channel = sample + c * in_h_ * in_w_;
     for (std::size_t ky = 0; ky < cfg_.kernel; ++ky) {
-      const std::ptrdiff_t y_off = static_cast<std::ptrdiff_t>(ky) - pad;
-      const Run rows = valid_run(y_off, stride, in_h_, out_h_);
       for (std::size_t kx = 0; kx < cfg_.kernel; ++kx) {
-        const std::ptrdiff_t x_off = static_cast<std::ptrdiff_t>(kx) - pad;
-        const Run cols = valid_run(x_off, stride, in_w_, out_w_);
-        const std::size_t len = cols.hi - cols.lo;
         float* row =
             col + ((c * cfg_.kernel + ky) * cfg_.kernel + kx) * col_cols_;
-        if (rows.hi - rows.lo < out_h_ || len < out_w_) {
-          std::fill(row, row + col_cols_, 0.0f);
-        }
-        if (len == 0) continue;
-        for (std::size_t oy = rows.lo; oy < rows.hi; ++oy) {
-          float* dst = row + oy * out_w_ + cols.lo;
-          const float* src = channel + input_coord(oy, stride, y_off) * in_w_ +
-                             input_coord(cols.lo, stride, x_off);
-          if (stride == 1) {
-            std::memcpy(dst, src, len * sizeof(float));
-          } else {
-            for (std::size_t t = 0; t < len; ++t) dst[t] = src[t * stride];
-          }
+        for (std::size_t oy = 0; oy < out_h_; ++oy) {
+          copy_run(bordered + (c * bh + oy * stride + ky) * bw + kx, stride,
+                   out_w_, row + oy * out_w_);
         }
       }
     }
   }
 }
 
-void Conv2d::col2im(const float* col, float* sample_grad) const noexcept {
-  const auto pad = static_cast<std::ptrdiff_t>(cfg_.padding);
+void Conv2d::col2im(const float* col, float* sample_grad) const {
+  const std::size_t pad = cfg_.padding;
   const std::size_t stride = cfg_.stride;
+  const std::size_t bh = in_h_ + 2 * pad;
+  const std::size_t bw = in_w_ + 2 * pad;
+  float* bordered =
+      pad > 0 ? tensor::Workspace::tls()
+                    .floats(tensor::WsSlot::kConvBorder,
+                            cfg_.in_channels * bh * bw)
+                    .data()
+              : sample_grad;
+  std::fill(bordered, bordered + cfg_.in_channels * bh * bw, 0.0f);
   for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
-    float* channel = sample_grad + c * in_h_ * in_w_;
     for (std::size_t ky = 0; ky < cfg_.kernel; ++ky) {
-      const std::ptrdiff_t y_off = static_cast<std::ptrdiff_t>(ky) - pad;
-      const Run rows = valid_run(y_off, stride, in_h_, out_h_);
       for (std::size_t kx = 0; kx < cfg_.kernel; ++kx) {
-        const std::ptrdiff_t x_off = static_cast<std::ptrdiff_t>(kx) - pad;
-        const Run cols = valid_run(x_off, stride, in_w_, out_w_);
-        const std::size_t len = cols.hi - cols.lo;
-        if (len == 0) continue;
         const float* row =
             col + ((c * cfg_.kernel + ky) * cfg_.kernel + kx) * col_cols_;
-        for (std::size_t oy = rows.lo; oy < rows.hi; ++oy) {
-          const float* src = row + oy * out_w_ + cols.lo;
-          float* dst = channel + input_coord(oy, stride, y_off) * in_w_ +
-                       input_coord(cols.lo, stride, x_off);
-          if (stride == 1) {
-            for (std::size_t t = 0; t < len; ++t) dst[t] += src[t];
-          } else {
-            for (std::size_t t = 0; t < len; ++t) dst[t * stride] += src[t];
-          }
+        for (std::size_t oy = 0; oy < out_h_; ++oy) {
+          add_run(row + oy * out_w_, stride, out_w_,
+                  bordered + (c * bh + oy * stride + ky) * bw + kx);
         }
       }
+    }
+  }
+  if (pad == 0) return;
+  for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
+    for (std::size_t y = 0; y < in_h_; ++y) {
+      copy_run(bordered + (c * bh + y + pad) * bw + pad, 1, in_w_,
+               sample_grad + (c * in_h_ + y) * in_w_);
     }
   }
 }
@@ -233,10 +273,10 @@ void Conv2d::backward(const Tensor& input, const Tensor& grad_output,
   const std::size_t col_size = col_rows_ * col_cols_;
 
   // d(col) panel from the workspace: backward runs once per sample per
-  // batch, and gemm only borrows the pack slots, so kConvColGrad is free.
+  // batch, and gemm and col2im borrow other slots, so kConvColGrad is free.
   std::span<float> dcol;
   if (grad_input != nullptr) {
-    grad_input->reset(input.shape());
+    grad_input->reset_for_overwrite(input.shape());  // col2im writes it
     dcol = tensor::Workspace::tls().floats(tensor::WsSlot::kConvColGrad,
                                            col_size);
   }
@@ -249,13 +289,7 @@ void Conv2d::backward(const Tensor& input, const Tensor& grad_output,
     tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, cfg_.out_channels,
                  col_rows_, col_cols_, 1.0f, dy_span,
                  std::span<const float>(col, col_size), 1.0f, grad_weight_);
-    // db[oc] += sum_pos dY[oc, pos]
-    for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
-      double acc = 0.0;
-      const float* plane = dy + oc * col_cols_;
-      for (std::size_t p = 0; p < col_cols_; ++p) acc += plane[p];
-      grad_bias_[oc] += static_cast<float>(acc);
-    }
+    add_bias_grad(dy, cfg_.out_channels, col_cols_, grad_bias_.data());
     if (grad_input == nullptr) continue;
     // dcol[r, pos] = W[:, r]^T dY[:, pos]
     tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows_, col_cols_,

@@ -1,6 +1,11 @@
 // 2-D convolution over NCHW batches, lowered to im2col + GEMM. The
-// lowering copies whole row runs (no per-element bounds test), and
-// backward skips the input gradient when the caller passes none.
+// lowering goes through a zero-bordered copy of each sample (a workspace
+// plane, rebuilt per call), so every column-matrix row is fixed-width runs
+// with no bounds test; col2im adds into a zeroed bordered plane in the
+// per-element loop order and crops it, so each input pixel's gradient is
+// the same sum chain as a bounds-tested loop's. The bias gradient sums
+// channels side by side, each one a double sum ascending in position.
+// Backward skips the input gradient when the caller passes none.
 #pragma once
 
 #include <vector>
@@ -43,10 +48,13 @@ class Conv2d final : public Layer {
   const Conv2dConfig& config() const noexcept { return cfg_; }
 
   /// Expands one sample (C x H x W) into the column matrix
-  /// (C*k*k) x (out_h*out_w). Requires build().
-  void im2col(const float* sample, float* col) const noexcept;
-  /// Adds a column-matrix gradient onto one sample's input gradient.
-  void col2im(const float* col, float* sample_grad) const noexcept;
+  /// (C*k*k) x (out_h*out_w). Requires build(). Borrows the calling
+  /// thread's kConvBorder workspace slot when padding > 0.
+  void im2col(const float* sample, float* col) const;
+  /// Writes one sample's input gradient (C x H x W) from its column-matrix
+  /// gradient: each pixel is the sum of its taps' entries, added in
+  /// (c, ky, kx, oy, ox) order onto +0.0. Borrows kConvBorder like im2col.
+  void col2im(const float* col, float* sample_grad) const;
 
  private:
   /// Shared body of forward()/forward_fused(): im2col + one GEMM per

@@ -66,17 +66,24 @@ Tensor softmax(const Tensor& logits) {
 
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  std::span<const std::int32_t> labels) {
+  LossResult result;
+  result.loss = softmax_cross_entropy_into(logits, labels, result.grad_logits);
+  return result;
+}
+
+float softmax_cross_entropy_into(const Tensor& logits,
+                                 std::span<const std::int32_t> labels,
+                                 Tensor& grad_logits) {
   check_logits_labels(logits, labels);
   const std::size_t batch = logits.dim(0);
   const std::size_t classes = logits.dim(1);
 
-  LossResult result;
-  result.grad_logits = Tensor(logits.shape());
+  grad_logits.reset_for_overwrite(logits.shape());
   const float inv_batch = 1.0f / static_cast<float>(batch);
   double loss_acc = 0.0;
   for (std::size_t b = 0; b < batch; ++b) {
     const float* row = logits.data().data() + b * classes;
-    float* grad_row = result.grad_logits.data().data() + b * classes;
+    float* grad_row = grad_logits.data().data() + b * classes;
     const float log_sum = softmax_row(row, classes, grad_row);
     const auto label = static_cast<std::size_t>(labels[b]);
     loss_acc += static_cast<double>(log_sum - row[label]);
@@ -84,8 +91,7 @@ LossResult softmax_cross_entropy(const Tensor& logits,
     for (std::size_t j = 0; j < classes; ++j) grad_row[j] *= inv_batch;
     grad_row[label] -= inv_batch;
   }
-  result.loss = static_cast<float>(loss_acc / static_cast<double>(batch));
-  return result;
+  return static_cast<float>(loss_acc / static_cast<double>(batch));
 }
 
 float cross_entropy_value(const Tensor& logits,

@@ -24,6 +24,13 @@ tensor::Tensor softmax(const tensor::Tensor& logits);
 LossResult softmax_cross_entropy(const tensor::Tensor& logits,
                                  std::span<const std::int32_t> labels);
 
+/// softmax_cross_entropy writing d(loss)/d(logits) into `grad_logits`
+/// (reshaped to the logits, its allocation reused) and returning the mean
+/// loss: the form a training loop calls every step.
+float softmax_cross_entropy_into(const tensor::Tensor& logits,
+                                 std::span<const std::int32_t> labels,
+                                 tensor::Tensor& grad_logits);
+
 /// Cross-entropy value only (no gradient) — cheaper for evaluation and the
 /// Oort statistical-utility computation.
 float cross_entropy_value(const tensor::Tensor& logits,

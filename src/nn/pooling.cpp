@@ -1,6 +1,11 @@
 #include "nn/pooling.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+
+#include "tensor/workspace.hpp"
 
 namespace middlefl::nn {
 
@@ -28,8 +33,19 @@ Shape MaxPool2d::build(const Shape& input_shape) {
     throw std::invalid_argument("MaxPool2d: window larger than input " +
                                 input_shape.to_string());
   }
+  if (in_h_ * in_w_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("MaxPool2d: plane too large for 32-bit "
+                                "argmax indices " + input_shape.to_string());
+  }
   out_h_ = (in_h_ - kernel_) / stride_ + 1;
   out_w_ = (in_w_ - kernel_) / stride_ + 1;
+  window_origin_.resize(out_h_ * out_w_);
+  for (std::size_t oy = 0; oy < out_h_; ++oy) {
+    for (std::size_t ox = 0; ox < out_w_; ++ox) {
+      window_origin_[oy * out_w_ + ox] =
+          static_cast<std::uint32_t>((oy * in_w_ + ox) * stride_);
+    }
+  }
   return Shape{channels_, out_h_, out_w_};
 }
 
@@ -41,36 +57,50 @@ void MaxPool2d::forward(const Tensor& input, Tensor& output, bool training) {
     throw std::invalid_argument("MaxPool2d::forward: bad input " +
                                 input.shape().to_string());
   }
-  output.reset({batch, channels_, out_h_, out_w_});
+  output.reset_for_overwrite({batch, channels_, out_h_, out_w_});
   if (training) {
     argmax_.resize(batch * channels_ * out_plane);
     cached_batch_ = batch;
   }
 
+  // Each plane is lowered like im2col: row t of `taps` holds tap t =
+  // (ky, kx) of every output window, in output order. The running max then
+  // walks the taps in (ky, kx) order, each step one contiguous, branch-free
+  // select over all of the plane's outputs.
+  const std::size_t num_taps = kernel_ * kernel_;
+  const std::span<float> taps = tensor::Workspace::tls().floats(
+      tensor::WsSlot::kPoolTaps, num_taps * out_plane);
+  const std::uint32_t* origin = window_origin_.data();
   const float* in = input.data().data();
   float* out = output.data().data();
+  const auto tap_offset = [&](std::size_t t) {
+    return static_cast<std::uint32_t>((t / kernel_) * in_w_ + t % kernel_);
+  };
   for (std::size_t bc = 0; bc < batch * channels_; ++bc) {
     const float* plane = in + bc * in_plane;
-    float* out_row = out + bc * out_plane;
-    std::size_t* arg_row = training ? argmax_.data() + bc * out_plane : nullptr;
-    for (std::size_t oy = 0; oy < out_h_; ++oy) {
-      for (std::size_t ox = 0; ox < out_w_; ++ox) {
-        const std::size_t y0 = oy * stride_;
-        const std::size_t x0 = ox * stride_;
-        std::size_t best_idx = y0 * in_w_ + x0;
-        float best = plane[best_idx];
-        for (std::size_t ky = 0; ky < kernel_; ++ky) {
-          const std::size_t row_base = (y0 + ky) * in_w_ + x0;
-          for (std::size_t kx = 0; kx < kernel_; ++kx) {
-            const float v = plane[row_base + kx];
-            if (v > best) {
-              best = v;
-              best_idx = row_base + kx;
-            }
-          }
+    for (std::size_t t = 0; t < num_taps; ++t) {
+      float* row = taps.data() + t * out_plane;
+      const std::uint32_t offset = tap_offset(t);
+      for (std::size_t p = 0; p < out_plane; ++p) {
+        row[p] = plane[origin[p] + offset];
+      }
+    }
+    float* best = out + bc * out_plane;
+    std::uint32_t* best_idx =
+        training ? argmax_.data() + bc * out_plane : nullptr;
+    std::copy(taps.data(), taps.data() + out_plane, best);
+    if (best_idx != nullptr) std::copy(origin, origin + out_plane, best_idx);
+    for (std::size_t t = 1; t < num_taps; ++t) {
+      const float* row = taps.data() + t * out_plane;
+      const std::uint32_t offset = tap_offset(t);
+      for (std::size_t p = 0; p < out_plane; ++p) {
+        // Strict > keeps the first maximum on ties and never lets a NaN
+        // in (nor out, once it is the window's first value).
+        const bool take = row[p] > best[p];
+        if (best_idx != nullptr) {
+          best_idx[p] = take ? origin[p] + offset : best_idx[p];
         }
-        out_row[oy * out_w_ + ox] = best;
-        if (arg_row != nullptr) arg_row[oy * out_w_ + ox] = best_idx;
+        best[p] = take ? row[p] : best[p];
       }
     }
   }
@@ -92,7 +122,7 @@ void MaxPool2d::backward(const Tensor& input, const Tensor& grad_output,
   for (std::size_t bc = 0; bc < batch * channels_; ++bc) {
     float* dx_plane = dx + bc * in_plane;
     const float* dy_row = dy + bc * out_plane;
-    const std::size_t* arg_row = argmax_.data() + bc * out_plane;
+    const std::uint32_t* arg_row = argmax_.data() + bc * out_plane;
     for (std::size_t p = 0; p < out_plane; ++p) {
       dx_plane[arg_row[p]] += dy_row[p];
     }

@@ -1,6 +1,13 @@
-// 2-D max pooling over NCHW batches.
+// 2-D max and average pooling over NCHW batches. MaxPool2d lowers each
+// plane like im2col (every window's tap t in row t of a workspace buffer)
+// and takes the running max down the taps with selects rather than
+// branches: random activations make a compare branch mispredict about half
+// the time, and the select loop runs contiguous over a plane's outputs. A
+// strict `>` in (ky, kx) window order keeps the first maximum on ties and
+// leaves NaN behaviour as a compare-and-branch loop has it.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "nn/module.hpp"
@@ -23,9 +30,12 @@ class MaxPool2d final : public Layer {
   std::size_t kernel_;
   std::size_t stride_;
   std::size_t channels_ = 0, in_h_ = 0, in_w_ = 0, out_h_ = 0, out_w_ = 0;
-  // Flat input index of each output's max, for the whole last training
-  // batch; routes gradients in backward.
-  std::vector<std::size_t> argmax_;
+  // Index within an input plane of each output window's first tap.
+  std::vector<std::uint32_t> window_origin_;
+  // Index within its input plane of each output's max, for the whole last
+  // training batch; routes gradients in backward. build() rejects planes
+  // too large for 32 bits.
+  std::vector<std::uint32_t> argmax_;
   std::size_t cached_batch_ = 0;
 };
 

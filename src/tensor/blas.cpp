@@ -265,13 +265,10 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
     return;
   }
 
-  // Packed path. B is packed once on the calling thread into its aligned
-  // workspace slot; row-chunk workers only read it, and each packs its own
-  // A rows into its thread's kGemmPanelA slot inside compute().
-  auto bpanel = Workspace::tls().aligned_floats(WsAlignedSlot::kGemmPanelB,
-                                                kern.packed_b_floats(k, n));
-  kern.pack_b(k, n, b.data(), trans_b == Trans::kYes, bpanel.data());
-
+  // Packed path. B is prepared once on the calling thread (read in place,
+  // or packed into its aligned workspace slot); row-chunk workers only
+  // read it, and each packs its own A rows into its thread's kGemmPanelA
+  // slot inside compute().
   detail::PackedGemmArgs args;
   args.m = m;
   args.n = n;
@@ -280,9 +277,12 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   args.beta = beta;
   args.a = a_ptr;
   args.trans_a = eff_a == Trans::kYes;
-  args.packed_b = bpanel.data();
   args.c = c_ptr;
   args.epilogue = epilogue;
+  const bool b_transposed = trans_b == Trans::kYes;
+  auto bpanel = Workspace::tls().aligned_floats(
+      WsAlignedSlot::kGemmPanelB, kern.packed_b_floats(k, n, b_transposed));
+  kern.pack_b(b.data(), b_transposed, bpanel.data(), args);
   run_split([&](std::size_t lo, std::size_t hi) {
     detail::PackedGemmArgs chunk = args;
     chunk.row_lo = lo;

@@ -10,13 +10,19 @@
 //
 // Packed call protocol:
 //   1. Pick the table:    const GemmKernels& k = gemm_kernels(active_isa())
-//   2. Pack B once:       k.pack_b(...) into an aligned Workspace span of
-//                         k.packed_b_floats(k_dim, n) floats
+//   2. Prepare B once:    k.pack_b(b, trans_b, panel, args) into an aligned
+//                         Workspace span of k.packed_b_floats(k_dim, n,
+//                         trans_b) floats. A row-major op(B) of at most
+//                         32 Ki floats is read in place: only its ragged
+//                         last NR-column slab is packed. Any other op(B)
+//                         is packed whole; a transposed one by kW x kW
+//                         register transposes that write whole slab rows.
+//                         Where B is read from never changes a bit.
 //   3. Compute rows:      k.compute(args) — serial over [0, m), or once per
 //                         disjoint row chunk from parallel workers. Each
 //                         call packs its own A rows into the calling
 //                         thread's kGemmPanelA slot, so workers never
-//                         share mutable panel state; the packed B panel is
+//                         share mutable panel state; B and its panel are
 //                         read-only after step 2.
 // The small-NT kernel reads A and B in place and needs no packing; it too
 // may run once per disjoint row chunk.
@@ -43,7 +49,15 @@ struct PackedGemmArgs {
   float beta = 0.0f;
   const float* a = nullptr;  // op(A): m x k row-major, or k x m if trans_a
   bool trans_a = false;
-  const float* packed_b = nullptr;  // from pack_b(), shared read-only
+  // op(B) as NR-column slabs, set by pack_b(): row p of full slab s is
+  // the NR floats at b + s * b_slab + p * ldb, either op(B) itself
+  // (b_slab = NR, ldb = n) or a packed panel (b_slab = k * NR, ldb = NR).
+  // The ragged last slab (n % NR columns, zero-padded to NR) is always
+  // packed, at b_tail with row stride NR; null when NR divides n.
+  const float* b = nullptr;
+  std::size_t b_slab = 0;
+  std::size_t ldb = 0;
+  const float* b_tail = nullptr;
   float* c = nullptr;               // full C, row stride n
   const GemmEpilogue* epilogue = nullptr;  // may be null
 };
@@ -51,13 +65,16 @@ struct PackedGemmArgs {
 struct GemmKernels {
   std::size_t mr;  // micro-tile rows
   std::size_t nr;  // micro-tile columns
-  /// Zero-padded panel sizes in floats.
+  /// Zero-padded panel sizes in floats: A rows, and the part of op(B)
+  /// pack_b() copies (the ragged slab, or every slab when trans_b).
   std::size_t (*packed_a_floats)(std::size_t rows, std::size_t k);
-  std::size_t (*packed_b_floats)(std::size_t k, std::size_t n);
-  /// Packs op(B) (k x n after op) into NR-column slabs, zero-padding the
-  /// final partial slab. `b` is row-major k x n, or n x k when trans_b.
-  void (*pack_b)(std::size_t k, std::size_t n, const float* b, bool trans_b,
-                 float* out);
+  std::size_t (*packed_b_floats)(std::size_t k, std::size_t n, bool trans_b);
+  /// Prepares op(B) (args.k x args.n after op) for compute() and sets the
+  /// args' B fields. `b` is row-major k x n, or n x k when trans_b; it is
+  /// read in place with only the ragged slab packed into `out`, or packed
+  /// whole into `out` (see packed_b_floats).
+  void (*pack_b)(const float* b, bool trans_b, float* out,
+                 PackedGemmArgs& args);
   void (*compute)(const PackedGemmArgs& args);
   /// Small NT: C[i, j] = alpha * <A[i, :], B[j, :]> + beta * C[i, j] for
   /// rows [row_lo, row_hi); A is m x k and B is n x k, both row-major,

@@ -40,6 +40,32 @@ struct ArchAvx2 {
     return _mm256_and_ps(_mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ),
                          v);
   }
+  /// 8 x 8 transpose: dst[j * ldd + i] = src[i * lds + j]. Interleave row
+  /// pairs, then pairs of pairs, then swap 128-bit halves.
+  static void transpose(const float* src, std::size_t lds, float* dst,
+                        std::size_t ldd) noexcept {
+    __m256 r[8];
+    for (std::size_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * lds);
+    __m256 t[8];
+    for (std::size_t i = 0; i < 8; i += 2) {
+      t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+      t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+    __m256 u[8];  // u[4g + c]: columns c and c + 4 of rows 4g .. 4g + 3
+    for (std::size_t g = 0; g < 2; ++g) {
+      const __m256* q = t + 4 * g;
+      u[4 * g + 0] = _mm256_shuffle_ps(q[0], q[2], 0x44);
+      u[4 * g + 1] = _mm256_shuffle_ps(q[0], q[2], 0xEE);
+      u[4 * g + 2] = _mm256_shuffle_ps(q[1], q[3], 0x44);
+      u[4 * g + 3] = _mm256_shuffle_ps(q[1], q[3], 0xEE);
+    }
+    for (std::size_t c = 0; c < 4; ++c) {
+      _mm256_storeu_ps(dst + c * ldd,
+                       _mm256_permute2f128_ps(u[c], u[4 + c], 0x20));
+      _mm256_storeu_ps(dst + (c + 4) * ldd,
+                       _mm256_permute2f128_ps(u[c], u[4 + c], 0x31));
+    }
+  }
 };
 
 /// Small NT: lanes [4t, 4t+4) hold column t's s0..s3.

@@ -9,9 +9,10 @@
 
 #if defined(__AVX512F__)
 // GCC 12 reports the _mm512_undefined_ps() placeholders inside its own
-// broadcast/permute/cast intrinsics as maybe-uninitialized.
+// broadcast/permute/cast/shuffle intrinsics as (maybe-)uninitialized.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 #include <immintrin.h>
 
@@ -45,6 +46,44 @@ struct ArchAvx512 {
     const __mmask16 pos =
         _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GT_OQ);
     return _mm512_maskz_mov_ps(pos, v);
+  }
+  /// 16 x 16 transpose: dst[j * ldd + i] = src[i * lds + j]. Interleave
+  /// row pairs (ps), then pairs of pairs (pd), so 128-bit lane L of u[4g+c]
+  /// holds column 4L + c of rows 4g .. 4g + 3; two rounds of 128-bit lane
+  /// shuffles then gather each column's four row groups.
+  static void transpose(const float* src, std::size_t lds, float* dst,
+                        std::size_t ldd) noexcept {
+    __m512 r[16];
+    for (std::size_t i = 0; i < 16; ++i) r[i] = _mm512_loadu_ps(src + i * lds);
+    __m512 t[16];
+    for (std::size_t i = 0; i < 16; i += 2) {
+      t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+      t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+    }
+    __m512 u[16];
+    for (std::size_t g = 0; g < 4; ++g) {
+      const __m512* q = t + 4 * g;
+      const auto pd = [](__m512 v) { return _mm512_castps_pd(v); };
+      u[4 * g + 0] = _mm512_castpd_ps(_mm512_unpacklo_pd(pd(q[0]), pd(q[2])));
+      u[4 * g + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(pd(q[0]), pd(q[2])));
+      u[4 * g + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(pd(q[1]), pd(q[3])));
+      u[4 * g + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(pd(q[1]), pd(q[3])));
+    }
+    for (std::size_t c = 0; c < 4; ++c) {
+      // Lanes (0, 2) and (1, 3) of row groups 0-1 and 2-3.
+      const __m512 even01 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0x88);
+      const __m512 odd01 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0xDD);
+      const __m512 even23 = _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0x88);
+      const __m512 odd23 = _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0xDD);
+      _mm512_storeu_ps(dst + c * ldd,
+                       _mm512_shuffle_f32x4(even01, even23, 0x88));
+      _mm512_storeu_ps(dst + (c + 8) * ldd,
+                       _mm512_shuffle_f32x4(even01, even23, 0xDD));
+      _mm512_storeu_ps(dst + (c + 4) * ldd,
+                       _mm512_shuffle_f32x4(odd01, odd23, 0x88));
+      _mm512_storeu_ps(dst + (c + 12) * ldd,
+                       _mm512_shuffle_f32x4(odd01, odd23, 0xDD));
+    }
   }
 };
 

@@ -8,7 +8,9 @@
 // supplies the vector type and a handful of primitive ops. The algorithm is
 // the classic GEBP decomposition:
 //
-//   pack op(B) into NR-column slabs (zero-padded), once per gemm call
+//   view op(B) as NR-column slabs, once per gemm call: a small row-major
+//     op(B) is read in place (row stride n) and only its ragged last slab
+//     is packed, zero-padded; any other op(B) is packed whole
 //   pack op(A) into MR-row panels with alpha folded in, once per row chunk
 //   loop: column-slab groups (~Nc) -> Kc blocks -> MR panels -> NR slabs
 //         -> MR x NR register micro-tile over the Kc block
@@ -24,9 +26,11 @@
 // (the MIDDLEFL_NATIVE build, matching the compiler-contracted baseline)
 // and a separately-rounded multiply+add otherwise. Kc blocking only
 // round-trips the accumulator through memory between blocks (bit-neutral),
-// Mc/Nc/row-split blocking only reorders across elements, and the vector
-// width never mixes lanes — so scalar, AVX2 and AVX-512 instantiations,
-// with any blocking and any row split, produce bitwise-identical C. These
+// where a slab's B values are read from (op(B) in place or a packed copy)
+// never changes them, Mc/Nc/row-split blocking only reorders across
+// elements, and the vector width never mixes lanes — so scalar, AVX2 and
+// AVX-512 instantiations, with any blocking and any row split, produce
+// bitwise-identical C. These
 // translation units are compiled with -ffp-contract=off so the compiler
 // cannot introduce fusions the contract does not specify.
 //
@@ -68,6 +72,11 @@ struct ArchScalar {
 #endif
   }
   static Vec relu(Vec v) noexcept { return v > 0.0f ? v : 0.0f; }
+  /// dst[j * ldd + i] = src[i * lds + j] for i, j < kW.
+  static void transpose(const float* src, std::size_t /*lds*/, float* dst,
+                        std::size_t /*ldd*/) noexcept {
+    *dst = *src;
+  }
 };
 
 template <class Arch>
@@ -88,37 +97,100 @@ struct PackedGemm {
   static std::size_t packed_a_floats(std::size_t rows, std::size_t k) {
     return ((rows + kMR - 1) / kMR) * kMR * k;
   }
-  static std::size_t packed_b_floats(std::size_t k, std::size_t n) {
-    return ((n + kNR - 1) / kNR) * kNR * k;
+  // A row-major op(B) of at most this many floats is read in place. Its
+  // slabs are read with row stride n once per MR-row panel of A; a larger
+  // B would be re-read from further out in the cache hierarchy on every
+  // panel (and long strides alias in L1), so it is packed like a
+  // transposed one and read contiguously.
+  static constexpr std::size_t kInPlaceMaxFloats = std::size_t{1} << 15;
+
+  static bool reads_b_in_place(std::size_t k, std::size_t n, bool trans_b) {
+    return !trans_b && k * n <= kInPlaceMaxFloats;
   }
 
-  /// Packs op(B) into slabs: slab s holds columns [s*NR, s*NR+NR) as k
-  /// consecutive NR-float rows, padding columns beyond n with zeros (the
-  /// padded lanes multiply into accumulators that are never stored).
-  static void pack_b(std::size_t k, std::size_t n, const float* b,
-                     bool trans_b, float* out) {
-    const std::size_t n_slabs = (n + kNR - 1) / kNR;
-    for (std::size_t s = 0; s < n_slabs; ++s) {
-      const std::size_t col0 = s * kNR;
-      const std::size_t valid = n - col0 < kNR ? n - col0 : kNR;
-      float* slab = out + s * k * kNR;
-      if (!trans_b) {
-        for (std::size_t p = 0; p < k; ++p) {
-          const float* src = b + p * n + col0;
-          float* dst = slab + p * kNR;
-          for (std::size_t t = 0; t < valid; ++t) dst[t] = src[t];
-          for (std::size_t t = valid; t < kNR; ++t) dst[t] = 0.0f;
-        }
-      } else {
-        // b is n x k: column j of op(B) is row j of b.
-        for (std::size_t t = 0; t < valid; ++t) {
-          const float* src = b + (col0 + t) * k;
-          for (std::size_t p = 0; p < k; ++p) slab[p * kNR + t] = src[p];
-        }
-        for (std::size_t t = valid; t < kNR; ++t) {
-          for (std::size_t p = 0; p < k; ++p) slab[p * kNR + t] = 0.0f;
-        }
+  static std::size_t packed_b_floats(std::size_t k, std::size_t n,
+                                     bool trans_b) {
+    const std::size_t slabs = reads_b_in_place(k, n, trans_b)
+                                  ? (n % kNR != 0 ? 1 : 0)
+                                  : (n + kNR - 1) / kNR;
+    return slabs * kNR * k;
+  }
+
+  /// Packs columns [col0, col0 + valid) of op(B) into one slab of k
+  /// NR-float rows, padding lanes beyond `valid` with zeros (the padded
+  /// lanes multiply into accumulators that are never stored). `b` is
+  /// row-major k x n, or n x k when trans_b.
+  static void pack_slab(const float* b, bool trans_b, std::size_t k,
+                        std::size_t n, std::size_t col0, std::size_t valid,
+                        float* slab) {
+    // A ragged slab is cleared whole first: one fill, rather than a
+    // variable-length one per slab row.
+    if (valid < kNR) {
+      for (std::size_t i = 0; i < k * kNR; ++i) slab[i] = 0.0f;
+    }
+    if (trans_b) {
+      pack_transposed_slab(b + col0 * k, k, valid, slab);
+      return;
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      const float* src = b + p * n + col0;
+      float* dst = slab + p * kNR;
+      for (std::size_t t = 0; t < valid; ++t) dst[t] = src[t];
+    }
+  }
+
+  /// Lanes [0, valid) of the transposed slab: lane t of slab row p is
+  /// src[t * k + p] (`src` holds the slab's `valid` rows of b). kW x kW
+  /// blocks are transposed in registers, so each step reads kW source rows
+  /// along p, one cache line each, and writes kW slab rows along t. A
+  /// partial block of lanes (valid % kW rows) is transposed from a
+  /// zero-padded copy; the rows left over (k % kW) go element by element.
+  static void pack_transposed_slab(const float* src, std::size_t k,
+                                   std::size_t valid, float* slab) {
+    const std::size_t blocked = valid - valid % kW;
+    alignas(64) float edge[kW * kW] = {};
+    std::size_t p = 0;
+    for (; p + kW <= k; p += kW) {
+      for (std::size_t t = 0; t < blocked; t += kW) {
+        Arch::transpose(src + t * k + p, k, slab + p * kNR + t, kNR);
       }
+      if (blocked == valid) continue;
+      for (std::size_t i = 0; i < valid - blocked; ++i) {
+        const float* row = src + (blocked + i) * k + p;
+        for (std::size_t j = 0; j < kW; ++j) edge[i * kW + j] = row[j];
+      }
+      Arch::transpose(edge, kW, slab + p * kNR + blocked, kNR);
+    }
+    for (; p < k; ++p) {
+      for (std::size_t t = 0; t < valid; ++t) {
+        slab[p * kNR + t] = src[t * k + p];
+      }
+    }
+  }
+
+  /// Sets g's B view (see PackedGemmArgs). A small row-major op(B) is read
+  /// in place and only its ragged last slab is packed into `out`; any
+  /// other is packed whole, slab after slab.
+  static void pack_b(const float* b, bool trans_b, float* out,
+                     PackedGemmArgs& g) {
+    const std::size_t full = g.n / kNR;
+    const std::size_t ragged = g.n - full * kNR;
+    if (reads_b_in_place(g.k, g.n, trans_b)) {
+      g.b = b;
+      g.b_slab = kNR;
+      g.ldb = g.n;
+      g.b_tail = ragged != 0 ? out : nullptr;
+      if (ragged != 0) pack_slab(b, false, g.k, g.n, full * kNR, ragged, out);
+      return;
+    }
+    g.b = out;
+    g.b_slab = g.k * kNR;
+    g.ldb = kNR;
+    g.b_tail = ragged != 0 ? out + full * g.b_slab : nullptr;
+    for (std::size_t s = 0; s * kNR < g.n; ++s) {
+      const std::size_t col0 = s * kNR;
+      pack_slab(b, trans_b, g.k, g.n, col0, s < full ? kNR : ragged,
+                out + s * g.b_slab);
     }
   }
 
@@ -165,13 +237,14 @@ struct PackedGemm {
     }
   }
 
-  /// One MR x NR register tile over a Kc block. `mv`/`nv` bound the valid
-  /// region (partial edge tiles stage through a local buffer); `first`
-  /// applies the beta prologue, `last` the epilogue + final store,
+  /// One MR x NR register tile over a Kc block. `bp` is the block's first
+  /// NR-float B row, the next one `ldb` floats on. `mv`/`nv` bound the
+  /// valid region (partial edge tiles stage through a local buffer);
+  /// `first` applies the beta prologue, `last` the epilogue + final store,
   /// intermediate Kc blocks round-trip raw accumulators through C.
-  static void run_tile(const float* ap, const float* bp, std::size_t kc,
-                       float* ct, std::size_t ldc, std::size_t mv,
-                       std::size_t nv, bool first, bool last,
+  static void run_tile(const float* ap, const float* bp, std::size_t ldb,
+                       std::size_t kc, float* ct, std::size_t ldc,
+                       std::size_t mv, std::size_t nv, bool first, bool last,
                        const PackedGemmArgs& g, std::size_t row0,
                        std::size_t col0) {
     Vec acc[kMR][kNV];
@@ -212,7 +285,7 @@ struct PackedGemm {
     }
 
     for (std::size_t p = 0; p < kc; ++p) {
-      const float* brow = bp + p * kNR;
+      const float* brow = bp + p * ldb;
       Vec bv[kNV];
       for (std::size_t v = 0; v < kNV; ++v) bv[v] = Arch::load(brow + v * kW);
       const float* arow = ap + p * kMR;
@@ -303,6 +376,7 @@ struct PackedGemm {
     pack_a(g, apanel.data());
 
     const std::size_t n_slabs = (g.n + kNR - 1) / kNR;
+    const std::size_t full_slabs = g.n / kNR;
     const std::size_t slabs_per_group = kNc / kNR > 0 ? kNc / kNR : 1;
     const std::size_t num_panels = (rows + kMR - 1) / kMR;
     const std::size_t num_kb = (g.k + kKc - 1) / kKc;
@@ -325,9 +399,12 @@ struct PackedGemm {
             const std::size_t col0 = s * kNR;
             const std::size_t nv =
                 g.n - col0 < kNR ? g.n - col0 : kNR;
-            const float* bp = g.packed_b + s * g.k * kNR + p0 * kNR;
+            const bool in_full = s < full_slabs;
+            const std::size_t ldb = in_full ? g.ldb : kNR;
+            const float* bp =
+                (in_full ? g.b + s * g.b_slab : g.b_tail) + p0 * ldb;
             float* ct = g.c + (g.row_lo + local0) * g.n + col0;
-            run_tile(ap, bp, kc, ct, g.n, mv, nv, first, last, g,
+            run_tile(ap, bp, ldb, kc, ct, g.n, mv, nv, first, last, g,
                      g.row_lo + local0, col0);
           }
         }

@@ -32,6 +32,8 @@ enum class WsSlot : std::size_t {
   kGemmPackA = 0,  // gemm: packed/transposed A operand
   kGemmPackB,      // gemm: packed/transposed B operand
   kConvColGrad,    // Conv2d::backward: d(col) panel before col2im
+  kConvBorder,     // Conv2d::im2col/col2im: zero-bordered sample plane
+  kPoolTaps,       // MaxPool2d::forward: one plane's windows, tap-major
   kBlend,          // Simulation: on-device blended model w_hat
   kScratch,        // generic caller-owned scratch (benches, cloud sync)
   kCount,
@@ -48,7 +50,8 @@ enum class WsDoubleSlot : std::size_t {
 /// (cache-line/vector-register aligned loads on every ISA tier).
 enum class WsAlignedSlot : std::size_t {
   kGemmPanelA = 0,  // packed (alpha-scaled, MR-padded) A panel
-  kGemmPanelB,      // packed (NR-slab, zero-padded) B panel
+  kGemmPanelB,      // packed NR-slabs of B: a transposed B whole, else
+                    // only the ragged last slab (zero-padded)
   kCount,
 };
 

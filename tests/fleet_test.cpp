@@ -306,6 +306,29 @@ TEST(LazyTrainingOracle, InterleavedSettledRoundsMatchPrivateModels) {
   }
 }
 
+TEST(DeviceRuntime, StepBuffersKeepTheirStorageAcrossTrainCalls) {
+  // The loss gradient and the final batch's per-sample losses are written
+  // into the pooled runtime, so a second Device::train through it (another
+  // device, another round) reuses both allocations. One local step each:
+  // a buffer made anew per step would hold a fresh block the second time,
+  // since the first one is still alive while its successor is allocated.
+  const middlefl::optim::Sgd sgd({.learning_rate = 0.05, .momentum = 0.9});
+  OracleFixture fx(sgd, 0.0f, {0, 40});
+  TwinPair a = fx.make_pair(sgd);
+  TwinPair b = fx.make_pair(sgd);
+  middlefl::core::DeviceRuntime* runtime = fx.registry.acquire_runtime();
+  Xoshiro256 rng(5);
+  a.device.train(1, 8, 0.05, true, rng, 0.0, 0.0, runtime);
+  const float* grad = runtime->loss_grad().data().data();
+  const float* losses = runtime->sample_losses().data();
+  ASSERT_EQ(runtime->loss_grad().numel(), 8u * 4u);  // batch x classes
+  ASSERT_EQ(runtime->sample_losses().size(), 8u);
+  b.device.train(1, 8, 0.05, true, rng, 0.0, 0.0, runtime);
+  EXPECT_EQ(runtime->loss_grad().data().data(), grad);
+  EXPECT_EQ(runtime->sample_losses().data(), losses);
+  fx.registry.release_runtime(runtime);
+}
+
 TEST(LazyTrainingOracle, AdoptAndResetRoundsMatchPrivateModels) {
   // Adam carries a step count and two moment slots across rounds, the
   // device acquires its own runtime, a broadcast adopt rebases it on a new

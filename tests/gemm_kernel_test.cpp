@@ -2,16 +2,20 @@
 // value correctness against a naive double-accumulated reference across
 // shapes that exercise partial MR/NR edge tiles and multi-Kc sweeps, exact
 // fused-epilogue semantics (bias / ReLU / mask / row-sums bitwise equal to
-// the unfused elementwise passes), and dispatch parity — every ISA tier the
-// host supports must produce byte-identical output for the same input.
+// the unfused elementwise passes), dispatch parity — every ISA tier the
+// host supports must produce byte-identical output for the same input —
+// and a sweep over the slab and Kc edges of the in-place and transposed B
+// paths.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <span>
 #include <vector>
 
+#include "isa_guard.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/blas.hpp"
 #include "tensor/cpu_features.hpp"
@@ -21,6 +25,7 @@ namespace {
 using middlefl::tensor::GemmEpilogue;
 using middlefl::tensor::IsaLevel;
 using middlefl::tensor::Trans;
+using middlefl::test_support::IsaGuard;
 
 std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -51,16 +56,6 @@ std::vector<float> naive_gemm(Trans ta, Trans tb, std::size_t m,
   }
   return c;
 }
-
-/// Pins the GEMM dispatch to a level for the lifetime of the guard.
-struct IsaGuard {
-  explicit IsaGuard(IsaLevel level)
-      : applied(middlefl::tensor::force_isa(level)) {}
-  ~IsaGuard() { middlefl::tensor::clear_forced_isa(); }
-  IsaGuard(const IsaGuard&) = delete;
-  IsaGuard& operator=(const IsaGuard&) = delete;
-  IsaLevel applied;
-};
 
 void check_against_naive(Trans ta, Trans tb, std::size_t m, std::size_t n,
                          std::size_t k, float alpha, float beta) {
@@ -335,6 +330,106 @@ TEST(GemmKernel, DispatchParityAcrossIsaTiers) {
                                    c_scalar.size() * sizeof(float)))
               << "ISA tier changed output bits";
           ASSERT_EQ(mask_scalar, mask_simd);
+        }
+      }
+    }
+  }
+}
+
+/// One gemm call's outputs: C, the ReLU mask and the row sums.
+struct GemmOutputs {
+  std::vector<float> c;
+  std::vector<std::uint8_t> mask;
+  std::vector<float> sums;
+
+  bool operator==(const GemmOutputs& o) const {
+    return c.size() == o.c.size() &&
+           std::memcmp(c.data(), o.c.data(), c.size() * sizeof(float)) == 0 &&
+           mask == o.mask &&
+           std::memcmp(sums.data(), o.sums.data(),
+                       sums.size() * sizeof(float)) == 0;
+  }
+};
+
+enum class EpilogueKind { kNone, kBiasReluMask, kRowSums };
+
+/// C = 0.75 * A * op(B) + beta * C0 with the given epilogue (bias and ReLU
+/// with its mask, or row sums starting from 0.5).
+GemmOutputs run_gemm(Trans tb, std::size_t m, std::size_t n, std::size_t k,
+                     const std::vector<float>& a, std::span<const float> b,
+                     float beta, const std::vector<float>& c0,
+                     EpilogueKind kind, const std::vector<float>& col_bias,
+                     const std::vector<float>& row_bias,
+                     middlefl::parallel::ThreadPool* pool) {
+  GemmOutputs out{c0, std::vector<std::uint8_t>(m * n, 0),
+                  std::vector<float>(m, 0.5f)};
+  GemmEpilogue epi;
+  if (kind == EpilogueKind::kBiasReluMask) {
+    epi.col_bias = col_bias.data();
+    epi.row_bias = row_bias.data();
+    epi.relu = true;
+    epi.relu_mask = out.mask.data();
+  } else if (kind == EpilogueKind::kRowSums) {
+    epi.row_sums = out.sums.data();
+  }
+  middlefl::tensor::gemm(Trans::kNo, tb, m, n, k, 0.75f, a, b, beta, out.c,
+                         pool, kind == EpilogueKind::kNone ? nullptr : &epi);
+  return out;
+}
+
+// A row-major op(B) is read in place (row stride n) with only its ragged
+// last NR slab packed; a transposed one is packed by the row-writing
+// transpose. n steps over every tier's slab edges (NR = 8, 16, 32 and the
+// ragged widths around them), k over the Kc = 256 block edges, and B sits
+// one float past an aligned start. Every result must match the naive
+// reference, stay bitwise equal under a 2-thread pool's row splits, and be
+// bitwise equal to the forced-scalar tier, for every beta and epilogue.
+TEST(GemmKernel, InPlaceBSweepMatchesReferenceAndScalarTier) {
+  const std::size_t m = 19;  // a partial MR tile on every tier
+  middlefl::parallel::ThreadPool pool(2);
+  const std::vector<IsaLevel> levels = middlefl::test_support::supported_isas();
+  for (const std::size_t n : {1, 15, 16, 31, 32, 33, 64, 72, 257}) {
+    for (const std::size_t k : {1, 16, 255, 256, 257, 1024}) {
+      const auto a = random_vec(m * k, 1000 + n * 7 + k);
+      const auto b_store = random_vec(k * n + 1, 1001 + n * 7 + k);
+      const std::span<const float> b(b_store.data() + 1, k * n);
+      const auto c0 = random_vec(m * n, 1002 + n * 7 + k);
+      const auto col_bias = random_vec(n, 1003);
+      const auto row_bias = random_vec(m, 1004);
+      const std::vector<float> b_vec(b.begin(), b.end());
+      for (const Trans tb : {Trans::kNo, Trans::kYes}) {
+        for (const float beta : {0.0f, 1.0f, -0.75f}) {
+          const auto want =
+              naive_gemm(Trans::kNo, tb, m, n, k, 0.75f, a, b_vec, beta, c0);
+          for (const EpilogueKind kind :
+               {EpilogueKind::kNone, EpilogueKind::kBiasReluMask,
+                EpilogueKind::kRowSums}) {
+            GemmOutputs scalar;
+            for (const IsaLevel level : levels) {
+              SCOPED_TRACE(::testing::Message()
+                           << "isa=" << middlefl::tensor::to_string(level)
+                           << " tb=" << (tb == Trans::kYes) << " n=" << n
+                           << " k=" << k << " beta=" << beta
+                           << " epilogue=" << static_cast<int>(kind));
+              IsaGuard guard(level);
+              const GemmOutputs serial =
+                  run_gemm(tb, m, n, k, a, b, beta, c0, kind, col_bias,
+                           row_bias, nullptr);
+              ASSERT_TRUE(serial == run_gemm(tb, m, n, k, a, b, beta, c0, kind,
+                                             col_bias, row_bias, &pool))
+                  << "row split changed the result";
+              if (level == IsaLevel::kScalar) {
+                scalar = serial;
+              } else {
+                ASSERT_TRUE(serial == scalar) << "ISA tier changed the result";
+              }
+              if (kind != EpilogueKind::kNone) continue;
+              const double tol = 1e-4 * (1.0 + static_cast<double>(k) * 0.01);
+              for (std::size_t i = 0; i < want.size(); ++i) {
+                ASSERT_NEAR(serial.c[i], want[i], tol) << "at flat index " << i;
+              }
+            }
+          }
         }
       }
     }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "nn/flatten.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
+#include "isa_guard.hpp"
 #include "nn/pooling.hpp"
 #include "parallel/rng.hpp"
 #include "tensor/blas.hpp"
@@ -23,7 +25,10 @@
 namespace {
 
 using middlefl::tensor::GemmEpilogue;
+using middlefl::tensor::IsaLevel;
 using middlefl::tensor::Trans;
+using middlefl::test_support::IsaGuard;
+using middlefl::test_support::supported_isas;
 
 using middlefl::nn::Conv2d;
 using middlefl::nn::Conv2dConfig;
@@ -162,9 +167,9 @@ TEST(Conv2d, BackwardRequiresTrainingForward) {
   EXPECT_THROW(layer.backward(input, out, &grad_in), std::logic_error);
 }
 
-/// The per-element lowering and per-sample GEMM loop Conv2d ran before its
-/// row-run im2col/col2im: the oracle Conv2dLowering compares against bit
-/// for bit.
+/// The per-element, bounds-tested lowering and per-sample GEMM loop Conv2d
+/// ran before its bordered im2col/col2im: the oracle Conv2dLowering
+/// compares against bit for bit.
 struct ConvOracle {
   Conv2dConfig cfg;
   std::size_t in_h, in_w, out_h, out_w;
@@ -290,74 +295,108 @@ bool same_bits(const T* a, const T* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(T)) == 0;
 }
 
+/// One training forward (fused ReLU) and backward of a Conv2d against the
+/// ConvOracle: output, mask, dW, db and dX must match bit for bit.
+void expect_conv_matches_oracle(const Conv2dConfig& cfg, std::size_t in_h,
+                                std::size_t in_w, std::size_t batch,
+                                std::uint64_t seed) {
+  Conv2d layer(cfg);
+  const Shape out_shape = layer.build(Shape{cfg.in_channels, in_h, in_w});
+  std::vector<float> params, grads;
+  bind_layer(layer, params, grads);
+  Xoshiro256 rng(seed);
+  for (float& v : params) v = static_cast<float>(rng.normal());
+  const Tensor input =
+      Tensor::randn(Shape{batch, cfg.in_channels, in_h, in_w}, rng);
+  // Each output plane opens with 1, 2^60, -2^60: summed ascending in
+  // position the 1 is absorbed, in any order that adds the pair first it
+  // survives, so the bias gradient's summation order shows in its bits.
+  Tensor grad_out = Tensor::randn(
+      Shape{batch, cfg.out_channels, out_shape.dim(1), out_shape.dim(2)}, rng);
+  const std::size_t positions = out_shape.dim(1) * out_shape.dim(2);
+  const std::size_t planes = positions >= 3 ? batch * cfg.out_channels : 0;
+  for (std::size_t plane = 0; plane < planes; ++plane) {
+    grad_out[plane * positions] = 1.0f;
+    grad_out[plane * positions + 1] = std::ldexp(1.0f, 60);
+    grad_out[plane * positions + 2] = -std::ldexp(1.0f, 60);
+  }
+
+  ReLU relu;
+  Tensor out;
+  layer.forward_fused(input, out, /*training=*/true, relu);
+  const std::uint8_t* mask = relu.fused_mask(out.numel());
+  Tensor grad_in;
+  layer.backward(input, grad_out, &grad_in);
+
+  ConvOracle oracle{cfg, in_h, in_w, out_shape.dim(1), out_shape.dim(2)};
+  const std::size_t w_count = params.size() - cfg.out_channels;
+  const std::span<const float> weight(params.data(), w_count);
+  std::vector<float> want_out, want_cols, want_dx;
+  std::vector<std::uint8_t> want_mask;
+  oracle.forward(weight, params.data() + w_count, input, want_out, want_mask,
+                 want_cols);
+  std::vector<float> want_grads(params.size(), 0.0f);
+  oracle.backward(
+      weight, want_cols, grad_out, std::span<float>(want_grads.data(), w_count),
+      std::span<float>(want_grads.data() + w_count, cfg.out_channels),
+      want_dx);
+
+  ASSERT_EQ(out.numel(), want_out.size());
+  EXPECT_TRUE(same_bits(out.data().data(), want_out.data(), want_out.size()))
+      << "forward output";
+  EXPECT_TRUE(same_bits(mask, want_mask.data(), want_mask.size()))
+      << "ReLU mask";
+  EXPECT_TRUE(same_bits(grads.data(), want_grads.data(), w_count)) << "dW";
+  EXPECT_TRUE(same_bits(grads.data() + w_count, want_grads.data() + w_count,
+                        cfg.out_channels))
+      << "db";
+  ASSERT_EQ(grad_in.numel(), want_dx.size());
+  EXPECT_TRUE(
+      same_bits(grad_in.data().data(), want_dx.data(), want_dx.size()))
+      << "dX";
+}
+
 TEST(Conv2dLowering, RowRunsMatchPerElementOracle) {
-  const std::size_t in_h = 6, in_w = 9, out_channels = 4;
-  for (const std::size_t channels : {1, 3}) {
-    for (const std::size_t kernel : {1, 3, 5}) {
-      for (const std::size_t stride : {1, 2}) {
-        for (const std::size_t pad : {0, 1, 2}) {
-          for (const std::size_t batch : {1, 5}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "C=" << channels << " k=" << kernel
-                         << " stride=" << stride << " pad=" << pad
-                         << " batch=" << batch);
-            const Conv2dConfig cfg{channels, out_channels, kernel, stride,
-                                   pad};
-            Conv2d layer(cfg);
-            const Shape out_shape = layer.build(Shape{channels, in_h, in_w});
-            std::vector<float> params, grads;
-            bind_layer(layer, params, grads);
-            Xoshiro256 rng(1000 + channels * 100 + kernel * 10 + stride +
-                           pad * 3 + batch);
-            for (float& v : params) v = static_cast<float>(rng.normal());
-            const Tensor input =
-                Tensor::randn(Shape{batch, channels, in_h, in_w}, rng);
-            const Tensor grad_out =
-                Tensor::randn(Shape{batch, out_channels, out_shape.dim(1),
-                                    out_shape.dim(2)},
-                              rng);
-
-            ReLU relu;
-            Tensor out;
-            layer.forward_fused(input, out, /*training=*/true, relu);
-            const std::uint8_t* mask = relu.fused_mask(out.numel());
-            Tensor grad_in;
-            layer.backward(input, grad_out, &grad_in);
-
-            ConvOracle oracle{cfg, in_h, in_w, out_shape.dim(1),
-                              out_shape.dim(2)};
-            const std::size_t w_count = params.size() - out_channels;
-            const std::span<const float> weight(params.data(), w_count);
-            std::vector<float> want_out, want_cols, want_dx;
-            std::vector<std::uint8_t> want_mask;
-            oracle.forward(weight, params.data() + w_count, input, want_out,
-                           want_mask, want_cols);
-            std::vector<float> want_grads(params.size(), 0.0f);
-            oracle.backward(weight, want_cols, grad_out,
-                            std::span<float>(want_grads.data(), w_count),
-                            std::span<float>(want_grads.data() + w_count,
-                                             out_channels),
-                            want_dx);
-
-            ASSERT_EQ(out.numel(), want_out.size());
-            EXPECT_TRUE(same_bits(out.data().data(), want_out.data(),
-                                  want_out.size()))
-                << "forward output";
-            EXPECT_TRUE(same_bits(mask, want_mask.data(), want_mask.size()))
-                << "ReLU mask";
-            EXPECT_TRUE(same_bits(grads.data(), want_grads.data(), w_count))
-                << "dW";
-            EXPECT_TRUE(same_bits(grads.data() + w_count,
-                                  want_grads.data() + w_count, out_channels))
-                << "db";
-            ASSERT_EQ(grad_in.numel(), want_dx.size());
-            EXPECT_TRUE(same_bits(grad_in.data().data(), want_dx.data(),
-                                  want_dx.size()))
-                << "dX";
+  // Widths 7 and 9 leave out_w off every vector width, pad 3 exceeds k/2
+  // for every kernel (whole runs in the border), stride 2 gathers; every
+  // ISA tier drives the GEMMs around the lowering.
+  const std::size_t in_h = 6, out_channels = 4;
+  for (const IsaLevel level : supported_isas()) {
+    IsaGuard guard(level);
+    for (const std::size_t in_w : {7, 9}) {
+      for (const std::size_t channels : {1, 3}) {
+        for (const std::size_t kernel : {1, 3, 5}) {
+          for (const std::size_t stride : {1, 2}) {
+            for (const std::size_t pad : {0, 1, 2, 3}) {
+              for (const std::size_t batch : {1, 5}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "isa=" << middlefl::tensor::to_string(level)
+                             << " W=" << in_w << " C=" << channels
+                             << " k=" << kernel << " stride=" << stride
+                             << " pad=" << pad << " batch=" << batch);
+                expect_conv_matches_oracle(
+                    Conv2dConfig{channels, out_channels, kernel, stride, pad},
+                    in_h, in_w, batch,
+                    1000 + channels * 100 + kernel * 10 + stride + pad * 3 +
+                        batch + in_w * 1000);
+              }
+            }
           }
         }
       }
     }
+  }
+}
+
+TEST(Conv2dLowering, Cnn2ShapesMatchPerElementOracle) {
+  // The paper CNN-2's two conv layers at batch 16: conv1 (1 -> 8 channels,
+  // 16 x 16) and conv2 (8 -> 16 channels, 8 x 8), 3 x 3, padding 1.
+  for (const IsaLevel level : supported_isas()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "isa=" << middlefl::tensor::to_string(level));
+    IsaGuard guard(level);
+    expect_conv_matches_oracle(Conv2dConfig{1, 8, 3, 1, 1}, 16, 16, 16, 21);
+    expect_conv_matches_oracle(Conv2dConfig{8, 16, 3, 1, 1}, 8, 8, 16, 22);
   }
 }
 
@@ -395,6 +434,154 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
 TEST(MaxPool2d, OverlappingStride) {
   MaxPool2d layer(2, 1);
   EXPECT_EQ(layer.build(Shape{1, 3, 3}), (Shape{1, 2, 2}));
+}
+
+TEST(MaxPool2d, RejectsPlanesBeyond32BitArgmax) {
+  MaxPool2d layer(2);
+  EXPECT_THROW(layer.build(Shape{1, 70000, 70000}), std::invalid_argument);
+  EXPECT_NO_THROW(layer.build(Shape{1, 4, 4}));
+}
+
+/// The compare-and-branch loop MaxPool2d ran before its selects: the
+/// oracle MaxPool2dOracle compares against bit for bit. Fills each
+/// output's value and flat input index (over the whole batch).
+void max_pool_oracle(std::size_t kernel, std::size_t stride,
+                     const Tensor& input, std::vector<float>& out,
+                     std::vector<std::size_t>& argmax) {
+  const std::size_t planes = input.dim(0) * input.dim(1);
+  const std::size_t in_h = input.dim(2), in_w = input.dim(3);
+  const std::size_t out_h = (in_h - kernel) / stride + 1;
+  const std::size_t out_w = (in_w - kernel) / stride + 1;
+  out.clear();
+  argmax.clear();
+  for (std::size_t bc = 0; bc < planes; ++bc) {
+    const float* plane = input.data().data() + bc * in_h * in_w;
+    for (std::size_t oy = 0; oy < out_h; ++oy) {
+      for (std::size_t ox = 0; ox < out_w; ++ox) {
+        const std::size_t y0 = oy * stride;
+        const std::size_t x0 = ox * stride;
+        std::size_t best_idx = y0 * in_w + x0;
+        float best = plane[best_idx];
+        for (std::size_t ky = 0; ky < kernel; ++ky) {
+          const std::size_t row_base = (y0 + ky) * in_w + x0;
+          for (std::size_t kx = 0; kx < kernel; ++kx) {
+            const float v = plane[row_base + kx];
+            if (v > best) {
+              best = v;
+              best_idx = row_base + kx;
+            }
+          }
+        }
+        out.push_back(best);
+        argmax.push_back(bc * in_h * in_w + best_idx);
+      }
+    }
+  }
+}
+
+/// Forward, argmax and backward of MaxPool2d against the oracle. The argmax
+/// is read through the public API: a one-hot output gradient routes to
+/// exactly one input, the chosen one.
+void expect_pool_matches_oracle(std::size_t kernel, std::size_t stride,
+                                const Tensor& input) {
+  MaxPool2d layer(kernel, stride);
+  layer.build(Shape{input.dim(1), input.dim(2), input.dim(3)});
+  Tensor out;
+  layer.forward(input, out, /*training=*/true);
+  std::vector<float> want_out;
+  std::vector<std::size_t> want_argmax;
+  max_pool_oracle(kernel, stride, input, want_out, want_argmax);
+  ASSERT_EQ(out.numel(), want_out.size());
+  EXPECT_TRUE(same_bits(out.data().data(), want_out.data(), want_out.size()))
+      << "forward output";
+
+  Tensor grad_in;
+  for (std::size_t p = 0; p < out.numel(); ++p) {
+    Tensor one_hot(out.shape());
+    one_hot[p] = 1.0f;
+    layer.backward(input, one_hot, &grad_in);
+    std::vector<std::size_t> routed;
+    for (std::size_t i = 0; i < grad_in.numel(); ++i) {
+      if (grad_in[i] != 0.0f) routed.push_back(i);
+    }
+    ASSERT_EQ(routed, std::vector<std::size_t>{want_argmax[p]})
+        << "argmax of output " << p;
+  }
+
+  Xoshiro256 rng(input.numel());
+  const Tensor grad_out = Tensor::randn(out.shape(), rng);
+  layer.backward(input, grad_out, &grad_in);
+  std::vector<float> want_dx(input.numel(), 0.0f);
+  for (std::size_t p = 0; p < want_argmax.size(); ++p) {
+    want_dx[want_argmax[p]] += grad_out[p];
+  }
+  EXPECT_TRUE(same_bits(grad_in.data().data(), want_dx.data(), want_dx.size()))
+      << "backward";
+}
+
+/// A batch whose values come from `palette` (many ties).
+Tensor palette_input(const Shape& shape, const std::vector<float>& palette,
+                     std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Tensor input(shape);
+  for (std::size_t i = 0; i < input.numel(); ++i) {
+    input[i] = palette[rng.bounded(palette.size())];
+  }
+  return input;
+}
+
+struct PoolWindow {
+  std::size_t kernel, stride;
+};
+// Non-overlapping, overlapping (k = 3, s = 2 and s = 1) and a window that
+// leaves the last row and column unread.
+const PoolWindow kPoolWindows[] = {{2, 2}, {3, 2}, {2, 1}, {3, 3}};
+
+TEST(MaxPool2dOracle, TiesKeepTheFirstMaximum) {
+  for (const PoolWindow w : kPoolWindows) {
+    SCOPED_TRACE(::testing::Message() << "k=" << w.kernel << " s=" << w.stride);
+    expect_pool_matches_oracle(
+        w.kernel, w.stride,
+        palette_input(Shape{2, 3, 7, 8}, {-1.0f, 0.0f, 1.0f, 2.0f}, 31));
+  }
+}
+
+TEST(MaxPool2dOracle, SignedZerosKeepTheFirstOnesSign) {
+  // +0.0 and -0.0 compare equal, so the window's first zero decides the
+  // output's sign bit.
+  for (const PoolWindow w : kPoolWindows) {
+    SCOPED_TRACE(::testing::Message() << "k=" << w.kernel << " s=" << w.stride);
+    expect_pool_matches_oracle(
+        w.kernel, w.stride,
+        palette_input(Shape{2, 2, 7, 7}, {0.0f, -0.0f, -1.0f}, 32));
+  }
+}
+
+TEST(MaxPool2dOracle, NanAtEveryWindowPosition) {
+  // One NaN, moved over every input position, so it sits at every position
+  // of every window: first in a window it sticks, later it is skipped.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const PoolWindow w : kPoolWindows) {
+    const Tensor base =
+        palette_input(Shape{1, 1, 7, 7}, {-1.0f, 0.5f, 2.0f, 3.0f}, 33);
+    for (std::size_t i = 0; i < base.numel(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "k=" << w.kernel
+                                        << " s=" << w.stride << " nan at "
+                                        << i);
+      Tensor input = base;
+      input[i] = nan;
+      expect_pool_matches_oracle(w.kernel, w.stride, input);
+    }
+  }
+}
+
+TEST(MaxPool2dOracle, RandomActivations) {
+  for (const PoolWindow w : kPoolWindows) {
+    SCOPED_TRACE(::testing::Message() << "k=" << w.kernel << " s=" << w.stride);
+    Xoshiro256 rng(34);
+    expect_pool_matches_oracle(w.kernel, w.stride,
+                               Tensor::randn(Shape{3, 4, 9, 8}, rng));
+  }
 }
 
 TEST(AvgPool2d, ForwardIsWindowMean) {
