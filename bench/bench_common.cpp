@@ -381,11 +381,7 @@ SimRunSummary SimRunSummary::capture(const core::Simulation& simulation) {
   s.materializations = simulation.fleet().materializations();
   s.resident_peak = simulation.fleet().resident_peak();
   s.delta_bytes_at_rest = simulation.fleet().delta_bytes_at_rest();
-  s.comm_backend = std::string(simulation.communicator().backend());
-  const comm::CommCounters reduce_counters = simulation.comm_reduce_counters();
-  s.reduces = reduce_counters.reduces;
-  s.reduce_tasks = reduce_counters.reduce_tasks;
-  s.reduce_max_depth = reduce_counters.max_depth;
+  s.reduces = simulation.comm_reduce_counters().reduces;
   s.async_cloud = simulation.config().comm.async_cloud;
   s.max_staleness = simulation.config().comm.max_staleness;
   const comm::AsyncStats& async = simulation.async_stats();
@@ -409,10 +405,7 @@ void append_summary_members(config::Json& object,
            Json::make_uint(summary.comm.device_broadcasts));
   comm.set("total_transfers", Json::make_uint(summary.comm.total_transfers()));
   comm.set("wan_transfers", Json::make_uint(summary.comm.wan_transfers()));
-  comm.set("backend", Json::make_string(summary.comm_backend));
   comm.set("reduces", Json::make_uint(summary.reduces));
-  comm.set("reduce_tasks", Json::make_uint(summary.reduce_tasks));
-  comm.set("reduce_max_depth", Json::make_uint(summary.reduce_max_depth));
   comm.set("async_cloud", Json::make_bool(summary.async_cloud));
   comm.set("max_staleness", Json::make_uint(summary.max_staleness));
   comm.set("async_published", Json::make_uint(summary.async_published));

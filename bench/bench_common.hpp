@@ -184,12 +184,9 @@ struct SimRunSummary {
   std::uint64_t materializations = 0;
   std::uint64_t resident_peak = 0;
   std::uint64_t delta_bytes_at_rest = 0;
-  /// Collectives layer: backend id, reduction counters and — when
-  /// comm.async_cloud is on — the semi-async sync counters.
-  std::string comm_backend;
+  /// Collectives layer: the reduce count and — when comm.async_cloud is
+  /// on — the semi-async sync counters.
   std::uint64_t reduces = 0;
-  std::uint64_t reduce_tasks = 0;
-  std::uint64_t reduce_max_depth = 0;
   bool async_cloud = false;
   std::uint64_t max_staleness = 0;
   std::uint64_t async_published = 0;

@@ -21,7 +21,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/aggregation.hpp"
+#include "comm/communicator.hpp"
 #include "mobility/trace.hpp"
 
 namespace {
@@ -108,13 +108,14 @@ CaseResult run_case(bool on_device_aggregation,
   for (std::size_t t = 0; t < total_steps; ++t) sim.step();
 
   // "aggregate all local models as the cloud model" (§2).
-  std::vector<core::WeightedModel> locals;
+  std::vector<comm::Contribution> locals;
   for (std::size_t d = 0; d < kDevices; ++d) {
-    locals.push_back(core::WeightedModel{
+    locals.push_back(comm::Contribution{
         sim.device(d).params(),
         static_cast<double>(sim.device(d).data_size())});
   }
-  const auto cloud = core::weighted_average(locals);
+  std::vector<float> cloud(sim.cloud_params().size());
+  comm::InProcessCommunicator(nullptr).all_reduce(locals, cloud);
 
   CaseResult result;
   result.cloud_per_class = sim.evaluator().per_class_accuracy(cloud);

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/aggregation.hpp"
+#include "comm/communicator.hpp"
 #include "core/similarity.hpp"
 #include "data/sampler.hpp"
 #include "data/synthetic.hpp"
@@ -457,42 +457,44 @@ void BM_OnDeviceAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_OnDeviceAggregate)->Arg(1 << 12)->Arg(1 << 16);
 
-void BM_WeightedAverage(benchmark::State& state) {
+void BM_AllReduce(benchmark::State& state) {
   const auto models = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 1 << 14;
   std::vector<std::vector<float>> storage;
   storage.reserve(models);
-  std::vector<core::WeightedModel> weighted;
+  std::vector<comm::Contribution> weighted;
   for (std::size_t i = 0; i < models; ++i) {
     storage.push_back(random_vec(n, 20 + i));
-    weighted.push_back(core::WeightedModel{storage.back(), 1.0 + i});
+    weighted.push_back(comm::Contribution{storage.back(), 1.0 + i});
   }
   std::vector<float> out(n);
+  comm::InProcessCommunicator communicator(nullptr);
   for (auto _ : state) {
-    core::weighted_average(weighted, out);
+    communicator.all_reduce(weighted, out);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_WeightedAverage)->Arg(5)->Arg(10)->Arg(50);
+BENCHMARK(BM_AllReduce)->Arg(5)->Arg(10)->Arg(50);
 
-void BM_WeightedAverageParallel(benchmark::State& state) {
+void BM_AllReduceParallel(benchmark::State& state) {
   const auto models = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 1 << 18;
   parallel::ThreadPool pool(4);
   std::vector<std::vector<float>> storage;
   storage.reserve(models);
-  std::vector<core::WeightedModel> weighted;
+  std::vector<comm::Contribution> weighted;
   for (std::size_t i = 0; i < models; ++i) {
     storage.push_back(random_vec(n, 40 + i));
-    weighted.push_back(core::WeightedModel{storage.back(), 1.0 + i});
+    weighted.push_back(comm::Contribution{storage.back(), 1.0 + i});
   }
   std::vector<float> out(n);
+  comm::InProcessCommunicator communicator(&pool);
   for (auto _ : state) {
-    core::weighted_average(weighted, out, &pool);
+    communicator.all_reduce(weighted, out);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_WeightedAverageParallel)->Arg(5)->Arg(10)->Arg(50);
+BENCHMARK(BM_AllReduceParallel)->Arg(5)->Arg(10)->Arg(50);
 
 /// Arg 0: the Fig-6 fast-scale MLP2 stand-in (hidden 48). Arg 1: the
 /// paper's CNN-2 (hidden 64, base 8 channels), as `paper_cnn` trains it.
@@ -581,7 +583,7 @@ void BM_ParallelForDispatch(benchmark::State& state) {
   parallel::ThreadPool pool(4);
   std::vector<double> sink(tasks, 0.0);
   for (auto _ : state) {
-    parallel::parallel_for(pool, 0, tasks, [&sink](std::size_t i) {
+    parallel::parallel_for(&pool, 0, tasks, [&sink](std::size_t i) {
       double acc = 0.0;
       for (int k = 0; k < 1000; ++k) acc += static_cast<double>(k) * 1e-9;
       sink[i] = acc;

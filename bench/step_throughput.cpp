@@ -12,8 +12,8 @@
 // trajectory is tracked across PRs. Besides the main measurement on
 // the configured pool, a thread-scaling sweep (requested sizes 1/2/4/8,
 // clamped to the hardware concurrency so a small host measures real scaling
-// instead of oversubscription noise) records how the per-edge task-graph
-// scheduler scales; --no-sweep skips it. Requested sizes that clamp to the
+// instead of oversubscription noise) records how the per-edge chain
+// fan-out scales; --no-sweep skips it. Requested sizes that clamp to the
 // same effective pool collapse into ONE sweep row whose
 // `threads_requested` lists every requested size it covers (with an
 // `oversubscribed` flag when any of them exceeded the hardware), so a

@@ -1,28 +1,30 @@
-// The collectives seam of the simulator (ROADMAP: collective-communication
-// backend). Every aggregation in the pipeline — each edge over its device
-// uploads (EdgeAggregate) and the cloud over edge contributions
-// (CloudSync) — flows through one Communicator, so the reduction schedule,
-// its counters and the future multi-process transport all live behind a
-// single interface instead of bespoke loops per call site.
+// The simulator's one collective: a weighted average of flat parameter
+// vectors. The paper's two aggregations are both this average — each edge
+// over its device uploads (Eq. 6, EdgeAggregate) and the cloud over edge
+// contributions (Eq. 7, CloudSync) — and both call all_reduce().
 //
-// The in-process backend runs comm::Reducer's deterministic element-block
-// tree on the shared pool: bitwise identical to the historical serial
-// fixed-order loops at any thread count (see reducer.hpp for why the tree
-// is built over element blocks, not participants). A socket/shared-memory
-// backend slots in behind the same virtual interface; such a backend would
-// reduce participant-space for real and therefore NOT be bitwise
-// comparable to in-process runs — the determinism contract is per backend.
+// Arithmetic: weights are normalized once (w_k / sum w), then every
+// element is accumulated in double in canonical contribution order
+// (k = 0 .. P-1) and rounded to float. Outputs larger than one 8192-element
+// block are split into blocks over parallel_for; each block runs the full
+// contribution-order sum for its own elements, so the split changes only
+// which thread computes an element, never its sum order, and the result is
+// bitwise identical to the serial loop at any pool size (pinned by
+// CommReducer and CommPipeline in tests/comm_test.cpp). A multi-process
+// backend would need its own interface; it is not part of this one.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
-
-#include "comm/reducer.hpp"
 
 namespace middlefl::obs {
 class TraceRecorder;
+}
+
+namespace middlefl::parallel {
+class ThreadPool;
 }
 
 namespace middlefl::comm {
@@ -42,74 +44,52 @@ struct CommConfig {
   std::size_t max_staleness = 1;
 };
 
-/// Monotonic reduction counters; exact at serial points (in-chain reduces
-/// bump them through relaxed atomics, which commute).
+/// One contribution to a weighted average: a flat parameter vector and its
+/// aggregation weight (data-sample count d_m at the edge,
+/// participating-sample count d_hat_n at the cloud).
+struct Contribution {
+  std::span<const float> params;
+  double weight = 0.0;
+};
+
+/// Elements per parallel block. Per-element sums are independent and each
+/// runs in contribution order, so the block size only affects scheduling,
+/// never the result.
+inline constexpr std::size_t kReduceBlock = std::size_t{1} << 13;
+
+/// Reduction count; exact at serial points (in-chain reduces bump it
+/// through a relaxed atomic, which commutes).
 struct CommCounters {
-  std::uint64_t reduces = 0;       // reduce/all_reduce calls completed
-  std::uint64_t reduce_tasks = 0;  // tree tasks scheduled (leaves + joins)
-  std::uint64_t max_depth = 0;     // deepest reduction tree executed
-  std::uint64_t broadcasts = 0;    // broadcast() calls
+  std::uint64_t reduces = 0;  // all_reduce calls completed
 };
 
-class Communicator {
- public:
-  virtual ~Communicator() = default;
-
-  /// Backend identifier ("in_process" today).
-  virtual std::string_view backend() const noexcept = 0;
-
-  /// out = weighted average of `contribs` in canonical contribution order
-  /// (double accumulation per element). Throws std::invalid_argument on
-  /// empty/mismatched/negative/all-zero inputs.
-  virtual void reduce(std::span<const Contribution> contribs,
-                      std::span<float> out) = 0;
-
-  /// reduce + make the result visible to every rank. In process, every
-  /// rank shares `out` already, so this is reduce(); a multi-process
-  /// backend adds the redistribution round.
-  virtual void all_reduce(std::span<const Contribution> contribs,
-                          std::span<float> out) = 0;
-
-  /// Copies `root` into `dst` (no-op when they alias). The wire-level
-  /// broadcast to edges/devices stays on transport::Link — this collective
-  /// exists for rank-local fan-out in future multi-process backends.
-  virtual void broadcast(std::span<const float> root,
-                         std::span<float> dst) = 0;
-
-  virtual CommCounters counters() const noexcept = 0;
-};
-
-/// Single-process backend over the shared thread pool.
-class InProcessCommunicator final : public Communicator {
+class InProcessCommunicator {
  public:
   /// `pool` may be null (fully serial). Non-owning; must outlive this.
   explicit InProcessCommunicator(parallel::ThreadPool* pool) : pool_(pool) {}
 
-  std::string_view backend() const noexcept override { return "in_process"; }
-  void reduce(std::span<const Contribution> contribs,
-              std::span<float> out) override;
+  /// out = sum_k weight_k * params_k / sum_k weight_k, accumulated in
+  /// double per element in contribution order. Throws
+  /// std::invalid_argument on empty input, a size mismatch, a negative
+  /// weight or all-zero weights. The double accumulator comes from the
+  /// thread-local Workspace, so steady-state calls allocate nothing.
   void all_reduce(std::span<const Contribution> contribs,
-                  std::span<float> out) override;
-  void broadcast(std::span<const float> root, std::span<float> dst) override;
-  CommCounters counters() const noexcept override;
+                  std::span<float> out);
 
-  /// Attaches a span recorder: serial-point reduces become "comm.reduce"
-  /// spans (tree depth as argument) and the tree's tasks get "sched"
-  /// spans. In-chain reduces skip the clock reads, so observed runs stay
-  /// bit-identical to bare ones. nullptr detaches.
-  void set_trace(obs::TraceRecorder* trace) noexcept {
-    trace_ = trace;
-    reducer_.set_trace(trace);
+  CommCounters counters() const noexcept {
+    return CommCounters{reduces_.load(std::memory_order_relaxed)};
   }
+
+  /// Attaches a span recorder: reduces called at serial points (not from
+  /// inside a pool worker) become "comm.reduce" spans. In-chain reduces
+  /// skip the clock reads, so observed runs stay bit-identical to bare
+  /// ones. nullptr detaches.
+  void set_trace(obs::TraceRecorder* trace) noexcept { trace_ = trace; }
 
  private:
   parallel::ThreadPool* pool_;
-  Reducer reducer_;  // tree graph; only touched at serial points
   obs::TraceRecorder* trace_ = nullptr;
   std::atomic<std::uint64_t> reduces_{0};
-  std::atomic<std::uint64_t> reduce_tasks_{0};
-  std::atomic<std::uint64_t> max_depth_{0};
-  std::atomic<std::uint64_t> broadcasts_{0};
 };
 
 }  // namespace middlefl::comm

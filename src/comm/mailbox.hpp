@@ -3,10 +3,10 @@
 // synchronous mode and the semi-async one. Each edge owns exactly one slot
 // and posts its round-boundary contribution from inside its own chain; the
 // serial point consumes every slot in canonical edge order after the
-// step's task graph has joined.
+// step's edge fan-out has joined.
 //
 // Concurrency contract: slot i is written only by the task that owns edge
-// i, and read/cleared only at serial points. The task-graph join is the
+// i, and read/cleared only at serial points. The parallel_for join is the
 // happens-before edge between post() and take() — no atomics are needed,
 // and the consumption order (edge 0..N-1) is fixed, so the apply sequence
 // is deterministic at any thread count.

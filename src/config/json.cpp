@@ -176,8 +176,9 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
-/// Recursive-descent parser mirroring tools/json_check's strictness, with
-/// line/column tracking instead of byte offsets.
+/// Recursive-descent parser with line/column tracking. Nesting is capped so
+/// a hostile document of unbalanced brackets is an error, not a stack
+/// overflow.
 class Parser {
  public:
   Parser(std::string_view text, std::string source)
@@ -258,10 +259,14 @@ class Parser {
     Json value;
     switch (text_[pos_]) {
       case '{':
-        value = parse_object();
-        break;
       case '[':
-        value = parse_array();
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " arrays/objects");
+        }
+        ++depth_;
+        value = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
         break;
       case '"':
         value = Json::make_string(parse_string());
@@ -462,11 +467,14 @@ class Parser {
     return Json::make_number(value);
   }
 
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::string source_;
   std::size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
+  int depth_ = 0;  // arrays/objects open around the current value
 };
 
 }  // namespace

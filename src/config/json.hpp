@@ -8,9 +8,10 @@
 // overrides (sweep axes, --set flags), re-serialize canonically. So this
 // header adds the missing half while reusing the same conventions:
 //
-//   - strict RFC-8259 subset, same rules tools/json_check enforces: no
-//     comments, no trailing commas, exact true/false/null literals,
-//     duplicate object keys rejected;
+//   - strict RFC-8259 subset (tools/json_check validates with this same
+//     parser): no comments, no trailing commas, exact true/false/null
+//     literals, duplicate object keys rejected, at most 256 nested
+//     arrays/objects;
 //   - every node remembers the line/column it was parsed from, so schema
 //     errors ("unknown key", "expected number") point at the offending
 //     spot in the file, not at a byte offset;
@@ -114,8 +115,9 @@ class Json {
 std::string format_number(double value);
 
 /// Parses one complete JSON document (trailing whitespace allowed, any
-/// other trailing content rejected). Errors throw std::runtime_error with
-/// a "<source>:<line>:<col>: message" prefix.
+/// other trailing content rejected). Errors — including nesting deeper
+/// than 256 arrays/objects — throw std::runtime_error with a
+/// "<source>:<line>:<col>: message" prefix.
 Json parse_json(std::string_view text, const std::string& source_name);
 
 /// Reads and parses `path`; parse errors carry the path as the source

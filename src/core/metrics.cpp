@@ -30,34 +30,6 @@ Evaluator::Evaluator(std::unique_ptr<nn::Sequential> model,
   }
 }
 
-EvalResult Evaluator::evaluate_view(std::span<const float> params,
-                                    const data::DataView& view) {
-  const std::size_t num_batches =
-      (view.size() + batch_size_ - 1) / batch_size_;
-  if (pool_ != nullptr && pool_->size() > 1 && num_batches >= 2 &&
-      !parallel::ThreadPool::in_worker()) {
-    return evaluate_view_sharded(params, view, num_batches);
-  }
-  obs::TraceSpan span(trace_, "eval-sweep", "eval", view.size(), "samples");
-  model_->set_parameters(params);
-  EvalResult result;
-  result.samples = view.size();
-  double loss_acc = 0.0;
-  std::size_t correct = 0;
-  for (const auto& batch : data::sequential_batches(view.size(), batch_size_)) {
-    const auto features = view.gather(batch);
-    const auto labels = view.gather_labels(batch);
-    const nn::Tensor& logits = model_->forward(features, false);
-    loss_acc += static_cast<double>(nn::cross_entropy_value(logits, labels)) *
-                static_cast<double>(labels.size());
-    correct += nn::count_correct(logits, labels);
-  }
-  result.loss = loss_acc / static_cast<double>(view.size());
-  result.accuracy =
-      static_cast<double>(correct) / static_cast<double>(view.size());
-  return result;
-}
-
 std::unique_ptr<nn::Sequential> Evaluator::acquire_worker_model() {
   {
     std::lock_guard lock(spares_mutex_);
@@ -75,37 +47,35 @@ void Evaluator::release_worker_model(std::unique_ptr<nn::Sequential> model) {
   spares_.push_back(std::move(model));
 }
 
-EvalResult Evaluator::evaluate_view_sharded(std::span<const float> params,
-                                            const data::DataView& view,
-                                            std::size_t num_batches) {
-  // Fixed-size batch shards, one stat slot per batch. Each slot holds the
-  // exact terms the serial loop would add for that batch, and the reduction
-  // below walks the slots in batch order — so the summed loss is the same
-  // sequence of double additions as the serial sweep, i.e. bitwise equal.
+EvalResult Evaluator::evaluate_view(std::span<const float> params,
+                                    const data::DataView& view) {
+  // Fixed-size batch shards, one stat slot per batch, reduced in batch
+  // order: the summed loss is the same sequence of double additions at
+  // any pool size (and inline, on a null pool or inside a worker).
+  const std::size_t num_batches =
+      (view.size() + batch_size_ - 1) / batch_size_;
   struct BatchStats {
     double loss_term = 0.0;
     std::size_t correct = 0;
   };
   std::vector<BatchStats> stats(num_batches);
-  parallel::parallel_for(
-      *pool_, 0, num_batches,
-      [&](std::size_t b) {
-        obs::TraceSpan span(trace_, "eval-shard", "eval", b, "batch");
-        const std::size_t start = b * batch_size_;
-        const std::size_t end = std::min(view.size(), start + batch_size_);
-        std::vector<std::size_t> positions(end - start);
-        for (std::size_t i = start; i < end; ++i) positions[i - start] = i;
-        const auto features = view.gather(positions);
-        const auto labels = view.gather_labels(positions);
-        auto model = acquire_worker_model();
-        model->set_parameters(params);
-        const nn::Tensor& logits = model->forward(features, false);
-        stats[b].loss_term =
-            static_cast<double>(nn::cross_entropy_value(logits, labels)) *
-            static_cast<double>(labels.size());
-        stats[b].correct = nn::count_correct(logits, labels);
-        release_worker_model(std::move(model));
-      });
+  parallel::parallel_for(pool_, 0, num_batches, [&](std::size_t b) {
+    obs::TraceSpan span(trace_, "eval-shard", "eval", b, "batch");
+    const std::size_t start = b * batch_size_;
+    const std::size_t end = std::min(view.size(), start + batch_size_);
+    std::vector<std::size_t> positions(end - start);
+    for (std::size_t i = start; i < end; ++i) positions[i - start] = i;
+    const auto features = view.gather(positions);
+    const auto labels = view.gather_labels(positions);
+    auto model = acquire_worker_model();
+    model->set_parameters(params);
+    const nn::Tensor& logits = model->forward(features, false);
+    stats[b].loss_term =
+        static_cast<double>(nn::cross_entropy_value(logits, labels)) *
+        static_cast<double>(labels.size());
+    stats[b].correct = nn::count_correct(logits, labels);
+    release_worker_model(std::move(model));
+  });
 
   EvalResult result;
   result.samples = view.size();

@@ -24,9 +24,9 @@ struct EvalResult {
 /// Evaluates flat parameter vectors on a test set using one shared model
 /// instance (evaluation never mutates parameters of the entities under
 /// test). Not thread-safe; benches hold one Evaluator per thread if needed.
-/// With set_pool(), evaluate() shards the test batches across the pool —
-/// per-batch statistics are reduced in batch order, so the result stays
-/// bitwise identical to the serial sweep.
+/// evaluate() shards the test batches over parallel_for on the pool set by
+/// set_pool() — per-batch statistics are reduced in batch order, so the
+/// result is bitwise identical at any pool size.
 class Evaluator {
  public:
   /// `model` provides the architecture; its current parameters are
@@ -34,14 +34,14 @@ class Evaluator {
   Evaluator(std::unique_ptr<nn::Sequential> model, data::DataView test_data,
             std::size_t batch_size = 256);
 
-  /// Shards evaluate() batches across `pool` (nullptr restores the serial
-  /// sweep). Worker models are lazily cloned from the architecture and
-  /// recycled across calls.
+  /// Shards evaluate() batches across `pool` (nullptr runs them inline).
+  /// Batch models are lazily cloned from the architecture and recycled
+  /// across calls.
   void set_pool(parallel::ThreadPool* pool) noexcept { pool_ = pool; }
 
-  /// Attaches a span recorder: each evaluation batch (sharded path) or
-  /// whole-view sweep (serial path) becomes an "eval" span. nullptr
-  /// detaches. Tracing never changes the batch order or the reduction.
+  /// Attaches a span recorder: each evaluation batch becomes an "eval"
+  /// span. nullptr detaches. Tracing never changes the batch order or the
+  /// reduction.
   void set_trace(obs::TraceRecorder* trace) noexcept { trace_ = trace; }
 
   /// Overall accuracy/loss of `params`. When `max_samples` > 0 and smaller
@@ -69,13 +69,10 @@ class Evaluator {
  private:
   EvalResult evaluate_view(std::span<const float> params,
                            const data::DataView& view);
-  EvalResult evaluate_view_sharded(std::span<const float> params,
-                                   const data::DataView& view,
-                                   std::size_t num_batches);
 
-  // Worker-model recycling for the sharded path: a worker pops a spare
-  // clone (or clones the architecture on a dry stack) and pushes it back
-  // when its batch is done, so steady-state evaluation allocates nothing.
+  // Batch-model recycling: a batch pops a spare clone (or clones the
+  // architecture on a dry stack) and pushes it back when it is done, so
+  // steady-state evaluation allocates no models.
   std::unique_ptr<nn::Sequential> acquire_worker_model();
   void release_worker_model(std::unique_ptr<nn::Sequential> model);
 

@@ -105,15 +105,14 @@ std::vector<double> score_selection_utilities(
     const std::size_t i = misses[mi];
     scores[i] = selection_utility(cloud_params, candidates[i].local_params);
   };
-  const std::size_t work = misses.size() * cloud_params.size();
-  if (context.pool != nullptr && context.pool->size() > 1 &&
-      misses.size() > 1 && work >= kParallelScoreWork) {
-    // Each miss writes only its own slot; values are identical to the
-    // serial path, so parallel scoring cannot perturb selection.
-    parallel::parallel_for(*context.pool, 0, misses.size(), score_one);
-  } else {
-    for (std::size_t mi = 0; mi < misses.size(); ++mi) score_one(mi);
-  }
+  // Each miss writes only its own slot; values are identical to the
+  // serial loop, so parallel scoring cannot perturb selection. Small
+  // batches stay on the calling thread.
+  const bool worth_a_fork = misses.size() > 1 &&
+                            misses.size() * cloud_params.size() >=
+                                kParallelScoreWork;
+  parallel::parallel_for(worth_a_fork ? context.pool : nullptr, 0,
+                         misses.size(), score_one);
 
   if (context.cache != nullptr) {
     for (const std::size_t i : misses) {

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/aggregation.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tensor/workspace.hpp"
 
@@ -107,8 +106,7 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
   // shard count for the per-edge publishes.)
   transport_ = std::make_unique<transport::Transport>(cfg_.transport, num_edges);
 
-  // Collectives backend: the seam every edge/cloud aggregation reduces
-  // through.
+  // The one weighted average behind both aggregation sites.
   communicator_ = std::make_unique<comm::InProcessCommunicator>(pool_);
   if (cfg_.comm.async_cloud && cfg_.server_momentum > 0.0) {
     throw std::invalid_argument(
@@ -190,7 +188,6 @@ CommStats Simulation::comm_stats() const {
 
 void Simulation::set_observability(const obs::Observability& obs) {
   obs_ = obs;
-  graph_.set_trace(obs_.trace);
   evaluator_->set_trace(obs_.trace);
   communicator_->set_trace(obs_.trace);
   if (obs_.trace != nullptr) obs_.trace->name_this_thread("sim");
@@ -212,7 +209,6 @@ void Simulation::set_observability(const obs::Observability& obs) {
     metric_ids_.fleet_detached = m.gauge("fleet.detached_devices");
     metric_ids_.fleet_delta_bytes = m.gauge("fleet.delta_bytes_at_rest");
     metric_ids_.comm_reduces = m.counter("comm.reduces");
-    metric_ids_.comm_reduce_depth = m.gauge("comm.reduce_max_depth");
     metric_ids_.comm_published = m.counter("comm.async_published");
     metric_ids_.comm_applied = m.counter("comm.async_applied");
     metric_ids_.comm_deferred = m.counter("comm.async_deferred");
@@ -257,14 +253,11 @@ bool Simulation::step() {
   ++t_;
   begin_step();
 
-  // One fused task per edge; the pool is joined exactly once. Chains have
+  // One fused chain per edge; the pool is joined exactly once. Chains have
   // no cross-edge dependencies within a step — the sync points are the
-  // serial sections around this graph.
-  graph_.clear();
-  for (std::size_t n = 0; n < edges_.size(); ++n) {
-    graph_.add("edge-chain/" + std::to_string(n), [this, n] { edge_chain(n); });
-  }
-  graph_.run(pool_);
+  // serial sections around this fan-out.
+  parallel::parallel_for(pool_, 0, edges_.size(),
+                         [this](std::size_t n) { edge_chain(n); });
 
   // The serial cloud stage: at round boundaries in sync mode, EVERY step in
   // async mode (contributions land whenever the WAN delivers them). `sync`
@@ -392,38 +385,34 @@ void Simulation::edge_chain(std::size_t n) {
   // cloud stage only collects what arrived.
   const bool publish = (t_ % cfg_.cloud_interval) == 0;
 
-  if (!obs_.enabled()) {
-    select_edge(n);
-    distribute_edge(n, trace);
-    train_edge(n);
-    upload_edge(n);
-    aggregate_edge(n);
-    settle_edge(n);
-    if (publish) publish_edge(n);
-    return;
-  }
-
-  // Instrumented path: identical call sequence, plus one clock-read pair
-  // per phase feeding both the span and the per-step phase sums. Timing
-  // never touches RNG or model state, so both paths are bit-identical.
-  const auto timed = [&](std::size_t phase, const char* name, auto&& body) {
-    const auto begin = obs::TraceRecorder::Clock::now();
-    body();
+  // Observed runs read the clock once at the start and once after each
+  // phase, feeding both the phase span and the per-step phase sums; bare
+  // runs read no clock. Timing never touches RNG or model state, so both
+  // are bit-identical.
+  const bool observed = obs_.enabled();
+  obs::TraceRecorder::Clock::time_point begin{};
+  if (observed) begin = obs::TraceRecorder::Clock::now();
+  const auto phase_done = [&](std::size_t phase, const char* name) {
+    if (!observed) return;
     const auto end = obs::TraceRecorder::Clock::now();
     trace.phase_us[phase] = elapsed_us(begin, end);
     if (obs_.trace != nullptr) {
       obs_.trace->complete(name, "phase", begin, end, n, "edge");
     }
+    begin = end;
   };
-  timed(0, "select", [&] { select_edge(n); });
-  timed(1, "distribute", [&] { distribute_edge(n, trace); });
-  timed(2, "local_train", [&] { train_edge(n); });
-  timed(3, "upload", [&] { upload_edge(n); });
-  timed(4, "edge_aggregate", [&] {
-    aggregate_edge(n);
-    settle_edge(n);
-    if (publish) publish_edge(n);
-  });
+  select_edge(n);
+  phase_done(0, "select");
+  distribute_edge(n, trace);
+  phase_done(1, "distribute");
+  train_edge(n);
+  phase_done(2, "local_train");
+  upload_edge(n);
+  phase_done(3, "upload");
+  aggregate_edge(n);
+  settle_edge(n);
+  if (publish) publish_edge(n);
+  phase_done(4, "edge_aggregate");
 }
 
 void Simulation::select_edge(std::size_t n) {
@@ -627,20 +616,20 @@ void Simulation::upload_edge(std::size_t n) {
 void Simulation::aggregate_edge(std::size_t n) {
   if (arrivals_[n].empty()) return;  // idle edge (or every upload lost /
                                      // still in flight) keeps its model
-  std::vector<WeightedModel> models;
+  std::vector<comm::Contribution> models;
   models.reserve(arrivals_[n].size());
   double participating = 0.0;
   for (const UploadArrival& arrival : arrivals_[n]) {
-    models.push_back(WeightedModel{arrival.payload, arrival.weight});
+    models.push_back(comm::Contribution{arrival.payload, arrival.weight});
     participating += arrival.weight;
   }
   // Aggregate into a fresh block, never over the live one: the previous
   // block may be shared (it IS this step's snapshot, and possibly the
   // cloud broadcast), so in-place writes would corrupt concurrent readers.
   std::vector<float> fresh = SnapshotStore::global().borrow(param_count_);
-  // Reduce through the collectives backend. Inside a worker this takes the
-  // serial fixed-order path — exactly the historical in-chain loop.
-  communicator_->reduce(models, std::span<float>(fresh));
+  // Inside a worker the block fan-out runs inline: the serial fixed-order
+  // loop, with the same bits.
+  communicator_->all_reduce(models, std::span<float>(fresh));
   edges_[n].adopt(SnapshotStore::global().seal(std::move(fresh)));
   edges_[n].add_participation(participating);
   // Serving hot-swap: hand the fresh aggregate to the sink from inside
@@ -876,7 +865,7 @@ bool Simulation::stage_cloud_apply() {
 
   const bool applied = !batch.empty();
   if (applied) {
-    std::vector<WeightedModel> models;
+    std::vector<comm::Contribution> models;
     models.reserve(batch.size() + 1);
     if (async) {
       // Anchor: edges absent from this batch whose last applied
@@ -896,11 +885,11 @@ bool Simulation::stage_cloud_apply() {
         anchor += anchor_weight_[n] / (1.0 + static_cast<double>(age));
       }
       if (anchor > 0.0) {
-        models.push_back(WeightedModel{cloud_.params(), anchor});
+        models.push_back(comm::Contribution{cloud_.params(), anchor});
       }
     }
     for (const PendingApply& p : batch) {
-      models.push_back(WeightedModel{p.payload, p.eff});
+      models.push_back(comm::Contribution{p.payload, p.eff});
     }
     // The aggregate lands in a fresh block: contributions may alias the
     // edges' live blocks, and the old global block may still be shared
@@ -1007,7 +996,6 @@ void Simulation::finish_step_obs(obs::TraceRecorder::Clock::time_point begin) {
       m.add(metric_ids_.comm_reduces,
             static_cast<double>(cc.reduces - prev_comm_counters_.reduces));
     }
-    m.set(metric_ids_.comm_reduce_depth, static_cast<double>(cc.max_depth));
     if (async_stats_.published > prev_async_stats_.published) {
       m.add(metric_ids_.comm_published,
             static_cast<double>(async_stats_.published -

@@ -19,11 +19,14 @@
 // to exactly one edge per step, cross-edge reads only touch the immutable
 // begin-of-step snapshots, and edges couple only at cloud rounds. So
 // instead of running six globally-barriered phase loops (4-5 pool joins a
-// step), step() builds a sched::TaskGraph with ONE fused
-// Select->Distribute->LocalTrain->Upload->EdgeAggregate chain per edge and
-// joins the pool once; the only serial sections are the true dependencies
-// — the mobility update and snapshotting at step begin, the cloud sync
-// every T_c steps, and the step record.
+// step), step() fans ONE fused
+// Select->Distribute->LocalTrain->Upload->EdgeAggregate chain per edge out
+// through parallel::parallel_for, whose workers claim one edge at a time,
+// and joins the pool once; the only serial sections are the true
+// dependencies — the mobility update and snapshotting at step begin, the
+// cloud sync every T_c steps, and the step record. Both aggregations are
+// one comm::InProcessCommunicator::all_reduce (the edge's runs inline
+// inside its chain).
 //
 // The step-begin prologue costs O(movers), not O(fleet): the mobility
 // model reports which devices changed edge, and each mover flips two bits
@@ -78,7 +81,6 @@
 #include "optim/lr_schedule.hpp"
 #include "optim/optimizer.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sched/task_graph.hpp"
 #include "transport/transport.hpp"
 
 namespace middlefl::core {
@@ -148,13 +150,12 @@ struct SimulationConfig {
   /// simulator itself only republishes edge models through the sink hook.
   ServingConfig serving;
 
-  /// Collectives layer (src/comm): reduction backend selection and the
-  /// cloud round's admission rule. With comm.async_cloud off (the default)
-  /// the cloud applies every T_c steps, each arrival at full weight: the
-  /// synchronous Algorithm 1. Async mode applies every step and admits
-  /// contributions up to comm.max_staleness rounds old, discounted. Async
-  /// mode rejects server_momentum (FedAvgM's velocity steps once per full
-  /// cloud round) — the constructor throws.
+  /// Collectives layer (src/comm): the cloud round's admission rule. With
+  /// comm.async_cloud off (the default) the cloud applies every T_c steps,
+  /// each arrival at full weight: the synchronous Algorithm 1. Async mode
+  /// applies every step and admits contributions up to comm.max_staleness
+  /// rounds old, discounted. Async mode rejects server_momentum (FedAvgM's
+  /// velocity steps once per full cloud round) — the constructor throws.
   comm::CommConfig comm;
 
   std::uint64_t seed = 42;
@@ -204,7 +205,7 @@ class Simulation {
 
   /// Attaches the observability bundle (all recorders non-owning, any
   /// subset may be null; they must outlive the simulation). Fans the trace
-  /// recorder out to the task graph and evaluator and registers the
+  /// recorder out to the evaluator and the communicator and registers the
   /// simulator's metric ids. With every pointer null (the default) the
   /// instrumentation collapses to one branch per step — no clock reads —
   /// and recording never mutates simulation state or consumes RNG draws,
@@ -314,13 +315,8 @@ class Simulation {
     return similarity_cache_;
   }
 
-  /// The collectives backend every edge and cloud aggregation routes
-  /// through (the seam a future multi-process backend plugs into).
-  const comm::Communicator& communicator() const noexcept {
-    return *communicator_;
-  }
-  /// Reduction counters (count, task totals, deepest tree) since
-  /// construction.
+  /// Weighted averages computed since construction (every edge
+  /// aggregation and cloud apply is one).
   comm::CommCounters comm_reduce_counters() const noexcept {
     return communicator_->counters();
   }
@@ -362,7 +358,6 @@ class Simulation {
     obs::MetricsRegistry::MetricId fleet_detached = 0;     // gauge
     obs::MetricsRegistry::MetricId fleet_delta_bytes = 0;  // gauge
     obs::MetricsRegistry::MetricId comm_reduces = 0;
-    obs::MetricsRegistry::MetricId comm_reduce_depth = 0;  // gauge
     obs::MetricsRegistry::MetricId comm_published = 0;
     obs::MetricsRegistry::MetricId comm_applied = 0;
     obs::MetricsRegistry::MetricId comm_deferred = 0;
@@ -430,7 +425,6 @@ class Simulation {
   parallel::StreamRng streams_;
   /// Resolved from cfg (parallel_devices / pool); nullptr = fully serial.
   parallel::ThreadPool* pool_ = nullptr;
-  sched::TaskGraph graph_;
   std::size_t param_count_ = 0;
   std::size_t t_ = 0;
   std::vector<std::vector<std::size_t>> last_selection_;
@@ -476,9 +470,7 @@ class Simulation {
   // CloudSync scratch: compressed-reconstruction storage of the serial
   // wan_down and broadcast pushes.
   std::vector<std::vector<float>> wan_arena_;
-  // Collectives backend: all edge and cloud aggregations reduce through
-  // it (in-process today; the Communicator interface is the seam for a
-  // multi-process backend).
+  // The weighted average both aggregation sites call.
   std::unique_ptr<comm::InProcessCommunicator> communicator_;
   // One contribution an edge chain publishes at its round boundary;
   // consumed serially by stage_cloud_apply.

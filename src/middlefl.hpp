@@ -56,8 +56,9 @@
 #include "transport/link.hpp"
 #include "transport/transport.hpp"
 
+#include "comm/communicator.hpp"
+
 // The paper's contribution.
-#include "core/aggregation.hpp"
 #include "core/algorithms.hpp"
 #include "core/comm_stats.hpp"
 #include "core/compression.hpp"

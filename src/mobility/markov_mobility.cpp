@@ -208,20 +208,20 @@ void MarkovMobility::advance() {
     return std::pair{std::min(devices, s * per),
                      std::min(devices, (s + 1) * per)};
   };
-  if (pool_ == nullptr || pool_->size() <= 1 || shards <= 1 ||
-      parallel::ThreadPool::in_worker()) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto [lo, hi] = bounds(s);
-      advance_shard(s, lo, hi, movers_);
-    }
+  if (shards == 1) {
+    advance_shard(0, 0, devices, movers_);
     return;
   }
   shard_movers_.resize(shards);
-  parallel::parallel_for(*pool_, 0, shards, [&](std::size_t s) {
-    auto& local = shard_movers_[s];
+  parallel::parallel_for(pool_, 0, shards, [&](std::size_t s) {
+    // Neighbouring shards run concurrently and their vector headers share
+    // cache lines, so the walk appends through a local handle on the
+    // shard's buffer and writes the header back once.
+    std::vector<std::size_t> local = std::move(shard_movers_[s]);
     local.clear();
     const auto [lo, hi] = bounds(s);
     advance_shard(s, lo, hi, local);
+    shard_movers_[s] = std::move(local);
   });
   for (const auto& local : shard_movers_) {
     movers_.insert(movers_.end(), local.begin(), local.end());

@@ -1,53 +1,55 @@
-// Blocking data-parallel loops over index ranges.
+// The one blocking fork-join of the library: parallel_for over an index
+// range.
 //
-// parallel_for partitions [begin, end) into contiguous chunks, runs them on
-// the pool, and waits. Determinism rule: the body must write only to
-// disjoint per-index state (the FL simulator obeys this — each task owns one
-// device's model). The first exception thrown by any chunk is rethrown on
-// the calling thread after all chunks finish.
+// A null pool, a pool of one worker, or a call from inside a pool worker
+// runs the body inline in index order (a worker that blocked on sub-tasks
+// queued behind other blocked workers would deadlock the pool). Otherwise
+// at most pool->size() tasks are submitted; each claims the next index
+// from a shared atomic cursor until the range is exhausted, and the caller
+// only waits. Claiming one index at a time keeps a slow index from holding
+// back the ones after it, which matters when the indices are a handful of
+// coarse units (the per-edge chains of a step).
+//
+// Determinism rule: the body must write only to disjoint per-index state;
+// which worker runs an index is never observable. The first exception
+// thrown by a task is rethrown on the calling thread after every task has
+// finished; a task that throws claims no further indices.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <exception>
+#include <future>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
 
 namespace middlefl::parallel {
 
-struct GrainSize {
-  /// Minimum indices per chunk; prevents tiny tasks from drowning the queue.
-  std::size_t value = 1;
-};
-
 template <typename Body>
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  Body&& body, GrainSize grain = {}) {
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
+                  Body&& body) {
   if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t workers = pool.size();
-  // Aim for a few chunks per worker to absorb imbalance, bounded below by
-  // the grain size.
-  const std::size_t target_chunks = std::max<std::size_t>(1, workers * 4);
-  const std::size_t chunk =
-      std::max(grain.value, (n + target_chunks - 1) / target_chunks);
-
-  // Nested invocations (a body that itself calls parallel_for) run inline:
-  // blocking a worker on sub-tasks that sit behind other blocked workers in
-  // the queue would deadlock the pool.
-  if (n <= chunk || workers <= 1 || ThreadPool::in_worker()) {
+  if (pool == nullptr || pool->size() <= 1 || ThreadPool::in_worker()) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
 
+  std::atomic<std::size_t> cursor{begin};
+  const auto drain = [&cursor, end, &body] {
+    for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+         i < end; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
+  };
+  const std::size_t tasks = std::min(pool->size(), end - begin);
   std::vector<std::future<void>> futures;
-  futures.reserve((n + chunk - 1) / chunk);
-  for (std::size_t lo = begin; lo < end; lo += chunk) {
-    const std::size_t hi = std::min(end, lo + chunk);
-    futures.push_back(pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
+  futures.reserve(tasks);
+  for (std::size_t k = 0; k < tasks; ++k) {
+    futures.push_back(pool->submit(drain));
   }
+
   std::exception_ptr first_error;
   for (auto& future : futures) {
     try {
@@ -57,14 +59,6 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     }
   }
   if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Convenience overload on the global pool.
-template <typename Body>
-void parallel_for(std::size_t begin, std::size_t end, Body&& body,
-                  GrainSize grain = {}) {
-  parallel_for(ThreadPool::global(), begin, end, std::forward<Body>(body),
-               grain);
 }
 
 }  // namespace middlefl::parallel

@@ -7,6 +7,8 @@ namespace middlefl::parallel {
 namespace {
 
 thread_local bool tls_in_worker = false;
+thread_local std::size_t tls_worker_index = 0;
+thread_local bool tls_worker_named = false;  // timeline named, lazily
 
 std::atomic<std::size_t> g_default_size{0};
 
@@ -57,7 +59,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop(std::size_t index) {
   tls_in_worker = true;
-  bool named = false;  // timeline named lazily, on the first traced task
+  tls_worker_index = index;
   for (;;) {
     std::function<void()> task;
     {
@@ -67,30 +69,38 @@ void ThreadPool::worker_loop(std::size_t index) {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    obs::TraceRecorder* trace = trace_.load(std::memory_order_relaxed);
-    if (trace == nullptr && !accounting_.load(std::memory_order_relaxed)) {
-      task();
-      continue;
-    }
-    const auto begin = obs::TraceRecorder::Clock::now();
     task();
-    const auto end = obs::TraceRecorder::Clock::now();
-    WorkerCell& cell = cells_[index];
-    // Single-writer cells: only this worker mutates them, so a relaxed
-    // load+store pair is a race-free increment.
-    cell.tasks.store(cell.tasks.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-    cell.busy_us.store(
-        cell.busy_us.load(std::memory_order_relaxed) +
-            std::chrono::duration<double, std::micro>(end - begin).count(),
-        std::memory_order_relaxed);
-    if (trace != nullptr) {
-      if (!named) {
-        trace->name_this_thread("worker-" + std::to_string(index));
-        named = true;
-      }
-      trace->complete("task", "pool", begin, end);
+  }
+}
+
+std::optional<obs::TraceRecorder::Clock::time_point> ThreadPool::task_begin()
+    const noexcept {
+  if (trace_.load(std::memory_order_relaxed) == nullptr &&
+      !accounting_.load(std::memory_order_relaxed)) {
+    return std::nullopt;
+  }
+  return obs::TraceRecorder::Clock::now();
+}
+
+void ThreadPool::task_end(
+    std::optional<obs::TraceRecorder::Clock::time_point> begin) {
+  if (!begin) return;
+  const auto end = obs::TraceRecorder::Clock::now();
+  WorkerCell& cell = cells_[tls_worker_index];
+  // Single-writer cells: only this worker mutates them, so a relaxed
+  // load+store pair is a race-free increment.
+  cell.tasks.store(cell.tasks.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+  cell.busy_us.store(
+      cell.busy_us.load(std::memory_order_relaxed) +
+          std::chrono::duration<double, std::micro>(end - *begin).count(),
+      std::memory_order_relaxed);
+  if (obs::TraceRecorder* trace = trace_.load(std::memory_order_relaxed)) {
+    if (!tls_worker_named) {
+      trace->name_this_thread("worker-" + std::to_string(tls_worker_index));
+      tls_worker_named = true;
     }
+    trace->complete("task", "pool", *begin, end);
   }
 }
 

@@ -16,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -59,10 +60,22 @@ class ThreadPool {
   double uptime_us() const;
 
   /// Enqueue a task; returns a future for completion/exception propagation.
+  /// The task's accounting runs inside the packaged task, so once the
+  /// future is ready the worker is done with the span recorder too: a
+  /// caller may detach and destroy the recorder right after waiting.
   template <typename F>
   std::future<void> submit(F&& task) {
-    auto packaged =
-        std::make_shared<std::packaged_task<void()>>(std::forward<F>(task));
+    auto packaged = std::make_shared<std::packaged_task<void()>>(
+        [this, task = std::forward<F>(task)]() mutable {
+          const auto begin = task_begin();
+          try {
+            task();
+          } catch (...) {
+            task_end(begin);
+            throw;
+          }
+          task_end(begin);
+        });
     std::future<void> future = packaged->get_future();
     {
       std::lock_guard lock(mutex_);
@@ -102,6 +115,14 @@ class ThreadPool {
     std::atomic<std::uint64_t> tasks{0};
     std::atomic<double> busy_us{0.0};
   };
+
+  // Busy accounting and the "pool" span of one task, run by its worker
+  // around the task. task_begin() reads the clock only while a recorder or
+  // accounting is attached (nullopt otherwise: two relaxed loads, no clock
+  // read); task_end() books the task into the worker's cell and span.
+  std::optional<obs::TraceRecorder::Clock::time_point> task_begin()
+      const noexcept;
+  void task_end(std::optional<obs::TraceRecorder::Clock::time_point> begin);
 
   void worker_loop(std::size_t index);
 

@@ -78,11 +78,7 @@ double chunked_reduce(std::size_t n, parallel::ThreadPool* pool,
     const std::size_t hi = std::min(n, lo + kReduceChunk);
     partials[chunk] = chunk_fn(lo, hi);
   };
-  if (pool != nullptr && pool->size() > 1 && num_chunks > 1) {
-    parallel::parallel_for(*pool, 0, num_chunks, compute);
-  } else {
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) compute(chunk);
-  }
+  parallel::parallel_for(pool, 0, num_chunks, compute);
   double total = 0.0;
   for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
     total += partials[chunk];
@@ -237,7 +233,7 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
       const std::size_t grain = std::max<std::size_t>(
           4, ((m / (pool->size() * 4)) + 3) & ~std::size_t{3});
       const std::size_t num_blocks = (m + grain - 1) / grain;
-      parallel::parallel_for(*pool, 0, num_blocks, [&](std::size_t block) {
+      parallel::parallel_for(pool, 0, num_blocks, [&](std::size_t block) {
         const std::size_t lo = block * grain;
         run_rows(lo, std::min(m, lo + grain));
       });

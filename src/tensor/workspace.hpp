@@ -2,7 +2,7 @@
 //
 // The step loop used to heap-allocate on every call in several places:
 // gemm transpose-packing, Conv2d's im2col gradient panel, the on-device
-// blend output, and weighted_average's double accumulator. Each of those
+// blend output, and comm::all_reduce's double accumulator. Each of those
 // sites now borrows a slot from the calling thread's Workspace instead —
 // buffers grow to a high-water mark on first use and are reused for the
 // rest of the thread's life, so steady-state step execution performs no
@@ -41,7 +41,7 @@ enum class WsSlot : std::size_t {
 
 /// Double scratch slots (reduction accumulators).
 enum class WsDoubleSlot : std::size_t {
-  kAccumulate = 0,  // weighted_average: per-chunk accumulator
+  kAccumulate = 0,  // comm::all_reduce: per-element accumulator
   kPartials,        // chunked dot/nrm2: per-chunk partial sums
   kCount,
 };

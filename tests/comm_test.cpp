@@ -1,13 +1,12 @@
 // Collectives-layer tests (src/comm/).
 //
-// CommReducer — the element-block tree-reduction determinism contract:
-//   bitwise equality with the serial fixed-order loop at any pool size,
-//   for odd/prime participant counts and sizes spanning the block
-//   boundary, plus the fixed schedule shape and input validation.
+// CommReducer — the all_reduce determinism contract: bitwise equality
+//   with an independent serial fixed-order loop at any pool size, for
+//   odd/prime participant counts and sizes spanning the element-block
+//   boundary, plus input validation.
 // CommMailbox — the per-edge publish slot semantics.
-// CommPipeline — the full simulation pipeline (both aggregation sites now
-//   routed through comm::Communicator) stays bitwise identical across
-//   pool sizes 1/2/8.
+// CommPipeline — the full simulation pipeline (both aggregation sites call
+//   all_reduce) stays bitwise identical across pool sizes 1/2/8.
 // CommAsync — the staleness-bounded semi-async cloud sync: bound=0 with
 //   zero-latency links degenerates to the synchronous schedule bit for
 //   bit, past-bound contributions are dropped+folded, results are
@@ -34,7 +33,6 @@ using middlefl::comm::Contribution;
 using middlefl::comm::InProcessCommunicator;
 using middlefl::comm::kReduceBlock;
 using middlefl::comm::Mailbox;
-using middlefl::comm::Reducer;
 using middlefl::core::Algorithm;
 using middlefl::core::RunHistory;
 using middlefl::core::Simulation;
@@ -84,9 +82,9 @@ std::vector<float> reference_average(
 }
 
 TEST(CommReducer, BitwiseMatchesSerialLoopAcrossPoolsAndShapes) {
-  // Sizes straddle the block boundary (8192): below, exactly at, one
-  // past (first 2-leaf tree), and a 5-leaf tree. Participant counts are
-  // odd/prime-heavy so pairing logic never gets a round number.
+  // Sizes straddle the block boundary (8192): below, exactly at (one
+  // inline block), one past (the first 2-block fan-out), and 5 blocks.
+  // Participant counts are odd/prime-heavy so nothing lines up evenly.
   const std::size_t sizes[] = {100, kReduceBlock, kReduceBlock + 1, 40000};
   const std::size_t participant_counts[] = {1, 2, 3, 5, 7, 11, 13};
   ThreadPool pool2(2);
@@ -111,82 +109,38 @@ TEST(CommReducer, BitwiseMatchesSerialLoopAcrossPoolsAndShapes) {
         SCOPED_TRACE(::testing::Message()
                      << "n=" << n << " p=" << p << " pool="
                      << (pool == nullptr ? 0 : pool->size()));
-        Reducer reducer;
+        InProcessCommunicator comm(pool);
         std::vector<float> out(n, -1.0f);
-        const Reducer::Plan ran = reducer.reduce(contribs, out, pool);
+        comm.all_reduce(contribs, out);
         ASSERT_EQ(0, std::memcmp(out.data(), expected.data(),
                                  n * sizeof(float)));
-        if (pool != nullptr && pool->size() > 1 && n > kReduceBlock) {
-          EXPECT_GT(ran.depth, 0u);  // the tree path actually ran
-        } else {
-          EXPECT_EQ(ran.depth, 0u);
-        }
+        EXPECT_EQ(comm.counters().reduces, 1u);
       }
     }
   }
 }
 
-TEST(CommReducer, PlanShapeIsFixedByElementCountOnly) {
-  // One flat range while the output fits a block.
-  for (const std::size_t n : {std::size_t{1}, std::size_t{100}, kReduceBlock}) {
-    const Reducer::Plan p = Reducer::plan(n);
-    EXPECT_EQ(p.blocks, 1u);
-    EXPECT_EQ(p.depth, 0u);
-    EXPECT_EQ(p.tasks, 1u);
-  }
-  // First real tree: 2 leaves + 1 join.
-  const Reducer::Plan two = Reducer::plan(kReduceBlock + 1);
-  EXPECT_EQ(two.blocks, 2u);
-  EXPECT_EQ(two.depth, 1u);
-  EXPECT_EQ(two.tasks, 3u);
-  // 40000 elements -> 5 leaves; widths 5 -> 3 -> 2 -> 1 give depth 3 and
-  // 2 + 1 + 1 join nodes (odd nodes are promoted, not joined).
-  const Reducer::Plan five = Reducer::plan(40000);
-  EXPECT_EQ(five.blocks, 5u);
-  EXPECT_EQ(five.depth, 3u);
-  EXPECT_EQ(five.tasks, 9u);
-}
-
 TEST(CommReducer, RejectsInvalidInput) {
-  Reducer reducer;
+  ThreadPool pool(2);
+  InProcessCommunicator comm(&pool);
   std::vector<float> out(8);
   const std::vector<float> good(8, 1.0f);
   const std::vector<float> short_params(4, 1.0f);
 
   const std::vector<Contribution> empty;
-  EXPECT_THROW(reducer.reduce(empty, out, nullptr), std::invalid_argument);
+  EXPECT_THROW(comm.all_reduce(empty, out), std::invalid_argument);
 
   const std::vector<Contribution> mismatched{{good, 1.0}, {short_params, 1.0}};
-  EXPECT_THROW(reducer.reduce(mismatched, out, nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(comm.all_reduce(mismatched, out), std::invalid_argument);
 
   const std::vector<Contribution> negative{{good, -1.0}};
-  EXPECT_THROW(reducer.reduce(negative, out, nullptr), std::invalid_argument);
+  EXPECT_THROW(comm.all_reduce(negative, out), std::invalid_argument);
 
   const std::vector<Contribution> zeros{{good, 0.0}, {good, 0.0}};
-  EXPECT_THROW(reducer.reduce(zeros, out, nullptr), std::invalid_argument);
-}
+  EXPECT_THROW(comm.all_reduce(zeros, out), std::invalid_argument);
 
-TEST(CommReducer, CommunicatorCountersTrackTreeShape) {
-  ThreadPool pool(4);
-  InProcessCommunicator comm(&pool);
-  const std::size_t n = 40000;
-  const std::vector<float> a = make_params(n, 1);
-  const std::vector<float> b = make_params(n, 2);
-  const std::vector<Contribution> contribs{{a, 1.0}, {b, 3.0}};
-  std::vector<float> out(n);
-  comm.reduce(contribs, out);
-  comm.all_reduce(contribs, out);
-  std::vector<float> dst(n);
-  comm.broadcast(out, dst);
-  ASSERT_EQ(0, std::memcmp(dst.data(), out.data(), n * sizeof(float)));
-  comm.broadcast(out, out);  // aliasing broadcast is a no-op
-
-  const CommCounters c = comm.counters();
-  EXPECT_EQ(c.reduces, 2u);
-  EXPECT_EQ(c.reduce_tasks, 2u * Reducer::plan(n).tasks);
-  EXPECT_EQ(c.max_depth, Reducer::plan(n).depth);
-  EXPECT_EQ(c.broadcasts, 2u);
+  // A rejected call is not counted.
+  EXPECT_EQ(comm.counters().reduces, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -276,8 +230,8 @@ RunFingerprint run_with_pool(SimBundle bundle, Algorithm algorithm,
 // CommPipeline
 
 TEST(CommPipeline, SyncPipelineBitwiseIdenticalAcrossPoolSizes) {
-  // Both aggregation sites (edge over devices, cloud over edges) route
-  // through comm::Communicator; the run must not depend on the pool.
+  // Both aggregation sites (edge over devices, cloud over edges) call
+  // all_reduce; the run must not depend on the pool.
   for (const Algorithm algorithm : {Algorithm::kMiddle, Algorithm::kFedMes}) {
     SCOPED_TRACE(static_cast<int>(algorithm));
     SimBundle bundle;
@@ -294,12 +248,10 @@ TEST(CommPipeline, ReduceCountersAdvanceEveryAggregation) {
   auto sim = bundle.make(Algorithm::kMiddle);
   sim->run();
   const CommCounters c = sim->comm_reduce_counters();
-  // Every edge aggregation and every cloud sync is one communicator
-  // reduce; with 20 steps, T_c=5 and 3 edges there are at least the 4
-  // cloud reduces plus the per-step edge aggregates that had uploads.
+  // Every edge aggregation and every cloud sync is one all_reduce; with
+  // 20 steps, T_c=5 and 3 edges there are at least the 4 cloud reduces
+  // plus the per-step edge aggregates that had uploads.
   EXPECT_GT(c.reduces, 4u);
-  EXPECT_GE(c.reduce_tasks, c.reduces);
-  EXPECT_EQ(sim->communicator().backend(), "in_process");
 }
 
 // ---------------------------------------------------------------------------

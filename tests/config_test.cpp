@@ -62,6 +62,31 @@ TEST(JsonParser, RejectsTrailingContent) {
   EXPECT_THROW(config::parse_json("{} {}", "buf"), std::runtime_error);
 }
 
+TEST(JsonParser, RejectsDeepNestingWithPosition) {
+  // 256 nested arrays/objects parse; one more is a positioned error, not a
+  // recursion into the stack. 100k unbalanced brackets stop at the cap.
+  const std::string ok = std::string(255, '[') + "{\"k\": 1}" +
+                         std::string(255, ']');
+  EXPECT_TRUE(config::parse_json(ok, "ok.json").is_array());
+  try {
+    config::parse_json(std::string(100000, '['), "deep.json");
+    FAIL() << "expected a nesting error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "deep.json:1:257: nesting deeper than 256"),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    config::parse_json("{\"a\":\n" + std::string(256, '['), "deep.json");
+    FAIL() << "expected a nesting error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("deep.json:2:256:"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(JsonParser, PreservesUint64BeyondDoubleRange) {
   const std::uint64_t big = (1ull << 53) + 1;  // not representable as double
   const Json doc =

@@ -123,9 +123,11 @@ TEST(Determinism, UplinkLatencyParallelMatchesSerialBitwise) {
 }
 
 TEST(Determinism, TaskGraphIdenticalAcrossPoolSizes) {
-  // The per-edge task-graph scheduler must produce the serial result at
-  // every worker count: chains of different edges interleave arbitrarily,
-  // but all cross-chain reductions replay in canonical edge order.
+  // The per-edge chain fan-out (parallel_for, one edge claimed at a time)
+  // must produce the serial result at every worker count: chains of
+  // different edges interleave arbitrarily, but all cross-chain
+  // reductions replay in canonical edge order. (The test name predates
+  // the fan-out.)
   SimBundle bundle;
   bundle.cfg.total_steps = 8;
   bundle.cfg.cloud_interval = 4;

@@ -1,6 +1,6 @@
 // Parameterized property sweeps over the core invariants:
-//   - weighted_average stays in the convex hull and is weight-scale
-//     invariant for random inputs;
+//   - the all_reduce weighted average stays in the convex hull and is
+//     weight-scale invariant for random inputs;
 //   - the Eq. 9 blend never weights the local model above 1/2, for any
 //     random model pair;
 //   - every selection strategy obeys the K / membership / determinism
@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <set>
 
-#include "core/aggregation.hpp"
+#include "comm/communicator.hpp"
 #include "core/similarity.hpp"
 #include "sim_fixture.hpp"
 
@@ -25,7 +25,7 @@ using middlefl::core::Algorithm;
 using middlefl::parallel::Xoshiro256;
 using middlefl::testing::SimBundle;
 
-// --- weighted_average properties ---
+// --- weighted average (all_reduce) properties ---
 
 class WeightedAverageProperty : public ::testing::TestWithParam<int> {};
 
@@ -34,8 +34,8 @@ TEST_P(WeightedAverageProperty, ConvexHullAndScaleInvariance) {
   const std::size_t models = 2 + rng.bounded(8);
   const std::size_t dim = 1 + rng.bounded(64);
   std::vector<std::vector<float>> storage(models);
-  std::vector<middlefl::core::WeightedModel> weighted;
-  std::vector<middlefl::core::WeightedModel> scaled;
+  std::vector<middlefl::comm::Contribution> weighted;
+  std::vector<middlefl::comm::Contribution> scaled;
   for (auto& params : storage) {
     params.resize(dim);
     for (auto& p : params) p = static_cast<float>(rng.normal());
@@ -45,8 +45,10 @@ TEST_P(WeightedAverageProperty, ConvexHullAndScaleInvariance) {
     weighted.push_back({storage[i], w});
     scaled.push_back({storage[i], w * 17.0});
   }
-  const auto avg = middlefl::core::weighted_average(weighted);
-  const auto avg_scaled = middlefl::core::weighted_average(scaled);
+  middlefl::comm::InProcessCommunicator comm(nullptr);
+  std::vector<float> avg(dim), avg_scaled(dim);
+  comm.all_reduce(weighted, avg);
+  comm.all_reduce(scaled, avg_scaled);
   for (std::size_t d = 0; d < dim; ++d) {
     float lo = storage[0][d], hi = storage[0][d];
     for (const auto& params : storage) {

@@ -14,250 +14,22 @@
 // --min-records demands at least N values (lines in JSONL mode, 1
 // otherwise). Exit 0 on success, 1 with a diagnostic on stderr otherwise.
 //
-// Hand-rolled recursive-descent parser: no external JSON dependency, and
-// strict by construction (no trailing commas, no comments, no garbage
-// after the value) so anything it accepts loads in Python/Perfetto.
-#include <cctype>
+// Parsing is config::parse_json, the one strict parser of the tree (no
+// trailing commas, no comments, no garbage after the value, no duplicate
+// keys or leading zeros, at most 256 nested arrays/objects), so anything
+// it accepts loads in Python/Perfetto. Parse errors carry line:column.
 #include <cstddef>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "config/json.hpp"
 #include "util/cli.hpp"
 
 namespace {
-
-/// What the validator remembers about one top-level object entry.
-struct TopValueInfo {
-  char kind = '?';  // 'o' object, 'a' array, 's' string, 'n' number,
-                    // 'b' bool, 'z' null
-  std::size_t array_size = 0;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  /// Parses exactly one JSON value spanning the whole input (modulo
-  /// whitespace). Throws std::runtime_error with offset context on any
-  /// violation. Top-level object entries are recorded in top_level().
-  void parse_document() {
-    skip_ws();
-    parse_value(/*depth=*/0);
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing garbage after JSON value");
-  }
-
-  const std::map<std::string, TopValueInfo>& top_level() const {
-    return top_level_;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error(what + " at offset " + std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() const {
-    if (pos_ >= text_.size()) {
-      throw std::runtime_error("unexpected end of input");
-    }
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  TopValueInfo parse_value(int depth) {
-    if (depth > 256) fail("nesting too deep");
-    TopValueInfo info;
-    switch (peek()) {
-      case '{':
-        info.kind = 'o';
-        parse_object(depth);
-        break;
-      case '[':
-        info.kind = 'a';
-        info.array_size = parse_array(depth);
-        break;
-      case '"':
-        info.kind = 's';
-        parse_string();
-        break;
-      case 't':
-        info.kind = 'b';
-        parse_literal("true");
-        break;
-      case 'f':
-        info.kind = 'b';
-        parse_literal("false");
-        break;
-      case 'n':
-        info.kind = 'z';
-        parse_literal("null");
-        break;
-      default:
-        info.kind = 'n';
-        parse_number();
-        break;
-    }
-    return info;
-  }
-
-  void parse_object(int depth) {
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    for (;;) {
-      skip_ws();
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      const TopValueInfo info = parse_value(depth + 1);
-      if (depth == 0) top_level_[key] = info;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  std::size_t parse_array(int depth) {
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return 0;
-    }
-    std::size_t count = 0;
-    for (;;) {
-      skip_ws();
-      parse_value(depth + 1);
-      ++count;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return count;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("dangling escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          for (int i = 0; i < 4; ++i) {
-            if (!std::isxdigit(static_cast<unsigned char>(text_[pos_ + i]))) {
-              fail("bad \\u escape");
-            }
-          }
-          pos_ += 4;  // decoded value irrelevant for validation
-          out.push_back('?');
-          break;
-        }
-        default:
-          fail("bad escape character");
-      }
-    }
-  }
-
-  void parse_literal(const char* literal) {
-    for (const char* c = literal; *c != '\0'; ++c) {
-      if (pos_ >= text_.size() || text_[pos_] != *c) fail("bad literal");
-      ++pos_;
-    }
-  }
-
-  void parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      fail("bad number");
-    }
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("bad fraction");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("bad exponent");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ == start) fail("bad number");
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::map<std::string, TopValueInfo> top_level_;
-};
 
 std::vector<std::string> split_commas(const std::string& list) {
   std::vector<std::string> out;
@@ -271,32 +43,33 @@ std::vector<std::string> split_commas(const std::string& list) {
   return out;
 }
 
-/// Validates one JSON document and applies the structural checks; returns
-/// an error message, or empty on success.
-std::string check_document(std::string_view text,
+/// Parses one JSON document named `source` and applies the structural
+/// checks to its top-level members; returns an error message prefixed by
+/// `source`, or empty on success.
+std::string check_document(std::string_view text, const std::string& source,
                            const std::vector<std::string>& required_keys,
                            const std::string& nonempty_array) {
-  JsonParser parser(text);
+  middlefl::config::Json doc;
   try {
-    parser.parse_document();
+    doc = middlefl::config::parse_json(text, source);
   } catch (const std::exception& error) {
     return error.what();
   }
   for (const std::string& key : required_keys) {
-    if (parser.top_level().find(key) == parser.top_level().end()) {
-      return "missing required top-level key \"" + key + "\"";
+    if (doc.find(key) == nullptr) {
+      return source + ": missing required top-level key \"" + key + "\"";
     }
   }
   if (!nonempty_array.empty()) {
-    const auto it = parser.top_level().find(nonempty_array);
-    if (it == parser.top_level().end()) {
-      return "missing array key \"" + nonempty_array + "\"";
+    const middlefl::config::Json* array = doc.find(nonempty_array);
+    if (array == nullptr) {
+      return source + ": missing array key \"" + nonempty_array + "\"";
     }
-    if (it->second.kind != 'a') {
-      return "key \"" + nonempty_array + "\" is not an array";
+    if (!array->is_array()) {
+      return source + ": key \"" + nonempty_array + "\" is not an array";
     }
-    if (it->second.array_size == 0) {
-      return "array \"" + nonempty_array + "\" is empty";
+    if (array->items().empty()) {
+      return source + ": array \"" + nonempty_array + "\" is empty";
     }
   }
   return {};
@@ -345,18 +118,20 @@ int run(int argc, const char* const* argv) {
     while (std::getline(lines, line)) {
       ++line_no;
       if (line.empty()) continue;
-      const std::string error = check_document(line, required, nonempty_array);
+      const std::string error =
+          check_document(line, file + " line " + std::to_string(line_no),
+                         required, nonempty_array);
       if (!error.empty()) {
-        std::cerr << "json_check: " << file << ":" << line_no << ": " << error
-                  << "\n";
+        std::cerr << "json_check: " << error << "\n";
         return 1;
       }
       ++records;
     }
   } else {
-    const std::string error = check_document(text, required, nonempty_array);
+    const std::string error =
+        check_document(text, file, required, nonempty_array);
     if (!error.empty()) {
-      std::cerr << "json_check: " << file << ": " << error << "\n";
+      std::cerr << "json_check: " << error << "\n";
       return 1;
     }
     records = 1;

@@ -2,7 +2,7 @@
 //
 // Takes a base scenario plus an axes file and runs the full cross
 // product, one simulation per cell, fanned out over the shared thread
-// pool as a task graph:
+// pool with parallel_for:
 //
 //   scenario_sweep --base examples/scenarios/fig6.json
 //                  --axes axes.json --out sweep.jsonl
@@ -22,16 +22,19 @@
 // through the same strict schema as `middlefl_run --scenario`: a typo in
 // an axis path is rejected with the axis name before anything runs.
 //
-// Cells run concurrently (one task per cell); inside a cell the simulator
-// is forced serial (`sim.parallel_devices = false`) so results are
-// bitwise identical to running each cell alone. Output is JSONL — one row
-// per cell, in cell order, carrying the cell index, the axis values, the
-// accuracy results and the shared comm/transport/dropout/fleet summary
-// block — validated by `json_check --jsonl`. A cell that fails at runtime
-// yields a row with an "error" member and a nonzero exit code; the other
-// cells still run and report.
+// Cells run concurrently (each worker claims the next cell); inside a cell
+// the simulator is forced serial (`sim.parallel_devices = false`) so
+// results are bitwise identical to running each cell alone. Output is
+// JSONL — one row per cell, in cell order, carrying the cell index, the
+// axis values, the accuracy results and the shared
+// comm/transport/dropout/fleet summary block — validated by
+// `json_check --jsonl`. A cell that fails at runtime yields a row with an
+// "error" member and a nonzero exit code; the other cells still run and
+// report. An axes file whose value counts multiply past size_t is
+// rejected before anything runs.
 #include <cstddef>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -45,8 +48,8 @@
 #include "config/scenario_build.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/run_logger.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sched/task_graph.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -131,8 +134,16 @@ int run(int argc, const char* const* argv) {
 
   const config::Json base = config::parse_json_file(opt.base);
   const std::vector<Axis> axes = load_axes(opt.axes);
+  constexpr std::size_t kMaxCells = std::numeric_limits<std::size_t>::max();
   std::size_t cells = 1;
-  for (const auto& axis : axes) cells *= axis.values.size();
+  for (const auto& axis : axes) {
+    if (cells > kMaxCells / axis.values.size()) {
+      throw std::runtime_error(opt.axes + ": the cell count (the product of " +
+                               std::to_string(axes.size()) +
+                               " axis sizes) overflows size_t");
+    }
+    cells *= axis.values.size();
+  }
 
   // Splice and decode every cell before anything runs: a bad axis path or
   // value fails the whole sweep up front, with the cell named.
@@ -160,36 +171,32 @@ int run(int argc, const char* const* argv) {
 
   std::vector<CellResult> results(cells);
   std::mutex progress_mutex;
-  sched::TaskGraph graph;
-  for (std::size_t cell = 0; cell < cells; ++cell) {
-    graph.add("cell " + std::to_string(cell), [&, cell] {
-      auto& result = results[cell];
-      try {
-        const config::BuiltScenario built =
-            config::build_scenario(specs[cell]);
-        const auto sim = config::make_simulation(built);
-        const auto history = sim->run([](const core::EvalPoint&) {});
-        result.steps = sim->current_step();
-        result.final_accuracy = history.final_accuracy();
-        result.best_accuracy = history.best_accuracy();
-        result.final_loss =
-            history.points.empty() ? 0.0 : history.points.back().loss;
-        result.summary = bench::SimRunSummary::capture(*sim);
-        result.ok = true;
-      } catch (const std::exception& e) {
-        result.error = e.what();
-      }
-      if (!opt.quiet) {
-        const std::scoped_lock lock(progress_mutex);
-        std::cerr << "cell " << cell << "/" << cells << "  "
-                  << (result.ok ? "acc " + config::format_number(
-                                               result.final_accuracy)
-                                : "error: " + result.error)
-                  << "\n";
-      }
-    });
-  }
-  graph.run(&parallel::ThreadPool::global());
+  parallel::parallel_for(&parallel::ThreadPool::global(), 0, cells,
+                         [&](std::size_t cell) {
+    auto& result = results[cell];
+    try {
+      const config::BuiltScenario built = config::build_scenario(specs[cell]);
+      const auto sim = config::make_simulation(built);
+      const auto history = sim->run([](const core::EvalPoint&) {});
+      result.steps = sim->current_step();
+      result.final_accuracy = history.final_accuracy();
+      result.best_accuracy = history.best_accuracy();
+      result.final_loss =
+          history.points.empty() ? 0.0 : history.points.back().loss;
+      result.summary = bench::SimRunSummary::capture(*sim);
+      result.ok = true;
+    } catch (const std::exception& e) {
+      result.error = e.what();
+    }
+    if (!opt.quiet) {
+      const std::scoped_lock lock(progress_mutex);
+      std::cerr << "cell " << cell << "/" << cells << "  "
+                << (result.ok
+                        ? "acc " + config::format_number(result.final_accuracy)
+                        : "error: " + result.error)
+                << "\n";
+    }
+  });
 
   std::unique_ptr<obs::RunLogger> logger;
   if (opt.out.empty()) {
