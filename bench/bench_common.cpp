@@ -380,7 +380,6 @@ SimRunSummary SimRunSummary::capture(const core::Simulation& simulation) {
   s.mean_blend_weight = simulation.mean_blend_weight();
   s.materializations = simulation.fleet().materializations();
   s.resident_peak = simulation.fleet().resident_peak();
-  s.delta_bytes_at_rest = simulation.fleet().delta_bytes_at_rest();
   s.reduces = simulation.comm_reduce_counters().reduces;
   s.async_cloud = simulation.config().comm.async_cloud;
   s.max_staleness = simulation.config().comm.max_staleness;
@@ -437,8 +436,6 @@ void append_summary_members(config::Json& object,
   Json fleet = Json::make_object();
   fleet.set("materializations", Json::make_uint(summary.materializations));
   fleet.set("resident_peak", Json::make_uint(summary.resident_peak));
-  fleet.set("delta_bytes_at_rest",
-            Json::make_uint(summary.delta_bytes_at_rest));
   object.set("fleet", std::move(fleet));
 }
 

@@ -183,7 +183,6 @@ struct SimRunSummary {
   double mean_blend_weight = 0.0;
   std::uint64_t materializations = 0;
   std::uint64_t resident_peak = 0;
-  std::uint64_t delta_bytes_at_rest = 0;
   /// Collectives layer: the reduce count and — when comm.async_cloud is
   /// on — the semi-async sync counters.
   std::uint64_t reduces = 0;

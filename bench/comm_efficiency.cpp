@@ -30,12 +30,12 @@ int run(int argc, const char* const* argv) {
 
   struct CompressionCase {
     std::string name;
-    core::CompressionConfig config;
+    transport::CompressionConfig config;
   };
   const CompressionCase compressions[] = {
-      {"none", {core::CompressionKind::kNone, 0.1}},
-      {"top10%", {core::CompressionKind::kTopK, 0.1}},
-      {"quant8", {core::CompressionKind::kQuant8, 0.1}},
+      {"none", {transport::CompressionKind::kNone, 0.1}},
+      {"top10%", {transport::CompressionKind::kTopK, 0.1}},
+      {"quant8", {transport::CompressionKind::kQuant8, 0.1}},
   };
 
   auto csv = bench::open_csv(options);

@@ -10,9 +10,9 @@
 // reports the median and interquartile range of the per-window steps/sec.
 // It also records the RSS high-water mark (VmHWM, re-armed per
 // configuration via /proc/self/clear_refs) and its delta per device, the
-// registry's fleet accounting (materializations per step, peak resident
-// devices, at-rest delta bytes), plus the 10k -> 1M per-step cost ratio of
-// the medians.
+// registry's fleet accounting (materializations per step, peak devices
+// holding their own copy), plus the 10k -> 1M per-step cost ratio of the
+// medians.
 // The per-phase breakdown (`phase_us`) comes from one full cloud interval
 // of observed probe steps after the timed windows, so it holds exactly one
 // sync and its `cloud_sync` entry is that sync's cost averaged per step.

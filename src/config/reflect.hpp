@@ -3,10 +3,10 @@
 //
 // A struct opts into the scenario layer by specializing Schema<T>:
 //
-//   template <> struct Schema<FleetConfig> {
-//     template <class V> static void describe(V& v, FleetConfig& c) {
-//       v.field("at_rest", c.at_rest);        // nested: Schema<Compression…>
-//       v.field("shards", c.shards);
+//   template <> struct Schema<LinkPolicy> {
+//     template <class V> static void describe(V& v, LinkPolicy& p) {
+//       v.field("loss_prob", p.loss_prob);
+//       v.field("compression", p.compression);  // nested: Schema<Compression…>
 //     }
 //   };
 //

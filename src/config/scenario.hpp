@@ -117,10 +117,10 @@ struct ScenarioSpec {
 
 /// SimulationConfig flattened: 5 loop + 3 aggregation + 5 eval + 20
 /// transport (5 links x loss/kind/fraction/latency) + 3 regularizer + 2
-/// heterogeneity + 3 fleet + 4 serving + 2 comm + seed + 1 execution.
+/// heterogeneity + 1 fleet + 4 serving + 2 comm + seed + 1 execution.
 /// Excluded members: lr_schedule (std::function; declared via
 /// LrScheduleSpec) and pool (runtime pointer).
-inline constexpr std::size_t kSimulationConfigLeaves = 49;
+inline constexpr std::size_t kSimulationConfigLeaves = 47;
 /// ScenarioSpec flattened: 4 top-level + 10 data + 10 mobility + 4 model
 /// + 7 optimizer + 7 lr_schedule + kSimulationConfigLeaves.
 inline constexpr std::size_t kScenarioSpecLeaves =
@@ -197,7 +197,6 @@ template <>
 struct Schema<core::FleetConfig> {
   template <class V>
   static void describe(V& v, core::FleetConfig& f) {
-    v.field("at_rest", f.at_rest);
     v.field("shards", f.shards);
   }
 };

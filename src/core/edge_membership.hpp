@@ -4,7 +4,7 @@
 // Bit m of row e is set when device m is connected to edge e. A per-edge
 // count rides along, as does a count per edge per block of 4096 devices.
 // Walking a row's set bits yields the members in ascending id order, the
-// canonical candidate order selection and the settle scan use. The block
+// canonical candidate order metadata selection uses. The block
 // counts let at_ranks find the K selected ranks in O(n / 4096 + K * 64)
 // per edge instead of popcounting the whole row.
 //

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -87,31 +86,19 @@ data::DataView Device::data() const { return fleet_->data_view(id_); }
 DeviceHotEntry* Device::hot() const noexcept { return fleet_->hot_[id_]; }
 
 std::size_t Device::param_count() const noexcept {
-  const DeviceHotEntry* h = hot();
-  return (h == nullptr ? fleet_->block() : h->base)->size();
+  return params().size();
 }
 
-std::span<const float> Device::params() const {
-  DeviceHotEntry* h = hot();
+std::span<const float> Device::params() const noexcept {
+  const DeviceHotEntry* h = hot();
   if (h == nullptr) return fleet_->block()->span();
-  if (h->shared) return h->shared->span();
-  if (!h->has_resident) decode_resident(*h);
-  return h->resident.data();
+  if (h->shared != nullptr) return h->shared->span();
+  return h->own;
 }
 
 bool Device::shares_snapshot() const noexcept {
   const DeviceHotEntry* h = hot();
   return h == nullptr || h->shared != nullptr;
-}
-
-bool Device::resident() const noexcept {
-  const DeviceHotEntry* h = hot();
-  return h != nullptr && h->has_resident;
-}
-
-std::size_t Device::at_rest_bytes() const noexcept {
-  const DeviceHotEntry* h = hot();
-  return h != nullptr && h->delta_valid ? h->delta->bytes() : 0;
 }
 
 std::uint64_t Device::params_version() const noexcept {
@@ -136,11 +123,7 @@ void Device::set_params(std::span<const float> params) {
   }
   detach();
   DeviceHotEntry& h = *hot();
-  const std::span<float> dst = ensure_resident_for_overwrite(h);
-  std::copy(params.begin(), params.end(), dst.begin());
-  h.dirty = true;
-  h.shared.reset();
-  if (h.delta_valid) fleet_->retire_delta(h);
+  fleet_->write_own(h, params);
   h.params_version = SnapshotStore::global().next_version();
 }
 
@@ -156,71 +139,10 @@ void Device::adopt(Snapshot snapshot) {
     if (snapshot == fleet_->block()) return;
     detach();
   }
-  // The snapshot supersedes every divergence: return the pooled state and
-  // rebase the (now empty) delta on the new block.
+  // The snapshot supersedes any own copy.
   DeviceHotEntry& h = *hot();
-  fleet_->release_pooled(id_, h);
-  h.base = snapshot;
-  h.shared = std::move(snapshot);
+  fleet_->share(h, std::move(snapshot));
   h.params_version = h.shared->version();
-}
-
-std::span<float> Device::ensure_resident_for_overwrite(
-    DeviceHotEntry& h) const {
-  if (!h.has_resident) {
-    h.resident = fleet_->acquire_resident(id_);
-    h.has_resident = true;
-  }
-  // reset_for_overwrite: size without the zero-fill the caller's copy or
-  // decode would immediately overwrite.
-  h.resident.reset_for_overwrite({h.base->size()});
-  return h.resident.data();
-}
-
-void Device::decode_resident(DeviceHotEntry& h) const {
-  if (!h.delta_valid) {
-    throw std::logic_error("Device: no state to materialize (id " +
-                           std::to_string(id_) + ")");
-  }
-  const std::span<float> out = ensure_resident_for_overwrite(h);
-  if (h.delta->kind == transport::CompressionKind::kNone) {
-    // Lossless mode stores the parameters verbatim.
-    transport::decode_delta_into(*h.delta, out);
-  } else {
-    transport::decode_delta_onto(*h.delta, h.base->span(), out);
-  }
-}
-
-void Device::settle() {
-  DeviceHotEntry* hp = hot();
-  if (hp == nullptr || !hp->has_resident) return;
-  DeviceHotEntry& h = *hp;
-  if (h.dirty) {
-    if (h.delta == nullptr) h.delta = fleet_->acquire_delta(id_);
-    const std::size_t old_bytes = h.delta_valid ? h.delta->bytes() : 0;
-    const transport::CompressionConfig& at_rest = fleet_->config().at_rest;
-    const std::span<float> values = h.resident.data();
-    if (at_rest.kind == transport::CompressionKind::kNone) {
-      // Verbatim storage: decode reproduces these exact bits, so a
-      // settled device resumes exactly where its training left off.
-      transport::encode_delta(values, at_rest, *h.delta);
-    } else {
-      // Quantized at rest: encode w - base in place (the buffer is about
-      // to be returned anyway). The settled parameters are now the lossy
-      // reconstruction — a content change, so the version must move.
-      const std::span<const float> base = h.base->span();
-      for (std::size_t i = 0; i < values.size(); ++i) values[i] -= base[i];
-      transport::encode_delta(values, at_rest, *h.delta);
-      h.params_version = SnapshotStore::global().next_version();
-    }
-    h.delta_valid = true;
-    fleet_->add_delta_bytes(static_cast<std::int64_t>(h.delta->bytes()) -
-                            static_cast<std::int64_t>(old_bytes));
-    h.dirty = false;
-  }
-  fleet_->release_resident(id_, std::move(h.resident));
-  h.resident = tensor::Tensor{};
-  h.has_resident = false;
 }
 
 DeviceTrainStats Device::train(std::size_t local_steps,
@@ -265,8 +187,6 @@ DeviceTrainStats Device::train(std::size_t local_steps,
       optimizer.reset();
     }
     optimizer.set_learning_rate(learning_rate);
-    // Materialize into the pooled runtime (decodes the at-rest delta when
-    // the device is settled-diverged).
     model.set_parameters(params());
     if (dropout) {
       if (!state->dropout_seeded) {
@@ -279,14 +199,8 @@ DeviceTrainStats Device::train(std::size_t local_steps,
     }
     stats = run_local_sgd(data(), *rt, local_steps, batch_size, rng, prox_mu,
                           clip_norm);
-    // Copy the trained parameters back into resident state; settle()
-    // de-materializes them to snapshot + delta after the upload.
-    const std::span<float> dst = ensure_resident_for_overwrite(h);
-    const std::span<const float> trained = model.parameters();
-    std::copy(trained.begin(), trained.end(), dst.begin());
-    h.dirty = true;
-    h.shared.reset();
-    if (h.delta_valid) fleet_->retire_delta(h);
+    // The trained parameters become the device's own copy.
+    fleet_->write_own(h, model.parameters());
     if (dropout) state->dropout_rng = model.dropout_rng();
     if (!reset_optimizer) {
       optimizer.save_state(state->opt_state);

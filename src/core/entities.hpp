@@ -10,21 +10,21 @@
 // its DeviceRegistry (see core/fleet.hpp): the device's state lives there,
 // cold devices as a few column entries and detached ones in a pooled hot
 // entry, and the handle is cheap to copy and pass by value. Lifecycle:
-// following -> shared snapshot -> resident (materialized) -> settled
-// (snapshot + delta at rest) -> following again at the next lossless
-// broadcast. A *following* device holds no snapshot reference at all:
-// params(), params_version() and shares_snapshot() resolve through the
-// registry's broadcast block, so a broadcast that swaps that block moves
-// every follower at once. Every write detaches the device first — it pins
-// the current block as its own base in a hot entry and is listed for the
-// next DeviceRegistry::broadcast() to rejoin. adopt() shares an immutable
-// published block (an edge download is a refcount bump); a resident buffer
-// is checked out on the first write — set_params (a blend) or train (local
-// SGD, run through a pooled DeviceRuntime). Version stamps come from the
-// process-global SnapshotStore, so an unchanged version still guarantees
-// unchanged content for the SimilarityCache. With the default lossless
-// at-rest codec the float stream equals a private model's exactly (pinned
-// by fleet_test's LazyTrainingOracle suite and pipeline_test's goldens).
+// following -> shared snapshot -> own copy -> following again at the next
+// lossless broadcast. A *following* device holds no snapshot reference at
+// all: params(), params_version() and shares_snapshot() resolve through
+// the registry's broadcast block, so a broadcast that swaps that block
+// moves every follower at once. Every write detaches the device first — it
+// pins the current block in a hot entry and is listed for the next
+// DeviceRegistry::broadcast() to rejoin. adopt() shares an immutable
+// published block (an edge download is a refcount bump); the first write
+// — set_params (a blend) or train (local SGD, run through a pooled
+// DeviceRuntime) — gives the device its own copy, which later writes
+// overwrite in place and reads return without copying. Version stamps come
+// from the process-global SnapshotStore, so an unchanged version still
+// guarantees unchanged content for the SimilarityCache. The float stream
+// equals a private model's exactly (pinned by fleet_test's
+// LazyTrainingOracle suite and pipeline_test's goldens).
 #pragma once
 
 #include <cstdint>
@@ -64,38 +64,29 @@ class Device {
 
   /// The current local model w_m: the registry's broadcast block while
   /// following, the shared snapshot when one is adopted, otherwise the
-  /// resident buffer. A settled device materializes its at-rest delta
-  /// here — call settle() when done to return the buffer to the pool.
-  std::span<const float> params() const;
-  /// Installs a private copy of `params` (the copy-on-write write path).
+  /// device's own copy. A plain read; the span stays valid until the
+  /// device's next write, adopt or rejoin.
+  std::span<const float> params() const noexcept;
+  /// Writes `params` into the device's own copy (the copy-on-write write
+  /// path: the first write on a sharing device makes that copy). `params`
+  /// may be a span of the device's own copy.
   void set_params(std::span<const float> params);
-  /// Shares `snapshot` without copying and rebases on it: any resident
-  /// buffer and at-rest delta are returned to the pool (the snapshot
-  /// replaces them), and the device's version becomes the snapshot's.
-  /// Adopting the registry's block is a no-op for a following device.
+  /// Shares `snapshot` without copying: the snapshot replaces any own
+  /// copy, and the device's version becomes the snapshot's. Adopting the
+  /// registry's block is a no-op for a following device.
   void adopt(Snapshot snapshot);
-  /// True while the device reads a shared snapshot (no private copy yet),
+  /// True while the device reads a shared snapshot (no own copy),
   /// including the registry's block while following.
   bool shares_snapshot() const noexcept;
   /// True while the device follows its registry's broadcast block and
   /// holds no hot entry.
   bool following() const noexcept { return hot() == nullptr; }
-  /// Pins the registry's current block as this device's own base in a hot
-  /// entry, so a later broadcast no longer moves it, and lists the device
-  /// for the next DeviceRegistry::broadcast() to rejoin. Every write calls
-  /// it first; a lossy broadcast calls it so a lost push leaves the device
-  /// on the model it holds now. No-op when already detached.
+  /// Pins the registry's current block in a hot entry for this device, so
+  /// a later broadcast no longer moves it, and lists the device for the
+  /// next DeviceRegistry::broadcast() to rejoin. Every write calls it
+  /// first; a lossy broadcast calls it so a lost push leaves the device on
+  /// the model it holds now. No-op when already detached.
   void detach();
-
-  /// True while a dense parameter buffer is checked out.
-  bool resident() const noexcept;
-  /// De-materializes the device: encodes the resident parameters as the
-  /// at-rest delta against the base snapshot (verbatim under the lossless
-  /// default codec; q8/topk settle-out is lossy and bumps the version) and
-  /// returns the buffer to the registry. No-op when not resident.
-  void settle();
-  /// Simulated storage footprint of the at-rest delta (0 when none).
-  std::size_t at_rest_bytes() const noexcept;
 
   /// Version stamp of the current parameters, changed on every mutation
   /// (set_params, adopt of a different snapshot, train). The
@@ -136,13 +127,6 @@ class Device {
 
   /// The device's hot entry; null while following.
   DeviceHotEntry* hot() const noexcept;
-  /// Checks a resident buffer out of the registry (or reuses the current
-  /// one) sized for overwrite — reset_for_overwrite skips the zero-fill
-  /// the subsequent copy/decode would waste.
-  std::span<float> ensure_resident_for_overwrite(DeviceHotEntry& hot) const;
-  /// Materializes the dense parameters of a settled device from its
-  /// at-rest delta into a resident buffer. Mutable path behind params().
-  void decode_resident(DeviceHotEntry& hot) const;
 
   DeviceRegistry* fleet_;
   std::size_t id_;

@@ -1,6 +1,5 @@
 #include "core/fleet.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,9 +24,8 @@ void DeviceRegistry::configure(const FleetConfig& config) {
     throw std::logic_error(
         "DeviceRegistry::configure: registry already holds devices");
   }
-  cfg_ = config;
   const std::size_t requested =
-      cfg_.shards == 0 ? kDefaultShards : cfg_.shards;
+      config.shards == 0 ? kDefaultShards : config.shards;
   const std::size_t shards = round_up_pow2(requested);
   shards_.clear();
   // deque grows in place: Shard holds a mutex and cannot be moved.
@@ -94,14 +92,12 @@ void DeviceRegistry::broadcast(Snapshot block) {
   std::size_t rejoined = 0;
   // A serial point: no chain touches the shards' lists concurrently.
   for (Shard& shard : shards_) {
-    // Ascending ids: the freelists receive the releases in the order an
-    // adopt loop over the whole fleet would produce.
-    std::sort(shard.detached.begin(), shard.detached.end());
     for (const std::size_t id : shard.detached) {
       DeviceHotEntry* entry = hot_[id];
-      release_pooled(id, *entry);
+      if (entry->shared == nullptr) {
+        resident_now_.fetch_sub(1, std::memory_order_relaxed);
+      }
       entry->shared.reset();
-      entry->base.reset();
       hot_[id] = nullptr;
       shard.hot_free.push_back(entry);
     }
@@ -135,27 +131,38 @@ DeviceHotEntry& DeviceRegistry::attach_hot(std::size_t id, Snapshot base) {
     shard.detached.push_back(id);
   }
   entry->params_version = base->version();
-  entry->shared = base;
-  entry->base = std::move(base);
+  entry->shared = std::move(base);
   hot_[id] = entry;
   return *entry;
 }
 
-void DeviceRegistry::retire_delta(DeviceHotEntry& entry) noexcept {
-  add_delta_bytes(-static_cast<std::int64_t>(entry.delta->bytes()));
-  entry.delta_valid = false;
+void DeviceRegistry::write_own(DeviceHotEntry& entry,
+                               std::span<const float> params) {
+  // assign reuses the capacity the buffer kept from its last device; a
+  // span of the buffer itself already holds the values.
+  if (params.data() != entry.own.data()) {
+    entry.own.assign(params.begin(), params.end());
+  }
+  if (entry.shared == nullptr) return;
+  entry.shared.reset();
+  materializations_.fetch_add(1, std::memory_order_relaxed);
+  const auto now = resident_now_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (now > 0) {
+    // Lock-free high-water mark; races only ever lower the observed peak
+    // by transient amounts and the serial per-step read is exact.
+    auto peak = resident_peak_.load(std::memory_order_relaxed);
+    const auto now_u = static_cast<std::size_t>(now);
+    while (now_u > peak && !resident_peak_.compare_exchange_weak(
+                               peak, now_u, std::memory_order_relaxed)) {
+    }
+  }
 }
 
-void DeviceRegistry::release_pooled(std::size_t id,
-                                    DeviceHotEntry& entry) noexcept {
-  if (entry.has_resident) {
-    release_resident(id, std::move(entry.resident));
-    entry.resident = tensor::Tensor{};
-    entry.has_resident = false;
+void DeviceRegistry::share(DeviceHotEntry& entry, Snapshot snapshot) noexcept {
+  if (entry.shared == nullptr) {
+    resident_now_.fetch_sub(1, std::memory_order_relaxed);
   }
-  if (entry.delta_valid) retire_delta(entry);
-  if (entry.delta != nullptr) release_delta(id, std::move(entry.delta));
-  entry.dirty = false;
+  entry.shared = std::move(snapshot);
 }
 
 DeviceRegistry::TrainState* DeviceRegistry::train_state(std::size_t id,
@@ -221,60 +228,6 @@ void DeviceRegistry::release_runtime(DeviceRuntime* runtime) {
   if (runtime == nullptr) return;
   std::lock_guard<std::mutex> lock(runtime_mutex_);
   runtime_free_.push_back(runtime);
-}
-
-tensor::Tensor DeviceRegistry::acquire_resident(std::size_t id) {
-  Shard& shard = shards_[shard_of(id)];
-  tensor::Tensor buffer;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (!shard.resident_free.empty()) {
-      buffer = std::move(shard.resident_free.back());
-      shard.resident_free.pop_back();
-    }
-  }
-  materializations_.fetch_add(1, std::memory_order_relaxed);
-  const auto now = resident_now_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (now > 0) {
-    // Lock-free high-water mark; races only ever lower the observed peak
-    // by transient amounts and the serial per-step read is exact.
-    auto peak = resident_peak_.load(std::memory_order_relaxed);
-    const auto now_u = static_cast<std::size_t>(now);
-    while (now_u > peak && !resident_peak_.compare_exchange_weak(
-                               peak, now_u, std::memory_order_relaxed)) {
-    }
-  }
-  return buffer;
-}
-
-void DeviceRegistry::release_resident(std::size_t id, tensor::Tensor buffer) {
-  resident_now_.fetch_sub(1, std::memory_order_relaxed);
-  Shard& shard = shards_[shard_of(id)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.resident_free.push_back(std::move(buffer));
-}
-
-std::unique_ptr<transport::EncodedDelta> DeviceRegistry::acquire_delta(
-    std::size_t id) {
-  Shard& shard = shards_[shard_of(id)];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (!shard.delta_free.empty()) {
-      auto delta = std::move(shard.delta_free.back());
-      shard.delta_free.pop_back();
-      delta->clear();
-      return delta;
-    }
-  }
-  return std::make_unique<transport::EncodedDelta>();
-}
-
-void DeviceRegistry::release_delta(
-    std::size_t id, std::unique_ptr<transport::EncodedDelta> delta) {
-  if (delta == nullptr) return;
-  Shard& shard = shards_[shard_of(id)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.delta_free.push_back(std::move(delta));
 }
 
 }  // namespace middlefl::core

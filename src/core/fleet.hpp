@@ -5,15 +5,12 @@
 // A fully-materialized device would cost O(param_count) for the model plus
 // the same again for gradients and optimizer slots — a few thousand
 // devices would exhaust RAM long before the paper's millions-of-users
-// regime. So a device holds only (a) a refcounted core::Snapshot into the
-// COW SnapshotStore and (b) a compact at-rest delta against that snapshot,
-// encoded with the transport layer's q8/topk codecs (lossless verbatim
-// storage by default). Dense parameters exist only while the device is
-// selected for training in the current step: they materialize into a
-// pooled scratch buffer checked out from this registry, and de-materialize
-// back to snapshot + delta when the per-edge chain settles its members
-// after aggregation. Peak RSS therefore scales with K * num_edges
-// (selected devices per step), not with fleet size.
+// regime. So a device reads a refcounted core::Snapshot of the COW
+// SnapshotStore until it is written, and only a written device holds one
+// dense copy of its own parameters (Algorithm 1's carried model w_m).
+// Training runs through a pooled runtime checked out per edge chain, so
+// gradients and optimizer slots cost O(chains), and own copies cost
+// O(devices written since the last lossless broadcast), not O(fleet).
 //
 // The registry also holds the fleet's broadcast block: the global model of
 // the last lossless device broadcast. A device that has not been written
@@ -29,24 +26,22 @@
 // device is three column entries — its stat utility, a null hot-entry
 // pointer and a flags byte, 17 bytes — and its data view is rebuilt on
 // demand from the registry's data::Partition. Only a detached device owns
-// a DeviceHotEntry (base and shared snapshots, version, at-rest delta,
-// resident buffer), allocated at detach and returned at rejoin. The dropout
-// cursor and carried optimizer slots, which survive rejoins, live in a
-// per-shard side table created only for dropout models or runs that keep
-// optimizer state across rounds. Device is a (registry, id) handle over
-// these columns.
+// a DeviceHotEntry (a shared snapshot or its own parameter buffer, and a
+// version), taken at detach and returned at rejoin. The dropout cursor and
+// carried optimizer slots, which survive rejoins, live in a per-shard side
+// table created only for dropout models or runs that keep optimizer state
+// across rounds. Device is a (registry, id) handle over these columns.
 //
 // Shards (a fixed power-of-two count, keyed by splitmix64(id)) own the
-// freelists feeding materialization (resident buffers, recycled
-// EncodedDelta blocks), the hot-entry pool, the detached lists and the
-// side table, each behind the shard's mutex, so the parallel edge chains
-// contend per shard, not globally.
+// hot-entry pool, the detached lists and the side table, each behind the
+// shard's mutex, so the parallel edge chains contend per shard, not
+// globally.
 //
 // Thread-safety contract: configure()/set_data()/set_prototypes()/insert()
 // are construction-time operations and broadcast() is a serial-point
 // operation (no concurrent calls); at() and the Device methods are safe
 // concurrently for disjoint devices, which is how the per-edge chains use
-// them, together with the freelist and counter methods.
+// them, together with the runtime pool and the counters.
 #pragma once
 
 #include <atomic>
@@ -55,6 +50,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -65,42 +61,27 @@
 #include "optim/optimizer.hpp"
 #include "parallel/rng.hpp"
 #include "tensor/tensor.hpp"
-#include "transport/compression.hpp"
 
 namespace middlefl::core {
 
 /// Configuration of the device-state machinery, embedded in
-/// SimulationConfig. The defaults keep the exact float stream of a private
-/// per-device model: lossless at-rest storage round-trips every bit (pinned
-/// by the pipeline_test goldens and fleet_test's LazyTrainingOracle).
+/// SimulationConfig.
 struct FleetConfig {
-  /// At-rest storage codec for a device's divergence from its base
-  /// snapshot. kNone (default) stores the parameters verbatim —
-  /// bitwise-lossless. kQuant8/kTopK bound memory harder but make
-  /// settle-out lossy; opt-in per scenario (see ARCHITECTURE.md for when
-  /// that is safe).
-  transport::CompressionConfig at_rest{};
   /// Registry shard count, rounded up to a power of two; 0 = auto (64).
   std::size_t shards = 0;
 };
 
-/// The heavy state of one detached device, pooled per registry shard.
+/// The state of one detached device, pooled per registry shard: a shared
+/// snapshot, or the device's own parameter buffer.
 struct DeviceHotEntry {
-  /// Base snapshot the at-rest delta is encoded against (the block pinned
-  /// at detach, or the last adopted snapshot).
-  Snapshot base;
-  /// Non-null while the device reads a shared snapshot.
+  /// Non-null while the device reads a shared snapshot (the block pinned
+  /// at detach, or the last adopted one); null while it reads `own`.
   Snapshot shared;
+  /// The device's own parameters while `shared` is null. The buffer keeps
+  /// its capacity when the entry returns to the pool, so a recycled
+  /// entry's next write does not allocate.
+  std::vector<float> own;
   std::uint64_t params_version = 0;
-  /// At-rest divergence from base; valid content iff delta_valid (the
-  /// block itself is kept across invalidations for reuse).
-  std::unique_ptr<transport::EncodedDelta> delta;
-  /// Dense parameters while checked out.
-  tensor::Tensor resident;
-  bool delta_valid = false;
-  bool has_resident = false;
-  /// The resident buffer holds writes not yet encoded by settle().
-  bool dirty = false;
 };
 
 /// One pooled training context: a scratch model (parameters + gradients),
@@ -132,9 +113,8 @@ class DeviceRuntime {
 };
 
 /// Column store of every device plus the pooled resources devices borrow:
-/// hot entries, resident parameter buffers, recycled at-rest delta blocks
-/// and training runtimes. Also the fleet's accounting point
-/// (materializations, resident devices, at-rest bytes) feeding the obs
+/// hot entries and training runtimes. Also the fleet's accounting point
+/// (materializations, devices holding their own copy) feeding the obs
 /// gauges.
 class DeviceRegistry {
  public:
@@ -142,7 +122,6 @@ class DeviceRegistry {
 
   /// (Re)applies `config`; only valid while the registry is empty.
   void configure(const FleetConfig& config);
-  const FleetConfig& config() const noexcept { return cfg_; }
 
   /// Installs the model/optimizer prototypes pooled runtimes are cloned
   /// from. Required before acquire_runtime() and before devices train.
@@ -174,11 +153,11 @@ class DeviceRegistry {
   /// broadcast().
   const Snapshot& block() const noexcept { return block_; }
   /// The lossless device broadcast: rejoins every device detached since
-  /// the last call (returning its resident buffer and at-rest delta to the
-  /// freelists exactly as Device::adopt does, and its hot entry to the
-  /// pool, in ascending id per shard), clears the detached lists and
-  /// installs `block` as the block every device follows — the same end
-  /// state as adopting `block` into every device, at O(detached) cost.
+  /// the last call (dropping its own copy from the count exactly as
+  /// Device::adopt does, and returning its hot entry to the pool), clears
+  /// the detached lists and installs `block` as the block every device
+  /// follows — the same end state as adopting `block` into every device,
+  /// at O(detached) cost.
   /// Throws std::invalid_argument on a null block or, once prototypes are
   /// set, a size mismatch.
   void broadcast(Snapshot block);
@@ -212,41 +191,24 @@ class DeviceRegistry {
   DeviceRuntime* acquire_runtime();
   void release_runtime(DeviceRuntime* runtime);
 
-  // --- Per-shard freelists (device materialization) ----------------------
-  /// Checks out a resident parameter buffer for device `id` (contents
-  /// unspecified; the caller fills it via Tensor::reset_for_overwrite).
-  /// Counts one materialization and one resident device.
-  tensor::Tensor acquire_resident(std::size_t id);
-  void release_resident(std::size_t id, tensor::Tensor buffer);
-  /// Recycled at-rest delta block for device `id` (cleared).
-  std::unique_ptr<transport::EncodedDelta> acquire_delta(std::size_t id);
-  void release_delta(std::size_t id,
-                     std::unique_ptr<transport::EncodedDelta> delta);
-
   // --- Fleet accounting (relaxed atomics; exact at serial points) --------
+  /// Writes that gave a device its own copy: the first set_params or train
+  /// on a following or snapshot-sharing device.
   std::uint64_t materializations() const noexcept {
     return materializations_.load(std::memory_order_relaxed);
   }
+  /// Devices holding their own copy now.
   std::size_t resident_devices() const noexcept {
     const auto now = resident_now_.load(std::memory_order_relaxed);
     return now > 0 ? static_cast<std::size_t>(now) : 0;
   }
-  /// High-water mark of concurrently resident devices since the last
+  /// High-water mark of resident_devices() since the last
   /// reset_resident_peak() (the per-step gauge).
   std::size_t resident_peak() const noexcept {
     return resident_peak_.load(std::memory_order_relaxed);
   }
   void reset_resident_peak() noexcept {
     resident_peak_.store(resident_devices(), std::memory_order_relaxed);
-  }
-  std::size_t delta_bytes_at_rest() const noexcept {
-    const auto bytes = delta_bytes_.load(std::memory_order_relaxed);
-    return bytes > 0 ? static_cast<std::size_t>(bytes) : 0;
-  }
-  /// Called by devices when an at-rest delta is installed (+bytes) or
-  /// invalidated (-bytes).
-  void add_delta_bytes(std::int64_t delta) noexcept {
-    delta_bytes_.fetch_add(delta, std::memory_order_relaxed);
   }
 
  private:
@@ -268,29 +230,27 @@ class DeviceRegistry {
 
   struct Shard {
     std::mutex mutex;  // guards everything below
-    std::vector<tensor::Tensor> resident_free;
-    std::vector<std::unique_ptr<transport::EncodedDelta>> delta_free;
     std::vector<std::size_t> detached;  // ids detached since the broadcast
     std::vector<std::unique_ptr<DeviceHotEntry>> hot_pool;  // owns entries
     std::vector<DeviceHotEntry*> hot_free;
     std::unordered_map<std::size_t, TrainState> train_state;
   };
 
-  /// Gives device `id` a hot entry pinned on `base` and lists it for the
+  /// Gives device `id` a hot entry sharing `base` and lists it for the
   /// next broadcast() to rejoin. Device::detach and a born-detached insert;
   /// concurrent chains attach disjoint devices.
   DeviceHotEntry& attach_hot(std::size_t id, Snapshot base);
-  /// Returns the resident buffer and the at-rest delta block to the
-  /// freelists and retires the delta's byte accounting.
-  void release_pooled(std::size_t id, DeviceHotEntry& entry) noexcept;
-  /// Retires the at-rest delta's byte accounting (the encoded block is
-  /// kept for reuse by the next settle()).
-  void retire_delta(DeviceHotEntry& entry) noexcept;
+  /// Copies `params` into `entry`'s own buffer (no copy when `params` is
+  /// that buffer) and drops its shared snapshot. A sharing entry counts
+  /// one materialization and one more resident device.
+  void write_own(DeviceHotEntry& entry, std::span<const float> params);
+  /// Points `entry` at `snapshot`; an entry that held its own copy counts
+  /// one resident device fewer (its buffer keeps its capacity).
+  void share(DeviceHotEntry& entry, Snapshot snapshot) noexcept;
   /// Device `id`'s side-table entry, created when `create` is set;
   /// nullptr when absent and not created. The pointer stays valid.
   TrainState* train_state(std::size_t id, bool create);
 
-  FleetConfig cfg_;
   std::size_t shard_mask_ = 0;
   // deque: Shard is immovable (mutex) and the count is fixed by configure.
   std::deque<Shard> shards_;
@@ -317,7 +277,6 @@ class DeviceRegistry {
   std::atomic<std::uint64_t> materializations_{0};
   std::atomic<std::int64_t> resident_now_{0};
   std::atomic<std::size_t> resident_peak_{0};
-  std::atomic<std::int64_t> delta_bytes_{0};
 };
 
 }  // namespace middlefl::core

@@ -82,8 +82,9 @@ class SelectionStrategy {
 
   /// True when select() reads Candidate::local_params. Strategies that
   /// rank on metadata alone (random, Oort utility) override this to false
-  /// so callers can skip materializing parameters for lazy devices — the
-  /// lever that keeps selection O(1) per candidate at fleet scale.
+  /// so callers can skip reading device parameters and sizing the
+  /// similarity cache — the lever that keeps selection O(1) per candidate
+  /// at fleet scale.
   virtual bool needs_params() const noexcept { return true; }
 
   /// True when select() reads any Candidate field beyond device_id.

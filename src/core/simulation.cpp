@@ -207,7 +207,6 @@ void Simulation::set_observability(const obs::Observability& obs) {
     metric_ids_.fleet_materializations = m.counter("fleet.materializations");
     metric_ids_.fleet_resident = m.gauge("fleet.resident_devices");
     metric_ids_.fleet_detached = m.gauge("fleet.detached_devices");
-    metric_ids_.fleet_delta_bytes = m.gauge("fleet.delta_bytes_at_rest");
     metric_ids_.comm_reduces = m.counter("comm.reduces");
     metric_ids_.comm_published = m.counter("comm.async_published");
     metric_ids_.comm_applied = m.counter("comm.async_applied");
@@ -347,14 +346,6 @@ void Simulation::begin_step() {
     }
   }
 
-  // One O(members) settle scan per edge is only needed when non-selected
-  // devices can be resident: param-reading selection materializes diverged
-  // candidates, and a lossy/compressed broadcast installs private copies
-  // fleet-wide. Otherwise settle walks the O(K) selection ids.
-  settle_scan_members_ =
-      algorithm_.selection->needs_params() || fleet_scan_needed_;
-  fleet_scan_needed_ = false;
-
   if (last_selection_.size() != edges_.size()) {
     last_selection_.resize(edges_.size());
   }
@@ -410,7 +401,6 @@ void Simulation::edge_chain(std::size_t n) {
   upload_edge(n);
   phase_done(3, "upload");
   aggregate_edge(n);
-  settle_edge(n);
   if (publish) publish_edge(n);
   phase_done(4, "edge_aggregate");
 }
@@ -446,9 +436,8 @@ void Simulation::select_edge(std::size_t n) {
   candidates.clear();
   candidates.reserve(count);
   // Random/stat-utility strategies never read candidate parameters, so
-  // devices stay cold through selection; similarity strategies
-  // materialize diverged candidates here (settled again after the chain's
-  // aggregation).
+  // devices stay cold through selection; similarity strategies read each
+  // candidate's parameters in place (no copy).
   const bool want_params = algorithm_.selection->needs_params();
   membership_.for_each(n, [&](std::size_t m) {
     const Device device = registry_.at(m);
@@ -545,15 +534,14 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
   }
 }
 
-bool Simulation::install_download(Device device,
+void Simulation::install_download(Device device,
                                   std::span<const float> payload,
                                   const Snapshot& source) {
   if (!payload.empty() && payload.data() == source->span().data()) {
     device.adopt(source);
-    return true;
+  } else {
+    device.set_params(payload);
   }
-  device.set_params(payload);
-  return false;
 }
 
 void Simulation::train_edge(std::size_t n) {
@@ -640,23 +628,6 @@ void Simulation::aggregate_edge(std::size_t n) {
   }
 }
 
-void Simulation::settle_edge(std::size_t n) {
-  // De-materialize every device that is still holding a resident
-  // buffer. This must run after aggregate_edge — the upload arrival spans
-  // alias the resident buffers until the weighted average has consumed
-  // them. The full member scan is only paid when non-selected members can
-  // be resident (param-reading selection materializes diverged candidates;
-  // a lossy broadcast installs private copies fleet-wide — see
-  // settle_scan_members_); otherwise only this chain's selected devices
-  // ever touched their parameters, and settle walks the O(K) ids.
-  // settle() is a no-op for devices that hold no resident buffer.
-  if (settle_scan_members_) {
-    membership_.for_each(n, [&](std::size_t m) { registry_.at(m).settle(); });
-  } else {
-    for (const std::size_t m : last_selection_[n]) registry_.at(m).settle();
-  }
-}
-
 void Simulation::record_step(bool sync) {
   obs::StepRecord& r = last_step_;
   r.step = t_;
@@ -688,7 +659,6 @@ void Simulation::record_step(bool sync) {
   straggler_drops_ += r.stragglers;
 
   r.materializations = registry_.materializations() - prev_materializations_;
-  r.delta_bytes_at_rest = registry_.delta_bytes_at_rest();
   for (const transport::LinkKind kind : transport::kAllLinkKinds) {
     const transport::LinkStats delta =
         transport_->stats(kind) - links_before_[slot(kind)];
@@ -724,7 +694,7 @@ void Simulation::broadcast_devices() {
   const Snapshot& global_block = cloud_.snapshot();
   const bool lossy = link.policy().loss_prob > 0.0;
   const bool compressed =
-      link.policy().compression.kind != CompressionKind::kNone;
+      link.policy().compression.kind != transport::CompressionKind::kNone;
   if (!lossy && !compressed) {
     // Every push would deliver the cloud's own block: charge the n sends
     // at once and swap the block every following device reads. Only the
@@ -742,12 +712,7 @@ void Simulation::broadcast_devices() {
     parallel::Xoshiro256 rng = streams_.stream(kBroadcastTag, m, t_);
     const transport::Delivery push = link.send(
         global_block->span(), {.rng = &rng, .arena = &wan_arena_, .step = t_});
-    if (push.delivered &&
-        !install_download(device, push.payload, global_block)) {
-      // A private install can leave any device resident; the next
-      // step's settle must scan full member lists to find them.
-      fleet_scan_needed_ = true;
-    }
+    if (push.delivered) install_download(device, push.payload, global_block);
   }
 }
 
@@ -989,8 +954,6 @@ void Simulation::finish_step_obs(obs::TraceRecorder::Clock::time_point begin) {
     m.set(metric_ids_.fleet_resident, static_cast<double>(r.resident_peak));
     m.set(metric_ids_.fleet_detached,
           static_cast<double>(registry_.detached_devices()));
-    m.set(metric_ids_.fleet_delta_bytes,
-          static_cast<double>(r.delta_bytes_at_rest));
     const comm::CommCounters cc = communicator_->counters();
     if (cc.reduces > prev_comm_counters_.reduces) {
       m.add(metric_ids_.comm_reduces,

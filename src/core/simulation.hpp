@@ -66,7 +66,6 @@
 #include "comm/mailbox.hpp"
 #include "core/algorithms.hpp"
 #include "core/comm_stats.hpp"
-#include "core/compression.hpp"
 #include "core/edge_membership.hpp"
 #include "core/entities.hpp"
 #include "core/fleet.hpp"
@@ -141,8 +140,7 @@ struct SimulationConfig {
   /// deadline (every device always finishes all I steps).
   double round_deadline = 0.0;
 
-  /// Device-state machinery (core/fleet.hpp): the at-rest codec and the
-  /// registry shard count behind the snapshot+delta devices.
+  /// Device-state machinery (core/fleet.hpp): the registry shard count.
   FleetConfig fleet;
 
   /// Edge inference serving (src/serve): batch coalescing and runtime-pool
@@ -257,7 +255,7 @@ class Simulation {
   /// A handle to device m (a registry pointer and the id).
   Device device(std::size_t m) { return registry_.at(m); }
   /// The device registry: fleet accounting (materializations, resident
-  /// peaks, at-rest bytes, hot entries) lives here.
+  /// peaks, hot entries) lives here.
   const DeviceRegistry& fleet() const noexcept { return registry_; }
   const std::vector<std::size_t>& assignment() const {
     return mobility_->assignment();
@@ -356,7 +354,6 @@ class Simulation {
     obs::MetricsRegistry::MetricId fleet_materializations = 0;
     obs::MetricsRegistry::MetricId fleet_resident = 0;     // gauge
     obs::MetricsRegistry::MetricId fleet_detached = 0;     // gauge
-    obs::MetricsRegistry::MetricId fleet_delta_bytes = 0;  // gauge
     obs::MetricsRegistry::MetricId comm_reduces = 0;
     obs::MetricsRegistry::MetricId comm_published = 0;
     obs::MetricsRegistry::MetricId comm_applied = 0;
@@ -375,10 +372,6 @@ class Simulation {
   void train_edge(std::size_t n);
   void upload_edge(std::size_t n);
   void aggregate_edge(std::size_t n);
-  // De-materializes every resident member of edge n back to
-  // snapshot + at-rest delta. Runs inside the chain right after
-  // aggregation — the arrivals aggregated there alias resident buffers.
-  void settle_edge(std::size_t n);
   // The cloud -> device broadcast of the global model (both sync modes):
   // one registry block swap on a perfect link, the per-device loop when
   // the link draws losses or compresses.
@@ -405,10 +398,9 @@ class Simulation {
   void finish_step_obs(obs::TraceRecorder::Clock::time_point begin);
 
   /// Adopts `source` when the delivered payload is a lossless pass-through
-  /// of its block (zero-copy sharing); installs a private copy otherwise.
-  /// Returns true on the shared-adopt path — false means set_params ran
-  /// and the device may now hold a resident buffer.
-  bool install_download(Device device, std::span<const float> payload,
+  /// of its block (zero-copy sharing); writes the device's own copy
+  /// otherwise.
+  void install_download(Device device, std::span<const float> payload,
                         const Snapshot& source);
   /// Local steps device m completes within the round deadline:
   /// min(I, floor(deadline * speed)), or I without a deadline.
@@ -444,14 +436,6 @@ class Simulation {
   /// 0, 1, 2, ...: the positions id-only selection picks from (grown to
   /// the largest edge).
   std::vector<std::size_t> ranks_;
-  /// True when this step's settle must scan every member: the selection
-  /// strategy materializes candidate params, or the last broadcast
-  /// installed private copies (fleet_scan_needed_). Otherwise only
-  /// selected devices can be resident and settle_edge walks O(K) ids.
-  bool settle_scan_members_ = true;
-  /// Latched by a lossy/compressed broadcast (set_params on arbitrary
-  /// devices); consumed by the next begin_step.
-  bool fleet_scan_needed_ = false;
   std::vector<std::vector<Candidate>> candidates_;
   /// Per edge, parallel to last_selection_[n]: 1 when that selected device
   /// sits the round out (a straggler or a lost download).

@@ -61,7 +61,6 @@
 // The paper's contribution.
 #include "core/algorithms.hpp"
 #include "core/comm_stats.hpp"
-#include "core/compression.hpp"
 #include "core/convergence.hpp"
 #include "core/entities.hpp"
 #include "core/metrics.hpp"

@@ -27,8 +27,7 @@ void RunLogger::log_step(const StepRecord& record) {
     out << ", \"contributing_edges\": " << record.contributing_edges;
   }
   out << ", \"materializations\": " << record.materializations
-      << ", \"resident_peak\": " << record.resident_peak
-      << ", \"delta_bytes_at_rest\": " << record.delta_bytes_at_rest;
+      << ", \"resident_peak\": " << record.resident_peak;
   out << ", \"step_wall_us\": " << json_number(record.step_wall_us);
   const StepPhaseUs& p = record.phase_us;
   out << ", \"phase_us\": {\"mobility\": " << json_number(p.mobility)

@@ -64,12 +64,11 @@ struct StepRecord {
   double blend_weight_sum = 0.0;
   /// Edge models aggregated by the cloud this step (sync steps only).
   std::size_t contributing_edges = 0;
-  /// Fleet (device registry) accounting: resident-buffer checkouts this
-  /// step, peak concurrently-resident devices, and the simulated storage
-  /// footprint of all at-rest deltas at end of step.
+  /// Fleet (device registry) accounting: writes this step that gave a
+  /// device its own copy of its parameters, and the peak count of devices
+  /// holding one.
   std::uint64_t materializations = 0;
   std::uint64_t resident_peak = 0;
-  std::uint64_t delta_bytes_at_rest = 0;
   /// Wall time of the whole step on the driving thread.
   double step_wall_us = 0.0;
   StepPhaseUs phase_us;

@@ -5,6 +5,9 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/parse.hpp"
 
 namespace middlefl::transport {
 
@@ -19,15 +22,6 @@ std::size_t EncodedDelta::bytes() const noexcept {
       return size + sizeof(float);
   }
   return 0;
-}
-
-void EncodedDelta::clear() noexcept {
-  kind = CompressionKind::kNone;
-  size = 0;
-  scale = 0.0f;
-  codes.clear();
-  indices.clear();
-  values.clear();
 }
 
 void encode_delta(std::span<const float> update,
@@ -45,7 +39,9 @@ void encode_delta(std::span<const float> update,
       return;
     }
     case CompressionKind::kTopK: {
-      if (config.top_k_fraction <= 0.0 || config.top_k_fraction > 1.0) {
+      // Written so NaN fails too: llround(NaN * n) would keep every
+      // coordinate at 8 bytes each.
+      if (!(config.top_k_fraction > 0.0 && config.top_k_fraction <= 1.0)) {
         throw std::invalid_argument(
             "encode_delta: top_k_fraction must be in (0, 1]");
       }
@@ -122,46 +118,8 @@ void decode_delta_into(const EncodedDelta& delta, std::span<float> out) {
   throw std::logic_error("decode_delta_into: unhandled kind");
 }
 
-void decode_delta_onto(const EncodedDelta& delta, std::span<const float> base,
-                       std::span<float> out) {
-  if (out.size() != delta.size) {
-    throw std::invalid_argument("decode_delta_onto: size mismatch");
-  }
-  switch (delta.kind) {
-    case CompressionKind::kNone: {
-      // Lossless at-rest mode stores the parameters verbatim: install them
-      // without arithmetic so the round-trip is bitwise-exact.
-      std::copy(delta.values.begin(), delta.values.end(), out.begin());
-      return;
-    }
-    case CompressionKind::kTopK: {
-      if (base.size() != delta.size) {
-        throw std::invalid_argument("decode_delta_onto: base size mismatch");
-      }
-      std::copy(base.begin(), base.end(), out.begin());
-      for (std::size_t i = 0; i < delta.indices.size(); ++i) {
-        out[delta.indices[i]] = base[delta.indices[i]] + delta.values[i];
-      }
-      return;
-    }
-    case CompressionKind::kQuant8: {
-      if (base.size() != delta.size) {
-        throw std::invalid_argument("decode_delta_onto: base size mismatch");
-      }
-      const float scale = delta.scale;
-      for (std::size_t i = 0; i < delta.size; ++i) {
-        out[i] = base[i] + static_cast<float>(delta.codes[i]) * scale;
-      }
-      return;
-    }
-  }
-  throw std::logic_error("decode_delta_onto: unhandled kind");
-}
-
 CompressedUpdate compress_update(std::span<const float> update,
                                  const CompressionConfig& config) {
-  // encode + decode, so the wire reconstruction and the at-rest storage
-  // codec share one arithmetic path (bitwise-identical reconstructions).
   EncodedDelta encoded;
   encode_delta(update, config, encoded);
   CompressedUpdate out;
@@ -205,11 +163,17 @@ CompressionConfig parse_compression(const std::string& spec) {
         throw std::invalid_argument("parse_compression: expected topk:<fraction>, got '" +
                                     spec + "'");
       }
-      config.top_k_fraction = std::stod(spec.substr(5));
+      try {
+        config.top_k_fraction =
+            util::parse_number<double>(std::string_view(spec).substr(5),
+                                       "parse_compression '" + spec + "'");
+      } catch (const std::runtime_error& e) {
+        throw std::invalid_argument(e.what());
+      }
     }
-    if (config.top_k_fraction <= 0.0 || config.top_k_fraction > 1.0) {
-      throw std::invalid_argument(
-          "parse_compression: top-k fraction must be in (0, 1]");
+    if (!(config.top_k_fraction > 0.0 && config.top_k_fraction <= 1.0)) {
+      throw std::invalid_argument("parse_compression '" + spec +
+                                  "': top-k fraction must be in (0, 1]");
     }
     return config;
   }

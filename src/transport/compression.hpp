@@ -1,22 +1,17 @@
-// Lossy compression of model payloads for simulated links — and, since the
-// fleet-scale work, the at-rest storage codec for lazy device state.
+// Lossy compression of model payloads for simulated links.
 //
 // The simulator models compression as reconstruct(compress(delta)): the
 // receiver aggregates the lossy reconstruction, and the byte counters
 // record what the wire would have carried. Deltas (w_new - w_ref against a
 // reference both endpoints know, e.g. the downloaded edge model) compress
 // far better than raw weights, which is why the API takes the reference
-// explicitly. Historically this lived in core/; it moved here because
-// compression is a property of a link, not of the training loop —
-// core/compression.hpp remains as a compatibility alias.
+// explicitly. Compression is a property of a link, not of the training
+// loop, so it lives in the transport layer.
 //
 // The wire path (compress_update/compress_model) is a thin wrapper over the
 // split encode_delta()/decode_delta_into() pair: EncodedDelta is the actual
-// compressed representation (quantized codes, kept coordinates), which the
-// lazy-device layer keeps resident as the at-rest form of a device's
-// divergence from its base snapshot. Splitting the codec this way keeps the
-// arithmetic of both consumers literally identical — a decoded at-rest
-// delta reproduces exactly the bytes the wire reconstruction would have.
+// compressed representation (quantized codes, kept coordinates), so the
+// encoder can be timed on its own and its buffers reused across calls.
 #pragma once
 
 #include <cstddef>
@@ -46,12 +41,12 @@ struct CompressedUpdate {
   std::size_t bytes = 0;
 };
 
-/// The compressed form of an update vector: what the wire would carry, and
-/// what a lazy device stores at rest. kNone keeps the raw values verbatim
-/// (decode is bitwise-exact), kTopK keeps (index, value) pairs of the k
-/// largest magnitudes, kQuant8 keeps one int8 code per coordinate plus the
-/// shared scale. Buffers are reused across encode() calls, so a recycled
-/// EncodedDelta re-encodes without heap allocation in the steady state.
+/// The compressed form of an update vector: what the wire would carry.
+/// kNone keeps the raw values verbatim (decode is bitwise-exact), kTopK
+/// keeps (index, value) pairs of the k largest magnitudes, kQuant8 keeps
+/// one int8 code per coordinate plus the shared scale. Buffers are reused
+/// across encode_delta() calls, so a reused EncodedDelta re-encodes without
+/// heap allocation in the steady state.
 struct EncodedDelta {
   CompressionKind kind = CompressionKind::kNone;
   /// Length of the encoded update vector.
@@ -65,28 +60,21 @@ struct EncodedDelta {
   /// kTopK: kept values (aligned with `indices`); kNone: all values.
   std::vector<float> values;
 
-  /// Simulated storage footprint, same cost model as the wire: kNone = 4n,
-  /// kTopK = 8k, kQuant8 = n + 4. Empty (size == 0) deltas cost nothing.
+  /// Simulated wire size: kNone = 4n, kTopK = 8k, kQuant8 = n + 4. Empty
+  /// (size == 0) deltas cost nothing.
   std::size_t bytes() const noexcept;
-  void clear() noexcept;
 };
 
 /// Encodes `update` into `out` (buffers reused). kNone stores the values
 /// verbatim, so encode->decode round-trips bitwise; kTopK/kQuant8 use
-/// exactly the arithmetic of compress_update.
+/// exactly the arithmetic of compress_update. Throws
+/// std::invalid_argument on a kTopK fraction outside (0, 1] (NaN included).
 void encode_delta(std::span<const float> update,
                   const CompressionConfig& config, EncodedDelta& out);
 
 /// Decodes `delta` into `out` (out.size() must equal delta.size),
 /// overwriting every element: the reconstruction of the encoded update.
 void decode_delta_into(const EncodedDelta& delta, std::span<float> out);
-
-/// Decodes `delta` as a divergence from `base`: out = base + decode(delta).
-/// With kind == kNone the stored values are installed verbatim (no
-/// arithmetic — the lossless at-rest mode must reproduce exact bits, and
-/// base + (w - base) does not round-trip in floating point).
-void decode_delta_onto(const EncodedDelta& delta, std::span<const float> base,
-                       std::span<float> out);
 
 /// Compresses and immediately reconstructs `update`; see CompressedUpdate.
 /// Wire-size model: kNone = 4n; kTopK = 8k (float value + uint32 index per
@@ -102,7 +90,8 @@ CompressedUpdate compress_model(std::span<const float> model,
                                 const CompressionConfig& config);
 
 /// Parses a CLI compression spec: "none", "topk:<fraction>" (e.g.
-/// "topk:0.1") or "q8". Throws std::invalid_argument on anything else.
+/// "topk:0.1", the whole rest of the spec one number in (0, 1]) or "q8".
+/// Throws std::invalid_argument naming the spec on anything else.
 CompressionConfig parse_compression(const std::string& spec);
 
 /// Inverse of parse_compression, for reports.

@@ -25,9 +25,16 @@ std::string to_string(LinkKind kind) {
 
 Link::Link(LinkKind kind, const LinkPolicy& policy, std::size_t shards)
     : kind_(kind), policy_(policy), queues_(shards == 0 ? 1 : shards) {
-  if (policy_.loss_prob < 0.0 || policy_.loss_prob > 1.0) {
+  // Range checks are written so NaN fails them.
+  if (!(policy_.loss_prob >= 0.0 && policy_.loss_prob <= 1.0)) {
     throw std::invalid_argument("Link(" + to_string(kind) +
                                 "): loss_prob must be in [0, 1]");
+  }
+  const double fraction = policy_.compression.top_k_fraction;
+  if (policy_.compression.kind == CompressionKind::kTopK &&
+      !(fraction > 0.0 && fraction <= 1.0)) {
+    throw std::invalid_argument("Link(" + to_string(kind) +
+                                "): top_k_fraction must be in (0, 1]");
   }
   if (policy_.latency_steps > 0 && kind != LinkKind::kWirelessUp &&
       kind != LinkKind::kWanUp) {

@@ -141,7 +141,8 @@ struct SendContext {
 class Link {
  public:
   /// `shards` sizes the delay queue (0 counts as 1). Throws
-  /// std::invalid_argument for a loss_prob outside [0, 1], latency on a
+  /// std::invalid_argument for a loss_prob outside [0, 1] or a top-k
+  /// fraction outside (0, 1] (NaN included), latency on a
   /// download-direction link, or any non-default policy on the carry link.
   Link(LinkKind kind, const LinkPolicy& policy, std::size_t shards = 1);
 

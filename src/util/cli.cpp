@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -13,8 +14,10 @@ namespace {
                               "' for --" + std::string(name));
 }
 
+/// The whole token as one T (integral or floating point); out-of-range
+/// values and trailing characters are bad values.
 template <typename T>
-T parse_integral(std::string_view name, std::string_view value) {
+T parse_whole(std::string_view name, std::string_view value) {
   T out{};
   const auto [ptr, ec] =
       std::from_chars(value.data(), value.data() + value.size(), out);
@@ -49,8 +52,8 @@ void CliParser::add_impl(std::string name, std::string help,
 
 void CliParser::add_flag(std::string name, std::string help, int* target) {
   add_impl(std::move(name), std::move(help), std::to_string(*target), false,
-           [target, n = order_.size()](std::string_view v) {
-             *target = parse_integral<int>("", v);
+           [target](std::string_view v) {
+             *target = parse_whole<int>("", v);
            });
 }
 
@@ -58,7 +61,7 @@ void CliParser::add_flag(std::string name, std::string help,
                          std::size_t* target) {
   add_impl(std::move(name), std::move(help), std::to_string(*target), false,
            [target](std::string_view v) {
-             *target = parse_integral<std::size_t>("", v);
+             *target = parse_whole<std::size_t>("", v);
            });
 }
 
@@ -67,14 +70,9 @@ void CliParser::add_flag(std::string name, std::string help, double* target) {
   def << *target;
   add_impl(std::move(name), std::move(help), def.str(), false,
            [target](std::string_view v) {
-             try {
-               std::size_t used = 0;
-               const double parsed = std::stod(std::string(v), &used);
-               if (used != v.size()) bad_value("", v);
-               *target = parsed;
-             } catch (const std::invalid_argument&) {
-               bad_value("", v);
-             }
+             const double parsed = parse_whole<double>("", v);
+             if (!std::isfinite(parsed)) bad_value("", v);  // nan, inf
+             *target = parsed;
            });
 }
 

@@ -20,7 +20,8 @@ class CliParser {
       : description_(std::move(program_description)) {}
 
   /// Registers a flag bound to `target`; the current value of `target` is
-  /// shown as the default in help text.
+  /// shown as the default in help text. Numeric values must be one whole
+  /// in-range token; double flags also reject nan and inf.
   void add_flag(std::string name, std::string help, int* target);
   void add_flag(std::string name, std::string help, std::size_t* target);
   void add_flag(std::string name, std::string help, double* target);

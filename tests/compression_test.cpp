@@ -1,18 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
-#include "core/compression.hpp"
 #include "parallel/rng.hpp"
 #include "sim_fixture.hpp"
+#include "transport/compression.hpp"
 
 namespace {
 
 using middlefl::core::Algorithm;
-using middlefl::core::compress_model;
-using middlefl::core::compress_update;
-using middlefl::core::CompressionConfig;
-using middlefl::core::CompressionKind;
+using middlefl::transport::compress_model;
+using middlefl::transport::compress_update;
+using middlefl::transport::CompressionConfig;
+using middlefl::transport::CompressionKind;
 using middlefl::testing::SimBundle;
 
 std::vector<float> random_update(std::size_t n, std::uint64_t seed) {
@@ -73,6 +74,11 @@ TEST(Compression, TopKValidatesFraction) {
                std::invalid_argument);
   EXPECT_THROW(compress_update(update, {CompressionKind::kTopK, 1.5}),
                std::invalid_argument);
+  // NaN passes a `<= 0 || > 1` test; llround(NaN * n) would then keep
+  // every coordinate at 8 bytes each.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(compress_update(update, {CompressionKind::kTopK, nan}),
+               std::invalid_argument);
 }
 
 TEST(Compression, Quant8BoundedError) {
@@ -120,7 +126,7 @@ TEST(Compression, SimulationTracksUploadBytes) {
   SimBundle bundle2;
   bundle2.cfg.total_steps = 6;
   bundle2.cfg.transport.wireless_up.compression = {
-      middlefl::core::CompressionKind::kTopK, 0.1};
+      CompressionKind::kTopK, 0.1};
   auto compressed = bundle2.make(Algorithm::kMiddle);
   compressed->run();
   // Top-10% costs 8 bytes/kept coordinate vs 4 bytes/coordinate raw: ~5x
@@ -131,8 +137,7 @@ TEST(Compression, SimulationTracksUploadBytes) {
 TEST(Compression, TrainingSurvivesAggressiveCompression) {
   SimBundle bundle;
   bundle.cfg.total_steps = 40;
-  bundle.cfg.transport.wireless_up.compression = {
-      middlefl::core::CompressionKind::kQuant8};
+  bundle.cfg.transport.wireless_up.compression = {CompressionKind::kQuant8};
   auto sim = bundle.make(Algorithm::kMiddle);
   const auto history = sim->run();
   EXPECT_GT(history.best_accuracy(), 0.35);  // chance 0.25

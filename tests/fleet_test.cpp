@@ -1,8 +1,9 @@
-// Device state (core/fleet.hpp): at-rest codec round-trips, bitwise
+// Device state (core/fleet.hpp): the lossless codec round-trip, bitwise
 // equality of Device::train with a private-model oracle, whole-run fleet
 // accounting, DeviceRegistry invariants, the registry broadcast block
 // against a per-device adopt oracle, and the column layout (hot entries
-// only for detached devices, training state that survives rejoins).
+// only for detached devices, one own copy per written device, training
+// state that survives rejoins).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -50,7 +51,7 @@ std::vector<float> ramp(std::size_t n, float scale) {
 }
 
 // ---------------------------------------------------------------------------
-// At-rest codec round-trips
+// The lossless codec (the wire's kNone path) round-trips bitwise.
 
 TEST(AtRestCodec, LosslessRoundTripsBitwise) {
   const std::vector<float> w = ramp(257, 2.5f);
@@ -61,78 +62,11 @@ TEST(AtRestCodec, LosslessRoundTripsBitwise) {
   std::vector<float> out(w.size(), -1.0f);
   middlefl::transport::decode_delta_into(delta, out);
   EXPECT_EQ(std::memcmp(out.data(), w.data(), w.size() * sizeof(float)), 0);
-
-  // decode_delta_onto with kNone installs verbatim too — the base must not
-  // perturb the lossless path (base + (w - base) != w in float).
-  const std::vector<float> base = ramp(257, 1.0f);
-  std::vector<float> onto(w.size(), -1.0f);
-  middlefl::transport::decode_delta_onto(delta, base, onto);
-  EXPECT_EQ(std::memcmp(onto.data(), w.data(), w.size() * sizeof(float)), 0);
-}
-
-TEST(AtRestCodec, Quant8AccumulateDecodeStaysInBounds) {
-  // Simulate the settle cycle: w diverges from base, the divergence is
-  // quantized at rest, and decode reconstructs base + recon. The error per
-  // coordinate is bounded by half a quantization bucket.
-  const std::vector<float> base = ramp(500, 1.0f);
-  std::vector<float> w = base;
-  middlefl::parallel::Xoshiro256 rng(7);
-  float max_mag = 0.0f;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const auto nudge = static_cast<float>(rng.uniform() - 0.5) * 0.2f;
-    w[i] += nudge;
-    max_mag = std::max(max_mag, std::abs(nudge));
-  }
-
-  std::vector<float> diff(w.size());
-  for (std::size_t i = 0; i < w.size(); ++i) diff[i] = w[i] - base[i];
-  EncodedDelta delta;
-  middlefl::transport::encode_delta(
-      diff, CompressionConfig{.kind = CompressionKind::kQuant8}, delta);
-  EXPECT_EQ(delta.bytes(), w.size() + 4);
-  EXPECT_GT(delta.scale, 0.0f);
-
-  std::vector<float> out(w.size());
-  middlefl::transport::decode_delta_onto(delta, base, out);
-  const float bound = max_mag / 127.0f;  // scale = max|d|/127, error <= scale
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    EXPECT_NEAR(out[i], w[i], bound) << "coordinate " << i;
-  }
-}
-
-TEST(AtRestCodec, TopKDecodePatchesExactlyKCoordinates) {
-  const std::vector<float> base = ramp(200, 1.0f);
-  std::vector<float> diff(base.size(), 0.0f);
-  // A sparse divergence: 10 touched coordinates with distinct magnitudes.
-  for (std::size_t i = 0; i < 10; ++i) {
-    diff[i * 17] = (i % 2 == 0 ? 1.0f : -1.0f) * static_cast<float>(i + 1);
-  }
-  EncodedDelta delta;
-  middlefl::transport::encode_delta(
-      diff,
-      CompressionConfig{.kind = CompressionKind::kTopK,
-                        .top_k_fraction = 0.05},
-      delta);
-  const std::size_t k = delta.indices.size();
-  EXPECT_EQ(k, 10u);  // 5% of 200
-  EXPECT_EQ(delta.bytes(), 8 * k);
-  EXPECT_TRUE(std::is_sorted(delta.indices.begin(), delta.indices.end()));
-
-  std::vector<float> out(base.size());
-  middlefl::transport::decode_delta_onto(delta, base, out);
-  std::size_t patched = 0;
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    if (out[i] != base[i]) {
-      ++patched;
-      EXPECT_EQ(out[i], base[i] + diff[i]) << "coordinate " << i;
-    }
-  }
-  EXPECT_LE(patched, k);
 }
 
 // ---------------------------------------------------------------------------
-// LazyTrainingOracle: Device::train — pooled runtime, snapshot + at-rest
-// delta, saved optimizer slots and dropout cursor — against a reference
+// LazyTrainingOracle: Device::train — pooled runtime, shared snapshot or
+// own copy, saved optimizer slots and dropout cursor — against a reference
 // device that owns a private model and optimizer for its whole life.
 
 middlefl::data::Dataset& shared_data() {
@@ -276,12 +210,13 @@ TEST(LazyTrainingOracle, InterleavedSettledRoundsMatchPrivateModels) {
   for (std::size_t round = 0; round < 4; ++round) {
     if (round == 2) {
       // A between-round install (the on-device blend write path) on one
-      // twin pair, so the next round starts from a private, settled copy.
+      // twin pair, overwriting its own copy in place.
       std::vector<float> blended(a.device.params().begin(),
                                  a.device.params().end());
       for (float& w : blended) w *= 0.5f;
+      const float* own = a.device.params().data();
       a.device.set_params(blended);
-      a.device.settle();
+      EXPECT_EQ(a.device.params().data(), own);
       a.oracle.model->set_parameters(blended);
     }
     // Both devices share one checked-out runtime, interleaved: each must
@@ -298,12 +233,14 @@ TEST(LazyTrainingOracle, InterleavedSettledRoundsMatchPrivateModels) {
       expect_twins_equal(*pair, got, want, round);
     }
     fx.registry.release_runtime(runtime);
-    // Settle between rounds: the next round decodes the at-rest delta.
-    a.device.settle();
-    b.device.settle();
-    EXPECT_FALSE(a.device.resident());
-    EXPECT_GT(a.device.at_rest_bytes(), 0u);
+    // Between rounds each device keeps its own copy; the next round starts
+    // from it.
+    EXPECT_FALSE(a.device.shares_snapshot());
+    EXPECT_FALSE(b.device.shares_snapshot());
+    EXPECT_EQ(fx.registry.resident_devices(), 2u);
   }
+  // One copy each: only the first write on the shared base made one.
+  EXPECT_EQ(fx.registry.materializations(), 2u);
 }
 
 TEST(DeviceRuntime, StepBuffersKeepTheirStorageAcrossTrainCalls) {
@@ -356,45 +293,30 @@ TEST(LazyTrainingOracle, AdoptAndResetRoundsMatchPrivateModels) {
     const auto want =
         pair.oracle.train(2, 8, 0.01, reset, rng_oracle, 0.0, 0.0);
     expect_twins_equal(pair, got, want, round);
-    pair.device.settle();
   }
 }
 
 // ---------------------------------------------------------------------------
 // LazyFleet: whole-simulation fleet behaviour
 
-TEST(LazyFleet, QuantizedAtRestStaysCloseToLossless) {
-  SimBundle bundle;
-  bundle.cfg.fleet.at_rest.kind = CompressionKind::kQuant8;
-  auto sim = bundle.make(middlefl::core::Algorithm::kMiddle);
-  const middlefl::core::RunHistory history = sim->run();
-  ASSERT_FALSE(history.points.empty());
-  // The lossy at-rest codec must not derail training: the run completes
-  // and the final model is finite everywhere.
-  for (const float v : sim->cloud_params()) {
-    EXPECT_TRUE(std::isfinite(v));
-  }
-  std::size_t at_rest = 0;
-  for (std::size_t m = 0; m < sim->num_devices(); ++m) {
-    at_rest += sim->device(m).at_rest_bytes();
-  }
-  // Quantized storage: at most ~1 byte per parameter per settled device.
-  EXPECT_LE(at_rest, sim->num_devices() * (sim->cloud_params().size() + 4));
-}
-
 TEST(LazyFleet, FleetAccountingTracksSelection) {
   SimBundle bundle;
   auto sim = bundle.make(middlefl::core::Algorithm::kFedMes);
   sim->step();
-  // K=2 over 3 edges: at most 6 selected devices materialize in step 1
-  // (fewer when an edge has < K members).
+  // K=2 over 3 edges: at most 6 selected devices get their own copy in
+  // step 1 (fewer when an edge has < K members), and they keep it after
+  // the step: one copy per trained device.
   const auto& fleet = sim->fleet();
   EXPECT_GT(fleet.materializations(), 0u);
   EXPECT_LE(fleet.materializations(), 6u);
-  // Every chain settles its members after aggregation: nothing stays
-  // resident between steps.
+  EXPECT_EQ(fleet.resident_devices(), fleet.materializations());
+  EXPECT_EQ(sim->last_step().materializations, fleet.materializations());
+  // The lossless broadcast at the first sync returns every own copy.
+  while (!sim->step()) {
+    EXPECT_GT(fleet.resident_devices(), 0u);
+  }
   EXPECT_EQ(fleet.resident_devices(), 0u);
-  EXPECT_GT(fleet.delta_bytes_at_rest(), 0u);
+  EXPECT_EQ(fleet.hot_entries(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -423,28 +345,6 @@ TEST(RegistryChurn, ShardAssignmentIsStableAndMasked) {
   registry.insert(0, base);
   EXPECT_THROW(registry.configure(FleetConfig{}), std::logic_error);
   EXPECT_THROW(give_data(registry, 2), std::logic_error);
-}
-
-TEST(RegistryChurn, ResidentFreelistRecyclesBuffers) {
-  DeviceRegistry registry;
-  registry.configure(FleetConfig{});
-  const std::vector<float> init(32, 1.0f);
-  const Snapshot base = SnapshotStore::global().publish(init);
-  give_data(registry, 6);
-  for (std::size_t id = 0; id <= 5; ++id) registry.insert(id, base);
-
-  middlefl::tensor::Tensor a = registry.acquire_resident(5);
-  EXPECT_EQ(registry.materializations(), 1u);
-  EXPECT_EQ(registry.resident_devices(), 1u);
-  const float* raw = a.data().data();
-  registry.release_resident(5, std::move(a));
-  EXPECT_EQ(registry.resident_devices(), 0u);
-
-  // Same shard, same buffer back.
-  middlefl::tensor::Tensor b = registry.acquire_resident(5);
-  EXPECT_EQ(registry.materializations(), 2u);
-  EXPECT_EQ(b.data().data(), raw);
-  registry.release_resident(5, std::move(b));
 }
 
 // ---------------------------------------------------------------------------
@@ -483,17 +383,13 @@ void oracle_broadcast(Simulation& sim, const CompressionConfig& compression) {
       device.adopt(global);
     } else {
       device.set_params(recon);
-      device.settle();
     }
   }
 }
 
-/// Reads a device's parameters without leaving it resident (a settled
-/// device decodes into a pooled buffer; settle() hands it back unchanged).
+/// A copy of a device's parameters.
 std::vector<float> read_params(Device device) {
-  std::vector<float> params(device.params().begin(), device.params().end());
-  device.settle();
-  return params;
+  return {device.params().begin(), device.params().end()};
 }
 
 void expect_fleets_match(Simulation& got, Simulation& want,
@@ -557,10 +453,9 @@ void run_against_adopt_oracle(SimBundle bundle,
         EXPECT_EQ(device.params().data(), fast->cloud_params().data());
         EXPECT_EQ(device.params_version(),
                   fast->cloud_snapshot()->version());
-        EXPECT_FALSE(device.resident());
-        EXPECT_EQ(device.at_rest_bytes(), 0u);
+        EXPECT_TRUE(device.following());
       }
-      EXPECT_EQ(fast->fleet().delta_bytes_at_rest(), 0u);
+      EXPECT_EQ(fast->fleet().resident_devices(), 0u);
       expect_fleets_match(*fast, *oracle, versions, t);
     }
     const auto before = fast->transport().stats(LinkKind::kBroadcast);
@@ -736,16 +631,24 @@ TEST(FleetBroadcast, ErasedWhileDetachedIsSkipped) {
   for (std::size_t id = 0; id < 10; ++id) {
     EXPECT_TRUE(registry.insert(id, b0).following());
   }
-  // Three kinds of write: a resident private copy, a settled one, and an
-  // adopt of another block.
+  // Three kinds of write: an own copy, an own copy rewritten from a span
+  // of itself, and an adopt of another block.
   registry.at(2).set_params(ramp(32, 2.0f));
-  registry.at(5).set_params(ramp(32, 3.0f));
-  registry.at(5).settle();
+  Device five = registry.at(5);
+  five.set_params(ramp(32, 3.0f));
+  const std::span<const float> own = five.params();
+  const std::uint64_t before = five.params_version();
+  five.set_params(own);
+  EXPECT_EQ(five.params().data(), own.data());
+  EXPECT_EQ(read_params(five), ramp(32, 3.0f));
+  EXPECT_NE(five.params_version(), before);
   registry.at(7).adopt(SnapshotStore::global().publish(ramp(32, 4.0f)));
   for (const std::size_t id : {2, 5, 7}) {
     EXPECT_FALSE(registry.at(id).following()) << "id " << id;
   }
   EXPECT_EQ(registry.hot_entries(), 3u);
+  EXPECT_EQ(registry.resident_devices(), 2u);
+  EXPECT_EQ(registry.materializations(), 2u);
 
   const Snapshot b1 = SnapshotStore::global().publish(ramp(32, 5.0f));
   registry.broadcast(b1);
@@ -757,7 +660,6 @@ TEST(FleetBroadcast, ErasedWhileDetachedIsSkipped) {
     EXPECT_EQ(device.params_version(), b1->version()) << "id " << id;
   }
   EXPECT_EQ(registry.resident_devices(), 0u);
-  EXPECT_EQ(registry.delta_bytes_at_rest(), 0u);
 
   // Inserted on another block, a device is detached from birth.
   EXPECT_FALSE(registry.insert(10, b0).following());
@@ -780,6 +682,7 @@ TEST(FleetColumns, TrainingStateSurvivesRejoin) {
   OracleFixture fx(sgd, 0.25f, {0});
   TwinPair pair = fx.make_pair(sgd);
   const Device& device = pair.device;
+  const float* own = nullptr;
 
   for (std::size_t round = 0; round < 3; ++round) {
     if (round > 0) {
@@ -801,14 +704,19 @@ TEST(FleetColumns, TrainingStateSurvivesRejoin) {
                                         0.0);
     expect_twins_equal(pair, got, want, round);
     EXPECT_EQ(fx.registry.hot_entries(), 1u);
-    pair.device.settle();
+    // The pooled entry comes back with its buffer: the copy a rejoined
+    // device writes next reuses the storage of the one before it.
+    if (round > 0) {
+      EXPECT_EQ(device.params().data(), own);
+    }
+    own = device.params().data();
   }
 }
 
 TEST(FleetColumns, LosslessBroadcastReturnsEveryHotEntry) {
   // The per-device loop of a lossy broadcast: every device detaches, and
-  // some install private copies (resident or settled) before the next
-  // lossless broadcast returns all of it.
+  // some write own copies (one of them adopting a block again after) before
+  // the next lossless broadcast returns all of it.
   constexpr std::size_t kDevices = 40;
   DeviceRegistry registry;
   registry.configure(FleetConfig{.shards = 4});
@@ -822,18 +730,19 @@ TEST(FleetColumns, LosslessBroadcastReturnsEveryHotEntry) {
     Device device = registry.at(id);
     device.detach();
     if (id % 3 != 0) device.set_params(ramp(32, 0.5f + id));
-    if (id % 3 == 1) device.settle();
+    if (id % 3 == 1) device.adopt(b0);
   }
   EXPECT_EQ(registry.hot_entries(), kDevices);
-  EXPECT_GT(registry.resident_devices(), 0u);
-  EXPECT_GT(registry.delta_bytes_at_rest(), 0u);
+  // ids 2, 5, ..., 38 keep their own copy.
+  EXPECT_EQ(registry.resident_devices(), 13u);
+  EXPECT_EQ(registry.resident_peak(), 13u);
+  EXPECT_EQ(registry.materializations(), 26u);
 
   const Snapshot b1 = SnapshotStore::global().publish(ramp(32, 2.0f));
   registry.broadcast(b1);
   EXPECT_EQ(registry.detached_devices(), kDevices);
   EXPECT_EQ(registry.hot_entries(), 0u);
   EXPECT_EQ(registry.resident_devices(), 0u);
-  EXPECT_EQ(registry.delta_bytes_at_rest(), 0u);
 }
 
 TEST(FleetColumns, LossyBroadcastThenWarmStartReturnsEveryHotEntry) {
@@ -856,7 +765,43 @@ TEST(FleetColumns, LossyBroadcastThenWarmStartReturnsEveryHotEntry) {
   EXPECT_EQ(sim->fleet().detached_devices(), n);
   EXPECT_EQ(sim->fleet().hot_entries(), 0u);
   EXPECT_EQ(sim->fleet().resident_devices(), 0u);
-  EXPECT_EQ(sim->fleet().delta_bytes_at_rest(), 0u);
+}
+
+TEST(FleetColumns, SelectionReadsDoNotCopy) {
+  // MIDDLE's similarity selection reads every member's parameters, trained
+  // or not; reading gives no device a copy. Only writes do (a blend or
+  // local SGD on a device that was sharing a snapshot), at most one per
+  // selected device per step.
+  middlefl::parallel::ThreadPool pool(2);
+  SimBundle bundle(4, 24, 3);
+  bundle.cfg.cloud_interval = 10;
+  bundle.cfg.parallel_devices = true;
+  bundle.cfg.pool = &pool;
+  auto sim = bundle.make(middlefl::core::Algorithm::kMiddle);
+  std::uint64_t total = 0;
+  for (std::size_t t = 1; t <= 15; ++t) {  // one sync, at step 10
+    sim->step();
+    SCOPED_TRACE("step " + std::to_string(t));
+    const middlefl::obs::StepRecord& r = sim->last_step();
+    EXPECT_GT(r.selected, 0u);
+    EXPECT_LE(r.materializations, r.selected);
+    total += r.materializations;
+  }
+  EXPECT_EQ(sim->fleet().materializations(), total);
+
+  // A device trained in the last step holds its own copy until the next
+  // sync, and reading it twice returns that buffer without a copy.
+  std::size_t m = sim->num_devices();
+  for (const auto& selection : sim->last_selection()) {
+    if (!selection.empty()) m = selection.front();
+  }
+  ASSERT_LT(m, sim->num_devices());
+  const Device device = sim->device(m);
+  ASSERT_FALSE(device.shares_snapshot());
+  const std::uint64_t before = sim->fleet().materializations();
+  const float* first = device.params().data();
+  EXPECT_EQ(device.params().data(), first);
+  EXPECT_EQ(sim->fleet().materializations(), before);
 }
 
 TEST(FleetColumns, InsertRejectsDuplicateAndOutOfOrderIds) {

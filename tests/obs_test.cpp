@@ -332,8 +332,7 @@ TEST(RunLogger, StepLinesKeepTheirKeyOrder) {
   std::vector<std::string> expected = {
       "kind", "step", "synced", "movers", "measured_p", "selected",
       "stragglers", "lost_downloads", "blends", "blend_weight_sum",
-      "materializations", "resident_peak", "delta_bytes_at_rest",
-      "step_wall_us", "phase_us", "mobility", "membership", "select",
+      "materializations", "resident_peak", "step_wall_us", "phase_us", "mobility", "membership", "select",
       "distribute", "local_train", "upload", "edge_aggregate", "cloud_sync",
       "links"};
   for (const char* link : {"wireless_down", "wireless_up", "wan_up",

@@ -266,7 +266,7 @@ TEST(GoldenParity, MiddleTopKCompression) {
       {0x3fdfffba581d1f35, 0x3fdfffba581c6c66}};
   SimBundle bundle;
   bundle.cfg.transport.wireless_up.compression = {
-      middlefl::core::CompressionKind::kTopK, 0.25};
+      middlefl::transport::CompressionKind::kTopK, 0.25};
   const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
   if (!skip.empty()) GTEST_SKIP() << skip;
 }
@@ -449,7 +449,6 @@ void expect_same_counts(const StepRecord& a, const StepRecord& b) {
   EXPECT_EQ(bits(a.blend_weight_sum), bits(b.blend_weight_sum));
   EXPECT_EQ(a.contributing_edges, b.contributing_edges);
   EXPECT_EQ(a.materializations, b.materializations);
-  EXPECT_EQ(a.delta_bytes_at_rest, b.delta_bytes_at_rest);
   for (std::size_t i = 0; i < a.links.size(); ++i) {
     EXPECT_EQ(a.links[i].link, b.links[i].link);
     EXPECT_EQ(a.links[i].transfers, b.links[i].transfers) << a.links[i].link;

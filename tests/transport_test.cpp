@@ -2,7 +2,9 @@
 // compression, latency), byte accounting, and the Transport registry.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "parallel/rng.hpp"
@@ -168,10 +170,24 @@ TEST(Link, LatencyRejectedOnDownlinks) {
 }
 
 TEST(Link, RejectsOutOfRangeLoss) {
-  LinkPolicy policy;
-  policy.loss_prob = 1.5;
-  EXPECT_THROW(Link(LinkKind::kWirelessUp, policy),
-               std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double loss : {1.5, -0.1, nan}) {
+    LinkPolicy policy;
+    policy.loss_prob = loss;
+    EXPECT_THROW(Link(LinkKind::kWirelessUp, policy), std::invalid_argument)
+        << "loss_prob " << loss;
+  }
+  // A top-k fraction outside (0, 1] fails at construction, not at the
+  // first send.
+  for (const double fraction : {0.0, 1.5, nan}) {
+    LinkPolicy policy;
+    policy.compression = {CompressionKind::kTopK, fraction};
+    EXPECT_THROW(Link(LinkKind::kWirelessUp, policy), std::invalid_argument)
+        << "top_k_fraction " << fraction;
+  }
+  LinkPolicy full;
+  full.compression = {CompressionKind::kTopK, 1.0};
+  EXPECT_NO_THROW(Link(LinkKind::kWirelessUp, full));
 }
 
 TEST(Link, SendIdenticalAccountsLikeRepeatedSends) {
@@ -288,6 +304,18 @@ TEST(TransportTest, ParseCompressionSpecs) {
   EXPECT_THROW(parse_compression("topk:0"), std::invalid_argument);
   EXPECT_THROW(parse_compression("topk:2"), std::invalid_argument);
   EXPECT_THROW(parse_compression("gzip"), std::invalid_argument);
+  // The fraction is the whole rest of the spec, one number in (0, 1]; the
+  // error names the spec.
+  for (const char* bad : {"topk:0.5x", "topk:", "topk:abc", "topk:nan",
+                          "topk:inf", "topk:1e999", "topk: 0.5"}) {
+    try {
+      parse_compression(bad);
+      ADD_FAILURE() << "expected '" << bad << "' to be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
 
   using middlefl::transport::to_string;
   EXPECT_EQ(to_string(parse_compression("q8")), "q8");

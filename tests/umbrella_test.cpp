@@ -39,7 +39,8 @@ TEST(Umbrella, EverythingCombinedStillTrainsDeterministically) {
   cfg.prox_mu = 0.05;
   cfg.server_momentum = 0.3;
   cfg.transport.wireless_up.loss_prob = 0.1;
-  cfg.transport.wireless_up.compression = {core::CompressionKind::kTopK, 0.25};
+  cfg.transport.wireless_up.compression = {transport::CompressionKind::kTopK,
+                                           0.25};
   cfg.round_deadline = 4.0;
   cfg.device_speeds.assign(12, 1.0);
   cfg.device_speeds[3] = 0.5;   // half budget

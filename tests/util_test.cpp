@@ -179,6 +179,30 @@ TEST(Cli, BadValueThrows) {
   cli.add_flag("x", "", &x);
   const char* argv[] = {"prog", "--x", "abc"};
   EXPECT_THROW(cli.parse(3, argv), std::invalid_argument);
+
+  // Doubles: one whole, finite, in-range token, or an error naming the
+  // flag (out-of-range used to escape as a bare "stod").
+  for (const char* bad : {"1e999", "-1e999", "nan", "inf", "-inf", "0.5x",
+                          "abc", ""}) {
+    CliParser doubles("test");
+    double lr = 0.01;
+    doubles.add_flag("lr", "", &lr);
+    const char* args[] = {"prog", "--lr", bad};
+    try {
+      doubles.parse(3, args);
+      ADD_FAILURE() << "expected '" << bad << "' to be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "invalid value '" + std::string(bad) + "' for --lr");
+    }
+    EXPECT_EQ(lr, 0.01);
+  }
+  CliParser doubles("test");
+  double lr = 0.0;
+  doubles.add_flag("lr", "", &lr);
+  const char* good[] = {"prog", "--lr", "2.5e-3"};
+  ASSERT_TRUE(doubles.parse(3, good));
+  EXPECT_EQ(lr, 2.5e-3);
 }
 
 TEST(Cli, MissingValueThrows) {
