@@ -22,10 +22,12 @@
 //
 // The intrinsic per-step cost difference is small (the broadcast installs
 // a shared snapshot, not a copy), so a single timed run drowns in system
-// noise. The arms therefore run interleaved for --repeats rounds and each
-// arm reports its best (minimum-mean) repeat — the standard noise-robust
-// estimator; model state and counters are bitwise-identical across
-// repeats, so only the timings differ. The JSON opens with the shared
+// noise. The arms therefore run interleaved for --repeats rounds, and each
+// arm reports the median and quartiles of its per-repeat mean step times
+// (bench::spread_of, as fleet_scale and step_throughput report their
+// windows), with p95/max the medians of the per-repeat values. Model
+// state, counters and step records are bitwise-identical across repeats,
+// so they are taken from repeat 0. The JSON opens with the shared
 // protocol header (bench::protocol_json).
 #include <algorithm>
 #include <chrono>
@@ -60,14 +62,11 @@ struct RecordTally {
   }
 };
 
+/// One repeat of one arm.
 struct ArmResult {
-  /// Mean step wall-clock of every interleaved repeat (best one kept).
-  std::vector<double> repeat_means_ms;
-  double seconds = 0.0;
   double mean_ms = 0.0;
   double p95_ms = 0.0;
   double max_ms = 0.0;
-  double steps_per_sec = 0.0;
   double final_accuracy = 0.0;
   bool target_reached = false;
   std::size_t target_step = 0;
@@ -121,55 +120,82 @@ ArmResult run_arm(const bench::TaskSetup& setup, core::Algorithm algorithm,
   if (obs != nullptr) obs->collect(*sim);
   arm.summary = bench::SimRunSummary::capture(*sim);
 
-  for (double ms : step_ms) arm.seconds += ms / 1000.0;
-  arm.mean_ms = arm.seconds * 1000.0 / static_cast<double>(step_ms.size());
+  double total_ms = 0.0;
+  for (double ms : step_ms) total_ms += ms;
+  arm.mean_ms = total_ms / static_cast<double>(step_ms.size());
   std::vector<double> sorted = step_ms;
   std::sort(sorted.begin(), sorted.end());
   arm.p95_ms = sorted[(sorted.size() * 95) / 100 == sorted.size()
                           ? sorted.size() - 1
                           : (sorted.size() * 95) / 100];
   arm.max_ms = sorted.back();
-  arm.steps_per_sec = static_cast<double>(step_ms.size()) / arm.seconds;
   return arm;
 }
 
-void print_arm(const char* name, const ArmResult& arm) {
-  std::cerr << "   " << name << ": " << arm.seconds << " s ("
-            << arm.mean_ms << " ms/step mean, p95 " << arm.p95_ms
-            << ", max " << arm.max_ms << "), final accuracy "
-            << arm.final_accuracy;
-  if (arm.target_reached) {
-    std::cerr << ", target @ step " << arm.target_step;
+/// An arm over every repeat: counters, records and accuracy from repeat 0
+/// (bitwise equal in every repeat), timings as medians over the repeats.
+struct ArmSummary {
+  explicit ArmSummary(std::vector<ArmResult> runs) : first(runs.front()) {
+    std::vector<double> p95, max;
+    for (const ArmResult& run : runs) {
+      repeat_means_ms.push_back(run.mean_ms);
+      p95.push_back(run.p95_ms);
+      max.push_back(run.max_ms);
+    }
+    step_ms = bench::spread_of(repeat_means_ms);
+    p95_ms = bench::spread_of(p95).median;
+    max_ms = bench::spread_of(max).median;
+  }
+
+  ArmResult first;
+  std::vector<double> repeat_means_ms;
+  bench::Spread step_ms;  // of the per-repeat mean step times
+  double p95_ms = 0.0;
+  double max_ms = 0.0;
+};
+
+void print_arm(const char* name, const ArmSummary& arm) {
+  const ArmResult& first = arm.first;
+  std::cerr << "   " << name << ": " << arm.step_ms.median
+            << " ms/step (median of " << arm.repeat_means_ms.size()
+            << " repeat means, IQR [" << arm.step_ms.q1 << ", "
+            << arm.step_ms.q3 << "], p95 " << arm.p95_ms << ", max "
+            << arm.max_ms << "), final accuracy " << first.final_accuracy;
+  if (first.target_reached) {
+    std::cerr << ", target @ step " << first.target_step;
   } else {
     std::cerr << ", target not reached";
   }
   std::cerr << "\n";
 }
 
-void emit_arm(std::ostream& out, const char* name, const ArmResult& arm,
+void emit_arm(std::ostream& out, const char* name, const ArmSummary& arm,
               double target_accuracy) {
+  const ArmResult& first = arm.first;
   out << "  \"" << name << "\": {\n"
       << "    \"repeat_means_ms\": [";
   for (std::size_t i = 0; i < arm.repeat_means_ms.size(); ++i) {
     out << (i == 0 ? "" : ", ") << arm.repeat_means_ms[i];
   }
   out << "],\n"
-      << "    \"seconds\": " << arm.seconds << ",\n"
-      << "    \"step_ms_mean\": " << arm.mean_ms << ",\n"
+      << "    \"step_ms_median\": " << arm.step_ms.median << ",\n"
+      << "    \"step_ms_q1\": " << arm.step_ms.q1 << ",\n"
+      << "    \"step_ms_q3\": " << arm.step_ms.q3 << ",\n"
+      << "    \"step_ms_iqr\": " << arm.step_ms.q3 - arm.step_ms.q1 << ",\n"
       << "    \"step_ms_p95\": " << arm.p95_ms << ",\n"
       << "    \"step_ms_max\": " << arm.max_ms << ",\n"
-      << "    \"steps_per_sec\": " << arm.steps_per_sec << ",\n"
-      << "    \"final_accuracy\": " << arm.final_accuracy << ",\n"
+      << "    \"steps_per_sec\": " << 1000.0 / arm.step_ms.median << ",\n"
+      << "    \"final_accuracy\": " << first.final_accuracy << ",\n"
       << "    \"target_accuracy\": " << target_accuracy << ",\n"
-      << "    \"target_reached\": " << (arm.target_reached ? "true" : "false")
+      << "    \"target_reached\": "
+      << (first.target_reached ? "true" : "false") << ",\n"
+      << "    \"target_step\": " << first.target_step << ",\n"
+      << "    \"event_wan_up_transfers\": " << first.records.wan_up_transfers
       << ",\n"
-      << "    \"target_step\": " << arm.target_step << ",\n"
-      << "    \"event_wan_up_transfers\": " << arm.records.wan_up_transfers
+      << "    \"event_contributing_sum\": " << first.records.contributing_sum
       << ",\n"
-      << "    \"event_contributing_sum\": " << arm.records.contributing_sum
-      << ",\n"
-      << "    \"event_cloud_syncs\": " << arm.records.cloud_syncs << ",\n"
-      << bench::json_summary_fields(arm.summary, "    ") << "\n"
+      << "    \"event_cloud_syncs\": " << first.records.cloud_syncs << ",\n"
+      << bench::json_summary_fields(first.summary, "    ") << "\n"
       << "  }";
 }
 
@@ -227,33 +253,28 @@ int run(int argc, const char* const* argv) {
   }
   setup.sim_cfg.eval_edges = false;
 
-  // Interleave the arms so slow system phases hit both equally; keep each
-  // arm's minimum-mean repeat. Observability captures the first repeat.
+  // Interleave the arms so slow system phases hit both equally.
+  // Observability captures the first repeat.
   bench::ObsSession obs(options);
   if (fast && options.repeats == 3) options.repeats = 1;
   const std::size_t repeats = std::max<std::size_t>(1, options.repeats);
-  ArmResult sync_arm, async_arm;
-  std::vector<double> sync_means, async_means;
+  std::vector<ArmResult> sync_runs, async_runs;
   for (std::size_t r = 0; r < repeats; ++r) {
     bench::ObsSession* session = r == 0 ? &obs : nullptr;
-    ArmResult s =
-        run_arm(setup, algorithm, options, false, max_staleness, session);
-    ArmResult a =
-        run_arm(setup, algorithm, options, true, max_staleness, session);
-    sync_means.push_back(s.mean_ms);
-    async_means.push_back(a.mean_ms);
-    if (r == 0 || s.mean_ms < sync_arm.mean_ms) sync_arm = std::move(s);
-    if (r == 0 || a.mean_ms < async_arm.mean_ms) async_arm = std::move(a);
+    sync_runs.push_back(
+        run_arm(setup, algorithm, options, false, max_staleness, session));
+    async_runs.push_back(
+        run_arm(setup, algorithm, options, true, max_staleness, session));
   }
-  sync_arm.repeat_means_ms = std::move(sync_means);
-  async_arm.repeat_means_ms = std::move(async_means);
+  const ArmSummary sync_arm(std::move(sync_runs));
+  const ArmSummary async_arm(std::move(async_runs));
   print_arm("sync ", sync_arm);
   print_arm("async", async_arm);
   obs.finish();
 
   // The async counters must be reconstructible from the step records alone.
   bool cross_check_ok = true;
-  const bench::SimRunSummary& as = async_arm.summary;
+  const bench::SimRunSummary& as = async_arm.first.summary;
   auto check = [&](const char* what, std::uint64_t counter,
                    std::uint64_t from_records) {
     if (counter == from_records) return;
@@ -262,21 +283,22 @@ int run(int argc, const char* const* argv) {
               << " != " << from_records << " from step records\n";
   };
   check("async_published vs wan_up transfers", as.async_published,
-        async_arm.records.wan_up_transfers);
+        async_arm.first.records.wan_up_transfers);
   check("async_applied vs sum(contributing_edges)", as.async_applied,
-        async_arm.records.contributing_sum);
+        async_arm.first.records.contributing_sum);
   check("async_applies vs synced steps", as.async_applies,
-        async_arm.records.cloud_syncs);
-  if (sync_arm.summary.async_published != 0) {
+        async_arm.first.records.cloud_syncs);
+  if (sync_arm.first.summary.async_published != 0) {
     cross_check_ok = false;
     std::cerr << "   CROSS-CHECK FAILED: sync arm published "
-              << sync_arm.summary.async_published << " async contributions\n";
+              << sync_arm.first.summary.async_published
+              << " async contributions\n";
   }
 
-  const double speedup = async_arm.mean_ms > 0.0
-                             ? sync_arm.mean_ms / async_arm.mean_ms
-                             : 0.0;
-  std::cerr << "   per-step speedup (sync mean / async mean): " << speedup
+  const double async_ms = async_arm.step_ms.median;
+  const double speedup =
+      async_ms > 0.0 ? sync_arm.step_ms.median / async_ms : 0.0;
+  std::cerr << "   per-step speedup (sync median / async median): " << speedup
             << ", cross-check " << (cross_check_ok ? "ok" : "FAILED") << "\n";
 
   std::ofstream out(json_path);

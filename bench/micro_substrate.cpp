@@ -171,8 +171,9 @@ struct GemmShape {
   float beta;
 };
 
-// Conv GEMMs run once per sample (16 per step), the Linear ones once per
-// step. conv1 gets no input gradient (first layer with parameters); NT
+// Conv forward and dW GEMMs run once per sample (16 per step); conv2's dX
+// GEMM runs once per step over the whole batch's columns, as do the Linear
+// ones. conv1 gets no input gradient (first layer with parameters); NT
 // calls with n or k below 16 take the small-NT kernel.
 constexpr tensor::Trans kN = tensor::Trans::kNo;
 constexpr tensor::Trans kT = tensor::Trans::kYes;
@@ -181,7 +182,7 @@ const GemmShape kCnn2GemmShapes[] = {
     {"conv1.dW NT 8x9x256", kN, kT, 8, 9, 256, 1.0f},
     {"conv2.fwd NN 16x64x72", kN, kN, 16, 64, 72, 0.0f},
     {"conv2.dW NT 16x72x64", kN, kT, 16, 72, 64, 1.0f},
-    {"conv2.dX TN 72x64x16", kT, kN, 72, 64, 16, 0.0f},
+    {"conv2.dX TN 72x1024x16", kT, kN, 72, 1024, 16, 0.0f},
     {"fc1.fwd NT 16x64x256", kN, kT, 16, 64, 256, 0.0f},
     {"fc1.dW TN 64x256x16", kT, kN, 64, 256, 16, 1.0f},
     {"fc1.dX NN 16x256x64", kN, kN, 16, 256, 64, 0.0f},
@@ -330,31 +331,61 @@ void BM_Cnn2Layer(benchmark::State& state) {
 BENCHMARK(BM_Cnn2Layer)
     ->DenseRange(0, 2 * static_cast<int>(Cnn2Layers::kLayers) - 1);
 
-/// Conv2d's bordered im2col for one sample at CNN-2's two paper-scale
-/// layers: Arg 0 is conv1 (1 -> 8 channels, 16 x 16), Arg 1 conv2 (8 -> 16
+/// One of CNN-2's two paper-scale conv layers, built for the lowering
+/// benches: Arg 0 is conv1 (1 -> 8 channels, 16 x 16), Arg 1 conv2 (8 -> 16
 /// channels, 8 x 8); both 3 x 3, stride 1, padding 1.
+struct LoweringCase {
+  explicit LoweringCase(bool second)
+      : channels(second ? 8 : 1),
+        side(second ? 8 : 16),
+        conv(nn::Conv2dConfig{.in_channels = channels,
+                              .out_channels = 2 * channels,
+                              .kernel = 3,
+                              .stride = 1,
+                              .padding = 1}) {
+    const tensor::Shape out = conv.build(tensor::Shape{channels, side, side});
+    cols = out.dim(1) * out.dim(2);
+  }
+  std::size_t channels, side;
+  nn::Conv2d conv;
+  std::size_t cols = 0;  // output positions: the column matrix's width
+};
+
+/// Conv2d's bordered im2col for one sample; bytes are the column matrix's.
 void BM_Conv2dIm2col(benchmark::State& state) {
-  const bool second = state.range(0) != 0;
-  const std::size_t channels = second ? 8 : 1;
-  const std::size_t side = second ? 8 : 16;
-  nn::Conv2d conv(nn::Conv2dConfig{.in_channels = channels,
-                                   .out_channels = 2 * channels,
-                                   .kernel = 3,
-                                   .stride = 1,
-                                   .padding = 1});
-  const tensor::Shape out = conv.build(tensor::Shape{channels, side, side});
-  const auto sample = random_vec(channels * side * side, 14);
-  std::vector<float> col(channels * 9 * out.dim(1) * out.dim(2));
+  LoweringCase layer(state.range(0) != 0);
+  const auto sample =
+      random_vec(layer.channels * layer.side * layer.side, 14);
+  std::vector<float> col(layer.channels * 9 * layer.cols);
   for (auto _ : state) {
-    conv.im2col(sample.data(), col.data());
+    layer.conv.im2col(sample.data(), col.data());
     benchmark::DoNotOptimize(col.data());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           col.size() * sizeof(float));
-  state.SetLabel(second ? "conv2" : "conv1");
+  state.SetLabel(state.range(0) != 0 ? "conv2" : "conv1");
 }
 BENCHMARK(BM_Conv2dIm2col)->Arg(0)->Arg(1);
+
+/// Conv2d's col2im for one sample, reading its columns out of a batch-16
+/// panel as Conv2d::backward does; bytes are the column matrix's.
+void BM_Conv2dCol2im(benchmark::State& state) {
+  LoweringCase layer(state.range(0) != 0);
+  constexpr std::size_t kBatch = 16;
+  const std::size_t rows = layer.channels * 9;
+  const auto panel = random_vec(rows * kBatch * layer.cols, 15);
+  std::vector<float> grad(layer.channels * layer.side * layer.side);
+  for (auto _ : state) {
+    layer.conv.col2im(panel.data(), kBatch * layer.cols, grad.data());
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          rows * layer.cols * sizeof(float));
+  state.SetLabel(state.range(0) != 0 ? "conv2" : "conv1");
+}
+BENCHMARK(BM_Conv2dCol2im)->Arg(0)->Arg(1);
 
 void BM_GemmTransB(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -68,63 +68,84 @@ void Conv2d::init_params(parallel::Xoshiro256& rng) {
 
 namespace {
 
-/// db[oc] += sum_pos dY[oc, pos] for one sample: per channel a double sum
-/// ascending in pos, cast to float once. kLanes channels run side by side
-/// so the adds are throughput-bound, not one latency-bound chain after
-/// another; each channel's chain is unchanged. A partial last group
-/// repeats the last channel in its spare lanes, which are never stored.
-void add_bias_grad(const float* dy, std::size_t channels,
+/// db[oc] += sum_pos dY[b, oc, pos] over a whole batch. Each (sample,
+/// channel) plane is one double sum ascending in pos, cast to float once;
+/// the planes are consecutive in dY, so kLanes of them run side by side
+/// wherever they fall, sample boundaries included, and the adds are
+/// throughput-bound rather than one latency-bound chain after another. The
+/// planes are visited in (sample, channel) order, so every channel's
+/// per-sample floats fold into grad_bias in sample order. A partial last
+/// group repeats the last plane in its spare lanes, which are never stored.
+void add_bias_grad(const float* dy, std::size_t batch, std::size_t channels,
                    std::size_t positions, float* grad_bias) noexcept {
   constexpr std::size_t kLanes = 8;
-  for (std::size_t oc0 = 0; oc0 < channels; oc0 += kLanes) {
-    const std::size_t lanes = std::min(kLanes, channels - oc0);
+  const std::size_t planes = batch * channels;
+  std::size_t oc = 0;  // channel of the next plane to fold
+  for (std::size_t q0 = 0; q0 < planes; q0 += kLanes) {
+    const std::size_t lanes = std::min(kLanes, planes - q0);
     const float* plane[kLanes];
     for (std::size_t l = 0; l < kLanes; ++l) {
-      plane[l] = dy + (oc0 + std::min(l, lanes - 1)) * positions;
+      plane[l] = dy + (q0 + std::min(l, lanes - 1)) * positions;
     }
     double acc[kLanes] = {};
     for (std::size_t p = 0; p < positions; ++p) {
       for (std::size_t l = 0; l < kLanes; ++l) acc[l] += plane[l][p];
     }
     for (std::size_t l = 0; l < lanes; ++l) {
-      grad_bias[oc0 + l] += static_cast<float>(acc[l]);
+      grad_bias[oc] += static_cast<float>(acc[l]);
+      if (++oc == channels) oc = 0;
     }
   }
 }
 
 /// Floats per fixed-size block in the lowering runs: a copy or add of a
-/// compile-time size is one vector operation, whatever the run length.
+/// compile-time size is one vector operation.
 constexpr std::size_t kBlock = 8;
 
-/// dst[i] = src[i * stride] for i < n; unit-stride runs go kBlock floats
-/// at a time, then the tail.
-void copy_run(const float* src, std::size_t stride, std::size_t n,
-              float* dst) noexcept {
-  std::size_t i = 0;
-  if (stride == 1) {
-    for (; i + kBlock <= n; i += kBlock) {
-      std::memcpy(dst + i, src + i, kBlock * sizeof(float));
+/// Copies `runs` runs of n floats, run i from src + i * src_pitch to
+/// dst + i * dst_pitch: every run's whole kBlock blocks, then every run's
+/// n % kBlock tail, so the block loop has no per-run tail test.
+void copy_runs(const float* src, std::size_t src_pitch, float* dst,
+               std::size_t dst_pitch, std::size_t runs,
+               std::size_t n) noexcept {
+  const std::size_t whole = n - n % kBlock;
+  for (std::size_t x = 0; x < whole; x += kBlock) {
+    for (std::size_t i = 0; i < runs; ++i) {
+      std::memcpy(dst + i * dst_pitch + x, src + i * src_pitch + x,
+                  kBlock * sizeof(float));
     }
   }
-  for (; i < n; ++i) dst[i] = src[i * stride];
+  if (whole == n) return;
+  for (std::size_t i = 0; i < runs; ++i) {
+    for (std::size_t x = whole; x < n; ++x) {
+      dst[i * dst_pitch + x] = src[i * src_pitch + x];
+    }
+  }
 }
 
-/// dst[i * stride] += src[i] for i < n, blocked like copy_run: each
-/// element still takes exactly one add.
-void add_run(const float* src, std::size_t stride, std::size_t n,
-             float* dst) noexcept {
-  std::size_t i = 0;
-  if (stride == 1) {
-    for (; i + kBlock <= n; i += kBlock) {
+/// dst runs += src runs, laid out and blocked like copy_runs: each element
+/// still takes exactly one add, and the runs of one call never overlap.
+void add_runs(const float* src, std::size_t src_pitch, float* dst,
+              std::size_t dst_pitch, std::size_t runs,
+              std::size_t n) noexcept {
+  const std::size_t whole = n - n % kBlock;
+  for (std::size_t x = 0; x < whole; x += kBlock) {
+    for (std::size_t i = 0; i < runs; ++i) {
+      float* to = dst + i * dst_pitch + x;
       float sum[kBlock];
       float term[kBlock];
-      std::memcpy(sum, dst + i, sizeof sum);
-      std::memcpy(term, src + i, sizeof term);
+      std::memcpy(sum, to, sizeof sum);
+      std::memcpy(term, src + i * src_pitch + x, sizeof term);
       for (std::size_t j = 0; j < kBlock; ++j) sum[j] += term[j];
-      std::memcpy(dst + i, sum, sizeof sum);
+      std::memcpy(to, sum, sizeof sum);
     }
   }
-  for (; i < n; ++i) dst[i * stride] += src[i];
+  if (whole == n) return;
+  for (std::size_t i = 0; i < runs; ++i) {
+    for (std::size_t x = whole; x < n; ++x) {
+      dst[i * dst_pitch + x] += src[i * src_pitch + x];
+    }
+  }
 }
 
 }  // namespace
@@ -156,28 +177,32 @@ void Conv2d::im2col(const float* sample, float* col) const {
         tensor::WsSlot::kConvBorder, cfg_.in_channels * bh * bw);
     std::fill(plane.begin(), plane.end(), 0.0f);
     for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
-      for (std::size_t y = 0; y < in_h_; ++y) {
-        copy_run(sample + (c * in_h_ + y) * in_w_, 1, in_w_,
-                 plane.data() + (c * bh + y + pad) * bw + pad);
-      }
+      copy_runs(sample + c * in_h_ * in_w_, in_w_,
+                plane.data() + (c * bh + pad) * bw + pad, bw, in_h_, in_w_);
     }
     bordered = plane.data();
   }
+  float* row = col;
   for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
     for (std::size_t ky = 0; ky < cfg_.kernel; ++ky) {
-      for (std::size_t kx = 0; kx < cfg_.kernel; ++kx) {
-        float* row =
-            col + ((c * cfg_.kernel + ky) * cfg_.kernel + kx) * col_cols_;
+      for (std::size_t kx = 0; kx < cfg_.kernel; ++kx, row += col_cols_) {
+        const float* src = bordered + (c * bh + ky) * bw + kx;
+        if (stride == 1) {
+          copy_runs(src, bw, row, out_w_, out_h_, out_w_);
+          continue;
+        }
         for (std::size_t oy = 0; oy < out_h_; ++oy) {
-          copy_run(bordered + (c * bh + oy * stride + ky) * bw + kx, stride,
-                   out_w_, row + oy * out_w_);
+          for (std::size_t ox = 0; ox < out_w_; ++ox) {
+            row[oy * out_w_ + ox] = src[(oy * bw + ox) * stride];
+          }
         }
       }
     }
   }
 }
 
-void Conv2d::col2im(const float* col, float* sample_grad) const {
+void Conv2d::col2im(const float* col, std::size_t col_pitch,
+                    float* sample_grad) const {
   const std::size_t pad = cfg_.padding;
   const std::size_t stride = cfg_.stride;
   const std::size_t bh = in_h_ + 2 * pad;
@@ -189,24 +214,27 @@ void Conv2d::col2im(const float* col, float* sample_grad) const {
                     .data()
               : sample_grad;
   std::fill(bordered, bordered + cfg_.in_channels * bh * bw, 0.0f);
+  const float* row = col;
   for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
     for (std::size_t ky = 0; ky < cfg_.kernel; ++ky) {
-      for (std::size_t kx = 0; kx < cfg_.kernel; ++kx) {
-        const float* row =
-            col + ((c * cfg_.kernel + ky) * cfg_.kernel + kx) * col_cols_;
+      for (std::size_t kx = 0; kx < cfg_.kernel; ++kx, row += col_pitch) {
+        float* dst = bordered + (c * bh + ky) * bw + kx;
+        if (stride == 1) {
+          add_runs(row, out_w_, dst, bw, out_h_, out_w_);
+          continue;
+        }
         for (std::size_t oy = 0; oy < out_h_; ++oy) {
-          add_run(row + oy * out_w_, stride, out_w_,
-                  bordered + (c * bh + oy * stride + ky) * bw + kx);
+          for (std::size_t ox = 0; ox < out_w_; ++ox) {
+            dst[(oy * bw + ox) * stride] += row[oy * out_w_ + ox];
+          }
         }
       }
     }
   }
   if (pad == 0) return;
   for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
-    for (std::size_t y = 0; y < in_h_; ++y) {
-      copy_run(bordered + (c * bh + y + pad) * bw + pad, 1, in_w_,
-               sample_grad + (c * in_h_ + y) * in_w_);
-    }
+    copy_runs(bordered + (c * bh + pad) * bw + pad, bw,
+              sample_grad + c * in_h_ * in_w_, in_w_, in_h_, in_w_);
   }
 }
 
@@ -234,13 +262,15 @@ void Conv2d::forward_impl(const Tensor& input, Tensor& output, bool training,
                            : nullptr;
 
   const std::size_t col_size = col_rows_ * col_cols_;
-  // Inference reuses a single panel; training caches every sample's panel
-  // for the backward weight GEMM.
+  // Training caches every sample's panel for the backward weight GEMM.
+  // Inference reuses the first panel, so it drops the cached batch: a
+  // backward after it throws instead of reading a clobbered panel.
   if (training) {
     col_cache_.resize(batch * col_size);
     cached_batch_ = batch;
-  } else if (col_cache_.size() < col_size) {
-    col_cache_.resize(col_size);
+  } else {
+    if (col_cache_.size() < col_size) col_cache_.resize(col_size);
+    cached_batch_ = 0;
   }
 
   for (std::size_t b = 0; b < batch; ++b) {
@@ -269,32 +299,47 @@ void Conv2d::backward(const Tensor& input, const Tensor& grad_output,
         "Conv2d::backward: no cached forward state for this batch (forward "
         "must run with training=true)");
   }
-  const std::size_t sample_size = cfg_.in_channels * in_h_ * in_w_;
   const std::size_t col_size = col_rows_ * col_cols_;
+  const std::size_t out_sample_size = cfg_.out_channels * col_cols_;
+  const float* dy = grad_output.data().data();
 
-  // d(col) panel from the workspace: backward runs once per sample per
-  // batch, and gemm and col2im borrow other slots, so kConvColGrad is free.
-  std::span<float> dcol;
-  if (grad_input != nullptr) {
-    grad_input->reset_for_overwrite(input.shape());  // col2im writes it
-    dcol = tensor::Workspace::tls().floats(tensor::WsSlot::kConvColGrad,
-                                           col_size);
-  }
+  // dW[oc, r] += dY_b[oc, :] . col_b[r, :]^T, one GEMM per sample in sample
+  // order.
   for (std::size_t b = 0; b < batch; ++b) {
-    const float* col = col_cache_.data() + b * col_size;
-    const float* dy =
-        grad_output.data().data() + b * cfg_.out_channels * col_cols_;
-    const std::span<const float> dy_span(dy, cfg_.out_channels * col_cols_);
-    // dW[oc, r] += dY[oc, :] . col[r, :]^T
     tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, cfg_.out_channels,
-                 col_rows_, col_cols_, 1.0f, dy_span,
-                 std::span<const float>(col, col_size), 1.0f, grad_weight_);
-    add_bias_grad(dy, cfg_.out_channels, col_cols_, grad_bias_.data());
-    if (grad_input == nullptr) continue;
-    // dcol[r, pos] = W[:, r]^T dY[:, pos]
-    tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows_, col_cols_,
-                 cfg_.out_channels, 1.0f, weight_, dy_span, 0.0f, dcol);
-    col2im(dcol.data(), grad_input->data().data() + b * sample_size);
+                 col_rows_, col_cols_, 1.0f,
+                 std::span<const float>(dy + b * out_sample_size,
+                                        out_sample_size),
+                 std::span<const float>(col_cache_.data() + b * col_size,
+                                        col_size),
+                 1.0f, grad_weight_);
+  }
+  add_bias_grad(dy, batch, cfg_.out_channels, col_cols_, grad_bias_.data());
+  if (grad_input == nullptr) return;
+
+  // The input gradient is one GEMM for the batch: dcol = W^T . dY', with dY'
+  // the batch's dY gathered channel-major (row oc holds every sample's
+  // plane oc, sample after sample). Each dcol element is the same
+  // ascending-oc chain onto +0 as in a per-sample GEMM, so the batch split
+  // does not show in its bits. col2im reads sample b's columns at offset
+  // b * HW of every panel row.
+  const std::size_t cols = batch * col_cols_;
+  auto& ws = tensor::Workspace::tls();
+  const std::span<float> dy_cm =
+      ws.floats(tensor::WsSlot::kConvGradOut, cfg_.out_channels * cols);
+  for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
+    copy_runs(dy + oc * col_cols_, out_sample_size, dy_cm.data() + oc * cols,
+              col_cols_, batch, col_cols_);
+  }
+  const std::span<float> dcol =
+      ws.floats(tensor::WsSlot::kConvColGrad, col_rows_ * cols);
+  tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows_, cols,
+               cfg_.out_channels, 1.0f, weight_, dy_cm, 0.0f, dcol);
+  grad_input->reset_for_overwrite(input.shape());  // col2im writes it
+  const std::size_t sample_size = cfg_.in_channels * in_h_ * in_w_;
+  for (std::size_t b = 0; b < batch; ++b) {
+    col2im(dcol.data() + b * col_cols_, cols,
+           grad_input->data().data() + b * sample_size);
   }
 }
 

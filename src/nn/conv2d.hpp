@@ -1,11 +1,13 @@
 // 2-D convolution over NCHW batches, lowered to im2col + GEMM. The
 // lowering goes through a zero-bordered copy of each sample (a workspace
-// plane, rebuilt per call), so every column-matrix row is fixed-width runs
-// with no bounds test; col2im adds into a zeroed bordered plane in the
-// per-element loop order and crops it, so each input pixel's gradient is
-// the same sum chain as a bounds-tested loop's. The bias gradient sums
-// channels side by side, each one a double sum ascending in position.
-// Backward skips the input gradient when the caller passes none.
+// plane, rebuilt per call), so every column-matrix row is runs copied in
+// fixed-width blocks with no bounds test; col2im adds into a zeroed
+// bordered plane in the per-element loop order and crops it, so each input
+// pixel's gradient is the same sum chain as a bounds-tested loop's. The
+// forward and weight-gradient GEMMs run per sample; the input-gradient
+// GEMM and the bias gradient run once per batch, in orders whose bits do
+// not depend on the batch split (see backward()). Backward skips the input
+// gradient when the caller passes none.
 #pragma once
 
 #include <vector>
@@ -52,9 +54,11 @@ class Conv2d final : public Layer {
   /// thread's kConvBorder workspace slot when padding > 0.
   void im2col(const float* sample, float* col) const;
   /// Writes one sample's input gradient (C x H x W) from its column-matrix
-  /// gradient: each pixel is the sum of its taps' entries, added in
-  /// (c, ky, kx, oy, ox) order onto +0.0. Borrows kConvBorder like im2col.
-  void col2im(const float* col, float* sample_grad) const;
+  /// gradient, whose rows start `col_pitch` floats apart: each pixel is the
+  /// sum of its taps' entries, added in (c, ky, kx, oy, ox) order onto +0.0.
+  /// Borrows kConvBorder like im2col.
+  void col2im(const float* col, std::size_t col_pitch,
+              float* sample_grad) const;
 
  private:
   /// Shared body of forward()/forward_fused(): im2col + one GEMM per

@@ -39,73 +39,76 @@ Shape MaxPool2d::build(const Shape& input_shape) {
   }
   out_h_ = (in_h_ - kernel_) / stride_ + 1;
   out_w_ = (in_w_ - kernel_) / stride_ + 1;
-  window_origin_.resize(out_h_ * out_w_);
-  for (std::size_t oy = 0; oy < out_h_; ++oy) {
-    for (std::size_t ox = 0; ox < out_w_; ++ox) {
-      window_origin_[oy * out_w_ + ox] =
-          static_cast<std::uint32_t>((oy * in_w_ + ox) * stride_);
-    }
+  const std::size_t in_plane = in_h_ * in_w_;
+  const std::size_t out_plane = out_h_ * out_w_;
+  group_ = std::min(std::max<std::size_t>(1, kGroupOutputs / out_plane),
+                    std::numeric_limits<std::uint32_t>::max() / in_plane);
+  window_origin_.resize(group_ * out_plane);
+  for (std::size_t q = 0; q < window_origin_.size(); ++q) {
+    const std::size_t oy = q % out_plane / out_w_;
+    const std::size_t ox = q % out_w_;
+    window_origin_[q] = static_cast<std::uint32_t>(
+        q / out_plane * in_plane + (oy * in_w_ + ox) * stride_);
   }
   return Shape{channels_, out_h_, out_w_};
 }
 
+// Planes are pooled group_ at a time, as one run of windows: each tap is
+// one gather loop and one select loop over the whole group's windows, so
+// the loop overheads are paid per group rather than per plane.
 void MaxPool2d::forward(const Tensor& input, Tensor& output, bool training) {
   const std::size_t batch = input.dim(0);
+  const std::size_t planes = batch * channels_;
   const std::size_t in_plane = in_h_ * in_w_;
   const std::size_t out_plane = out_h_ * out_w_;
-  if (input.numel() != batch * channels_ * in_plane) {
+  if (input.numel() != planes * in_plane) {
     throw std::invalid_argument("MaxPool2d::forward: bad input " +
                                 input.shape().to_string());
   }
   output.reset_for_overwrite({batch, channels_, out_h_, out_w_});
   if (training) {
-    argmax_.resize(batch * channels_ * out_plane);
+    argmax_.resize(planes * out_plane);
     cached_batch_ = batch;
   }
 
-  // Each plane is lowered like im2col: row t of `taps` holds tap t =
-  // (ky, kx) of every output window, in output order. The running max then
-  // walks the taps in (ky, kx) order, each step one contiguous, branch-free
-  // select over all of the plane's outputs.
   const std::size_t num_taps = kernel_ * kernel_;
   const std::span<float> taps = tensor::Workspace::tls().floats(
-      tensor::WsSlot::kPoolTaps, num_taps * out_plane);
+      tensor::WsSlot::kPoolTaps, num_taps * group_ * out_plane);
   const std::uint32_t* origin = window_origin_.data();
-  const float* in = input.data().data();
-  float* out = output.data().data();
-  const auto tap_offset = [&](std::size_t t) {
-    return static_cast<std::uint32_t>((t / kernel_) * in_w_ + t % kernel_);
-  };
-  for (std::size_t bc = 0; bc < batch * channels_; ++bc) {
-    const float* plane = in + bc * in_plane;
+  for (std::size_t bc = 0; bc < planes; bc += group_) {
+    const std::size_t n = std::min(group_, planes - bc) * out_plane;
+    const float* in = input.data().data() + bc * in_plane;
+    // Row t of `taps` holds tap t = (ky, kx) of every window of the group.
     for (std::size_t t = 0; t < num_taps; ++t) {
-      float* row = taps.data() + t * out_plane;
-      const std::uint32_t offset = tap_offset(t);
-      for (std::size_t p = 0; p < out_plane; ++p) {
-        row[p] = plane[origin[p] + offset];
-      }
+      const float* src = in + (t / kernel_) * in_w_ + t % kernel_;
+      float* row = taps.data() + t * n;
+      for (std::size_t q = 0; q < n; ++q) row[q] = src[origin[q]];
     }
-    float* best = out + bc * out_plane;
+    float* best = output.data().data() + bc * out_plane;
     std::uint32_t* best_idx =
         training ? argmax_.data() + bc * out_plane : nullptr;
-    std::copy(taps.data(), taps.data() + out_plane, best);
-    if (best_idx != nullptr) std::copy(origin, origin + out_plane, best_idx);
+    std::copy(taps.data(), taps.data() + n, best);
+    if (best_idx != nullptr) std::copy(origin, origin + n, best_idx);
     for (std::size_t t = 1; t < num_taps; ++t) {
-      const float* row = taps.data() + t * out_plane;
-      const std::uint32_t offset = tap_offset(t);
-      for (std::size_t p = 0; p < out_plane; ++p) {
+      const float* row = taps.data() + t * n;
+      const auto shift =
+          static_cast<std::uint32_t>((t / kernel_) * in_w_ + t % kernel_);
+      for (std::size_t q = 0; q < n; ++q) {
         // Strict > keeps the first maximum on ties and never lets a NaN
         // in (nor out, once it is the window's first value).
-        const bool take = row[p] > best[p];
+        const bool take = row[q] > best[q];
         if (best_idx != nullptr) {
-          best_idx[p] = take ? origin[p] + offset : best_idx[p];
+          best_idx[q] = take ? origin[q] + shift : best_idx[q];
         }
-        best[p] = take ? row[p] : best[p];
+        best[q] = take ? row[q] : best[q];
       }
     }
   }
 }
 
+// Each group of planes of grad_input is zeroed and then takes its
+// windows' gradients at their argmaxes, in window order, while it is in
+// cache: the whole tensor is not reset first and revisited by the scatter.
 void MaxPool2d::backward(const Tensor& input, const Tensor& grad_output,
                          Tensor* grad_input) {
   if (grad_input == nullptr) return;
@@ -114,18 +117,17 @@ void MaxPool2d::backward(const Tensor& input, const Tensor& grad_output,
     throw std::logic_error(
         "MaxPool2d::backward: no cached forward state for this batch");
   }
+  const std::size_t planes = batch * channels_;
   const std::size_t in_plane = in_h_ * in_w_;
   const std::size_t out_plane = out_h_ * out_w_;
-  grad_input->reset(input.shape());
-  float* dx = grad_input->data().data();
-  const float* dy = grad_output.data().data();
-  for (std::size_t bc = 0; bc < batch * channels_; ++bc) {
-    float* dx_plane = dx + bc * in_plane;
-    const float* dy_row = dy + bc * out_plane;
-    const std::uint32_t* arg_row = argmax_.data() + bc * out_plane;
-    for (std::size_t p = 0; p < out_plane; ++p) {
-      dx_plane[arg_row[p]] += dy_row[p];
-    }
+  grad_input->reset_for_overwrite(input.shape());
+  for (std::size_t bc = 0; bc < planes; bc += group_) {
+    const std::size_t n = std::min(group_, planes - bc);
+    float* dx = grad_input->data().data() + bc * in_plane;
+    const float* dy = grad_output.data().data() + bc * out_plane;
+    const std::uint32_t* arg = argmax_.data() + bc * out_plane;
+    std::fill(dx, dx + n * in_plane, 0.0f);
+    for (std::size_t q = 0; q < n * out_plane; ++q) dx[arg[q]] += dy[q];
   }
 }
 

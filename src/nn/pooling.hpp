@@ -1,9 +1,9 @@
-// 2-D max and average pooling over NCHW batches. MaxPool2d lowers each
-// plane like im2col (every window's tap t in row t of a workspace buffer)
-// and takes the running max down the taps with selects rather than
+// 2-D max and average pooling over NCHW batches. MaxPool2d lowers a group
+// of planes like im2col (every window's tap t in row t of a workspace
+// buffer) and takes the running max down the taps with selects rather than
 // branches: random activations make a compare branch mispredict about half
-// the time, and the select loop runs contiguous over a plane's outputs. A
-// strict `>` in (ky, kx) window order keeps the first maximum on ties and
+// the time, and the select loop runs contiguous over the group's windows.
+// A strict `>` in (ky, kx) window order keeps the first maximum on ties and
 // leaves NaN behaviour as a compare-and-branch loop has it.
 #pragma once
 
@@ -30,11 +30,16 @@ class MaxPool2d final : public Layer {
   std::size_t kernel_;
   std::size_t stride_;
   std::size_t channels_ = 0, in_h_ = 0, in_w_ = 0, out_h_ = 0, out_w_ = 0;
-  // Index within an input plane of each output window's first tap.
+  // Windows pooled per loop: planes are taken group_ at a time, about
+  // kGroupOutputs windows per group.
+  static constexpr std::size_t kGroupOutputs = 1024;
+  std::size_t group_ = 1;
+  // Index within its group of input planes of each group window's first
+  // tap, for one group.
   std::vector<std::uint32_t> window_origin_;
-  // Index within its input plane of each output's max, for the whole last
-  // training batch; routes gradients in backward. build() rejects planes
-  // too large for 32 bits.
+  // Index within its group of input planes of each output's max, for the
+  // whole last training batch; routes gradients in backward. build()
+  // rejects planes too large for 32 bits and caps group_ to fit.
   std::vector<std::uint32_t> argmax_;
   std::size_t cached_batch_ = 0;
 };

@@ -31,9 +31,10 @@ namespace middlefl::tensor {
 enum class WsSlot : std::size_t {
   kGemmPackA = 0,  // gemm: packed/transposed A operand
   kGemmPackB,      // gemm: packed/transposed B operand
-  kConvColGrad,    // Conv2d::backward: d(col) panel before col2im
+  kConvGradOut,    // Conv2d::backward: the batch's dY, channel-major
+  kConvColGrad,    // Conv2d::backward: the batch's d(col) panel
   kConvBorder,     // Conv2d::im2col/col2im: zero-bordered sample plane
-  kPoolTaps,       // MaxPool2d::forward: one plane's windows, tap-major
+  kPoolTaps,       // MaxPool2d::forward: a plane group's windows, tap-major
   kBlend,          // Simulation: on-device blended model w_hat
   kScratch,        // generic caller-owned scratch (benches, cloud sync)
   kCount,

@@ -400,6 +400,28 @@ TEST(Conv2dLowering, Cnn2ShapesMatchPerElementOracle) {
   }
 }
 
+TEST(Conv2dLowering, InferenceForwardDropsTrainingCache) {
+  // An inference forward lowers into the first cached panel, so a backward
+  // after it would read sample 0's columns of the other input; it must
+  // throw instead, until a training forward caches the batch again.
+  Conv2d layer(Conv2dConfig{2, 3, 3, 1, 1});
+  layer.build(Shape{2, 5, 5});
+  std::vector<float> params, grads;
+  bind_layer(layer, params, grads);
+  Xoshiro256 rng(41);
+  for (float& v : params) v = static_cast<float>(rng.normal());
+  const Tensor input = Tensor::randn(Shape{2, 2, 5, 5}, rng);
+  const Tensor other = Tensor::randn(Shape{2, 2, 5, 5}, rng);
+  const Tensor grad_out = Tensor::randn(Shape{2, 3, 5, 5}, rng);
+  Tensor out, grad_in;
+  layer.forward(input, out, /*training=*/true);
+  layer.forward(other, out, /*training=*/false);
+  EXPECT_THROW(layer.backward(input, grad_out, &grad_in), std::logic_error);
+  EXPECT_THROW(layer.backward(input, grad_out, nullptr), std::logic_error);
+  layer.forward(input, out, /*training=*/true);
+  EXPECT_NO_THROW(layer.backward(input, grad_out, &grad_in));
+}
+
 TEST(MaxPool2d, ForwardKnownValues) {
   MaxPool2d layer(2);
   EXPECT_EQ(layer.build(Shape{1, 4, 4}), (Shape{1, 2, 2}));
@@ -576,12 +598,41 @@ TEST(MaxPool2dOracle, NanAtEveryWindowPosition) {
 }
 
 TEST(MaxPool2dOracle, RandomActivations) {
-  for (const PoolWindow w : kPoolWindows) {
-    SCOPED_TRACE(::testing::Message() << "k=" << w.kernel << " s=" << w.stride);
-    Xoshiro256 rng(34);
-    expect_pool_matches_oracle(w.kernel, w.stride,
-                               Tensor::randn(Shape{3, 4, 9, 8}, rng));
+  // The second shape's 45 planes of 16 x 16 are pooled in several groups
+  // of planes by every window shape, the last group partial (k = 2, s = 2
+  // takes 16 planes a group).
+  for (const Shape& shape : {Shape{3, 4, 9, 8}, Shape{5, 9, 16, 16}}) {
+    for (const PoolWindow w : kPoolWindows) {
+      SCOPED_TRACE(::testing::Message() << shape.to_string() << " k="
+                                        << w.kernel << " s=" << w.stride);
+      Xoshiro256 rng(34);
+      expect_pool_matches_oracle(w.kernel, w.stride, Tensor::randn(shape, rng));
+    }
   }
+}
+
+TEST(MaxPool2dOracle, InferenceForwardKeepsTrainingArgmax) {
+  // Inference writes no argmax, so a backward after it still routes the
+  // training batch's gradients.
+  Xoshiro256 rng(36);
+  const Tensor input = Tensor::randn(Shape{2, 3, 8, 8}, rng);
+  const Tensor other = Tensor::randn(Shape{4, 3, 8, 8}, rng);
+  MaxPool2d layer(2);
+  layer.build(Shape{3, 8, 8});
+  Tensor out, other_out;
+  layer.forward(input, out, /*training=*/true);
+  layer.forward(other, other_out, /*training=*/false);
+  const Tensor grad_out = Tensor::randn(out.shape(), rng);
+  Tensor grad_in;
+  layer.backward(input, grad_out, &grad_in);
+  std::vector<float> want_out;
+  std::vector<std::size_t> want_argmax;
+  max_pool_oracle(2, 2, input, want_out, want_argmax);
+  std::vector<float> want_dx(input.numel(), 0.0f);
+  for (std::size_t p = 0; p < want_argmax.size(); ++p) {
+    want_dx[want_argmax[p]] += grad_out[p];
+  }
+  EXPECT_TRUE(same_bits(grad_in.data().data(), want_dx.data(), want_dx.size()));
 }
 
 TEST(AvgPool2d, ForwardIsWindowMean) {
