@@ -411,6 +411,8 @@ class Parser {
 
   Json parse_number() {
     const std::size_t start = pos_;
+    const int line = line_;
+    const int column = column_;
     bool negative = false;
     bool integral = true;
     if (!eof() && text_[pos_] == '-') {
@@ -464,6 +466,9 @@ class Parser {
       }
     }
     const double value = std::strtod(std::string(token).c_str(), nullptr);
+    if (std::isinf(value)) {
+      fail_at(line, column, "number out of range for a double");
+    }
     return Json::make_number(value);
   }
 

@@ -115,16 +115,16 @@ struct ScenarioSpec {
 // the sizeof static_assert in scenario.cpp catches SimulationConfig growth
 // at compile time on the reference ABI).
 
-/// SimulationConfig flattened: 5 loop + 3 aggregation + 5 eval + 20
-/// transport (5 links x loss/kind/fraction/latency) + 3 regularizer + 2
-/// heterogeneity + 1 fleet + 4 serving + 2 comm + seed + 1 execution.
+/// SimulationConfig flattened: 5 loop + 2 aggregation + 5 eval + 20
+/// transport (5 links x loss/kind/fraction/latency) + 2 heterogeneity + 1
+/// fleet + 4 serving + 2 comm + seed + 1 execution.
 /// Excluded members: lr_schedule (std::function; declared via
 /// LrScheduleSpec) and pool (runtime pointer).
-inline constexpr std::size_t kSimulationConfigLeaves = 47;
-/// ScenarioSpec flattened: 4 top-level + 10 data + 10 mobility + 4 model
+inline constexpr std::size_t kSimulationConfigLeaves = 43;
+/// ScenarioSpec flattened: 4 top-level + 10 data + 10 mobility + 3 model
 /// + 7 optimizer + 7 lr_schedule + kSimulationConfigLeaves.
 inline constexpr std::size_t kScenarioSpecLeaves =
-    42 + kSimulationConfigLeaves;
+    41 + kSimulationConfigLeaves;
 
 // ---------------------------------------------------------------------------
 // Choice-string helpers shared by the schemas below.
@@ -230,7 +230,6 @@ struct Schema<core::SimulationConfig> {
     v.field("cloud_interval", c.cloud_interval);
     v.field("batch_size", c.batch_size);
     v.field("total_steps", c.total_steps);
-    v.field("reset_optimizer_each_round", c.reset_optimizer_each_round);
     v.field("broadcast_to_devices", c.broadcast_to_devices);
     v.field("weighted_cloud_aggregation", c.weighted_cloud_aggregation);
     v.field("eval_every", c.eval_every);
@@ -239,9 +238,6 @@ struct Schema<core::SimulationConfig> {
     v.field("track_edge_accuracy", c.track_edge_accuracy);
     v.field("eval_edges", c.eval_edges);
     v.field("transport", c.transport);
-    v.field("prox_mu", c.prox_mu);
-    v.field("clip_norm", c.clip_norm);
-    v.field("server_momentum", c.server_momentum);
     v.field("device_speeds", c.device_speeds);
     v.field("round_deadline", c.round_deadline);
     v.field("fleet", c.fleet);
@@ -263,7 +259,6 @@ struct Schema<nn::ModelSpec> {
              [&m](const std::string& s) { m.arch = nn::parse_model_arch(s); });
     v.field("hidden", m.hidden);
     v.field("base_channels", m.base_channels);
-    v.field("dropout", m.dropout);
   }
 };
 

@@ -1,6 +1,8 @@
 #include "config/scenario_build.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "mobility/markov_mobility.hpp"
 #include "mobility/random_waypoint.hpp"
@@ -95,18 +97,42 @@ BuiltScenario build_scenario(const ScenarioSpec& spec) {
 
 optim::LrSchedule make_lr_schedule(const LrScheduleSpec& spec,
                                    std::size_t local_steps) {
+  // Each check names the key: a bad value otherwise trains to NaN.
+  const auto require = [](bool ok, const char* key, const char* rule,
+                          double value) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("lr_schedule.") + key +
+                                  " must be " + rule + ", got " +
+                                  std::to_string(value));
+    }
+  };
+  const auto require_base_lr = [&] {
+    require(std::isfinite(spec.base_lr) && spec.base_lr > 0.0, "base_lr",
+            "finite and positive", spec.base_lr);
+  };
   if (spec.kind == "default") return {};
-  if (spec.kind == "constant") return optim::constant_lr(spec.base_lr);
+  if (spec.kind == "constant") {
+    require_base_lr();
+    return optim::constant_lr(spec.base_lr);
+  }
   if (spec.kind == "step-decay") {
+    require_base_lr();
+    require(spec.decay > 0.0 && spec.decay <= 1.0, "decay", "in (0, 1]",
+            spec.decay);
     if (spec.decay_every == 0) {
       throw std::invalid_argument("lr_schedule.decay_every must be positive");
     }
     return optim::step_decay_lr(spec.base_lr, spec.decay, spec.decay_every);
   }
   if (spec.kind == "theorem1") {
+    require(std::isfinite(spec.mu) && spec.mu > 0.0, "mu",
+            "finite and positive", spec.mu);
+    require(std::isfinite(spec.beta) && spec.beta >= 0.0, "beta",
+            "finite and non-negative", spec.beta);
     return optim::theorem1_lr(spec.mu, spec.beta, local_steps);
   }
   if (spec.kind == "warmup") {
+    require_base_lr();
     return optim::warmup_lr(spec.base_lr, spec.warmup_steps);
   }
   throw std::invalid_argument("unknown lr schedule '" + spec.kind + "'");

@@ -13,24 +13,16 @@ namespace middlefl::core {
 
 namespace {
 
-/// The I-step local SGD loop of Eq. (5) on the runtime's model, FedProx
-/// term and global-norm clipping included. The runtime's minibatch, loss
-/// gradient and per-sample loss buffers are reused across steps and
-/// rounds, so they stop allocating once warm (see
+/// The I-step local SGD loop of Eq. (5) on the runtime's model. The
+/// runtime's minibatch, loss gradient and per-sample loss buffers are
+/// reused across steps and rounds, so they stop allocating once warm (see
 /// data::sample_minibatch_into).
 DeviceTrainStats run_local_sgd(const data::DataView& data,
                                DeviceRuntime& runtime,
                                std::size_t local_steps,
                                std::size_t batch_size,
-                               parallel::Xoshiro256& rng, double prox_mu,
-                               double clip_norm) {
+                               parallel::Xoshiro256& rng) {
   nn::Sequential& model = runtime.model();
-  // FedProx anchor: the round's starting parameters.
-  std::vector<float> anchor;
-  if (prox_mu > 0.0) {
-    anchor.assign(model.parameters().begin(), model.parameters().end());
-  }
-
   DeviceTrainStats stats;
   double loss_acc = 0.0;
   for (std::size_t step = 0; step < local_steps; ++step) {
@@ -53,25 +45,6 @@ DeviceTrainStats run_local_sgd(const data::DataView& data,
 
     model.zero_grad();
     model.backward(runtime.loss_grad());
-    if (prox_mu > 0.0) {
-      // grad += mu (w - w_anchor): the FedProx proximal gradient.
-      auto params = model.parameters();
-      auto grads = model.gradients();
-      const auto mu = static_cast<float>(prox_mu);
-      for (std::size_t i = 0; i < params.size(); ++i) {
-        grads[i] += mu * (params[i] - anchor[i]);
-      }
-    }
-    if (clip_norm > 0.0) {
-      auto grads = model.gradients();
-      double norm_sq = 0.0;
-      for (float g : grads) norm_sq += static_cast<double>(g) * g;
-      const double norm = std::sqrt(norm_sq);
-      if (norm > clip_norm) {
-        const auto scale = static_cast<float>(clip_norm / norm);
-        for (float& g : grads) g *= scale;
-      }
-    }
     runtime.optimizer().step(model.parameters(), model.gradients());
   }
   stats.batches = local_steps;
@@ -147,23 +120,13 @@ void Device::adopt(Snapshot snapshot) {
 
 DeviceTrainStats Device::train(std::size_t local_steps,
                                std::size_t batch_size, double learning_rate,
-                               bool reset_optimizer,
-                               parallel::Xoshiro256& rng, double prox_mu,
-                               double clip_norm, DeviceRuntime* runtime) {
+                               parallel::Xoshiro256& rng,
+                               DeviceRuntime* runtime) {
   if (local_steps == 0 || batch_size == 0) {
     throw std::invalid_argument("Device::train: steps and batch must be positive");
   }
-  if (prox_mu < 0.0 || clip_norm < 0.0) {
-    throw std::invalid_argument(
-        "Device::train: prox_mu and clip_norm must be non-negative");
-  }
   detach();
   DeviceHotEntry& h = *hot();
-  const bool dropout = fleet_->model_has_dropout();
-  // The side-table entry carries the dropout cursor and the optimizer
-  // slots; a reset round without dropout needs one only to clear it.
-  DeviceRegistry::TrainState* state =
-      fleet_->train_state(id_, dropout || !reset_optimizer);
 
   DeviceRuntime* acquired = nullptr;
   DeviceRuntime* rt = runtime;
@@ -175,37 +138,14 @@ DeviceTrainStats Device::train(std::size_t local_steps,
   try {
     nn::Sequential& model = rt->model();
     optim::Optimizer& optimizer = rt->optimizer();
-    if (reset_optimizer) {
-      optimizer.reset();
-      if (state != nullptr) {
-        state->opt_state.clear();
-        state->has_opt_state = false;
-      }
-    } else if (state->has_opt_state) {
-      optimizer.load_state(state->opt_state);
-    } else {
-      optimizer.reset();
-    }
+    // Every round starts from a freshly downloaded model with cleared
+    // momentum/Adam slots.
+    optimizer.reset();
     optimizer.set_learning_rate(learning_rate);
     model.set_parameters(params());
-    if (dropout) {
-      if (!state->dropout_seeded) {
-        // Every model clone starts from the canonical initial stream, so a
-        // device's first round draws what a fresh private model would.
-        state->dropout_rng = fleet_->initial_dropout_rng();
-        state->dropout_seeded = true;
-      }
-      model.set_dropout_rng(state->dropout_rng);
-    }
-    stats = run_local_sgd(data(), *rt, local_steps, batch_size, rng, prox_mu,
-                          clip_norm);
+    stats = run_local_sgd(data(), *rt, local_steps, batch_size, rng);
     // The trained parameters become the device's own copy.
     fleet_->write_own(h, model.parameters());
-    if (dropout) state->dropout_rng = model.dropout_rng();
-    if (!reset_optimizer) {
-      optimizer.save_state(state->opt_state);
-      state->has_opt_state = true;
-    }
   } catch (...) {
     if (acquired != nullptr) fleet_->release_runtime(acquired);
     throw;

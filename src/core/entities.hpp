@@ -95,24 +95,15 @@ class Device {
   std::uint64_t params_version() const noexcept;
 
   /// Runs `local_steps` SGD iterations (Eq. 5) from the current parameters
-  /// on minibatches of `batch_size` drawn with `rng`. When
-  /// `reset_optimizer` is set, momentum/Adam state is cleared first (a
-  /// fresh round starts from a freshly downloaded model); such a round's
-  /// state is also not kept afterwards, so optimizer slots persist only
-  /// across consecutive rounds trained without a reset (the simulator
-  /// fixes the setting per run). `prox_mu` > 0
-  /// adds a FedProx proximal term mu/2 |w - w_start|^2 anchored at the
-  /// round's starting parameters, damping client drift on Non-IID data.
-  /// `clip_norm` > 0 rescales each step's gradient to at most that L2
-  /// norm before the optimizer update (global-norm clipping).
+  /// on minibatches of `batch_size` drawn with `rng`. Momentum/Adam state
+  /// is cleared first: every round starts from a freshly downloaded model,
+  /// so a device carries no optimizer state between rounds.
   ///
   /// Training runs through a pooled DeviceRuntime: pass `runtime` to reuse
   /// a checkout across many devices (the per-edge chains do); nullptr
   /// makes the device acquire and release one itself.
   DeviceTrainStats train(std::size_t local_steps, std::size_t batch_size,
-                         double learning_rate, bool reset_optimizer,
-                         parallel::Xoshiro256& rng, double prox_mu = 0.0,
-                         double clip_norm = 0.0,
+                         double learning_rate, parallel::Xoshiro256& rng,
                          DeviceRuntime* runtime = nullptr);
 
   /// Oort statistical utility: d_m * sqrt(mean squared sample loss) from

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "nn/dropout.hpp"
-
 namespace middlefl::core {
 namespace {
 
@@ -38,20 +36,11 @@ void DeviceRegistry::set_prototypes(const nn::Sequential& model,
   proto_model_ = model.clone();
   proto_optimizer_ = optimizer.clone_config();
   param_count_ = proto_model_->param_count();
-  has_dropout_ = proto_model_->has_dropout();
   {
     std::lock_guard<std::mutex> lock(runtime_mutex_);
     runtime_pool_.clear();
     runtime_free_.clear();
   }
-}
-
-const parallel::Xoshiro256& DeviceRegistry::initial_dropout_rng() const {
-  if (proto_model_ == nullptr) {
-    throw std::logic_error(
-        "DeviceRegistry::initial_dropout_rng: prototypes not set");
-  }
-  return proto_model_->dropout_rng();
 }
 
 void DeviceRegistry::set_data(const data::Dataset& base,
@@ -163,17 +152,6 @@ void DeviceRegistry::share(DeviceHotEntry& entry, Snapshot snapshot) noexcept {
     resident_now_.fetch_sub(1, std::memory_order_relaxed);
   }
   entry.shared = std::move(snapshot);
-}
-
-DeviceRegistry::TrainState* DeviceRegistry::train_state(std::size_t id,
-                                                        bool create) {
-  if (!create && (flags_[id] & kHasTrainState) == 0) return nullptr;
-  Shard& shard = shards_[shard_of(id)];
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  // Node-based map: the entry's address survives later insertions.
-  TrainState& state = shard.train_state[id];
-  flags_[id] |= kHasTrainState;
-  return &state;
 }
 
 Device DeviceRegistry::insert(std::size_t id, Snapshot base) {

@@ -27,15 +27,13 @@
 // pointer and a flags byte, 17 bytes — and its data view is rebuilt on
 // demand from the registry's data::Partition. Only a detached device owns
 // a DeviceHotEntry (a shared snapshot or its own parameter buffer, and a
-// version), taken at detach and returned at rejoin. The dropout cursor and
-// carried optimizer slots, which survive rejoins, live in a per-shard side
-// table created only for dropout models or runs that keep optimizer state
-// across rounds. Device is a (registry, id) handle over these columns.
+// version), taken at detach and returned at rejoin. A device carries
+// nothing else between rounds: every round resets the optimizer. Device is
+// a (registry, id) handle over these columns.
 //
 // Shards (a fixed power-of-two count, keyed by splitmix64(id)) own the
-// hot-entry pool, the detached lists and the side table, each behind the
-// shard's mutex, so the parallel edge chains contend per shard, not
-// globally.
+// hot-entry pool and the detached lists, each behind the shard's mutex, so
+// the parallel edge chains contend per shard, not globally.
 //
 // Thread-safety contract: configure()/set_data()/set_prototypes()/insert()
 // are construction-time operations and broadcast() is a serial-point
@@ -51,7 +49,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/entities.hpp"
@@ -125,17 +122,11 @@ class DeviceRegistry {
 
   /// Installs the model/optimizer prototypes pooled runtimes are cloned
   /// from. Required before acquire_runtime() and before devices train.
-  /// The prototype model also fixes param_count() and the canonical
-  /// initial dropout stream every device starts from.
+  /// The prototype model also fixes param_count().
   void set_prototypes(const nn::Sequential& model,
                       const optim::Optimizer& optimizer);
   bool has_prototypes() const noexcept { return proto_model_ != nullptr; }
   std::size_t param_count() const noexcept { return param_count_; }
-  /// True when the prototype model contains Dropout layers, i.e. when the
-  /// per-device dropout RNG stream must be saved/restored around pooled
-  /// training (see Device::train).
-  bool model_has_dropout() const noexcept { return has_dropout_; }
-  const parallel::Xoshiro256& initial_dropout_rng() const;
 
   // --- Device data --------------------------------------------------------
   /// Installs the dataset and partition device data views are built from;
@@ -214,26 +205,14 @@ class DeviceRegistry {
  private:
   friend class Device;
 
-  /// Per-device training state that survives rejoins: the dropout cursor
-  /// and the optimizer slots carried between rounds trained without a
-  /// reset.
-  struct TrainState {
-    parallel::Xoshiro256 dropout_rng;
-    std::vector<float> opt_state;
-    bool dropout_seeded = false;
-    bool has_opt_state = false;
-  };
-
   // flags_ bits.
   static constexpr std::uint8_t kHasStatUtility = 1;
-  static constexpr std::uint8_t kHasTrainState = 2;
 
   struct Shard {
     std::mutex mutex;  // guards everything below
     std::vector<std::size_t> detached;  // ids detached since the broadcast
     std::vector<std::unique_ptr<DeviceHotEntry>> hot_pool;  // owns entries
     std::vector<DeviceHotEntry*> hot_free;
-    std::unordered_map<std::size_t, TrainState> train_state;
   };
 
   /// Gives device `id` a hot entry sharing `base` and lists it for the
@@ -247,9 +226,6 @@ class DeviceRegistry {
   /// Points `entry` at `snapshot`; an entry that held its own copy counts
   /// one resident device fewer (its buffer keeps its capacity).
   void share(DeviceHotEntry& entry, Snapshot snapshot) noexcept;
-  /// Device `id`'s side-table entry, created when `create` is set;
-  /// nullptr when absent and not created. The pointer stays valid.
-  TrainState* train_state(std::size_t id, bool create);
 
   std::size_t shard_mask_ = 0;
   // deque: Shard is immovable (mutex) and the count is fixed by configure.
@@ -268,7 +244,6 @@ class DeviceRegistry {
   std::unique_ptr<nn::Sequential> proto_model_;
   std::unique_ptr<optim::Optimizer> proto_optimizer_;
   std::size_t param_count_ = 0;
-  bool has_dropout_ = false;
 
   std::mutex runtime_mutex_;
   std::vector<std::unique_ptr<DeviceRuntime>> runtime_pool_;

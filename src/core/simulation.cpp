@@ -72,11 +72,6 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
     throw std::invalid_argument(
         "Simulation: K, I, T_c, batch and eval_every must be positive");
   }
-  if (!(cfg_.server_momentum >= 0.0 && cfg_.server_momentum < 1.0)) {
-    throw std::invalid_argument(
-        "Simulation: server_momentum must be a finite value in [0, 1), got " +
-        std::to_string(cfg_.server_momentum));
-  }
 
   pool_ = cfg_.parallel_devices
               ? (cfg_.pool != nullptr ? cfg_.pool
@@ -108,12 +103,6 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
 
   // The one weighted average behind both aggregation sites.
   communicator_ = std::make_unique<comm::InProcessCommunicator>(pool_);
-  if (cfg_.comm.async_cloud && cfg_.server_momentum > 0.0) {
-    throw std::invalid_argument(
-        "Simulation: comm.async_cloud is incompatible with server_momentum "
-        "(FedAvgM's velocity steps once per full cloud round; async applies "
-        "fold in partial, staleness-discounted batches at any step)");
-  }
   cloud_mailbox_.resize(num_edges);
   fold_credit_.assign(num_edges, 0.0);
   anchor_weight_.assign(num_edges, 0.0);
@@ -555,9 +544,7 @@ void Simulation::train_edge(std::size_t n) {
     if (runtime == nullptr) runtime = registry_.acquire_runtime();
     auto rng = streams_.stream(kTrainTag, m, t_);
     registry_.at(m).train(local_step_budget(m), cfg_.batch_size,
-                          cfg_.lr_schedule(t_),
-                          cfg_.reset_optimizer_each_round, rng, cfg_.prox_mu,
-                          cfg_.clip_norm, runtime);
+                          cfg_.lr_schedule(t_), rng, runtime);
   }
   if (runtime != nullptr) registry_.release_runtime(runtime);
 }
@@ -860,21 +847,7 @@ bool Simulation::stage_cloud_apply() {
     // edges' live blocks, and the old global block may still be shared
     // with edges and devices from the previous broadcast.
     std::vector<float> fresh = SnapshotStore::global().borrow(param_count_);
-    const std::span<float> next(fresh);
-    communicator_->all_reduce(models, next);
-    if (cfg_.server_momentum > 0.0) {
-      // FedAvgM: treat the FedAvg aggregate as a pseudo-gradient step and
-      // smooth it with momentum on the server, in place on the fresh block.
-      if (server_velocity_.size() != next.size()) {
-        server_velocity_.assign(next.size(), 0.0f);
-      }
-      const auto cloud = cloud_.params();
-      const auto m = static_cast<float>(cfg_.server_momentum);
-      for (std::size_t i = 0; i < next.size(); ++i) {
-        server_velocity_[i] = m * server_velocity_[i] + (next[i] - cloud[i]);
-        next[i] = cloud[i] + server_velocity_[i];
-      }
-    }
+    communicator_->all_reduce(models, fresh);
     // One publish replaces the old global model; the fresh version
     // invalidates cached Eq. 11 scores by construction.
     cloud_.adopt(SnapshotStore::global().seal(std::move(fresh)));

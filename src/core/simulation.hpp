@@ -93,9 +93,6 @@ struct SimulationConfig {
   /// Per-step learning rate; defaults to constant 0.01 (the paper's SGD
   /// setting) when empty.
   optim::LrSchedule lr_schedule;
-  /// Clear momentum/Adam state whenever a device starts a round from a
-  /// downloaded/blended model (the usual FL convention).
-  bool reset_optimizer_each_round = true;
   /// Algorithm 1 lines 14-15: push the fresh global model to every device
   /// at sync. Disabling is an ablation that lets local models drift longer.
   bool broadcast_to_devices = true;
@@ -119,14 +116,6 @@ struct SimulationConfig {
   /// Per-link transport policies (loss, compression, latency) for the
   /// whole hierarchy. Defaults are perfect links.
   transport::TransportConfig transport;
-  /// FedProx proximal coefficient for local training (0 = plain SGD).
-  double prox_mu = 0.0;
-  /// Global-norm gradient clipping threshold for local steps (0 = off).
-  double clip_norm = 0.0;
-  /// Server momentum (FedAvgM): the cloud applies
-  /// v = m*v + (aggregate - w_c); w_c += v at each sync. 0 disables; the
-  /// constructor rejects values outside [0, 1).
-  double server_momentum = 0.0;
 
   /// System heterogeneity: relative compute speed per device (1.0 =
   /// nominal; empty = homogeneous). With a positive `round_deadline`, a
@@ -152,8 +141,7 @@ struct SimulationConfig {
   /// comm.async_cloud off (the default) the cloud applies every T_c steps,
   /// each arrival at full weight: the synchronous Algorithm 1. Async mode
   /// applies every step and admits contributions up to comm.max_staleness
-  /// rounds old, discounted. Async mode rejects server_momentum (FedAvgM's
-  /// velocity steps once per full cloud round) — the constructor throws.
+  /// rounds old, discounted.
   comm::CommConfig comm;
 
   std::uint64_t seed = 42;
@@ -384,7 +372,7 @@ class Simulation {
   // The one serial cloud stage (Eq. 7): drains each edge's due WAN
   // arrivals and mailbox post in edge order, admits them (sync: full
   // weight; async: bounded staleness), reduces and seals the new global
-  // model (FedAvgM in place), pushes it down over wan_down and broadcasts
+  // model, pushes it down over wan_down and broadcasts
   // at round boundaries. Runs at boundaries in sync mode and every step in
   // async mode; returns true when it completed a cloud round.
   bool stage_cloud_apply();
@@ -496,7 +484,6 @@ class Simulation {
   // Comm counters at step begin (observed steps), for per-step deltas.
   comm::CommCounters prev_comm_counters_;
   comm::AsyncStats prev_async_stats_;
-  std::vector<float> server_velocity_;
   std::size_t straggler_drops_ = 0;
 };
 

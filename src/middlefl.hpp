@@ -26,7 +26,6 @@
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"

@@ -4,7 +4,6 @@
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
@@ -64,9 +63,6 @@ std::unique_ptr<Sequential> build_model(const ModelSpec& spec,
       model->add(std::make_unique<Flatten>());
       model->add(std::make_unique<Linear>(0, spec.hidden));
       model->add(std::make_unique<ReLU>());
-      if (spec.dropout > 0.0f) {
-        model->add(std::make_unique<Dropout>(spec.dropout));
-      }
       model->add(std::make_unique<Linear>(spec.hidden, spec.num_classes));
       break;
     }
@@ -77,9 +73,6 @@ std::unique_ptr<Sequential> build_model(const ModelSpec& spec,
       model->add(std::make_unique<ReLU>());
       model->add(std::make_unique<Linear>(spec.hidden, second));
       model->add(std::make_unique<ReLU>());
-      if (spec.dropout > 0.0f) {
-        model->add(std::make_unique<Dropout>(spec.dropout));
-      }
       model->add(std::make_unique<Linear>(second, spec.num_classes));
       break;
     }
@@ -93,9 +86,6 @@ std::unique_ptr<Sequential> build_model(const ModelSpec& spec,
       model->add(std::make_unique<Flatten>());
       model->add(std::make_unique<Linear>(0, spec.hidden));
       model->add(std::make_unique<ReLU>());
-      if (spec.dropout > 0.0f) {
-        model->add(std::make_unique<Dropout>(spec.dropout));
-      }
       model->add(std::make_unique<Linear>(spec.hidden, spec.num_classes));
       break;
     }
@@ -110,9 +100,6 @@ std::unique_ptr<Sequential> build_model(const ModelSpec& spec,
       model->add(std::make_unique<Flatten>());
       model->add(std::make_unique<Linear>(0, spec.hidden));
       model->add(std::make_unique<ReLU>());
-      if (spec.dropout > 0.0f) {
-        model->add(std::make_unique<Dropout>(spec.dropout));
-      }
       model->add(std::make_unique<Linear>(spec.hidden, spec.num_classes));
       break;
     }

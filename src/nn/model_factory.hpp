@@ -35,8 +35,6 @@ struct ModelSpec {
   std::size_t hidden = 64;
   /// Channel count of the first conv layer; later convs double it.
   std::size_t base_channels = 8;
-  /// Dropout probability before the final classifier (0 = none).
-  float dropout = 0.0f;
 };
 
 /// Constructs and builds (initializes) the model; ready for forward().

@@ -52,8 +52,8 @@ class Layer {
   virtual void init_params(parallel::Xoshiro256& rng) { (void)rng; }
 
   /// Computes `output` from batched `input` (dim 0 is the batch). When
-  /// `training` is true the layer may cache state for backward and apply
-  /// train-only behaviour (dropout).
+  /// `training` is true the layer caches what its backward needs (inputs,
+  /// masks, argmax indices).
   virtual void forward(const Tensor& input, Tensor& output, bool training) = 0;
 
   /// ACCUMULATES parameter gradients into the bound gradient span and, when

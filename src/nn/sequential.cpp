@@ -6,7 +6,6 @@
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/dropout.hpp"
 #include "nn/linear.hpp"
 
 namespace middlefl::nn {
@@ -48,7 +47,6 @@ void Sequential::build(std::uint64_t seed) {
 
   params_.assign(total, 0.0f);
   grads_.assign(total, 0.0f);
-  dropout_rng_ = parallel::Xoshiro256(parallel::splitmix64(seed ^ 0xd2'0f'1e'77));
 
   parallel::Xoshiro256 init_rng(seed);
   for (std::size_t i = 0; i < layers_.size(); ++i) {
@@ -56,9 +54,6 @@ void Sequential::build(std::uint64_t seed) {
     layers_[i]->bind(std::span<float>(params_).subspan(offsets_[i], count),
                      std::span<float>(grads_).subspan(offsets_[i], count));
     layers_[i]->init_params(init_rng);
-    if (auto* dropout = dynamic_cast<Dropout*>(layers_[i].get())) {
-      dropout->set_rng(&dropout_rng_);
-    }
   }
 
   // Resolve Linear/Conv2d -> ReLU pairs for epilogue fusion in forward().
@@ -174,13 +169,6 @@ void Sequential::predict(const Tensor& batch, std::span<std::int32_t> out) {
     out[r] = static_cast<std::int32_t>(
         std::max_element(row.begin(), row.end()) - row.begin());
   }
-}
-
-bool Sequential::has_dropout() const noexcept {
-  for (const auto& layer : layers_) {
-    if (dynamic_cast<const Dropout*>(layer.get()) != nullptr) return true;
-  }
-  return false;
 }
 
 std::unique_ptr<Sequential> Sequential::clone() const {

@@ -79,19 +79,6 @@ class Sequential {
   /// Deep copy: same architecture, same parameter values, fresh buffers.
   std::unique_ptr<Sequential> clone() const;
 
-  /// True when the model contains Dropout layers (the only stochastic
-  /// forward state). Requires built().
-  bool has_dropout() const noexcept;
-  /// The dropout mask stream. Virtual devices persist this across pooled
-  /// training runtimes: assignment replaces the state only, so the layers'
-  /// pointer wiring into this member is untouched.
-  const parallel::Xoshiro256& dropout_rng() const noexcept {
-    return dropout_rng_;
-  }
-  void set_dropout_rng(const parallel::Xoshiro256& rng) noexcept {
-    dropout_rng_ = rng;
-  }
-
   /// One-line architecture summary for logs.
   std::string summary() const;
 
@@ -104,7 +91,6 @@ class Sequential {
   std::vector<std::size_t> offsets_;  // param offset per layer
   // Where backward() stops; layers_.size() when no layer has parameters.
   std::size_t first_param_layer_ = 0;
-  parallel::Xoshiro256 dropout_rng_;
   bool built_ = false;
 
   // Epilogue fusion, resolved once at build(): slot i holds typed pointers

@@ -1,6 +1,5 @@
 #include "optim/adam.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -54,33 +53,6 @@ void Adam::reset() {
 
 std::unique_ptr<Optimizer> Adam::clone_config() const {
   return std::make_unique<Adam>(cfg_);
-}
-
-void Adam::save_state(std::vector<float>& out) const {
-  if (m_.empty()) {
-    out.clear();
-    return;
-  }
-  // Layout: [t, m..., v...]; t is exact in a float for any realistic count.
-  out.resize(1 + m_.size() + v_.size());
-  out[0] = static_cast<float>(t_);
-  std::copy(m_.begin(), m_.end(), out.begin() + 1);
-  std::copy(v_.begin(), v_.end(),
-            out.begin() + 1 + static_cast<std::ptrdiff_t>(m_.size()));
-}
-
-void Adam::load_state(std::span<const float> state) {
-  if (state.empty()) {
-    reset();
-    return;
-  }
-  if (state.size() % 2 != 1) {
-    throw std::invalid_argument("Adam::load_state: malformed state");
-  }
-  const std::size_t n = (state.size() - 1) / 2;
-  t_ = static_cast<std::size_t>(state[0]);
-  m_.assign(state.begin() + 1, state.begin() + 1 + n);
-  v_.assign(state.begin() + 1 + n, state.end());
 }
 
 }  // namespace middlefl::optim

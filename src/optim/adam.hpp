@@ -28,8 +28,6 @@ class Adam final : public Optimizer {
     cfg_.learning_rate = lr;
   }
   std::unique_ptr<Optimizer> clone_config() const override;
-  void save_state(std::vector<float>& out) const override;
-  void load_state(std::span<const float> state) override;
 
   const AdamConfig& config() const noexcept { return cfg_; }
   std::size_t step_count() const noexcept { return t_; }

@@ -35,14 +35,8 @@ class Optimizer {
   /// Fresh instance with the same hyperparameters and empty state.
   virtual std::unique_ptr<Optimizer> clone_config() const = 0;
 
-  /// Serializes the internal state (momentum/moments/step counter) into
-  /// `out` as a flat float vector, so a virtual device can persist it
-  /// across pooled optimizer instances. An empty vector means "no state"
-  /// and loads as a reset. The base implementation captures nothing —
-  /// optimizers without overrides behave as if reset each round.
+  /// Only bench/suite's TimedOptimizer forwarding references these two.
   virtual void save_state(std::vector<float>& out) const { out.clear(); }
-  /// Restores state captured by save_state on a same-length parameter
-  /// vector; an empty span resets.
   virtual void load_state(std::span<const float> state) {
     static_cast<void>(state);
     reset();

@@ -53,12 +53,4 @@ std::unique_ptr<Optimizer> Sgd::clone_config() const {
   return std::make_unique<Sgd>(cfg_);
 }
 
-void Sgd::save_state(std::vector<float>& out) const {
-  out.assign(velocity_.begin(), velocity_.end());
-}
-
-void Sgd::load_state(std::span<const float> state) {
-  velocity_.assign(state.begin(), state.end());
-}
-
 }  // namespace middlefl::optim

@@ -26,8 +26,6 @@ class Sgd final : public Optimizer {
     cfg_.learning_rate = lr;
   }
   std::unique_ptr<Optimizer> clone_config() const override;
-  void save_state(std::vector<float>& out) const override;
-  void load_state(std::span<const float> state) override;
 
   const SgdConfig& config() const noexcept { return cfg_; }
 

@@ -10,9 +10,8 @@
 // CommAsync — the staleness-bounded semi-async cloud sync: bound=0 with
 //   zero-latency links degenerates to the synchronous schedule bit for
 //   bit, past-bound contributions are dropped+folded, results are
-//   deterministic across pool sizes, the counters are reconstructible
-//   from the per-step records, and the FedAvgM conflict is rejected at
-//   construction.
+//   deterministic across pool sizes, and the counters are reconstructible
+//   from the per-step records.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -355,14 +354,6 @@ TEST(CommAsync, CountersMatchEventStream) {
   EXPECT_EQ(wan_up.bytes, sim->transport().stats(LinkKind::kWanUp).bytes);
   EXPECT_EQ(sum_link(records, LinkKind::kWanDown).transfers,
             sim->comm_stats().edge_downloads);
-}
-
-TEST(CommAsync, RejectsServerMomentumCombination) {
-  // FedAvgM's server-momentum step needs the barriered aggregate-minus-
-  // global difference, which the async path cannot provide.
-  SimBundle bundle = async_bundle(1, 0);
-  bundle.cfg.server_momentum = 0.3;
-  EXPECT_THROW(bundle.make(Algorithm::kMiddle), std::invalid_argument);
 }
 
 }  // namespace

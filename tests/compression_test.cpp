@@ -146,62 +146,4 @@ TEST(Compression, TrainingSurvivesAggressiveCompression) {
   }
 }
 
-// --- FedProx ---
-
-TEST(FedProx, ProxTermLimitsDrift) {
-  SimBundle bundle;
-  const auto drift = [&bundle](double mu) {
-    auto sim = bundle.make(Algorithm::kHierFavg);
-    // Manually train one device with/without prox and measure |w - w0|.
-    auto device = sim->device(0);
-    const std::vector<float> start(device.params().begin(),
-                                   device.params().end());
-    middlefl::parallel::Xoshiro256 rng(5);
-    device.train(20, 8, 0.05, true, rng, mu);
-    double dist = 0.0;
-    for (std::size_t i = 0; i < start.size(); ++i) {
-      const double d = device.params()[i] - start[i];
-      dist += d * d;
-    }
-    return std::sqrt(dist);
-  };
-  const double free_drift = drift(0.0);
-  const double prox_drift = drift(1.0);
-  EXPECT_LT(prox_drift, free_drift * 0.9);
-  EXPECT_GT(prox_drift, 0.0);  // still moves
-}
-
-TEST(FedProx, NegativeMuRejected) {
-  SimBundle bundle;
-  auto sim = bundle.make(Algorithm::kHierFavg);
-  middlefl::parallel::Xoshiro256 rng(5);
-  EXPECT_THROW(sim->device(0).train(2, 8, 0.05, true, rng, -0.5),
-               std::invalid_argument);
-}
-
-TEST(FedProx, EndToEndSimulationTrains) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 40;
-  bundle.cfg.prox_mu = 0.1;
-  auto sim = bundle.make(Algorithm::kMiddle);
-  const auto history = sim->run();
-  EXPECT_GT(history.best_accuracy(), 0.35);
-}
-
-TEST(FedProx, ZeroMuMatchesPlainTraining) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 8;
-  auto plain = bundle.make(Algorithm::kMiddle);
-  const auto h1 = plain->run();
-  SimBundle bundle2;
-  bundle2.cfg.total_steps = 8;
-  bundle2.cfg.prox_mu = 0.0;
-  auto zero = bundle2.make(Algorithm::kMiddle);
-  const auto h2 = zero->run();
-  ASSERT_EQ(h1.points.size(), h2.points.size());
-  for (std::size_t i = 0; i < h1.points.size(); ++i) {
-    EXPECT_EQ(h1.points[i].accuracy, h2.points[i].accuracy);
-  }
-}
-
 }  // namespace

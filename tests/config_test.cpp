@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "config/json.hpp"
 #include "config/reflect.hpp"
@@ -94,6 +96,33 @@ TEST(JsonParser, PreservesUint64BeyondDoubleRange) {
   ASSERT_TRUE(doc.find("seed")->is_unsigned());
   EXPECT_EQ(doc.find("seed")->as_uint(), big);
   EXPECT_NE(doc.dump(0).find(std::to_string(big)), std::string::npos);
+}
+
+TEST(JsonParser, RejectsOverflowingNumbersWithPosition) {
+  // A literal past the double range is an error at its first character,
+  // not a silent infinity.
+  const std::string huge_integer = "1" + std::string(400, '0');
+  const std::pair<std::string, std::string> cases[] = {
+      {"{\"a\": 1e999}", "1:7:"},
+      {"{\"a\":\n  -1e999}", "2:3:"},
+      {"[0, 1.5E+309]", "1:5:"},
+      {"{\"a\": " + huge_integer + "}", "1:7:"},
+  };
+  for (const auto& [text, where] : cases) {
+    try {
+      config::parse_json(text, "num.json");
+      ADD_FAILURE() << "expected '" << text.substr(0, 24) << "' to fail";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("num.json:" + where +
+                                           " number out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest finite doubles and underflowing literals still load.
+  EXPECT_EQ(config::parse_json("1.7976931348623157e308", "buf").as_number(),
+            1.7976931348623157e308);
+  EXPECT_EQ(config::parse_json("-1e-999", "buf").as_number(), 0.0);
 }
 
 TEST(JsonParser, DumpParseDumpIsFixpoint) {
@@ -191,9 +220,10 @@ TEST(ScenarioSchema, RejectsUnknownNestedKeysWithLocation) {
 }
 
 TEST(ScenarioSchema, RemovedKeysAreRejectedWithPosition) {
-  // The old uplink spellings, the carry policy and the fleet's storage
-  // codec are gone from the schema: a spec that still writes one fails as
-  // an unknown key, pointing at the key's value.
+  // The old uplink spellings, the carry policy, the fleet's storage codec
+  // and the training extensions beyond Algorithm 1 are gone from the
+  // schema: a spec that still writes one fails as an unknown key, pointing
+  // at the key's value.
   const auto expect_rejected = [](const std::string& text,
                                   const std::string& where,
                                   const std::string& key) {
@@ -223,6 +253,18 @@ TEST(ScenarioSchema, RemovedKeysAreRejectedWithPosition) {
   expect_rejected(
       "{\"sim\": {\"fleet\": {\n  \"at" "_rest\": {\"kind\": \"none\"}}}}",
       "2:14", "at" "_rest");
+  expect_rejected("{\n  \"model\": {\"dropout\": 0.25}\n}", "2:24",
+                  "dropout");
+  const auto expect_sim_key_rejected = [&](const std::string& key,
+                                           const std::string& value,
+                                           const std::string& where) {
+    expect_rejected("{\"sim\": {\n  \"" + key + "\": " + value + "}}", where,
+                    key);
+  };
+  expect_sim_key_rejected("prox" "_mu", "0.1", "2:14");
+  expect_sim_key_rejected("clip" "_norm", "5", "2:16");
+  expect_sim_key_rejected("server" "_momentum", "0.3", "2:22");
+  expect_sim_key_rejected("reset" "_optimizer_each_round", "false", "2:33");
 }
 
 TEST(ScenarioSchema, RejectsTypeMismatch) {
@@ -307,6 +349,52 @@ TEST(ScenarioBuilder, MatchesHandConstructedSimulationBitwise) {
     EXPECT_EQ(config_history.points[i].accuracy,
               manual_history.points[i].accuracy);
     EXPECT_EQ(config_history.points[i].loss, manual_history.points[i].loss);
+  }
+}
+
+TEST(ScenarioBuilder, LrScheduleRejectsValuesThatTrainToNan) {
+  // Each spec would train to a NaN loss; the builder rejects it and names
+  // the offending key.
+  const std::pair<std::string, std::string> bad[] = {
+      {R"({"kind": "constant", "base_lr": -0.5})", "base_lr"},
+      {R"({"kind": "constant", "base_lr": 0})", "base_lr"},
+      {R"({"kind": "warmup", "base_lr": -1})", "base_lr"},
+      {R"({"kind": "step-decay", "base_lr": 0})", "base_lr"},
+      {R"({"kind": "step-decay", "decay": -3, "decay_every": 1})", "decay"},
+      {R"({"kind": "step-decay", "decay": 0})", "decay"},
+      {R"({"kind": "step-decay", "decay": 1.5})", "decay"},
+      {R"({"kind": "theorem1", "mu": 0})", "mu"},
+      {R"({"kind": "theorem1", "mu": -2})", "mu"},
+      {R"({"kind": "theorem1", "beta": -1})", "beta"},
+  };
+  for (const auto& [schedule, key] : bad) {
+    SCOPED_TRACE(schedule);
+    const config::ScenarioSpec spec = config::parse_scenario(
+        "{\"lr_schedule\": " + schedule + "}", "lr.json");
+    try {
+      config::make_lr_schedule(spec.lr_schedule, 10);
+      ADD_FAILURE() << "expected lr_schedule." << key << " to be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("lr_schedule." + key + " must be"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  config::LrScheduleSpec infinite;
+  infinite.kind = "constant";
+  infinite.base_lr = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(config::make_lr_schedule(infinite, 10), std::invalid_argument);
+
+  // The edges of each legal range still build.
+  const std::string good[] = {
+      R"({"kind": "step-decay", "decay": 1})",
+      R"({"kind": "theorem1", "beta": 0})",
+      R"({"kind": "warmup", "base_lr": 1e-6})",
+  };
+  for (const std::string& schedule : good) {
+    const config::ScenarioSpec spec = config::parse_scenario(
+        "{\"lr_schedule\": " + schedule + "}", "lr.json");
+    EXPECT_TRUE(config::make_lr_schedule(spec.lr_schedule, 10)) << schedule;
   }
 }
 

@@ -85,10 +85,10 @@ TEST(Device, TrainReducesLossOnItsData) {
   Fixture fx;
   Device device = fx.make_device(0);
   Xoshiro256 rng(1);
-  const auto first = device.train(10, 16, 0.05, true, rng);
+  const auto first = device.train(10, 16, 0.05, rng);
   Xoshiro256 rng2(2);
   // Continue training; average loss over the next round should be lower.
-  const auto second = device.train(10, 16, 0.05, true, rng2);
+  const auto second = device.train(10, 16, 0.05, rng2);
   EXPECT_LT(second.mean_loss, first.mean_loss);
 }
 
@@ -98,7 +98,7 @@ TEST(Device, TrainChangesParameters) {
   const std::vector<float> before(device.params().begin(),
                                   device.params().end());
   Xoshiro256 rng(3);
-  device.train(2, 8, 0.05, true, rng);
+  device.train(2, 8, 0.05, rng);
   bool changed = false;
   for (std::size_t i = 0; i < before.size(); ++i) {
     changed = changed || before[i] != device.params()[i];
@@ -111,7 +111,7 @@ TEST(Device, StatUtilityPopulatedAfterTraining) {
   Device device = fx.make_device(0);
   EXPECT_FALSE(device.stat_utility().has_value());
   Xoshiro256 rng(4);
-  device.train(2, 8, 0.05, true, rng);
+  device.train(2, 8, 0.05, rng);
   ASSERT_TRUE(device.stat_utility().has_value());
   EXPECT_GT(*device.stat_utility(), 0.0);
 }
@@ -128,8 +128,8 @@ TEST(Device, TrainValidatesArguments) {
   Fixture fx;
   Device device = fx.make_device(0);
   Xoshiro256 rng(5);
-  EXPECT_THROW(device.train(0, 8, 0.05, true, rng), std::invalid_argument);
-  EXPECT_THROW(device.train(2, 0, 0.05, true, rng), std::invalid_argument);
+  EXPECT_THROW(device.train(0, 8, 0.05, rng), std::invalid_argument);
+  EXPECT_THROW(device.train(2, 0, 0.05, rng), std::invalid_argument);
 }
 
 TEST(Device, TrainDeterministicGivenRngAndStart) {
@@ -138,8 +138,8 @@ TEST(Device, TrainDeterministicGivenRngAndStart) {
   Device b = fx.make_device(1);
   b.set_params(a.params());
   Xoshiro256 rng_a(6), rng_b(6);
-  a.train(5, 8, 0.05, true, rng_a);
-  b.train(5, 8, 0.05, true, rng_b);
+  a.train(5, 8, 0.05, rng_a);
+  b.train(5, 8, 0.05, rng_b);
   for (std::size_t i = 0; i < a.params().size(); ++i) {
     EXPECT_EQ(a.params()[i], b.params()[i]);
   }
@@ -151,48 +151,13 @@ TEST(Device, OortUtilityMatchesFormula) {
   Fixture fx;
   Device device = fx.make_device(0);
   Xoshiro256 rng(21);
-  const auto stats = device.train(3, 8, 0.05, true, rng);
+  const auto stats = device.train(3, 8, 0.05, rng);
   ASSERT_TRUE(device.stat_utility().has_value());
   const double expected = static_cast<double>(device.data_size()) *
                           std::sqrt(stats.mean_sq_loss);
   EXPECT_NEAR(*device.stat_utility(), expected, 1e-9);
   EXPECT_EQ(stats.batches, 3u);
   EXPECT_GT(stats.mean_loss, 0.0);
-}
-
-TEST(Device, GradientClippingBoundsStepSize) {
-  Fixture fx;
-  // Unclipped vs tightly-clipped single step from the same start: the
-  // clipped parameter displacement must be <= lr * clip_norm (plain SGD).
-  Device free = fx.make_device(0);
-  Device clipped = fx.make_device(1);
-  clipped.set_params(free.params());
-  const std::vector<float> start(free.params().begin(), free.params().end());
-
-  middlefl::parallel::Xoshiro256 rng1(9), rng2(9);
-  // momentum 0.9 in the fixture; use 1 step so displacement = lr * grad.
-  free.train(1, 8, 0.1, true, rng1, 0.0, 0.0);
-  const double tiny_clip = 1e-3;
-  clipped.train(1, 8, 0.1, true, rng2, 0.0, tiny_clip);
-
-  const auto displacement = [&start](const Device& device) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < start.size(); ++i) {
-      const double d = device.params()[i] - start[i];
-      acc += d * d;
-    }
-    return std::sqrt(acc);
-  };
-  EXPECT_LE(displacement(clipped), 0.1 * tiny_clip + 1e-9);
-  EXPECT_GT(displacement(free), displacement(clipped));
-}
-
-TEST(Device, NegativeClipNormRejected) {
-  Fixture fx;
-  Device device = fx.make_device(0);
-  middlefl::parallel::Xoshiro256 rng(5);
-  EXPECT_THROW(device.train(1, 8, 0.1, true, rng, 0.0, -1.0),
-               std::invalid_argument);
 }
 
 TEST(Edge, ParticipationAccumulates) {

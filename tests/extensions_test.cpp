@@ -231,68 +231,6 @@ TEST(HybridSelection, DrivesFullSimulation) {
   EXPECT_GT(history.best_accuracy(), 0.35);
 }
 
-// --- Server momentum (FedAvgM) ---
-
-TEST(ServerMomentum, ZeroMatchesPlainAggregation) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 10;
-  bundle.cfg.cloud_interval = 5;
-  auto plain = bundle.make(Algorithm::kMiddle);
-  const auto h1 = plain->run();
-  SimBundle bundle2;
-  bundle2.cfg.total_steps = 10;
-  bundle2.cfg.cloud_interval = 5;
-  bundle2.cfg.server_momentum = 0.0;
-  auto zero = bundle2.make(Algorithm::kMiddle);
-  const auto h2 = zero->run();
-  for (std::size_t i = 0; i < h1.points.size(); ++i) {
-    EXPECT_EQ(h1.points[i].accuracy, h2.points[i].accuracy);
-  }
-}
-
-TEST(ServerMomentum, ChangesCloudTrajectory) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 10;
-  bundle.cfg.cloud_interval = 5;
-  auto plain = bundle.make(Algorithm::kMiddle);
-  plain->run();
-  SimBundle bundle2;
-  bundle2.cfg.total_steps = 10;
-  bundle2.cfg.cloud_interval = 5;
-  bundle2.cfg.server_momentum = 0.9;
-  auto momentum = bundle2.make(Algorithm::kMiddle);
-  momentum->run();
-  bool any_diff = false;
-  for (std::size_t i = 0; i < plain->cloud_params().size(); ++i) {
-    any_diff =
-        any_diff || plain->cloud_params()[i] != momentum->cloud_params()[i];
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-TEST(ServerMomentum, RejectsOutOfRangeValues) {
-  for (const double momentum :
-       {-0.1, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN(),
-        std::numeric_limits<double>::infinity()}) {
-    SCOPED_TRACE(momentum);
-    SimBundle bundle;
-    bundle.cfg.server_momentum = momentum;
-    EXPECT_THROW(bundle.make(Algorithm::kMiddle), std::invalid_argument);
-  }
-}
-
-TEST(ServerMomentum, StillConverges) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 40;
-  bundle.cfg.server_momentum = 0.5;
-  auto sim = bundle.make(Algorithm::kMiddle);
-  const auto history = sim->run();
-  EXPECT_GT(history.best_accuracy(), 0.35);
-  for (const auto& point : history.points) {
-    EXPECT_TRUE(std::isfinite(point.loss));
-  }
-}
-
 // --- Edge skew metric ---
 
 TEST(EdgeSkew, ZeroForIdenticalMixtures) {

@@ -6,7 +6,6 @@
 // state that survives rejoins).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -66,8 +65,8 @@ TEST(AtRestCodec, LosslessRoundTripsBitwise) {
 
 // ---------------------------------------------------------------------------
 // LazyTrainingOracle: Device::train — pooled runtime, shared snapshot or
-// own copy, saved optimizer slots and dropout cursor — against a reference
-// device that owns a private model and optimizer for its whole life.
+// own copy — against a reference device that owns a private model and
+// optimizer for its whole life.
 
 middlefl::data::Dataset& shared_data() {
   static middlefl::data::Dataset data = SimBundle::make_data(4, 30, 3);
@@ -76,8 +75,8 @@ middlefl::data::Dataset& shared_data() {
 
 /// The reference trainer: a private nn::Sequential clone and optimizer
 /// clone that persist across rounds, driven through the I-step SGD loop
-/// written out in full (sample, forward, cross-entropy, backward, FedProx
-/// term, global-norm clip, optimizer step).
+/// written out in full (reset, sample, forward, cross-entropy, backward,
+/// optimizer step).
 struct OracleDevice {
   middlefl::data::DataView data;
   std::unique_ptr<middlefl::nn::Sequential> model;
@@ -85,12 +84,9 @@ struct OracleDevice {
   middlefl::data::Minibatch batch;
 
   DeviceTrainStats train(std::size_t local_steps, std::size_t batch_size,
-                         double learning_rate, bool reset_optimizer,
-                         Xoshiro256& rng, double prox_mu, double clip_norm) {
-    if (reset_optimizer) optimizer->reset();
+                         double learning_rate, Xoshiro256& rng) {
+    optimizer->reset();
     optimizer->set_learning_rate(learning_rate);
-    const std::vector<float> anchor(model->parameters().begin(),
-                                    model->parameters().end());
     DeviceTrainStats stats;
     std::vector<float> sample_losses(batch_size);
     double loss_acc = 0.0;
@@ -108,24 +104,7 @@ struct OracleDevice {
       }
       model->zero_grad();
       model->backward(result.grad_logits);
-      const std::span<float> params = model->parameters();
-      const std::span<float> grads = model->gradients();
-      if (prox_mu > 0.0) {
-        const auto mu = static_cast<float>(prox_mu);
-        for (std::size_t i = 0; i < params.size(); ++i) {
-          grads[i] += mu * (params[i] - anchor[i]);
-        }
-      }
-      if (clip_norm > 0.0) {
-        double norm_sq = 0.0;
-        for (float g : grads) norm_sq += static_cast<double>(g) * g;
-        const double norm = std::sqrt(norm_sq);
-        if (norm > clip_norm) {
-          const auto scale = static_cast<float>(clip_norm / norm);
-          for (float& g : grads) g *= scale;
-        }
-      }
-      optimizer->step(params, grads);
+      optimizer->step(model->parameters(), model->gradients());
     }
     stats.batches = local_steps;
     stats.mean_loss = loss_acc / static_cast<double>(local_steps);
@@ -150,14 +129,13 @@ struct OracleFixture {
   DeviceRegistry registry;
   std::vector<std::size_t> firsts;
 
-  OracleFixture(const middlefl::optim::Optimizer& prototype, float dropout,
+  OracleFixture(const middlefl::optim::Optimizer& prototype,
                 std::vector<std::size_t> data_firsts)
       : firsts(std::move(data_firsts)) {
     spec.arch = middlefl::nn::ModelArch::kMlp;
     spec.input_shape = middlefl::tensor::Shape{1, 6, 6};
     spec.num_classes = 4;
     spec.hidden = 16;
-    spec.dropout = dropout;
     init = middlefl::nn::build_model(spec, 11);
     base = SnapshotStore::global().publish(init->parameters());
     registry.set_prototypes(*init, prototype);
@@ -195,17 +173,14 @@ void expect_twins_equal(const TwinPair& pair, const DeviceTrainStats& got,
 }
 
 TEST(LazyTrainingOracle, InterleavedSettledRoundsMatchPrivateModels) {
-  // Momentum SGD with state carried across rounds, dropout, FedProx and
-  // clipping: every piece of per-device state the pooled runtime must save
-  // and restore around a round.
+  // Momentum SGD with weight decay, reset at the start of every round:
+  // the velocity one device leaves in the shared runtime must not leak
+  // into the other's round.
   const middlefl::optim::Sgd sgd(
       {.learning_rate = 0.05, .momentum = 0.9, .weight_decay = 1e-4});
-  OracleFixture fx(sgd, 0.25f, {0, 40});
-  ASSERT_TRUE(fx.registry.model_has_dropout());
+  OracleFixture fx(sgd, {0, 40});
   TwinPair a = fx.make_pair(sgd);
   TwinPair b = fx.make_pair(sgd);
-  constexpr double kProxMu = 0.05;
-  constexpr double kClip = 0.5;
 
   for (std::size_t round = 0; round < 4; ++round) {
     if (round == 2) {
@@ -226,10 +201,8 @@ TEST(LazyTrainingOracle, InterleavedSettledRoundsMatchPrivateModels) {
       const std::uint64_t seed = 100 * round + pair->device.id();
       Xoshiro256 rng_device(seed);
       Xoshiro256 rng_oracle(seed);
-      const auto got = pair->device.train(3, 8, 0.05, false, rng_device,
-                                          kProxMu, kClip, runtime);
-      const auto want = pair->oracle.train(3, 8, 0.05, false, rng_oracle,
-                                           kProxMu, kClip);
+      const auto got = pair->device.train(3, 8, 0.05, rng_device, runtime);
+      const auto want = pair->oracle.train(3, 8, 0.05, rng_oracle);
       expect_twins_equal(*pair, got, want, round);
     }
     fx.registry.release_runtime(runtime);
@@ -250,30 +223,28 @@ TEST(DeviceRuntime, StepBuffersKeepTheirStorageAcrossTrainCalls) {
   // a buffer made anew per step would hold a fresh block the second time,
   // since the first one is still alive while its successor is allocated.
   const middlefl::optim::Sgd sgd({.learning_rate = 0.05, .momentum = 0.9});
-  OracleFixture fx(sgd, 0.0f, {0, 40});
+  OracleFixture fx(sgd, {0, 40});
   TwinPair a = fx.make_pair(sgd);
   TwinPair b = fx.make_pair(sgd);
   middlefl::core::DeviceRuntime* runtime = fx.registry.acquire_runtime();
   Xoshiro256 rng(5);
-  a.device.train(1, 8, 0.05, true, rng, 0.0, 0.0, runtime);
+  a.device.train(1, 8, 0.05, rng, runtime);
   const float* grad = runtime->loss_grad().data().data();
   const float* losses = runtime->sample_losses().data();
   ASSERT_EQ(runtime->loss_grad().numel(), 8u * 4u);  // batch x classes
   ASSERT_EQ(runtime->sample_losses().size(), 8u);
-  b.device.train(1, 8, 0.05, true, rng, 0.0, 0.0, runtime);
+  b.device.train(1, 8, 0.05, rng, runtime);
   EXPECT_EQ(runtime->loss_grad().data().data(), grad);
   EXPECT_EQ(runtime->sample_losses().data(), losses);
   fx.registry.release_runtime(runtime);
 }
 
 TEST(LazyTrainingOracle, AdoptAndResetRoundsMatchPrivateModels) {
-  // Adam carries a step count and two moment slots across rounds, the
-  // device acquires its own runtime, a broadcast adopt rebases it on a new
-  // snapshot mid-run, and the final round resets the optimizer. (A reset
-  // round's state is not carried into later rounds — see Device::train —
-  // so the reset round comes last, where the oracle agrees.)
+  // Adam's step count and moment slots reset every round, the device
+  // acquires its own runtime, and a broadcast adopt rebases it on a new
+  // snapshot mid-run.
   const middlefl::optim::Adam adam({.learning_rate = 0.01});
-  OracleFixture fx(adam, 0.0f, {20});
+  OracleFixture fx(adam, {20});
   TwinPair pair = fx.make_pair(adam);
 
   for (std::size_t round = 0; round < 4; ++round) {
@@ -285,13 +256,10 @@ TEST(LazyTrainingOracle, AdoptAndResetRoundsMatchPrivateModels) {
       EXPECT_TRUE(pair.device.shares_snapshot());
       pair.oracle.model->set_parameters(global);
     }
-    const bool reset = round == 3;
     Xoshiro256 rng_device(7 + round);
     Xoshiro256 rng_oracle(7 + round);
-    const auto got =
-        pair.device.train(2, 8, 0.01, reset, rng_device, 0.0, 0.0);
-    const auto want =
-        pair.oracle.train(2, 8, 0.01, reset, rng_oracle, 0.0, 0.0);
+    const auto got = pair.device.train(2, 8, 0.01, rng_device);
+    const auto want = pair.oracle.train(2, 8, 0.01, rng_oracle);
     expect_twins_equal(pair, got, want, round);
   }
 }
@@ -671,15 +639,14 @@ TEST(FleetBroadcast, ErasedWhileDetachedIsSkipped) {
 
 // ---------------------------------------------------------------------------
 // FleetColumns: cold devices are column entries; only detached devices hold
-// a hot entry, and training state survives the rejoin that returns it.
+// a hot entry, which the rejoin returns to the pool.
 
-TEST(FleetColumns, TrainingStateSurvivesRejoin) {
-  // The dropout cursor and the carried momentum slots live in the side
-  // table, not in the hot entry: a broadcast that rejoins the device and
-  // returns its entry must leave the next round bitwise equal to a
-  // private model that simply loaded the new block.
+TEST(FleetColumns, RejoinReturnsHotEntryAndNextWriteReusesItsBuffer) {
+  // A broadcast that rejoins the device returns its hot entry; the next
+  // round must still be bitwise equal to a private model that simply
+  // loaded the new block, and its copy reuses the returned entry's buffer.
   const middlefl::optim::Sgd sgd({.learning_rate = 0.05, .momentum = 0.9});
-  OracleFixture fx(sgd, 0.25f, {0});
+  OracleFixture fx(sgd, {0});
   TwinPair pair = fx.make_pair(sgd);
   const Device& device = pair.device;
   const float* own = nullptr;
@@ -698,10 +665,8 @@ TEST(FleetColumns, TrainingStateSurvivesRejoin) {
     }
     Xoshiro256 rng_device(31 + round);
     Xoshiro256 rng_oracle(31 + round);
-    const auto got = pair.device.train(3, 8, 0.05, /*reset_optimizer=*/false,
-                                       rng_device, 0.0, 0.0);
-    const auto want = pair.oracle.train(3, 8, 0.05, false, rng_oracle, 0.0,
-                                        0.0);
+    const auto got = pair.device.train(3, 8, 0.05, rng_device);
+    const auto want = pair.oracle.train(3, 8, 0.05, rng_oracle);
     expect_twins_equal(pair, got, want, round);
     EXPECT_EQ(fx.registry.hot_entries(), 1u);
     // The pooled entry comes back with its buffer: the copy a rejoined

@@ -13,7 +13,6 @@
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
@@ -32,7 +31,6 @@ using middlefl::test_support::supported_isas;
 
 using middlefl::nn::Conv2d;
 using middlefl::nn::Conv2dConfig;
-using middlefl::nn::Dropout;
 using middlefl::nn::Flatten;
 using middlefl::nn::Linear;
 using middlefl::nn::MaxPool2d;
@@ -724,45 +722,6 @@ TEST(Flatten, BackwardRestoresShape) {
   Tensor grad_in;
   layer.backward(input, out, &grad_in);
   EXPECT_EQ(grad_in.shape(), (Shape{3, 2, 2}));
-}
-
-TEST(Dropout, RejectsBadProbability) {
-  EXPECT_THROW(Dropout(-0.1f), std::invalid_argument);
-  EXPECT_THROW(Dropout(1.0f), std::invalid_argument);
-  EXPECT_NO_THROW(Dropout(0.0f));
-}
-
-TEST(Dropout, EvalModeIsIdentity) {
-  Dropout layer(0.5f);
-  layer.build(Shape{8});
-  const Tensor input(Shape{2, 8}, std::vector<float>(16, 3.0f));
-  Tensor out;
-  layer.forward(input, out, false);
-  for (std::size_t i = 0; i < out.numel(); ++i) EXPECT_FLOAT_EQ(out[i], 3.0f);
-}
-
-TEST(Dropout, TrainModePreservesExpectation) {
-  Dropout layer(0.3f);
-  layer.build(Shape{1});
-  Xoshiro256 rng(77);
-  layer.set_rng(&rng);
-  const Tensor input(Shape{1, 1}, {1.0f});
-  double sum = 0.0;
-  const int trials = 20000;
-  for (int i = 0; i < trials; ++i) {
-    Tensor out;
-    layer.forward(input, out, true);
-    sum += out[0];
-  }
-  EXPECT_NEAR(sum / trials, 1.0, 0.05);  // inverted dropout keeps E[x]
-}
-
-TEST(Dropout, TrainWithoutRngThrows) {
-  Dropout layer(0.5f);
-  layer.build(Shape{2});
-  const Tensor input(Shape{1, 2});
-  Tensor out;
-  EXPECT_THROW(layer.forward(input, out, true), std::logic_error);
 }
 
 TEST(Init, KaimingVarianceMatchesFanIn) {

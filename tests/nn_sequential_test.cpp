@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "nn/activations.hpp"
-#include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
@@ -19,7 +18,6 @@
 namespace {
 
 using middlefl::nn::build_model;
-using middlefl::nn::Dropout;
 using middlefl::nn::Flatten;
 using middlefl::nn::Layer;
 using middlefl::nn::Linear;
@@ -256,17 +254,6 @@ TEST(SequentialFirstLayerSkip, Mlp2FlattenFirstParamGradsUnchanged) {
   expect_skip_leaves_grads_unchanged(*build_model(spec, 1), 6, 4);
 }
 
-TEST(SequentialFirstLayerSkip, DropoutBeforeFirstParamLayerGradsUnchanged) {
-  Sequential model(Shape{1, 6, 6});
-  model.add(std::make_unique<Flatten>());
-  model.add(std::make_unique<Dropout>(0.3f));
-  model.add(std::make_unique<Linear>(0, 16));
-  model.add(std::make_unique<ReLU>());
-  model.add(std::make_unique<Linear>(16, 4));
-  model.build(1);
-  expect_skip_leaves_grads_unchanged(model, 6, 4);
-}
-
 // --- Model factory ---
 
 TEST(ModelFactory, ArchRoundTrip) {
@@ -351,22 +338,6 @@ TEST(ModelFactory, ConvArchRejectsFlatInput) {
   spec.arch = ModelArch::kCnn2;
   spec.input_shape = Shape{64};
   EXPECT_THROW(build_model(spec, 1), std::invalid_argument);
-}
-
-TEST(ModelFactory, DropoutVariantTrains) {
-  ModelSpec spec;
-  spec.arch = ModelArch::kMlp;
-  spec.input_shape = Shape{8};
-  spec.num_classes = 4;
-  spec.dropout = 0.25f;
-  auto model = build_model(spec, 3);
-  Xoshiro256 rng(3);
-  const Tensor batch = Tensor::randn(Shape{4, 8}, rng);
-  const Tensor& logits = model->forward(batch, true);
-  auto loss = middlefl::nn::softmax_cross_entropy(
-      logits, std::vector<std::int32_t>{0, 1, 2, 3});
-  model->zero_grad();
-  EXPECT_NO_THROW(model->backward(loss.grad_logits));
 }
 
 }  // namespace

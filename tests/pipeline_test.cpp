@@ -311,7 +311,7 @@ TEST(GoldenParity, MiddleHeterogeneousStragglers) {
   if (!skip.empty()) GTEST_SKIP() << skip;
 }
 
-// The three sync-WAN goldens below pin the synchronous cloud round's WAN
+// The two sync-WAN goldens below pin the synchronous cloud round's WAN
 // paths, which the default policies never exercise.
 
 TEST(GoldenParity, MiddleWanLatency) {
@@ -353,25 +353,6 @@ TEST(GoldenParity, MiddleWanLossyTopK) {
   bundle.cfg.transport.wan_up.loss_prob = 0.1;
   bundle.cfg.transport.wan_down.loss_prob = 0.1;
   bundle.cfg.transport.broadcast.loss_prob = 0.1;
-  const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
-  if (!skip.empty()) GTEST_SKIP() << skip;
-}
-
-TEST(GoldenParity, MiddleServerMomentumUniform) {
-  // FedAvgM on a uniform-weight cloud aggregate.
-  const GoldenRun golden{
-      "middle_momentum",
-      {0x3fcc28f5c28f5c29, 0x3fd147ae147ae148, 0x3fd3d70a3d70a3d7,
-       0x3fd70a3d70a3d70a, 0x3fd851eb851eb852},
-      {0x1b2ab294a942d026, 0xb04ef36de789861a},
-      {0x20858c84f3cb10a7, 0xf90cc13e793fecf3},
-      {0x4700dc3b5b2984b3, 0x4a2aacf121caeb43},
-      117, 117, 12, 12, 48,
-      0, 0, 308880, 54,
-      {0x3fdfffbc03fd9c42, 0x3fdfffbc03fd4291}};
-  SimBundle bundle;
-  bundle.cfg.server_momentum = 0.5;
-  bundle.cfg.weighted_cloud_aggregation = false;
   const std::string skip = run_golden(bundle, Algorithm::kMiddle, golden);
   if (!skip.empty()) GTEST_SKIP() << skip;
 }

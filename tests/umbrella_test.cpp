@@ -1,7 +1,7 @@
 // Compilation + smoke test of the umbrella header: one end-to-end run that
 // only includes <middlefl.hpp>, combining several extension features at
-// once (compression + proximal training + failure injection + server
-// momentum + heterogeneity) to guard against config interactions.
+// once (compression + failure injection + heterogeneity) to guard against
+// config interactions.
 #include <gtest/gtest.h>
 
 #include "middlefl.hpp"
@@ -36,8 +36,6 @@ TEST(Umbrella, EverythingCombinedStillTrainsDeterministically) {
   cfg.eval_every = 5;
   cfg.seed = 11;
   // Every extension at once.
-  cfg.prox_mu = 0.05;
-  cfg.server_momentum = 0.3;
   cfg.transport.wireless_up.loss_prob = 0.1;
   cfg.transport.wireless_up.compression = {transport::CompressionKind::kTopK,
                                            0.25};

@@ -84,9 +84,6 @@ struct Options {
   double lr = 0.005;
   double momentum = 0.9;
   double data_scale = 0.5;
-  double prox_mu = 0.0;
-  double clip_norm = 0.0;
-  double server_momentum = 0.0;
   double uplink_loss = 0.0;
   double downlink_loss = 0.0;
   double wan_loss = 0.0;
@@ -145,11 +142,14 @@ void apply_overrides(config::ScenarioSpec& spec, const Options& opt,
   if (use("home-bias")) spec.mobility.home_bias = opt.home_bias;
   if (use("major-fraction")) spec.data.major_fraction = opt.major_fraction;
   if (use("lr")) spec.optimizer.learning_rate = opt.lr;
+  if (cli.was_set("lr")) {
+    // The schedule, not the optimizer, sets each round's rate: an explicit
+    // --lr becomes a constant schedule, or the base of a named one.
+    if (spec.lr_schedule.kind == "default") spec.lr_schedule.kind = "constant";
+    spec.lr_schedule.base_lr = opt.lr;
+  }
   if (use("momentum")) spec.optimizer.momentum = opt.momentum;
   if (use("data-scale")) spec.data.scale = opt.data_scale;
-  if (use("prox-mu")) spec.sim.prox_mu = opt.prox_mu;
-  if (use("clip-norm")) spec.sim.clip_norm = opt.clip_norm;
-  if (use("server-momentum")) spec.sim.server_momentum = opt.server_momentum;
 
   // Per-link transport policies.
   auto& transport = spec.sim.transport;
@@ -266,15 +266,13 @@ int run(int argc, const char* const* argv) {
                &opt.home_bias);
   cli.add_flag("major-fraction", "per-device major-class share",
                &opt.major_fraction);
-  cli.add_flag("lr", "learning rate", &opt.lr);
+  cli.add_flag("lr",
+               "learning rate (a constant lr_schedule, or a named "
+               "schedule's base_lr)",
+               &opt.lr);
   cli.add_flag("momentum", "SGD momentum", &opt.momentum);
   cli.add_flag("data-scale", "spatial scale of the synthetic inputs",
                &opt.data_scale);
-  cli.add_flag("prox-mu", "FedProx proximal coefficient", &opt.prox_mu);
-  cli.add_flag("clip-norm", "gradient clipping threshold (0 = off)",
-               &opt.clip_norm);
-  cli.add_flag("server-momentum", "FedAvgM momentum at the cloud",
-               &opt.server_momentum);
   cli.add_flag("uplink-loss", "device->edge upload loss probability",
                &opt.uplink_loss);
   cli.add_flag("uplink-compression",
