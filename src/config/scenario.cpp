@@ -1,6 +1,9 @@
 #include "config/scenario.hpp"
 
 #include <fstream>
+#include <string>
+
+#include "mobility/edge_id.hpp"
 
 namespace middlefl::config {
 
@@ -21,6 +24,16 @@ ScenarioSpec scenario_from_json(const Json& document,
                                 const std::string& source_name) {
   ScenarioSpec spec;
   from_json(document, source_name, spec);
+  // The per-device edge maps hold 2-byte ids: reject the count here, at
+  // its position, rather than after the run is built.
+  if (spec.edges > mobility::kMaxEdges) {
+    const Json& at = *document.find("edges");
+    throw std::runtime_error(
+        source_name + ":" + std::to_string(at.line()) + ":" +
+        std::to_string(at.column()) + ": key 'edges': " +
+        std::to_string(spec.edges) + " past the " +
+        std::to_string(mobility::kMaxEdges) + " an edge id can name");
+  }
   return spec;
 }
 

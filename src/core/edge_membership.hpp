@@ -32,12 +32,14 @@
 #include <span>
 #include <vector>
 
+#include "mobility/edge_id.hpp"
+
 namespace middlefl::core {
 
 class EdgeMembership {
  public:
   /// The most edges the 2-byte device -> edge map can name.
-  static constexpr std::size_t kMaxEdges = std::size_t{1} << 16;
+  static constexpr std::size_t kMaxEdges = mobility::kMaxEdges;
 
   /// Rows for `num_edges` edges over `assignment.size()` devices, where
   /// device m sits on edge assignment[m] (< num_edges). Clears the

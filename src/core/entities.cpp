@@ -56,7 +56,9 @@ DeviceTrainStats run_local_sgd(const data::DataView& data,
 
 data::DataView Device::data() const { return fleet_->data_view(id_); }
 
-DeviceHotEntry* Device::hot() const noexcept { return fleet_->hot_[id_]; }
+DeviceHotEntry* Device::hot() const noexcept {
+  return fleet_->hot_entry(id_);
+}
 
 std::size_t Device::param_count() const noexcept {
   return params().size();
@@ -80,7 +82,8 @@ std::uint64_t Device::params_version() const noexcept {
 }
 
 std::optional<double> Device::stat_utility() const noexcept {
-  if ((fleet_->flags_[id_] & DeviceRegistry::kHasStatUtility) == 0) {
+  if (!fleet_->track_stat_utility_ ||
+      (fleet_->flags_[id_] & DeviceRegistry::kHasStatUtility) == 0) {
     return std::nullopt;
   }
   return fleet_->stat_utility_[id_];
@@ -153,9 +156,11 @@ DeviceTrainStats Device::train(std::size_t local_steps,
   if (acquired != nullptr) fleet_->release_runtime(acquired);
 
   // Oort: U_stat = |B| * sqrt( (1/|B|) sum loss^2 ), with |B| = d_m.
-  fleet_->stat_utility_[id_] = static_cast<double>(data_size()) *
-                               std::sqrt(std::max(0.0, stats.mean_sq_loss));
-  fleet_->flags_[id_] |= DeviceRegistry::kHasStatUtility;
+  if (fleet_->track_stat_utility_) {
+    fleet_->stat_utility_[id_] = static_cast<double>(data_size()) *
+                                 std::sqrt(std::max(0.0, stats.mean_sq_loss));
+    fleet_->flags_[id_] |= DeviceRegistry::kHasStatUtility;
+  }
   // Local SGD moved w_m: cached selection scores are stale.
   h.params_version = SnapshotStore::global().next_version();
   return stats;

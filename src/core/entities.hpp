@@ -108,7 +108,8 @@ class Device {
 
   /// Oort statistical utility: d_m * sqrt(mean squared sample loss) from
   /// the most recent training round; nullopt before the first round (such
-  /// devices are prioritized for exploration).
+  /// devices are prioritized for exploration), and always when the
+  /// registry does not track it (DeviceRegistry::track_stat_utility).
   std::optional<double> stat_utility() const noexcept;
 
  private:

@@ -23,17 +23,24 @@
 // version stamp an adopt of the new block would have given it.
 //
 // Storage is column-wise over the dense ids 0..n-1. A cold (following)
-// device is three column entries — its stat utility, a null hot-entry
-// pointer and a flags byte, 17 bytes — and its data view is rebuilt on
-// demand from the registry's data::Partition. Only a detached device owns
-// a DeviceHotEntry (a shared snapshot or its own parameter buffer, and a
-// version), taken at detach and returned at rejoin. A device carries
-// nothing else between rounds: every round resets the optimizer. Device is
-// a (registry, id) handle over these columns.
+// device is a 4-byte hot slot of 0 — plus, only when selection reads
+// metadata, its stat utility (8) and a flags byte — and its data view is
+// rebuilt on demand from the registry's data::Partition. So a cold device
+// costs 4 bytes under random selection and 13 under metadata selection.
+// Only a detached device holds a DeviceHotEntry (a shared snapshot or its
+// own parameter buffer, and a version), taken at detach and returned at
+// rejoin. A device carries nothing else between rounds: every round resets
+// the optimizer. Device is a (registry, id) handle over these columns.
 //
-// Shards (a fixed power-of-two count, keyed by splitmix64(id)) own the
-// hot-entry pool and the detached lists, each behind the shard's mutex, so
-// the parallel edge chains contend per shard, not globally.
+// Hot entries live in a slab of fixed-size chunks whose directory is sized
+// once by set_data() for one slot per device, so an entry never moves and
+// a slot resolves to its entry without a lock. Fresh slots come from one
+// atomic counter; shards (a fixed power-of-two count, keyed by
+// splitmix64(id)) keep the freed slots and the detached lists, each behind
+// the shard's mutex, so the parallel edge chains contend per shard, not
+// globally. A shard takes a fresh slot only when its free list is empty,
+// so it never holds more slots than it has devices: the slab never
+// outgrows its directory.
 //
 // Thread-safety contract: configure()/set_data()/set_prototypes()/insert()
 // are construction-time operations and broadcast() is a serial-point
@@ -42,6 +49,7 @@
 // them, together with the runtime pool and the counters.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -68,15 +76,15 @@ struct FleetConfig {
   std::size_t shards = 0;
 };
 
-/// The state of one detached device, pooled per registry shard: a shared
-/// snapshot, or the device's own parameter buffer.
+/// The state of one detached device, in a registry slab slot recycled per
+/// shard: a shared snapshot, or the device's own parameter buffer.
 struct DeviceHotEntry {
   /// Non-null while the device reads a shared snapshot (the block pinned
   /// at detach, or the last adopted one); null while it reads `own`.
   Snapshot shared;
   /// The device's own parameters while `shared` is null. The buffer keeps
-  /// its capacity when the entry returns to the pool, so a recycled
-  /// entry's next write does not allocate.
+  /// its capacity when the slot is freed, so a recycled entry's next write
+  /// does not allocate.
   std::vector<float> own;
   std::uint64_t params_version = 0;
 };
@@ -131,10 +139,19 @@ class DeviceRegistry {
   // --- Device data --------------------------------------------------------
   /// Installs the dataset and partition device data views are built from;
   /// only valid while the registry is empty. The registry keeps its own
-  /// copy of `partition` (O(1) in the window layout) and reserves the
-  /// columns for its devices; `base` must outlive the registry. Throws
-  /// std::out_of_range on a list-layout index past `base`.
+  /// copy of `partition` (O(1) in the window layout), reserves the columns
+  /// for its devices and sizes the hot-entry slab's directory; `base` must
+  /// outlive the registry. Throws std::out_of_range on a list-layout index
+  /// past `base` and std::length_error on more devices than a 4-byte slot
+  /// can name.
   void set_data(const data::Dataset& base, data::Partition partition);
+  /// Whether devices keep the stat-utility and flags columns (on by
+  /// default). Off, Device::train skips the utility write and
+  /// Device::stat_utility() is always nullopt: 9 bytes per device saved
+  /// for selection that never reads candidate metadata. Only valid while
+  /// the registry is empty.
+  void track_stat_utility(bool track);
+  bool tracks_stat_utility() const noexcept { return track_stat_utility_; }
   /// Device `id`'s data, built on demand: a window view, or a borrowed
   /// view of the partition's index list (no copy).
   data::DataView data_view(std::size_t id) const;
@@ -168,8 +185,8 @@ class DeviceRegistry {
   Device insert(std::size_t id, Snapshot base);
   /// A handle to device `id`; throws std::out_of_range when absent.
   Device at(std::size_t id);
-  std::size_t size() const noexcept { return flags_.size(); }
-  bool empty() const noexcept { return flags_.empty(); }
+  std::size_t size() const noexcept { return hot_.size(); }
+  bool empty() const noexcept { return hot_.empty(); }
 
   std::size_t num_shards() const noexcept { return shards_.size(); }
   std::size_t shard_of(std::size_t id) const noexcept {
@@ -211,10 +228,51 @@ class DeviceRegistry {
   struct Shard {
     std::mutex mutex;  // guards everything below
     std::vector<std::size_t> detached;  // ids detached since the broadcast
-    std::vector<std::unique_ptr<DeviceHotEntry>> hot_pool;  // owns entries
-    std::vector<DeviceHotEntry*> hot_free;
+    std::vector<std::uint32_t> hot_free;  // freed slab slots
   };
 
+  /// Hot entries by slot: chunks of kChunkEntries behind a directory sized
+  /// once by reset(), so an entry never moves. A fresh slot's chunk is
+  /// allocated once, by the first thread that reaches it.
+  class HotSlab {
+   public:
+    HotSlab() = default;
+    HotSlab(const HotSlab&) = delete;
+    HotSlab& operator=(const HotSlab&) = delete;
+    ~HotSlab() { reset(0); }
+
+    /// Frees every chunk and sizes the directory for `capacity` slots.
+    /// Not thread-safe.
+    void reset(std::size_t capacity);
+    /// A slot never handed out since reset(). Thread-safe. Throws
+    /// std::logic_error past the capacity.
+    std::uint32_t allocate();
+    /// Slot `slot`'s entry; the slot must have been allocated.
+    DeviceHotEntry& operator[](std::uint32_t slot) const noexcept {
+      return chunks_[slot / kChunkEntries].load(std::memory_order_acquire)
+          [slot % kChunkEntries];
+    }
+    /// Slots handed out since reset().
+    std::size_t allocated() const noexcept {
+      return std::min<std::size_t>(next_.load(std::memory_order_relaxed),
+                                   capacity_);
+    }
+
+   private:
+    static constexpr std::size_t kChunkEntries = 256;
+
+    std::unique_ptr<std::atomic<DeviceHotEntry*>[]> chunks_;
+    std::size_t num_chunks_ = 0;
+    std::size_t capacity_ = 0;
+    std::atomic<std::uint32_t> next_{0};
+    std::mutex mutex_;  // serializes chunk allocation
+  };
+
+  /// Device `id`'s hot entry; null while it follows the block.
+  DeviceHotEntry* hot_entry(std::size_t id) const noexcept {
+    const std::uint32_t slot = hot_[id];
+    return slot == 0 ? nullptr : &slab_[slot - 1];
+  }
   /// Gives device `id` a hot entry sharing `base` and lists it for the
   /// next broadcast() to rejoin. Device::detach and a born-detached insert;
   /// concurrent chains attach disjoint devices.
@@ -230,16 +288,19 @@ class DeviceRegistry {
   std::size_t shard_mask_ = 0;
   // deque: Shard is immovable (mutex) and the count is fixed by configure.
   std::deque<Shard> shards_;
+  HotSlab slab_;
   Snapshot block_;
   std::size_t detached_devices_ = 0;
 
   const data::Dataset* data_ = nullptr;
   data::Partition partition_;
 
-  // The columns, indexed by device id.
-  std::vector<DeviceHotEntry*> hot_;  // null while following
+  // The columns, indexed by device id. The last two are empty unless
+  // track_stat_utility_.
+  std::vector<std::uint32_t> hot_;  // 0 while following, else slot + 1
   std::vector<double> stat_utility_;  // valid iff kHasStatUtility
   std::vector<std::uint8_t> flags_;
+  bool track_stat_utility_ = true;
 
   std::unique_ptr<nn::Sequential> proto_model_;
   std::unique_ptr<optim::Optimizer> proto_optimizer_;

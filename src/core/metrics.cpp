@@ -268,15 +268,20 @@ void save_history_csv(const RunHistory& history, const std::string& path) {
 RunHistory load_history_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("load_history_csv: cannot open " + path);
+  // A CRLF file's lines, header included, end in '\r'.
+  const auto read_line = [&in](std::string& line) {
+    if (!std::getline(in, line)) return false;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    return true;
+  };
   std::string line;
-  if (!std::getline(in, line) || line != "algorithm,step,accuracy,loss") {
+  if (!read_line(line) || line != "algorithm,step,accuracy,loss") {
     throw std::runtime_error("load_history_csv: unexpected header '" + line +
                              "'");
   }
   RunHistory history;
-  for (std::size_t line_no = 2; std::getline(in, line); ++line_no) {
+  for (std::size_t line_no = 2; read_line(line); ++line_no) {
     if (line.empty()) continue;
-    if (line.back() == '\r') line.pop_back();
     const std::string where = "load_history_csv: line " +
                               std::to_string(line_no);
     std::vector<std::string> fields;

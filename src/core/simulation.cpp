@@ -60,6 +60,12 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
         " devices but mobility has " +
         std::to_string(mobility_->num_devices()));
   }
+  if (mobility_->num_edges() > EdgeMembership::kMaxEdges) {
+    throw std::invalid_argument(
+        "Simulation: " + std::to_string(mobility_->num_edges()) +
+        " edges past the " + std::to_string(EdgeMembership::kMaxEdges) +
+        " the membership map can name");
+  }
   if (algorithm_.selection == nullptr) {
     throw std::invalid_argument("Simulation: algorithm has no selection strategy");
   }
@@ -111,12 +117,14 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
 
   const std::size_t num_devices = partition.num_devices();
   registry_.configure(cfg_.fleet);
+  // Only strategies that rank on candidate metadata read stat utilities.
+  registry_.track_stat_utility(algorithm_.selection->needs_metadata());
   registry_.set_prototypes(*init_model, optimizer_prototype);
   registry_.set_data(train, partition);
   registry_.broadcast(cloud_.snapshot());
   for (std::size_t m = 0; m < num_devices; ++m) {
-    // Every device starts following the common init block: three cold
-    // column entries, no snapshot reference and no hot entry of its own.
+    // Every device starts following the common init block: cold column
+    // entries, no snapshot reference and no hot entry of its own.
     registry_.insert(m, cloud_.snapshot());
   }
   // Only strategies that score candidate parameters read the cache.

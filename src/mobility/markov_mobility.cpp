@@ -45,19 +45,26 @@ MarkovMobility::MarkovMobility(std::vector<std::size_t> initial_assignment,
                                std::size_t num_edges,
                                std::vector<double> move_probabilities,
                                std::uint64_t seed)
-    : initial_(std::move(initial_assignment)),
-      current_(initial_),
+    : current_(std::move(initial_assignment)),
       num_edges_(num_edges),
       move_prob_(std::move(move_probabilities)),
       streams_(seed) {
   if (num_edges_ == 0) {
     throw std::invalid_argument("MarkovMobility: need at least one edge");
   }
-  for (std::size_t e : initial_) {
+  if (num_edges_ > kMaxEdges) {
+    throw std::invalid_argument(
+        "MarkovMobility: " + std::to_string(num_edges_) + " edges past the " +
+        std::to_string(kMaxEdges) + " a home edge can name");
+  }
+  // The home map keeps 2-byte ids; every edge fits after the check above.
+  initial_.reserve(current_.size());
+  for (const std::size_t e : current_) {
     if (e >= num_edges_) {
       throw std::out_of_range("MarkovMobility: initial edge " +
                               std::to_string(e) + " out of range");
     }
+    initial_.push_back(static_cast<EdgeId>(e));
   }
   if (!move_prob_.empty() && move_prob_.size() != initial_.size()) {
     throw std::invalid_argument(
@@ -229,7 +236,7 @@ void MarkovMobility::advance() {
 }
 
 void MarkovMobility::reset() {
-  current_ = initial_;
+  current_.assign(initial_.begin(), initial_.end());
   movers_.clear();
   step_ = 0;
 }

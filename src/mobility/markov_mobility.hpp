@@ -25,6 +25,7 @@
 // mobility_parallel_test.
 #pragma once
 
+#include "mobility/edge_id.hpp"
 #include "mobility/mobility_model.hpp"
 #include "parallel/rng.hpp"
 
@@ -48,15 +49,22 @@ std::string to_string(MoveTopology topology);
 /// Throws std::invalid_argument for anything else.
 MoveTopology parse_topology(const std::string& name);
 
+/// Memory: 10 bytes per device — the current assignment (8, the size_t
+/// vector MobilityModel::assignment() returns) and the home edges of the
+/// initial assignment as 2-byte EdgeIds — plus 8 per device only when the
+/// P_m differ.
 class MarkovMobility final : public MobilityModel {
  public:
-  /// Uniform move probability P for all devices.
+  /// Uniform move probability P for all devices. Throws
+  /// std::invalid_argument on no edges or more than kMaxEdges, and
+  /// std::out_of_range on an initial edge >= num_edges.
   MarkovMobility(std::vector<std::size_t> initial_assignment,
                  std::size_t num_edges, double move_probability,
                  std::uint64_t seed);
 
   /// Heterogeneous per-device probabilities P_m (global P is their mean).
-  /// An empty vector means P_m = 0 for every device (no movement).
+  /// An empty vector means P_m = 0 for every device (no movement). Throws
+  /// as the constructor above.
   MarkovMobility(std::vector<std::size_t> initial_assignment,
                  std::size_t num_edges,
                  std::vector<double> move_probabilities, std::uint64_t seed);
@@ -108,7 +116,8 @@ class MarkovMobility final : public MobilityModel {
 
   static constexpr std::size_t kNoCandidate = ~std::size_t{0};
 
-  std::vector<std::size_t> initial_;
+  /// The initial assignment (each device's home edge), restored by reset().
+  std::vector<EdgeId> initial_;
   std::vector<std::size_t> current_;
   std::size_t num_edges_;
   /// Per-device P_m; empty when every device has P_max (then no acceptance

@@ -15,6 +15,12 @@ Trace::Trace(std::size_t num_devices, std::size_t num_edges)
   if (num_devices_ == 0 || num_edges_ == 0) {
     throw std::invalid_argument("Trace: devices and edges must be positive");
   }
+  if (num_edges_ > kMaxEdges) {
+    throw std::invalid_argument("Trace: " + std::to_string(num_edges_) +
+                                " edges past the " +
+                                std::to_string(kMaxEdges) +
+                                " a cell can name");
+  }
 }
 
 void Trace::append(const std::vector<std::size_t>& assignment) {
@@ -30,7 +36,9 @@ void Trace::append(const std::vector<std::size_t>& assignment) {
                               " out of range");
     }
   }
-  table_.insert(table_.end(), assignment.begin(), assignment.end());
+  for (const std::size_t e : assignment) {
+    table_.push_back(static_cast<EdgeId>(e));
+  }
 }
 
 std::size_t Trace::edge_at(std::size_t step, std::size_t device) const {
@@ -82,6 +90,12 @@ Trace Trace::load(std::istream& in) {
     throw std::runtime_error("Trace::load: line 1: malformed header '" +
                              line + "'");
   }
+  if (edges > kMaxEdges) {
+    throw std::runtime_error("Trace::load: line 1: edges=" +
+                             std::to_string(edges) + " past the " +
+                             std::to_string(kMaxEdges) +
+                             " a cell can name");
+  }
   if (steps > std::numeric_limits<std::size_t>::max() / devices) {
     throw std::runtime_error("Trace::load: line 1: steps * devices overflows "
                              "in header '" + line + "'");
@@ -125,19 +139,19 @@ Trace Trace::load(std::istream& in) {
         std::to_string(records.size()));
   }
   // Exactly `cells` records and no (step, device) twice: every cell is set.
-  constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
   Trace trace(devices, edges);
-  trace.table_.assign(cells, kUnset);
+  trace.table_.assign(cells, 0);
+  std::vector<bool> set(cells, false);
   for (const Record& record : records) {
-    std::size_t& slot = trace.table_[record.cell];
-    if (slot != kUnset) {
+    if (set[record.cell]) {
       throw std::runtime_error(
           "Trace::load: line " + std::to_string(record.line) +
           ": duplicate record for step " +
           std::to_string(record.cell / devices) + " device " +
           std::to_string(record.cell % devices));
     }
-    slot = record.edge;
+    set[record.cell] = true;
+    trace.table_[record.cell] = static_cast<EdgeId>(record.edge);
   }
   return trace;
 }

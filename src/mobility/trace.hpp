@@ -8,11 +8,13 @@
 //
 // Recording lets expensive waypoint runs (or, in a real deployment,
 // measured association logs) be replayed bit-exactly into the simulator.
+// A cell is a 2-byte EdgeId, so a trace names at most kMaxEdges edges.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
+#include "mobility/edge_id.hpp"
 #include "mobility/mobility_model.hpp"
 
 namespace middlefl::mobility {
@@ -20,6 +22,8 @@ namespace middlefl::mobility {
 class Trace {
  public:
   Trace() = default;
+  /// Throws std::invalid_argument on no devices, no edges or more than
+  /// kMaxEdges edges.
   Trace(std::size_t num_devices, std::size_t num_edges);
 
   std::size_t num_devices() const noexcept { return num_devices_; }
@@ -40,14 +44,15 @@ class Trace {
   /// Reads a saved trace: exactly one record per (step, device) cell, in
   /// any order. Malformed input (a bad header number, steps * devices
   /// overflowing, a bad or out-of-range record, a duplicate or missing
-  /// cell) throws std::runtime_error naming the line.
+  /// cell, a header naming more than kMaxEdges edges) throws
+  /// std::runtime_error naming the line.
   static Trace load(std::istream& in);
   static Trace load_file(const std::string& path);
 
  private:
   std::size_t num_devices_ = 0;
   std::size_t num_edges_ = 0;
-  std::vector<std::size_t> table_;  // step-major: table_[step*M + device]
+  std::vector<EdgeId> table_;  // step-major: table_[step*M + device]
 };
 
 /// Runs `model` for `steps` transitions and captures every assignment

@@ -206,6 +206,23 @@ TEST(ScenarioSchema, RejectsUnknownKeysWithLocation) {
   }
 }
 
+TEST(EdgeIdRange, ScenarioRejectsEdgesPastTheMapAtTheirPosition) {
+  // The per-device edge maps hold 2-byte ids: more than 65536 edges fails
+  // while loading, at the key, not after the run is built.
+  EXPECT_EQ(config::parse_scenario(R"({"edges": 65536})", "spec.json").edges,
+            65536u);
+  try {
+    config::parse_scenario("{\n  \"name\": \"wide\",\n  \"edges\": 70000\n}",
+                           "spec.json");
+    FAIL() << "expected an edge-count error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("spec.json:3:"), std::string::npos) << what;
+    EXPECT_NE(what.find("'edges'"), std::string::npos) << what;
+    EXPECT_NE(what.find("70000"), std::string::npos) << what;
+  }
+}
+
 TEST(ScenarioSchema, RejectsUnknownNestedKeysWithLocation) {
   try {
     config::parse_scenario(

@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "mobility/trace.hpp"
 #include "nn/conv2d.hpp"
@@ -166,6 +168,44 @@ TEST(SimEdgeCases, CloudIntervalOneSyncsEveryStep) {
   const auto dev = sim->device(0).params();
   for (std::size_t i = 0; i < cloud.size(); ++i) {
     EXPECT_EQ(dev[i], cloud[i]);
+  }
+}
+
+/// Every device on edge 0 of `edges`; never moves.
+class WideMobility final : public middlefl::mobility::MobilityModel {
+ public:
+  WideMobility(std::size_t devices, std::size_t edges)
+      : assignment_(devices, 0), edges_(edges) {}
+  std::string name() const override { return "wide"; }
+  std::size_t num_devices() const override { return assignment_.size(); }
+  std::size_t num_edges() const override { return edges_; }
+  const std::vector<std::size_t>& assignment() const override {
+    return assignment_;
+  }
+  void advance() override {}
+  void reset() override {}
+  std::size_t step() const override { return 0; }
+
+ private:
+  std::vector<std::size_t> assignment_;
+  std::size_t edges_;
+};
+
+TEST(EdgeIdRange, SimulationRejectsEdgesPastTheMapBeforeBuildingThem) {
+  // The membership map names 65536 edges; a wider model used to build the
+  // whole run, evaluate step 0 and only then fail in the first step.
+  const SimBundle bundle;
+  const middlefl::optim::Sgd sgd({.learning_rate = 0.05});
+  try {
+    middlefl::core::Simulation sim(
+        bundle.cfg, bundle.model_spec, sgd, bundle.train, bundle.partition,
+        bundle.test,
+        std::make_unique<WideMobility>(bundle.partition.num_devices(), 70000),
+        middlefl::core::make_algorithm(Algorithm::kFedMes));
+    FAIL() << "expected an edge-count error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("70000 edges"), std::string::npos)
+        << e.what();
   }
 }
 

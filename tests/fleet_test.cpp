@@ -6,8 +6,11 @@
 // state that survives rejoins).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -22,7 +25,9 @@
 #include "nn/model_factory.hpp"
 #include "optim/adam.hpp"
 #include "optim/sgd.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/rng.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim_fixture.hpp"
 #include "transport/compression.hpp"
 
@@ -827,6 +832,155 @@ TEST(FleetColumns, ColdFleetHoldsNoHotEntries) {
   sim.step();
   EXPECT_GT(sim.fleet().hot_entries(), 0u);
   EXPECT_LE(sim.fleet().hot_entries(), kSelect * kEdges);
+}
+
+/// A registry of `devices` followers of a fresh 32-float block.
+Snapshot fill_registry(DeviceRegistry& registry, std::size_t devices) {
+  give_data(registry, devices);
+  const Snapshot block = SnapshotStore::global().publish(ramp(32, 1.0f));
+  registry.broadcast(block);
+  for (std::size_t id = 0; id < devices; ++id) registry.insert(id, block);
+  return block;
+}
+
+TEST(FleetColumns, SlotsAcrossChunkBoundariesKeepTheirEntries) {
+  // One shard hands out slots 0..599 in detach order, across the slab's
+  // chunk boundaries: every entry stays where it was written while later
+  // slots open new chunks.
+  constexpr std::size_t kDevices = 600;
+  DeviceRegistry registry;
+  registry.configure(FleetConfig{.shards = 1});
+  fill_registry(registry, kDevices);
+  std::vector<const float*> own(kDevices);
+  for (std::size_t id = 0; id < kDevices; ++id) {
+    Device device = registry.at(id);
+    device.set_params(ramp(32, static_cast<float>(id)));
+    own[id] = device.params().data();
+  }
+  EXPECT_EQ(registry.hot_entries(), kDevices);
+  EXPECT_EQ(registry.resident_devices(), kDevices);
+  for (std::size_t id = 0; id < kDevices; ++id) {
+    const Device device = registry.at(id);
+    EXPECT_EQ(device.params().data(), own[id]) << "id " << id;
+    EXPECT_EQ(read_params(device), ramp(32, static_cast<float>(id)))
+        << "id " << id;
+  }
+}
+
+TEST(FleetColumns, BroadcastRecyclesSlotsWithTheirOwnCapacity) {
+  // The slots a broadcast frees go back to their shards, and the next
+  // writes take them again: the own buffers they kept are reused, so a
+  // second round of writes allocates no parameter storage.
+  constexpr std::size_t kDevices = 300;
+  DeviceRegistry registry;
+  registry.configure(FleetConfig{.shards = 4});
+  fill_registry(registry, kDevices);
+  std::set<const float*> first;
+  for (std::size_t id = 0; id < kDevices; ++id) {
+    Device device = registry.at(id);
+    device.set_params(ramp(32, 0.5f + static_cast<float>(id)));
+    first.insert(device.params().data());
+  }
+  ASSERT_EQ(first.size(), kDevices);
+
+  registry.broadcast(SnapshotStore::global().publish(ramp(32, 2.0f)));
+  EXPECT_EQ(registry.hot_entries(), 0u);
+  EXPECT_EQ(registry.resident_devices(), 0u);
+
+  // Reversed order: each shard pops its freed slots in another order, and
+  // every buffer is still one of the first round's.
+  std::set<const float*> second;
+  for (std::size_t id = kDevices; id-- > 0;) {
+    Device device = registry.at(id);
+    device.set_params(ramp(32, 3.0f + static_cast<float>(id)));
+    second.insert(device.params().data());
+    EXPECT_EQ(read_params(device), ramp(32, 3.0f + static_cast<float>(id)));
+  }
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(registry.hot_entries(), kDevices);
+}
+
+TEST(FleetColumns, ConcurrentAttachesFromTwoWorkers) {
+  // Two workers detach and write disjoint devices at once: fresh slots
+  // from the shared counter, chunks opened by whichever worker reaches
+  // them first, and per-shard free lists after a broadcast.
+  constexpr std::size_t kDevices = 2000;
+  middlefl::parallel::ThreadPool pool(2);
+  DeviceRegistry registry;
+  registry.configure(FleetConfig{.shards = 4});
+  fill_registry(registry, kDevices);
+  for (std::size_t round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const float base = static_cast<float>(round * kDevices);
+    middlefl::parallel::parallel_for(
+        &pool, 0, kDevices, [&](std::size_t id) {
+          registry.at(id).set_params(ramp(32, base + static_cast<float>(id)));
+        });
+    EXPECT_EQ(registry.hot_entries(), kDevices);
+    EXPECT_EQ(registry.resident_devices(), kDevices);
+    for (std::size_t id = 0; id < kDevices; ++id) {
+      ASSERT_EQ(read_params(registry.at(id)),
+                ramp(32, base + static_cast<float>(id)))
+          << "id " << id;
+    }
+    registry.broadcast(SnapshotStore::global().publish(ramp(32, 9.0f)));
+    EXPECT_EQ(registry.detached_devices(), kDevices);
+    EXPECT_EQ(registry.hot_entries(), 0u);
+  }
+}
+
+TEST(FleetColumns, StatUtilityOnlyWhenSelectionReadsIt) {
+  // Random selection (FedMes) never reads candidate metadata, so the
+  // simulation keeps no stat-utility column and trained devices report
+  // none. Oort keeps the column, and its values are the recorded bits.
+  const SimBundle bundle;
+  auto random = bundle.make(middlefl::core::Algorithm::kFedMes);
+  for (int t = 0; t < 7; ++t) random->step();
+  EXPECT_FALSE(random->fleet().tracks_stat_utility());
+  EXPECT_GT(random->fleet().materializations(), 0u);
+  for (std::size_t m = 0; m < random->num_devices(); ++m) {
+    EXPECT_FALSE(random->device(m).stat_utility().has_value()) << "m " << m;
+  }
+
+  // The utility bits after 7 Oort steps, per device, for the two codegen
+  // variants the goldens record (native and portable gcc 12; see
+  // pipeline_test's GoldenParity).
+  constexpr std::size_t kDevices = 12;
+  const std::uint64_t kRecorded[2][kDevices] = {
+      {0x4051c7e01059b8bf, 0x4054e2ff15348b6b, 0x4053a7acad2589fc,
+       0x405889a4803c7754, 0x40534a0de59c5fe8, 0x405a356fc123d929,
+       0x40572a480b1cdfad, 0x40544672e2b84082, 0x40522c11314d98e9,
+       0x4056557f5465a0c6, 0x4055743fd4059258, 0x4054ef9124cf9a77},
+      {0x4051c7dffe953897, 0x4054e2ff1fd249a8, 0x4053a7aca023bb90,
+       0x405889a490045d51, 0x40534a0de36d32be, 0x405a356fb6032736,
+       0x40572a48126349a5, 0x40544672e710f7a7, 0x40522c112c557c85,
+       0x4056557f4f96951f, 0x4055743fdf7bbd9e, 0x4054ef9120e17ce2}};
+  auto oort = bundle.make(middlefl::core::Algorithm::kOort);
+  for (int t = 0; t < 7; ++t) oort->step();
+  EXPECT_TRUE(oort->fleet().tracks_stat_utility());
+  ASSERT_EQ(oort->num_devices(), kDevices);
+  std::vector<std::uint64_t> bits(kDevices);
+  for (std::size_t m = 0; m < kDevices; ++m) {
+    const std::optional<double> utility = oort->device(m).stat_utility();
+    ASSERT_TRUE(utility.has_value()) << "m " << m;  // all trained by step 7
+    std::memcpy(&bits[m], &*utility, sizeof(double));
+  }
+  for (const auto& variant : kRecorded) {
+    if (std::equal(bits.begin(), bits.end(), variant)) return;
+  }
+  GTEST_SKIP() << "Oort stat utilities match no recorded codegen variant "
+                  "(this host's FP codegen is unrecorded; see "
+                  "tests/README.md): device 0 bits 0x"
+               << std::hex << bits[0];
+}
+
+TEST(FleetColumns, TrackStatUtilityIsConstructionTimeOnly) {
+  DeviceRegistry registry;
+  EXPECT_TRUE(registry.tracks_stat_utility());
+  registry.track_stat_utility(false);
+  fill_registry(registry, 2);
+  EXPECT_FALSE(registry.at(0).stat_utility().has_value());
+  EXPECT_THROW(registry.track_stat_utility(true), std::logic_error);
 }
 
 }  // namespace

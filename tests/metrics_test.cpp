@@ -182,6 +182,22 @@ TEST(HistoryIo, LoadRejectsWrongHeader) {
   std::remove(path.c_str());
 }
 
+TEST(HistoryIo, LoadsCrlfFiles) {
+  // The header's '\r' is stripped as the rows' is.
+  const std::string path = "/tmp/middlefl_history_crlf.csv";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "algorithm,step,accuracy,loss\r\nmiddle,0,0.1,2.3\r\n";
+  }
+  const RunHistory loaded = middlefl::core::load_history_csv(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.algorithm, "middle");
+  ASSERT_EQ(loaded.points.size(), 1u);
+  EXPECT_EQ(loaded.points[0].step, 0u);
+  EXPECT_EQ(loaded.points[0].accuracy, 0.1);
+  EXPECT_EQ(loaded.points[0].loss, 2.3);
+}
+
 /// The std::runtime_error message load_history_csv throws for a file of
 /// `rows` under the right header ("" when it loads).
 std::string history_load_error(const std::string& rows) {

@@ -14,6 +14,7 @@ namespace {
 using middlefl::mobility::MarkovMobility;
 using middlefl::mobility::measure_mobility;
 using middlefl::mobility::moved_devices;
+using middlefl::mobility::MoveTopology;
 using middlefl::mobility::RandomWaypointMobility;
 using middlefl::mobility::record_trace;
 using middlefl::mobility::Trace;
@@ -86,6 +87,49 @@ TEST(Markov, ResetRestoresInitialState) {
   model.reset();
   EXPECT_EQ(model.assignment(), init);
   EXPECT_EQ(model.step(), 0u);
+}
+
+TEST(Markov, AcceptsMaxEdgesRejectsOneMore) {
+  // Home edges are 2-byte ids: 65536 edges is the most they can name.
+  const std::vector<std::size_t> init = {0, 65535, 40000};
+  MarkovMobility widest(init, 65536, 1.0, 3);
+  widest.set_topology(MoveTopology::kHomeRing, 0.5);
+  for (int t = 0; t < 8; ++t) {
+    widest.advance();
+    for (std::size_t e : widest.assignment()) EXPECT_LT(e, 65536u);
+  }
+  widest.reset();
+  EXPECT_EQ(widest.assignment(), init);
+  EXPECT_THROW(MarkovMobility(init, 65537, 0.5, 3), std::invalid_argument);
+}
+
+TEST(Markov, HomeRingResetRestoresTheExactInitialAssignment) {
+  // Commuters return to the home edge read from the 2-byte home map; after
+  // a reset the walk must replay a fresh model's trajectory exactly.
+  constexpr std::size_t kEdges = 300;
+  std::vector<std::size_t> init(500);
+  for (std::size_t m = 0; m < init.size(); ++m) init[m] = (m * 7919) % kEdges;
+  MarkovMobility walked(init, kEdges, 0.7, 19);
+  walked.set_topology(MoveTopology::kHomeRing, 0.6);
+  for (int t = 0; t < 25; ++t) walked.advance();
+  EXPECT_NE(walked.assignment(), init);
+  walked.reset();
+  EXPECT_EQ(walked.assignment(), init);
+  EXPECT_EQ(walked.step(), 0u);
+
+  MarkovMobility fresh(init, kEdges, 0.7, 19);
+  fresh.set_topology(MoveTopology::kHomeRing, 0.6);
+  std::size_t returned_home = 0;
+  for (int t = 0; t < 25; ++t) {
+    walked.advance();
+    fresh.advance();
+    ASSERT_EQ(walked.assignment(), fresh.assignment()) << "step " << t;
+    ASSERT_EQ(*walked.movers(), *fresh.movers()) << "step " << t;
+    for (std::size_t m : *walked.movers()) {
+      returned_home += walked.assignment()[m] == init[m] ? 1 : 0;
+    }
+  }
+  EXPECT_GT(returned_home, 0u);
 }
 
 TEST(Markov, DeterministicReplay) {
@@ -279,6 +323,24 @@ TEST(Trace, LoadRejectsOverflowingHeader) {
                 "steps=2\n0 0 0\n")
                 .find("line 2: expected 9223372036854775808 records"),
             std::string::npos);
+}
+
+TEST(EdgeIdRange, TraceRejectsEdgesPastTheCellRange) {
+  // Cells are 2-byte edge ids: a header naming more edges fails at line 1,
+  // before any record is read.
+  const std::string message = trace_load_error(
+      "# middlefl-trace v1 devices=1 edges=70000 steps=1\n0 0 69999\n");
+  EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("edges=70000"), std::string::npos) << message;
+  EXPECT_THROW(Trace(1, 65537), std::invalid_argument);
+
+  // 65536 edges is the widest trace; its top edge round-trips.
+  std::stringstream widest(
+      "# middlefl-trace v1 devices=2 edges=65536 steps=1\n0 0 65535\n"
+      "0 1 7\n");
+  const Trace trace = Trace::load(widest);
+  EXPECT_EQ(trace.edge_at(0, 0), 65535u);
+  EXPECT_EQ(trace.edge_at(0, 1), 7u);
 }
 
 TEST(Trace, LoadRejectsDuplicateRecords) {
