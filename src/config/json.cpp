@@ -518,7 +518,9 @@ void set_by_path(Json& root, std::string_view dotted_path, Json value) {
     }
     Json* next = node->find(segment);
     if (next == nullptr) {
-      next = &node->set(std::string(segment), Json::make_object());
+      Json object = Json::make_object();
+      object.set_position(value.line(), value.column());
+      next = &node->set(std::string(segment), std::move(object));
     }
     node = next;
     remaining = remaining.substr(dot + 1);

@@ -127,8 +127,9 @@ Json parse_json_file(const std::string& path);
 /// Replaces the node at a dotted path ("sim.transport.wireless_up
 /// .loss_prob") inside an object tree, creating intermediate objects and
 /// missing leaves as needed — schema validation happens later at decode
-/// time, where an invented key is rejected with its location. Throws
-/// std::runtime_error when a path segment lands on a non-object.
+/// time, where an invented key is rejected with its location. A created
+/// object takes `value`'s position, so that location is the value's.
+/// Throws std::runtime_error when a path segment lands on a non-object.
 void set_by_path(Json& root, std::string_view dotted_path, Json value);
 
 }  // namespace middlefl::config

@@ -46,6 +46,37 @@ ScenarioSpec load_scenario_file(const std::string& path) {
   return scenario_from_json(parse_json_file(path), path);
 }
 
+ScenarioSpec scenario_with_overrides(Json document,
+                                     const std::string& source_name,
+                                     const Json& overrides,
+                                     const std::string& overrides_source) {
+  const auto position = [&](const Json& at) {
+    return overrides_source + ":" + std::to_string(at.line()) + ":" +
+           std::to_string(at.column()) + ": ";
+  };
+  if (!overrides.is_object()) {
+    throw std::runtime_error(position(overrides) +
+                             "expects a JSON object mapping dotted spec "
+                             "paths to values");
+  }
+  for (const auto& [path, value] : overrides.members()) {
+    Json alone = Json::make_object();
+    try {
+      set_by_path(alone, path, value);
+      set_by_path(document, path, value);
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error(position(value) + e.what());
+    }
+    try {
+      scenario_from_json(alone, overrides_source);
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error(std::string(e.what()) + " (path '" + path +
+                               "')");
+    }
+  }
+  return scenario_from_json(document, source_name);
+}
+
 Json scenario_to_json(const ScenarioSpec& spec) { return to_json(spec); }
 
 std::string scenario_to_text(const ScenarioSpec& spec) {

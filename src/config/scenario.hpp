@@ -1,14 +1,14 @@
 // ScenarioSpec: the complete declarative description of one simulator run.
 //
-// One JSON document covers every layer the flag-driven front ends wire by
-// hand: the synthetic task and its Non-IID partition, the edge topology
-// and mobility process, the model architecture, the optimizer prototype,
-// the learning-rate schedule, the algorithm policy, and the full
+// One JSON document covers every layer the figure benches wire by hand:
+// the synthetic task and its Non-IID partition, the edge topology and
+// mobility process, the model architecture, the optimizer prototype, the
+// learning-rate schedule, the algorithm policy, and the full
 // core::SimulationConfig (nested transport link policies, fleet device
-// state, heterogeneity knobs). scenario_build.hpp turns a spec
-// into live simulator objects via exactly the construction sequence
-// tools/middlefl_run has always used, so a config-built run is bitwise
-// identical to the equivalent flag-built run (pinned by ctest).
+// state, heterogeneity knobs). It is the only run description
+// tools/middlefl_run and tools/scenario_sweep read; both change a spec
+// only through scenario_with_overrides (dotted path -> value).
+// scenario_build.hpp turns a spec into live simulator objects.
 //
 // Contract (see ARCHITECTURE.md "Declarative scenarios"):
 //   - defaults live in the structs; absent JSON keys keep them;
@@ -396,6 +396,18 @@ ScenarioSpec parse_scenario(std::string_view text,
 
 /// Reads, parses and decodes `path`.
 ScenarioSpec load_scenario_file(const std::string& path);
+
+/// Splices `overrides`, a JSON object mapping dotted spec paths to values
+/// (a `middlefl_run --set` argument, one `scenario_sweep` cell), into
+/// `document` with set_by_path, then decodes the result strictly. Each
+/// override is first decoded on its own, so a bad path or value fails as
+/// "<overrides_source>:<line>:<col>: <message> (path '<dotted.path>')",
+/// positioned inside the overrides' own text; an error elsewhere names
+/// `source_name`.
+ScenarioSpec scenario_with_overrides(Json document,
+                                     const std::string& source_name,
+                                     const Json& overrides,
+                                     const std::string& overrides_source);
 
 /// Canonical JSON form: every schema field, describe order.
 Json scenario_to_json(const ScenarioSpec& spec);

@@ -63,7 +63,7 @@ BuiltScenario build_scenario(const ScenarioSpec& spec) {
   BuiltScenario built;
   built.spec = spec;
 
-  // Same seeding chain as the flag front ends: the task preset's base seed
+  // Same seeding chain as the hand-built benches: the task preset's base seed
   // mixed with the experiment seed, +11 for the partition draw.
   built.data_config =
       data::task_config(data::parse_task(spec.data.task), spec.data.scale);

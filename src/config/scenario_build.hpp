@@ -1,11 +1,12 @@
 // ScenarioSpec -> live simulator objects.
 //
-// build_scenario replicates, step for step, the construction sequence the
-// flag-driven front ends have always used — the same derived seeds
-// (hash_combine for the generator, +11 for the partition, +101 for
-// mobility), the same generate() salt values, the same optimizer
-// construction — so a config-built run is bitwise identical to the
-// flag-built equivalent (pinned by the scenario_equivalence ctest).
+// build_scenario replicates, step for step, the hand-written construction
+// sequence of the figure benches — the same derived seeds (hash_combine
+// for the generator, +11 for the partition, +101 for mobility), the same
+// generate() salt values, the same optimizer construction — so a
+// config-built run is bitwise identical to the hand-built equivalent
+// (pinned by config_test's
+// ScenarioBuilder.MatchesHandConstructedSimulationBitwise).
 //
 // The data half (datasets, partition, homes, model spec, optimizer
 // prototype) is built once and shared; make_simulation constructs a fresh
@@ -45,7 +46,7 @@ BuiltScenario build_scenario(const ScenarioSpec& spec);
 
 /// Declarative schedule -> optim::LrSchedule. kind "default" returns an
 /// empty function: the Simulation then installs its historical
-/// constant-0.01 fallback, exactly as flag-built runs behave.
+/// constant-0.01 fallback, exactly as hand-built runs behave.
 optim::LrSchedule make_lr_schedule(const LrScheduleSpec& spec,
                                    std::size_t local_steps);
 

@@ -6,8 +6,6 @@
 
 #include "core/similarity.hpp"
 #include "core/similarity_cache.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace middlefl::core {
 namespace {
@@ -35,10 +33,6 @@ std::vector<std::size_t> floyd_positions(std::size_t count, std::size_t k,
   }
   return picked;
 }
-
-/// Work threshold (candidates x parameters) below which parallel scoring
-/// costs more in dispatch than it saves.
-constexpr std::size_t kParallelScoreWork = std::size_t{1} << 17;
 
 }  // namespace
 
@@ -101,18 +95,9 @@ std::vector<double> score_selection_utilities(
     std::iota(misses.begin(), misses.end(), std::size_t{0});
   }
 
-  const auto score_one = [&](std::size_t mi) {
-    const std::size_t i = misses[mi];
+  for (const std::size_t i : misses) {
     scores[i] = selection_utility(cloud_params, candidates[i].local_params);
-  };
-  // Each miss writes only its own slot; values are identical to the
-  // serial loop, so parallel scoring cannot perturb selection. Small
-  // batches stay on the calling thread.
-  const bool worth_a_fork = misses.size() > 1 &&
-                            misses.size() * cloud_params.size() >=
-                                kParallelScoreWork;
-  parallel::parallel_for(worth_a_fork ? context.pool : nullptr, 0,
-                         misses.size(), score_one);
+  }
 
   if (context.cache != nullptr) {
     for (const std::size_t i : misses) {

@@ -10,10 +10,10 @@
 // Similarity-based strategies score through a SelectionContext: scores hit
 // the version-keyed SimilarityCache when neither the device nor the cloud
 // moved since the last step, misses are computed with the fused one-pass
-// Eq. 11 kernel (no Delta materialization, no allocation per candidate),
-// and large miss batches fan out over the thread pool. Scoring stays
-// bitwise deterministic: every candidate's value is identical whether it
-// came from the cache, a serial recompute or a parallel recompute.
+// Eq. 11 kernel (no Delta materialization, no allocation per candidate).
+// Scoring runs on the calling thread: each edge chain already has its own
+// pool worker. A candidate's value is identical whether it came from the
+// cache or a recompute.
 #pragma once
 
 #include <memory>
@@ -23,10 +23,6 @@
 #include <vector>
 
 #include "parallel/rng.hpp"
-
-namespace middlefl::parallel {
-class ThreadPool;
-}
 
 namespace middlefl::core {
 
@@ -47,18 +43,16 @@ struct Candidate {
 };
 
 /// Optional acceleration state for select(). Default-constructed context =
-/// no caching, serial scoring — the behavior tests exercise directly.
+/// no caching — the behavior tests exercise directly.
 struct SelectionContext {
   /// Cloud parameter version paired with Candidate::params_version.
   std::uint64_t cloud_version = 0;
   /// Cache of Eq. 11 utilities; nullptr disables caching.
   SimilarityCache* cache = nullptr;
-  /// Pool for parallel candidate scoring; nullptr scores serially.
-  parallel::ThreadPool* pool = nullptr;
 };
 
-/// Eq. 11 utilities for all candidates, cache-aware and (for large miss
-/// batches) pool-parallel. Exposed for reuse by strategies and tests.
+/// Eq. 11 utilities for all candidates, cache-aware. Exposed for reuse by
+/// strategies and tests.
 std::vector<double> score_selection_utilities(
     std::span<const Candidate> candidates, std::span<const float> cloud_params,
     const SelectionContext& context);

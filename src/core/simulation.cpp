@@ -410,7 +410,6 @@ void Simulation::select_edge(std::size_t n) {
   const SelectionContext context{
       .cloud_version = cloud_.params_version(),
       .cache = &similarity_cache_,
-      .pool = pool_,
   };
   last_selection_[n].clear();
   const std::size_t count = membership_.count(n);
@@ -705,8 +704,11 @@ void Simulation::broadcast_devices() {
     Device device = registry_.at(m);
     device.detach();
     parallel::Xoshiro256 rng = streams_.stream(kBroadcastTag, m, t_);
+    // The reconstruction lives only until install_download copies it.
+    std::vector<std::vector<float>> local_arena;
     const transport::Delivery push = link.send(
-        global_block->span(), {.rng = &rng, .arena = &wan_arena_, .step = t_});
+        global_block->span(),
+        {.rng = &rng, .arena = &local_arena, .step = t_});
     if (push.delivered) install_download(device, push.payload, global_block);
   }
 }

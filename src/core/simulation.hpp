@@ -440,7 +440,7 @@ class Simulation {
   std::vector<std::vector<std::vector<float>>> recon_arena_;
   std::vector<std::vector<transport::Arrival>> stale_uploads_;
   // CloudSync scratch: compressed-reconstruction storage of the serial
-  // wan_down and broadcast pushes.
+  // wan_down pushes (the device broadcast scopes its own per push).
   std::vector<std::vector<float>> wan_arena_;
   // The weighted average both aggregation sites call.
   std::unique_ptr<comm::InProcessCommunicator> communicator_;

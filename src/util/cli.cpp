@@ -110,6 +110,10 @@ bool CliParser::parse(int argc, const char* const* argv) {
       throw std::invalid_argument("unknown flag --" + std::string(name));
     }
     Flag& flag = it->second;
+    if (flag.seen) {
+      throw std::invalid_argument("flag --" + std::string(name) +
+                                  " given twice");
+    }
     if (!value) {
       // Bare booleans mean "true"; other types consume the next argv slot.
       if (flag.is_bool &&
@@ -131,11 +135,6 @@ bool CliParser::parse(int argc, const char* const* argv) {
     }
   }
   return true;
-}
-
-bool CliParser::was_set(std::string_view name) const {
-  const auto it = flags_.find(name);
-  return it != flags_.end() && it->second.seen;
 }
 
 std::string CliParser::help_text() const {

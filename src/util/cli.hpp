@@ -1,8 +1,9 @@
 // Tiny declarative CLI flag parser for bench/example binaries.
 //
 // Flags are `--name value` or `--name=value`; booleans also accept the bare
-// form `--name`. Unknown flags are an error so typos in sweep scripts fail
-// loudly instead of silently running the default configuration.
+// form `--name`. Unknown flags and flags given twice are errors, so typos
+// in sweep scripts fail loudly instead of silently running the default
+// configuration or keeping only the last value.
 #pragma once
 
 #include <functional>
@@ -29,16 +30,12 @@ class CliParser {
   void add_flag(std::string name, std::string help, std::string* target);
 
   /// Parses argv. Returns false (after printing help) when --help was given;
-  /// throws std::invalid_argument on malformed input or unknown flags.
+  /// throws std::invalid_argument on malformed input, unknown flags or a
+  /// flag given twice.
   bool parse(int argc, const char* const* argv);
 
   /// Renders the help text.
   std::string help_text() const;
-
-  /// True when `name` appeared on the parsed command line — the hook
-  /// override layers (e.g. --scenario plus explicit flags) use to tell
-  /// "explicitly set" from "still the default".
-  bool was_set(std::string_view name) const;
 
  private:
   struct Flag {

@@ -9,6 +9,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "config/json.hpp"
@@ -148,6 +149,13 @@ TEST(JsonSetByPath, ReplacesNestedLeavesAndCreatesMissingOnes) {
                    0.25);
   EXPECT_THROW(config::set_by_path(doc, "sim.seed.deeper", Json::make_null()),
                std::runtime_error);
+  // A created object takes the value's position, so a decode error on an
+  // invented key points at the value rather than at 0:0.
+  Json value = Json::make_uint(3);
+  value.set_position(4, 9);
+  config::set_by_path(doc, "simx.total_steps", value);
+  EXPECT_EQ(doc.find("simx")->line(), 4);
+  EXPECT_EQ(doc.find("simx")->column(), 9);
 }
 
 // ---------------------------------------------------------------------------
@@ -204,6 +212,62 @@ TEST(ScenarioSchema, RejectsUnknownKeysWithLocation) {
     EXPECT_NE(what.find("spec.json:3:"), std::string::npos) << what;
     EXPECT_NE(what.find("unknown key 'edgez'"), std::string::npos) << what;
   }
+}
+
+TEST(ScenarioSchema, OverridesSpliceByPathBeforeTheStrictDecode) {
+  const Json base = config::parse_json(
+      R"({"name": "base", "edges": 4, "sim": {"total_steps": 9}})", "b.json");
+  const Json overrides = config::parse_json(
+      R"({"sim.total_steps": 60, "algorithm": "fedmes",
+          "sim.transport.wan_up.compression": {"kind": "topk",
+                                               "top_k_fraction": 0.5}})",
+      "--set");
+  const config::ScenarioSpec spec =
+      config::scenario_with_overrides(base, "b.json", overrides, "--set");
+  EXPECT_EQ(spec.name, "base");
+  EXPECT_EQ(spec.edges, 4u);
+  EXPECT_EQ(spec.sim.total_steps, 60u);
+  EXPECT_EQ(spec.algorithm, "fedmes");
+  EXPECT_EQ(spec.sim.transport.wan_up.compression.kind,
+            transport::CompressionKind::kTopK);
+  EXPECT_DOUBLE_EQ(spec.sim.transport.wan_up.compression.top_k_fraction,
+                   0.5);
+  // No overrides: the plain strict decode.
+  EXPECT_EQ(config::scenario_to_text(config::scenario_with_overrides(
+                base, "b.json", Json::make_object(), "--set")),
+            config::scenario_to_text(
+                config::scenario_from_json(base, "b.json")));
+}
+
+TEST(ScenarioSchema, OverrideErrorsNameTheirSourcePathAndPosition) {
+  const Json base = config::parse_json(R"({"edgez": 4})", "b.json");
+  const Json good = config::parse_json(R"({"edges": 4})", "b.json");
+  const auto error = [](const Json& document, std::string_view overrides) {
+    try {
+      config::scenario_with_overrides(
+          document, "b.json", config::parse_json(overrides, "axes.json"),
+          "axes.json");
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(error(good, R"({"sim.totl_steps": 5})"),
+            "axes.json:1:20: unknown key 'totl_steps' (path "
+            "'sim.totl_steps')");
+  EXPECT_EQ(error(good, R"({"simx.total_steps": 5})"),
+            "axes.json:1:22: unknown key 'simx' (path 'simx.total_steps')");
+  EXPECT_EQ(error(good, R"({"sim.total_steps": "many"})"),
+            "axes.json:1:21: key 'total_steps' expects a non-negative "
+            "integer "
+            "(path 'sim.total_steps')");
+  EXPECT_EQ(error(good, R"({"edges.count": 5})"),
+            "axes.json:1:17: path 'edges.count' descends into a non-object");
+  EXPECT_EQ(error(good, "[1]"),
+            "axes.json:1:1: expects a JSON object mapping dotted spec paths "
+            "to values");
+  // An error that is not in an override names the document's source.
+  EXPECT_EQ(error(base, R"({"edges": 4})"), "b.json:1:11: unknown key 'edgez'");
 }
 
 TEST(EdgeIdRange, ScenarioRejectsEdgesPastTheMapAtTheirPosition) {

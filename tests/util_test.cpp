@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -211,6 +213,31 @@ TEST(Cli, MissingValueThrows) {
   cli.add_flag("x", "", &x);
   const char* argv[] = {"prog", "--x"};
   EXPECT_THROW(cli.parse(2, argv), std::invalid_argument);
+}
+
+TEST(Cli, RepeatedFlagThrows) {
+  // A second value must not silently replace the first: the error names
+  // the flag, whatever form either occurrence takes.
+  const auto parse_error = [](std::vector<const char*> argv) {
+    CliParser cli("test");
+    int x = 0;
+    bool quiet = false;
+    cli.add_flag("x", "", &x);
+    cli.add_flag("quiet", "", &quiet);
+    try {
+      cli.parse(static_cast<int>(argv.size()), argv.data());
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(parse_error({"prog", "--x", "5", "--x", "7"}),
+            "flag --x given twice");
+  EXPECT_EQ(parse_error({"prog", "--x=5", "--quiet", "--x=7"}),
+            "flag --x given twice");
+  EXPECT_EQ(parse_error({"prog", "--quiet", "--quiet"}),
+            "flag --quiet given twice");
+  EXPECT_EQ(parse_error({"prog", "--x", "5", "--quiet"}), "accepted");
 }
 
 TEST(Cli, HelpReturnsFalse) {

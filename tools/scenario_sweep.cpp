@@ -19,8 +19,9 @@
 // (middle, 0.0), cell 1 is (middle, 0.2), ... — a deterministic
 // enumeration that downstream joins can rely on. Each cell's document is
 // the base spec with its axis values spliced in by path, then decoded
-// through the same strict schema as `middlefl_run --scenario`: a typo in
-// an axis path is rejected with the axis name before anything runs.
+// through the same strict schema as `middlefl_run --scenario ... --set`
+// (config::scenario_with_overrides): a typo in an axis path is rejected
+// before anything runs, with the axes file position and the axis path.
 //
 // Cells run concurrently (each worker claims the next cell); inside a cell
 // the simulator is forced serial (`sim.parallel_devices = false`) so
@@ -151,13 +152,13 @@ int run(int argc, const char* const* argv) {
   specs.reserve(cells);
   for (std::size_t cell = 0; cell < cells; ++cell) {
     const auto indices = cell_indices(cell, axes);
-    config::Json document = base;
+    config::Json overrides = config::Json::make_object();
     for (std::size_t a = 0; a < axes.size(); ++a) {
-      config::set_by_path(document, axes[a].path,
-                          axes[a].values[indices[a]]);
+      overrides.set(axes[a].path, axes[a].values[indices[a]]);
     }
-    auto spec = config::scenario_from_json(
-        document, opt.base + " [cell " + std::to_string(cell) + "]");
+    auto spec = config::scenario_with_overrides(
+        base, opt.base + " [cell " + std::to_string(cell) + "]", overrides,
+        opt.axes);
     // The sweep parallelizes across cells; each cell runs serially so its
     // results match a standalone single-threaded run bit for bit.
     spec.sim.parallel_devices = false;
