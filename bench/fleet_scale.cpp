@@ -8,8 +8,11 @@
 // and minimum 3) of --steps steps each, rounded up to a whole number of
 // cloud intervals so every window holds the same number of syncs, and
 // reports the median and interquartile range of the per-window steps/sec.
-// It also records the RSS high-water mark (VmHWM, re-armed per
-// configuration via /proc/self/clear_refs) and its delta per device, the
+// It also records the set-up wall time (`setup_s`, split into the data
+// part — partition and initial edges — and the construction part —
+// mobility model and Simulation), the RSS high-water mark (VmHWM,
+// re-armed per configuration via /proc/self/clear_refs) and its delta per
+// device, the
 // registry's fleet accounting (materializations per step, peak devices
 // holding their own copy), plus the 10k -> 1M per-step cost ratio of the
 // medians.
@@ -48,6 +51,10 @@ struct FleetMeasurement {
   std::vector<double> window_steps_per_sec;
   Spread steps_per_sec;
   double seconds = 0.0;  // all timed windows
+  /// Set-up wall seconds: the partition and initial edge assignment
+  /// (data), then the mobility model and the Simulation (construct).
+  double setup_data_s = 0.0;
+  double setup_construct_s = 0.0;
   /// Mean per-phase wall microseconds over the observed probe window that
   /// follows the bare timed loop (the timed window itself runs obs-off).
   /// The window is one full cloud interval, so it holds exactly one sync
@@ -105,9 +112,16 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
   reset_peak_rss();
   m.rss_before_bytes = current_rss_bytes();
 
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point since) {
+    return std::chrono::duration<double>(Clock::now() - since).count();
+  };
+  const auto setup_begin = Clock::now();
   const data::Partition partition =
       data::partition_fleet_window(task.train, devices, 16);
   auto initial = data::assign_edges_uniform(devices, num_edges, options.seed);
+  m.setup_data_s = seconds_since(setup_begin);
+  const auto construct_begin = Clock::now();
   auto mobility = std::make_unique<middlefl::mobility::MarkovMobility>(
       std::move(initial), num_edges, options.mobility, options.seed + 11);
 
@@ -128,12 +142,12 @@ FleetMeasurement run_config(const FleetTask& task, std::size_t devices,
   core::Simulation sim(cfg, task.model_spec, optimizer, task.train, partition,
                        task.test, std::move(mobility),
                        core::make_algorithm(core::Algorithm::kFedMes));
+  m.setup_construct_s = seconds_since(construct_begin);
 
   for (std::size_t w = 0; w < windows; ++w) {
-    const auto begin = std::chrono::steady_clock::now();
+    const auto begin = Clock::now();
     for (std::size_t s = 0; s < window_steps; ++s) sim.step();
-    const auto end = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(end - begin).count();
+    const double seconds = seconds_since(begin);
     m.seconds += seconds;
     m.window_steps_per_sec.push_back(
         seconds > 0.0 ? static_cast<double>(window_steps) / seconds : 0.0);
@@ -194,8 +208,10 @@ void print_row(const FleetMeasurement& m) {
             << m.window_steps << " steps, median "
             << m.steps_per_sec.median << " steps/sec [IQR "
             << m.steps_per_sec.q1 << ", " << m.steps_per_sec.q3
-            << "], peak RSS +" << m.peak_delta_bytes / (1024 * 1024)
-            << " MiB ("
+            << "], set-up " << (m.setup_data_s + m.setup_construct_s) * 1e3
+            << " ms (data " << m.setup_data_s * 1e3 << ", construct "
+            << m.setup_construct_s * 1e3 << "), peak RSS +"
+            << m.peak_delta_bytes / (1024 * 1024) << " MiB ("
             << static_cast<double>(m.peak_delta_bytes) /
                    static_cast<double>(m.devices)
             << " B/device), "
@@ -220,6 +236,10 @@ void emit_json(std::ostream& out, const FleetMeasurement& m, bool last) {
   }
   out << "],\n"
       << "      \"seconds\": " << m.seconds << ",\n"
+      << "      \"setup_s\": " << m.setup_data_s + m.setup_construct_s
+      << ",\n"
+      << "      \"setup_data_s\": " << m.setup_data_s << ",\n"
+      << "      \"setup_construct_s\": " << m.setup_construct_s << ",\n"
       << "      \"steps_per_sec\": " << m.steps_per_sec.median << ",\n"
       << "      \"steps_per_sec_q1\": " << m.steps_per_sec.q1 << ",\n"
       << "      \"steps_per_sec_q3\": " << m.steps_per_sec.q3 << ",\n"

@@ -84,6 +84,11 @@ Json& Json::push_back(Json value) {
   return items_.back();
 }
 
+std::string position_of(const std::string& source, const Json& at) {
+  return source + ":" + std::to_string(at.line()) + ":" +
+         std::to_string(at.column());
+}
+
 std::string format_number(double value) {
   if (!std::isfinite(value)) return "0";
   char buf[40];

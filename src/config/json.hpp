@@ -109,6 +109,9 @@ class Json {
   int column_ = 0;
 };
 
+/// "<source>:<line>:<col>" of `at`: the prefix of every positioned error.
+std::string position_of(const std::string& source, const Json& at);
+
 /// Shortest decimal form of `value` that parses back to the same double
 /// (tries 15/16/17 significant digits). Non-finite values map to 0, as in
 /// obs::json_number — a config file must never become unparseable.

@@ -229,8 +229,7 @@ class JsonDecoder {
   }
 
   [[noreturn]] void fail(const Json& at, const std::string& message) const {
-    throw std::runtime_error(source_ + ":" + std::to_string(at.line()) + ":" +
-                             std::to_string(at.column()) + ": " + message);
+    throw std::runtime_error(position_of(source_, at) + ": " + message);
   }
 
   const Json* take(const char* name) {

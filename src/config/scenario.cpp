@@ -27,10 +27,8 @@ ScenarioSpec scenario_from_json(const Json& document,
   // The per-device edge maps hold 2-byte ids: reject the count here, at
   // its position, rather than after the run is built.
   if (spec.edges > mobility::kMaxEdges) {
-    const Json& at = *document.find("edges");
     throw std::runtime_error(
-        source_name + ":" + std::to_string(at.line()) + ":" +
-        std::to_string(at.column()) + ": key 'edges': " +
+        position_of(source_name, *document.find("edges")) + ": key 'edges': " +
         std::to_string(spec.edges) + " past the " +
         std::to_string(mobility::kMaxEdges) + " an edge id can name");
   }
@@ -46,26 +44,43 @@ ScenarioSpec load_scenario_file(const std::string& path) {
   return scenario_from_json(parse_json_file(path), path);
 }
 
+void check_disjoint_paths(const Json& overrides, const std::string& source) {
+  const auto& members = overrides.members();
+  for (std::size_t b = 1; b < members.size(); ++b) {
+    for (std::size_t a = 0; a < b; ++a) {
+      // With a '.' appended, a path starts with another exactly when the
+      // two are equal or it lies below the other.
+      const std::string first = members[a].first + '.';
+      const std::string second = members[b].first + '.';
+      if (first.starts_with(second) || second.starts_with(first)) {
+        throw std::runtime_error(
+            position_of(source, members[b].second) + ": path '" +
+            members[b].first + "' overlaps path '" + members[a].first +
+            "' at " + position_of(source, members[a].second) +
+            "; set each leaf once");
+      }
+    }
+  }
+}
+
 ScenarioSpec scenario_with_overrides(Json document,
                                      const std::string& source_name,
                                      const Json& overrides,
                                      const std::string& overrides_source) {
-  const auto position = [&](const Json& at) {
-    return overrides_source + ":" + std::to_string(at.line()) + ":" +
-           std::to_string(at.column()) + ": ";
-  };
   if (!overrides.is_object()) {
-    throw std::runtime_error(position(overrides) +
-                             "expects a JSON object mapping dotted spec "
+    throw std::runtime_error(position_of(overrides_source, overrides) +
+                             ": expects a JSON object mapping dotted spec "
                              "paths to values");
   }
+  check_disjoint_paths(overrides, overrides_source);
   for (const auto& [path, value] : overrides.members()) {
     Json alone = Json::make_object();
     try {
       set_by_path(alone, path, value);
       set_by_path(document, path, value);
     } catch (const std::runtime_error& e) {
-      throw std::runtime_error(position(value) + e.what());
+      throw std::runtime_error(position_of(overrides_source, value) + ": " +
+                               e.what());
     }
     try {
       scenario_from_json(alone, overrides_source);

@@ -397,10 +397,16 @@ ScenarioSpec parse_scenario(std::string_view text,
 /// Reads, parses and decodes `path`.
 ScenarioSpec load_scenario_file(const std::string& path);
 
+/// Throws std::runtime_error naming both paths, at their values' positions
+/// in `source`, when two keys of the object `overrides` are equal dotted
+/// paths or one lies below the other (they would resolve last-wins).
+void check_disjoint_paths(const Json& overrides, const std::string& source);
+
 /// Splices `overrides`, a JSON object mapping dotted spec paths to values
 /// (a `middlefl_run --set` argument, one `scenario_sweep` cell), into
-/// `document` with set_by_path, then decodes the result strictly. Each
-/// override is first decoded on its own, so a bad path or value fails as
+/// `document` with set_by_path, then decodes the result strictly.
+/// Overlapping paths are rejected (check_disjoint_paths). Each override
+/// is first decoded on its own, so a bad path or value fails as
 /// "<overrides_source>:<line>:<col>: <message> (path '<dotted.path>')",
 /// positioned inside the overrides' own text; an error elsewhere names
 /// `source_name`.

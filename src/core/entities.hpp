@@ -50,7 +50,7 @@ struct DeviceTrainStats {
   std::size_t batches = 0;
 };
 
-/// Handle to one device of a DeviceRegistry (DeviceRegistry::insert/at).
+/// Handle to one device of a DeviceRegistry (DeviceRegistry::at).
 /// The registry must outlive it and hold the model/optimizer prototypes
 /// before the device trains.
 class Device {

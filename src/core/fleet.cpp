@@ -79,7 +79,18 @@ void DeviceRegistry::set_data(const data::Dataset& base,
     throw std::logic_error(
         "DeviceRegistry::set_data: registry already holds devices");
   }
-  for (const std::vector<std::size_t>& list : partition.device_indices) {
+  const auto empty_partition = [](std::size_t id) {
+    return std::invalid_argument("Device " + std::to_string(id) +
+                                 ": empty data partition");
+  };
+  // Every window has the same size, so one check covers the layout.
+  if (partition.window_devices > 0 &&
+      (partition.window_size == 0 || base.size() == 0)) {
+    throw empty_partition(0);
+  }
+  for (std::size_t id = 0; id < partition.device_indices.size(); ++id) {
+    const std::vector<std::size_t>& list = partition.device_indices[id];
+    if (list.empty()) throw empty_partition(id);
     for (const std::size_t i : list) {
       if (i >= base.size()) {
         throw std::out_of_range("DeviceRegistry::set_data: index " +
@@ -98,10 +109,11 @@ void DeviceRegistry::set_data(const data::Dataset& base,
   partition_ = std::move(partition);
   const std::size_t n = partition_.num_devices();
   slab_.reset(n);
-  hot_.reserve(n);
+  // Every device is born a cold follower: no hot entry, no utility yet.
+  hot_.assign(n, 0);
   if (track_stat_utility_) {
-    stat_utility_.reserve(n);
-    flags_.reserve(n);
+    stat_utility_.assign(n, 0.0);
+    flags_.assign(n, 0);
   }
 }
 
@@ -111,11 +123,6 @@ void DeviceRegistry::track_stat_utility(bool track) {
         "DeviceRegistry::track_stat_utility: registry already holds devices");
   }
   track_stat_utility_ = track;
-  if (!track) {
-    // Drops what set_data() may have reserved.
-    stat_utility_ = {};
-    flags_ = {};
-  }
 }
 
 data::DataView DeviceRegistry::data_view(std::size_t id) const {
@@ -207,34 +214,14 @@ void DeviceRegistry::share(DeviceHotEntry& entry, Snapshot snapshot) noexcept {
   entry.shared = std::move(snapshot);
 }
 
-Device DeviceRegistry::insert(std::size_t id, Snapshot base) {
-  if (id != size()) {
-    throw std::invalid_argument(
-        "DeviceRegistry::insert: device id " + std::to_string(id) +
-        (id < size() ? " is already present" : " skips ids") +
-        "; ids are 0..n-1 in order, next is " + std::to_string(size()));
-  }
-  if (base == nullptr) {
-    throw std::invalid_argument("DeviceRegistry::insert: null base snapshot");
-  }
-  if (id >= partition_.num_devices() || data_view(id).empty()) {
-    throw std::invalid_argument("Device " + std::to_string(id) +
-                                ": empty data partition");
-  }
-  hot_.push_back(0);
-  if (track_stat_utility_) {
-    stat_utility_.push_back(0.0);
-    flags_.push_back(0);
-  }
-  // A device born on another block is detached from the start.
-  if (base != block_) attach_hot(id, std::move(base));
-  return Device(this, id);
-}
-
 Device DeviceRegistry::at(std::size_t id) {
   if (id >= size()) {
     throw std::out_of_range("DeviceRegistry::at: no device with id " +
                             std::to_string(id));
+  }
+  if (block_ == nullptr) {
+    throw std::logic_error(
+        "DeviceRegistry::at: no block to follow before the first broadcast");
   }
   return Device(this, id);
 }

@@ -22,8 +22,10 @@
 // last one), not O(fleet), and leaves every device with the bytes and
 // version stamp an adopt of the new block would have given it.
 //
-// Storage is column-wise over the dense ids 0..n-1. A cold (following)
-// device is a 4-byte hot slot of 0 — plus, only when selection reads
+// Storage is column-wise over the dense ids 0..n-1, all made present by
+// set_data() with one fill per column (no per-device call), so a fleet is
+// built in O(columns) and follows the first broadcast()'s block. A cold
+// (following) device is a 4-byte hot slot of 0 — plus, only when selection reads
 // metadata, its stat utility (8) and a flags byte — and its data view is
 // rebuilt on demand from the registry's data::Partition. So a cold device
 // costs 4 bytes under random selection and 13 under metadata selection.
@@ -42,11 +44,11 @@
 // so it never holds more slots than it has devices: the slab never
 // outgrows its directory.
 //
-// Thread-safety contract: configure()/set_data()/set_prototypes()/insert()
-// are construction-time operations and broadcast() is a serial-point
-// operation (no concurrent calls); at() and the Device methods are safe
-// concurrently for disjoint devices, which is how the per-edge chains use
-// them, together with the runtime pool and the counters.
+// Thread-safety contract: configure()/track_stat_utility()/set_data()/
+// set_prototypes() are construction-time and broadcast() a serial point
+// (no concurrent calls); at() and the Device methods are safe concurrently
+// for disjoint devices, as the per-edge chains use them, together with the
+// runtime pool and the counters.
 #pragma once
 
 #include <algorithm>
@@ -137,19 +139,21 @@ class DeviceRegistry {
   std::size_t param_count() const noexcept { return param_count_; }
 
   // --- Device data --------------------------------------------------------
-  /// Installs the dataset and partition device data views are built from;
-  /// only valid while the registry is empty. The registry keeps its own
-  /// copy of `partition` (O(1) in the window layout), reserves the columns
-  /// for its devices and sizes the hot-entry slab's directory; `base` must
-  /// outlive the registry. Throws std::out_of_range on a list-layout index
-  /// past `base` and std::length_error on more devices than a 4-byte slot
-  /// can name.
+  /// Installs the dataset and partition device data views are built from
+  /// and makes devices 0..n-1 of the partition present, each a cold
+  /// follower of the broadcast block; only valid while the registry is
+  /// empty. The registry keeps its own copy of `partition` (O(1) in the
+  /// window layout), fills the columns for its devices and sizes the
+  /// hot-entry slab's directory; `base` must outlive the registry. Throws
+  /// std::invalid_argument naming the first device whose partition is
+  /// empty, std::out_of_range on a list-layout index past `base` and
+  /// std::length_error on more devices than a 4-byte slot can name.
   void set_data(const data::Dataset& base, data::Partition partition);
   /// Whether devices keep the stat-utility and flags columns (on by
   /// default). Off, Device::train skips the utility write and
   /// Device::stat_utility() is always nullopt: 9 bytes per device saved
   /// for selection that never reads candidate metadata. Only valid while
-  /// the registry is empty.
+  /// the registry is empty, i.e. before set_data() fills it.
   void track_stat_utility(bool track);
   bool tracks_stat_utility() const noexcept { return track_stat_utility_; }
   /// Device `id`'s data, built on demand: a window view, or a borrowed
@@ -177,13 +181,9 @@ class DeviceRegistry {
   std::size_t hot_entries() const;
 
   // --- Device table -------------------------------------------------------
-  /// Appends device `id`, which must equal size(): ids are 0..n-1 in
-  /// insertion order. The device follows the block when `base` is block()
-  /// and is born detached on `base` otherwise. Throws
-  /// std::invalid_argument on a duplicate or out-of-order id, a null
-  /// base, or an id whose data partition is missing or empty.
-  Device insert(std::size_t id, Snapshot base);
-  /// A handle to device `id`; throws std::out_of_range when absent.
+  /// A handle to device `id`; throws std::out_of_range when absent and
+  /// std::logic_error before the first broadcast() (a device reads the
+  /// block until it is written).
   Device at(std::size_t id);
   std::size_t size() const noexcept { return hot_.size(); }
   bool empty() const noexcept { return hot_.empty(); }
@@ -274,8 +274,8 @@ class DeviceRegistry {
     return slot == 0 ? nullptr : &slab_[slot - 1];
   }
   /// Gives device `id` a hot entry sharing `base` and lists it for the
-  /// next broadcast() to rejoin. Device::detach and a born-detached insert;
-  /// concurrent chains attach disjoint devices.
+  /// next broadcast() to rejoin. Device::detach; concurrent chains attach
+  /// disjoint devices.
   DeviceHotEntry& attach_hot(std::size_t id, Snapshot base);
   /// Copies `params` into `entry`'s own buffer (no copy when `params` is
   /// that buffer) and drops its shared snapshot. A sharing entry counts

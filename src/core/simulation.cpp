@@ -120,13 +120,10 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
   // Only strategies that rank on candidate metadata read stat utilities.
   registry_.track_stat_utility(algorithm_.selection->needs_metadata());
   registry_.set_prototypes(*init_model, optimizer_prototype);
+  // Every device starts following the common init block: cold column
+  // entries, no snapshot reference and no hot entry of its own.
   registry_.set_data(train, partition);
   registry_.broadcast(cloud_.snapshot());
-  for (std::size_t m = 0; m < num_devices; ++m) {
-    // Every device starts following the common init block: cold column
-    // entries, no snapshot reference and no hot entry of its own.
-    registry_.insert(m, cloud_.snapshot());
-  }
   // Only strategies that score candidate parameters read the cache.
   if (algorithm_.selection->needs_params()) {
     similarity_cache_.resize(num_devices);

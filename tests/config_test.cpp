@@ -270,6 +270,40 @@ TEST(ScenarioSchema, OverrideErrorsNameTheirSourcePathAndPosition) {
   EXPECT_EQ(error(base, R"({"edges": 4})"), "b.json:1:11: unknown key 'edgez'");
 }
 
+TEST(ScenarioSchema, OverlappingOverridesAreRejectedNamingBothPaths) {
+  // Two overrides of one leaf would resolve last-wins, whichever key comes
+  // last; a path and its prefix both set is an error at the second one.
+  const Json base = config::parse_json(R"({"edges": 4})", "b.json");
+  const auto error = [&](std::string_view overrides) {
+    try {
+      config::scenario_with_overrides(
+          base, "b.json", config::parse_json(overrides, "--set"), "--set");
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(error(R"({"sim.total_steps": 2, "sim": {"total_steps": 3}})"),
+            "--set:1:31: path 'sim' overlaps path 'sim.total_steps' at "
+            "--set:1:21; set each leaf once");
+  EXPECT_EQ(error(R"({"sim": {"total_steps": 3}, "sim.total_steps": 2})"),
+            "--set:1:48: path 'sim.total_steps' overlaps path 'sim' at "
+            "--set:1:9; set each leaf once");
+  // Siblings under one parent, and a path that extends another's last
+  // segment without a '.', are not overlaps.
+  const config::ScenarioSpec spec = config::scenario_with_overrides(
+      base, "b.json",
+      config::parse_json(
+          R"({"sim.total_steps": 2, "sim.batch_size": 4,
+              "lr_schedule.decay": 0.25, "lr_schedule.decay_every": 7})",
+          "--set"),
+      "--set");
+  EXPECT_EQ(spec.sim.total_steps, 2u);
+  EXPECT_EQ(spec.sim.batch_size, 4u);
+  EXPECT_DOUBLE_EQ(spec.lr_schedule.decay, 0.25);
+  EXPECT_EQ(spec.lr_schedule.decay_every, 7u);
+}
+
 TEST(EdgeIdRange, ScenarioRejectsEdgesPastTheMapAtTheirPosition) {
   // The per-device edge maps hold 2-byte ids: more than 65536 edges fails
   // while loading, at the key, not after the run is built.

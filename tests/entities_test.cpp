@@ -26,9 +26,9 @@ using middlefl::nn::ModelSpec;
 using middlefl::parallel::Xoshiro256;
 using middlefl::tensor::Shape;
 
-/// Registry-backed devices: a shared base snapshot, the pooled
-/// model/optimizer prototypes every device trains through, and a partition
-/// giving each of two devices the whole dataset.
+/// Registry-backed devices: a shared base snapshot every device follows,
+/// the pooled model/optimizer prototypes every device trains through, and
+/// a partition giving each of two devices the whole dataset.
 struct Fixture {
   Dataset dataset;
   ModelSpec spec;
@@ -50,6 +50,7 @@ struct Fixture {
     middlefl::data::Partition partition;
     partition.device_indices.assign(2, all);
     registry.set_data(dataset, std::move(partition));
+    registry.broadcast(base);
   }
 
   static Dataset make_dataset() {
@@ -61,19 +62,33 @@ struct Fixture {
     return gen.generate(30, 0);
   }
 
-  /// Inserts device `id` (ids go 0, 1, ... in order) on `base`.
-  Device make_device(std::size_t id) { return registry.insert(id, base); }
+  /// Device `id`, following `base`.
+  Device make_device(std::size_t id) { return registry.at(id); }
 };
 
 TEST(Device, ConstructionValidation) {
   Fixture fx;
-  EXPECT_THROW(fx.registry.insert(0, nullptr), std::invalid_argument);
   {
+    // An empty partition fails the registry's set_data, naming the device.
     DeviceRegistry empty_data;
     middlefl::data::Partition partition;
     partition.device_indices.resize(1);
-    empty_data.set_data(fx.dataset, std::move(partition));
-    EXPECT_THROW(empty_data.insert(0, fx.base), std::invalid_argument);
+    try {
+      empty_data.set_data(fx.dataset, std::move(partition));
+      FAIL() << "expected an empty-partition error";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "Device 0: empty data partition");
+    }
+    EXPECT_TRUE(empty_data.empty());
+  }
+  {
+    // Present from set_data, but nothing to read before the first block.
+    DeviceRegistry unbroadcast;
+    unbroadcast.set_data(fx.dataset, middlefl::data::partition_fleet_window(
+                                         fx.dataset, 3, 4));
+    EXPECT_EQ(unbroadcast.size(), 3u);
+    EXPECT_THROW(unbroadcast.at(0), std::logic_error);
+    EXPECT_THROW(unbroadcast.at(3), std::out_of_range);
   }
   const Device device = fx.make_device(0);
   EXPECT_EQ(device.param_count(), fx.base->size());

@@ -133,6 +133,7 @@ struct OracleFixture {
   Snapshot base;
   DeviceRegistry registry;
   std::vector<std::size_t> firsts;
+  std::size_t next_id = 0;
 
   OracleFixture(const middlefl::optim::Optimizer& prototype,
                 std::vector<std::size_t> data_firsts)
@@ -152,12 +153,13 @@ struct OracleFixture {
       }
     }
     registry.set_data(shared_data(), std::move(partition));
+    registry.broadcast(base);
   }
 
-  /// Inserts the next device (born detached on `base`) and its oracle.
+  /// The next device (following `base`) and its oracle.
   TwinPair make_pair(const middlefl::optim::Optimizer& prototype) {
-    const std::size_t id = registry.size();
-    return TwinPair{registry.insert(id, base),
+    const std::size_t id = next_id++;
+    return TwinPair{registry.at(id),
                     OracleDevice{middlefl::data::DataView::window(
                                      shared_data(), firsts.at(id), 40),
                                  init->clone(), prototype.clone_config(), {}}};
@@ -311,11 +313,9 @@ TEST(RegistryChurn, ShardAssignmentIsStableAndMasked) {
     EXPECT_LT(shard, registry.num_shards());
     EXPECT_EQ(shard, registry.shard_of(id));  // deterministic
   }
-  // configure() and set_data() are construction-time only.
-  const std::vector<float> init(8, 0.0f);
-  const Snapshot base = SnapshotStore::global().publish(init);
+  // configure() and set_data() are construction-time only: set_data()
+  // makes the devices present.
   give_data(registry, 2);
-  registry.insert(0, base);
   EXPECT_THROW(registry.configure(FleetConfig{}), std::logic_error);
   EXPECT_THROW(give_data(registry, 2), std::logic_error);
 }
@@ -601,8 +601,8 @@ TEST(FleetBroadcast, ErasedWhileDetachedIsSkipped) {
   give_data(registry, 11);
   const Snapshot b0 = SnapshotStore::global().publish(ramp(32, 1.0f));
   registry.broadcast(b0);
-  for (std::size_t id = 0; id < 10; ++id) {
-    EXPECT_TRUE(registry.insert(id, b0).following());
+  for (std::size_t id = 0; id < 11; ++id) {
+    EXPECT_TRUE(registry.at(id).following());
   }
   // Three kinds of write: an own copy, an own copy rewritten from a span
   // of itself, and an adopt of another block.
@@ -626,7 +626,7 @@ TEST(FleetBroadcast, ErasedWhileDetachedIsSkipped) {
   const Snapshot b1 = SnapshotStore::global().publish(ramp(32, 5.0f));
   registry.broadcast(b1);
   EXPECT_EQ(registry.detached_devices(), 3u);
-  for (std::size_t id = 0; id < 10; ++id) {
+  for (std::size_t id = 0; id < 11; ++id) {
     const Device device = registry.at(id);
     EXPECT_TRUE(device.following()) << "id " << id;
     EXPECT_EQ(device.params().data(), b1->span().data()) << "id " << id;
@@ -634,8 +634,9 @@ TEST(FleetBroadcast, ErasedWhileDetachedIsSkipped) {
   }
   EXPECT_EQ(registry.resident_devices(), 0u);
 
-  // Inserted on another block, a device is detached from birth.
-  EXPECT_FALSE(registry.insert(10, b0).following());
+  // Adopting another block detaches a device until the next broadcast.
+  registry.at(10).adopt(b0);
+  EXPECT_FALSE(registry.at(10).following());
   registry.broadcast(b0);
   EXPECT_EQ(registry.detached_devices(), 1u);
   EXPECT_EQ(registry.at(10).params().data(), b0->span().data());
@@ -693,7 +694,6 @@ TEST(FleetColumns, LosslessBroadcastReturnsEveryHotEntry) {
   give_data(registry, kDevices);
   const Snapshot b0 = SnapshotStore::global().publish(ramp(32, 1.0f));
   registry.broadcast(b0);
-  for (std::size_t id = 0; id < kDevices; ++id) registry.insert(id, b0);
   EXPECT_EQ(registry.hot_entries(), 0u);
 
   for (std::size_t id = 0; id < kDevices; ++id) {
@@ -774,23 +774,53 @@ TEST(FleetColumns, SelectionReadsDoNotCopy) {
   EXPECT_EQ(sim->fleet().materializations(), before);
 }
 
-TEST(FleetColumns, InsertRejectsDuplicateAndOutOfOrderIds) {
+TEST(FleetColumns, SetDataMakesEveryDeviceAFollowerOfTheBlock) {
+  // set_data makes devices 0..n-1 present as cold followers; they read
+  // nothing until the first broadcast gives them a block, then every one
+  // reads its bytes and version with no hot entry of its own.
+  constexpr std::size_t kDevices = 1000;
   DeviceRegistry registry;
-  give_data(registry, 3);
-  const Snapshot base = SnapshotStore::global().publish(ramp(32, 1.0f));
-  EXPECT_THROW(registry.insert(1, base), std::invalid_argument);
-  EXPECT_EQ(registry.insert(0, base).id(), 0u);
-  EXPECT_THROW(registry.insert(0, base), std::invalid_argument);
-  EXPECT_THROW(registry.insert(2, base), std::invalid_argument);
-  EXPECT_THROW(registry.insert(1, nullptr), std::invalid_argument);
-  EXPECT_EQ(registry.size(), 1u);
-  registry.insert(1, base);
-  registry.insert(2, base);
-  // Past the partition: no data for the id.
-  EXPECT_THROW(registry.insert(3, base), std::invalid_argument);
-  EXPECT_EQ(registry.size(), 3u);
-  EXPECT_EQ(registry.at(2).id(), 2u);
-  EXPECT_THROW(registry.at(3), std::out_of_range);
+  give_data(registry, kDevices);
+  EXPECT_EQ(registry.size(), kDevices);
+  EXPECT_THROW(registry.at(0), std::logic_error);
+  const Snapshot b = SnapshotStore::global().publish(ramp(32, 1.0f));
+  registry.broadcast(b);
+  for (std::size_t id = 0; id < kDevices; ++id) {
+    const Device device = registry.at(id);
+    EXPECT_TRUE(device.following()) << "id " << id;
+    EXPECT_EQ(device.params().data(), b->span().data()) << "id " << id;
+    EXPECT_EQ(device.params_version(), b->version()) << "id " << id;
+    EXPECT_FALSE(device.stat_utility().has_value()) << "id " << id;
+  }
+  EXPECT_EQ(registry.hot_entries(), 0u);
+  EXPECT_EQ(registry.detached_devices(), 0u);
+  EXPECT_THROW(registry.at(kDevices), std::out_of_range);
+}
+
+TEST(FleetColumns, SetDataRejectsAnEmptyListNamingTheFirstEmptyDevice) {
+  // The list layout is checked in set_data's one pass over the lists: the
+  // error names the first empty device, and the registry stays empty.
+  middlefl::data::Partition partition;
+  partition.device_indices = {{0, 1}, {2}, {}, {3}, {}};
+  DeviceRegistry registry;
+  try {
+    registry.set_data(shared_data(), std::move(partition));
+    FAIL() << "expected an empty-partition error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "Device 2: empty data partition");
+  }
+  EXPECT_TRUE(registry.empty());
+  // An empty window is every device's: the layout needs one check.
+  middlefl::data::Partition windows;
+  windows.window_devices = 4;
+  windows.window_size = 0;
+  try {
+    registry.set_data(shared_data(), std::move(windows));
+    FAIL() << "expected an empty-partition error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "Device 0: empty data partition");
+  }
+  EXPECT_TRUE(registry.empty());
 }
 
 TEST(FleetColumns, ColdFleetHoldsNoHotEntries) {
@@ -839,7 +869,6 @@ Snapshot fill_registry(DeviceRegistry& registry, std::size_t devices) {
   give_data(registry, devices);
   const Snapshot block = SnapshotStore::global().publish(ramp(32, 1.0f));
   registry.broadcast(block);
-  for (std::size_t id = 0; id < devices; ++id) registry.insert(id, block);
   return block;
 }
 

@@ -20,7 +20,8 @@
 // enumeration that downstream joins can rely on. Each cell's document is
 // the base spec with its axis values spliced in by path, then decoded
 // through the same strict schema as `middlefl_run --scenario ... --set`
-// (config::scenario_with_overrides): a typo in an axis path is rejected
+// (config::scenario_with_overrides): a typo in an axis path, or two axes
+// whose paths overlap (`sim` next to `sim.total_steps`), is rejected
 // before anything runs, with the axes file position and the axis path.
 //
 // Cells run concurrently (each worker claims the next cell); inside a cell
@@ -85,18 +86,21 @@ struct CellResult {
 std::vector<Axis> load_axes(const std::string& path) {
   const config::Json doc = config::parse_json_file(path);
   if (!doc.is_object()) {
-    throw std::runtime_error(path +
+    throw std::runtime_error(config::position_of(path, doc) +
                              ": axes file must be a JSON object mapping "
                              "dotted spec paths to value arrays");
   }
   std::vector<Axis> axes;
   for (const auto& [key, value] : doc.members()) {
     if (!value.is_array() || value.items().empty()) {
-      throw std::runtime_error(path + ": axis '" + key +
+      throw std::runtime_error(config::position_of(path, value) +
+                               ": axis '" + key +
                                "' must be a non-empty array");
     }
     axes.push_back(Axis{key, value.items()});
   }
+  // Overlapping axes would splice last-wins and mislabel every row.
+  config::check_disjoint_paths(doc, path);
   return axes;
 }
 
