@@ -375,7 +375,6 @@ SimRunSummary SimRunSummary::capture(const core::Simulation& simulation) {
   s.total_in_flight = simulation.transport().total_in_flight();
   s.failed_uploads = simulation.failed_uploads();
   s.lost_downloads = simulation.lost_downloads();
-  s.straggler_drops = simulation.straggler_drops();
   s.on_device_aggregations = simulation.on_device_aggregations();
   s.mean_blend_weight = simulation.mean_blend_weight();
   s.materializations = simulation.fleet().materializations();
@@ -428,7 +427,6 @@ void append_summary_members(config::Json& object,
   object.set("total_in_flight", Json::make_uint(summary.total_in_flight));
   object.set("failed_uploads", Json::make_uint(summary.failed_uploads));
   object.set("lost_downloads", Json::make_uint(summary.lost_downloads));
-  object.set("straggler_drops", Json::make_uint(summary.straggler_drops));
   object.set("on_device_aggregations",
              Json::make_uint(summary.on_device_aggregations));
   object.set("mean_blend_weight",

@@ -178,7 +178,6 @@ struct SimRunSummary {
   std::size_t total_in_flight = 0;
   std::size_t failed_uploads = 0;
   std::size_t lost_downloads = 0;
-  std::size_t straggler_drops = 0;
   std::size_t on_device_aggregations = 0;
   double mean_blend_weight = 0.0;
   std::uint64_t materializations = 0;

@@ -1,6 +1,5 @@
-// Mobility substrate tour: the three Markov topologies, the 2-D
-// random-waypoint model with nearest-edge association, speed calibration to
-// a target global mobility P, and trace record/replay.
+// Mobility substrate tour: the three Markov topologies and trace
+// record/replay of a home-ring run.
 //
 //   ./examples/mobility_patterns
 #include <iomanip>
@@ -8,7 +7,6 @@
 #include <sstream>
 
 #include "mobility/markov_mobility.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "mobility/trace.hpp"
 
 using namespace middlefl::mobility;
@@ -58,34 +56,12 @@ int main() {
   std::cout << "(uniform mixes populations into IID; home-biased keeps the\n"
                " geographic class correlation that makes edge data Non-IID)\n\n";
 
-  // --- Random waypoint ----------------------------------------------------
-  WaypointConfig wp;
-  wp.num_devices = kDevices;
-  wp.num_edges = kEdges;
-  std::cout << "Random-waypoint mobility on a " << wp.width << " x "
-            << wp.height << " plane:\n";
-  RandomWaypointMobility raw(wp);
-  std::cout << "  default speeds:    empirical P = "
-            << measure_mobility(raw, 300) << "\n";
-
-  const auto calibrated = calibrate_speed(wp, /*target_p=*/0.3);
-  RandomWaypointMobility tuned(calibrated);
-  std::cout << "  calibrated to 0.3: empirical P = "
-            << measure_mobility(tuned, 300) << "  (speeds "
-            << calibrated.speed_min << " - " << calibrated.speed_max
-            << ")\n";
-
-  // Nearest-edge association at work.
-  const auto pos = tuned.device_position(0);
-  const std::size_t edge = tuned.assignment()[0];
-  const auto epos = tuned.edge_position(edge);
-  std::cout << "  device 0 at (" << pos.x << ", " << pos.y
-            << ") associates with edge " << edge << " at (" << epos.x << ", "
-            << epos.y << ")\n\n";
-
   // --- Trace record / replay ----------------------------------------------
+  // The paper-style runs' process: home-biased ring walks at P = 0.5.
+  MarkovMobility live(round_robin(kDevices, kEdges), kEdges, 0.5, 12);
+  live.set_topology(MoveTopology::kHomeRing, 0.5);
   std::cout << "Trace record/replay:\n";
-  Trace trace = record_trace(tuned, /*steps=*/40);
+  Trace trace = record_trace(live, /*steps=*/40);
   std::ostringstream buffer;
   trace.save(buffer);
   std::cout << "  recorded " << trace.num_steps() << " snapshots ("
@@ -93,12 +69,12 @@ int main() {
 
   std::istringstream reader(buffer.str());
   TraceMobility replay(Trace::load(reader));
-  bool identical = true;
-  tuned.reset();
+  // record_trace leaves the live model reset to step 0.
+  bool identical = live.assignment() == replay.assignment();
   for (std::size_t t = 0; t < 40; ++t) {
-    tuned.advance();
+    live.advance();
     replay.advance();
-    identical = identical && tuned.assignment() == replay.assignment();
+    identical = identical && live.assignment() == replay.assignment();
   }
   std::cout << "  replay matches live model step-for-step: "
             << (identical ? "yes" : "NO") << "\n";

@@ -24,7 +24,7 @@
 //                  round-trip property test over every field
 //
 // Leaf vocabulary: bool, double, float, unsigned integers (size_t /
-// uint64), std::string, std::vector<double>, plus two special forms:
+// uint64), std::string, plus one special form:
 //
 //   choice(name, current, options, apply)  enum-as-string fields; the
 //       apply callback parses+validates, and the options list both
@@ -64,8 +64,7 @@ concept UnsignedField =
 /// A nested reflected struct: anything without a dedicated leaf overload.
 template <class T>
 concept StructField = !std::is_arithmetic_v<T> &&
-                      !std::same_as<T, std::string> &&
-                      !std::same_as<T, std::vector<double>>;
+                      !std::same_as<T, std::string>;
 
 }  // namespace detail
 
@@ -85,11 +84,6 @@ class JsonEncoder {
   }
   void field(const char* name, std::string& v) {
     out_.set(name, Json::make_string(v));
-  }
-  void field(const char* name, std::vector<double>& v) {
-    Json array = Json::make_array();
-    for (const double value : v) array.push_back(Json::make_number(value));
-    out_.set(name, std::move(array));
   }
   template <detail::UnsignedField T>
   void field(const char* name, T& v) {
@@ -161,18 +155,6 @@ class JsonDecoder {
     if (const Json* m = take(name)) {
       if (!m->is_string()) fail(*m, expected(name, "a string"));
       v = m->as_string();
-    }
-  }
-  void field(const char* name, std::vector<double>& v) {
-    if (const Json* m = take(name)) {
-      if (!m->is_array()) fail(*m, expected(name, "an array of numbers"));
-      v.clear();
-      for (const Json& item : m->items()) {
-        if (!item.is_number()) {
-          fail(item, expected(name, "an array of numbers"));
-        }
-        v.push_back(item.as_number());
-      }
     }
   }
   template <detail::UnsignedField T>
@@ -266,7 +248,6 @@ class FieldCounter {
   void field(const char*, double&) { ++count_; }
   void field(const char*, float&) { ++count_; }
   void field(const char*, std::string&) { ++count_; }
-  void field(const char*, std::vector<double>&) { ++count_; }
   template <detail::UnsignedField T>
   void field(const char*, T&) {
     ++count_;
@@ -316,9 +297,6 @@ class FieldPerturber {
   }
   void field(const char* name, std::string& v) {
     if (claim(name)) v += "-x";
-  }
-  void field(const char* name, std::vector<double>& v) {
-    if (claim(name)) v.push_back(1.5);
   }
   template <detail::UnsignedField T>
   void field(const char* name, T& v) {

@@ -13,7 +13,7 @@ namespace middlefl::config {
 // to the schema instead of silently dropping the field from specs.
 // (config_test pins the flattened leaf counts for every platform.)
 #if defined(__x86_64__) && defined(__GLIBCXX__) && defined(_GLIBCXX_RELEASE)
-#define MIDDLEFL_SIMCONFIG_SIZE 376
+#define MIDDLEFL_SIMCONFIG_SIZE 344
 static_assert(sizeof(core::SimulationConfig) == MIDDLEFL_SIMCONFIG_SIZE,
               "SimulationConfig changed size: register the new member in "
               "Schema<SimulationConfig> (src/config/scenario.hpp) and "

@@ -5,7 +5,7 @@
 // mobility process, the model architecture, the optimizer prototype, the
 // learning-rate schedule, the algorithm policy, and the full
 // core::SimulationConfig (nested transport link policies, fleet device
-// state, heterogeneity knobs). It is the only run description
+// state, serving and comm knobs). It is the only run description
 // tools/middlefl_run and tools/scenario_sweep read; both change a spec
 // only through scenario_with_overrides (dotted path -> value).
 // scenario_build.hpp turns a spec into live simulator objects.
@@ -55,19 +55,14 @@ struct DataSpec {
 };
 
 /// Mobility process. `model` selects which parameter block applies:
-/// markov reads switch_prob/topology/home_bias, random-waypoint reads the
-/// plane geometry and speeds, trace reads trace_file.
+/// markov reads switch_prob/topology/home_bias, trace reads trace_file
+/// (whose header must match the spec's edges and data.devices).
 struct MobilitySpec {
-  std::string model = "markov";  // markov|random-waypoint|trace
+  std::string model = "markov";  // markov|trace
   /// Markov move probability P (the Fig. 7 sweep axis).
   double switch_prob = 0.5;
   std::string topology = "home-ring";  // uniform|ring|home-ring
   double home_bias = 0.5;
-  double width = 1000.0;
-  double height = 1000.0;
-  double speed_min = 20.0;
-  double speed_max = 60.0;
-  double pause_probability = 0.1;
   std::string trace_file;
 };
 
@@ -84,13 +79,11 @@ struct OptimizerSpec {
 
 /// Declarative form of optim::LrSchedule (a std::function, which cannot
 /// itself round-trip). kind "default" leaves SimulationConfig::lr_schedule
-/// empty, preserving the simulator's historical constant-0.01 fallback.
+/// empty, preserving the simulator's historical constant-0.01 fallback;
+/// "constant" holds base_lr; "theorem1" is the Theorem 1 decay.
 struct LrScheduleSpec {
-  std::string kind = "default";  // default|constant|step-decay|theorem1|warmup
+  std::string kind = "default";  // default|constant|theorem1
   double base_lr = 0.01;
-  double decay = 0.5;            // step-decay factor
-  std::size_t decay_every = 100; // step-decay interval
-  std::size_t warmup_steps = 100;
   double mu = 0.1;               // theorem1
   double beta = 1.0;             // theorem1
 };
@@ -115,16 +108,16 @@ struct ScenarioSpec {
 // the sizeof static_assert in scenario.cpp catches SimulationConfig growth
 // at compile time on the reference ABI).
 
-/// SimulationConfig flattened: 5 loop + 2 aggregation + 5 eval + 20
-/// transport (5 links x loss/kind/fraction/latency) + 2 heterogeneity + 1
-/// fleet + 4 serving + 2 comm + seed + 1 execution.
+/// SimulationConfig flattened: 5 loop + 2 aggregation + 4 eval + 20
+/// transport (5 links x loss/kind/fraction/latency) + 1 fleet + 4 serving
+/// + 2 comm + seed + 1 execution.
 /// Excluded members: lr_schedule (std::function; declared via
 /// LrScheduleSpec) and pool (runtime pointer).
-inline constexpr std::size_t kSimulationConfigLeaves = 43;
-/// ScenarioSpec flattened: 4 top-level + 10 data + 10 mobility + 3 model
-/// + 7 optimizer + 7 lr_schedule + kSimulationConfigLeaves.
+inline constexpr std::size_t kSimulationConfigLeaves = 40;
+/// ScenarioSpec flattened: 4 top-level + 10 data + 5 mobility + 3 model
+/// + 7 optimizer + 4 lr_schedule + kSimulationConfigLeaves.
 inline constexpr std::size_t kScenarioSpecLeaves =
-    41 + kSimulationConfigLeaves;
+    33 + kSimulationConfigLeaves;
 
 // ---------------------------------------------------------------------------
 // Choice-string helpers shared by the schemas below.
@@ -234,12 +227,9 @@ struct Schema<core::SimulationConfig> {
     v.field("weighted_cloud_aggregation", c.weighted_cloud_aggregation);
     v.field("eval_every", c.eval_every);
     v.field("eval_samples", c.eval_samples);
-    v.field("track_per_class", c.track_per_class);
     v.field("track_edge_accuracy", c.track_edge_accuracy);
     v.field("eval_edges", c.eval_edges);
     v.field("transport", c.transport);
-    v.field("device_speeds", c.device_speeds);
-    v.field("round_deadline", c.round_deadline);
     v.field("fleet", c.fleet);
     v.field("serving", c.serving);
     v.field("comm", c.comm);
@@ -300,11 +290,10 @@ template <>
 struct Schema<MobilitySpec> {
   template <class V>
   static void describe(V& v, MobilitySpec& m) {
-    v.choice("model", m.model, {"markov", "random-waypoint", "trace"},
+    v.choice("model", m.model, {"markov", "trace"},
              [&m](const std::string& s) {
-               m.model = require_name(
-                   s, {"markov", "random-waypoint", "trace"},
-                   "mobility model");
+               m.model = require_name(s, {"markov", "trace"},
+                                      "mobility model");
              });
     v.field("switch_prob", m.switch_prob);
     v.choice("topology", m.topology, {"uniform", "ring", "home-ring"},
@@ -313,11 +302,6 @@ struct Schema<MobilitySpec> {
                m.topology = s;
              });
     v.field("home_bias", m.home_bias);
-    v.field("width", m.width);
-    v.field("height", m.height);
-    v.field("speed_min", m.speed_min);
-    v.field("speed_max", m.speed_max);
-    v.field("pause_probability", m.pause_probability);
     v.field("trace_file", m.trace_file);
   }
 };
@@ -342,19 +326,12 @@ template <>
 struct Schema<LrScheduleSpec> {
   template <class V>
   static void describe(V& v, LrScheduleSpec& l) {
-    v.choice("kind", l.kind,
-             {"default", "constant", "step-decay", "theorem1", "warmup"},
+    v.choice("kind", l.kind, {"default", "constant", "theorem1"},
              [&l](const std::string& s) {
-               l.kind = require_name(
-                   s,
-                   {"default", "constant", "step-decay", "theorem1",
-                    "warmup"},
-                   "lr schedule");
+               l.kind = require_name(s, {"default", "constant", "theorem1"},
+                                     "lr schedule");
              });
     v.field("base_lr", l.base_lr);
-    v.field("decay", l.decay);
-    v.field("decay_every", l.decay_every);
-    v.field("warmup_steps", l.warmup_steps);
     v.field("mu", l.mu);
     v.field("beta", l.beta);
   }

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "mobility/markov_mobility.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "mobility/trace.hpp"
 #include "optim/adam.hpp"
 #include "optim/sgd.hpp"
@@ -115,25 +114,12 @@ optim::LrSchedule make_lr_schedule(const LrScheduleSpec& spec,
     require_base_lr();
     return optim::constant_lr(spec.base_lr);
   }
-  if (spec.kind == "step-decay") {
-    require_base_lr();
-    require(spec.decay > 0.0 && spec.decay <= 1.0, "decay", "in (0, 1]",
-            spec.decay);
-    if (spec.decay_every == 0) {
-      throw std::invalid_argument("lr_schedule.decay_every must be positive");
-    }
-    return optim::step_decay_lr(spec.base_lr, spec.decay, spec.decay_every);
-  }
   if (spec.kind == "theorem1") {
     require(std::isfinite(spec.mu) && spec.mu > 0.0, "mu",
             "finite and positive", spec.mu);
     require(std::isfinite(spec.beta) && spec.beta >= 0.0, "beta",
             "finite and non-negative", spec.beta);
     return optim::theorem1_lr(spec.mu, spec.beta, local_steps);
-  }
-  if (spec.kind == "warmup") {
-    require_base_lr();
-    return optim::warmup_lr(spec.base_lr, spec.warmup_steps);
   }
   throw std::invalid_argument("unknown lr schedule '" + spec.kind + "'");
 }
@@ -149,25 +135,29 @@ std::unique_ptr<mobility::MobilityModel> make_mobility(
                         spec.mobility.home_bias);
     return model;
   }
-  if (spec.mobility.model == "random-waypoint") {
-    mobility::WaypointConfig cfg;
-    cfg.num_devices = homes.size();
-    cfg.num_edges = spec.edges;
-    cfg.width = spec.mobility.width;
-    cfg.height = spec.mobility.height;
-    cfg.speed_min = spec.mobility.speed_min;
-    cfg.speed_max = spec.mobility.speed_max;
-    cfg.pause_probability = spec.mobility.pause_probability;
-    cfg.seed = seed;
-    return std::make_unique<mobility::RandomWaypointMobility>(cfg);
-  }
   if (spec.mobility.model == "trace") {
-    if (spec.mobility.trace_file.empty()) {
+    const std::string& path = spec.mobility.trace_file;
+    if (path.empty()) {
       throw std::invalid_argument(
           "mobility.model 'trace' requires mobility.trace_file");
     }
-    return std::make_unique<mobility::TraceMobility>(
-        mobility::Trace::load_file(spec.mobility.trace_file));
+    mobility::Trace trace = mobility::Trace::load_file(path);
+    // A trace sized for another topology would silently run it instead.
+    const auto require_match = [&path](const char* header_key,
+                                       std::size_t traced,
+                                       const char* spec_key,
+                                       std::size_t wanted) {
+      if (traced != wanted) {
+        throw std::invalid_argument(
+            "mobility.trace_file '" + path + "' has " + header_key + "=" +
+            std::to_string(traced) + " but the spec has " + spec_key + " " +
+            std::to_string(wanted));
+      }
+    };
+    require_match("edges", trace.num_edges(), "edges", spec.edges);
+    require_match("devices", trace.num_devices(), "data.devices",
+                  spec.data.devices);
+    return std::make_unique<mobility::TraceMobility>(std::move(trace));
   }
   throw std::invalid_argument("unknown mobility model '" +
                               spec.mobility.model + "'");

@@ -52,7 +52,9 @@ optim::LrSchedule make_lr_schedule(const LrScheduleSpec& spec,
 
 /// Fresh mobility model per simulation, seeded from spec.sim.seed + 101
 /// (the front ends' historical offset). `extra_seed` lets bench repeats
-/// decorrelate (bench_common adds 7919 * repeat).
+/// decorrelate (bench_common adds 7919 * repeat). A trace whose header
+/// names other edge or device counts than spec.edges and data.devices
+/// throws std::invalid_argument naming the file and both counts.
 std::unique_ptr<mobility::MobilityModel> make_mobility(
     const ScenarioSpec& spec, const std::vector<std::size_t>& homes,
     std::uint64_t extra_seed = 0);

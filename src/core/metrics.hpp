@@ -92,8 +92,8 @@ struct EvalPoint {
   std::size_t step = 0;
   double accuracy = 0.0;
   double loss = 0.0;
-  /// Optional extras, empty unless tracking was enabled.
-  std::vector<double> per_class_accuracy;
+  /// Each edge model's accuracy; empty unless track_edge_accuracy and
+  /// eval_edges are set.
   std::vector<double> edge_accuracy;
 };
 
@@ -121,9 +121,8 @@ struct RunHistory {
 /// including algorithm names containing commas or quotes, which the writer
 /// escapes per RFC 4180 and the loader unescapes (util::csv_split_row).
 /// Loading validates the header and parses every field whole; a malformed
-/// row throws std::runtime_error naming its line. Extras (per-class / edge
-/// accuracy) are not persisted — persist the full CSVs from the benches
-/// for those.
+/// row throws std::runtime_error naming its line. Per-edge accuracies are
+/// not persisted — persist the full CSVs from the benches for those.
 void save_history_csv(const RunHistory& history, const std::string& path);
 RunHistory load_history_csv(const std::string& path);
 

@@ -1,7 +1,6 @@
 #include "core/simulation.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -129,25 +128,6 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
     similarity_cache_.resize(num_devices);
   }
 
-  // The heterogeneity profile behind local_step_budget().
-  if (!cfg_.device_speeds.empty() &&
-      cfg_.device_speeds.size() != num_devices) {
-    throw std::invalid_argument(
-        "Simulation: device_speeds must be empty or one entry per device");
-  }
-  for (const double speed : cfg_.device_speeds) {
-    if (!(std::isfinite(speed) && speed > 0.0)) {
-      throw std::invalid_argument(
-          "Simulation: device speeds must be finite and positive, got " +
-          std::to_string(speed));
-    }
-  }
-  if (!(std::isfinite(cfg_.round_deadline) && cfg_.round_deadline >= 0.0)) {
-    throw std::invalid_argument(
-        "Simulation: round_deadline must be finite and non-negative, got " +
-        std::to_string(cfg_.round_deadline));
-  }
-
   evaluator_ = std::make_unique<Evaluator>(
       init_model->clone(), data::DataView::all(test));
   evaluator_->set_pool(pool_);
@@ -155,16 +135,6 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
   for (const transport::LinkKind kind : transport::kAllLinkKinds) {
     last_step_.links[slot(kind)].link = transport::to_string(kind);
   }
-}
-
-std::size_t Simulation::local_step_budget(std::size_t m) const {
-  if (cfg_.round_deadline <= 0.0) return cfg_.local_steps;
-  const double speed =
-      cfg_.device_speeds.empty() ? 1.0 : cfg_.device_speeds[m];
-  // Clamped in double: deadline * speed may exceed every size_t.
-  return static_cast<std::size_t>(
-      std::min(static_cast<double>(cfg_.local_steps),
-               std::floor(cfg_.round_deadline * speed)));
 }
 
 CommStats Simulation::comm_stats() const {
@@ -191,7 +161,6 @@ void Simulation::set_observability(const obs::Observability& obs) {
     metric_ids_.movers = m.counter("sim.movers");
     metric_ids_.cloud_syncs = m.counter("sim.cloud_syncs");
     metric_ids_.selected = m.counter("sim.selected_devices");
-    metric_ids_.stragglers = m.counter("sim.straggler_drops");
     metric_ids_.lost_downloads = m.counter("sim.lost_downloads");
     metric_ids_.blends = m.counter("sim.on_device_aggregations");
     metric_ids_.evaluations = m.counter("sim.evaluations");
@@ -363,7 +332,6 @@ std::vector<std::vector<std::size_t>> Simulation::edge_members() const {
 
 void Simulation::edge_chain(std::size_t n) {
   EdgeTrace& trace = traces_[n];
-  trace.stragglers = 0;
   trace.lost_downloads = 0;
   trace.blend_weights.clear();
   // At round boundaries the chain ends with its WAN publish; the serial
@@ -459,7 +427,6 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
   for (std::size_t i = 0; i < selection.size(); ++i) {
     const std::size_t m = selection[i];
     Device device = registry_.at(m);
-    const bool straggler = local_step_budget(m) == 0;
     const std::size_t came_from = membership_.previous_edge(m);
     const bool moved = came_from != n;
 
@@ -469,21 +436,13 @@ void Simulation::distribute_edge(std::size_t n, EdgeTrace& trace) {
         .rng = &rng, .arena = &local_arena, .step = t_};
 
     // Every selected device downloads its edge's model; FedMes' moved
-    // devices additionally fetch their previous edge's model. Stragglers
-    // are charged for the download too — they receive it, then fail to
-    // finish a single local step before the deadline.
+    // devices additionally fetch their previous edge's model.
     const transport::Delivery dl = downlink.send(edge_model, ctx);
     transport::Delivery prev_dl{};
     const bool wants_prev =
         moved && algorithm_.on_move == OnDeviceRule::kPrevEdgeAverage;
     if (wants_prev) {
       prev_dl = downlink.send(edge_snapshot_[came_from]->span(), ctx);
-    }
-    if (straggler) {
-      // Straggler: cannot finish a single local step before the deadline.
-      sits_out[i] = 1;
-      ++trace.stragglers;
-      continue;
     }
     if (!dl.delivered) {
       // Download lost in transit: the device sits the round out.
@@ -547,7 +506,7 @@ void Simulation::train_edge(std::size_t n) {
     const std::size_t m = selection[i];
     if (runtime == nullptr) runtime = registry_.acquire_runtime();
     auto rng = streams_.stream(kTrainTag, m, t_);
-    registry_.at(m).train(local_step_budget(m), cfg_.batch_size,
+    registry_.at(m).train(cfg_.local_steps, cfg_.batch_size,
                           cfg_.lr_schedule(t_), rng, runtime);
   }
   if (runtime != nullptr) registry_.release_runtime(runtime);
@@ -633,12 +592,10 @@ void Simulation::record_step(bool sync) {
   // commute; the blend-weight sums are floating point and are added term
   // by term in (edge, selection) order, keeping mean_blend_weight()
   // bitwise stable at any thread count.
-  r.stragglers = 0;
   r.lost_downloads = 0;
   r.blends = 0;
   r.blend_weight_sum = 0.0;
   for (const EdgeTrace& trace : traces_) {
-    r.stragglers += trace.stragglers;
     r.lost_downloads += trace.lost_downloads;
     r.blends += trace.blend_weights.size();
     for (const double weight : trace.blend_weights) {
@@ -647,7 +604,6 @@ void Simulation::record_step(bool sync) {
     }
   }
   blends_ += r.blends;
-  straggler_drops_ += r.stragglers;
 
   r.materializations = registry_.materializations() - prev_materializations_;
   for (const transport::LinkKind kind : transport::kAllLinkKinds) {
@@ -672,9 +628,8 @@ void Simulation::record_step(bool sync) {
   // order — never from inside the parallel chains — so the trace event
   // stream is deterministic at any thread count.
   if (obs_.trace != nullptr) {
-    if (r.stragglers > 0 || r.lost_downloads > 0) {
-      obs_.trace->instant("dropouts", "sim", r.stragglers + r.lost_downloads,
-                          "count");
+    if (r.lost_downloads > 0) {
+      obs_.trace->instant("dropouts", "sim", r.lost_downloads, "count");
     }
     if (r.blends > 0) obs_.trace->instant("blends", "sim", r.blends, "count");
   }
@@ -919,9 +874,6 @@ void Simulation::finish_step_obs(obs::TraceRecorder::Clock::time_point begin) {
     m.add(metric_ids_.steps);
     if (r.movers > 0) m.add(metric_ids_.movers, static_cast<double>(r.movers));
     m.add(metric_ids_.selected, static_cast<double>(r.selected));
-    if (r.stragglers > 0) {
-      m.add(metric_ids_.stragglers, static_cast<double>(r.stragglers));
-    }
     if (r.lost_downloads > 0) {
       m.add(metric_ids_.lost_downloads, static_cast<double>(r.lost_downloads));
     }
@@ -1007,9 +959,6 @@ const EvalPoint& Simulation::evaluate_now() {
       evaluator_->evaluate(cloud_.params(), cfg_.eval_samples);
   point.accuracy = result.accuracy;
   point.loss = result.loss;
-  if (cfg_.track_per_class) {
-    point.per_class_accuracy = evaluator_->per_class_accuracy(cloud_.params());
-  }
   if (cfg_.track_edge_accuracy && cfg_.eval_edges) {
     point.edge_accuracy.reserve(edges_.size());
     for (const auto& edge : edges_) {

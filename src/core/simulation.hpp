@@ -103,7 +103,6 @@ struct SimulationConfig {
   std::size_t eval_every = 10;
   /// Subsample size for periodic evaluation; 0 = the full test set.
   std::size_t eval_samples = 1000;
-  bool track_per_class = false;
   /// Record each edge model's test accuracy at eval points.
   bool track_edge_accuracy = false;
   /// Master switch for the per-edge evaluation sweep: with it off,
@@ -116,18 +115,6 @@ struct SimulationConfig {
   /// Per-link transport policies (loss, compression, latency) for the
   /// whole hierarchy. Defaults are perfect links.
   transport::TransportConfig transport;
-
-  /// System heterogeneity: relative compute speed per device (1.0 =
-  /// nominal; empty = homogeneous). With a positive `round_deadline`, a
-  /// selected device only completes min(I, floor(deadline * speed)) local
-  /// steps within the time step; devices that cannot finish even one step
-  /// are dropped from the round (counted by straggler_drops()). This
-  /// models the paper's premise that "any device can complete the entire
-  /// one-round process in a time step" breaking down on slow hardware.
-  std::vector<double> device_speeds;
-  /// Local steps a speed-1.0 device can complete per time step; 0 = no
-  /// deadline (every device always finishes all I steps).
-  double round_deadline = 0.0;
 
   /// Device-state machinery (core/fleet.hpp): the registry shard count.
   FleetConfig fleet;
@@ -275,9 +262,6 @@ class Simulation {
   std::size_t lost_downloads() const noexcept {
     return transport_->stats(transport::LinkKind::kWirelessDown).dropped;
   }
-  /// Selected devices dropped because they could not finish one local step
-  /// before the round deadline.
-  std::size_t straggler_drops() const noexcept { return straggler_drops_; }
   /// Simulated device->edge uplink bytes (after compression) so far.
   std::size_t upload_bytes() const noexcept {
     return transport_->stats(transport::LinkKind::kWirelessUp).bytes;
@@ -319,7 +303,6 @@ class Simulation {
   /// chains run: dropout counts and ordered blend weights. record_step()
   /// merges them in canonical edge order at the serial point.
   struct EdgeTrace {
-    std::size_t stragglers = 0;
     std::size_t lost_downloads = 0;
     /// Blend weights in selection order (the canonical reduction order).
     std::vector<double> blend_weights;
@@ -334,7 +317,6 @@ class Simulation {
     obs::MetricsRegistry::MetricId movers = 0;
     obs::MetricsRegistry::MetricId cloud_syncs = 0;
     obs::MetricsRegistry::MetricId selected = 0;
-    obs::MetricsRegistry::MetricId stragglers = 0;
     obs::MetricsRegistry::MetricId lost_downloads = 0;
     obs::MetricsRegistry::MetricId blends = 0;
     obs::MetricsRegistry::MetricId evaluations = 0;
@@ -390,9 +372,6 @@ class Simulation {
   /// otherwise.
   void install_download(Device device, std::span<const float> payload,
                         const Snapshot& source);
-  /// Local steps device m completes within the round deadline:
-  /// min(I, floor(deadline * speed)), or I without a deadline.
-  std::size_t local_step_budget(std::size_t m) const;
 
   SimulationConfig cfg_;
   AlgorithmSpec algorithm_;
@@ -426,7 +405,7 @@ class Simulation {
   std::vector<std::size_t> ranks_;
   std::vector<std::vector<Candidate>> candidates_;
   /// Per edge, parallel to last_selection_[n]: 1 when that selected device
-  /// sits the round out (a straggler or a lost download).
+  /// sits the round out (its download was lost).
   std::vector<std::vector<std::uint8_t>> sits_out_;
   std::vector<EdgeTrace> traces_;
   // Per-edge upload arrivals feeding EdgeAggregate: payload views into
@@ -484,7 +463,6 @@ class Simulation {
   // Comm counters at step begin (observed steps), for per-step deltas.
   comm::CommCounters prev_comm_counters_;
   comm::AsyncStats prev_async_stats_;
-  std::size_t straggler_drops_ = 0;
 };
 
 }  // namespace middlefl::core

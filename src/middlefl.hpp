@@ -48,7 +48,6 @@
 
 #include "mobility/markov_mobility.hpp"
 #include "mobility/mobility_model.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "mobility/trace.hpp"
 
 #include "transport/compression.hpp"

@@ -5,9 +5,8 @@
 // moving across edges at an expected global rate P ("our solution is
 // orthogonal to the classic mobility models"). The interface exposes the
 // per-step assignment; implementations are the Markov edge-transition model
-// (direct control of P), a 2-D random-waypoint model with nearest-edge
-// association (geographic realism; replaces the ONE simulator traces), and
-// trace replay.
+// (direct control of P; the paper-style runs use its home-ring topology)
+// and trace replay (recorded or measured association logs).
 #pragma once
 
 #include <cstddef>

@@ -71,19 +71,31 @@ Trace Trace::load(std::istream& in) {
   }
   std::size_t devices = 0, edges = 0, steps = 0;
   {
+    struct HeaderKey {
+      std::string_view name;
+      std::size_t* value;
+      bool seen = false;
+    };
+    HeaderKey keys[] = {
+        {"devices", &devices}, {"edges", &edges}, {"steps", &steps}};
     std::istringstream hs(line);
     std::string token;
     while (hs >> token) {
       const std::string_view field(token);
       const std::size_t eq = field.find('=');
-      const auto value = [&] {
-        return util::parse_number<std::size_t>(
-            field.substr(eq + 1),
-            "Trace::load: line 1: " + std::string(field.substr(0, eq)));
-      };
-      if (field.starts_with("devices=")) devices = value();
-      if (field.starts_with("edges=")) edges = value();
-      if (field.starts_with("steps=")) steps = value();
+      if (eq == std::string_view::npos) continue;
+      const std::string name(field.substr(0, eq));
+      for (HeaderKey& key : keys) {
+        if (name != key.name) continue;
+        // A repeated key is an error, as in JSON specs and CLI flags.
+        if (key.seen) {
+          throw std::runtime_error("Trace::load: line 1: key '" + name +
+                                   "' given twice");
+        }
+        key.seen = true;
+        *key.value = util::parse_number<std::size_t>(
+            field.substr(eq + 1), "Trace::load: line 1: " + name);
+      }
     }
   }
   if (devices == 0 || edges == 0) {

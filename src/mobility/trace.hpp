@@ -6,8 +6,8 @@
 //   # middlefl-trace v1 devices=<M> edges=<N> steps=<T>
 //   <step> <device> <edge>
 //
-// Recording lets expensive waypoint runs (or, in a real deployment,
-// measured association logs) be replayed bit-exactly into the simulator.
+// Recording lets a mobility run (or, in a real deployment, measured
+// association logs) be replayed bit-exactly into the simulator.
 // A cell is a 2-byte EdgeId, so a trace names at most kMaxEdges edges.
 #pragma once
 
@@ -42,10 +42,10 @@ class Trace {
   void save(std::ostream& out) const;
   void save_file(const std::string& path) const;
   /// Reads a saved trace: exactly one record per (step, device) cell, in
-  /// any order. Malformed input (a bad header number, steps * devices
-  /// overflowing, a bad or out-of-range record, a duplicate or missing
-  /// cell, a header naming more than kMaxEdges edges) throws
-  /// std::runtime_error naming the line.
+  /// any order. Malformed input (a bad header number, a header key given
+  /// twice, steps * devices overflowing, a bad or out-of-range record, a
+  /// duplicate or missing cell, a header naming more than kMaxEdges edges)
+  /// throws std::runtime_error naming the line.
   static Trace load(std::istream& in);
   static Trace load_file(const std::string& path);
 

@@ -19,7 +19,6 @@ void RunLogger::log_step(const StepRecord& record) {
       << ", \"movers\": " << record.movers
       << ", \"measured_p\": " << json_number(record.measured_p)
       << ", \"selected\": " << record.selected
-      << ", \"stragglers\": " << record.stragglers
       << ", \"lost_downloads\": " << record.lost_downloads
       << ", \"blends\": " << record.blends
       << ", \"blend_weight_sum\": " << json_number(record.blend_weight_sum);

@@ -2,7 +2,7 @@
 //
 // The RunLogger is the machine-readable flight record of a simulation run:
 // it writes the simulator's StepRecord for each time step (phase timings,
-// per-link wire-traffic deltas, selection/straggler/blend counts) and one
+// per-link wire-traffic deltas, selection/dropout/blend counts) and one
 // EvalRecord per evaluation point; each becomes a single self-contained
 // JSON line, so logs stream, tail, and grep cleanly and load with one
 // `json.loads` per line.
@@ -58,7 +58,6 @@ struct StepRecord {
   std::size_t movers = 0;
   double measured_p = 0.0;
   std::size_t selected = 0;
-  std::size_t stragglers = 0;
   std::size_t lost_downloads = 0;
   std::size_t blends = 0;
   double blend_weight_sum = 0.0;

@@ -1,13 +1,12 @@
 // Learning-rate schedules over FL time steps.
 //
 // The Theorem-1 analysis assumes the diminishing schedule
-// eta_t = 2 / (mu * (gamma + t)); the experiments use a constant rate with
-// optional step decay. All schedules map a global time step to a rate the
-// simulator installs on each selected device's optimizer.
+// eta_t = 2 / (mu * (gamma + t)); the experiments use a constant rate.
+// Both map a global time step to a rate the simulator installs on each
+// selected device's optimizer.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <functional>
 
@@ -19,14 +18,6 @@ inline LrSchedule constant_lr(double lr) {
   return [lr](std::size_t) { return lr; };
 }
 
-/// lr * decay^(floor(t / interval)).
-inline LrSchedule step_decay_lr(double lr, double decay,
-                                std::size_t interval) {
-  return [=](std::size_t t) {
-    return lr * std::pow(decay, static_cast<double>(t / interval));
-  };
-}
-
 /// The schedule from Theorem 1: eta_t = 2 / (mu * (gamma + t)), with
 /// gamma = max(8 * beta / mu, I).
 inline LrSchedule theorem1_lr(double mu, double beta, std::size_t local_steps) {
@@ -34,14 +25,6 @@ inline LrSchedule theorem1_lr(double mu, double beta, std::size_t local_steps) {
       std::max(8.0 * beta / mu, static_cast<double>(local_steps));
   return [mu, gamma](std::size_t t) {
     return 2.0 / (mu * (gamma + static_cast<double>(t)));
-  };
-}
-
-/// Linear warmup to `lr` over `warmup` steps, constant afterwards.
-inline LrSchedule warmup_lr(double lr, std::size_t warmup) {
-  return [=](std::size_t t) {
-    if (warmup == 0 || t >= warmup) return lr;
-    return lr * static_cast<double>(t + 1) / static_cast<double>(warmup);
   };
 }
 

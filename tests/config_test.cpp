@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "config/json.hpp"
 #include "config/reflect.hpp"
@@ -295,13 +298,16 @@ TEST(ScenarioSchema, OverlappingOverridesAreRejectedNamingBothPaths) {
       base, "b.json",
       config::parse_json(
           R"({"sim.total_steps": 2, "sim.batch_size": 4,
-              "lr_schedule.decay": 0.25, "lr_schedule.decay_every": 7})",
+              "lr_schedule.mu": 0.25, "lr_schedule.beta": 7})",
           "--set"),
       "--set");
   EXPECT_EQ(spec.sim.total_steps, 2u);
   EXPECT_EQ(spec.sim.batch_size, 4u);
-  EXPECT_DOUBLE_EQ(spec.lr_schedule.decay, 0.25);
-  EXPECT_EQ(spec.lr_schedule.decay_every, 7u);
+  EXPECT_DOUBLE_EQ(spec.lr_schedule.mu, 0.25);
+  EXPECT_DOUBLE_EQ(spec.lr_schedule.beta, 7.0);
+  EXPECT_NO_THROW(config::check_disjoint_paths(
+      config::parse_json(R"({"a.decay": 1, "a.decay_every": 2})", "--set"),
+      "--set"));
 }
 
 TEST(EdgeIdRange, ScenarioRejectsEdgesPastTheMapAtTheirPosition) {
@@ -335,10 +341,11 @@ TEST(ScenarioSchema, RejectsUnknownNestedKeysWithLocation) {
 }
 
 TEST(ScenarioSchema, RemovedKeysAreRejectedWithPosition) {
-  // The old uplink spellings, the carry policy, the fleet's storage codec
-  // and the training extensions beyond Algorithm 1 are gone from the
-  // schema: a spec that still writes one fails as an unknown key, pointing
-  // at the key's value.
+  // The old uplink spellings, the carry policy, the fleet's storage codec,
+  // the training extensions beyond Algorithm 1, the straggler model,
+  // per-class tracking, the step-decay and warmup schedules and
+  // random-waypoint mobility are gone from the schema: a spec that still
+  // writes one fails as an unknown key, pointing at the key's value.
   const auto expect_rejected = [](const std::string& text,
                                   const std::string& where,
                                   const std::string& key) {
@@ -370,16 +377,29 @@ TEST(ScenarioSchema, RemovedKeysAreRejectedWithPosition) {
       "2:14", "at" "_rest");
   expect_rejected("{\n  \"model\": {\"dropout\": 0.25}\n}", "2:24",
                   "dropout");
-  const auto expect_sim_key_rejected = [&](const std::string& key,
-                                           const std::string& value,
-                                           const std::string& where) {
-    expect_rejected("{\"sim\": {\n  \"" + key + "\": " + value + "}}", where,
-                    key);
+  // {"<parent>": {\n  "<key>": <value>}}: the value sits at line 2,
+  // column key.size() + 7.
+  const auto expect_leaf_rejected = [&](const std::string& parent,
+                                        const std::string& key,
+                                        const std::string& value) {
+    expect_rejected(
+        "{\"" + parent + "\": {\n  \"" + key + "\": " + value + "}}",
+        "2:" + std::to_string(key.size() + 7), key);
   };
-  expect_sim_key_rejected("prox" "_mu", "0.1", "2:14");
-  expect_sim_key_rejected("clip" "_norm", "5", "2:16");
-  expect_sim_key_rejected("server" "_momentum", "0.3", "2:22");
-  expect_sim_key_rejected("reset" "_optimizer_each_round", "false", "2:33");
+  expect_leaf_rejected("sim", "prox" "_mu", "0.1");
+  expect_leaf_rejected("sim", "clip" "_norm", "5");
+  expect_leaf_rejected("sim", "server" "_momentum", "0.3");
+  expect_leaf_rejected("sim", "reset" "_optimizer_each_round", "false");
+  expect_leaf_rejected("sim", "device" "_speeds", "[1]");
+  expect_leaf_rejected("sim", "round" "_deadline", "4");
+  expect_leaf_rejected("sim", "track" "_per_class", "true");
+  expect_leaf_rejected("lr_schedule", "decay", "0.5");
+  expect_leaf_rejected("lr_schedule", "decay" "_every", "100");
+  expect_leaf_rejected("lr_schedule", "warmup" "_steps", "100");
+  for (const char* key :
+       {"width", "height", "speed_min", "speed_max", "pause_probability"}) {
+    expect_leaf_rejected("mobility", key, "1");
+  }
 }
 
 TEST(ScenarioSchema, RejectsTypeMismatch) {
@@ -390,12 +410,23 @@ TEST(ScenarioSchema, RejectsTypeMismatch) {
 }
 
 TEST(ScenarioSchema, RejectsIllegalChoiceListingOptions) {
-  try {
-    config::parse_scenario(R"({"algorithm": "fedfoo"})", "buf");
-    FAIL() << "expected choice error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("middle"), std::string::npos)
-        << e.what();
+  // The removed random-waypoint model and step-decay/warmup schedules are
+  // illegal choices like any other.
+  const std::pair<const char*, const char*> bad[] = {
+      {R"({"algorithm": "fedfoo"})", "middle"},
+      {R"({"mobility": {"model": "random-waypoint"}})", "(markov|trace)"},
+      {R"({"lr_schedule": {"kind": "step-decay"}})",
+       "(default|constant|theorem1)"},
+      {R"({"lr_schedule": {"kind": "warmup"}})", "(default|constant|theorem1)"},
+  };
+  for (const auto& [text, listed] : bad) {
+    try {
+      config::parse_scenario(text, "buf");
+      ADD_FAILURE() << "expected choice error for " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(listed), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -473,11 +504,6 @@ TEST(ScenarioBuilder, LrScheduleRejectsValuesThatTrainToNan) {
   const std::pair<std::string, std::string> bad[] = {
       {R"({"kind": "constant", "base_lr": -0.5})", "base_lr"},
       {R"({"kind": "constant", "base_lr": 0})", "base_lr"},
-      {R"({"kind": "warmup", "base_lr": -1})", "base_lr"},
-      {R"({"kind": "step-decay", "base_lr": 0})", "base_lr"},
-      {R"({"kind": "step-decay", "decay": -3, "decay_every": 1})", "decay"},
-      {R"({"kind": "step-decay", "decay": 0})", "decay"},
-      {R"({"kind": "step-decay", "decay": 1.5})", "decay"},
       {R"({"kind": "theorem1", "mu": 0})", "mu"},
       {R"({"kind": "theorem1", "mu": -2})", "mu"},
       {R"({"kind": "theorem1", "beta": -1})", "beta"},
@@ -502,15 +528,48 @@ TEST(ScenarioBuilder, LrScheduleRejectsValuesThatTrainToNan) {
 
   // The edges of each legal range still build.
   const std::string good[] = {
-      R"({"kind": "step-decay", "decay": 1})",
       R"({"kind": "theorem1", "beta": 0})",
-      R"({"kind": "warmup", "base_lr": 1e-6})",
+      R"({"kind": "constant", "base_lr": 1e-6})",
   };
   for (const std::string& schedule : good) {
     const config::ScenarioSpec spec = config::parse_scenario(
         "{\"lr_schedule\": " + schedule + "}", "lr.json");
     EXPECT_TRUE(config::make_lr_schedule(spec.lr_schedule, 10)) << schedule;
   }
+}
+
+TEST(ScenarioBuilder, TraceMustMatchTheSpecsEdgesAndDevices) {
+  // A trace recorded for another topology used to replace the spec's edge
+  // (or device) count silently; make_mobility refuses it by name.
+  const std::string path = ::testing::TempDir() + "config_test_3x4.trace";
+  {
+    std::ofstream out(path);
+    out << "# middlefl-trace v1 devices=4 edges=3 steps=1\n";
+    for (int m = 0; m < 4; ++m) out << "0 " << m << " " << m % 3 << "\n";
+  }
+  config::ScenarioSpec spec;
+  spec.mobility.model = "trace";
+  spec.mobility.trace_file = path;
+  const std::vector<std::size_t> homes{0, 1, 2, 0};
+  const auto error = [&]() -> std::string {
+    try {
+      config::make_mobility(spec, homes);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  spec.edges = 10;
+  spec.data.devices = 4;
+  EXPECT_EQ(error(), "mobility.trace_file '" + path +
+                         "' has edges=3 but the spec has edges 10");
+  spec.edges = 3;
+  spec.data.devices = 5;
+  EXPECT_EQ(error(), "mobility.trace_file '" + path +
+                         "' has devices=4 but the spec has data.devices 5");
+  spec.data.devices = 4;
+  EXPECT_EQ(error(), "accepted");
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

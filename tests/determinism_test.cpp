@@ -72,7 +72,6 @@ void expect_identical_runs(
             parallel->on_device_aggregations());
   EXPECT_EQ(serial->mean_blend_weight(), parallel->mean_blend_weight());
   EXPECT_EQ(serial->failed_uploads(), parallel->failed_uploads());
-  EXPECT_EQ(serial->straggler_drops(), parallel->straggler_drops());
   EXPECT_EQ(serial->upload_bytes(), parallel->upload_bytes());
 
   // Per-link transport accounting (relaxed atomic counters in the parallel

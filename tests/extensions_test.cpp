@@ -3,7 +3,6 @@
 // and the hybrid selection strategy.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <stdexcept>
 
 #include "core/similarity.hpp"
@@ -286,137 +285,6 @@ TEST(EdgeSkew, UniformMobilityErasesSkewHomeRingKeepsIt) {
     home += tail_skew(middlefl::mobility::MoveTopology::kHomeRing, seed) / 8;
   }
   EXPECT_GT(home, uniform + 0.05);
-}
-
-// --- System heterogeneity: speeds, deadlines, stragglers ---
-
-TEST(Heterogeneity, HomogeneousDefaultUnchanged) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 8;
-  auto plain = bundle.make(Algorithm::kMiddle);
-  const auto h1 = plain->run();
-  SimBundle bundle2;
-  bundle2.cfg.total_steps = 8;
-  bundle2.cfg.round_deadline = 0.0;  // explicit no-deadline
-  bundle2.cfg.device_speeds.assign(bundle2.partition.num_devices(), 0.25);
-  auto hetero = bundle2.make(Algorithm::kMiddle);
-  const auto h2 = hetero->run();
-  // Without a deadline, speeds are irrelevant: identical trajectories.
-  for (std::size_t i = 0; i < h1.points.size(); ++i) {
-    EXPECT_EQ(h1.points[i].accuracy, h2.points[i].accuracy);
-  }
-  EXPECT_EQ(hetero->straggler_drops(), 0u);
-}
-
-TEST(Heterogeneity, DeadlineDropsSlowDevices) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 6;
-  bundle.cfg.local_steps = 4;
-  bundle.cfg.round_deadline = 4.0;  // speed-1 devices finish all 4 steps
-  bundle.cfg.device_speeds.assign(bundle.partition.num_devices(), 1.0);
-  bundle.cfg.device_speeds[0] = 0.1;  // finishes 0 steps: always dropped
-  auto sim = bundle.make(Algorithm::kHierFavg);
-  sim->run();
-  EXPECT_GT(sim->straggler_drops(), 0u);
-  // Dropped devices never trained: their stat utility stays unset.
-  EXPECT_FALSE(sim->device(0).stat_utility().has_value());
-}
-
-TEST(Heterogeneity, PartialBudgetTrainsFewerSteps) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 4;
-  bundle.cfg.local_steps = 8;
-  bundle.cfg.round_deadline = 8.0;
-  bundle.cfg.device_speeds.assign(bundle.partition.num_devices(), 1.0);
-  bundle.cfg.device_speeds[1] = 0.5;  // budget 4 of 8 steps
-  auto sim = bundle.make(Algorithm::kHierFavg);
-  EXPECT_NO_THROW(sim->run());
-  EXPECT_EQ(sim->straggler_drops(), 0u);  // everyone finishes >= 1 step
-}
-
-TEST(Heterogeneity, ValidatesConfig) {
-  SimBundle bundle;
-  bundle.cfg.device_speeds = {1.0, 2.0};  // wrong count
-  auto mobility = std::make_unique<middlefl::mobility::MarkovMobility>(
-      bundle.initial_edges, bundle.num_edges, 0.5, 1);
-  const middlefl::optim::Sgd sgd({.learning_rate = 0.05});
-  EXPECT_THROW(
-      middlefl::core::Simulation(
-          bundle.cfg, bundle.model_spec, sgd, bundle.train, bundle.partition,
-          bundle.test, std::move(mobility),
-          middlefl::core::make_algorithm(Algorithm::kMiddle)),
-      std::invalid_argument);
-
-  SimBundle bundle2;
-  bundle2.cfg.round_deadline = 1.0;
-  bundle2.cfg.device_speeds.assign(bundle2.partition.num_devices(), -1.0);
-  auto mobility2 = std::make_unique<middlefl::mobility::MarkovMobility>(
-      bundle2.initial_edges, bundle2.num_edges, 0.5, 1);
-  EXPECT_THROW(
-      middlefl::core::Simulation(
-          bundle2.cfg, bundle2.model_spec, sgd, bundle2.train,
-          bundle2.partition, bundle2.test, std::move(mobility2),
-          middlefl::core::make_algorithm(Algorithm::kMiddle)),
-      std::invalid_argument);
-}
-
-TEST(Heterogeneity, RejectsNonFiniteOrNegativeDeadlinesAndSpeeds) {
-  const double inf = std::numeric_limits<double>::infinity();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const double deadline : {-1.0, inf, nan}) {
-    SimBundle bundle;
-    bundle.cfg.round_deadline = deadline;
-    EXPECT_THROW(bundle.make(Algorithm::kMiddle), std::invalid_argument)
-        << "round_deadline " << deadline;
-  }
-  // NaN compares false against every bound, so it needs its own check; a
-  // bad speed is rejected with or without a deadline.
-  for (const double speed : {0.0, -1.0, inf, nan}) {
-    for (const double deadline : {0.0, 4.0}) {
-      SimBundle bundle;
-      bundle.cfg.round_deadline = deadline;
-      bundle.cfg.device_speeds.assign(bundle.partition.num_devices(), 1.0);
-      bundle.cfg.device_speeds[2] = speed;
-      EXPECT_THROW(bundle.make(Algorithm::kMiddle), std::invalid_argument)
-          << "speed " << speed << " deadline " << deadline;
-    }
-  }
-}
-
-TEST(Heterogeneity, HugeSpeedBudgetClampsToLocalSteps) {
-  // deadline * speed far beyond any integer: the budget clamps to I in
-  // double before the cast, so the fast device behaves like a nominal one.
-  SimBundle bundle;
-  bundle.cfg.total_steps = 4;
-  bundle.cfg.round_deadline = 1e300;
-  bundle.cfg.device_speeds.assign(bundle.partition.num_devices(), 1e300);
-  auto fast = bundle.make(Algorithm::kHierFavg);
-  const auto h1 = fast->run();
-  SimBundle plain;
-  plain.cfg.total_steps = 4;
-  auto nominal = plain.make(Algorithm::kHierFavg);
-  const auto h2 = nominal->run();
-  ASSERT_EQ(h1.points.size(), h2.points.size());
-  for (std::size_t i = 0; i < h1.points.size(); ++i) {
-    EXPECT_EQ(h1.points[i].accuracy, h2.points[i].accuracy);
-  }
-  EXPECT_EQ(fast->straggler_drops(), 0u);
-}
-
-TEST(Heterogeneity, AllStragglersFreezeEdges) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 4;
-  bundle.cfg.cloud_interval = 100;
-  bundle.cfg.round_deadline = 0.5;  // nobody finishes one step
-  bundle.cfg.device_speeds.assign(bundle.partition.num_devices(), 1.0);
-  auto sim = bundle.make(Algorithm::kHierFavg);
-  const std::vector<float> before(sim->edge_params(0).begin(),
-                                  sim->edge_params(0).end());
-  for (int t = 0; t < 4; ++t) sim->step();
-  const auto after = sim->edge_params(0);
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i], after[i]);
-  }
 }
 
 }  // namespace

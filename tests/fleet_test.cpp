@@ -574,7 +574,7 @@ TEST(FleetBroadcast, DetachedCountIsDevicesWrittenSinceLastSync) {
   obs.metrics = &metrics;
   sim->set_observability(obs);
 
-  // No stragglers and no lost downloads: every selected device trains,
+  // No lost downloads: every selected device trains,
   // and training is the only write.
   std::set<std::size_t> written;
   for (std::size_t t = 1; t <= 9; ++t) {

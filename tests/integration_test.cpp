@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/convergence.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "mobility/trace.hpp"
 #include "optim/adam.hpp"
 #include "sim_fixture.hpp"
@@ -103,25 +102,6 @@ TEST(Integration, AdamOptimizerPathWorks) {
       middlefl::core::make_algorithm(Algorithm::kMiddle));
   const auto history = sim.run();
   EXPECT_GT(history.final_accuracy(), 0.3);
-}
-
-TEST(Integration, WaypointMobilityDrivesSimulation) {
-  SimBundle bundle;
-  bundle.cfg.total_steps = 15;
-  middlefl::mobility::WaypointConfig wp;
-  wp.num_devices = bundle.partition.num_devices();
-  wp.num_edges = bundle.num_edges;
-  wp.speed_min = 100.0;
-  wp.speed_max = 300.0;
-  auto mobility = std::make_unique<middlefl::mobility::RandomWaypointMobility>(wp);
-  const middlefl::optim::Sgd sgd({.learning_rate = 0.05, .momentum = 0.9});
-  middlefl::core::Simulation sim(
-      bundle.cfg, bundle.model_spec, sgd, bundle.train, bundle.partition,
-      bundle.test, std::move(mobility),
-      middlefl::core::make_algorithm(Algorithm::kMiddle));
-  const auto history = sim.run();
-  EXPECT_FALSE(history.points.empty());
-  EXPECT_TRUE(std::isfinite(history.final_accuracy()));
 }
 
 TEST(Integration, TraceReplayReproducesMarkovRun) {

@@ -6,7 +6,6 @@
 #include <fstream>
 
 #include "data/synthetic.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "mobility/trace.hpp"
 #include "tensor/blas.hpp"
 #include "util/csv.hpp"
@@ -102,36 +101,6 @@ TEST(Trace, FileRoundTrip) {
                std::runtime_error);
   EXPECT_THROW(trace.save_file("/nonexistent/dir/trace.txt"),
                std::runtime_error);
-}
-
-TEST(Waypoint, ConfigValidation) {
-  middlefl::mobility::WaypointConfig cfg;
-  cfg.num_devices = 0;
-  EXPECT_THROW(middlefl::mobility::RandomWaypointMobility{cfg},
-               std::invalid_argument);
-  cfg = {};
-  cfg.speed_min = 10.0;
-  cfg.speed_max = 5.0;
-  EXPECT_THROW(middlefl::mobility::RandomWaypointMobility{cfg},
-               std::invalid_argument);
-  cfg = {};
-  cfg.pause_probability = 1.5;
-  EXPECT_THROW(middlefl::mobility::RandomWaypointMobility{cfg},
-               std::invalid_argument);
-  cfg = {};
-  cfg.width = -5.0;
-  EXPECT_THROW(middlefl::mobility::RandomWaypointMobility{cfg},
-               std::invalid_argument);
-}
-
-TEST(Waypoint, CalibrateRejectsBadTarget) {
-  middlefl::mobility::WaypointConfig cfg;
-  cfg.num_devices = 10;
-  cfg.num_edges = 4;
-  EXPECT_THROW(middlefl::mobility::calibrate_speed(cfg, 0.0),
-               std::invalid_argument);
-  EXPECT_THROW(middlefl::mobility::calibrate_speed(cfg, 1.5),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -35,7 +35,6 @@
 #include "chi_square.hpp"
 #include "mobility/markov_mobility.hpp"
 #include "mobility/mobility_model.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "mobility/trace.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -45,10 +44,8 @@ using middlefl::mobility::MarkovMobility;
 using middlefl::mobility::MobilityModel;
 using middlefl::mobility::moved_devices;
 using middlefl::mobility::MoveTopology;
-using middlefl::mobility::RandomWaypointMobility;
 using middlefl::mobility::record_trace;
 using middlefl::mobility::TraceMobility;
-using middlefl::mobility::WaypointConfig;
 using middlefl::parallel::ThreadPool;
 
 std::vector<std::size_t> initial_assignment(std::size_t devices,
@@ -458,22 +455,6 @@ TEST(MarkovGate, RejectsNanProbability) {
 }
 
 // --- Mover-list contract across the other models ---
-
-TEST(MobilityParallel, WaypointMoversMatchDiff) {
-  WaypointConfig cfg;
-  cfg.num_devices = 60;
-  cfg.num_edges = 9;
-  cfg.speed_max = 120.0;
-  RandomWaypointMobility model(cfg);
-  for (int t = 0; t < 20; ++t) {
-    const auto before = model.assignment();
-    model.advance();
-    expect_movers_contract(model, before);
-  }
-  model.reset();
-  ASSERT_NE(model.movers(), nullptr);
-  EXPECT_TRUE(model.movers()->empty());
-}
 
 TEST(MobilityParallel, TraceMoversMatchDiff) {
   MarkovMobility source(initial_assignment(30, 5), 5, 0.6, 17);

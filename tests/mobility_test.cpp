@@ -6,7 +6,6 @@
 
 #include "mobility/markov_mobility.hpp"
 #include "mobility/mobility_model.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "mobility/trace.hpp"
 
 namespace {
@@ -15,11 +14,9 @@ using middlefl::mobility::MarkovMobility;
 using middlefl::mobility::measure_mobility;
 using middlefl::mobility::moved_devices;
 using middlefl::mobility::MoveTopology;
-using middlefl::mobility::RandomWaypointMobility;
 using middlefl::mobility::record_trace;
 using middlefl::mobility::Trace;
 using middlefl::mobility::TraceMobility;
-using middlefl::mobility::WaypointConfig;
 
 std::vector<std::size_t> initial_assignment(std::size_t devices,
                                             std::size_t edges) {
@@ -154,94 +151,6 @@ TEST(Markov, HeterogeneousProbabilities) {
   EXPECT_EQ(moved[0], 0u);
 }
 
-// --- Random waypoint ---
-
-TEST(Waypoint, PartitionsDevicesAmongEdges) {
-  WaypointConfig cfg;
-  cfg.num_devices = 50;
-  cfg.num_edges = 9;
-  RandomWaypointMobility model(cfg);
-  EXPECT_EQ(model.assignment().size(), 50u);
-  for (std::size_t e : model.assignment()) EXPECT_LT(e, 9u);
-}
-
-TEST(Waypoint, NearestEdgeIsActuallyNearest) {
-  WaypointConfig cfg;
-  cfg.num_devices = 20;
-  cfg.num_edges = 4;
-  RandomWaypointMobility model(cfg);
-  for (std::size_t m = 0; m < 20; ++m) {
-    const auto p = model.device_position(m);
-    const std::size_t assigned = model.assignment()[m];
-    const auto ae = model.edge_position(assigned);
-    const double assigned_d2 = (p.x - ae.x) * (p.x - ae.x) +
-                               (p.y - ae.y) * (p.y - ae.y);
-    for (std::size_t e = 0; e < 4; ++e) {
-      const auto ep = model.edge_position(e);
-      const double d2 =
-          (p.x - ep.x) * (p.x - ep.x) + (p.y - ep.y) * (p.y - ep.y);
-      EXPECT_GE(d2 + 1e-9, assigned_d2);
-    }
-  }
-}
-
-TEST(Waypoint, DevicesStayInBounds) {
-  WaypointConfig cfg;
-  cfg.num_devices = 30;
-  cfg.num_edges = 4;
-  cfg.speed_max = 200.0;
-  RandomWaypointMobility model(cfg);
-  for (int t = 0; t < 100; ++t) {
-    model.advance();
-    for (std::size_t m = 0; m < 30; ++m) {
-      const auto p = model.device_position(m);
-      EXPECT_GE(p.x, 0.0);
-      EXPECT_LE(p.x, cfg.width);
-      EXPECT_GE(p.y, 0.0);
-      EXPECT_LE(p.y, cfg.height);
-    }
-  }
-}
-
-TEST(Waypoint, FasterSpeedMeansMoreMobility) {
-  WaypointConfig slow;
-  slow.num_devices = 60;
-  slow.num_edges = 9;
-  slow.speed_min = slow.speed_max = 5.0;
-  WaypointConfig fast = slow;
-  fast.speed_min = fast.speed_max = 150.0;
-  RandomWaypointMobility slow_model(slow);
-  RandomWaypointMobility fast_model(fast);
-  EXPECT_LT(measure_mobility(slow_model, 200),
-            measure_mobility(fast_model, 200));
-}
-
-TEST(Waypoint, CalibrationHitsTarget) {
-  WaypointConfig cfg;
-  cfg.num_devices = 60;
-  cfg.num_edges = 9;
-  const auto calibrated = middlefl::mobility::calibrate_speed(cfg, 0.3, 150);
-  RandomWaypointMobility model(calibrated);
-  EXPECT_NEAR(measure_mobility(model, 300), 0.3, 0.08);
-}
-
-TEST(Waypoint, ResetIsDeterministic) {
-  WaypointConfig cfg;
-  cfg.num_devices = 25;
-  cfg.num_edges = 4;
-  RandomWaypointMobility model(cfg);
-  std::vector<std::vector<std::size_t>> first_run;
-  for (int t = 0; t < 10; ++t) {
-    model.advance();
-    first_run.push_back(model.assignment());
-  }
-  model.reset();
-  for (int t = 0; t < 10; ++t) {
-    model.advance();
-    EXPECT_EQ(model.assignment(), first_run[t]);
-  }
-}
-
 // --- Traces ---
 
 TEST(Trace, RecordAndReplayMatchesSource) {
@@ -364,6 +273,13 @@ TEST(Trace, LoadErrorsNameTheirLine) {
        "line 1: devices"},
       {"# middlefl-trace v1 devices=2 edges=-2 steps=1\n0 0 0\n0 1 0\n",
        "line 1: edges"},
+      // A repeated header key used to win silently (steps=1 read as 7).
+      {"# middlefl-trace v1 devices=2 edges=2 steps=1 steps=7\n0 0 0\n"
+       "0 1 0\n",
+       "line 1: key 'steps' given twice"},
+      {"# middlefl-trace v1 devices=2 edges=2 edges=2 steps=1\n0 0 0\n"
+       "0 1 0\n",
+       "line 1: key 'edges' given twice"},
       {header + "0 0 0\n0 1 x\n", "line 3: edge"},
       {header + "0 0 0\n0 -1 0\n", "line 3: device"},
       {header + "0 0 0\n0 1\n", "line 3: expected '<step> <device> <edge>'"},

@@ -269,7 +269,7 @@ TEST(RunLogger, WritesOneJsonObjectPerRecord) {
   step.movers = 3;
   step.measured_p = 0.25;
   step.selected = 6;
-  step.stragglers = 1;
+  step.lost_downloads = 1;
   step.blends = 2;
   step.blend_weight_sum = 0.75;
   step.contributing_edges = 3;
@@ -331,10 +331,10 @@ TEST(RunLogger, StepLinesKeepTheirKeyOrder) {
 
   std::vector<std::string> expected = {
       "kind", "step", "synced", "movers", "measured_p", "selected",
-      "stragglers", "lost_downloads", "blends", "blend_weight_sum",
-      "materializations", "resident_peak", "step_wall_us", "phase_us", "mobility", "membership", "select",
-      "distribute", "local_train", "upload", "edge_aggregate", "cloud_sync",
-      "links"};
+      "lost_downloads", "blends", "blend_weight_sum", "materializations",
+      "resident_peak", "step_wall_us", "phase_us", "mobility", "membership",
+      "select", "distribute", "local_train", "upload", "edge_aggregate",
+      "cloud_sync", "links"};
   for (const char* link : {"wireless_down", "wireless_up", "wan_up",
                            "wan_down", "broadcast", "carry"}) {
     expected.insert(expected.end(),
@@ -345,7 +345,7 @@ TEST(RunLogger, StepLinesKeepTheirKeyOrder) {
   std::getline(lines, unsynced);
   std::getline(lines, synced);
   EXPECT_EQ(keys_in_order(unsynced), expected);
-  expected.insert(expected.begin() + 10, "contributing_edges");
+  expected.insert(expected.begin() + 9, "contributing_edges");
   EXPECT_EQ(keys_in_order(synced), expected);
 }
 
@@ -403,8 +403,8 @@ TEST(RunLogger, StepRecordsCarryTheMeasuredMobility) {
 TEST(HistoryCsv, RoundTripsAlgorithmNameWithCommasAndQuotes) {
   RunHistory history;
   history.algorithm = "MIDDLE, \"tuned\", v2";
-  history.points.push_back({5, 0.25, 1.5, {}, {}});
-  history.points.push_back({10, 0.5, 0.75, {}, {}});
+  history.points.push_back({5, 0.25, 1.5, {}});
+  history.points.push_back({10, 0.5, 0.75, {}});
 
   const std::string path =
       ::testing::TempDir() + "obs_test_history_roundtrip.csv";
@@ -440,22 +440,18 @@ TEST(CsvSplitRow, UndoesEscaping) {
 
 TEST(EventStream, ReconcilesWithCountersUnderLossyLatencyLinks) {
   SimBundle bundle;
-  // Lossy wireless in both directions, one step of uplink latency, plus a
-  // straggler-heavy device population: every dropout path fires.
+  // Lossy wireless in both directions and one step of uplink latency:
+  // every dropout path fires.
   bundle.cfg.transport.wireless_up.loss_prob = 0.3;
   bundle.cfg.transport.wireless_up.latency_steps = 1;
   bundle.cfg.transport.wireless_down.loss_prob = 0.25;
-  bundle.cfg.device_speeds.assign(12, 1.0);
-  bundle.cfg.device_speeds[0] = 0.05;
-  bundle.cfg.round_deadline = 5.0;
   auto sim = bundle.make(Algorithm::kMiddle);
   const std::vector<StepRecord> records = run_step_records(*sim);
 
   // Record dropouts must sum exactly to the simulation's counters, and a
-  // lossy downlink + slow device must actually produce some.
-  std::size_t stragglers = 0, lost = 0, blends = 0, syncs = 0;
+  // lossy downlink must actually produce some.
+  std::size_t lost = 0, blends = 0, syncs = 0;
   for (const StepRecord& r : records) {
-    stragglers += r.stragglers;
     lost += r.lost_downloads;
     // Blends reconcile with the on-device aggregation counter.
     blends += r.blends;
@@ -468,12 +464,9 @@ TEST(EventStream, ReconcilesWithCountersUnderLossyLatencyLinks) {
       EXPECT_LE(r.contributing_edges, sim->num_edges());
     }
   }
-  EXPECT_EQ(stragglers, sim->straggler_drops());
-  // lost_downloads() counts every downlink drop, including drops on
-  // downloads to devices that were then dropped as stragglers anyway (the
-  // record classifies those as stragglers, not lost downloads).
-  EXPECT_LE(lost, sim->lost_downloads());
-  EXPECT_GT(stragglers, 0u);
+  // MIDDLE makes no previous-edge download, so every downlink drop is a
+  // selected device's one download and the record counts each once.
+  EXPECT_EQ(lost, sim->lost_downloads());
   EXPECT_GT(lost, 0u);
   EXPECT_EQ(blends, sim->on_device_aggregations());
   EXPECT_EQ(syncs, bundle.cfg.total_steps / bundle.cfg.cloud_interval);

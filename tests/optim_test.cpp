@@ -139,14 +139,6 @@ TEST(LrSchedule, Constant) {
   EXPECT_EQ(lr(1000), 0.02);
 }
 
-TEST(LrSchedule, StepDecay) {
-  const auto lr = middlefl::optim::step_decay_lr(1.0, 0.5, 10);
-  EXPECT_DOUBLE_EQ(lr(0), 1.0);
-  EXPECT_DOUBLE_EQ(lr(9), 1.0);
-  EXPECT_DOUBLE_EQ(lr(10), 0.5);
-  EXPECT_DOUBLE_EQ(lr(25), 0.25);
-}
-
 TEST(LrSchedule, Theorem1Diminishing) {
   // gamma = max(8*beta/mu, I); eta_t = 2 / (mu (gamma + t)).
   const double mu = 0.1, beta = 1.0;
@@ -156,14 +148,6 @@ TEST(LrSchedule, Theorem1Diminishing) {
   EXPECT_NEAR(lr(0), 2.0 / (mu * gamma), 1e-12);
   EXPECT_GT(lr(0), lr(100));
   EXPECT_GT(lr(100), lr(10000));
-}
-
-TEST(LrSchedule, Warmup) {
-  const auto lr = middlefl::optim::warmup_lr(1.0, 4);
-  EXPECT_DOUBLE_EQ(lr(0), 0.25);
-  EXPECT_DOUBLE_EQ(lr(1), 0.5);
-  EXPECT_DOUBLE_EQ(lr(3), 1.0);
-  EXPECT_DOUBLE_EQ(lr(100), 1.0);
 }
 
 }  // namespace

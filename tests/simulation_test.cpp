@@ -182,18 +182,6 @@ TEST(Simulation, ProgressCallbackFires) {
   EXPECT_EQ(calls, 3u);  // step 0, 5, 10
 }
 
-TEST(Simulation, TrackPerClassRecordsVector) {
-  SimBundle bundle(/*classes=*/4);
-  bundle.cfg.total_steps = 5;
-  bundle.cfg.eval_every = 5;
-  bundle.cfg.track_per_class = true;
-  auto sim = bundle.make(Algorithm::kMiddle);
-  const auto history = sim->run();
-  for (const auto& point : history.points) {
-    EXPECT_EQ(point.per_class_accuracy.size(), 4u);
-  }
-}
-
 TEST(Simulation, TrackEdgeAccuracyRecordsVector) {
   SimBundle bundle;
   bundle.cfg.total_steps = 5;

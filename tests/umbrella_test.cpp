@@ -1,7 +1,7 @@
 // Compilation + smoke test of the umbrella header: one end-to-end run that
 // only includes <middlefl.hpp>, combining several extension features at
-// once (compression + failure injection + heterogeneity) to guard against
-// config interactions.
+// once (compression + failure injection + home-ring mobility) to guard
+// against config interactions.
 #include <gtest/gtest.h>
 
 #include "middlefl.hpp"
@@ -39,10 +39,6 @@ TEST(Umbrella, EverythingCombinedStillTrainsDeterministically) {
   cfg.transport.wireless_up.loss_prob = 0.1;
   cfg.transport.wireless_up.compression = {transport::CompressionKind::kTopK,
                                            0.25};
-  cfg.round_deadline = 4.0;
-  cfg.device_speeds.assign(12, 1.0);
-  cfg.device_speeds[3] = 0.5;   // half budget
-  cfg.device_speeds[7] = 0.01;  // permanent straggler
 
   const auto run_once = [&]() {
     auto mobility = std::make_unique<mobility::MarkovMobility>(
@@ -53,21 +49,19 @@ TEST(Umbrella, EverythingCombinedStillTrainsDeterministically) {
                          std::move(mobility),
                          core::make_algorithm(core::Algorithm::kMiddle));
     auto history = sim.run();
-    return std::make_pair(std::move(history), sim.straggler_drops());
+    return history;
   };
 
-  const auto [h1, stragglers1] = run_once();
-  const auto [h2, stragglers2] = run_once();
+  const auto h1 = run_once();
+  const auto h2 = run_once();
 
   // Deterministic even with every stochastic feature active.
   ASSERT_EQ(h1.points.size(), h2.points.size());
   for (std::size_t i = 0; i < h1.points.size(); ++i) {
     EXPECT_EQ(h1.points[i].accuracy, h2.points[i].accuracy);
   }
-  // Still learns (chance = 0.25) and the heterogeneity bit.
+  // Still learns (chance = 0.25).
   EXPECT_GT(h1.best_accuracy(), 0.3);
-  EXPECT_GT(stragglers1, 0u);
-  EXPECT_EQ(stragglers1, stragglers2);
   for (const auto& point : h1.points) {
     EXPECT_TRUE(std::isfinite(point.loss));
   }
