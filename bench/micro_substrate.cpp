@@ -3,7 +3,8 @@
 // local SGD steps, flat-vector aggregation and similarity, minibatch
 // gathering, and thread-pool dispatch. The CNN-2 roofline pair:
 // BM_Cnn2Layer times each paper CNN-2 layer's forward and backward,
-// BM_GemmShape each GEMM shape those layers call, both in GFLOP/s.
+// BM_GemmShape each GEMM shape those layers (and the Fig-6 MLP2) call,
+// both in GFLOP/s.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -191,11 +193,30 @@ const GemmShape kCnn2GemmShapes[] = {
     {"fc2.dX NN 16x64x10", kN, kN, 16, 64, 10, 0.0f},
 };
 
-/// The peak each CNN-2 layer's GEMM reaches on its own: one call of a
-/// kCnn2GemmShapes entry per iteration, FLOPs (2mnk) as items, so the
-/// items rate is GFLOP/s to set beside BM_Cnn2Layer's.
+// The Fig-6 fast-scale MLP2 (1 x 8 x 8 input, 64 -> 48 -> 24 -> 10) at
+// batch 8, as the fig6_mnist workload trains it: one of each per step.
+// fc1 gets no input gradient (first layer with parameters); fc3.fwd is
+// small-NT.
+const GemmShape kFig6GemmShapes[] = {
+    {"mlp.fc1.fwd NT 8x48x64", kN, kT, 8, 48, 64, 0.0f},
+    {"mlp.fc2.fwd NT 8x24x48", kN, kT, 8, 24, 48, 0.0f},
+    {"mlp.fc3.fwd NT 8x10x24", kN, kT, 8, 10, 24, 0.0f},
+    {"mlp.fc1.dW TN 48x64x8", kT, kN, 48, 64, 8, 1.0f},
+    {"mlp.fc2.dW TN 24x48x8", kT, kN, 24, 48, 8, 1.0f},
+    {"mlp.fc3.dW TN 10x24x8", kT, kN, 10, 24, 8, 1.0f},
+    {"mlp.fc2.dX NN 8x48x24", kN, kN, 8, 48, 24, 0.0f},
+    {"mlp.fc3.dX NN 8x24x10", kN, kN, 8, 24, 10, 0.0f},
+};
+
+/// The peak each layer's GEMM reaches on its own: one call of a
+/// kCnn2GemmShapes entry (args 0 .. 10) or a kFig6GemmShapes one (args 11
+/// on) per iteration, FLOPs (2mnk) as items, so the items rate is GFLOP/s
+/// to set beside BM_Cnn2Layer's.
 void BM_GemmShape(benchmark::State& state) {
-  const GemmShape& s = kCnn2GemmShapes[state.range(0)];
+  const auto index = static_cast<std::size_t>(state.range(0));
+  const std::size_t cnn2 = std::size(kCnn2GemmShapes);
+  const GemmShape& s = index < cnn2 ? kCnn2GemmShapes[index]
+                                    : kFig6GemmShapes[index - cnn2];
   const auto a = random_vec(s.m * s.k, 12);
   const auto b = random_vec(s.k * s.n, 13);
   std::vector<float> c(s.m * s.n, 0.0f);
@@ -209,7 +230,9 @@ void BM_GemmShape(benchmark::State& state) {
   state.SetLabel(s.label);
 }
 BENCHMARK(BM_GemmShape)
-    ->DenseRange(0, static_cast<int>(std::size(kCnn2GemmShapes)) - 1);
+    ->DenseRange(0, static_cast<int>(std::size(kCnn2GemmShapes) +
+                                     std::size(kFig6GemmShapes)) -
+                        1);
 
 /// The paper's CNN-2 (§6.1.2 MNIST: 1 x 16 x 16 input, 8 base channels,
 /// hidden 64, 10 classes) at batch 16 as standalone layers, every layer's
@@ -529,6 +552,7 @@ BENCHMARK(BM_AllReduceParallel)->Arg(5)->Arg(10)->Arg(50);
 
 /// Arg 0: the Fig-6 fast-scale MLP2 stand-in (hidden 48). Arg 1: the
 /// paper's CNN-2 (hidden 64, base 8 channels), as `paper_cnn` trains it.
+/// Both on a 1 x 16 x 16 input.
 nn::ModelSpec bench_model_spec(bool cnn) {
   nn::ModelSpec spec;
   spec.arch = cnn ? nn::ModelArch::kCnn2 : nn::ModelArch::kMlp2;
@@ -537,6 +561,16 @@ nn::ModelSpec bench_model_spec(bool cnn) {
   spec.hidden = cnn ? 64 : 48;
   spec.base_channels = 8;
   return spec;
+}
+
+/// BM_LocalSgdStep's model and batch: args 0 and 1 as bench_model_spec at
+/// batch 16; arg 2 the MLP2 as `fig6_mnist` trains it, on a 1 x 8 x 8
+/// input at batch 8.
+std::pair<nn::ModelSpec, std::size_t> sgd_step_setting(std::int64_t arg) {
+  if (arg < 2) return {bench_model_spec(arg != 0), 16};
+  nn::ModelSpec spec = bench_model_spec(false);
+  spec.input_shape = tensor::Shape{1, 8, 8};
+  return {spec, 8};
 }
 
 void BM_ModelForward(benchmark::State& state) {
@@ -556,14 +590,17 @@ void BM_LocalSgdStep(benchmark::State& state) {
   // loop body. Parameters and optimizer state go back to their start every
   // I = 10 steps, as a device round restarts from the model it was sent,
   // so the weights stay in the range training sees.
-  const nn::ModelSpec spec = bench_model_spec(state.range(0) != 0);
+  const auto [spec, batch_size] = sgd_step_setting(state.range(0));
   auto model = nn::build_model(spec, 1);
   const std::vector<float> start(model->parameters().begin(),
                                  model->parameters().end());
   optim::Sgd sgd({.learning_rate = 0.01, .momentum = 0.9});
   parallel::Xoshiro256 rng(3);
-  const auto batch = tensor::Tensor::randn(tensor::Shape{16, 1, 16, 16}, rng);
-  std::vector<std::int32_t> labels(16);
+  std::vector<std::size_t> dims{batch_size};
+  dims.insert(dims.end(), spec.input_shape.dims().begin(),
+              spec.input_shape.dims().end());
+  const auto batch = tensor::Tensor::randn(tensor::Shape(dims), rng);
+  std::vector<std::int32_t> labels(batch_size);
   for (auto& l : labels) l = static_cast<std::int32_t>(rng.bounded(10));
   tensor::Tensor grad_logits;
   std::size_t step = 0;
@@ -579,9 +616,11 @@ void BM_LocalSgdStep(benchmark::State& state) {
     sgd.step(model->parameters(), model->gradients());
     benchmark::DoNotOptimize(model->parameters().data());
   }
-  state.SetLabel(nn::to_string(spec.arch));
+  state.SetLabel(nn::to_string(spec.arch) + " " +
+                 spec.input_shape.to_string() + " x " +
+                 std::to_string(batch_size));
 }
-BENCHMARK(BM_LocalSgdStep)->Arg(0)->Arg(1);
+BENCHMARK(BM_LocalSgdStep)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SyntheticSample(benchmark::State& state) {
   const auto cfg = data::task_config(data::TaskKind::kCifar);

@@ -1,6 +1,9 @@
 // Flattens per-sample dimensions; a pure reshape (data is contiguous).
 #pragma once
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "nn/module.hpp"
 
 namespace middlefl::nn {
@@ -14,16 +17,29 @@ class Flatten final : public Layer {
     return Shape{flat_};
   }
 
+  // Both passes copy into the destination's own storage: after the first
+  // step its shape and capacity already fit, so no step allocates.
   void forward(const Tensor& input, Tensor& output, bool /*training*/) override {
-    output = input;
-    output.reshape(Shape{input.dim(0), flat_});
+    const std::size_t batch = input.dim(0);
+    if (input.numel() != batch * flat_) {
+      throw std::invalid_argument("Flatten::forward: bad input " +
+                                  input.shape().to_string());
+    }
+    output.reset_for_overwrite({batch, flat_});
+    std::copy(input.data().begin(), input.data().end(),
+              output.data().begin());
   }
 
   void backward(const Tensor& input, const Tensor& grad_output,
                 Tensor* grad_input) override {
     if (grad_input == nullptr) return;
-    *grad_input = grad_output;
-    grad_input->reshape(input.shape());
+    if (grad_output.numel() != input.numel()) {
+      throw std::invalid_argument("Flatten::backward: bad grad_output " +
+                                  grad_output.shape().to_string());
+    }
+    grad_input->reset_for_overwrite(input.shape());
+    std::copy(grad_output.data().begin(), grad_output.data().end(),
+              grad_input->data().begin());
   }
 
   std::unique_ptr<Layer> clone() const override {

@@ -88,9 +88,10 @@ double chunked_reduce(std::size_t n, parallel::ThreadPool* pool,
 
 // --- GEMM kernels -----------------------------------------------------------
 //
-// The kernels live in kernels/ (packed micro-kernels and the small-NT
-// kernel, with runtime ISA dispatch); this file keeps the epilogue helpers
-// the small-NT path applies afterwards. Every kernel computes rows
+// The kernels live in kernels/ (packed micro-kernels with their small
+// path, and the small-NT kernel, with runtime ISA dispatch); this file
+// picks among them by shape and keeps the epilogue helpers the small-NT
+// path applies afterwards. Every kernel computes rows
 // [row_lo, row_hi) of C and each row's arithmetic order depends only on the
 // row itself, so any row split yields identical results — the property the
 // parallel path and the determinism pin rely on.
@@ -147,6 +148,21 @@ void transpose_pack(const float* src, std::size_t rows, std::size_t cols,
       }
     }
   }
+}
+
+/// Whether a call takes the small path rather than the packed one. Read
+/// off per-shape timings of both paths on AVX-512 and AVX2 (ARCHITECTURE
+/// "GEMM micro-kernels"): without packing and staging the small path wins
+/// wherever op(B)'s working set stays cache-resident. It loses where a
+/// transposed B is large (its register transpose, then strided re-reads),
+/// where C is both wide and tall (n = 1024 from m = 128 on), and past
+/// k = 1024, where a column block of B falls out of L2 (the packed path's
+/// Kc blocking keeps it in L1).
+bool takes_small_path(Trans trans_b, std::size_t m, std::size_t n,
+                      std::size_t k) noexcept {
+  if (k > 1024) return false;
+  if (trans_b == Trans::kYes) return n <= 64 || n * k <= 8192;
+  return n <= 256 || m * n <= 32768;
 }
 
 }  // namespace
@@ -245,8 +261,8 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   // NT with a small B (n < 16 or k < 16) runs the small-NT kernel, which
   // reads A and B in place: panel packing would dominate at these shapes.
   // Its four-lane summation tree is a rounding contract of its own (see
-  // kernels/gemm_kernel_impl.hpp). Everything else goes through the packed
-  // micro-kernel.
+  // kernels/gemm_kernel_impl.hpp). Everything else runs the packed
+  // contract, on the small path where takes_small_path() says so.
   const auto& kern = detail::gemm_kernels(active_isa());
   if (eff_a == Trans::kNo && trans_b == Trans::kYes && (n < 16 || k < 16)) {
     run_split([&](std::size_t lo, std::size_t hi) {
@@ -261,10 +277,12 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
     return;
   }
 
-  // Packed path. B is prepared once on the calling thread (read in place,
-  // or packed into its aligned workspace slot); row-chunk workers only
-  // read it, and each packs its own A rows into its thread's kGemmPanelA
-  // slot inside compute().
+  // Small or packed path, one rounding contract. B is prepared once on the
+  // calling thread (read in place, or packed or transposed into its
+  // aligned workspace slot); row-chunk workers only read it. The packed
+  // path's compute() packs each chunk's A rows into its thread's
+  // kGemmPanelA slot; the small path reads A in place.
+  const bool small = takes_small_path(trans_b, m, n, k);
   detail::PackedGemmArgs args;
   args.m = m;
   args.n = n;
@@ -277,13 +295,16 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   args.epilogue = epilogue;
   const bool b_transposed = trans_b == Trans::kYes;
   auto bpanel = Workspace::tls().aligned_floats(
-      WsAlignedSlot::kGemmPanelB, kern.packed_b_floats(k, n, b_transposed));
-  kern.pack_b(b.data(), b_transposed, bpanel.data(), args);
+      WsAlignedSlot::kGemmPanelB,
+      (small ? kern.small_b_floats : kern.packed_b_floats)(k, n, b_transposed));
+  (small ? kern.small_b : kern.pack_b)(b.data(), b_transposed, bpanel.data(),
+                                       args);
+  const auto compute = small ? kern.small : kern.compute;
   run_split([&](std::size_t lo, std::size_t hi) {
     detail::PackedGemmArgs chunk = args;
     chunk.row_lo = lo;
     chunk.row_hi = hi;
-    kern.compute(chunk);
+    compute(chunk);
   });
 }
 

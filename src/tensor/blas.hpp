@@ -10,8 +10,11 @@
 // cpu_features.hpp and kernels/gemm_kernel.hpp): operands are packed into
 // cache-blocked panels in aligned thread-local Workspace slots and swept by
 // an MR x NR register tile in scalar, AVX2+FMA or AVX-512 form, chosen by
-// cpuid at run time. Every dispatch target accumulates each C element in
-// the same fixed K order, so the selected ISA never changes an output bit.
+// cpuid at run time. Small shapes, where packing would cost more than the
+// arithmetic, take the kernel's small path instead: A and a row-major B
+// are read in place, and the tiles are as wide as n. Every dispatch target
+// and both paths accumulate each C element in the same fixed K order, so
+// neither the selected ISA nor the path changes an output bit.
 // NT with a small B (n < 16 or k < 16) instead runs the dispatched small-NT
 // kernel, which reads the operands in place (packing would dominate there)
 // and sums each element in four p-lanes; it too is bitwise-identical across

@@ -2,11 +2,14 @@
 //
 // blas.cpp's gemm() routes every call through one of three kernel
 // translation units — scalar, AVX2+FMA, AVX-512F — selected at runtime via
-// cpu_features.hpp. Each TU compiles the same two algorithms
+// cpu_features.hpp. Each TU compiles the same algorithms
 // (kernels/gemm_kernel_impl.hpp) with a different register geometry: the
-// blocked packed GEMM, and the small-NT kernel for NT calls with a small B
+// blocked packed GEMM; its small path, which keeps the packed rounding
+// contract but packs nothing, for the shapes blas.cpp picks by
+// (trans_b, m, n, k); and the small-NT kernel for NT calls with a small B
 // (n < 16 or k < 16). The determinism contracts (see the impl header)
-// guarantee all three tiers produce bitwise-identical C.
+// guarantee all three tiers produce bitwise-identical C, and the packed
+// and small paths the same C as each other.
 //
 // Packed call protocol:
 //   1. Pick the table:    const GemmKernels& k = gemm_kernels(active_isa())
@@ -24,8 +27,12 @@
 //                         thread's kGemmPanelA slot, so workers never
 //                         share mutable panel state; B and its panel are
 //                         read-only after step 2.
-// The small-NT kernel reads A and B in place and needs no packing; it too
-// may run once per disjoint row chunk.
+// Small path protocol: the same three steps with small_b_floats, small_b
+// (a row-major op(B) is read in place, a transposed one is register-
+// transposed into the kGemmPanelB span, padded to whole vectors) and
+// small (reads A in place, no kGemmPanelA). The small-NT kernel reads A
+// and B in place and needs no packing. Both may run once per disjoint row
+// chunk.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +65,9 @@ struct PackedGemmArgs {
   std::size_t b_slab = 0;
   std::size_t ldb = 0;
   const float* b_tail = nullptr;
+  // Small path: row p of op(B) is at b + p * ldb, and b_extent floats are
+  // readable from b (set by small_b()).
+  std::size_t b_extent = 0;
   float* c = nullptr;               // full C, row stride n
   const GemmEpilogue* epilogue = nullptr;  // may be null
 };
@@ -76,6 +86,15 @@ struct GemmKernels {
   void (*pack_b)(const float* b, bool trans_b, float* out,
                  PackedGemmArgs& args);
   void (*compute)(const PackedGemmArgs& args);
+  /// The small path, same contract as compute(): small_b() sets the args'
+  /// b and ldb, reading a row-major op(B) in place or transposing a
+  /// transposed one into `out` (small_b_floats(k, n, trans_b) floats,
+  /// 0 when row-major); small() then computes rows [row_lo, row_hi)
+  /// reading op(A) in place.
+  std::size_t (*small_b_floats)(std::size_t k, std::size_t n, bool trans_b);
+  void (*small_b)(const float* b, bool trans_b, float* out,
+                  PackedGemmArgs& args);
+  void (*small)(const PackedGemmArgs& args);
   /// Small NT: C[i, j] = alpha * <A[i, :], B[j, :]> + beta * C[i, j] for
   /// rows [row_lo, row_hi); A is m x k and B is n x k, both row-major,
   /// k > 0. No epilogue (blas.cpp applies it afterwards).

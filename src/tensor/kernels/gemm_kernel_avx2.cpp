@@ -1,6 +1,8 @@
 // AVX2+FMA instantiation of the GEMM kernels. Packed: 6x16 micro-tile (12
 // ymm accumulators + 2 B vectors + 1 broadcast within the 16-register
-// file). Small NT: one ymm holds two columns' four p-lanes.
+// file). Small path: tiles of up to 12 ymm accumulators with masked loads
+// and stores at a ragged edge. Small NT: one ymm holds two columns' four
+// p-lanes.
 // Compiled with -mavx2 -mfma -ffp-contract=off on x86 builds; when the
 // toolchain cannot target AVX2 this TU falls back to the scalar geometry
 // so the symbol always links (the runtime dispatch never selects it on a
@@ -39,6 +41,23 @@ struct ArchAvx2 {
     // like the scalar `v > 0 ? v : 0`.
     return _mm256_and_ps(_mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ),
                          v);
+  }
+  // Small path: up to 8 rows x 1 ymm down to 3 rows x 4 ymm, 12
+  // accumulators.
+  static constexpr std::size_t kSmallMR = 8;
+  static constexpr std::size_t kSmallNV = 4;
+  static constexpr std::size_t kSmallAcc = 12;
+  using Mask = __m256i;
+  /// Lanes [0, valid), valid in [1, 8].
+  static Mask mask(std::size_t valid) noexcept {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(valid)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static Vec load_masked(const float* p, Mask m) noexcept {
+    return _mm256_maskload_ps(p, m);
+  }
+  static void store_masked(float* p, Vec v, Mask m) noexcept {
+    _mm256_maskstore_ps(p, m, v);
   }
   /// 8 x 8 transpose: dst[j * ldd + i] = src[i * lds + j]. Interleave row
   /// pairs, then pairs of pairs, then swap 128-bit halves.

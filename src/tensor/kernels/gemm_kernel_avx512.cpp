@@ -1,6 +1,8 @@
 // AVX-512F instantiation of the GEMM kernels. Packed: 8x32 micro-tile (16
-// zmm accumulators out of 32). Small NT: one zmm holds four columns' four
-// p-lanes, and eight rows share each B vector.
+// zmm accumulators out of 32). Small path: tiles of up to 24 zmm
+// accumulators with masked loads and stores at a ragged edge. Small NT:
+// one zmm holds four columns' four p-lanes, and eight rows share each B
+// vector.
 // Compiled with -mavx512f -ffp-contract=off on x86 builds; falls back to
 // the scalar geometry when the toolchain cannot target AVX-512 so the
 // symbol always links (the runtime dispatch never selects it on a CPU
@@ -46,6 +48,21 @@ struct ArchAvx512 {
     const __mmask16 pos =
         _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GT_OQ);
     return _mm512_maskz_mov_ps(pos, v);
+  }
+  // Small path: up to 8 rows x 4 zmm (8 x 3 at n = 48), 24 accumulators.
+  static constexpr std::size_t kSmallMR = 8;
+  static constexpr std::size_t kSmallNV = 4;
+  static constexpr std::size_t kSmallAcc = 24;
+  using Mask = __mmask16;
+  /// Lanes [0, valid), valid in [1, 16].
+  static Mask mask(std::size_t valid) noexcept {
+    return static_cast<Mask>((1u << valid) - 1u);
+  }
+  static Vec load_masked(const float* p, Mask m) noexcept {
+    return _mm512_maskz_loadu_ps(m, p);
+  }
+  static void store_masked(float* p, Vec v, Mask m) noexcept {
+    _mm512_mask_storeu_ps(p, m, v);
   }
   /// 16 x 16 transpose: dst[j * ldd + i] = src[i * lds + j]. Interleave
   /// row pairs (ps), then pairs of pairs (pd), so 128-bit lane L of u[4g+c]

@@ -1,8 +1,9 @@
 // GEMM algorithms, templated over a register geometry: the blocked packed
-// GEMM (PackedGemm) and the small-NT kernel (SmallNt, at the end of this
-// file). Neither may call a shared inline helper compiled under another
-// TU's ISA flags: the linker keeps one copy of such a function for all
-// TUs, so the geometry structs carry every op, including scalar ones.
+// GEMM (PackedGemm) with its unpacked small path (PackedGemm::small), and
+// the small-NT kernel (SmallNt, at the end of this file). None may call a
+// shared inline helper compiled under another TU's ISA flags: the linker
+// keeps one copy of such a function for all TUs, so the geometry structs
+// carry every op, including scalar ones.
 //
 // Each ISA translation unit instantiates PackedGemm<Arch> where Arch
 // supplies the vector type and a handful of primitive ops. The algorithm is
@@ -72,6 +73,14 @@ struct ArchScalar {
 #endif
   }
   static Vec relu(Vec v) noexcept { return v > 0.0f ? v : 0.0f; }
+  // Small path: kW = 1, so a row's last Vec is never partial.
+  static constexpr std::size_t kSmallMR = 4;    // tile rows, at most
+  static constexpr std::size_t kSmallNV = 4;    // tile Vecs per row, at most
+  static constexpr std::size_t kSmallAcc = 16;  // accumulators per tile
+  using Mask = bool;
+  static Mask mask(std::size_t /*valid*/) noexcept { return true; }
+  static Vec load_masked(const float* p, Mask /*m*/) noexcept { return *p; }
+  static void store_masked(float* p, Vec v, Mask /*m*/) noexcept { *p = v; }
   /// dst[j * ldd + i] = src[i * lds + j] for i, j < kW.
   static void transpose(const float* src, std::size_t /*lds*/, float* dst,
                         std::size_t /*ldd*/) noexcept {
@@ -140,31 +149,34 @@ struct PackedGemm {
   }
 
   /// Lanes [0, valid) of the transposed slab: lane t of slab row p is
-  /// src[t * k + p] (`src` holds the slab's `valid` rows of b). kW x kW
-  /// blocks are transposed in registers, so each step reads kW source rows
-  /// along p, one cache line each, and writes kW slab rows along t. A
-  /// partial block of lanes (valid % kW rows) is transposed from a
-  /// zero-padded copy; the rows left over (k % kW) go element by element.
+  /// src[t * k + p] (`src` holds the slab's `valid` rows of b), slab rows
+  /// `ld` floats apart (ld >= valid rounded up to kW). kW x kW blocks are
+  /// transposed in registers, so each step reads kW source rows along p,
+  /// one cache line each, and writes kW slab rows along t. A partial block
+  /// of lanes (valid % kW rows) is transposed from a zero-padded copy; the
+  /// rows left over (k % kW) go element by element.
   static void pack_transposed_slab(const float* src, std::size_t k,
-                                   std::size_t valid, float* slab) {
+                                   std::size_t valid, float* slab,
+                                   std::size_t ld = kNR) {
     const std::size_t blocked = valid - valid % kW;
     alignas(64) float edge[kW * kW] = {};
     std::size_t p = 0;
     for (; p + kW <= k; p += kW) {
       for (std::size_t t = 0; t < blocked; t += kW) {
-        Arch::transpose(src + t * k + p, k, slab + p * kNR + t, kNR);
+        Arch::transpose(src + t * k + p, k, slab + p * ld + t, ld);
       }
       if (blocked == valid) continue;
       for (std::size_t i = 0; i < valid - blocked; ++i) {
         const float* row = src + (blocked + i) * k + p;
         for (std::size_t j = 0; j < kW; ++j) edge[i * kW + j] = row[j];
       }
-      Arch::transpose(edge, kW, slab + p * kNR + blocked, kNR);
+      Arch::transpose(edge, kW, slab + p * ld + blocked, ld);
     }
     for (; p < k; ++p) {
       for (std::size_t t = 0; t < valid; ++t) {
-        slab[p * kNR + t] = src[t * k + p];
+        slab[p * ld + t] = src[t * k + p];
       }
+      for (std::size_t t = valid; t < ld; ++t) slab[p * ld + t] = 0.0f;
     }
   }
 
@@ -412,6 +424,285 @@ struct PackedGemm {
     }
   }
 
+  // --- Small path ---------------------------------------------------------
+  //
+  // For the calls where packing and staging cost more than the arithmetic
+  // (blas.cpp picks them by shape). The contract above holds unchanged;
+  // only where operands are read from differs:
+  //   op(A) in place, alpha applied at each use (`alpha * a`, one
+  //     rounding, exactly as pack_a folds it);
+  //   op(B) row p at b + p * ldb: a row-major op(B) in place (ldb = n), a
+  //     transposed one register-transposed once per call (ldb = n rounded
+  //     up to kW); when kW does not divide n, a row's last Vec is read
+  //     whole where it lies inside B and masked where it does not, so
+  //     nothing is zero-filled or staged;
+  //   C in tiles of R rows x NV Vecs, NV * kW just covering the tile's
+  //     columns, so no accumulator Vec is all padding.
+  // row_sums are folded in ascending p before the sweep, once per row.
+
+  static std::size_t small_ldb(std::size_t n) {
+    return (n + kW - 1) / kW * kW;
+  }
+
+  static std::size_t small_b_floats(std::size_t k, std::size_t n,
+                                    bool trans_b) {
+    return trans_b ? k * small_ldb(n) : 0;
+  }
+
+  /// Sets g's B view for small(): b, ldb and b_extent. The transposed
+  /// copy's padding lanes are zeros.
+  static void small_b(const float* b, bool trans_b, float* out,
+                      PackedGemmArgs& g) {
+    if (!trans_b) {
+      g.b = b;
+      g.ldb = g.n;
+      g.b_extent = g.k * g.n;
+      return;
+    }
+    g.b = out;
+    g.ldb = small_ldb(g.n);
+    g.b_extent = g.k * g.ldb;
+    pack_transposed_slab(b, g.k, g.n, out, g.ldb);
+  }
+
+  /// Rows per tile of NV Vecs: as many as the accumulator budget allows.
+  static constexpr std::size_t small_rows(std::size_t nv) {
+    return Arch::kSmallAcc / nv < Arch::kSmallMR ? Arch::kSmallAcc / nv
+                                                 : Arch::kSmallMR;
+  }
+
+  /// Folds op(A) rows [row_lo, row_hi) into row_sums in ascending p. A
+  /// transposed A holds a column p of op(A) contiguously, so one Vec adds
+  /// kW rows' p-th values at once, each lane still in ascending p.
+  static void small_row_sums(const PackedGemmArgs& g, float* sums) {
+    std::size_t i = g.row_lo;
+    if (g.trans_a) {
+      for (; i + kW <= g.row_hi; i += kW) {
+        Vec s = Arch::load(sums + i);
+        for (std::size_t p = 0; p < g.k; ++p) {
+          s = Arch::add(s, Arch::load(g.a + p * g.m + i));
+        }
+        Arch::store(sums + i, s);
+      }
+    }
+    const std::size_t rs = g.trans_a ? 1 : g.k;
+    const std::size_t ps = g.trans_a ? g.m : 1;
+    for (; i < g.row_hi; ++i) {
+      float s = sums[i];
+      for (std::size_t p = 0; p < g.k; ++p) s += g.a[i * rs + p * ps];
+      sums[i] = s;
+    }
+  }
+
+  /// Vec v of a tile row starting at `row`; the tile's last Vec is masked.
+  template <std::size_t NV>
+  static Vec small_load(const float* row, std::size_t v,
+                        typename Arch::Mask last) noexcept {
+    return v + 1 < NV ? Arch::load(row + v * kW)
+                      : Arch::load_masked(row + v * kW, last);
+  }
+
+  /// One p of a tile: acc[r][v] = madd(op(A)[i0 + r, p], brow[v], acc[r][v])
+  /// with op(A)[i0 + r, p] at ap[r * rs + off]; kMasked: the last Vec of
+  /// brow is a masked load.
+  template <std::size_t R, std::size_t NV, bool kScale, bool kMasked>
+  [[gnu::always_inline]] static inline void small_step(
+      Vec (&acc)[R][NV], const float* brow, const float* ap, std::size_t rs,
+      std::size_t off, float alpha, typename Arch::Mask last) noexcept {
+    Vec bv[NV];
+    for (std::size_t v = 0; v < NV; ++v) {
+      bv[v] = kMasked ? small_load<NV>(brow, v, last)
+                      : Arch::load(brow + v * kW);
+    }
+    // Unrolled before loop-invariant motion, so GCC keeps acc in
+    // registers across p rather than storing it back every step.
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r) {
+      float a = ap[r * rs + off];
+      if constexpr (kScale) a = alpha * a;
+      const Vec av = Arch::broadcast(a);
+      for (std::size_t v = 0; v < NV; ++v) {
+        acc[r][v] = Arch::madd(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+
+  /// C rows [i0, i0 + R), columns [col0, col0 + width), width in
+  /// ((NV - 1) * kW, NV * kW]: the beta prologue, k madds per element and
+  /// the epilogue, all in registers. kScale: alpha != 1.
+  template <std::size_t R, std::size_t NV, bool kScale>
+  static void small_tile(const PackedGemmArgs& g, std::size_t i0,
+                         std::size_t col0, std::size_t width) {
+    const typename Arch::Mask last = Arch::mask(width - (NV - 1) * kW);
+    const std::size_t n = g.n;
+    Vec acc[R][NV];
+    float* ct = g.c + i0 * n + col0;
+    if (g.beta == 0.0f) {
+      for (std::size_t r = 0; r < R; ++r) {
+        for (std::size_t v = 0; v < NV; ++v) acc[r][v] = Arch::zero();
+      }
+    } else {
+      for (std::size_t r = 0; r < R; ++r) {
+        for (std::size_t v = 0; v < NV; ++v) {
+          acc[r][v] = small_load<NV>(ct + r * n, v, last);
+        }
+      }
+      if (g.beta != 1.0f) {
+        const Vec vb = Arch::broadcast(g.beta);
+        for (std::size_t r = 0; r < R; ++r) {
+          for (std::size_t v = 0; v < NV; ++v) {
+            acc[r][v] = Arch::mul(acc[r][v], vb);
+          }
+        }
+      }
+    }
+
+    // op(A)[i0 + r, p] is ap[r * rs + p * ps].
+    const std::size_t k = g.k;
+    const std::size_t rs = g.trans_a ? 1 : k;
+    const std::size_t ps = g.trans_a ? g.m : 1;
+    const float* ap = g.a + i0 * rs;
+    const float* bp = g.b + col0;
+    const std::size_t ldb = g.ldb;
+    const float alpha = g.alpha;
+    // Rows p < k_full read their last Vec whole: its lanes past the
+    // tile's width lie inside B (the next row, or the padded panel), feed
+    // only accumulator lanes that are never stored, and a plain load keeps
+    // GCC from spilling acc around a masked one. The rest is masked.
+    const std::size_t reach = col0 + NV * kW;
+    std::size_t k_full = 0;
+    if (g.b_extent >= reach) {
+      k_full = (g.b_extent - reach) / ldb + 1;
+      if (k_full > k) k_full = k;
+    }
+    for (std::size_t p = 0; p < k_full; ++p) {
+      small_step<R, NV, kScale, false>(acc, bp + p * ldb, ap, rs, p * ps,
+                                       alpha, last);
+    }
+    for (std::size_t p = k_full; p < k; ++p) {
+      small_step<R, NV, kScale, true>(acc, bp + p * ldb, ap, rs, p * ps,
+                                      alpha, last);
+    }
+
+    const GemmEpilogue* epi = g.epilogue;
+    if (epi != nullptr) {
+      if (epi->col_bias != nullptr) {
+        Vec cb[NV];
+        for (std::size_t v = 0; v < NV; ++v) {
+          cb[v] = small_load<NV>(epi->col_bias + col0, v, last);
+        }
+        for (std::size_t r = 0; r < R; ++r) {
+          for (std::size_t v = 0; v < NV; ++v) {
+            acc[r][v] = Arch::add(acc[r][v], cb[v]);
+          }
+        }
+      }
+      if (epi->row_bias != nullptr) {
+        for (std::size_t r = 0; r < R; ++r) {
+          const Vec rb = Arch::broadcast(epi->row_bias[i0 + r]);
+          for (std::size_t v = 0; v < NV; ++v) {
+            acc[r][v] = Arch::add(acc[r][v], rb);
+          }
+        }
+      }
+      if (epi->relu) {
+        for (std::size_t r = 0; r < R; ++r) {
+          for (std::size_t v = 0; v < NV; ++v) {
+            acc[r][v] = Arch::relu(acc[r][v]);
+          }
+        }
+      }
+    }
+
+    for (std::size_t r = 0; r < R; ++r) {
+      float* crow = ct + r * n;
+      for (std::size_t v = 0; v + 1 < NV; ++v) {
+        Arch::store(crow + v * kW, acc[r][v]);
+      }
+      Arch::store_masked(crow + (NV - 1) * kW, acc[r][NV - 1], last);
+    }
+
+    if (epi != nullptr && epi->relu_mask != nullptr) {
+      // From the stored values, as run_tile does.
+      for (std::size_t r = 0; r < R; ++r) {
+        const float* crow = ct + r * n;
+        std::uint8_t* mrow = epi->relu_mask + (i0 + r) * n + col0;
+        for (std::size_t j = 0; j < width; ++j) {
+          mrow[j] = crow[j] > 0.0f ? 1 : 0;
+        }
+      }
+    }
+  }
+
+  /// Rows [i, row_hi), fewer than small_rows(NV), as tiles of T, T / 2,
+  /// ..., 1 rows, one for each bit set in their count.
+  template <std::size_t T, std::size_t NV, bool kScale>
+  static void small_tail(const PackedGemmArgs& g, std::size_t i,
+                         std::size_t col0, std::size_t width) {
+    if constexpr (T > 0) {
+      if constexpr (T < small_rows(NV)) {
+        if (((g.row_hi - i) & T) != 0) {
+          small_tile<T, NV, kScale>(g, i, col0, width);
+          i += T;
+        }
+      }
+      small_tail<T / 2, NV, kScale>(g, i, col0, width);
+    }
+  }
+
+  template <std::size_t NV, bool kScale>
+  static void small_cols(const PackedGemmArgs& g, std::size_t col0,
+                         std::size_t width) {
+    constexpr std::size_t kR = small_rows(NV);
+    static_assert(kR <= 8, "small_tail splits fewer than 8 rows");
+    std::size_t i = g.row_lo;
+    for (; i + kR <= g.row_hi; i += kR) {
+      small_tile<kR, NV, kScale>(g, i, col0, width);
+    }
+    small_tail<4, NV, kScale>(g, i, col0, width);
+  }
+
+  /// Runs small_cols<nv> for a runtime nv in [1, NV].
+  template <bool kScale, std::size_t NV = Arch::kSmallNV>
+  static void small_width(std::size_t nv, const PackedGemmArgs& g,
+                          std::size_t col0, std::size_t width) {
+    if constexpr (NV > 0) {
+      if (nv == NV) {
+        small_cols<NV, kScale>(g, col0, width);
+      } else {
+        small_width<kScale, NV - 1>(nv, g, col0, width);
+      }
+    }
+  }
+
+  /// The n columns as few column blocks of at most kSmallNV Vecs as
+  /// possible, their widths as even as whole Vecs allow.
+  template <bool kScale>
+  static void small_sweep(const PackedGemmArgs& g) {
+    const std::size_t vecs = (g.n + kW - 1) / kW;
+    const std::size_t blocks = (vecs + Arch::kSmallNV - 1) / Arch::kSmallNV;
+    std::size_t v0 = 0;
+    for (std::size_t left = blocks; left > 0; --left) {
+      const std::size_t nv = (vecs - v0 + left - 1) / left;
+      const std::size_t col0 = v0 * kW;
+      const std::size_t width = g.n - col0 < nv * kW ? g.n - col0 : nv * kW;
+      small_width<kScale>(nv, g, col0, width);
+      v0 += nv;
+    }
+  }
+
+  /// C rows [row_lo, row_hi) on the small path; B as set by small_b().
+  static void small(const PackedGemmArgs& g) {
+    if (g.row_hi <= g.row_lo || g.n == 0) return;
+    if (g.epilogue != nullptr && g.epilogue->row_sums != nullptr) {
+      small_row_sums(g, g.epilogue->row_sums);
+    }
+    if (g.alpha == 1.0f) {
+      small_sweep<false>(g);
+    } else {
+      small_sweep<true>(g);
+    }
+  }
 };
 
 // --- Small NT -----------------------------------------------------------
@@ -556,6 +847,9 @@ const GemmKernels& kernel_table() noexcept {
                              &Packed::packed_b_floats,
                              &Packed::pack_b,
                              &Packed::compute,
+                             &Packed::small_b_floats,
+                             &Packed::small_b,
+                             &Packed::small,
                              &SmallNt<NtArch>::compute};
   return t;
 }

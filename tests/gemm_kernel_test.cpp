@@ -4,8 +4,8 @@
 // fused-epilogue semantics (bias / ReLU / mask / row-sums bitwise equal to
 // the unfused elementwise passes), dispatch parity — every ISA tier the
 // host supports must produce byte-identical output for the same input —
-// and a sweep over the slab and Kc edges of the in-place and transposed B
-// paths.
+// a sweep over the slab and Kc edges of the in-place and transposed B
+// paths, and the small path byte for byte against the packed one.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,12 +13,14 @@
 #include <cstring>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "isa_guard.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/blas.hpp"
 #include "tensor/cpu_features.hpp"
+#include "tensor/kernels/gemm_kernel.hpp"
 
 namespace {
 
@@ -427,6 +429,114 @@ TEST(GemmKernel, InPlaceBSweepMatchesReferenceAndScalarTier) {
               const double tol = 1e-4 * (1.0 + static_cast<double>(k) * 0.01);
               for (std::size_t i = 0; i < want.size(); ++i) {
                 ASSERT_NEAR(serial.c[i], want[i], tol) << "at flat index " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// One call of a kernel table's packed (pack_b + compute) or small
+/// (small_b + small) path over `out`, its rows split at `split` into two
+/// calls (no split when split is 0 or m).
+void run_table_path(const middlefl::tensor::detail::GemmKernels& kern,
+                    bool small, bool ta, bool tb, std::size_t m,
+                    std::size_t n, std::size_t k, float alpha, const float* a,
+                    const float* b, float beta, EpilogueKind kind,
+                    const std::vector<float>& col_bias,
+                    const std::vector<float>& row_bias, std::size_t split,
+                    std::vector<float>& panel, GemmOutputs& out) {
+  GemmEpilogue epi;
+  if (kind == EpilogueKind::kBiasReluMask) {
+    epi.col_bias = col_bias.data();
+    epi.row_bias = row_bias.data();
+    epi.relu = true;
+    epi.relu_mask = out.mask.data();
+  } else if (kind == EpilogueKind::kRowSums) {
+    epi.row_sums = out.sums.data();
+  }
+  middlefl::tensor::detail::PackedGemmArgs args;
+  args.m = m;
+  args.n = n;
+  args.k = k;
+  args.alpha = alpha;
+  args.beta = beta;
+  args.a = a;
+  args.trans_a = ta;
+  args.c = out.c.data() + 1;
+  args.epilogue = kind == EpilogueKind::kNone ? nullptr : &epi;
+  panel.resize((small ? kern.small_b_floats : kern.packed_b_floats)(k, n, tb));
+  (small ? kern.small_b : kern.pack_b)(b, tb, panel.data(), args);
+  const auto compute = small ? kern.small : kern.compute;
+  for (const auto& [lo, hi] : {std::pair{std::size_t{0}, split},
+                              std::pair{split, m}}) {
+    if (lo == hi) continue;
+    args.row_lo = lo;
+    args.row_hi = hi;
+    compute(args);
+  }
+}
+
+// The small path reads op(A) and a row-major op(B) in place and transposes
+// a transposed op(B) into a padded panel; it must give the packed path's
+// bytes in C, the ReLU mask and the row sums for every transpose pair, row
+// count (every tile height and its tails), every tier's column widths
+// around kW and the small path's column blocks, depths around the
+// register-transpose blocks, alpha and beta variants (beta 0 never reads
+// C) and each epilogue, with A, B and C one float past an aligned start.
+// alpha 0.75 runs the small path as two row chunks.
+TEST(GemmKernel, SmallPathOracle) {
+  std::vector<std::size_t> rows;
+  for (std::size_t m = 1; m <= 17; ++m) rows.push_back(m);
+  rows.push_back(24);
+  rows.push_back(48);
+  const std::size_t cols[] = {1, 7, 8, 15, 16, 17, 24, 31, 32, 33, 47, 48, 49,
+                              64};
+  const std::size_t depths[] = {1, 2, 8, 10, 16, 24, 48, 64, 65};
+  std::vector<float> panel;
+  GemmOutputs packed;
+  GemmOutputs small;
+  for (const IsaLevel level : middlefl::test_support::supported_isas()) {
+    const auto& kern = middlefl::tensor::detail::gemm_kernels(level);
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        for (const std::size_t m : rows) {
+          for (const std::size_t n : cols) {
+            for (const std::size_t k : depths) {
+              const std::uint64_t seed = 7000 + m * 131 + n * 17 + k;
+              const auto a = random_vec(m * k + 1, seed);
+              const auto b = random_vec(k * n + 1, seed + 1);
+              const auto c0 = random_vec(m * n + 1, seed + 2);
+              const auto col_bias = random_vec(n, seed + 3);
+              const auto row_bias = random_vec(m, seed + 4);
+              for (const float alpha : {1.0f, 0.75f}) {
+                for (const float beta : {0.0f, 1.0f, 0.5f}) {
+                  for (const EpilogueKind kind :
+                       {EpilogueKind::kNone, EpilogueKind::kBiasReluMask,
+                        EpilogueKind::kRowSums}) {
+                    for (GemmOutputs* out : {&packed, &small}) {
+                      out->c = c0;
+                      out->mask.assign(m * n, 2);
+                      out->sums.assign(m, 0.5f);
+                    }
+                    run_table_path(kern, false, ta, tb, m, n, k, alpha,
+                                   a.data() + 1, b.data() + 1, beta, kind,
+                                   col_bias, row_bias, 0, panel, packed);
+                    run_table_path(kern, true, ta, tb, m, n, k, alpha,
+                                   a.data() + 1, b.data() + 1, beta, kind,
+                                   col_bias, row_bias,
+                                   alpha == 1.0f ? 0 : m / 2, panel, small);
+                    ASSERT_TRUE(small == packed)
+                        << "small path differs from the packed path: isa="
+                        << middlefl::tensor::to_string(level) << " ta=" << ta
+                        << " tb=" << tb << " m=" << m << " n=" << n
+                        << " k=" << k << " alpha=" << alpha
+                        << " beta=" << beta
+                        << " epilogue=" << static_cast<int>(kind);
+                  }
+                }
               }
             }
           }
