@@ -237,9 +237,11 @@ BENCHMARK(BM_GemmShape)
 /// The paper's CNN-2 (§6.1.2 MNIST: 1 x 16 x 16 input, 8 base channels,
 /// hidden 64, 10 classes) at batch 16 as standalone layers, every layer's
 /// input and output gradient prepared, so one layer's forward or backward
-/// can be timed alone. Conv and Linear layers run with the following ReLU
-/// fused and conv1 gets no input gradient, as in Sequential; the ReLU
-/// backward passes (a mask multiply each) are left out.
+/// can be timed alone. As in Sequential: conv and Linear layers run with
+/// the following ReLU fused, the convs write no ReLU mask (the pool after
+/// each runs its ReLU's backward: a pool backward row is the fused ReLU +
+/// pool step), and conv1 gets no input gradient. fc1's ReLU backward (a
+/// mask select) is left out.
 class Cnn2Layers {
  public:
   static constexpr std::size_t kBatch = 16;
@@ -296,15 +298,20 @@ class Cnn2Layers {
 
   void forward(std::size_t i) {
     switch (i) {
-      case 0: conv1_.forward_fused(act_[0], act_[1], true, relu1_); break;
+      case 0: conv1_.forward_fused(act_[0], act_[1], true, nullptr); break;
       case 1: pool1_.forward(act_[1], act_[2], true); break;
-      case 2: conv2_.forward_fused(act_[2], act_[3], true, relu2_); break;
+      case 2: conv2_.forward_fused(act_[2], act_[3], true, nullptr); break;
       case 3: pool2_.forward(act_[3], act_[4], true); break;
       case 4: fc1_.forward_fused(act_[4], act_[5], true, relu3_); break;
       default: fc2_.forward(act_[5], act_[6], true); break;
     }
   }
   void backward(std::size_t i) {
+    if (i == 1 || i == 3) {
+      nn::MaxPool2d& pool = i == 1 ? pool1_ : pool2_;
+      pool.backward_relu(act_[i], act_[i + 1], grad_[i], &grad_in_);
+      return;
+    }
     nn::Layer* layers[kLayers] = {&conv1_, &pool1_, &conv2_,
                                   &pool2_, &fc1_,   &fc2_};
     layers[i]->backward(act_[i], grad_[i], i == 0 ? nullptr : &grad_in_);
@@ -317,11 +324,11 @@ class Cnn2Layers {
                      .stride = 1, .padding = 1}};
   nn::Conv2d conv2_{{.in_channels = 8, .out_channels = 16, .kernel = 3,
                      .stride = 1, .padding = 1}};
-  nn::MaxPool2d pool1_{2};
-  nn::MaxPool2d pool2_{2};
+  nn::MaxPool2d pool1_;
+  nn::MaxPool2d pool2_;
   nn::Linear fc1_{256, 64};
   nn::Linear fc2_{64, 10};
-  nn::ReLU relu1_, relu2_, relu3_;
+  nn::ReLU relu3_;
   std::vector<float> params_, grads_;
   tensor::Tensor act_[kLayers + 1];  // act_[i] is layer i's input
   tensor::Tensor grad_[kLayers];     // d(loss)/d(layer i's output)

@@ -23,7 +23,9 @@ class ReLU final : public Layer {
   /// preceding Linear/Conv2d GEMM epilogue, the producing layer writes the
   /// activation mask straight into this buffer (1 where the pre-activation
   /// was positive) instead of ReLU::forward running at all. backward()
-  /// then works exactly as if forward had filled the mask itself.
+  /// then works exactly as if forward had filled the mask itself. When a
+  /// MaxPool2d follows, Sequential runs neither: the pool folds this
+  /// backward into its own (MaxPool2d::backward_relu).
   std::uint8_t* fused_mask(std::size_t numel) {
     if (mask_.size() < numel) mask_.resize(numel);
     cached_numel_ = numel;

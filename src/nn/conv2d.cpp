@@ -239,16 +239,16 @@ void Conv2d::col2im(const float* col, std::size_t col_pitch,
 }
 
 void Conv2d::forward(const Tensor& input, Tensor& output, bool training) {
-  forward_impl(input, output, training, nullptr);
+  forward_impl(input, output, training, false, nullptr);
 }
 
 void Conv2d::forward_fused(const Tensor& input, Tensor& output, bool training,
-                           ReLU& relu) {
-  forward_impl(input, output, training, &relu);
+                           ReLU* relu) {
+  forward_impl(input, output, training, true, relu);
 }
 
 void Conv2d::forward_impl(const Tensor& input, Tensor& output, bool training,
-                          ReLU* relu) {
+                          bool relu, ReLU* mask_owner) {
   const std::size_t batch = input.dim(0);
   const std::size_t sample_size = cfg_.in_channels * in_h_ * in_w_;
   if (input.numel() != batch * sample_size) {
@@ -257,8 +257,8 @@ void Conv2d::forward_impl(const Tensor& input, Tensor& output, bool training,
   }
   const std::size_t out_sample_size = cfg_.out_channels * col_cols_;
   output.reset_for_overwrite({batch, cfg_.out_channels, out_h_, out_w_});
-  std::uint8_t* mask = relu != nullptr && training
-                           ? relu->fused_mask(batch * out_sample_size)
+  std::uint8_t* mask = mask_owner != nullptr && training
+                           ? mask_owner->fused_mask(batch * out_sample_size)
                            : nullptr;
 
   const std::size_t col_size = col_rows_ * col_cols_;
@@ -282,7 +282,7 @@ void Conv2d::forward_impl(const Tensor& input, Tensor& output, bool training,
     // instead of re-traversing the output planes.
     tensor::GemmEpilogue epi;
     epi.row_bias = bias_.data();
-    epi.relu = relu != nullptr;
+    epi.relu = relu;
     if (mask != nullptr) epi.relu_mask = mask + b * out_sample_size;
     tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, cfg_.out_channels,
                  col_cols_, col_rows_, 1.0f, weight_,

@@ -43,9 +43,11 @@ class Conv2d final : public Layer {
   /// Forward with the following ReLU folded into the per-sample GEMM
   /// epilogue (see Linear::forward_fused). The per-channel bias is a
   /// row_bias here: output row oc of each sample's GEMM is one channel
-  /// plane.
+  /// plane. A training forward writes the ReLU's backward mask through
+  /// `relu`; pass null when nothing reads it (Sequential does when a
+  /// MaxPool2d after the ReLU runs the ReLU's backward).
   void forward_fused(const Tensor& input, Tensor& output, bool training,
-                     ReLU& relu);
+                     ReLU* relu);
 
   const Conv2dConfig& config() const noexcept { return cfg_; }
 
@@ -62,10 +64,10 @@ class Conv2d final : public Layer {
 
  private:
   /// Shared body of forward()/forward_fused(): im2col + one GEMM per
-  /// sample with bias (and optionally ReLU + mask) applied in the GEMM's
-  /// final sweep. `relu` may be null (bias-only epilogue).
+  /// sample with bias (and optionally ReLU, and its mask when `mask_owner`
+  /// is set) applied in the GEMM's final sweep.
   void forward_impl(const Tensor& input, Tensor& output, bool training,
-                    ReLU* relu);
+                    bool relu, ReLU* mask_owner);
 
   Conv2dConfig cfg_;
   std::size_t in_h_ = 0, in_w_ = 0;

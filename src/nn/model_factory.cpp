@@ -42,7 +42,7 @@ void add_conv_block(Sequential& model, std::size_t in_ch, std::size_t out_ch,
       .padding = 1,
   }));
   model.add(std::make_unique<ReLU>());
-  if (pool) model.add(std::make_unique<MaxPool2d>(2));
+  if (pool) model.add(std::make_unique<MaxPool2d>());
 }
 
 }  // namespace

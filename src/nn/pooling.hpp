@@ -1,10 +1,10 @@
-// 2-D max and average pooling over NCHW batches. MaxPool2d lowers a group
-// of planes like im2col (every window's tap t in row t of a workspace
-// buffer) and takes the running max down the taps with selects rather than
-// branches: random activations make a compare branch mispredict about half
-// the time, and the select loop runs contiguous over the group's windows.
-// A strict `>` in (ky, kx) window order keeps the first maximum on ties and
-// leaves NaN behaviour as a compare-and-branch loop has it.
+// 2 x 2, stride-2 max pooling over NCHW batches: the pool CNN-2 and CNN-3
+// build. Forward and backward run in the per-ISA kernel table
+// (tensor/kernels/gemm_kernel.hpp, max_pool2x2*), which splits a window
+// row pair into even and odd columns with permutes and takes the running
+// max down the taps in (ky, kx) order with strict `>` selects: the first
+// maximum wins ties, and NaN behaves as in a compare-and-branch loop. A
+// training forward keeps one tap code per output for the backward.
 #pragma once
 
 #include <cstdint>
@@ -16,51 +16,35 @@ namespace middlefl::nn {
 
 class MaxPool2d final : public Layer {
  public:
-  /// Square window; `stride == 0` means stride = kernel (non-overlapping).
-  explicit MaxPool2d(std::size_t kernel, std::size_t stride = 0);
-
-  std::string name() const override;
+  std::string name() const override { return "MaxPool2d(k=2, s=2)"; }
+  /// Output planes are (H / 2) x (W / 2); an odd last row or column is
+  /// never read and gets a zero gradient.
   Shape build(const Shape& input_shape) override;
   void forward(const Tensor& input, Tensor& output, bool training) override;
   void backward(const Tensor& input, const Tensor& grad_output,
                 Tensor* grad_input) override;
-  std::unique_ptr<Layer> clone() const override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<MaxPool2d>();
+  }
+
+  /// backward() with the backward of a ReLU right before this pool folded
+  /// in: writes the ReLU input's gradient, (pooled > 0) ? 0.0f + dy : +0.0
+  /// at each window's max and +0.0 elsewhere. `input` and `output` are
+  /// this pool's input (the ReLU's output) and output of the last training
+  /// forward. Bitwise equal to backward() then ReLU::backward: the ReLU's
+  /// mask is `x > 0` of its input, and the pooled value is the ReLU's
+  /// output there. Sequential runs it in place of the pair.
+  void backward_relu(const Tensor& input, const Tensor& output,
+                     const Tensor& grad_output, Tensor* grad_input);
 
  private:
-  std::size_t kernel_;
-  std::size_t stride_;
+  void check_cached(std::size_t batch, const char* where) const;
+
   std::size_t channels_ = 0, in_h_ = 0, in_w_ = 0, out_h_ = 0, out_w_ = 0;
-  // Windows pooled per loop: planes are taken group_ at a time, about
-  // kGroupOutputs windows per group.
-  static constexpr std::size_t kGroupOutputs = 1024;
-  std::size_t group_ = 1;
-  // Index within its group of input planes of each group window's first
-  // tap, for one group.
-  std::vector<std::uint32_t> window_origin_;
-  // Index within its group of input planes of each output's max, for the
-  // whole last training batch; routes gradients in backward. build()
-  // rejects planes too large for 32 bits and caps group_ to fit.
-  std::vector<std::uint32_t> argmax_;
+  // Tap code 2 * ky + kx of each output's max, for the whole last training
+  // batch, plus the kernels' slack; routes gradients in backward.
+  std::vector<std::uint8_t> taps_;
   std::size_t cached_batch_ = 0;
-};
-
-/// 2-D average pooling (non-overlapping by default); no argmax state —
-/// backward distributes the gradient uniformly over each window.
-class AvgPool2d final : public Layer {
- public:
-  explicit AvgPool2d(std::size_t kernel, std::size_t stride = 0);
-
-  std::string name() const override;
-  Shape build(const Shape& input_shape) override;
-  void forward(const Tensor& input, Tensor& output, bool training) override;
-  void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor* grad_input) override;
-  std::unique_ptr<Layer> clone() const override;
-
- private:
-  std::size_t kernel_;
-  std::size_t stride_;
-  std::size_t channels_ = 0, in_h_ = 0, in_w_ = 0, out_h_ = 0, out_w_ = 0;
 };
 
 }  // namespace middlefl::nn

@@ -7,6 +7,7 @@
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "nn/pooling.hpp"
 
 namespace middlefl::nn {
 
@@ -67,6 +68,16 @@ void Sequential::build(std::uint64_t seed) {
       fusion_[i] = FusionSlot{nullptr, conv, relu};
     }
   }
+  // Resolve ReLU -> MaxPool2d pairs for the pool's folded ReLU backward.
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    auto* pool = dynamic_cast<MaxPool2d*>(layers_[i].get());
+    if (pool == nullptr ||
+        dynamic_cast<ReLU*>(layers_[i - 1].get()) == nullptr) {
+      continue;
+    }
+    fusion_[i].pool = pool;
+    if (i >= 2) fusion_[i - 2].mask = false;
+  }
   built_ = true;
 }
 
@@ -108,12 +119,14 @@ const Tensor& Sequential::forward(const Tensor& batch, bool training) {
       // Fused pair: the producer writes post-ReLU values directly into the
       // ReLU's activation slot and fills its mask; the ReLU layer itself is
       // skipped. Its nominal input slot (activations_[i]) stays stale,
-      // which is safe: ReLU::backward reads only grad_output + mask.
+      // which is safe: ReLU::backward reads only grad_output + mask, and a
+      // pool's folded ReLU backward the ReLU's and the pool's outputs.
       Tensor& out = activations_[i + 1];
       if (fuse.linear != nullptr) {
         fuse.linear->forward_fused(*current, out, training, *fuse.relu);
       } else {
-        fuse.conv->forward_fused(*current, out, training, *fuse.relu);
+        fuse.conv->forward_fused(*current, out, training,
+                                 fuse.mask ? fuse.relu : nullptr);
       }
       current = &out;
       ++i;
@@ -140,14 +153,22 @@ void Sequential::backward(const Tensor& grad_output) {
   // incoming gradient from one and writes its grad_input into the other.
   // The last layer reads grad_output directly, so no copy is made. The
   // sweep ends at the first layer with parameters, which gets no
-  // grad_input: nothing reads the gradient of the model input.
+  // grad_input: nothing reads the gradient of the model input. A fused
+  // ReLU -> MaxPool2d pair is one step: neither layer has parameters, so
+  // the ReLU is never that first layer and its input gradient is read.
   const Tensor* grad = &grad_output;
   std::size_t parity = 0;
   for (std::size_t i = layers_.size(); i-- > first_param_layer_;) {
-    const Tensor& layer_input = i == 0 ? input_copy_ : activations_[i - 1];
     Tensor* grad_prev =
         i == first_param_layer_ ? nullptr : &grad_scratch_[parity];
-    layers_[i]->backward(layer_input, *grad, grad_prev);
+    if (fusion_[i].pool != nullptr) {
+      fusion_[i].pool->backward_relu(activations_[i - 1], activations_[i],
+                                     *grad, grad_prev);
+      --i;
+    } else {
+      const Tensor& layer_input = i == 0 ? input_copy_ : activations_[i - 1];
+      layers_[i]->backward(layer_input, *grad, grad_prev);
+    }
     grad = grad_prev;
     parity ^= 1;
   }

@@ -93,17 +93,22 @@ class Sequential {
   std::size_t first_param_layer_ = 0;
   bool built_ = false;
 
-  // Epilogue fusion, resolved once at build(): slot i holds typed pointers
+  // Fusion, resolved once at build(). Forward: slot i holds typed pointers
   // when layer i is a Linear/Conv2d immediately followed by a ReLU. The
   // forward loop then lets the producing layer write post-activation values
   // (and the training mask) straight into the ReLU's activation slot and
   // skips the ReLU's own forward — one sweep over the activation instead of
-  // three (GEMM out, bias pass, ReLU pass). Backward is unchanged: ReLU
-  // works entirely off its mask.
+  // three (GEMM out, bias pass, ReLU pass). Backward: slot i holds `pool`
+  // when layer i is a MaxPool2d right after a ReLU. The backward loop lets
+  // the pool write the ReLU input's gradient from its pooled values
+  // (MaxPool2d::backward_relu) and skips ReLU::backward; the producer's
+  // slot then has `mask` false and its epilogue writes no mask.
   struct FusionSlot {
     class Linear* linear = nullptr;
     class Conv2d* conv = nullptr;
     class ReLU* relu = nullptr;
+    bool mask = true;
+    class MaxPool2d* pool = nullptr;
   };
   std::vector<FusionSlot> fusion_;
 

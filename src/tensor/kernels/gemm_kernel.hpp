@@ -1,4 +1,5 @@
-// Dispatch table for the GEMM kernels.
+// Dispatch table for the GEMM kernels, and for the 2 x 2 max-pooling
+// kernels that ride the same per-ISA tiers.
 //
 // blas.cpp's gemm() routes every call through one of three kernel
 // translation units — scalar, AVX2+FMA, AVX-512F — selected at runtime via
@@ -33,9 +34,13 @@
 // small (reads A in place, no kGemmPanelA). The small-NT kernel reads A
 // and B in place and needs no packing. Both may run once per disjoint row
 // chunk.
+//
+// Pooling: max_pool2x2 and max_pool2x2_backward (pool_kernel_impl.hpp)
+// run MaxPool2d's forward and backward, with the same bits at every tier.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/cpu_features.hpp"
 
@@ -101,7 +106,28 @@ struct GemmKernels {
   void (*small_nt)(std::size_t row_lo, std::size_t row_hi, std::size_t n,
                    std::size_t k, float alpha, const float* a, const float* b,
                    float beta, float* c);
+  /// 2 x 2, stride-2 max pooling of `planes` planes of in_h x in_w floats
+  /// (both >= 2) into (in_h / 2) x (in_w / 2) planes; a ragged last row
+  /// or column is never read. Each output is the running max of its
+  /// window's taps in (ky, kx) order under a strict `>` (the first maximum
+  /// wins ties, and a NaN only when it is the first tap). When `taps` is
+  /// non-null, taps[q] gets the code 2 * ky + kx of output q's tap; it
+  /// needs kPoolTapSlack bytes past the last output.
+  void (*max_pool2x2)(const float* in, std::size_t planes, std::size_t in_h,
+                      std::size_t in_w, float* out, std::uint8_t* taps);
+  /// Its backward: writes every element of the input-shaped `dx`, 0.0f +
+  /// dy[q] at output q's tap and +0.0 elsewhere. With `pooled` (the
+  /// forward's output) it folds in the backward of a ReLU right before the
+  /// pool: (pooled[q] > 0) ? 0.0f + dy[q] : +0.0f at the tap.
+  void (*max_pool2x2_backward)(const float* dy, const std::uint8_t* taps,
+                               const float* pooled, std::size_t planes,
+                               std::size_t in_h, std::size_t in_w,
+                               float* dx);
 };
+
+/// Bytes a tap-code buffer holds past its last output: the pool kernels
+/// read and write the codes a whole vector at a time.
+inline constexpr std::size_t kPoolTapSlack = 16;
 
 // One table per TU; every table exists in every binary (a TU compiled
 // without its ISA falls back to the scalar geometry), and the dispatch

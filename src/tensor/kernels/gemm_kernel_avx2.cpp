@@ -3,6 +3,8 @@
 // file). Small path: tiles of up to 12 ymm accumulators with masked loads
 // and stores at a ragged edge. Small NT: one ymm holds two columns' four
 // p-lanes.
+// Pooling: eight windows per ymm, columns split and merged by
+// shuffle + 64-bit permute.
 // Compiled with -mavx2 -mfma -ffp-contract=off on x86 builds; when the
 // toolchain cannot target AVX2 this TU falls back to the scalar geometry
 // so the symbol always links (the runtime dispatch never selects it on a
@@ -127,10 +129,89 @@ struct NtAvx2 {
   }
 };
 
+/// 2 x 2 pooling: eight outputs per ymm. Tap codes ride as int32 lanes.
+struct PoolAvx2 {
+  using Vec = __m256;
+  using Code = __m256i;
+  static constexpr std::size_t kW = 8;
+
+  static Vec zero() noexcept { return _mm256_setzero_ps(); }
+  static Vec load(const float* p) noexcept { return _mm256_loadu_ps(p); }
+  static void store(float* p, Vec v) noexcept { _mm256_storeu_ps(p, v); }
+  /// Lanes [0, n), n in [1, 8].
+  static __m256i mask(std::size_t n) noexcept {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static Vec load_n(const float* p, std::size_t n) noexcept {
+    return _mm256_maskload_ps(p, mask(n));
+  }
+  static void store_n(float* p, Vec v, std::size_t n) noexcept {
+    _mm256_maskstore_ps(p, mask(n), v);
+  }
+  /// a[0..4) in the low half, b[0..4) in the high one.
+  static Vec load_halves(const float* a, const float* b) noexcept {
+    return _mm256_set_m128(_mm_loadu_ps(b), _mm_loadu_ps(a));
+  }
+  static void store_halves(float* a, float* b, Vec v) noexcept {
+    _mm_storeu_ps(a, _mm256_castps256_ps128(v));
+    _mm_storeu_ps(b, _mm256_extractf128_ps(v, 1));
+  }
+  /// Columns 0, 2, .., 14 and 1, 3, .., 15 of lo:hi. The in-lane shuffle
+  /// leaves [lo0 lo2 hi0 hi2 | lo4 lo6 hi4 hi6]; the 64-bit permute puts
+  /// the lo pairs first.
+  static void split(Vec lo, Vec hi, Vec& even, Vec& odd) noexcept {
+    even = _mm256_castpd_ps(_mm256_permute4x64_pd(
+        _mm256_castps_pd(_mm256_shuffle_ps(lo, hi, 0x88)), 0xD8));
+    odd = _mm256_castpd_ps(_mm256_permute4x64_pd(
+        _mm256_castps_pd(_mm256_shuffle_ps(lo, hi, 0xDD)), 0xD8));
+  }
+  /// split's inverse: interleave, then put 128-bit halves in order.
+  static void merge(Vec even, Vec odd, Vec& lo, Vec& hi) noexcept {
+    const __m256 low = _mm256_unpacklo_ps(even, odd);
+    const __m256 high = _mm256_unpackhi_ps(even, odd);
+    lo = _mm256_permute2f128_ps(low, high, 0x20);
+    hi = _mm256_permute2f128_ps(low, high, 0x31);
+  }
+  static Code code(unsigned k) noexcept {
+    return _mm256_set1_epi32(static_cast<int>(k));
+  }
+  static void take(Vec t, unsigned k, Vec& best, Code& c) noexcept {
+    const __m256 greater = _mm256_cmp_ps(t, best, _CMP_GT_OQ);
+    best = _mm256_blendv_ps(best, t, greater);
+    c = _mm256_blendv_epi8(c, code(k), _mm256_castps_si256(greater));
+  }
+  /// Narrows the lanes to bytes: each 128-bit half packs its four codes
+  /// into its low dword, and the permute joins the two dwords.
+  static void store_codes(std::uint8_t* p, Code c) noexcept {
+    const __m256i words = _mm256_packs_epi32(c, c);
+    const __m256i bytes = _mm256_packus_epi16(words, words);
+    const __m256i joined = _mm256_permutevar8x32_epi32(
+        bytes, _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p),
+                     _mm256_castsi256_si128(joined));
+  }
+  static Code load_codes(const std::uint8_t* p) noexcept {
+    return _mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+  }
+  static Vec pick(Code c, unsigned k, Vec g) noexcept {
+    return _mm256_and_ps(
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(c, code(k))), g);
+  }
+  static Vec grad(Vec dy) noexcept {
+    return _mm256_add_ps(_mm256_setzero_ps(), dy);
+  }
+  static Vec relu_grad(Vec pooled, Vec dy) noexcept {
+    return _mm256_and_ps(
+        _mm256_cmp_ps(pooled, _mm256_setzero_ps(), _CMP_GT_OQ), grad(dy));
+  }
+};
+
 }  // namespace
 
 const GemmKernels& avx2_kernels() noexcept {
-  return kernel_table<ArchAvx2, NtAvx2>();
+  return kernel_table<ArchAvx2, NtAvx2, PoolAvx2>();
 }
 
 }  // namespace middlefl::tensor::detail
@@ -140,7 +221,7 @@ const GemmKernels& avx2_kernels() noexcept {
 namespace middlefl::tensor::detail {
 
 const GemmKernels& avx2_kernels() noexcept {
-  return kernel_table<ArchScalar, NtScalar>();
+  return kernel_table<ArchScalar, NtScalar, PoolScalar>();
 }
 
 }  // namespace middlefl::tensor::detail

@@ -2,7 +2,8 @@
 // zmm accumulators out of 32). Small path: tiles of up to 24 zmm
 // accumulators with masked loads and stores at a ragged edge. Small NT:
 // one zmm holds four columns' four p-lanes, and eight rows share each B
-// vector.
+// vector. Pooling: sixteen windows per zmm, columns split and merged by
+// two-source permutes.
 // Compiled with -mavx512f -ffp-contract=off on x86 builds; falls back to
 // the scalar geometry when the toolchain cannot target AVX-512 so the
 // symbol always links (the runtime dispatch never selects it on a CPU
@@ -149,10 +150,88 @@ struct NtAvx512 {
   }
 };
 
+/// 2 x 2 pooling: sixteen outputs per zmm; compares and tap codes use
+/// mask registers, and the tap codes narrow to bytes with vpmovdb.
+struct PoolAvx512 {
+  using Vec = __m512;
+  using Code = __m512i;
+  static constexpr std::size_t kW = 16;
+
+  static Vec zero() noexcept { return _mm512_setzero_ps(); }
+  static Vec load(const float* p) noexcept { return _mm512_loadu_ps(p); }
+  static void store(float* p, Vec v) noexcept { _mm512_storeu_ps(p, v); }
+  /// Lanes [0, n), n in [1, 16].
+  static __mmask16 mask(std::size_t n) noexcept {
+    return static_cast<__mmask16>((1u << n) - 1u);
+  }
+  static Vec load_n(const float* p, std::size_t n) noexcept {
+    return _mm512_maskz_loadu_ps(mask(n), p);
+  }
+  static void store_n(float* p, Vec v, std::size_t n) noexcept {
+    _mm512_mask_storeu_ps(p, mask(n), v);
+  }
+  /// a[0..8) in the low half, b[0..8) in the high one.
+  static Vec load_halves(const float* a, const float* b) noexcept {
+    const __m512d low =
+        _mm512_castps_pd(_mm512_castps256_ps512(_mm256_loadu_ps(a)));
+    return _mm512_castpd_ps(_mm512_insertf64x4(
+        low, _mm256_castps_pd(_mm256_loadu_ps(b)), 1));
+  }
+  static void store_halves(float* a, float* b, Vec v) noexcept {
+    _mm256_storeu_ps(a, _mm512_castps512_ps256(v));
+    _mm256_storeu_ps(b, _mm256_castpd_ps(
+                            _mm512_extractf64x4_pd(_mm512_castps_pd(v), 1)));
+  }
+  /// Columns 0, 2, .., 30 and 1, 3, .., 31 of lo:hi, one two-source
+  /// permute each.
+  static void split(Vec lo, Vec hi, Vec& even, Vec& odd) noexcept {
+    const __m512i evens = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16,
+                                            18, 20, 22, 24, 26, 28, 30);
+    const __m512i odds = _mm512_add_epi32(evens, _mm512_set1_epi32(1));
+    even = _mm512_permutex2var_ps(lo, evens, hi);
+    odd = _mm512_permutex2var_ps(lo, odds, hi);
+  }
+  /// split's inverse: lo interleaves lanes 0..7 of even and odd, hi lanes
+  /// 8..15 (index 16 + i is odd's lane i).
+  static void merge(Vec even, Vec odd, Vec& lo, Vec& hi) noexcept {
+    const __m512i low = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20,
+                                          5, 21, 6, 22, 7, 23);
+    const __m512i high = _mm512_add_epi32(low, _mm512_set1_epi32(8));
+    lo = _mm512_permutex2var_ps(even, low, odd);
+    hi = _mm512_permutex2var_ps(even, high, odd);
+  }
+  static Code code(unsigned k) noexcept {
+    return _mm512_set1_epi32(static_cast<int>(k));
+  }
+  static void take(Vec t, unsigned k, Vec& best, Code& c) noexcept {
+    const __mmask16 greater = _mm512_cmp_ps_mask(t, best, _CMP_GT_OQ);
+    best = _mm512_mask_mov_ps(best, greater, t);
+    c = _mm512_mask_mov_epi32(c, greater, code(k));
+  }
+  static void store_codes(std::uint8_t* p, Code c) noexcept {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm512_cvtepi32_epi8(c));
+  }
+  static Code load_codes(const std::uint8_t* p) noexcept {
+    return _mm512_cvtepu8_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  static Vec pick(Code c, unsigned k, Vec g) noexcept {
+    return _mm512_maskz_mov_ps(_mm512_cmpeq_epi32_mask(c, code(k)), g);
+  }
+  static Vec grad(Vec dy) noexcept {
+    return _mm512_add_ps(_mm512_setzero_ps(), dy);
+  }
+  static Vec relu_grad(Vec pooled, Vec dy) noexcept {
+    return _mm512_maskz_mov_ps(
+        _mm512_cmp_ps_mask(pooled, _mm512_setzero_ps(), _CMP_GT_OQ),
+        grad(dy));
+  }
+};
+
 }  // namespace
 
 const GemmKernels& avx512_kernels() noexcept {
-  return kernel_table<ArchAvx512, NtAvx512>();
+  return kernel_table<ArchAvx512, NtAvx512, PoolAvx512>();
 }
 
 }  // namespace middlefl::tensor::detail
@@ -162,7 +241,7 @@ const GemmKernels& avx512_kernels() noexcept {
 namespace middlefl::tensor::detail {
 
 const GemmKernels& avx512_kernels() noexcept {
-  return kernel_table<ArchScalar, NtScalar>();
+  return kernel_table<ArchScalar, NtScalar, PoolScalar>();
 }
 
 }  // namespace middlefl::tensor::detail

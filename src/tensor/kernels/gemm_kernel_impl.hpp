@@ -46,6 +46,7 @@
 
 #include "tensor/blas.hpp"
 #include "tensor/kernels/gemm_kernel.hpp"
+#include "tensor/kernels/pool_kernel_impl.hpp"
 #include "tensor/workspace.hpp"
 
 namespace middlefl::tensor::detail {
@@ -836,9 +837,9 @@ struct SmallNt {
   }
 };
 
-/// The dispatch table of one TU: the packed GEMM in geometry `Arch` and the
-/// small-NT kernel in geometry `NtArch`.
-template <class Arch, class NtArch>
+/// The dispatch table of one TU: the packed GEMM in geometry `Arch`, the
+/// small-NT kernel in geometry `NtArch` and the 2 x 2 max pool in `Pool`.
+template <class Arch, class NtArch, class Pool>
 const GemmKernels& kernel_table() noexcept {
   using Packed = PackedGemm<Arch>;
   static const GemmKernels t{Packed::kMR,
@@ -850,7 +851,9 @@ const GemmKernels& kernel_table() noexcept {
                              &Packed::small_b_floats,
                              &Packed::small_b,
                              &Packed::small,
-                             &SmallNt<NtArch>::compute};
+                             &SmallNt<NtArch>::compute,
+                             &MaxPool2x2<Pool>::forward,
+                             &MaxPool2x2<Pool>::backward};
   return t;
 }
 

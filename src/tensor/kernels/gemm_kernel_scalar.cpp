@@ -8,7 +8,7 @@
 namespace middlefl::tensor::detail {
 
 const GemmKernels& scalar_kernels() noexcept {
-  return kernel_table<ArchScalar, NtScalar>();
+  return kernel_table<ArchScalar, NtScalar, PoolScalar>();
 }
 
 }  // namespace middlefl::tensor::detail

@@ -83,8 +83,7 @@ class Tensor {
   /// before reading any (GEMM outputs with beta == 0, elementwise forward
   /// outputs). Contents beyond the previous size are zero; the rest is the
   /// previous data. NOT for accumulation targets unless the caller zeroes
-  /// them itself, as MaxPool2d::backward does group by group before its +=
-  /// scatter.
+  /// them itself.
   Tensor& reset_for_overwrite(const Shape& shape) {
     if (shape_ != shape) shape_ = shape;
     data_.resize(shape_.numel());

@@ -34,7 +34,6 @@ enum class WsSlot : std::size_t {
   kConvGradOut,    // Conv2d::backward: the batch's dY, channel-major
   kConvColGrad,    // Conv2d::backward: the batch's d(col) panel
   kConvBorder,     // Conv2d::im2col/col2im: zero-bordered sample plane
-  kPoolTaps,       // MaxPool2d::forward: a plane group's windows, tap-major
   kBlend,          // Simulation: on-device blended model w_hat
   kScratch,        // generic caller-owned scratch (benches, cloud sync)
   kCount,

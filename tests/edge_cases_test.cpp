@@ -54,16 +54,17 @@ TEST(ConvEdgeCases, OneByOneInputWithPadding) {
 }
 
 TEST(PoolEdgeCases, NonDivisibleInputTruncates) {
-  MaxPool2d layer(2);
+  MaxPool2d layer;
   // 5x5 with stride-2 windows -> floor((5-2)/2)+1 = 2.
   EXPECT_EQ(layer.build(Shape{1, 5, 5}), (Shape{1, 2, 2}));
 }
 
 TEST(PoolEdgeCases, WindowEqualsInput) {
-  MaxPool2d layer(4);
-  EXPECT_EQ(layer.build(Shape{3, 4, 4}), (Shape{3, 1, 1}));
-  const Tensor input(Shape{1, 3, 4, 4},
-                     std::vector<float>(48, -1.0f));
+  MaxPool2d layer;
+  EXPECT_EQ(layer.build(Shape{3, 2, 2}), (Shape{3, 1, 1}));
+  EXPECT_THROW(layer.build(Shape{3, 1, 2}), std::invalid_argument);
+  const Tensor input(Shape{1, 3, 2, 2},
+                     std::vector<float>(12, -1.0f));
   Tensor out;
   layer.forward(input, out, false);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(out[i], -1.0f);

@@ -164,7 +164,7 @@ TEST(GradCheck, ConvReluPoolStack) {
   Sequential model(Shape{1, 8, 8});
   model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 3, 1, 1}));
   model.add(std::make_unique<ReLU>());
-  model.add(std::make_unique<MaxPool2d>(2));
+  model.add(std::make_unique<MaxPool2d>());
   model.add(std::make_unique<Flatten>());
   model.add(std::make_unique<Linear>(0, 3));
   model.build(16);
@@ -179,10 +179,10 @@ TEST(GradCheck, DeepConvStack) {
   Sequential model(Shape{1, 8, 8});
   model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 3, 1, 1}));
   model.add(std::make_unique<ReLU>());
-  model.add(std::make_unique<MaxPool2d>(2));
+  model.add(std::make_unique<MaxPool2d>());
   model.add(std::make_unique<Conv2d>(Conv2dConfig{2, 4, 3, 1, 1}));
   model.add(std::make_unique<ReLU>());
-  model.add(std::make_unique<MaxPool2d>(2));
+  model.add(std::make_unique<MaxPool2d>());
   model.add(std::make_unique<Flatten>());
   model.add(std::make_unique<Linear>(0, 5));
   model.add(std::make_unique<ReLU>());
@@ -195,13 +195,12 @@ TEST(GradCheck, DeepConvStack) {
   EXPECT_LE(check.failures, 1 + check.total / 20) << "worst " << check.worst;
 }
 
-TEST(GradCheck, ConvAvgPoolStack) {
-  // AvgPool is smooth, so with Tanh this whole stack admits an exact
-  // finite-difference check (zero failing coordinates).
+TEST(GradCheck, ConvTanhStack) {
+  // Tanh is smooth, so this whole stack admits an exact finite-difference
+  // check (zero failing coordinates).
   Sequential model(Shape{1, 6, 6});
   model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 3, 1, 1}));
   model.add(std::make_unique<Tanh>());
-  model.add(std::make_unique<middlefl::nn::AvgPool2d>(2));
   model.add(std::make_unique<Flatten>());
   model.add(std::make_unique<Linear>(0, 3));
   model.build(20);

@@ -3,6 +3,7 @@
 // nn_gradcheck_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -321,7 +322,7 @@ void expect_conv_matches_oracle(const Conv2dConfig& cfg, std::size_t in_h,
 
   ReLU relu;
   Tensor out;
-  layer.forward_fused(input, out, /*training=*/true, relu);
+  layer.forward_fused(input, out, /*training=*/true, &relu);
   const std::uint8_t* mask = relu.fused_mask(out.numel());
   Tensor grad_in;
   layer.backward(input, grad_out, &grad_in);
@@ -421,7 +422,7 @@ TEST(Conv2dLowering, InferenceForwardDropsTrainingCache) {
 }
 
 TEST(MaxPool2d, ForwardKnownValues) {
-  MaxPool2d layer(2);
+  MaxPool2d layer;
   EXPECT_EQ(layer.build(Shape{1, 4, 4}), (Shape{1, 2, 2}));
   const Tensor input(Shape{1, 1, 4, 4},
                      {1, 2, 3, 4,
@@ -437,7 +438,7 @@ TEST(MaxPool2d, ForwardKnownValues) {
 }
 
 TEST(MaxPool2d, BackwardRoutesToArgmax) {
-  MaxPool2d layer(2);
+  MaxPool2d layer;
   layer.build(Shape{1, 2, 2});
   const Tensor input(Shape{1, 1, 2, 2}, {1, 9, 2, 3});
   Tensor out;
@@ -451,40 +452,25 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(grad_in[3], 0.0f);
 }
 
-TEST(MaxPool2d, OverlappingStride) {
-  MaxPool2d layer(2, 1);
-  EXPECT_EQ(layer.build(Shape{1, 3, 3}), (Shape{1, 2, 2}));
-}
-
-TEST(MaxPool2d, RejectsPlanesBeyond32BitArgmax) {
-  MaxPool2d layer(2);
-  EXPECT_THROW(layer.build(Shape{1, 70000, 70000}), std::invalid_argument);
-  EXPECT_NO_THROW(layer.build(Shape{1, 4, 4}));
-}
-
-/// The compare-and-branch loop MaxPool2d ran before its selects: the
-/// oracle MaxPool2dOracle compares against bit for bit. Fills each
-/// output's value and flat input index (over the whole batch).
-void max_pool_oracle(std::size_t kernel, std::size_t stride,
-                     const Tensor& input, std::vector<float>& out,
+/// The compare-and-branch 2 x 2, stride-2 loop MaxPool2d ran before its
+/// selects: the oracle MaxPool2dOracle compares against bit for bit.
+/// Fills each output's value and flat input index (over the whole batch).
+void max_pool_oracle(const Tensor& input, std::vector<float>& out,
                      std::vector<std::size_t>& argmax) {
   const std::size_t planes = input.dim(0) * input.dim(1);
   const std::size_t in_h = input.dim(2), in_w = input.dim(3);
-  const std::size_t out_h = (in_h - kernel) / stride + 1;
-  const std::size_t out_w = (in_w - kernel) / stride + 1;
+  const std::size_t out_h = in_h / 2, out_w = in_w / 2;
   out.clear();
   argmax.clear();
   for (std::size_t bc = 0; bc < planes; ++bc) {
     const float* plane = input.data().data() + bc * in_h * in_w;
     for (std::size_t oy = 0; oy < out_h; ++oy) {
       for (std::size_t ox = 0; ox < out_w; ++ox) {
-        const std::size_t y0 = oy * stride;
-        const std::size_t x0 = ox * stride;
-        std::size_t best_idx = y0 * in_w + x0;
+        std::size_t best_idx = 2 * oy * in_w + 2 * ox;
         float best = plane[best_idx];
-        for (std::size_t ky = 0; ky < kernel; ++ky) {
-          const std::size_t row_base = (y0 + ky) * in_w + x0;
-          for (std::size_t kx = 0; kx < kernel; ++kx) {
+        for (std::size_t ky = 0; ky < 2; ++ky) {
+          const std::size_t row_base = (2 * oy + ky) * in_w + 2 * ox;
+          for (std::size_t kx = 0; kx < 2; ++kx) {
             const float v = plane[row_base + kx];
             if (v > best) {
               best = v;
@@ -499,44 +485,57 @@ void max_pool_oracle(std::size_t kernel, std::size_t stride,
   }
 }
 
-/// Forward, argmax and backward of MaxPool2d against the oracle. The argmax
-/// is read through the public API: a one-hot output gradient routes to
-/// exactly one input, the chosen one.
-void expect_pool_matches_oracle(std::size_t kernel, std::size_t stride,
-                                const Tensor& input) {
-  MaxPool2d layer(kernel, stride);
-  layer.build(Shape{input.dim(1), input.dim(2), input.dim(3)});
-  Tensor out;
-  layer.forward(input, out, /*training=*/true);
+/// Forward, argmax and backward of MaxPool2d against the oracle, at every
+/// ISA tier. The argmax is read through the public API: output p's
+/// gradient p + 1 must land on exactly one input, the chosen one.
+void expect_pool_matches_oracle(const Tensor& input) {
   std::vector<float> want_out;
   std::vector<std::size_t> want_argmax;
-  max_pool_oracle(kernel, stride, input, want_out, want_argmax);
-  ASSERT_EQ(out.numel(), want_out.size());
-  EXPECT_TRUE(same_bits(out.data().data(), want_out.data(), want_out.size()))
-      << "forward output";
+  max_pool_oracle(input, want_out, want_argmax);
+  for (const IsaLevel level : supported_isas()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "isa=" << middlefl::tensor::to_string(level) << " "
+                 << input.shape().to_string());
+    IsaGuard guard(level);
+    MaxPool2d layer;
+    layer.build(Shape{input.dim(1), input.dim(2), input.dim(3)});
+    Tensor out;
+    layer.forward(input, out, /*training=*/true);
+    ASSERT_EQ(out.numel(), want_out.size());
+    EXPECT_TRUE(same_bits(out.data().data(), want_out.data(), want_out.size()))
+        << "forward output";
 
-  Tensor grad_in;
-  for (std::size_t p = 0; p < out.numel(); ++p) {
-    Tensor one_hot(out.shape());
-    one_hot[p] = 1.0f;
-    layer.backward(input, one_hot, &grad_in);
-    std::vector<std::size_t> routed;
-    for (std::size_t i = 0; i < grad_in.numel(); ++i) {
-      if (grad_in[i] != 0.0f) routed.push_back(i);
+    // NaN everywhere first: the backward must write every element,
+    // including a ragged row or column no window reads.
+    Tensor grad_in(input.shape());
+    std::fill(grad_in.data().begin(), grad_in.data().end(),
+              std::numeric_limits<float>::quiet_NaN());
+    Tensor numbered(out.shape());
+    for (std::size_t p = 0; p < out.numel(); ++p) {
+      numbered[p] = static_cast<float>(p + 1);
     }
-    ASSERT_EQ(routed, std::vector<std::size_t>{want_argmax[p]})
-        << "argmax of output " << p;
-  }
+    layer.backward(input, numbered, &grad_in);
+    std::size_t routed = 0;
+    for (std::size_t i = 0; i < grad_in.numel(); ++i) {
+      routed += grad_in[i] != 0.0f ? 1 : 0;
+    }
+    EXPECT_EQ(routed, out.numel());
+    for (std::size_t p = 0; p < out.numel(); ++p) {
+      ASSERT_EQ(grad_in[want_argmax[p]], static_cast<float>(p + 1))
+          << "argmax of output " << p;
+    }
 
-  Xoshiro256 rng(input.numel());
-  const Tensor grad_out = Tensor::randn(out.shape(), rng);
-  layer.backward(input, grad_out, &grad_in);
-  std::vector<float> want_dx(input.numel(), 0.0f);
-  for (std::size_t p = 0; p < want_argmax.size(); ++p) {
-    want_dx[want_argmax[p]] += grad_out[p];
+    Xoshiro256 rng(input.numel());
+    const Tensor grad_out = Tensor::randn(out.shape(), rng);
+    layer.backward(input, grad_out, &grad_in);
+    std::vector<float> want_dx(input.numel(), 0.0f);
+    for (std::size_t p = 0; p < want_argmax.size(); ++p) {
+      want_dx[want_argmax[p]] += grad_out[p];
+    }
+    EXPECT_TRUE(
+        same_bits(grad_in.data().data(), want_dx.data(), want_dx.size()))
+        << "backward";
   }
-  EXPECT_TRUE(same_bits(grad_in.data().data(), want_dx.data(), want_dx.size()))
-      << "backward";
 }
 
 /// A batch whose values come from `palette` (many ties).
@@ -550,72 +549,68 @@ Tensor palette_input(const Shape& shape, const std::vector<float>& palette,
   return input;
 }
 
-struct PoolWindow {
-  std::size_t kernel, stride;
-};
-// Non-overlapping, overlapping (k = 3, s = 2 and s = 1) and a window that
-// leaves the last row and column unread.
-const PoolWindow kPoolWindows[] = {{2, 2}, {3, 2}, {2, 1}, {3, 3}};
+// Batch x planes x H x W shapes that reach every kernel path: CNN-2's
+// pools (16 x 16 and 8 x 8), Cnn2Tiny's pool2 (4 x 4, out_w 2), the
+// paired-row paths with a leftover row (odd plane counts at an odd out_h,
+// or at 4 x 4, whose two output rows fill half an AVX2 quad), ragged
+// rows and columns no window reads (5 x 7, 7 x 10, 9 x 9, 9 x 4, 7 x 16),
+// and widths past one vector with a ragged tail (40, 66).
+const Shape kPoolShapes[] = {
+    Shape{3, 3, 16, 16}, Shape{2, 5, 8, 8},  Shape{3, 3, 4, 4},
+    Shape{1, 3, 5, 7},   Shape{1, 3, 7, 10}, Shape{1, 3, 7, 16},
+    Shape{1, 5, 6, 8},   Shape{1, 3, 9, 9},  Shape{2, 3, 9, 4},
+    Shape{1, 2, 5, 40},  Shape{1, 1, 2, 66}};
 
 TEST(MaxPool2dOracle, TiesKeepTheFirstMaximum) {
-  for (const PoolWindow w : kPoolWindows) {
-    SCOPED_TRACE(::testing::Message() << "k=" << w.kernel << " s=" << w.stride);
+  std::uint64_t seed = 31;
+  for (const Shape& shape : kPoolShapes) {
     expect_pool_matches_oracle(
-        w.kernel, w.stride,
-        palette_input(Shape{2, 3, 7, 8}, {-1.0f, 0.0f, 1.0f, 2.0f}, 31));
+        palette_input(shape, {-1.0f, 0.0f, 1.0f, 2.0f}, seed++));
   }
 }
 
 TEST(MaxPool2dOracle, SignedZerosKeepTheFirstOnesSign) {
   // +0.0 and -0.0 compare equal, so the window's first zero decides the
   // output's sign bit.
-  for (const PoolWindow w : kPoolWindows) {
-    SCOPED_TRACE(::testing::Message() << "k=" << w.kernel << " s=" << w.stride);
+  std::uint64_t seed = 32;
+  for (const Shape& shape : kPoolShapes) {
     expect_pool_matches_oracle(
-        w.kernel, w.stride,
-        palette_input(Shape{2, 2, 7, 7}, {0.0f, -0.0f, -1.0f}, 32));
+        palette_input(shape, {0.0f, -0.0f, -1.0f}, seed++));
   }
 }
 
 TEST(MaxPool2dOracle, NanAtEveryWindowPosition) {
   // One NaN, moved over every input position, so it sits at every position
-  // of every window: first in a window it sticks, later it is skipped.
+  // of every window: first in a window it sticks, later it is skipped. The
+  // shapes take the per-row path with a ragged edge and both paired-row
+  // paths.
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (const PoolWindow w : kPoolWindows) {
-    const Tensor base =
-        palette_input(Shape{1, 1, 7, 7}, {-1.0f, 0.5f, 2.0f, 3.0f}, 33);
+  for (const Shape& shape :
+       {Shape{1, 1, 7, 7}, Shape{1, 2, 8, 8}, Shape{1, 1, 16, 16}}) {
+    const Tensor base = palette_input(shape, {-1.0f, 0.5f, 2.0f, 3.0f}, 33);
     for (std::size_t i = 0; i < base.numel(); ++i) {
-      SCOPED_TRACE(::testing::Message() << "k=" << w.kernel
-                                        << " s=" << w.stride << " nan at "
-                                        << i);
+      SCOPED_TRACE(::testing::Message() << "nan at " << i);
       Tensor input = base;
       input[i] = nan;
-      expect_pool_matches_oracle(w.kernel, w.stride, input);
+      expect_pool_matches_oracle(input);
     }
   }
 }
 
 TEST(MaxPool2dOracle, RandomActivations) {
-  // The second shape's 45 planes of 16 x 16 are pooled in several groups
-  // of planes by every window shape, the last group partial (k = 2, s = 2
-  // takes 16 planes a group).
-  for (const Shape& shape : {Shape{3, 4, 9, 8}, Shape{5, 9, 16, 16}}) {
-    for (const PoolWindow w : kPoolWindows) {
-      SCOPED_TRACE(::testing::Message() << shape.to_string() << " k="
-                                        << w.kernel << " s=" << w.stride);
-      Xoshiro256 rng(34);
-      expect_pool_matches_oracle(w.kernel, w.stride, Tensor::randn(shape, rng));
-    }
+  for (const Shape& shape : kPoolShapes) {
+    Xoshiro256 rng(34);
+    expect_pool_matches_oracle(Tensor::randn(shape, rng));
   }
 }
 
 TEST(MaxPool2dOracle, InferenceForwardKeepsTrainingArgmax) {
-  // Inference writes no argmax, so a backward after it still routes the
+  // Inference writes no tap codes, so a backward after it still routes the
   // training batch's gradients.
   Xoshiro256 rng(36);
   const Tensor input = Tensor::randn(Shape{2, 3, 8, 8}, rng);
   const Tensor other = Tensor::randn(Shape{4, 3, 8, 8}, rng);
-  MaxPool2d layer(2);
+  MaxPool2d layer;
   layer.build(Shape{3, 8, 8});
   Tensor out, other_out;
   layer.forward(input, out, /*training=*/true);
@@ -625,7 +620,7 @@ TEST(MaxPool2dOracle, InferenceForwardKeepsTrainingArgmax) {
   layer.backward(input, grad_out, &grad_in);
   std::vector<float> want_out;
   std::vector<std::size_t> want_argmax;
-  max_pool_oracle(2, 2, input, want_out, want_argmax);
+  max_pool_oracle(input, want_out, want_argmax);
   std::vector<float> want_dx(input.numel(), 0.0f);
   for (std::size_t p = 0; p < want_argmax.size(); ++p) {
     want_dx[want_argmax[p]] += grad_out[p];
@@ -633,39 +628,63 @@ TEST(MaxPool2dOracle, InferenceForwardKeepsTrainingArgmax) {
   EXPECT_TRUE(same_bits(grad_in.data().data(), want_dx.data(), want_dx.size()));
 }
 
-TEST(AvgPool2d, ForwardIsWindowMean) {
-  middlefl::nn::AvgPool2d layer(2);
-  EXPECT_EQ(layer.build(Shape{1, 4, 4}), (Shape{1, 2, 2}));
-  const Tensor input(Shape{1, 1, 4, 4},
-                     {1, 2, 3, 4,
-                      5, 6, 7, 8,
-                      9, 10, 11, 12,
-                      13, 14, 15, 16});
-  Tensor out;
-  layer.forward(input, out, false);
-  EXPECT_FLOAT_EQ(out.at({0, 0, 0, 0}), 3.5f);   // mean(1,2,5,6)
-  EXPECT_FLOAT_EQ(out.at({0, 0, 1, 1}), 13.5f);  // mean(11,12,15,16)
-}
-
-TEST(AvgPool2d, BackwardSpreadsUniformly) {
-  middlefl::nn::AvgPool2d layer(2);
-  layer.build(Shape{1, 2, 2});
-  const Tensor input(Shape{1, 1, 2, 2}, {1, 2, 3, 4});
-  Tensor out;
-  layer.forward(input, out, true);
-  const Tensor grad_out(Shape{1, 1, 1, 1}, {8.0f});
-  Tensor grad_in;
-  layer.backward(input, grad_out, &grad_in);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_FLOAT_EQ(grad_in[i], 2.0f);  // 8 / 4 per input
+TEST(PoolReluFusion, MatchesPoolThenReluBackward) {
+  // MaxPool2d::backward_relu against MaxPool2d::backward then
+  // ReLU::backward, bit for bit at every tier. A third of the windows
+  // have a pre-activation max <= 0 (±0.0 among the negatives), a fifth
+  // a NaN at one tap, and dy holds -0.0 and +0.0: 0.0f + dy turns -0.0
+  // into +0.0 in both.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::uint64_t seed = 51;
+  for (const Shape& shape : kPoolShapes) {
+    Xoshiro256 rng(seed++);
+    Tensor pre = Tensor::randn(shape, rng);
+    const std::size_t in_h = shape.dim(2), in_w = shape.dim(3);
+    const std::size_t planes = shape.dim(0) * shape.dim(1);
+    std::size_t window = 0;
+    for (std::size_t p = 0; p < planes; ++p) {
+      for (std::size_t oy = 0; oy < in_h / 2; ++oy) {
+        for (std::size_t ox = 0; ox < in_w / 2; ++ox, ++window) {
+          const std::size_t origin = p * in_h * in_w + 2 * oy * in_w + 2 * ox;
+          const std::size_t taps[4] = {origin, origin + 1, origin + in_w,
+                                       origin + in_w + 1};
+          if (window % 3 == 0) {
+            const float low[4] = {-0.0f, 0.0f, -1.5f, -0.25f};
+            for (std::size_t t = 0; t < 4; ++t) {
+              pre[taps[t]] = low[(t + window) % 4];
+            }
+          } else if (window % 5 == 0) {
+            pre[taps[window % 4]] = nan;
+          }
+        }
+      }
+    }
+    for (const IsaLevel level : supported_isas()) {
+      SCOPED_TRACE(::testing::Message()
+                   << "isa=" << middlefl::tensor::to_string(level) << " "
+                   << shape.to_string());
+      IsaGuard guard(level);
+      ReLU relu;
+      MaxPool2d pool;
+      relu.build(Shape{shape.dim(1), in_h, in_w});
+      pool.build(Shape{shape.dim(1), in_h, in_w});
+      Tensor act, pooled;
+      relu.forward(pre, act, /*training=*/true);
+      pool.forward(act, pooled, /*training=*/true);
+      Tensor dy = Tensor::randn(pooled.shape(), rng);
+      for (std::size_t q = 0; q < dy.numel(); q += 4) dy[q] = -0.0f;
+      for (std::size_t q = 2; q < dy.numel(); q += 7) dy[q] = 0.0f;
+      Tensor through_pool, want;
+      Tensor got(shape);
+      std::fill(got.data().begin(), got.data().end(), nan);
+      pool.backward(act, dy, &through_pool);
+      relu.backward(pre, through_pool, &want);
+      pool.backward_relu(act, pooled, dy, &got);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_TRUE(same_bits(got.data().data(), want.data().data(),
+                            want.numel()));
+    }
   }
-}
-
-TEST(AvgPool2d, Validation) {
-  EXPECT_THROW(middlefl::nn::AvgPool2d(0), std::invalid_argument);
-  middlefl::nn::AvgPool2d layer(5);
-  EXPECT_THROW(layer.build(Shape{1, 4, 4}), std::invalid_argument);
-  EXPECT_THROW(layer.build(Shape{4, 4}), std::invalid_argument);
 }
 
 TEST(ReLU, ForwardClampsNegatives) {

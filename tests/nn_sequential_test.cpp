@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "isa_guard.hpp"
 #include "nn/activations.hpp"
 #include "nn/flatten.hpp"
 #include "nn/linear.hpp"
@@ -28,6 +30,9 @@ using middlefl::nn::Sequential;
 using middlefl::nn::Shape;
 using middlefl::nn::Tensor;
 using middlefl::parallel::Xoshiro256;
+using middlefl::tensor::IsaLevel;
+using middlefl::test_support::IsaGuard;
+using middlefl::test_support::supported_isas;
 
 std::unique_ptr<Sequential> small_mlp(std::uint64_t seed) {
   auto model = std::make_unique<Sequential>(Shape{4});
@@ -252,6 +257,77 @@ TEST(SequentialFirstLayerSkip, Mlp2FlattenFirstParamGradsUnchanged) {
   spec.num_classes = 4;
   spec.hidden = 16;
   expect_skip_leaves_grads_unchanged(*build_model(spec, 1), 6, 4);
+}
+
+// --- ReLU -> MaxPool2d backward fusion ---
+
+TEST(PoolReluFusion, Cnn2SequentialMatchesUnfusedLayers) {
+  // CNN-2 as Sequential runs it (conv epilogues without the ReLU mask,
+  // each pool's backward folding in its ReLU's) against the same layers
+  // each wrapped in FullInputGrad, whose type Sequential fuses nothing
+  // around, so every layer runs its own forward and backward (conv1's
+  // extra input gradient leaves the parameter gradients alone). conv1's
+  // channel 0 gets a NaN bias and channel 1 a large negative one, so every
+  // pool1 window of theirs has a pre-activation max that is NaN or <= 0.
+  // The 7 x 10 input leaves both pools a ragged row and column.
+  for (const Shape& input_shape :
+       {Shape{1, 16, 16}, Shape{1, 8, 8}, Shape{1, 7, 10}}) {
+    ModelSpec spec;
+    spec.arch = ModelArch::kCnn2;
+    spec.input_shape = input_shape;
+    spec.num_classes = 10;
+    spec.hidden = 16;
+    spec.base_channels = 4;
+    const auto source = build_model(spec, 3);
+    std::vector<float> params(source->parameters().begin(),
+                              source->parameters().end());
+    const std::size_t conv1_bias = 4 * 9;  // after conv1's 4 x 1 x 3 x 3
+    params[conv1_bias] = std::numeric_limits<float>::quiet_NaN();
+    params[conv1_bias + 1] = -100.0f;
+    for (const IsaLevel level : supported_isas()) {
+      SCOPED_TRACE(::testing::Message()
+                   << "isa=" << middlefl::tensor::to_string(level) << " "
+                   << input_shape.to_string());
+      IsaGuard guard(level);
+      Sequential fused(input_shape);
+      Sequential unfused(input_shape);
+      for (std::size_t i = 0; i < source->layer_count(); ++i) {
+        fused.add(source->layer(i).clone());
+        unfused.add(
+            std::make_unique<FullInputGrad>(source->layer(i).clone()));
+      }
+      fused.build(1);
+      unfused.build(1);
+      fused.set_parameters(params);
+      unfused.set_parameters(params);
+
+      constexpr std::size_t kBatch = 6;
+      std::vector<std::size_t> dims{kBatch};
+      dims.insert(dims.end(), input_shape.dims().begin(),
+                  input_shape.dims().end());
+      Xoshiro256 rng(13);
+      const Tensor x = Tensor::randn(Shape(dims), rng);
+      std::vector<std::int32_t> labels(kBatch);
+      for (auto& label : labels) {
+        label = static_cast<std::int32_t>(rng.bounded(10));
+      }
+      const Tensor& logits = fused.forward(x, true);
+      const Tensor& want_logits = unfused.forward(x, true);
+      ASSERT_EQ(0, std::memcmp(logits.data().data(), want_logits.data().data(),
+                               logits.numel() * sizeof(float)));
+      const auto loss = middlefl::nn::softmax_cross_entropy(logits, labels);
+      fused.zero_grad();
+      unfused.zero_grad();
+      fused.backward(loss.grad_logits);
+      unfused.backward(loss.grad_logits);
+      const auto got = fused.gradients();
+      const auto want = unfused.gradients();
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               want.size() * sizeof(float)))
+          << "parameter gradients";
+    }
+  }
 }
 
 // --- Model factory ---
