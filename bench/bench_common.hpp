@@ -160,9 +160,9 @@ core::RunHistory run_and_collect(core::Simulation& simulation,
 
 /// Whole-run communication/transport/dropout/fleet accounting captured
 /// from a live Simulation — the block every JSON summary emitter
-/// (middlefl_run --json-summary, step_throughput, fleet_scale,
-/// scenario_sweep) shares. Capture while the simulation is alive; format
-/// later with json_summary_fields.
+/// (middlefl_run --json-summary, step_throughput, fleet_scale) shares.
+/// Capture while the simulation is alive; format later with
+/// append_summary_members or json_summary_fields.
 struct SimRunSummary {
   std::size_t steps = 0;
   core::CommStats comm;
@@ -198,8 +198,8 @@ struct SimRunSummary {
 
 /// Appends the summary members — `"comm": {...}`, `"transport": {...}`,
 /// wire-byte totals, dropout/blend counters and the `"fleet"` block — onto
-/// a config::Json object: the one list of summary fields. scenario_sweep
-/// dumps each row compact as one JSONL line.
+/// a config::Json object: the one list of summary fields. middlefl_run
+/// --json-summary dumps each cell's row compact as one JSONL line.
 void append_summary_members(config::Json& object, const SimRunSummary& summary);
 
 /// Renders append_summary_members' members as text, one compact member

@@ -6,8 +6,8 @@
 // learning-rate schedule, the algorithm policy, and the full
 // core::SimulationConfig (nested transport link policies, fleet device
 // state, serving and comm knobs). It is the only run description
-// tools/middlefl_run and tools/scenario_sweep read; both change a spec
-// only through scenario_with_overrides (dotted path -> value).
+// tools/middlefl_run reads; it changes a spec only through
+// scenario_with_overrides (dotted path -> value): --set and --axes cells.
 // scenario_build.hpp turns a spec into live simulator objects.
 //
 // Contract (see ARCHITECTURE.md "Declarative scenarios"):
@@ -380,7 +380,7 @@ ScenarioSpec load_scenario_file(const std::string& path);
 void check_disjoint_paths(const Json& overrides, const std::string& source);
 
 /// Splices `overrides`, a JSON object mapping dotted spec paths to values
-/// (a `middlefl_run --set` argument, one `scenario_sweep` cell), into
+/// (`middlefl_run --set`, or one `--axes` cell's values), into
 /// `document` with set_by_path, then decodes the result strictly.
 /// Overlapping paths are rejected (check_disjoint_paths). Each override
 /// is first decoded on its own, so a bad path or value fails as
