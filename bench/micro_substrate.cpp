@@ -171,20 +171,26 @@ struct GemmShape {
   tensor::Trans trans_b;
   std::size_t m, n, k;
   float beta;
+  // A conv forward (NN) or dW (NT) call reads its column matrix through
+  // the indirect view of one bordered sample of this many channels and
+  // side (3 x 3 taps, padding 1); 0 for a plain gemm() call.
+  std::size_t conv_channels = 0;
+  std::size_t conv_side = 0;
 };
 
-// Conv forward and dW GEMMs run once per sample (16 per step); conv2's dX
-// GEMM runs once per step over the whole batch's columns, as do the Linear
-// ones. conv1 gets no input gradient (first layer with parameters); NT
-// calls with n or k below 16 take the small-NT kernel.
+// Every conv GEMM runs once per sample (16 per step): the forward and dW
+// through the indirect view, conv2's dX (conv1 gets none: first layer with
+// parameters) into one sample's column-gradient panel. The Linear GEMMs
+// run once per step. NT calls with n or k below 16 take the small-NT
+// kernel.
 constexpr tensor::Trans kN = tensor::Trans::kNo;
 constexpr tensor::Trans kT = tensor::Trans::kYes;
 const GemmShape kCnn2GemmShapes[] = {
-    {"conv1.fwd NN 8x256x9", kN, kN, 8, 256, 9, 0.0f},
-    {"conv1.dW NT 8x9x256", kN, kT, 8, 9, 256, 1.0f},
-    {"conv2.fwd NN 16x64x72", kN, kN, 16, 64, 72, 0.0f},
-    {"conv2.dW NT 16x72x64", kN, kT, 16, 72, 64, 1.0f},
-    {"conv2.dX TN 72x1024x16", kT, kN, 72, 1024, 16, 0.0f},
+    {"conv1.fwd NN 8x256x9", kN, kN, 8, 256, 9, 0.0f, 1, 16},
+    {"conv1.dW NT 8x9x256", kN, kT, 8, 9, 256, 1.0f, 1, 16},
+    {"conv2.fwd NN 16x64x72", kN, kN, 16, 64, 72, 0.0f, 8, 8},
+    {"conv2.dW NT 16x72x64", kN, kT, 16, 72, 64, 1.0f, 8, 8},
+    {"conv2.dX TN 72x64x16", kT, kN, 72, 64, 16, 0.0f},
     {"fc1.fwd NT 16x64x256", kN, kT, 16, 64, 256, 0.0f},
     {"fc1.dW TN 64x256x16", kT, kN, 64, 256, 16, 1.0f},
     {"fc1.dX NN 16x256x64", kN, kN, 16, 256, 64, 0.0f},
@@ -209,9 +215,10 @@ const GemmShape kFig6GemmShapes[] = {
 };
 
 /// The peak each layer's GEMM reaches on its own: one call of a
-/// kCnn2GemmShapes entry (args 0 .. 10) or a kFig6GemmShapes one (args 11
-/// on) per iteration, FLOPs (2mnk) as items, so the items rate is GFLOP/s
-/// to set beside BM_Cnn2Layer's.
+/// kCnn2GemmShapes entry (args 0 .. 10; conv forward and dW rows through
+/// conv_gemm / conv_gemm_nt) or a kFig6GemmShapes one (args 11 on) per
+/// iteration, FLOPs (2mnk) as items, so the items rate is GFLOP/s to set
+/// beside BM_Cnn2Layer's.
 void BM_GemmShape(benchmark::State& state) {
   const auto index = static_cast<std::size_t>(state.range(0));
   const std::size_t cnn2 = std::size(kCnn2GemmShapes);
@@ -220,10 +227,49 @@ void BM_GemmShape(benchmark::State& state) {
   const auto a = random_vec(s.m * s.k, 12);
   const auto b = random_vec(s.k * s.n, 13);
   std::vector<float> c(s.m * s.n, 0.0f);
-  for (auto _ : state) {
-    tensor::gemm(s.trans_a, s.trans_b, s.m, s.n, s.k, 1.0f, a, b, s.beta, c);
-    benchmark::DoNotOptimize(c.data());
-    benchmark::ClobberMemory();
+  if (s.conv_side == 0) {
+    for (auto _ : state) {
+      tensor::gemm(s.trans_a, s.trans_b, s.m, s.n, s.k, 1.0f, a, b, s.beta,
+                   c);
+      benchmark::DoNotOptimize(c.data());
+      benchmark::ClobberMemory();
+    }
+  } else {
+    // One random sample, bordered, and the view's tap table as Conv2d
+    // builds it.
+    const std::size_t pitch = s.conv_side + 2;
+    const auto sample =
+        random_vec(s.conv_channels * s.conv_side * s.conv_side, 14);
+    std::vector<float> plane(s.conv_channels * pitch * pitch, 0.0f);
+    std::vector<std::size_t> tap;
+    for (std::size_t ch = 0; ch < s.conv_channels; ++ch) {
+      for (std::size_t y = 0; y < s.conv_side; ++y) {
+        for (std::size_t x = 0; x < s.conv_side; ++x) {
+          plane[(ch * pitch + y + 1) * pitch + x + 1] =
+              sample[(ch * s.conv_side + y) * s.conv_side + x];
+        }
+      }
+      for (std::size_t t = 0; t < 9; ++t) {
+        tap.push_back((ch * pitch + t / 3) * pitch + t % 3);
+      }
+    }
+    tensor::ConvColumns cols;
+    cols.plane = plane.data();
+    cols.tap = tap.data();
+    cols.rows = tap.size();
+    cols.out_h = s.conv_side;
+    cols.out_w = s.conv_side;
+    cols.pitch = pitch;
+    const bool forward = s.trans_b == kN;
+    for (auto _ : state) {
+      if (forward) {
+        tensor::conv_gemm(s.m, a, cols, c);
+      } else {
+        tensor::conv_gemm_nt(s.m, a, cols, c);
+      }
+      benchmark::DoNotOptimize(c.data());
+      benchmark::ClobberMemory();
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
                           static_cast<std::int64_t>(s.m * s.n * s.k));
@@ -320,10 +366,10 @@ class Cnn2Layers {
   const float* gradients() const { return grads_.data(); }
 
  private:
-  nn::Conv2d conv1_{{.in_channels = 1, .out_channels = 8, .kernel = 3,
-                     .stride = 1, .padding = 1}};
-  nn::Conv2d conv2_{{.in_channels = 8, .out_channels = 16, .kernel = 3,
-                     .stride = 1, .padding = 1}};
+  nn::Conv2d conv1_{
+      {.in_channels = 1, .out_channels = 8, .padding = 1, .kernel = 3}};
+  nn::Conv2d conv2_{
+      {.in_channels = 8, .out_channels = 16, .padding = 1, .kernel = 3}};
   nn::MaxPool2d pool1_;
   nn::MaxPool2d pool2_;
   nn::Linear fc1_{256, 64};
@@ -362,7 +408,7 @@ BENCHMARK(BM_Cnn2Layer)
     ->DenseRange(0, 2 * static_cast<int>(Cnn2Layers::kLayers) - 1);
 
 /// One of CNN-2's two paper-scale conv layers, built for the lowering
-/// benches: Arg 0 is conv1 (1 -> 8 channels, 16 x 16), Arg 1 conv2 (8 -> 16
+/// bench: Arg 0 is conv1 (1 -> 8 channels, 16 x 16), Arg 1 conv2 (8 -> 16
 /// channels, 8 x 8); both 3 x 3, stride 1, padding 1.
 struct LoweringCase {
   explicit LoweringCase(bool second)
@@ -370,9 +416,8 @@ struct LoweringCase {
         side(second ? 8 : 16),
         conv(nn::Conv2dConfig{.in_channels = channels,
                               .out_channels = 2 * channels,
-                              .kernel = 3,
-                              .stride = 1,
-                              .padding = 1}) {
+                              .padding = 1,
+                              .kernel = 3}) {
     const tensor::Shape out = conv.build(tensor::Shape{channels, side, side});
     cols = out.dim(1) * out.dim(2);
   }
@@ -381,33 +426,15 @@ struct LoweringCase {
   std::size_t cols = 0;  // output positions: the column matrix's width
 };
 
-/// Conv2d's bordered im2col for one sample; bytes are the column matrix's.
-void BM_Conv2dIm2col(benchmark::State& state) {
-  LoweringCase layer(state.range(0) != 0);
-  const auto sample =
-      random_vec(layer.channels * layer.side * layer.side, 14);
-  std::vector<float> col(layer.channels * 9 * layer.cols);
-  for (auto _ : state) {
-    layer.conv.im2col(sample.data(), col.data());
-    benchmark::DoNotOptimize(col.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          col.size() * sizeof(float));
-  state.SetLabel(state.range(0) != 0 ? "conv2" : "conv1");
-}
-BENCHMARK(BM_Conv2dIm2col)->Arg(0)->Arg(1);
-
-/// Conv2d's col2im for one sample, reading its columns out of a batch-16
-/// panel as Conv2d::backward does; bytes are the column matrix's.
+/// Conv2d's col2im for one sample from its own (C*9) x HW column-gradient
+/// panel, as Conv2d::backward runs it; bytes are the panel's.
 void BM_Conv2dCol2im(benchmark::State& state) {
   LoweringCase layer(state.range(0) != 0);
-  constexpr std::size_t kBatch = 16;
   const std::size_t rows = layer.channels * 9;
-  const auto panel = random_vec(rows * kBatch * layer.cols, 15);
+  const auto panel = random_vec(rows * layer.cols, 15);
   std::vector<float> grad(layer.channels * layer.side * layer.side);
   for (auto _ : state) {
-    layer.conv.col2im(panel.data(), kBatch * layer.cols, grad.data());
+    layer.conv.col2im(panel.data(), layer.cols, grad.data());
     benchmark::DoNotOptimize(grad.data());
     benchmark::ClobberMemory();
   }

@@ -12,17 +12,16 @@
 namespace middlefl::nn {
 
 Conv2d::Conv2d(Conv2dConfig config) : cfg_(config) {
-  if (cfg_.in_channels == 0 || cfg_.out_channels == 0 || cfg_.kernel == 0 ||
-      cfg_.stride == 0) {
-    throw std::invalid_argument("Conv2d: channels, kernel and stride must be positive");
+  if (cfg_.in_channels == 0 || cfg_.out_channels == 0 || cfg_.kernel == 0) {
+    throw std::invalid_argument("Conv2d: channels and kernel must be positive");
   }
 }
 
 std::string Conv2d::name() const {
   return "Conv2d(" + std::to_string(cfg_.in_channels) + "->" +
          std::to_string(cfg_.out_channels) + ", k=" +
-         std::to_string(cfg_.kernel) + ", s=" + std::to_string(cfg_.stride) +
-         ", p=" + std::to_string(cfg_.padding) + ")";
+         std::to_string(cfg_.kernel) + ", p=" + std::to_string(cfg_.padding) +
+         ")";
 }
 
 Shape Conv2d::build(const Shape& input_shape) {
@@ -38,10 +37,19 @@ Shape Conv2d::build(const Shape& input_shape) {
   if (padded_h < cfg_.kernel || padded_w < cfg_.kernel) {
     throw std::invalid_argument("Conv2d: kernel larger than padded input");
   }
-  out_h_ = (padded_h - cfg_.kernel) / cfg_.stride + 1;
-  out_w_ = (padded_w - cfg_.kernel) / cfg_.stride + 1;
+  out_h_ = padded_h - cfg_.kernel + 1;
+  out_w_ = padded_w - cfg_.kernel + 1;
   col_rows_ = cfg_.in_channels * cfg_.kernel * cfg_.kernel;
   col_cols_ = out_h_ * out_w_;
+  plane_size_ = cfg_.in_channels * padded_h * padded_w;
+  tap_.clear();
+  for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
+    for (std::size_t ky = 0; ky < cfg_.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < cfg_.kernel; ++kx) {
+        tap_.push_back((c * padded_h + ky) * padded_w + kx);
+      }
+    }
+  }
   return Shape{cfg_.out_channels, out_h_, out_w_};
 }
 
@@ -150,14 +158,11 @@ void add_runs(const float* src, std::size_t src_pitch, float* dst,
 
 }  // namespace
 
-// Both lowering loops go through a zero-bordered copy of one sample: a
-// C x (H + 2p) x (W + 2p) plane in which every tap of every output position
-// lands in bounds (with p = 0 the sample itself). Row (c, ky, kx) of the
-// column matrix is out_h runs of out_w values, run oy starting at bordered
-// pixel (oy*s + ky, kx) and stepping s, so neither loop tests bounds or
-// decides where zeros go. The bordered plane is rebuilt on every call: the
-// workspace slot is shared by every conv layer on the thread, whatever its
-// geometry.
+// Every GEMM reads a zero-bordered copy of one sample: a C x (H + 2p) x
+// (W + 2p) plane in which every tap of every output position lands in
+// bounds (with p = 0 the sample itself). Row (c, ky, kx) of the column
+// matrix is out_h runs of out_w values, run oy starting at bordered pixel
+// (oy + ky, kx), which tensor::ConvColumns names without copying.
 //
 // col2im adds into a zeroed bordered plane and then crops it into the
 // sample's gradient. Its loop nest is the per-element one, (c, ky, kx, oy,
@@ -165,69 +170,44 @@ void add_runs(const float* src, std::size_t src_pitch, float* dst,
 // same +0.0 start, as by a bounds-tested loop over a zeroed gradient; the
 // taps that fall in the border are added there and dropped by the crop.
 
-void Conv2d::im2col(const float* sample, float* col) const {
-  // col[(c*k*k + ky*k + kx), (oy*out_w + ox)] = bordered[c, oy*s+ky, ox*s+kx]
+tensor::ConvColumns Conv2d::columns(const float* plane) const noexcept {
+  tensor::ConvColumns cols;
+  cols.plane = plane;
+  cols.tap = tap_.data();
+  cols.rows = col_rows_;
+  cols.out_h = out_h_;
+  cols.out_w = out_w_;
+  cols.pitch = in_w_ + 2 * cfg_.padding;
+  return cols;
+}
+
+void Conv2d::fill_plane(const float* sample, float* plane) const noexcept {
   const std::size_t pad = cfg_.padding;
-  const std::size_t stride = cfg_.stride;
   const std::size_t bh = in_h_ + 2 * pad;
   const std::size_t bw = in_w_ + 2 * pad;
-  const float* bordered = sample;
-  if (pad > 0) {
-    const std::span<float> plane = tensor::Workspace::tls().floats(
-        tensor::WsSlot::kConvBorder, cfg_.in_channels * bh * bw);
-    std::fill(plane.begin(), plane.end(), 0.0f);
-    for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
-      copy_runs(sample + c * in_h_ * in_w_, in_w_,
-                plane.data() + (c * bh + pad) * bw + pad, bw, in_h_, in_w_);
-    }
-    bordered = plane.data();
-  }
-  float* row = col;
   for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
-    for (std::size_t ky = 0; ky < cfg_.kernel; ++ky) {
-      for (std::size_t kx = 0; kx < cfg_.kernel; ++kx, row += col_cols_) {
-        const float* src = bordered + (c * bh + ky) * bw + kx;
-        if (stride == 1) {
-          copy_runs(src, bw, row, out_w_, out_h_, out_w_);
-          continue;
-        }
-        for (std::size_t oy = 0; oy < out_h_; ++oy) {
-          for (std::size_t ox = 0; ox < out_w_; ++ox) {
-            row[oy * out_w_ + ox] = src[(oy * bw + ox) * stride];
-          }
-        }
-      }
-    }
+    copy_runs(sample + c * in_h_ * in_w_, in_w_,
+              plane + (c * bh + pad) * bw + pad, bw, in_h_, in_w_);
   }
 }
 
 void Conv2d::col2im(const float* col, std::size_t col_pitch,
                     float* sample_grad) const {
   const std::size_t pad = cfg_.padding;
-  const std::size_t stride = cfg_.stride;
   const std::size_t bh = in_h_ + 2 * pad;
   const std::size_t bw = in_w_ + 2 * pad;
   float* bordered =
       pad > 0 ? tensor::Workspace::tls()
-                    .floats(tensor::WsSlot::kConvBorder,
-                            cfg_.in_channels * bh * bw)
+                    .floats(tensor::WsSlot::kConvBorder, plane_size_)
                     .data()
               : sample_grad;
-  std::fill(bordered, bordered + cfg_.in_channels * bh * bw, 0.0f);
+  std::fill(bordered, bordered + plane_size_, 0.0f);
   const float* row = col;
   for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
     for (std::size_t ky = 0; ky < cfg_.kernel; ++ky) {
       for (std::size_t kx = 0; kx < cfg_.kernel; ++kx, row += col_pitch) {
-        float* dst = bordered + (c * bh + ky) * bw + kx;
-        if (stride == 1) {
-          add_runs(row, out_w_, dst, bw, out_h_, out_w_);
-          continue;
-        }
-        for (std::size_t oy = 0; oy < out_h_; ++oy) {
-          for (std::size_t ox = 0; ox < out_w_; ++ox) {
-            dst[(oy * bw + ox) * stride] += row[oy * out_w_ + ox];
-          }
-        }
+        add_runs(row, out_w_, bordered + (c * bh + ky) * bw + kx, bw, out_h_,
+                 out_w_);
       }
     }
   }
@@ -261,21 +241,31 @@ void Conv2d::forward_impl(const Tensor& input, Tensor& output, bool training,
                            ? mask_owner->fused_mask(batch * out_sample_size)
                            : nullptr;
 
-  const std::size_t col_size = col_rows_ * col_cols_;
-  // Training caches every sample's panel for the backward weight GEMM.
-  // Inference reuses the first panel, so it drops the cached batch: a
-  // backward after it throws instead of reading a clobbered panel.
-  if (training) {
-    col_cache_.resize(batch * col_size);
-    cached_batch_ = batch;
-  } else {
-    if (col_cache_.size() < col_size) col_cache_.resize(col_size);
-    cached_batch_ = 0;
+  // With padding, a training forward keeps every sample's plane for the
+  // weight gradient; an inference forward borders each sample in turn in
+  // the thread's kConvBorder slot (its border zeroed once per call), so it
+  // leaves the training planes alone.
+  const bool pad = cfg_.padding > 0;
+  float* planes = nullptr;
+  if (pad && training) {
+    plane_cache_.resize(batch * plane_size_);
+    planes = plane_cache_.data();
+  } else if (pad) {
+    const std::span<float> plane = tensor::Workspace::tls().floats(
+        tensor::WsSlot::kConvBorder, plane_size_);
+    std::fill(plane.begin(), plane.end(), 0.0f);
+    planes = plane.data();
   }
+  if (training) cached_batch_ = batch;
 
   for (std::size_t b = 0; b < batch; ++b) {
-    float* col = col_cache_.data() + (training ? b * col_size : 0);
-    im2col(input.data().data() + b * sample_size, col);
+    const float* sample = input.data().data() + b * sample_size;
+    const float* plane = sample;
+    if (pad) {
+      float* dst = planes + (training ? b * plane_size_ : 0);
+      fill_plane(sample, dst);
+      plane = dst;
+    }
     float* out_sample = output.data().data() + b * out_sample_size;
     // out[oc, pos] = W[oc, :] . col[:, pos] + bias[oc]; the per-channel
     // bias (and the fused ReLU, when present) ride the GEMM's final sweep
@@ -284,10 +274,8 @@ void Conv2d::forward_impl(const Tensor& input, Tensor& output, bool training,
     epi.row_bias = bias_.data();
     epi.relu = relu;
     if (mask != nullptr) epi.relu_mask = mask + b * out_sample_size;
-    tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, cfg_.out_channels,
-                 col_cols_, col_rows_, 1.0f, weight_,
-                 std::span<const float>(col, col_size), 0.0f,
-                 std::span<float>(out_sample, out_sample_size), nullptr, &epi);
+    tensor::conv_gemm(cfg_.out_channels, weight_, columns(plane),
+                      std::span<float>(out_sample, out_sample_size), &epi);
   }
 }
 
@@ -299,46 +287,37 @@ void Conv2d::backward(const Tensor& input, const Tensor& grad_output,
         "Conv2d::backward: no cached forward state for this batch (forward "
         "must run with training=true)");
   }
-  const std::size_t col_size = col_rows_ * col_cols_;
+  const std::size_t sample_size = cfg_.in_channels * in_h_ * in_w_;
   const std::size_t out_sample_size = cfg_.out_channels * col_cols_;
   const float* dy = grad_output.data().data();
+  const bool pad = cfg_.padding > 0;
+  const float* planes = pad ? plane_cache_.data() : input.data().data();
+  const std::size_t plane_pitch = pad ? plane_size_ : sample_size;
 
   // dW[oc, r] += dY_b[oc, :] . col_b[r, :]^T, one GEMM per sample in sample
   // order.
   for (std::size_t b = 0; b < batch; ++b) {
-    tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, cfg_.out_channels,
-                 col_rows_, col_cols_, 1.0f,
-                 std::span<const float>(dy + b * out_sample_size,
-                                        out_sample_size),
-                 std::span<const float>(col_cache_.data() + b * col_size,
-                                        col_size),
-                 1.0f, grad_weight_);
+    tensor::conv_gemm_nt(
+        cfg_.out_channels,
+        std::span<const float>(dy + b * out_sample_size, out_sample_size),
+        columns(planes + b * plane_pitch), grad_weight_);
   }
   add_bias_grad(dy, batch, cfg_.out_channels, col_cols_, grad_bias_.data());
   if (grad_input == nullptr) return;
 
-  // The input gradient is one GEMM for the batch: dcol = W^T . dY', with dY'
-  // the batch's dY gathered channel-major (row oc holds every sample's
-  // plane oc, sample after sample). Each dcol element is the same
-  // ascending-oc chain onto +0 as in a per-sample GEMM, so the batch split
-  // does not show in its bits. col2im reads sample b's columns at offset
-  // b * HW of every panel row.
-  const std::size_t cols = batch * col_cols_;
-  auto& ws = tensor::Workspace::tls();
-  const std::span<float> dy_cm =
-      ws.floats(tensor::WsSlot::kConvGradOut, cfg_.out_channels * cols);
-  for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
-    copy_runs(dy + oc * col_cols_, out_sample_size, dy_cm.data() + oc * cols,
-              col_cols_, batch, col_cols_);
-  }
-  const std::span<float> dcol =
-      ws.floats(tensor::WsSlot::kConvColGrad, col_rows_ * cols);
-  tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows_, cols,
-               cfg_.out_channels, 1.0f, weight_, dy_cm, 0.0f, dcol);
+  // The input gradient, per sample: dcol = W^T . dY_b into a panel that
+  // stays in L1 for col2im. Each dcol element is an ascending-oc chain onto
+  // +0.
+  const std::span<float> dcol = tensor::Workspace::tls().floats(
+      tensor::WsSlot::kConvPanel, col_rows_ * col_cols_);
   grad_input->reset_for_overwrite(input.shape());  // col2im writes it
-  const std::size_t sample_size = cfg_.in_channels * in_h_ * in_w_;
   for (std::size_t b = 0; b < batch; ++b) {
-    col2im(dcol.data() + b * col_cols_, cols,
+    tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows_,
+                 col_cols_, cfg_.out_channels, 1.0f, weight_,
+                 std::span<const float>(dy + b * out_sample_size,
+                                        out_sample_size),
+                 0.0f, dcol);
+    col2im(dcol.data(), col_cols_,
            grad_input->data().data() + b * sample_size);
   }
 }

@@ -37,9 +37,8 @@ void add_conv_block(Sequential& model, std::size_t in_ch, std::size_t out_ch,
   model.add(std::make_unique<Conv2d>(Conv2dConfig{
       .in_channels = in_ch,
       .out_channels = out_ch,
-      .kernel = 3,
-      .stride = 1,
       .padding = 1,
+      .kernel = 3,
   }));
   model.add(std::make_unique<ReLU>());
   if (pool) model.add(std::make_unique<MaxPool2d>());

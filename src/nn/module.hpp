@@ -7,9 +7,9 @@
 // on-device blending (Eq. 9) and cosine similarity (Eq. 8) are plain
 // level-1 BLAS on that vector, with no per-layer bookkeeping.
 //
-// Layers cache whatever forward state their backward pass needs (im2col
-// panels, ReLU masks, pool argmaxes), so a layer instance must not be shared
-// between concurrently-training models. Each simulated device owns its own
+// Layers cache whatever forward state their backward pass needs (bordered
+// conv input planes, ReLU masks, pool argmaxes), so a layer instance must
+// not be shared between concurrently-training models. Each simulated device owns its own
 // Sequential; this is the simulator's unit of parallelism.
 #pragma once
 

@@ -308,6 +308,72 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   });
 }
 
+// The indirect convolution's forward runs the small path's tiles whatever
+// the shape: the packed path would give the same bits, and a convolution's
+// per-sample GEMMs are small. Each call is one sample, so nothing here
+// splits rows.
+
+void conv_gemm(std::size_t m, std::span<const float> a,
+               const ConvColumns& cols, std::span<float> c,
+               const GemmEpilogue* epilogue) {
+  const std::size_t n = cols.out_h * cols.out_w;
+  if (cols.rows == 0) throw std::invalid_argument("conv_gemm: no rows");
+  check_size(a, m * cols.rows, "conv_gemm: A");
+  check_size(c, m * n, "conv_gemm: C");
+  if (epilogue != nullptr &&
+      (epilogue->col_bias != nullptr || epilogue->row_sums != nullptr)) {
+    throw std::invalid_argument("conv_gemm: col_bias/row_sums unsupported");
+  }
+  if (m == 0 || n == 0) return;
+  detail::PackedGemmArgs args;
+  args.row_hi = m;
+  args.m = m;
+  args.n = n;
+  args.k = cols.rows;
+  args.a = a.data();
+  args.c = c.data();
+  args.epilogue = epilogue;
+  args.conv = &cols;
+  detail::gemm_kernels(active_isa()).conv(args);
+}
+
+void conv_gemm_nt(std::size_t m, std::span<const float> a,
+                  const ConvColumns& cols, std::span<float> c) {
+  const std::size_t n = cols.rows;
+  const std::size_t k = cols.out_h * cols.out_w;
+  if (n == 0) throw std::invalid_argument("conv_gemm_nt: no rows");
+  check_size(a, m * k, "conv_gemm_nt: A");
+  check_size(c, m * n, "conv_gemm_nt: C");
+  if (m == 0 || k == 0) return;
+  // gemm()'s choices for gemm(kNo, kYes, m, n, k, ...), made the same way,
+  // run the same kernels: only B's panel comes from the planes. Which NaN
+  // an FMA passes on when two meet depends on the instruction form the
+  // compiler picked, so NaN bits match only when the same code runs.
+  const auto& kern = detail::gemm_kernels(active_isa());
+  if (n < 16 || k < 16) {
+    // The small-NT kernel reads B's n rows of k in place: gather them.
+    auto rows =
+        Workspace::tls().aligned_floats(WsAlignedSlot::kGemmPanelB, n * k);
+    kern.conv_rows(cols, rows.data());
+    kern.small_nt(0, m, n, k, 1.0f, a.data(), rows.data(), 1.0f, c.data());
+    return;
+  }
+  const bool small = takes_small_path(Trans::kYes, m, n, k);
+  detail::PackedGemmArgs args;
+  args.row_hi = m;
+  args.m = m;
+  args.n = n;
+  args.k = k;
+  args.beta = 1.0f;
+  args.a = a.data();
+  args.c = c.data();
+  auto bpanel = Workspace::tls().aligned_floats(
+      WsAlignedSlot::kGemmPanelB,
+      (small ? kern.small_b_floats : kern.packed_b_floats)(k, n, true));
+  kern.conv_b(cols, small, bpanel.data(), args);
+  (small ? kern.small : kern.compute)(args);
+}
+
 void gemv(Trans trans_a, std::size_t m, std::size_t n, float alpha,
           std::span<const float> a, std::span<const float> x, float beta,
           std::span<float> y) {

@@ -35,6 +35,11 @@
 // and B in place and needs no packing. Both may run once per disjoint row
 // chunk.
 //
+// Indirect convolution: conv (the forward's small path), conv_b (the
+// weight gradient's transposed B panel) and conv_rows (its B for the
+// small-NT kernel) read the column matrix through a ConvColumns view
+// (blas.hpp) instead of building it.
+//
 // Pooling: max_pool2x2 and max_pool2x2_backward (pool_kernel_impl.hpp)
 // run MaxPool2d's forward and backward, with the same bits at every tier.
 #pragma once
@@ -45,6 +50,7 @@
 #include "tensor/cpu_features.hpp"
 
 namespace middlefl::tensor {
+struct ConvColumns;
 struct GemmEpilogue;
 }
 
@@ -75,6 +81,8 @@ struct PackedGemmArgs {
   std::size_t b_extent = 0;
   float* c = nullptr;               // full C, row stride n
   const GemmEpilogue* epilogue = nullptr;  // may be null
+  // conv(): op(B), k = rows by n = out_h * out_w.
+  const ConvColumns* conv = nullptr;
 };
 
 struct GemmKernels {
@@ -106,6 +114,18 @@ struct GemmKernels {
   void (*small_nt)(std::size_t row_lo, std::size_t row_hi, std::size_t n,
                    std::size_t k, float alpha, const float* a, const float* b,
                    float beta, float* c);
+  /// Indirect convolution (ConvColumns, blas.hpp). conv() is the small
+  /// path for C = op(A) * cols, rows [row_lo, row_hi), with alpha == 1 and
+  /// beta == 0 (of the epilogue, row_bias, relu and relu_mask), reading
+  /// the view through args.conv. conv_b() is small_b() (`small`) or
+  /// pack_b() for a transposed B whose n x k matrix is the view: it
+  /// builds the same panel from the planes, for small() or compute().
+  void (*conv)(const PackedGemmArgs& args);
+  void (*conv_b)(const ConvColumns& cols, bool small, float* out,
+                 PackedGemmArgs& args);
+  /// Writes the view as its row-major cols.rows x (out_h * out_w) matrix:
+  /// the B small_nt reads in place.
+  void (*conv_rows)(const ConvColumns& cols, float* out);
   /// 2 x 2, stride-2 max pooling of `planes` planes of in_h x in_w floats
   /// (both >= 2) into (in_h / 2) x (in_w / 2) planes; a ragged last row
   /// or column is never read. Each output is the running max of its

@@ -44,6 +44,8 @@ struct ArchAvx2 {
     return _mm256_and_ps(_mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ),
                          v);
   }
+  // Indirect convolution: output rows of 4 take masked whole-ymm loads.
+  static constexpr bool kHalves = false;
   // Small path: up to 8 rows x 1 ymm down to 3 rows x 4 ymm, 12
   // accumulators.
   static constexpr std::size_t kSmallMR = 8;

@@ -1,6 +1,7 @@
 // AVX-512F instantiation of the GEMM kernels. Packed: 8x32 micro-tile (16
 // zmm accumulators out of 32). Small path: tiles of up to 24 zmm
-// accumulators with masked loads and stores at a ragged edge. Small NT:
+// accumulators with masked loads and stores at a ragged edge; the indirect
+// convolution's tiles join two 8-float output rows per zmm. Small NT:
 // one zmm holds four columns' four p-lanes, and eight rows share each B
 // vector. Pooling: sixteen windows per zmm, columns split and merged by
 // two-source permutes.
@@ -49,6 +50,16 @@ struct ArchAvx512 {
     const __mmask16 pos =
         _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GT_OQ);
     return _mm512_maskz_mov_ps(pos, v);
+  }
+  // Indirect convolution: an output row of 8 (CNN-2's conv2) is half a
+  // zmm, so one zmm holds two rows, joined from two 256-bit loads.
+  static constexpr bool kHalves = true;
+  /// a[0..8) in the low half, b[0..8) in the high one.
+  static Vec load_halves(const float* a, const float* b) noexcept {
+    const __m512d low =
+        _mm512_castps_pd(_mm512_castps256_ps512(_mm256_loadu_ps(a)));
+    return _mm512_castpd_ps(_mm512_insertf64x4(
+        low, _mm256_castps_pd(_mm256_loadu_ps(b)), 1));
   }
   // Small path: up to 8 rows x 4 zmm (8 x 3 at n = 48), 24 accumulators.
   static constexpr std::size_t kSmallMR = 8;
@@ -170,12 +181,8 @@ struct PoolAvx512 {
   static void store_n(float* p, Vec v, std::size_t n) noexcept {
     _mm512_mask_storeu_ps(p, mask(n), v);
   }
-  /// a[0..8) in the low half, b[0..8) in the high one.
   static Vec load_halves(const float* a, const float* b) noexcept {
-    const __m512d low =
-        _mm512_castps_pd(_mm512_castps256_ps512(_mm256_loadu_ps(a)));
-    return _mm512_castpd_ps(_mm512_insertf64x4(
-        low, _mm256_castps_pd(_mm256_loadu_ps(b)), 1));
+    return ArchAvx512::load_halves(a, b);
   }
   static void store_halves(float* a, float* b, Vec v) noexcept {
     _mm256_storeu_ps(a, _mm512_castps512_ps256(v));

@@ -1,6 +1,7 @@
 // GEMM algorithms, templated over a register geometry: the blocked packed
-// GEMM (PackedGemm) with its unpacked small path (PackedGemm::small), and
-// the small-NT kernel (SmallNt, at the end of this file). None may call a
+// GEMM (PackedGemm) with its unpacked small path (PackedGemm::small) and
+// the indirect convolution on that path (PackedGemm::conv), and the
+// small-NT kernel (SmallNt, at the end of this file). None may call a
 // shared inline helper compiled under another TU's ISA flags: the linker
 // keeps one copy of such a function for all TUs, so the geometry structs
 // carry every op, including scalar ones.
@@ -74,6 +75,8 @@ struct ArchScalar {
 #endif
   }
   static Vec relu(Vec v) noexcept { return v > 0.0f ? v : 0.0f; }
+  // Indirect convolution: no half-Vec loads (see PackedGemm::conv).
+  static constexpr bool kHalves = false;
   // Small path: kW = 1, so a row's last Vec is never partial.
   static constexpr std::size_t kSmallMR = 4;    // tile rows, at most
   static constexpr std::size_t kSmallNV = 4;    // tile Vecs per row, at most
@@ -635,59 +638,69 @@ struct PackedGemm {
     }
   }
 
+  // The sweep below runs a tile policy's tile<R, NV>(g, i0, v0): C rows
+  // [i0, i0 + R) by NV column Vecs from Vec v0 on. A column Vec of the
+  // ordinary small path is kW consecutive columns of C.
+  template <bool kScale>
+  struct InPlaceTiles {
+    template <std::size_t R, std::size_t NV>
+    static void tile(const PackedGemmArgs& g, std::size_t i0,
+                     std::size_t v0) {
+      const std::size_t col0 = v0 * kW;
+      const std::size_t width = g.n - col0 < NV * kW ? g.n - col0 : NV * kW;
+      small_tile<R, NV, kScale>(g, i0, col0, width);
+    }
+  };
+
   /// Rows [i, row_hi), fewer than small_rows(NV), as tiles of T, T / 2,
   /// ..., 1 rows, one for each bit set in their count.
-  template <std::size_t T, std::size_t NV, bool kScale>
+  template <std::size_t T, std::size_t NV, class Tiles>
   static void small_tail(const PackedGemmArgs& g, std::size_t i,
-                         std::size_t col0, std::size_t width) {
+                         std::size_t v0) {
     if constexpr (T > 0) {
       if constexpr (T < small_rows(NV)) {
         if (((g.row_hi - i) & T) != 0) {
-          small_tile<T, NV, kScale>(g, i, col0, width);
+          Tiles::template tile<T, NV>(g, i, v0);
           i += T;
         }
       }
-      small_tail<T / 2, NV, kScale>(g, i, col0, width);
+      small_tail<T / 2, NV, Tiles>(g, i, v0);
     }
   }
 
-  template <std::size_t NV, bool kScale>
-  static void small_cols(const PackedGemmArgs& g, std::size_t col0,
-                         std::size_t width) {
+  template <std::size_t NV, class Tiles>
+  static void small_cols(const PackedGemmArgs& g, std::size_t v0) {
     constexpr std::size_t kR = small_rows(NV);
     static_assert(kR <= 8, "small_tail splits fewer than 8 rows");
     std::size_t i = g.row_lo;
     for (; i + kR <= g.row_hi; i += kR) {
-      small_tile<kR, NV, kScale>(g, i, col0, width);
+      Tiles::template tile<kR, NV>(g, i, v0);
     }
-    small_tail<4, NV, kScale>(g, i, col0, width);
+    small_tail<4, NV, Tiles>(g, i, v0);
   }
 
   /// Runs small_cols<nv> for a runtime nv in [1, NV].
-  template <bool kScale, std::size_t NV = Arch::kSmallNV>
+  template <class Tiles, std::size_t NV = Arch::kSmallNV>
   static void small_width(std::size_t nv, const PackedGemmArgs& g,
-                          std::size_t col0, std::size_t width) {
+                          std::size_t v0) {
     if constexpr (NV > 0) {
       if (nv == NV) {
-        small_cols<NV, kScale>(g, col0, width);
+        small_cols<NV, Tiles>(g, v0);
       } else {
-        small_width<kScale, NV - 1>(nv, g, col0, width);
+        small_width<Tiles, NV - 1>(nv, g, v0);
       }
     }
   }
 
-  /// The n columns as few column blocks of at most kSmallNV Vecs as
-  /// possible, their widths as even as whole Vecs allow.
-  template <bool kScale>
-  static void small_sweep(const PackedGemmArgs& g) {
-    const std::size_t vecs = (g.n + kW - 1) / kW;
+  /// C's `vecs` column Vecs as few column blocks of at most kSmallNV Vecs
+  /// as possible, their widths as even as whole Vecs allow.
+  template <class Tiles>
+  static void small_sweep(const PackedGemmArgs& g, std::size_t vecs) {
     const std::size_t blocks = (vecs + Arch::kSmallNV - 1) / Arch::kSmallNV;
     std::size_t v0 = 0;
     for (std::size_t left = blocks; left > 0; --left) {
       const std::size_t nv = (vecs - v0 + left - 1) / left;
-      const std::size_t col0 = v0 * kW;
-      const std::size_t width = g.n - col0 < nv * kW ? g.n - col0 : nv * kW;
-      small_width<kScale>(nv, g, col0, width);
+      small_width<Tiles>(nv, g, v0);
       v0 += nv;
     }
   }
@@ -698,10 +711,290 @@ struct PackedGemm {
     if (g.epilogue != nullptr && g.epilogue->row_sums != nullptr) {
       small_row_sums(g, g.epilogue->row_sums);
     }
+    const std::size_t vecs = (g.n + kW - 1) / kW;
     if (g.alpha == 1.0f) {
-      small_sweep<false>(g);
+      small_sweep<InPlaceTiles<false>>(g, vecs);
     } else {
-      small_sweep<true>(g);
+      small_sweep<InPlaceTiles<true>>(g, vecs);
+    }
+  }
+
+  // --- Indirect convolution -----------------------------------------------
+  //
+  // A convolution's column matrix read through a ConvColumns view
+  // (blas.hpp) instead of built; the contract above holds unchanged.
+  //
+  // conv(), the forward: the small path with op(B) row p the view's row p,
+  // out_h runs of out_w floats at plane + tap[p] + oy * pitch. C's columns
+  // (output positions) are swept in segments, one Vec each:
+  //   rows: a segment is up to kW positions of one output row, from x0 a
+  //     multiple of kW; when kW does not divide out_w, every load and
+  //     store is masked to its segment's lanes, so no lane past an output
+  //     row is read;
+  //   pairs (Arch::kHalves, out_w == kW / 2): a segment is two whole
+  //     output rows, consecutive in C, loaded as two half-Vecs. An odd last
+  //     row is a segment of its own: its high half re-reads its low one and
+  //     its store is masked.
+  // conv_b() and conv_rows(), the weight gradient's B: the panel small_b()
+  // or pack_b() would build for op(B) = cols^T, or the rows small_nt reads
+  // in place, gathered from the planes for the unchanged kernels.
+
+  /// One segment of conv()'s sweep: C offset, plane offsets of the low and
+  /// high halves (pairs), and valid lanes.
+  struct Segment {
+    std::size_t c_off = 0;
+    std::size_t b_off = 0;
+    std::size_t b_off2 = 0;
+    std::size_t valid = 0;
+  };
+
+  template <bool kPairs>
+  static Segment segment(const ConvColumns& cv, std::size_t s) {
+    Segment seg;
+    if constexpr (kPairs) {
+      const std::size_t oy = 2 * s;
+      const bool two = oy + 1 < cv.out_h;
+      seg.c_off = oy * cv.out_w;
+      seg.b_off = oy * cv.pitch;
+      seg.b_off2 = two ? seg.b_off + cv.pitch : seg.b_off;
+      seg.valid = two ? kW : cv.out_w;
+    } else {
+      const std::size_t per_row = (cv.out_w + kW - 1) / kW;
+      const std::size_t oy = s / per_row;
+      const std::size_t x0 = s % per_row * kW;
+      seg.c_off = oy * cv.out_w + x0;
+      seg.b_off = oy * cv.pitch + x0;
+      seg.valid = cv.out_w - x0 < kW ? cv.out_w - x0 : kW;
+    }
+    return seg;
+  }
+
+  /// conv()'s tile: C rows [i0, i0 + R) over segments [s0, s0 + NV).
+  /// kMasked: some segment of the call is partial.
+  template <std::size_t R, std::size_t NV, bool kPairs, bool kMasked>
+  static void conv_tile(const PackedGemmArgs& g, std::size_t i0,
+                        std::size_t s0) {
+    const ConvColumns& cv = *g.conv;
+    Segment seg[NV];
+    typename Arch::Mask mask[NV];
+    for (std::size_t v = 0; v < NV; ++v) {
+      seg[v] = segment<kPairs>(cv, s0 + v);
+      if constexpr (kMasked) mask[v] = Arch::mask(seg[v].valid);
+    }
+    Vec acc[R][NV];
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t v = 0; v < NV; ++v) acc[r][v] = Arch::zero();
+    }
+
+    const std::size_t k = g.k;
+    const float* ap = g.a + i0 * k;
+    for (std::size_t p = 0; p < k; ++p) {
+      const float* brow = cv.plane + cv.tap[p];
+      Vec bv[NV];
+      for (std::size_t v = 0; v < NV; ++v) {
+        if constexpr (kPairs) {
+          bv[v] = Arch::load_halves(brow + seg[v].b_off, brow + seg[v].b_off2);
+        } else if constexpr (kMasked) {
+          bv[v] = Arch::load_masked(brow + seg[v].b_off, mask[v]);
+        } else {
+          bv[v] = Arch::load(brow + seg[v].b_off);
+        }
+      }
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < R; ++r) {
+        const Vec av = Arch::broadcast(ap[r * k + p]);
+        for (std::size_t v = 0; v < NV; ++v) {
+          acc[r][v] = Arch::madd(av, bv[v], acc[r][v]);
+        }
+      }
+    }
+
+    const GemmEpilogue* epi = g.epilogue;
+    if (epi != nullptr) {
+      if (epi->row_bias != nullptr) {
+        for (std::size_t r = 0; r < R; ++r) {
+          const Vec rb = Arch::broadcast(epi->row_bias[i0 + r]);
+          for (std::size_t v = 0; v < NV; ++v) {
+            acc[r][v] = Arch::add(acc[r][v], rb);
+          }
+        }
+      }
+      if (epi->relu) {
+        for (std::size_t r = 0; r < R; ++r) {
+          for (std::size_t v = 0; v < NV; ++v) {
+            acc[r][v] = Arch::relu(acc[r][v]);
+          }
+        }
+      }
+    }
+
+    const std::size_t n = g.n;
+    for (std::size_t r = 0; r < R; ++r) {
+      float* crow = g.c + (i0 + r) * n;
+      for (std::size_t v = 0; v < NV; ++v) {
+        if constexpr (kMasked) {
+          Arch::store_masked(crow + seg[v].c_off, acc[r][v], mask[v]);
+        } else {
+          Arch::store(crow + seg[v].c_off, acc[r][v]);
+        }
+      }
+    }
+
+    if (epi != nullptr && epi->relu_mask != nullptr) {
+      // From the stored values, as run_tile does.
+      for (std::size_t r = 0; r < R; ++r) {
+        const float* crow = g.c + (i0 + r) * n;
+        std::uint8_t* mrow = epi->relu_mask + (i0 + r) * n;
+        for (std::size_t v = 0; v < NV; ++v) {
+          for (std::size_t j = seg[v].c_off; j < seg[v].c_off + seg[v].valid;
+               ++j) {
+            mrow[j] = crow[j] > 0.0f ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+
+  template <bool kPairs, bool kMasked>
+  struct ConvTiles {
+    template <std::size_t R, std::size_t NV>
+    static void tile(const PackedGemmArgs& g, std::size_t i0,
+                     std::size_t s0) {
+      conv_tile<R, NV, kPairs, kMasked>(g, i0, s0);
+    }
+  };
+
+  /// C rows [row_lo, row_hi) = op(A) * cols; see GemmKernels::conv.
+  static void conv(const PackedGemmArgs& g) {
+    if (g.row_hi <= g.row_lo || g.n == 0) return;
+    const ConvColumns& cv = *g.conv;
+    if constexpr (Arch::kHalves) {
+      if (2 * cv.out_w == kW) {
+        const std::size_t segments = (cv.out_h + 1) / 2;
+        if (cv.out_h % 2 == 0) {
+          small_sweep<ConvTiles<true, false>>(g, segments);
+        } else {
+          small_sweep<ConvTiles<true, true>>(g, segments);
+        }
+        return;
+      }
+    }
+    const std::size_t segments = cv.out_h * ((cv.out_w + kW - 1) / kW);
+    if (cv.out_w % kW == 0) {
+      small_sweep<ConvTiles<false, false>>(g, segments);
+    } else {
+      small_sweep<ConvTiles<false, true>>(g, segments);
+    }
+  }
+
+  /// Sets g's B view of op(B) = cols^T (k positions by n = cols.rows) for
+  /// small() (`small`) or compute(): the panel small_b() or pack_b() would
+  /// build from the column matrix with trans_b, the same floats and zero
+  /// lanes, built from the planes instead.
+  static void conv_b(const ConvColumns& cv, bool small, float* out,
+                     PackedGemmArgs& g) {
+    if (small) {
+      g.b = out;
+      g.ldb = small_ldb(g.n);
+      g.b_extent = g.k * g.ldb;
+      pack_conv_slab(cv, 0, g.n, out, g.ldb);
+      return;
+    }
+    const std::size_t full = g.n / kNR;
+    const std::size_t ragged = g.n - full * kNR;
+    g.b = out;
+    g.b_slab = g.k * kNR;
+    g.ldb = kNR;
+    g.b_tail = ragged != 0 ? out + full * g.b_slab : nullptr;
+    for (std::size_t s = 0; s * kNR < g.n; ++s) {
+      float* slab = out + s * g.b_slab;
+      const std::size_t valid = s < full ? kNR : ragged;
+      if (valid < kNR) {
+        for (std::size_t i = 0; i < g.k * kNR; ++i) slab[i] = 0.0f;
+      }
+      pack_conv_slab(cv, s * kNR, valid, slab, kNR);
+    }
+  }
+
+  /// The view as its row-major rows x (out_h * out_w) matrix, into `out`:
+  /// the B the small-NT kernel reads in place.
+  static void conv_rows(const ConvColumns& cv, float* out) {
+    // Locals: a vector store may alias anything, even the view's fields.
+    const float* plane = cv.plane;
+    const std::size_t* tap = cv.tap;
+    const std::size_t out_h = cv.out_h;
+    const std::size_t out_w = cv.out_w;
+    const std::size_t pitch = cv.pitch;
+    const std::size_t whole = out_w - out_w % kW;
+    float* dst = out;
+    for (std::size_t r = 0; r < cv.rows; ++r) {
+      const float* src = plane + tap[r];
+      for (std::size_t oy = 0; oy < out_h; ++oy, src += pitch, dst += out_w) {
+        std::size_t x = 0;
+        for (; x < whole; x += kW) Arch::store(dst + x, Arch::load(src + x));
+        for (; x < out_w; ++x) dst[x] = src[x];
+      }
+    }
+  }
+
+  /// pack_transposed_slab() over the view's rows [row0, row0 + valid):
+  /// lane t of slab row p is cols[row0 + t, p]. Each kW x kW block is
+  /// gathered into a buffer row by row, then transposed in registers. A
+  /// block's kW positions are one Vec of an output row when kW divides
+  /// out_w, two half-Vec rows when out_w is half a Vec (Arch::kHalves),
+  /// and runs that end with output rows otherwise.
+  static void pack_conv_slab(const ConvColumns& cv, std::size_t row0,
+                             std::size_t valid, float* slab, std::size_t ld) {
+    // Locals: a vector store may alias anything, even the view's fields.
+    const float* plane = cv.plane;
+    const std::size_t* tap = cv.tap + row0;
+    const std::size_t out_w = cv.out_w;
+    const std::size_t pitch = cv.pitch;
+    const std::size_t k = cv.out_h * out_w;
+    const std::size_t blocked = valid - valid % kW;
+    bool halves = false;
+    if constexpr (Arch::kHalves) halves = 2 * out_w == kW;
+    const bool whole = out_w % kW == 0;
+    alignas(64) float block[kW * kW];
+    std::size_t p = 0;
+    for (; p + kW <= k; p += kW) {
+      const std::size_t off = p / out_w * pitch + p % out_w;
+      for (std::size_t t = 0; t < valid; t += kW) {
+        const std::size_t rows = t < blocked ? kW : valid - blocked;
+        for (std::size_t i = 0; i < kW; ++i) {
+          float* dst = block + i * kW;
+          if (i >= rows) {
+            Arch::store(dst, Arch::zero());
+            continue;
+          }
+          const float* row = plane + tap[t + i];
+          if (whole) {
+            Arch::store(dst, Arch::load(row + off));
+            continue;
+          }
+          if constexpr (Arch::kHalves) {
+            if (halves) {
+              Arch::store(dst, Arch::load_halves(row + off, row + off + pitch));
+              continue;
+            }
+          }
+          for (std::size_t j = 0; j < kW;) {
+            const std::size_t ox = (p + j) % out_w;
+            const float* src = row + (p + j) / out_w * pitch + ox;
+            std::size_t run = out_w - ox;
+            if (run > kW - j) run = kW - j;
+            for (std::size_t x = 0; x < run; ++x) dst[j + x] = src[x];
+            j += run;
+          }
+        }
+        Arch::transpose(block, kW, slab + p * ld + t, ld);
+      }
+    }
+    for (; p < k; ++p) {
+      for (std::size_t t = 0; t < valid; ++t) {
+        slab[p * ld + t] = plane[tap[t] + p / out_w * pitch + p % out_w];
+      }
+      for (std::size_t t = valid; t < ld; ++t) slab[p * ld + t] = 0.0f;
     }
   }
 };
@@ -852,6 +1145,9 @@ const GemmKernels& kernel_table() noexcept {
                              &Packed::small_b,
                              &Packed::small,
                              &SmallNt<NtArch>::compute,
+                             &Packed::conv,
+                             &Packed::conv_b,
+                             &Packed::conv_rows,
                              &MaxPool2x2<Pool>::forward,
                              &MaxPool2x2<Pool>::backward};
   return t;

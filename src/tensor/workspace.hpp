@@ -1,7 +1,7 @@
 // Thread-local scratch-buffer arena for hot-path kernels.
 //
 // The step loop used to heap-allocate on every call in several places:
-// gemm transpose-packing, Conv2d's im2col gradient panel, the on-device
+// gemm transpose-packing, Conv2d's column-gradient panel, the on-device
 // blend output, and comm::all_reduce's double accumulator. Each of those
 // sites now borrows a slot from the calling thread's Workspace instead —
 // buffers grow to a high-water mark on first use and are reused for the
@@ -31,9 +31,8 @@ namespace middlefl::tensor {
 enum class WsSlot : std::size_t {
   kGemmPackA = 0,  // gemm: packed/transposed A operand
   kGemmPackB,      // gemm: packed/transposed B operand
-  kConvGradOut,    // Conv2d::backward: the batch's dY, channel-major
-  kConvColGrad,    // Conv2d::backward: the batch's d(col) panel
-  kConvBorder,     // Conv2d::im2col/col2im: zero-bordered sample plane
+  kConvPanel,      // Conv2d::backward: one sample's d(col) panel
+  kConvBorder,     // Conv2d inference forward/col2im: bordered plane
   kBlend,          // Simulation: on-device blended model w_hat
   kScratch,        // generic caller-owned scratch (benches, cloud sync)
   kCount,

@@ -24,23 +24,17 @@ using middlefl::testing::SimBundle;
 // --- Conv/pool geometry corners ---
 
 TEST(ConvEdgeCases, RectangularInput) {
-  Conv2d layer(Conv2dConfig{1, 2, 3, 1, 1});
+  Conv2d layer(Conv2dConfig{1, 2, 1, 3});
   EXPECT_EQ(layer.build(Shape{1, 4, 9}), (Shape{2, 4, 9}));
 }
 
-TEST(ConvEdgeCases, StrideLargerThanKernel) {
-  Conv2d layer(Conv2dConfig{1, 1, 2, 3, 0});
-  // positions: floor((8-2)/3)+1 = 3
-  EXPECT_EQ(layer.build(Shape{1, 8, 8}), (Shape{1, 3, 3}));
-}
-
 TEST(ConvEdgeCases, KernelEqualsInput) {
-  Conv2d layer(Conv2dConfig{2, 4, 5, 1, 0});
+  Conv2d layer(Conv2dConfig{2, 4, 0, 5});
   EXPECT_EQ(layer.build(Shape{2, 5, 5}), (Shape{4, 1, 1}));
 }
 
 TEST(ConvEdgeCases, OneByOneInputWithPadding) {
-  Conv2d layer(Conv2dConfig{1, 1, 3, 1, 1});
+  Conv2d layer(Conv2dConfig{1, 1, 1, 3});
   EXPECT_EQ(layer.build(Shape{1, 1, 1}), (Shape{1, 1, 1}));
   std::vector<float> params(layer.param_count());
   std::vector<float> grads(layer.param_count());

@@ -5,12 +5,15 @@
 // the unfused elementwise passes), dispatch parity — every ISA tier the
 // host supports must produce byte-identical output for the same input —
 // a sweep over the slab and Kc edges of the in-place and transposed B
-// paths, and the small path byte for byte against the packed one.
+// paths, the small path byte for byte against the packed one, and the
+// indirect convolution against gemm() over a built column matrix.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <random>
 #include <span>
 #include <utility>
@@ -616,6 +619,106 @@ TEST(GemmKernel, SmallNtContract) {
             ASSERT_EQ(0, std::memcmp(want.data(), c.data(),
                                      c.size() * sizeof(float)))
                 << "small-NT result differs from the contract";
+          }
+        }
+      }
+    }
+  }
+}
+
+// The indirect convolution (conv_gemm, conv_gemm_nt) against gemm() over
+// the column matrix built from the same bordered plane, byte for byte at
+// every tier: forward C with its fused epilogue and ReLU mask (C starting
+// as NaN, so an unwritten element shows), and the weight gradient onto a
+// nonzero start. The plane holds NaN and +-inf pixels and is allocated to
+// its exact size, so a read past an output row of its last channel runs
+// off the allocation (ASan). Output widths cover whole vectors, half an
+// AVX-512 vector (two rows per zmm, with a lone last row at odd heights)
+// and ragged ends; the weight gradients cover the small-NT kernel, the
+// small path and the packed path.
+TEST(GemmKernel, ConvColumnsMatchBuiltMatrix) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const IsaLevel level : middlefl::test_support::supported_isas()) {
+    IsaGuard guard(level);
+    for (const std::size_t channels : {1, 3}) {
+      for (const std::size_t kernel : {1, 3, 5}) {
+        for (const std::size_t pad : {0, 1, 2, 3}) {
+          for (const std::size_t in_h : {5, 6}) {
+            for (const std::size_t in_w : {7, 8, 9, 16}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "isa=" << middlefl::tensor::to_string(level)
+                           << " C=" << channels << " k=" << kernel
+                           << " pad=" << pad << " H=" << in_h
+                           << " W=" << in_w);
+              const std::size_t bh = in_h + 2 * pad, bw = in_w + 2 * pad;
+              const std::size_t out_h = bh - kernel + 1;
+              const std::size_t out_w = bw - kernel + 1;
+              const std::size_t rows = channels * kernel * kernel;
+              const std::size_t k = out_h * out_w;
+              const std::size_t plane_size = channels * bh * bw;
+              const std::unique_ptr<float[]> plane(new float[plane_size]);
+              const auto pixels = random_vec(plane_size, 700 + plane_size);
+              for (std::size_t i = 0; i < plane_size; ++i) {
+                const std::size_t y = i / bw % bh, x = i % bw;
+                const bool inside = y >= pad && y < pad + in_h && x >= pad &&
+                                    x < pad + in_w;
+                plane[i] = !inside ? 0.0f
+                           : i % 11 == 3 ? nan
+                           : i % 13 == 5 ? (i % 2 == 0 ? inf : -inf)
+                                         : pixels[i];
+              }
+              std::vector<std::size_t> tap;
+              for (std::size_t c = 0; c < channels; ++c) {
+                for (std::size_t ky = 0; ky < kernel; ++ky) {
+                  for (std::size_t kx = 0; kx < kernel; ++kx) {
+                    tap.push_back((c * bh + ky) * bw + kx);
+                  }
+                }
+              }
+              std::vector<float> col(rows * k);
+              for (std::size_t r = 0; r < rows; ++r) {
+                for (std::size_t j = 0; j < k; ++j) {
+                  col[r * k + j] = plane[tap[r] + j / out_w * bw + j % out_w];
+                }
+              }
+              middlefl::tensor::ConvColumns view;
+              view.plane = plane.get();
+              view.tap = tap.data();
+              view.rows = rows;
+              view.out_h = out_h;
+              view.out_w = out_w;
+              view.pitch = bw;
+
+              const std::size_t m = 4 + channels;
+              const auto w = random_vec(m * rows, 710 + rows);
+              const auto bias = random_vec(m, 711);
+              std::vector<float> got(m * k, nan), want(m * k, nan);
+              std::vector<std::uint8_t> got_mask(m * k, 7), want_mask(m * k, 7);
+              GemmEpilogue epi;
+              epi.row_bias = bias.data();
+              epi.relu = true;
+              epi.relu_mask = got_mask.data();
+              middlefl::tensor::conv_gemm(m, w, view, got, &epi);
+              epi.relu_mask = want_mask.data();
+              middlefl::tensor::gemm(Trans::kNo, Trans::kNo, m, k, rows,
+                                     1.0f, w, col, 0.0f, want, nullptr, &epi);
+              EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                       got.size() * sizeof(float)))
+                  << "forward";
+              EXPECT_EQ(got_mask, want_mask) << "ReLU mask";
+
+              auto dy = random_vec(m * k, 712 + k);
+              for (std::size_t i = 5; i < dy.size(); i += 9) dy[i] = -0.0f;
+              std::vector<float> dw = random_vec(m * rows, 713);
+              std::vector<float> dw_want = dw;
+              middlefl::tensor::conv_gemm_nt(m, dy, view, dw);
+              middlefl::tensor::gemm(Trans::kNo, Trans::kYes, m, rows, k,
+                                     1.0f, dy, col, 1.0f, dw_want);
+              EXPECT_EQ(0, std::memcmp(dw.data(), dw_want.data(),
+                                       dw.size() * sizeof(float)))
+                  << "weight gradient";
+            }
           }
         }
       }

@@ -136,7 +136,7 @@ TEST(GradCheck, TanhMlp) {
 
 TEST(GradCheck, ConvNoPadding) {
   Sequential model(Shape{1, 5, 5});
-  model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 3, 1, 0}));
+  model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 0, 3}));
   model.add(std::make_unique<Flatten>());
   model.add(std::make_unique<Linear>(0, 3));
   model.build(14);
@@ -147,9 +147,9 @@ TEST(GradCheck, ConvNoPadding) {
   EXPECT_EQ(check.failures, 0u) << "worst rel error " << check.worst;
 }
 
-TEST(GradCheck, ConvWithPaddingAndStride) {
+TEST(GradCheck, ConvWithPadding) {
   Sequential model(Shape{2, 6, 6});
-  model.add(std::make_unique<Conv2d>(Conv2dConfig{2, 3, 3, 2, 1}));
+  model.add(std::make_unique<Conv2d>(Conv2dConfig{2, 3, 1, 3}));
   model.add(std::make_unique<Flatten>());
   model.add(std::make_unique<Linear>(0, 4));
   model.build(15);
@@ -162,7 +162,7 @@ TEST(GradCheck, ConvWithPaddingAndStride) {
 
 TEST(GradCheck, ConvReluPoolStack) {
   Sequential model(Shape{1, 8, 8});
-  model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 3, 1, 1}));
+  model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 1, 3}));
   model.add(std::make_unique<ReLU>());
   model.add(std::make_unique<MaxPool2d>());
   model.add(std::make_unique<Flatten>());
@@ -177,10 +177,10 @@ TEST(GradCheck, ConvReluPoolStack) {
 
 TEST(GradCheck, DeepConvStack) {
   Sequential model(Shape{1, 8, 8});
-  model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 3, 1, 1}));
+  model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 1, 3}));
   model.add(std::make_unique<ReLU>());
   model.add(std::make_unique<MaxPool2d>());
-  model.add(std::make_unique<Conv2d>(Conv2dConfig{2, 4, 3, 1, 1}));
+  model.add(std::make_unique<Conv2d>(Conv2dConfig{2, 4, 1, 3}));
   model.add(std::make_unique<ReLU>());
   model.add(std::make_unique<MaxPool2d>());
   model.add(std::make_unique<Flatten>());
@@ -199,7 +199,7 @@ TEST(GradCheck, ConvTanhStack) {
   // Tanh is smooth, so this whole stack admits an exact finite-difference
   // check (zero failing coordinates).
   Sequential model(Shape{1, 6, 6});
-  model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 3, 1, 1}));
+  model.add(std::make_unique<Conv2d>(Conv2dConfig{1, 2, 1, 3}));
   model.add(std::make_unique<Tanh>());
   model.add(std::make_unique<Flatten>());
   model.add(std::make_unique<Linear>(0, 3));
@@ -279,7 +279,7 @@ TEST_F(InputGradCheck, Linear) {
 }
 
 TEST_F(InputGradCheck, Conv2d) {
-  Conv2d layer(Conv2dConfig{2, 3, 3, 1, 1});
+  Conv2d layer(Conv2dConfig{2, 3, 1, 3});
   layer.build(Shape{2, 5, 5});
   std::vector<float> params(layer.param_count());
   std::vector<float> grads(layer.param_count());

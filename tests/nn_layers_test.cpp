@@ -101,27 +101,24 @@ TEST(Linear, BatchIndependence) {
 }
 
 TEST(Conv2d, OutputShape) {
-  Conv2d same(Conv2dConfig{3, 8, 3, 1, 1});
+  Conv2d same(Conv2dConfig{3, 8, 1, 3});
   EXPECT_EQ(same.build(Shape{3, 16, 16}), (Shape{8, 16, 16}));
 
-  Conv2d strided(Conv2dConfig{1, 4, 3, 2, 1});
-  EXPECT_EQ(strided.build(Shape{1, 8, 8}), (Shape{4, 4, 4}));
-
-  Conv2d valid(Conv2dConfig{1, 2, 3, 1, 0});
+  Conv2d valid(Conv2dConfig{1, 2, 0, 3});
   EXPECT_EQ(valid.build(Shape{1, 5, 5}), (Shape{2, 3, 3}));
 }
 
 TEST(Conv2d, RejectsBadInput) {
-  Conv2d layer(Conv2dConfig{3, 8, 3, 1, 1});
+  Conv2d layer(Conv2dConfig{3, 8, 1, 3});
   EXPECT_THROW(layer.build(Shape{1, 16, 16}), std::invalid_argument);
   EXPECT_THROW(layer.build(Shape{16, 16}), std::invalid_argument);
-  Conv2d huge(Conv2dConfig{1, 1, 9, 1, 0});
+  Conv2d huge(Conv2dConfig{1, 1, 0, 9});
   EXPECT_THROW(huge.build(Shape{1, 4, 4}), std::invalid_argument);
 }
 
 TEST(Conv2d, IdentityKernelReproducesInput) {
   // 1x1 kernel with weight 1, bias 0 == identity.
-  Conv2d layer(Conv2dConfig{1, 1, 1, 1, 0});
+  Conv2d layer(Conv2dConfig{1, 1, 0, 1});
   layer.build(Shape{1, 3, 3});
   std::vector<float> params, grads;
   bind_layer(layer, params, grads);
@@ -138,7 +135,7 @@ TEST(Conv2d, IdentityKernelReproducesInput) {
 
 TEST(Conv2d, KnownSum3x3) {
   // All-ones 3x3 kernel with padding 1 computes the 8-neighbour+self sum.
-  Conv2d layer(Conv2dConfig{1, 1, 3, 1, 1});
+  Conv2d layer(Conv2dConfig{1, 1, 1, 3});
   layer.build(Shape{1, 3, 3});
   std::vector<float> params, grads;
   bind_layer(layer, params, grads);
@@ -155,7 +152,7 @@ TEST(Conv2d, KnownSum3x3) {
 }
 
 TEST(Conv2d, BackwardRequiresTrainingForward) {
-  Conv2d layer(Conv2dConfig{1, 1, 3, 1, 1});
+  Conv2d layer(Conv2dConfig{1, 1, 1, 3});
   layer.build(Shape{1, 4, 4});
   std::vector<float> params, grads;
   bind_layer(layer, params, grads);
@@ -166,9 +163,9 @@ TEST(Conv2d, BackwardRequiresTrainingForward) {
   EXPECT_THROW(layer.backward(input, out, &grad_in), std::logic_error);
 }
 
-/// The per-element, bounds-tested lowering and per-sample GEMM loop Conv2d
-/// ran before its bordered im2col/col2im: the oracle Conv2dLowering
-/// compares against bit for bit.
+/// The per-element, bounds-tested im2col/col2im and per-sample GEMM loop
+/// Conv2d ran before its bordered lowering and its indirect convolution:
+/// the oracle Conv2dLowering compares against bit for bit.
 struct ConvOracle {
   Conv2dConfig cfg;
   std::size_t in_h, in_w, out_h, out_w;
@@ -188,12 +185,12 @@ struct ConvOracle {
               col + ((c * cfg.kernel + ky) * cfg.kernel + kx) * col_cols();
           for (std::size_t oy = 0; oy < out_h; ++oy) {
             const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * cfg.stride + ky) - pad;
+                static_cast<std::ptrdiff_t>(oy + ky) - pad;
             const bool row_in =
                 iy >= 0 && iy < static_cast<std::ptrdiff_t>(in_h);
             for (std::size_t ox = 0; ox < out_w; ++ox) {
               const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * cfg.stride + kx) - pad;
+                  static_cast<std::ptrdiff_t>(ox + kx) - pad;
               const bool in_bounds =
                   row_in && ix >= 0 && ix < static_cast<std::ptrdiff_t>(in_w);
               row[oy * out_w + ox] =
@@ -217,11 +214,11 @@ struct ConvOracle {
               col + ((c * cfg.kernel + ky) * cfg.kernel + kx) * col_cols();
           for (std::size_t oy = 0; oy < out_h; ++oy) {
             const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * cfg.stride + ky) - pad;
+                static_cast<std::ptrdiff_t>(oy + ky) - pad;
             if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) continue;
             for (std::size_t ox = 0; ox < out_w; ++ox) {
               const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * cfg.stride + kx) - pad;
+                  static_cast<std::ptrdiff_t>(ox + kx) - pad;
               if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) continue;
               channel[static_cast<std::size_t>(iy) * in_w +
                       static_cast<std::size_t>(ix)] += row[oy * out_w + ox];
@@ -295,17 +292,22 @@ bool same_bits(const T* a, const T* b, std::size_t n) {
 }
 
 /// One training forward (fused ReLU) and backward of a Conv2d against the
-/// ConvOracle: output, mask, dW, db and dX must match bit for bit.
+/// ConvOracle: output, mask, dW, db and dX must match bit for bit. The
+/// output and dX start as NaN, so an element left unwritten shows. With
+/// `specials`, some input pixels are NaN or +-inf and some dY entries -0.0.
+/// A fresh layer's plane cache and the input are allocated exactly, so the
+/// last sample's plane ends its allocation: a read past an output row of
+/// it faults under ASan.
 void expect_conv_matches_oracle(const Conv2dConfig& cfg, std::size_t in_h,
                                 std::size_t in_w, std::size_t batch,
-                                std::uint64_t seed) {
+                                std::uint64_t seed, bool specials = false) {
   Conv2d layer(cfg);
   const Shape out_shape = layer.build(Shape{cfg.in_channels, in_h, in_w});
   std::vector<float> params, grads;
   bind_layer(layer, params, grads);
   Xoshiro256 rng(seed);
   for (float& v : params) v = static_cast<float>(rng.normal());
-  const Tensor input =
+  Tensor input =
       Tensor::randn(Shape{batch, cfg.in_channels, in_h, in_w}, rng);
   // Each output plane opens with 1, 2^60, -2^60: summed ascending in
   // position the 1 is absorbed, in any order that adds the pair first it
@@ -319,12 +321,25 @@ void expect_conv_matches_oracle(const Conv2dConfig& cfg, std::size_t in_h,
     grad_out[plane * positions + 1] = std::ldexp(1.0f, 60);
     grad_out[plane * positions + 2] = -std::ldexp(1.0f, 60);
   }
+  if (specials) {
+    const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+    for (std::size_t i = 0; i < input.numel(); i += 7) {
+      input[i] = kSpecial[i / 7 % 3];
+    }
+    for (std::size_t i = 3; i < grad_out.numel(); i += 5) grad_out[i] = -0.0f;
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
 
   ReLU relu;
-  Tensor out;
+  Tensor out(Shape{batch, cfg.out_channels, out_shape.dim(1),
+                   out_shape.dim(2)});
+  out.fill(nan);
   layer.forward_fused(input, out, /*training=*/true, &relu);
   const std::uint8_t* mask = relu.fused_mask(out.numel());
-  Tensor grad_in;
+  Tensor grad_in(input.shape());
+  grad_in.fill(nan);
   layer.backward(input, grad_out, &grad_in);
 
   ConvOracle oracle{cfg, in_h, in_w, out_shape.dim(1), out_shape.dim(2)};
@@ -356,28 +371,31 @@ void expect_conv_matches_oracle(const Conv2dConfig& cfg, std::size_t in_h,
 }
 
 TEST(Conv2dLowering, RowRunsMatchPerElementOracle) {
-  // Widths 7 and 9 leave out_w off every vector width, pad 3 exceeds k/2
-  // for every kernel (whole runs in the border), stride 2 gathers; every
-  // ISA tier drives the GEMMs around the lowering.
-  const std::size_t in_h = 6, out_channels = 4;
+  // Output widths cover whole vectors (16), half an AVX-512 vector (8,
+  // which pairs two output rows per zmm) and neither (7, 9 and the rest);
+  // heights 5 and 6 give odd and even output heights, so the paired rows
+  // end both whole and with a lone row. Pad 3 exceeds k/2 for every kernel
+  // (whole runs in the border). Every ISA tier drives the GEMMs.
+  const std::size_t out_channels = 4;
   for (const IsaLevel level : supported_isas()) {
     IsaGuard guard(level);
-    for (const std::size_t in_w : {7, 9}) {
-      for (const std::size_t channels : {1, 3}) {
-        for (const std::size_t kernel : {1, 3, 5}) {
-          for (const std::size_t stride : {1, 2}) {
+    for (const std::size_t in_w : {7, 9, 8, 16}) {
+      for (const std::size_t in_h : {5, 6}) {
+        for (const std::size_t channels : {1, 3}) {
+          for (const std::size_t kernel : {1, 3, 5}) {
             for (const std::size_t pad : {0, 1, 2, 3}) {
-              for (const std::size_t batch : {1, 5}) {
+              for (const std::size_t batch : {1, 5, 16}) {
                 SCOPED_TRACE(::testing::Message()
                              << "isa=" << middlefl::tensor::to_string(level)
-                             << " W=" << in_w << " C=" << channels
-                             << " k=" << kernel << " stride=" << stride
+                             << " H=" << in_h << " W=" << in_w
+                             << " C=" << channels << " k=" << kernel
                              << " pad=" << pad << " batch=" << batch);
                 expect_conv_matches_oracle(
-                    Conv2dConfig{channels, out_channels, kernel, stride, pad},
-                    in_h, in_w, batch,
-                    1000 + channels * 100 + kernel * 10 + stride + pad * 3 +
-                        batch + in_w * 1000);
+                    Conv2dConfig{channels, out_channels, pad, kernel}, in_h,
+                    in_w, batch,
+                    1000 + channels * 100 + kernel * 10 + pad * 3 + batch +
+                        in_w * 1000 + in_h * 7,
+                    /*specials=*/batch == 5);
               }
             }
           }
@@ -394,31 +412,48 @@ TEST(Conv2dLowering, Cnn2ShapesMatchPerElementOracle) {
     SCOPED_TRACE(::testing::Message()
                  << "isa=" << middlefl::tensor::to_string(level));
     IsaGuard guard(level);
-    expect_conv_matches_oracle(Conv2dConfig{1, 8, 3, 1, 1}, 16, 16, 16, 21);
-    expect_conv_matches_oracle(Conv2dConfig{8, 16, 3, 1, 1}, 8, 8, 16, 22);
+    expect_conv_matches_oracle(Conv2dConfig{1, 8, 1, 3}, 16, 16, 16, 21);
+    expect_conv_matches_oracle(Conv2dConfig{8, 16, 1, 3}, 8, 8, 16, 22);
+    expect_conv_matches_oracle(Conv2dConfig{8, 16, 1, 3}, 8, 8, 16, 23,
+                               /*specials=*/true);
   }
 }
 
-TEST(Conv2dLowering, InferenceForwardDropsTrainingCache) {
-  // An inference forward lowers into the first cached panel, so a backward
-  // after it would read sample 0's columns of the other input; it must
-  // throw instead, until a training forward caches the batch again.
-  Conv2d layer(Conv2dConfig{2, 3, 3, 1, 1});
-  layer.build(Shape{2, 5, 5});
-  std::vector<float> params, grads;
-  bind_layer(layer, params, grads);
-  Xoshiro256 rng(41);
-  for (float& v : params) v = static_cast<float>(rng.normal());
-  const Tensor input = Tensor::randn(Shape{2, 2, 5, 5}, rng);
-  const Tensor other = Tensor::randn(Shape{2, 2, 5, 5}, rng);
-  const Tensor grad_out = Tensor::randn(Shape{2, 3, 5, 5}, rng);
-  Tensor out, grad_in;
-  layer.forward(input, out, /*training=*/true);
-  layer.forward(other, out, /*training=*/false);
-  EXPECT_THROW(layer.backward(input, grad_out, &grad_in), std::logic_error);
-  EXPECT_THROW(layer.backward(input, grad_out, nullptr), std::logic_error);
-  layer.forward(input, out, /*training=*/true);
-  EXPECT_NO_THROW(layer.backward(input, grad_out, &grad_in));
+TEST(Conv2dLowering, InferenceForwardLeavesBackwardUnchanged) {
+  // An inference forward borders its samples in the thread's workspace,
+  // not in the training planes, so a backward after one is bitwise the
+  // backward without it.
+  for (const std::size_t pad : {0, 1}) {
+    SCOPED_TRACE(::testing::Message() << "pad=" << pad);
+    Xoshiro256 rng(41);
+    const Tensor input = Tensor::randn(Shape{2, 2, 5, 5}, rng);
+    const Tensor other = Tensor::randn(Shape{3, 2, 5, 5}, rng);
+    std::vector<float> init(2 * 3 * 9 + 3);
+    for (float& v : init) v = static_cast<float>(rng.normal());
+    std::vector<float> grads_of[2];
+    std::vector<float> dx_of[2];
+    for (const bool interleave : {false, true}) {
+      Conv2d layer(Conv2dConfig{2, 3, pad, 3});
+      const Shape out_shape = layer.build(Shape{2, 5, 5});
+      std::vector<float> params, grads;
+      bind_layer(layer, params, grads);
+      params = init;
+      Xoshiro256 dy_rng(42);
+      const Tensor grad_out = Tensor::randn(
+          Shape{2, 3, out_shape.dim(1), out_shape.dim(2)}, dy_rng);
+      Tensor out, other_out, grad_in;
+      layer.forward(input, out, /*training=*/true);
+      if (interleave) layer.forward(other, other_out, /*training=*/false);
+      layer.backward(input, grad_out, &grad_in);
+      grads_of[interleave] = grads;
+      dx_of[interleave].assign(grad_in.data().begin(), grad_in.data().end());
+    }
+    EXPECT_TRUE(same_bits(grads_of[0].data(), grads_of[1].data(),
+                          grads_of[0].size()));
+    ASSERT_EQ(dx_of[0].size(), dx_of[1].size());
+    EXPECT_TRUE(
+        same_bits(dx_of[0].data(), dx_of[1].data(), dx_of[0].size()));
+  }
 }
 
 TEST(MaxPool2d, ForwardKnownValues) {
