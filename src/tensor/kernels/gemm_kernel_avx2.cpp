@@ -1,8 +1,6 @@
-// AVX2+FMA instantiation of the GEMM kernels. Packed: 6x16 micro-tile (12
-// ymm accumulators + 2 B vectors + 1 broadcast within the 16-register
-// file). Small path: tiles of up to 12 ymm accumulators with masked loads
-// and stores at a ragged edge. Small NT: one ymm holds two columns' four
-// p-lanes.
+// AVX2+FMA instantiation of the GEMM kernels. GEMM: tiles of up to 12 ymm
+// accumulators with masked loads and stores at a ragged edge. Small NT:
+// one ymm holds two columns' four p-lanes.
 // Pooling: eight windows per ymm, columns split and merged by
 // shuffle + 64-bit permute.
 // Compiled with -mavx2 -mfma -ffp-contract=off on x86 builds; when the
@@ -28,8 +26,6 @@ __m256 madd_ps(__m256 a, __m256 b, __m256 c) noexcept {
 struct ArchAvx2 {
   using Vec = __m256;
   static constexpr std::size_t kW = 8;
-  static constexpr std::size_t kMR = 6;
-  static constexpr std::size_t kNV = 2;  // NR = 16
 
   static Vec zero() noexcept { return _mm256_setzero_ps(); }
   static Vec load(const float* p) noexcept { return _mm256_loadu_ps(p); }

@@ -1,5 +1,4 @@
-// AVX-512F instantiation of the GEMM kernels. Packed: 8x32 micro-tile (16
-// zmm accumulators out of 32). Small path: tiles of up to 24 zmm
+// AVX-512F instantiation of the GEMM kernels. GEMM: tiles of up to 24 zmm
 // accumulators with masked loads and stores at a ragged edge; the indirect
 // convolution's tiles join two 8-float output rows per zmm. Small NT:
 // one zmm holds four columns' four p-lanes, and eight rows share each B
@@ -34,8 +33,6 @@ __m512 madd_ps(__m512 a, __m512 b, __m512 c) noexcept {
 struct ArchAvx512 {
   using Vec = __m512;
   static constexpr std::size_t kW = 16;
-  static constexpr std::size_t kMR = 8;
-  static constexpr std::size_t kNV = 2;  // NR = 32
 
   static Vec zero() noexcept { return _mm512_setzero_ps(); }
   static Vec load(const float* p) noexcept { return _mm512_loadu_ps(p); }

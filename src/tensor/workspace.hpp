@@ -1,7 +1,7 @@
 // Thread-local scratch-buffer arena for hot-path kernels.
 //
 // The step loop used to heap-allocate on every call in several places:
-// gemm transpose-packing, Conv2d's column-gradient panel, the on-device
+// gemm's transposed B panel, Conv2d's column-gradient panel, the on-device
 // blend output, and comm::all_reduce's double accumulator. Each of those
 // sites now borrows a slot from the calling thread's Workspace instead —
 // buffers grow to a high-water mark on first use and are reused for the
@@ -11,8 +11,8 @@
 // Rules:
 //  - A slot is NOT re-entrant: a kernel must finish with its slot before
 //    any function it calls borrows the same slot. Slots are assigned so the
-//    call graph never nests a slot inside itself (gemm packing never calls
-//    gemm, the blend buffer is consumed before training runs, ...).
+//    call graph never nests a slot inside itself (gemm's B panel never
+//    calls gemm, the blend buffer is consumed before training runs, ...).
 //  - Spans returned by floats()/doubles() are invalidated by the next
 //    borrow of the SAME slot on the same thread; borrowing other slots is
 //    safe.
@@ -29,9 +29,7 @@ namespace middlefl::tensor {
 
 /// Float scratch slots, one per non-overlapping hot-path use.
 enum class WsSlot : std::size_t {
-  kGemmPackA = 0,  // gemm: packed/transposed A operand
-  kGemmPackB,      // gemm: packed/transposed B operand
-  kConvPanel,      // Conv2d::backward: one sample's d(col) panel
+  kConvPanel = 0,  // Conv2d::backward: one sample's d(col) panel
   kConvBorder,     // Conv2d inference forward/col2im: bordered plane
   kBlend,          // Simulation: on-device blended model w_hat
   kScratch,        // generic caller-owned scratch (benches, cloud sync)
@@ -45,12 +43,11 @@ enum class WsDoubleSlot : std::size_t {
   kCount,
 };
 
-/// 64-byte-aligned float slots for the packed-GEMM micro-kernel panels
-/// (cache-line/vector-register aligned loads on every ISA tier).
+/// 64-byte-aligned float slots for the GEMM's B panels (cache-line/
+/// vector-register aligned loads on every ISA tier).
 enum class WsAlignedSlot : std::size_t {
-  kGemmPanelA = 0,  // packed (alpha-scaled, MR-padded) A panel
-  kGemmPanelB,      // packed NR-slabs of B: a transposed B whole, else
-                    // only the ragged last slab (zero-padded)
+  kGemmPanelB = 0,  // a transposed op(B), rows padded to whole vectors
+                    // (zeros), or the rows the small-NT kernel reads
   kCount,
 };
 
