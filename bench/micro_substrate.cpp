@@ -214,16 +214,26 @@ const GemmShape kFig6GemmShapes[] = {
     {"mlp.fc3.dX NN 8x24x10", kN, kN, 8, 24, 10, 0.0f},
 };
 
+// The two paper-scale speech CNN-3 weight gradients past the shapes
+// above (hidden 64, batch 16): fc1's dW once per step and conv2's dW once
+// per sample, as plain gemm() calls.
+const GemmShape kSpeechGemmShapes[] = {
+    {"speech.fc1.dW TN 64x1024x16", kT, kN, 64, 1024, 16, 1.0f},
+    {"speech.conv2.dW NT 16x72x128", kN, kT, 16, 72, 128, 1.0f},
+};
+
 /// The peak each layer's GEMM reaches on its own: one call of a
 /// kCnn2GemmShapes entry (args 0 .. 10; conv forward and dW rows through
-/// conv_gemm / conv_gemm_nt) or a kFig6GemmShapes one (args 11 on) per
-/// iteration, FLOPs (2mnk) as items, so the items rate is GFLOP/s to set
-/// beside BM_Cnn2Layer's.
+/// conv_gemm / conv_gemm_nt), a kFig6GemmShapes one (args 11 .. 18) or a
+/// kSpeechGemmShapes one (args 19 on) per iteration, FLOPs (2mnk) as
+/// items, so the items rate is GFLOP/s to set beside BM_Cnn2Layer's.
 void BM_GemmShape(benchmark::State& state) {
   const auto index = static_cast<std::size_t>(state.range(0));
   const std::size_t cnn2 = std::size(kCnn2GemmShapes);
-  const GemmShape& s = index < cnn2 ? kCnn2GemmShapes[index]
-                                    : kFig6GemmShapes[index - cnn2];
+  const std::size_t fig6 = cnn2 + std::size(kFig6GemmShapes);
+  const GemmShape& s = index < cnn2   ? kCnn2GemmShapes[index]
+                       : index < fig6 ? kFig6GemmShapes[index - cnn2]
+                                      : kSpeechGemmShapes[index - fig6];
   const auto a = random_vec(s.m * s.k, 12);
   const auto b = random_vec(s.k * s.n, 13);
   std::vector<float> c(s.m * s.n, 0.0f);
@@ -277,7 +287,8 @@ void BM_GemmShape(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmShape)
     ->DenseRange(0, static_cast<int>(std::size(kCnn2GemmShapes) +
-                                     std::size(kFig6GemmShapes)) -
+                                     std::size(kFig6GemmShapes) +
+                                     std::size(kSpeechGemmShapes)) -
                         1);
 
 /// The paper's CNN-2 (§6.1.2 MNIST: 1 x 16 x 16 input, 8 base channels,
