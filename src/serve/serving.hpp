@@ -2,7 +2,7 @@
 //
 // Each federated edge doubles as an inference server for the devices it
 // covers: clients submit single samples, the edge coalesces whatever is
-// pending into one batch sized for the packed GEMM micro-kernels, and the
+// pending into one batch sized for the GEMM micro-kernels, and the
 // model being served is hot-swapped every time training republishes the
 // edge's aggregate (EdgeAggregate / CloudSync) — readers never lock on the
 // request path and can never observe a torn model, because models are

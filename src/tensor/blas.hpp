@@ -7,22 +7,20 @@
 // vectors. Kernels take spans (size-checked on entry) so both Tensor
 // storage and flat model vectors reuse them.
 //
-// GEMM runs a packed micro-kernel with runtime CPU dispatch (see
-// cpu_features.hpp and kernels/gemm_kernel.hpp): operands are packed into
-// cache-blocked panels in aligned thread-local Workspace slots and swept by
-// an MR x NR register tile in scalar, AVX2+FMA or AVX-512 form, chosen by
-// cpuid at run time. Small shapes, where packing would cost more than the
-// arithmetic, take the kernel's small path instead: A and a row-major B
-// are read in place, and the tiles are as wide as n. Every dispatch target
-// and both paths accumulate each C element in the same fixed K order, so
-// neither the selected ISA nor the path changes an output bit.
+// GEMM runs one path, the small path, with runtime CPU dispatch (see
+// cpu_features.hpp and kernels/gemm_kernel.hpp): op(A) and a row-major
+// op(B) are read in place, a transposed op(B) is register-transposed into
+// an aligned thread-local Workspace panel, and C is swept by register
+// tiles as wide as n in scalar, AVX2+FMA or AVX-512 form, chosen by cpuid
+// at run time. Every dispatch target accumulates each C element in the
+// same fixed K order, so the selected ISA never changes an output bit.
 // NT with a small B (n < 16 or k < 16) instead runs the dispatched small-NT
-// kernel, which reads the operands in place (packing would dominate there)
-// and sums each element in four p-lanes; it too is bitwise-identical across
-// ISA tiers. Row panels
-// parallelize when a thread pool is provided; every row's arithmetic order
-// is independent of the panel split, so parallel and serial runs produce
-// bitwise-identical results.
+// kernel, which reads the operands in place (the transposed panel would
+// dominate there) and sums each element in four p-lanes; it too is
+// bitwise-identical across ISA tiers. Row panels parallelize when a thread
+// pool is provided; every row's arithmetic order is independent of the
+// panel split, so parallel and serial runs produce bitwise-identical
+// results.
 //
 // dot/nrm2 overloads taking a pool use a FIXED chunk decomposition (chunk
 // partials summed in chunk order) so the result is identical whether the

@@ -1,11 +1,12 @@
 // Runtime CPU capability detection for the GEMM micro-kernel dispatch.
 //
-// The packed GEMM in blas.cpp ships three code paths compiled into every
-// binary — scalar, AVX2+FMA and AVX-512F — and picks one at runtime from
-// cpuid, so a portable (non-MIDDLEFL_NATIVE) Release build still runs the
-// widest kernel the machine supports. All three paths compute every C
-// element with the same fixed K-accumulation tree, so which one runs never
-// changes a single output bit; the choice is pure speed.
+// The GEMM kernels behind blas.cpp ship three code paths compiled into
+// every binary — scalar, AVX2+FMA and AVX-512F — and blas.cpp picks one at
+// runtime from cpuid, so a portable (non-MIDDLEFL_NATIVE) Release build
+// still runs the widest kernel the machine supports. All three paths
+// compute every C element with the same fixed K-accumulation tree, so
+// which one runs never changes a single output bit; the choice is pure
+// speed.
 //
 // Test hooks: force_isa() pins the dispatch to a (supported) level and the
 // MIDDLEFL_ISA environment variable ("scalar" / "avx2" / "avx512") does the
@@ -17,7 +18,7 @@
 
 namespace middlefl::tensor {
 
-/// Instruction-set tiers of the packed GEMM kernels, widest last.
+/// Instruction-set tiers of the GEMM kernels, widest last.
 enum class IsaLevel : int {
   kScalar = 0,  // fixed-lane C++ (still autovectorizable by the compiler)
   kAvx2 = 1,    // 8-lane __m256 micro-kernel (requires AVX2 + FMA)
