@@ -1,10 +1,10 @@
 // Substrate micro-benchmarks (google-benchmark): the kernels that dominate
 // simulation wall-clock — GEMM, conv lowering and forward/backward, full
 // local SGD steps, flat-vector aggregation and similarity, minibatch
-// gathering, and thread-pool dispatch. The CNN-2 roofline pair:
-// BM_Cnn2Layer times each paper CNN-2 layer's forward and backward,
-// BM_GemmShape each GEMM shape those layers (and the Fig-6 MLP2) call,
-// both in GFLOP/s.
+// gathering, the Adam update, and thread-pool dispatch. The CNN-2
+// roofline pair: BM_Cnn2Layer times each paper CNN-2 layer's forward and
+// backward, BM_GemmShape each GEMM shape those layers (and the Fig-6 MLP2)
+// call, both in GFLOP/s.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -25,6 +25,7 @@
 #include "nn/loss.hpp"
 #include "nn/model_factory.hpp"
 #include "nn/pooling.hpp"
+#include "optim/adam.hpp"
 #include "optim/sgd.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/rng.hpp"
@@ -666,6 +667,24 @@ void BM_LocalSgdStep(benchmark::State& state) {
                  std::to_string(batch_size));
 }
 BENCHMARK(BM_LocalSgdStep)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_AdamStep(benchmark::State& state) {
+  // One Adam update over a 72k-parameter flat model (the size of the
+  // paper-scale speech CNN-3 step it serves), gradients at scale 1e-3.
+  constexpr std::size_t kParams = 72'000;
+  std::vector<float> params = random_vec(kParams, 1);
+  std::vector<float> grads = random_vec(kParams, 2);
+  for (auto& g : grads) g *= 1e-3f;
+  optim::Adam adam({.learning_rate = 0.001});
+  for (auto _ : state) {
+    adam.step(params, grads);
+    benchmark::DoNotOptimize(params.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kParams));
+}
+BENCHMARK(BM_AdamStep);
 
 void BM_SyntheticSample(benchmark::State& state) {
   const auto cfg = data::task_config(data::TaskKind::kCifar);

@@ -1,8 +1,12 @@
 #include "core/edge_membership.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
+
+#include "parallel/parallel_for.hpp"
 
 namespace middlefl::core {
 namespace {
@@ -14,6 +18,20 @@ void check_devices(std::span<const std::size_t> assignment,
                                 std::to_string(assignment.size()) +
                                 " devices, rows of " + std::to_string(devices));
   }
+}
+
+[[noreturn]] void throw_not_ascending(std::size_t m, std::size_t previous) {
+  throw std::invalid_argument(
+      "EdgeMembership::apply: movers must be strictly ascending (device " +
+      std::to_string(m) + " after " + std::to_string(previous) + ")");
+}
+
+/// Throws for the first mover in `movers` not above the one before it; the
+/// caller has proved there is one.
+[[noreturn]] void throw_first_descent(std::span<const std::size_t> movers) {
+  const auto it = std::adjacent_find(movers.begin(), movers.end(),
+                                     std::greater_equal<>());
+  throw_not_ascending(*(it + 1), *it);
 }
 
 }  // namespace
@@ -34,7 +52,10 @@ void EdgeMembership::rebuild(std::size_t num_edges,
   edge_of_.resize(devices_);
   moved_.clear();
   moved_from_.clear();
-  touched_.assign(num_edges, 0);
+  scratch_stride_ = (num_edges + 63) / 64 * 64;
+  shard_delta_.clear();
+  shard_touched_.clear();
+  shard_starts_.reserve(kMaxShards + 1);
   for (std::size_t m = 0; m < devices_; ++m) {
     const std::size_t e = assignment[m];
     if (e >= num_edges) {
@@ -69,39 +90,102 @@ void EdgeMembership::apply(std::span<const std::size_t> assignment) {
 void EdgeMembership::apply_moved(std::span<const std::size_t> movers,
                                  std::span<const std::size_t> assignment) {
   moved_from_.resize(movers.size());
+  // Shards are balanced by mover count and start at block boundaries: the
+  // k-th starts at the first mover at or past k/S of the list that opens a
+  // new block. The starts depend only on the list, never on the pool. A
+  // shard writes only the blocks from its first mover's up to the next
+  // shard's first mover's, so the starts must open strictly later blocks,
+  // as they do in an ascending list; this check keeps the shards disjoint
+  // even when a list is not ascending, and the shards check the rest.
+  const std::size_t n = movers.size();
+  const std::size_t shards =
+      std::clamp<std::size_t>(n / kShardMovers, 1, kMaxShards);
+  shard_starts_.assign(1, 0);
+  for (std::size_t k = 1; k < shards; ++k) {
+    const std::size_t previous = shard_starts_.back();
+    std::size_t j = std::max(k * n / shards, previous + 1);
+    while (j < n &&
+           movers[j] / kBlockDevices == movers[j - 1] / kBlockDevices) {
+      ++j;
+    }
+    if (j >= n) break;
+    if (movers[j] / kBlockDevices <= movers[previous] / kBlockDevices) {
+      throw_first_descent(movers.subspan(previous, j - previous + 1));
+    }
+    shard_starts_.push_back(j);
+  }
+  shard_starts_.push_back(n);
+  const std::size_t used = shard_starts_.size() - 1;
+  if (shard_delta_.size() < used * scratch_stride_) {
+    shard_delta_.resize(used * scratch_stride_);
+    shard_touched_.resize(used * scratch_stride_);
+  }
+
+  const auto run = [&](std::size_t s) {
+    const std::size_t hi = shard_starts_[s + 1];
+    const std::size_t end = hi < n
+                                ? movers[hi] / kBlockDevices * kBlockDevices
+                                : std::numeric_limits<std::size_t>::max();
+    apply_shard(s, movers, shard_starts_[s], hi, end, assignment);
+  };
+  if (used == 1) {
+    run(0);
+  } else {
+    parallel::parallel_for(pool_, 0, used, run);
+  }
+
+  for (std::size_t s = 0; s < used; ++s) {
+    std::int64_t* delta = shard_delta_.data() + s * scratch_stride_;
+    for (std::size_t e = 0; e < counts_.size(); ++e) {
+      counts_[e] = static_cast<std::size_t>(
+          static_cast<std::int64_t>(counts_[e]) + delta[e]);
+      delta[e] = 0;
+    }
+  }
+}
+
+void EdgeMembership::apply_shard(std::size_t s,
+                                 std::span<const std::size_t> movers,
+                                 std::size_t lo, std::size_t hi,
+                                 std::size_t end,
+                                 std::span<const std::size_t> assignment) {
   // The pass is bound by the strided assignment reads, so it keeps its
   // state in locals the row stores cannot alias. Movers arrive ascending,
   // so each block's moves are contiguous: flip them, flagging the edges
-  // they touch, then recount the block once before moving on.
+  // they touch, then recount the block once before moving on. When the
+  // list is moved_ itself it is already recorded, and the shards leave it
+  // unwritten, as other shards read its entries next to their own.
   const std::size_t devices = devices_;
   const std::size_t edges = num_edges();
   const std::size_t words = words_;
   std::uint64_t* bits = bits_.data();
   std::uint16_t* edge_of = edge_of_.data();
   std::uint16_t* from_out = moved_from_.data();
-  std::size_t* moved = moved_.data();
-  std::uint8_t* touched = touched_.data();
+  std::size_t* moved =
+      movers.data() == moved_.data() ? nullptr : moved_.data();
+  std::uint8_t* touched = shard_touched_.data() + s * scratch_stride_;
+  std::int64_t* delta = shard_delta_.data() + s * scratch_stride_;
   std::size_t block = 0;
   std::size_t block_end = 0;  // one past the current block's last device
-  for (std::size_t i = 0; i < movers.size(); ++i) {
+  for (std::size_t i = lo; i < hi; ++i) {
     const std::size_t m = movers[i];
-    if (i > 0 && m <= movers[i - 1]) {
-      throw std::invalid_argument(
-          "EdgeMembership::apply: movers must be strictly ascending (device " +
-          std::to_string(m) + " after " + std::to_string(movers[i - 1]) + ")");
-    }
+    if (i > 0 && m <= movers[i - 1]) throw_not_ascending(m, movers[i - 1]);
+    // A mover in the next shard's blocks means the list descends in
+    // [i, hi]: if [i, hi) ascends, movers[hi - 1] >= end lies in a block
+    // other than movers[hi]'s (the one starting at end), so a later one.
+    if (m >= end) throw_first_descent(movers.subspan(i, hi - i + 1));
     const std::size_t to = m < devices ? assignment[m] : edges;
     if (to >= edges) {
       throw std::out_of_range("EdgeMembership::apply: device " +
                               std::to_string(m) + " or its edge out of range");
     }
     if (m >= block_end) {
-      if (i > 0) recount_touched(block);
+      if (i > lo) recount_touched(block, touched, delta);
       block = m / kBlockDevices;
       block_end = (block + 1) * kBlockDevices;
     }
     const std::size_t from = edge_of[m];
-    moved[i] = m;
+    if (moved != nullptr) moved[i] = m;
     from_out[i] = static_cast<std::uint16_t>(from);
     edge_of[m] = static_cast<std::uint16_t>(to);
     const std::uint64_t bit = std::uint64_t{1} << (m % 64);
@@ -110,22 +194,23 @@ void EdgeMembership::apply_moved(std::span<const std::size_t> movers,
     touched[from] = 1;
     touched[to] = 1;
   }
-  if (!movers.empty()) recount_touched(block);
+  if (hi > lo) recount_touched(block, touched, delta);
 }
 
-void EdgeMembership::recount_touched(std::size_t b) {
+void EdgeMembership::recount_touched(std::size_t b, std::uint8_t* touched,
+                                     std::int64_t* delta) {
   const std::size_t first = b * kBlockWords;
   const std::size_t last = std::min(words_, first + kBlockWords);
-  for (std::size_t e = 0; e < touched_.size(); ++e) {
-    if (touched_[e] == 0) continue;
-    touched_[e] = 0;
+  for (std::size_t e = 0; e < num_edges(); ++e) {
+    if (touched[e] == 0) continue;
+    touched[e] = 0;
     const std::uint64_t* row = row_data(e);
     std::uint32_t ones = 0;
     for (std::size_t w = first; w < last; ++w) {
       ones += static_cast<std::uint32_t>(std::popcount(row[w]));
     }
     std::uint32_t& held = block_counts_[e * blocks_ + b];
-    counts_[e] = counts_[e] - held + ones;
+    delta[e] += static_cast<std::int64_t>(ones) - held;
     held = ones;
   }
 }

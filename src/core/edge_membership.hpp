@@ -17,13 +17,25 @@
 // no per-mover counter update; only rebuild() is O(n). The recorded movers
 // answer previous_edge() until the next apply().
 //
-// Footprint: E rows of n bits plus the map, E*n/8 + 2n bytes (3 MB for 1M
-// devices on 8 edges), plus E*n/1024 bytes of block counts and 10 bytes per
-// recorded mover. Per-edge id lists cost 8 bytes per device whatever E is,
-// so the rows stay smaller up to 48 edges.
+// apply() splits the mover list at 4096-device block boundaries into
+// shards of at least kShardMovers movers (at most kMaxShards) and runs them
+// on the pool set_pool() names. A shard writes only its own blocks' words,
+// map entries and block counts and its own slots of the recorded movers;
+// its count deltas go to per-shard scratch, folded into the edge counts
+// afterwards. Integer sums do not depend on order, so every view is the
+// same at any pool size. Fewer than 2 * kShardMovers movers run as one
+// shard inline.
 //
-// Rows are written only at serial points (rebuild/apply) and read
-// concurrently by the per-edge chains.
+// Footprint: E rows of n bits plus the map, E*n/8 + 2n bytes (3 MB for 1M
+// devices on 8 edges), plus E*n/1024 bytes of block counts, 10 bytes per
+// recorded mover and up to kMaxShards shards of scratch (a count delta and
+// a touched flag per edge, each shard's rounded up to 64 edges: 36 KB up to
+// 64 edges). Per-edge id lists cost 8 bytes per device whatever E is, so
+// the rows stay smaller up to 48 edges.
+//
+// Rows are written only while rebuild/apply run, at the step's serial
+// point (apply's shards fan out from it and join before it returns), and
+// read concurrently by the per-edge chains.
 #pragma once
 
 #include <bit>
@@ -33,6 +45,10 @@
 #include <vector>
 
 #include "mobility/edge_id.hpp"
+
+namespace middlefl::parallel {
+class ThreadPool;
+}  // namespace middlefl::parallel
 
 namespace middlefl::core {
 
@@ -47,12 +63,16 @@ class EdgeMembership {
   /// std::out_of_range on an edge >= num_edges.
   void rebuild(std::size_t num_edges, std::span<const std::size_t> assignment);
 
+  /// The pool apply() shards over (nullptr: every shard inline).
+  void set_pool(parallel::ThreadPool* pool) noexcept { pool_ = pool; }
+
   /// Moves each device in `movers` (strictly ascending ids) from the edge
   /// it sits on to assignment[m], and records where it came from. A listed
   /// device whose edge is unchanged stays put. Throws std::invalid_argument
   /// on a size mismatch or a non-ascending list and std::out_of_range on an
-  /// id or edge out of range; after a throw the rows are unspecified until
-  /// the next rebuild.
+  /// id or edge out of range (with several faults in a sharded list, which
+  /// one is reported is unspecified); after a throw the rows are
+  /// unspecified until the next rebuild.
   void apply(std::span<const std::size_t> movers,
              std::span<const std::size_t> assignment);
   /// The same update for a mobility model that reports no movers: the
@@ -106,14 +126,25 @@ class EdgeMembership {
   }
   /// Moves each device in `movers` and records it in moved_ (the body of
   /// both apply overloads, after they checked the assignment's size and
-  /// sized moved_; `movers` may be moved_ itself).
+  /// sized moved_; `movers` may be moved_ itself): splits the list into
+  /// shards and runs apply_shard on each.
   void apply_moved(std::span<const std::size_t> movers,
                    std::span<const std::size_t> assignment);
-  /// Recounts block b of every touched edge and clears their flags.
-  void recount_touched(std::size_t b);
+  /// Moves movers[lo, hi), every one of them below device `end` (the first
+  /// device of the next shard's first block), with shard s's scratch.
+  void apply_shard(std::size_t s, std::span<const std::size_t> movers,
+                   std::size_t lo, std::size_t hi, std::size_t end,
+                   std::span<const std::size_t> assignment);
+  /// Recounts block b of every edge flagged in `touched`, clears the flags
+  /// and adds the count differences to `delta`.
+  void recount_touched(std::size_t b, std::uint8_t* touched,
+                       std::int64_t* delta);
 
   static constexpr std::size_t kBlockDevices = 4096;
   static constexpr std::size_t kBlockWords = kBlockDevices / 64;
+  /// The fewest movers a shard of apply() takes, and the most shards.
+  static constexpr std::size_t kShardMovers = 4096;
+  static constexpr std::size_t kMaxShards = 64;
 
   std::size_t devices_ = 0;
   std::size_t words_ = 0;   // 64-bit words per row
@@ -127,8 +158,18 @@ class EdgeMembership {
   /// The last apply's movers (ascending) and the edge each one left.
   std::vector<std::size_t> moved_;
   std::vector<std::uint16_t> moved_from_;
-  /// 1 for each edge whose rows the current block's moves changed.
-  std::vector<std::uint8_t> touched_;
+  /// Per-shard scratch, `scratch_stride_` entries a shard (the edge count
+  /// rounded up to 64, so no two shards' flags share a cache line): the
+  /// count change of each edge over the shard's blocks, zero between
+  /// applies, and a 1 for each edge whose rows the shard's current block
+  /// changed.
+  std::size_t scratch_stride_ = 0;
+  std::vector<std::int64_t> shard_delta_;
+  std::vector<std::uint8_t> shard_touched_;
+  /// The index in the mover list where each shard starts, then the list's
+  /// size.
+  std::vector<std::size_t> shard_starts_;
+  parallel::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace middlefl::core

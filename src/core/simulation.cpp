@@ -83,8 +83,10 @@ Simulation::Simulation(SimulationConfig cfg, const nn::ModelSpec& model_spec,
                                       : &parallel::ThreadPool::global())
               : nullptr;
   // Models with order-free per-device transitions shard advance() over the
-  // same pool the chains run on; serial models ignore the hint.
+  // same pool the chains run on; serial models ignore the hint. The
+  // membership update that follows each advance shards over it too.
   mobility_->set_pool(pool_);
+  membership_.set_pool(pool_);
 
   // Common initialization: one model drawn from the seed, copied everywhere
   // (cloud, edges, devices all start aligned, as in Algorithm 1's t = 0).

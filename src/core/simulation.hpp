@@ -31,8 +31,10 @@
 // The step-begin prologue costs O(movers), not O(fleet): the mobility
 // model reports which devices changed edge, and each mover flips two bits
 // in the per-edge membership rows (core::EdgeMembership, built once before
-// the first advance), which also remember the edge each mover left. A
-// model that reports no movers costs one O(n) diff per step. Id-only
+// the first advance), which also remember the edge each mover left. Both
+// the advance and the membership update fan out over the pool in shards
+// that depend only on the fleet and the mover list. A model that reports
+// no movers costs one O(n) diff per step. Id-only
 // selection picks positions 0..count-1 and maps its K picks to ids with
 // one scan of the edge's row, so no step materializes a member list.
 //

@@ -37,6 +37,8 @@ void Adam::step(std::span<float> params, std::span<const float> grads) {
   const auto alpha =
       static_cast<float>(cfg_.learning_rate * std::sqrt(bias2) / bias1);
 
+  // This TU builds with -fno-math-errno (src/optim/CMakeLists.txt), so the
+  // loop vectorises with the scalar loop's bits.
   for (std::size_t i = 0; i < params.size(); ++i) {
     const float g = grads[i] + wd * params[i];
     m_[i] = b1 * m_[i] + (1.0f - b1) * g;

@@ -7,7 +7,14 @@
 //    diff (counts, ascending iteration, rank lookup across word and block
 //    boundaries, a drained edge, ragged n), and previous_edge for every
 //    device against the assignment before each apply; the 65,536-edge
-//    limit and malformed mover lists are rejected.
+//    limit and malformed mover lists are rejected, also above the shard
+//    grain on a pool (a misplaced id in another shard's blocks, a descent
+//    where a shard starts, ids past the fleet, an edge past the last).
+//  - Sharded apply: on a ragged 300,001-device fleet under Markov mobility
+//    (uniform and home-ring, P = 0.1 and 0.9), and for one full block, three
+//    full blocks and an empty list, rows on pools of 1, 2, 3 and 8 workers
+//    equal rows with no pool in every view: member lists, counts, at_ranks
+//    around every block boundary, movers, previous_edge and edge_of.
 //  - Rank-mapped selection: random selection over the ranks 0..count-1,
 //    mapped through at_ranks, picks exactly the ids (in the same order)
 //    it picks from the ascending member ids; at_ranks rejects ranks that
@@ -38,6 +45,7 @@
 #include "mobility/mobility_model.hpp"
 #include "optim/sgd.hpp"
 #include "parallel/rng.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim_fixture.hpp"
 
 namespace {
@@ -50,6 +58,7 @@ using middlefl::mobility::MarkovMobility;
 using middlefl::mobility::MobilityModel;
 using middlefl::mobility::moved_devices;
 using middlefl::mobility::MoveTopology;
+using middlefl::parallel::ThreadPool;
 using middlefl::parallel::Xoshiro256;
 using middlefl::testing::SimBundle;
 
@@ -224,6 +233,254 @@ TEST(EdgeMembership, RejectsEdgesPastTheMapAndBadMovers) {
                std::out_of_range);
   rows.rebuild(3, std::vector<std::size_t>{0, 1, 2, 0});
   EXPECT_THROW(rows.apply(assignment), std::out_of_range);
+
+  // Lists above the shard grain, on a pool: every third device of 100,000
+  // is 33,334 movers in 8 shards, the first starting at index 33,334 / 8.
+  constexpr std::size_t kDevices = 100'000;
+  ThreadPool pool(2);
+  rows.set_pool(&pool);
+  std::vector<std::size_t> fleet(kDevices);
+  for (std::size_t m = 0; m < kDevices; ++m) fleet[m] = m % 4;
+  std::vector<std::size_t> moved_fleet = fleet;
+  std::vector<std::size_t> every_third;
+  for (std::size_t m = 0; m < kDevices; m += 3) {
+    every_third.push_back(m);
+    moved_fleet[m] = (m + 1) % 4;
+  }
+  const std::size_t first_split = every_third.size() / 8;
+  const auto expect_rejected = [&](std::vector<std::size_t> movers,
+                                   const std::vector<std::size_t>& target,
+                                   bool out_of_range, const char* what) {
+    rows.rebuild(4, fleet);
+    if (out_of_range) {
+      EXPECT_THROW(rows.apply(movers, target), std::out_of_range) << what;
+    } else {
+      EXPECT_THROW(rows.apply(movers, target), std::invalid_argument) << what;
+    }
+  };
+  auto swapped = every_third;
+  std::swap(swapped[20'000], swapped[20'001]);
+  expect_rejected(swapped, moved_fleet, false, "adjacent pair swapped");
+  // A misplaced id inside the first shard that lies in the last shard's
+  // blocks (the first shard must not write them), and one from block 0
+  // inside the last shard.
+  auto reaching = every_third;
+  reaching[100] = 99'000;
+  expect_rejected(reaching, moved_fleet, false, "id in a later shard's blocks");
+  auto falling = every_third;
+  falling[every_third.size() - 10] = 7;
+  expect_rejected(falling, moved_fleet, false, "id in an earlier block");
+  // A small id where the first shard boundary falls: the split itself
+  // sees the list descend.
+  auto at_split = every_third;
+  at_split[first_split] = 5;
+  expect_rejected(at_split, moved_fleet, false, "descent at a shard start");
+  auto repeated = every_third;
+  repeated[first_split] = repeated[first_split - 1];
+  expect_rejected(repeated, moved_fleet, false, "repeat at a shard start");
+  // Ids past the fleet, at the end and from the middle on (still
+  // ascending), and an edge past the last in a middle shard.
+  auto past_end = every_third;
+  past_end.back() = kDevices + 7;
+  expect_rejected(past_end, moved_fleet, true, "last id past the fleet");
+  auto tail_past_end = every_third;
+  for (std::size_t i = 20'000; i < tail_past_end.size(); ++i) {
+    tail_past_end[i] = kDevices + i;
+  }
+  expect_rejected(tail_past_end, moved_fleet, true, "ids past the fleet");
+  auto bad_edge = moved_fleet;
+  bad_edge[every_third[20'000]] = 4;
+  expect_rejected(every_third, bad_edge, true, "edge past the last");
+  // The same fleet and list, well formed, still applies.
+  rows.rebuild(4, fleet);
+  rows.apply(every_third, moved_fleet);
+  expect_rows_match_lists(rows, moved_fleet, 4, "sharded after rejects");
+  expect_moves_recorded(rows, fleet, moved_fleet, every_third,
+                        "sharded after rejects");
+}
+
+/// Applies the same mover lists to rows with no pool and to rows on
+/// pools of 1, 2, 3 and 8 workers, and compares every view.
+class ShardedRows {
+ public:
+  ShardedRows() {
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+      pools_.push_back(std::make_unique<ThreadPool>(threads));
+    }
+    pooled_.resize(pools_.size());
+    for (std::size_t p = 0; p < pools_.size(); ++p) {
+      pooled_[p].set_pool(pools_[p].get());
+    }
+  }
+
+  void rebuild(std::size_t num_edges,
+               const std::vector<std::size_t>& assignment) {
+    inline_.rebuild(num_edges, assignment);
+    for (auto& rows : pooled_) rows.rebuild(num_edges, assignment);
+  }
+
+  void apply(std::span<const std::size_t> movers,
+             const std::vector<std::size_t>& assignment) {
+    inline_.apply(movers, assignment);
+    for (auto& rows : pooled_) rows.apply(movers, assignment);
+  }
+
+  const EdgeMembership& reference() const { return inline_; }
+
+  /// The counts and movers of every pooled instance equal the inline ones.
+  void expect_counts_equal(const char* where) const {
+    for (std::size_t p = 0; p < pooled_.size(); ++p) {
+      const EdgeMembership& rows = pooled_[p];
+      const std::size_t threads = pools_[p]->size();
+      for (std::size_t e = 0; e < inline_.num_edges(); ++e) {
+        ASSERT_EQ(rows.count(e), inline_.count(e))
+            << where << " threads " << threads << " edge " << e;
+      }
+      ASSERT_TRUE(std::ranges::equal(rows.movers(), inline_.movers()))
+          << where << " threads " << threads;
+    }
+  }
+
+  /// Every pooled view equals the inline one: the rows (as member lists),
+  /// the counts, at_ranks on both sides of every block boundary, the
+  /// movers and previous_edge of every device.
+  void expect_equal(const char* where) const {
+    const Views expected = views(inline_);
+    for (std::size_t p = 0; p < pooled_.size(); ++p) {
+      const Views got = views(pooled_[p]);
+      const std::size_t threads = pools_[p]->size();
+      ASSERT_EQ(got.counts, expected.counts) << where << " threads " << threads;
+      ASSERT_EQ(got.max_count, expected.max_count)
+          << where << " threads " << threads;
+      ASSERT_EQ(got.ranked, expected.ranked)
+          << where << " threads " << threads;
+      ASSERT_EQ(first_difference(got.members, expected.members),
+                expected.members.size())
+          << where << " threads " << threads << ": member lists differ";
+      ASSERT_EQ(first_difference(got.movers, expected.movers),
+                expected.movers.size())
+          << where << " threads " << threads << ": movers differ";
+      ASSERT_EQ(first_difference(got.previous, expected.previous),
+                expected.previous.size())
+          << where << " threads " << threads << ": previous_edge differs";
+      ASSERT_EQ(first_difference(got.edge_of, expected.edge_of),
+                expected.edge_of.size())
+          << where << " threads " << threads << ": edge_of differs";
+    }
+  }
+
+ private:
+  struct Views {
+    std::vector<std::size_t> counts;
+    std::size_t max_count = 0;
+    /// Every edge's members, one list after the other.
+    std::vector<std::size_t> members;
+    /// at_ranks of the ranks just below and at each block boundary.
+    std::vector<std::vector<std::size_t>> ranked;
+    std::vector<std::size_t> movers;
+    std::vector<std::size_t> previous;
+    std::vector<std::size_t> edge_of;
+  };
+
+  static Views views(const EdgeMembership& rows) {
+    Views v;
+    const std::size_t n = rows.num_devices();
+    v.max_count = rows.max_count();
+    for (std::size_t e = 0; e < rows.num_edges(); ++e) {
+      v.counts.push_back(rows.count(e));
+      const auto list = rows.members(e);
+      v.members.insert(v.members.end(), list.begin(), list.end());
+      std::vector<std::size_t> ranks;
+      for (std::size_t boundary = 4096; boundary < n; boundary += 4096) {
+        const auto below = static_cast<std::size_t>(
+            std::lower_bound(list.begin(), list.end(), boundary) -
+            list.begin());
+        for (const std::size_t r : {below - 1, below}) {
+          if (below > 0 && r < list.size() &&
+              (ranks.empty() || r > ranks.back())) {
+            ranks.push_back(r);
+          }
+        }
+      }
+      rows.at_ranks(e, ranks);
+      v.ranked.push_back(std::move(ranks));
+    }
+    v.movers.assign(rows.movers().begin(), rows.movers().end());
+    v.previous.resize(n);
+    v.edge_of.resize(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      v.previous[m] = rows.previous_edge(m);
+      v.edge_of[m] = rows.edge_of(m);
+    }
+    return v;
+  }
+
+  /// The first index where `a` and `b` differ, or b.size() when equal.
+  static std::size_t first_difference(const std::vector<std::size_t>& a,
+                                      const std::vector<std::size_t>& b) {
+    if (a.size() != b.size()) return std::min(a.size(), b.size());
+    return static_cast<std::size_t>(
+        std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin());
+  }
+
+  std::vector<std::unique_ptr<ThreadPool>> pools_;
+  EdgeMembership inline_;
+  std::vector<EdgeMembership> pooled_;
+};
+
+TEST(EdgeMembership, ShardedApplyMatchesInline) {
+  // A ragged fleet (300,001 devices, not a multiple of 4096) under Markov
+  // mobility: P = 0.1 moves ~30k devices a step (7 shards), P = 0.9 moves
+  // ~270k (the 64-shard cap).
+  constexpr std::size_t kDevices = 300'001;
+  constexpr std::size_t kEdges = 8;
+  std::vector<std::size_t> initial(kDevices);
+  Xoshiro256 rng(7);
+  for (auto& e : initial) e = rng.bounded(kEdges);
+  for (const MoveTopology topology :
+       {MoveTopology::kUniform, MoveTopology::kHomeRing}) {
+    for (const double p : {0.1, 0.9}) {
+      MarkovMobility mobility(initial, kEdges, p, 21);
+      mobility.set_topology(topology, 0.5);
+      ShardedRows rows;
+      rows.rebuild(kEdges, mobility.assignment());
+      for (int step = 0; step < 20; ++step) {
+        mobility.advance();
+        rows.apply(*mobility.movers(), mobility.assignment());
+        // A sweep of every view costs ~100 ms a step at P = 0.9 (a binary
+        // search per device for previous_edge), so three steps get it.
+        if (step == 0 || step == 9 || step == 19) {
+          ASSERT_NO_FATAL_FAILURE(rows.expect_equal("markov step"));
+        } else {
+          ASSERT_NO_FATAL_FAILURE(rows.expect_counts_equal("markov step"));
+        }
+      }
+      expect_rows_match_lists(rows.reference(), mobility.assignment(),
+                              kEdges, "markov after 20 steps");
+    }
+  }
+
+  // Every device of one block moves (one shard), then every device of
+  // blocks 3 to 5 (three shards of one full block each), then nothing.
+  std::vector<std::size_t> assignment = initial;
+  ShardedRows rows;
+  rows.rebuild(kEdges, assignment);
+  const auto move_blocks = [&](std::size_t first, std::size_t last) {
+    std::vector<std::size_t> movers;
+    for (std::size_t m = first * 4096; m < (last + 1) * 4096; ++m) {
+      assignment[m] = (assignment[m] + 1 + m % 3) % kEdges;
+      movers.push_back(m);
+    }
+    rows.apply(movers, assignment);
+  };
+  move_blocks(7, 7);
+  ASSERT_NO_FATAL_FAILURE(rows.expect_equal("one block"));
+  move_blocks(3, 5);
+  ASSERT_NO_FATAL_FAILURE(rows.expect_equal("three full blocks"));
+  rows.apply({}, assignment);
+  ASSERT_NO_FATAL_FAILURE(rows.expect_equal("empty list"));
+  expect_rows_match_lists(rows.reference(), assignment, kEdges, "blocks");
+  EXPECT_TRUE(rows.reference().movers().empty());
 }
 
 TEST(EdgeMembership, RankMappedRandomSelectionMatchesIds) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "optim/adam.hpp"
 #include "optim/lr_schedule.hpp"
 #include "optim/sgd.hpp"
+#include "parallel/rng.hpp"
 
 namespace {
 
@@ -104,6 +107,57 @@ TEST(Adam, ResetClearsStepCount) {
   EXPECT_EQ(adam.step_count(), 2u);
   adam.reset();
   EXPECT_EQ(adam.step_count(), 0u);
+}
+
+/// The per-element Adam update, one scalar at a time, as Adam::step
+/// computed it before its loop was vectorised.
+void adam_oracle_step(const AdamConfig& cfg, std::size_t t,
+                      std::span<float> params, std::span<const float> grads,
+                      std::vector<float>& m, std::vector<float>& v) {
+  const auto b1 = static_cast<float>(cfg.beta1);
+  const auto b2 = static_cast<float>(cfg.beta2);
+  const auto eps = static_cast<float>(cfg.epsilon);
+  const auto wd = static_cast<float>(cfg.weight_decay);
+  const double bias1 = 1.0 - std::pow(cfg.beta1, static_cast<double>(t));
+  const double bias2 = 1.0 - std::pow(cfg.beta2, static_cast<double>(t));
+  const auto alpha =
+      static_cast<float>(cfg.learning_rate * std::sqrt(bias2) / bias1);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const float g = grads[i] + wd * params[i];
+    m[i] = b1 * m[i] + (1.0f - b1) * g;
+    v[i] = b2 * v[i] + (1.0f - b2) * g * g;
+    params[i] -= alpha * m[i] / (std::sqrt(v[i]) + eps);
+  }
+}
+
+TEST(Adam, VectorStepMatchesScalarOracleBitwise) {
+  // 40 steps over gradients at four scales, subnormal (1e-40) included, on
+  // a length that leaves a vector tail; with and without weight decay.
+  constexpr std::size_t kParams = 1031;
+  for (const double weight_decay : {0.0, 1e-4}) {
+    for (const float scale : {1e-40f, 1e-20f, 1e-3f, 1.0f}) {
+      const AdamConfig cfg{.learning_rate = 0.002,
+                           .weight_decay = weight_decay};
+      Adam adam(cfg);
+      middlefl::parallel::Xoshiro256 rng(17);
+      std::vector<float> params(kParams);
+      for (auto& p : params) p = static_cast<float>(rng.normal()) * 0.1f;
+      std::vector<float> expected = params;
+      std::vector<float> m(kParams, 0.0f);
+      std::vector<float> v(kParams, 0.0f);
+      std::vector<float> grads(kParams);
+      for (std::size_t t = 1; t <= 40; ++t) {
+        for (auto& g : grads) g = static_cast<float>(rng.normal()) * scale;
+        adam.step(params, grads);
+        adam_oracle_step(cfg, t, expected, grads, m, v);
+        ASSERT_EQ(std::memcmp(params.data(), expected.data(),
+                              kParams * sizeof(float)),
+                  0)
+            << "scale " << scale << " weight decay " << weight_decay
+            << " step " << t;
+      }
+    }
+  }
 }
 
 TEST(Adam, ValidatesConfig) {
