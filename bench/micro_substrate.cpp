@@ -4,7 +4,9 @@
 // gathering, the Adam update, and thread-pool dispatch. The CNN-2
 // roofline pair: BM_Cnn2Layer times each paper CNN-2 layer's forward and
 // backward, BM_GemmShape each GEMM shape those layers (and the Fig-6 MLP2)
-// call, both in GFLOP/s.
+// call, both in GFLOP/s. The 1M-device step prologue, layer by layer:
+// BM_MarkovAdvance times the Markov walk per topology, and
+// BM_MobilityMembershipStep the walk plus the edge-membership apply.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -16,7 +18,9 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "core/edge_membership.hpp"
 #include "core/similarity.hpp"
+#include "data/partition.hpp"
 #include "data/sampler.hpp"
 #include "data/synthetic.hpp"
 #include "nn/activations.hpp"
@@ -25,6 +29,7 @@
 #include "nn/loss.hpp"
 #include "nn/model_factory.hpp"
 #include "nn/pooling.hpp"
+#include "mobility/markov_mobility.hpp"
 #include "optim/adam.hpp"
 #include "optim/sgd.hpp"
 #include "parallel/parallel_for.hpp"
@@ -726,6 +731,51 @@ void BM_ParallelForDispatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParallelForDispatch)->Arg(8)->Arg(64)->Arg(512);
+
+/// The fleet_1m prologue's mobility: 1M devices on 8 edges from uniform
+/// random initial edges, P = 0.1, serial (no pool).
+constexpr std::size_t kFleetDevices = 1'000'000;
+constexpr std::size_t kFleetEdges = 8;
+
+mobility::MarkovMobility fleet_mobility(mobility::MoveTopology topology) {
+  mobility::MarkovMobility model(
+      data::assign_edges_uniform(kFleetDevices, kFleetEdges, 3), kFleetEdges,
+      0.1, 14);
+  model.set_topology(topology, 0.5);
+  return model;
+}
+
+void BM_MarkovAdvance(benchmark::State& state) {
+  // Arg: 0 uniform, 1 ring, 2 home-ring. items/s = devices walked per
+  // second; about one in ten is a mover.
+  const auto topology = static_cast<mobility::MoveTopology>(state.range(0));
+  mobility::MarkovMobility model = fleet_mobility(topology);
+  for (auto _ : state) {
+    model.advance();
+    benchmark::DoNotOptimize(model.movers()->data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kFleetDevices));
+  state.SetLabel(mobility::to_string(topology));
+}
+BENCHMARK(BM_MarkovAdvance)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_MobilityMembershipStep(benchmark::State& state) {
+  // The uniform walk, then the edge-membership apply of its movers, as the
+  // simulator runs them at the top of every step.
+  mobility::MarkovMobility model =
+      fleet_mobility(mobility::MoveTopology::kUniform);
+  core::EdgeMembership rows;
+  rows.rebuild(kFleetEdges, model.assignment());
+  for (auto _ : state) {
+    model.advance();
+    rows.apply(*model.movers(), model.assignment());
+    benchmark::DoNotOptimize(rows.movers().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kFleetDevices));
+}
+BENCHMARK(BM_MobilityMembershipStep);
 
 }  // namespace
 

@@ -149,12 +149,15 @@ void EdgeMembership::apply_shard(std::size_t s,
                                  std::size_t lo, std::size_t hi,
                                  std::size_t end,
                                  std::span<const std::size_t> assignment) {
-  // The pass is bound by the strided assignment reads, so it keeps its
-  // state in locals the row stores cannot alias. Movers arrive ascending,
-  // so each block's moves are contiguous: flip them, flagging the edges
-  // they touch, then recount the block once before moving on. When the
-  // list is moved_ itself it is already recorded, and the shards leave it
-  // unwritten, as other shards read its entries next to their own.
+  // The pass is bound by the strided assignment and map reads: it
+  // prefetches both for the mover kPrefetchMovers ahead in the shard (only
+  // for an id inside the fleet, so a malformed list still throws below)
+  // and keeps its state in locals the row stores cannot alias. Movers
+  // arrive ascending, so each block's moves are contiguous: flip them,
+  // flagging the edges they touch, then recount the block once before
+  // moving on. When the list is moved_ itself it is already recorded, and
+  // the shards leave it unwritten, as other shards read its entries next
+  // to their own.
   const std::size_t devices = devices_;
   const std::size_t edges = num_edges();
   const std::size_t words = words_;
@@ -168,6 +171,13 @@ void EdgeMembership::apply_shard(std::size_t s,
   std::size_t block = 0;
   std::size_t block_end = 0;  // one past the current block's last device
   for (std::size_t i = lo; i < hi; ++i) {
+    if (hi - i > kPrefetchMovers) {
+      const std::size_t ahead = movers[i + kPrefetchMovers];
+      if (ahead < devices) {
+        __builtin_prefetch(assignment.data() + ahead);
+        __builtin_prefetch(edge_of + ahead, 1);
+      }
+    }
     const std::size_t m = movers[i];
     if (i > 0 && m <= movers[i - 1]) throw_not_ascending(m, movers[i - 1]);
     // A mover in the next shard's blocks means the list descends in

@@ -145,6 +145,9 @@ class EdgeMembership {
   /// The fewest movers a shard of apply() takes, and the most shards.
   static constexpr std::size_t kShardMovers = 4096;
   static constexpr std::size_t kMaxShards = 64;
+  /// How far ahead in its list apply_shard prefetches a mover's
+  /// assignment and map entries.
+  static constexpr std::size_t kPrefetchMovers = 24;
 
   std::size_t devices_ = 0;
   std::size_t words_ = 0;   // 64-bit words per row

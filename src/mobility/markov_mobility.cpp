@@ -129,70 +129,70 @@ void MarkovMobility::set_topology(MoveTopology topology, double home_bias) {
   home_bias_ = home_bias;
 }
 
-std::size_t MarkovMobility::next_gap(
-    parallel::Xoshiro256& rng) const noexcept {
-  // P(gap >= g) = (1 - P_max)^g = survival_[g], and P(u < survival_[g])
-  // is the same, so the gap is the number of g >= 1 with survival_[g] > u
-  // (a prefix, since the table falls). All of them means a gap past the
-  // end of any shard. The guide entry of u's bucket is that count at the
-  // bucket's top, a lower bound; the scan past it is usually empty.
-  const double u = rng.uniform();
-  const std::size_t last = survival_.size() - 1;
-  std::size_t above = guide_[static_cast<std::size_t>(u * kGuideBuckets)];
-  while (above < last && survival_[above + 1] > u) ++above;
-  return above == last ? kNoCandidate : above;
-}
-
+template <MoveTopology kTopology>
 void MarkovMobility::advance_shard(std::size_t s, std::size_t lo,
                                    std::size_t hi,
                                    std::vector<std::size_t>& movers) {
+  // One loop per topology, with the generator and every table in locals
+  // and no out-of-line call per mover, so the walk's state stays in
+  // registers as far as they reach; the walk is bound by memory stalls.
   parallel::Xoshiro256 rng = streams_.stream(step_, s);
-  const bool every_device = p_max_ >= 1.0;
+  std::size_t* const current = current_.data();
+  const EdgeId* const home = initial_.data();
+  const double* const prob = move_prob_.empty() ? nullptr : move_prob_.data();
+  const double* const survival = survival_.data();
+  const std::size_t* const guide = guide_.data();
+  const std::size_t last = survival_.size() - 1;
+  const std::size_t edges = num_edges_;
+  const double p_max = p_max_;
+  const double home_bias = home_bias_;
+  const bool every_device = p_max >= 1.0;
   for (std::size_t m = lo;; ++m) {
     if (!every_device) {
-      const std::size_t gap = next_gap(rng);
-      if (gap == kNoCandidate || gap >= hi - m) return;
+      // P(gap >= g) = (1 - P_max)^g = survival[g], and P(u < survival[g])
+      // is the same, so the gap is the number of g >= 1 with
+      // survival[g] > u (a prefix, since the table falls). All of them
+      // means a gap past the end of any shard. The guide entry of u's
+      // bucket is that count at the bucket's top, a lower bound; the scan
+      // past it is usually empty.
+      const double u = rng.uniform();
+      std::size_t gap = guide[static_cast<std::size_t>(u * kGuideBuckets)];
+      while (gap < last && survival[gap + 1] > u) ++gap;
+      if (gap == last || gap >= hi - m) return;
       m += gap;
     } else if (m >= hi) {
       return;
     }
-    if (!move_prob_.empty()) {
-      const double p = move_prob_[m];
-      if (p < p_max_ && !(rng.uniform() * p_max_ < p)) continue;
+    // Candidates are about 1 / P_max devices apart at random strides,
+    // which the hardware prefetcher does not follow; fetch the assignment
+    // line a fixed distance ahead, never past the shard.
+    if (hi - m > kPrefetchDevices) {
+      __builtin_prefetch(current + m + kPrefetchDevices, 1);
     }
-    move_device(m, rng, movers);
-  }
-}
-
-void MarkovMobility::move_device(std::size_t m, parallel::Xoshiro256& rng,
-                                 std::vector<std::size_t>& movers) {
-  const std::size_t before = current_[m];
-  switch (topology_) {
-    case MoveTopology::kUniform: {
+    if (prob != nullptr) {
+      const double p = prob[m];
+      if (p < p_max && !(rng.uniform() * p_max < p)) continue;
+    }
+    const std::size_t from = current[m];
+    std::size_t to;
+    if constexpr (kTopology == MoveTopology::kUniform) {
       // Teleport to a uniformly random other edge.
-      std::size_t target = rng.bounded(num_edges_ - 1);
-      if (target >= current_[m]) ++target;
-      current_[m] = target;
-      break;
-    }
-    case MoveTopology::kRing: {
-      const bool clockwise = rng.uniform() < 0.5;
-      current_[m] = clockwise ? (current_[m] + 1) % num_edges_
-                              : (current_[m] + num_edges_ - 1) % num_edges_;
-      break;
-    }
-    case MoveTopology::kHomeRing: {
-      if (current_[m] != initial_[m] && rng.uniform() < home_bias_) {
-        current_[m] = initial_[m];  // commuter returns home
+      to = rng.bounded(edges - 1);
+      if (to >= from) ++to;
+    } else {
+      if (kTopology == MoveTopology::kHomeRing && from != home[m] &&
+          rng.uniform() < home_bias) {
+        to = home[m];  // commuter returns home
       } else {
-        const bool clockwise = rng.uniform() < 0.5;
-        current_[m] = clockwise ? (current_[m] + 1) % num_edges_
-                                : (current_[m] + num_edges_ - 1) % num_edges_;
+        // The ring neighbours of an edge below `edges`, without a divide.
+        const std::size_t clockwise = from + 1 == edges ? 0 : from + 1;
+        const std::size_t counter = (from == 0 ? edges : from) - 1;
+        to = rng.uniform() < 0.5 ? clockwise : counter;
       }
-      break;
     }
+    current[m] = to;
+    if (to != from) movers.push_back(m);
   }
-  if (current_[m] != before) movers.push_back(m);
 }
 
 std::size_t MarkovMobility::shard_count(std::size_t devices) noexcept {
@@ -215,8 +215,20 @@ void MarkovMobility::advance() {
     return std::pair{std::min(devices, s * per),
                      std::min(devices, (s + 1) * per)};
   };
+  // The topology switch runs once per shard, not once per mover.
+  const auto walk = [&](std::size_t s, std::vector<std::size_t>& movers) {
+    const auto [lo, hi] = bounds(s);
+    switch (topology_) {
+      case MoveTopology::kUniform:
+        return advance_shard<MoveTopology::kUniform>(s, lo, hi, movers);
+      case MoveTopology::kRing:
+        return advance_shard<MoveTopology::kRing>(s, lo, hi, movers);
+      case MoveTopology::kHomeRing:
+        return advance_shard<MoveTopology::kHomeRing>(s, lo, hi, movers);
+    }
+  };
   if (shards == 1) {
-    advance_shard(0, 0, devices, movers_);
+    walk(0, movers_);
     return;
   }
   shard_movers_.resize(shards);
@@ -226,8 +238,7 @@ void MarkovMobility::advance() {
     // shard's buffer and writes the header back once.
     std::vector<std::size_t> local = std::move(shard_movers_[s]);
     local.clear();
-    const auto [lo, hi] = bounds(s);
-    advance_shard(s, lo, hi, local);
+    walk(s, local);
     shard_movers_[s] = std::move(local);
   });
   for (const auto& local : shard_movers_) {

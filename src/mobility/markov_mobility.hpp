@@ -102,19 +102,16 @@ class MarkovMobility final : public MobilityModel {
   /// rebuilds the gap table.
   void finalize_probabilities();
   /// Walks shard s, devices [lo, hi), on its (seed, step, s) stream,
-  /// appending movers in ascending id order. Thread-safe across shards:
-  /// each writes only its own current_ slots.
+  /// moving accepted devices per kTopology and appending movers in
+  /// ascending id order. Thread-safe across shards: each writes only its
+  /// own current_ slots.
+  template <MoveTopology kTopology>
   void advance_shard(std::size_t s, std::size_t lo, std::size_t hi,
                      std::vector<std::size_t>& movers);
-  /// Devices skipped before the next candidate, or kNoCandidate when the
-  /// gap runs past any shard's end.
-  std::size_t next_gap(parallel::Xoshiro256& rng) const noexcept;
-  /// Moves accepted device m per the topology, drawing from `rng`, and
-  /// records it if it moved.
-  void move_device(std::size_t m, parallel::Xoshiro256& rng,
-                   std::vector<std::size_t>& movers);
 
-  static constexpr std::size_t kNoCandidate = ~std::size_t{0};
+  /// How far ahead of the current candidate the walk prefetches its
+  /// assignment slot (64 cache lines of size_t).
+  static constexpr std::size_t kPrefetchDevices = 512;
 
   /// The initial assignment (each device's home edge), restored by reset().
   std::vector<EdgeId> initial_;
@@ -128,7 +125,7 @@ class MarkovMobility final : public MobilityModel {
   /// up to the shard length or the first value <= 2^-53 (a uniform draw
   /// below it can only be 0). Empty unless 0 < P_max < 1.
   std::vector<double> survival_;
-  /// Search accelerator for next_gap(), not part of the contract: per
+  /// Search accelerator for the gap draw, not part of the contract: per
   /// bucket of the uniform draw, a lower bound on the gap.
   static constexpr std::size_t kGuideBuckets = 1024;
   std::vector<std::size_t> guide_;

@@ -48,9 +48,10 @@ class MobilityModel {
   virtual const std::vector<std::size_t>* movers() const { return nullptr; }
 
   /// Non-owning worker pool for models whose advance() can shard across
-  /// devices (per-device draws keyed on (device, step) make evaluation
-  /// order free). nullptr reverts to serial. Sharding never changes the
-  /// assignment or the mover list.
+  /// devices (the Markov walk draws from one stream per (seed, step,
+  /// shard), over shard boundaries that depend only on the device count,
+  /// so shards run in any order). nullptr reverts to serial. Sharding
+  /// never changes the assignment or the mover list.
   virtual void set_pool(parallel::ThreadPool* /*pool*/) {}
 
   /// Restores the initial assignment (step 0).

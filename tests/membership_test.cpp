@@ -291,6 +291,20 @@ TEST(EdgeMembership, RejectsEdgesPastTheMapAndBadMovers) {
   auto bad_edge = moved_fleet;
   bad_edge[every_third[20'000]] = 4;
   expect_rejected(every_third, bad_edge, true, "edge past the last");
+  // One id past the fleet and one edge past the last, each in the last
+  // shard and more than the prefetch distance before the list's end, so
+  // the shard looks ahead at them first. Pooled and inline.
+  const std::size_t near_end = every_third.size() - 100;
+  auto lone_past_end = every_third;
+  lone_past_end[near_end] = kDevices + 7;
+  auto late_bad_edge = moved_fleet;
+  late_bad_edge[every_third[near_end]] = 4;
+  for (ThreadPool* shards : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    rows.set_pool(shards);
+    expect_rejected(lone_past_end, moved_fleet, true, "lone id past the fleet");
+    expect_rejected(every_third, late_bad_edge, true, "late edge past the last");
+  }
+  rows.set_pool(&pool);
   // The same fleet and list, well formed, still applies.
   rows.rebuild(4, fleet);
   rows.apply(every_third, moved_fleet);

@@ -407,6 +407,48 @@ TEST(MarkovStream, PinnedTrajectoryHash) {
   EXPECT_EQ(h, 521428125902758120ULL);
 }
 
+TEST(MarkovStream, PinnedTrajectoryHashPerTopology) {
+  // The gap path pinned per topology, which the hash above (P_max = 1)
+  // never takes: a shared P = 0.1 (no acceptance draws) and a P_m mix at
+  // P_max = 0.6 (gap and acceptance draws), on the four ragged shards.
+  // The hash folds in every step's mover list and assignment.
+  struct Pin {
+    MoveTopology topology;
+    double mix_scale;
+    std::size_t movers;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {MoveTopology::kUniform, 0.0, 29331u, 11955647546421071400ULL},
+      {MoveTopology::kUniform, 0.6, 71182u, 6450846703695750752ULL},
+      {MoveTopology::kRing, 0.0, 29331u, 14822795134040074398ULL},
+      {MoveTopology::kRing, 0.6, 71182u, 3954737642835966500ULL},
+      {MoveTopology::kHomeRing, 0.0, 29356u, 15557492043250641221ULL},
+      {MoveTopology::kHomeRing, 0.6, 70853u, 6640652811272784477ULL},
+  };
+  for (const Pin& pin : pins) {
+    const auto initial = initial_assignment(kStatFleet, kStatEdges);
+    MarkovMobility model =
+        pin.mix_scale > 0.0
+            ? MarkovMobility(initial, kStatEdges,
+                             stat_probabilities(pin.mix_scale, 0.0), 23)
+            : MarkovMobility(initial, kStatEdges, 0.1, 23);
+    model.set_topology(pin.topology, 0.6);
+    std::uint64_t h = 0;
+    std::size_t movers = 0;
+    for (int t = 0; t < 6; ++t) {
+      model.advance();
+      movers += model.movers()->size();
+      for (const std::size_t m : *model.movers()) h = hash_combine(h, m);
+      for (const std::size_t e : model.assignment()) h = hash_combine(h, e);
+    }
+    const std::string where = to_string(pin.topology) + " mix " +
+                              std::to_string(pin.mix_scale);
+    EXPECT_EQ(movers, pin.movers) << where;
+    EXPECT_EQ(h, pin.hash) << where;
+  }
+}
+
 TEST(MarkovStream, LowProbabilityMatchesNominal) {
   // P = 0.002: the gap table stops at the shard length, and most shards
   // end on a gap that runs past their last device.
